@@ -49,7 +49,13 @@ usage:
   srs validate   --graph FILE --index FILE [--k 20] [--queries 50] [--seed S]
   srs reorder    --in FILE --out FILE [--by bfs|degree]
   srs walk-bench --graph FILE [--walks N] [--t T] [--seed S]
-  srs help";
+  srs help
+
+options:
+  --ball R       also treat every vertex within undirected distance R of the
+                 query as a candidate; R above the index's d_max (T by
+                 default) acts as d_max, since the query BFS never looks
+                 farther";
 
 /// Parses and runs one invocation, returning its stdout.
 pub fn dispatch(argv: &[String]) -> Result<String, String> {

@@ -2,13 +2,16 @@
 //!
 //! The similarity search needs three distance facilities:
 //!
-//! 1. **Bounded undirected BFS from the query vertex** — the L1 bound
+//! 1. **Targeted undirected BFS from the query vertex** — the L1 bound
 //!    `β(u, d)` is indexed by the distance `d(u, v)` of each candidate, and
-//!    the search only ever inspects the ball of radius `d_max = T` (Section
-//!    6). Undirected distance is used because the triangle inequality in the
-//!    proof of Proposition 4 requires a symmetric metric, and every reverse
-//!    random walk of `t` steps stays inside the undirected ball of radius
-//!    `t`.
+//!    the search never looks past `d_max = T` (Section 6). Undirected
+//!    distance is used because the triangle inequality in the proof of
+//!    Proposition 4 requires a symmetric metric, and every reverse random
+//!    walk of `t` steps stays inside the undirected ball of radius `t`.
+//!    The query only needs the distances of its candidates, which sit
+//!    within 2–4 hops (Section 5), so [`BfsBuffers::run_targeted`] stops
+//!    once every candidate is placed and reports the depth `h` through
+//!    which the ball is complete; the L1 table needs no more than that.
 //! 2. **Distance histograms of top-k result lists** — the Figure 2
 //!    reproduction plots the average distance of the k-th most similar
 //!    vertex.
@@ -45,6 +48,9 @@ pub struct BfsBuffers {
     visited_bits: Vec<u64>,
     dist: Vec<u32>,
     queue: Vec<VertexId>,
+    /// Targets of the current [`BfsBuffers::run_targeted`] call not yet
+    /// placed.
+    pending: Vec<VertexId>,
 }
 
 impl BfsBuffers {
@@ -54,6 +60,7 @@ impl BfsBuffers {
             visited_bits: vec![0; (n as usize).div_ceil(64)],
             dist: vec![UNREACHED; n as usize],
             queue: Vec::new(),
+            pending: Vec::new(),
         }
     }
 
@@ -97,20 +104,54 @@ impl BfsBuffers {
 
     /// BFS from `source` following `direction`, stopping at `max_depth`
     /// (inclusive). Results are read back with [`BfsBuffers::distance`] /
-    /// [`BfsBuffers::visited`].
-    ///
-    /// Levels are expanded top-down (scan the frontier's adjacency) until
-    /// the frontier grows large, then bottom-up (scan the *unvisited*
-    /// vertices and probe each for a frontier neighbor, early-exiting on
-    /// the first hit) — the direction-optimizing scheme of Beamer et al.
-    /// On small-world graphs the middle levels hold most of the graph, so
-    /// the switch cuts the per-query traversal cost severalfold. Both
-    /// expansions are level-synchronous, so distances are identical; only
-    /// the within-level order of [`BfsBuffers::visited`] differs (bottom-up
-    /// appends in ascending vertex id), and it stays deterministic.
+    /// [`BfsBuffers::visited`]. The untargeted case of
+    /// [`BfsBuffers::run_targeted`].
     pub fn run(&mut self, g: &Graph, source: VertexId, direction: Direction, max_depth: u32) {
+        self.run_targeted(g, source, direction, max_depth, max_depth, &[]);
+    }
+
+    /// BFS from `source` that stops as soon as every vertex of `targets`
+    /// has a distance and at least `min_depth` levels are complete (both
+    /// capped by `max_depth`: nothing deeper is ever visited, so a target
+    /// beyond it stays [`UNREACHED`] and a `min_depth` above it acts as
+    /// `max_depth`).
+    ///
+    /// Returns `h`, the depth through which the ball is **complete**:
+    /// every vertex within distance `h` of `source` is visited with its
+    /// exact distance. Beyond `h` only targets are placed, each at its
+    /// exact distance `h + 1`. When the traversal exhausts the reachable
+    /// set, or reaches `max_depth`, the ball is complete through
+    /// `max_depth` and that is what is returned.
+    ///
+    /// The last level is resolved without expanding the frontier: once
+    /// `min_depth` levels are complete, each level first probes only the
+    /// still-unplaced targets for a neighbor on the current frontier. If
+    /// all of them have one, they are placed one level deeper and the
+    /// traversal ends; otherwise the level is expanded in full.
+    ///
+    /// Full levels are expanded top-down (scan the frontier's adjacency)
+    /// until the frontier grows large, then bottom-up (scan the
+    /// *unvisited* vertices and probe each for a frontier neighbor,
+    /// early-exiting on the first hit) — the direction-optimizing scheme
+    /// of Beamer et al. On small-world graphs the middle levels hold most
+    /// of the graph, so the switch cuts the per-query traversal cost
+    /// severalfold. Both expansions are level-synchronous, so distances
+    /// are identical; only the within-level order of
+    /// [`BfsBuffers::visited`] differs (bottom-up appends in ascending
+    /// vertex id), and it stays deterministic.
+    pub fn run_targeted(
+        &mut self,
+        g: &Graph,
+        source: VertexId,
+        direction: Direction,
+        max_depth: u32,
+        min_depth: u32,
+        targets: &[VertexId],
+    ) -> u32 {
         self.begin();
         self.visit(source, 0);
+        self.pending.clear();
+        self.pending.extend_from_slice(targets);
         let n = g.num_vertices() as usize;
         // Expected probes per bottom-up vertex before a frontier hit are
         // bounded by its degree; 2m/n is the mean over both lists (the
@@ -118,13 +159,16 @@ impl BfsBuffers {
         let avg_deg = (2 * g.num_edges() / n.max(1) as u64).max(1);
         let mut level_start = 0usize;
         let mut d = 0u32;
-        while level_start < self.queue.len() && d < max_depth {
+        loop {
             let level_end = self.queue.len();
+            if d >= max_depth || level_start == level_end || level_end == n {
+                return max_depth;
+            }
+            if d >= min_depth && self.resolve_targets(g, direction, d) {
+                return d;
+            }
             let frontier = (level_end - level_start) as u64;
             let unvisited = (n - level_end) as u64;
-            if unvisited == 0 {
-                break;
-            }
             // Top-down touches ~frontier·avg_deg adjacency slots; bottom-up
             // touches at most ~unvisited early-exited probes plus a bitset
             // sweep. The size guard keeps small graphs (and small levels)
@@ -137,6 +181,35 @@ impl BfsBuffers {
             level_start = level_end;
             d += 1;
         }
+    }
+
+    /// With levels `0..=d` complete: drops already-placed targets, then
+    /// tries to place every remaining one at `d + 1` by probing it for a
+    /// frontier neighbor. All-or-nothing — returns `true` (and places
+    /// them) only if every remaining target has one. A target that fails
+    /// moves to the front, so the next level's probe stops at it first.
+    fn resolve_targets(&mut self, g: &Graph, direction: Direction, d: u32) -> bool {
+        let mut pending = std::mem::take(&mut self.pending);
+        pending.retain(|&v| !self.seen(v));
+        let mut all = true;
+        for i in 0..pending.len() {
+            if !self.has_frontier_neighbor(g, direction, pending[i], d) {
+                pending.swap(0, i);
+                all = false;
+                break;
+            }
+        }
+        if all {
+            for &v in &pending {
+                // Duplicate targets: place each vertex once.
+                if !self.seen(v) {
+                    self.visit(v, d + 1);
+                }
+            }
+            pending.clear();
+        }
+        self.pending = pending;
+        all
     }
 
     /// Expands one level by scanning the frontier `queue[start..end]`.
@@ -187,19 +260,24 @@ impl BfsBuffers {
             while todo != 0 {
                 let v = (wi * 64 + todo.trailing_zeros() as usize) as VertexId;
                 todo &= todo - 1;
-                // An edge w→v puts v in w's `Out` expansion, so the
-                // bottom-up probe walks v's *in*-list (and vice versa).
-                let hit = match direction {
-                    Direction::Out => self.frontier_neighbor(g.in_neighbors(v), d),
-                    Direction::In => self.frontier_neighbor(g.out_neighbors(v), d),
-                    Direction::Undirected => {
-                        self.frontier_neighbor(g.out_neighbors(v), d)
-                            || self.frontier_neighbor(g.in_neighbors(v), d)
-                    }
-                };
-                if hit {
+                if self.has_frontier_neighbor(g, direction, v, d) {
                     self.visit(v, d + 1);
                 }
+            }
+        }
+    }
+
+    /// Whether `v` has a neighbor on the current frontier (distance `d`)
+    /// that `direction` would expand into `v`.
+    #[inline]
+    fn has_frontier_neighbor(&self, g: &Graph, direction: Direction, v: VertexId, d: u32) -> bool {
+        // An edge w→v puts v in w's `Out` expansion, so the probe walks
+        // v's *in*-list (and vice versa).
+        match direction {
+            Direction::Out => self.frontier_neighbor(g.in_neighbors(v), d),
+            Direction::In => self.frontier_neighbor(g.out_neighbors(v), d),
+            Direction::Undirected => {
+                self.frontier_neighbor(g.out_neighbors(v), d) || self.frontier_neighbor(g.in_neighbors(v), d)
             }
         }
     }
@@ -316,6 +394,117 @@ mod tests {
         b.run(&g, 3, Direction::Out, 10);
         assert_eq!(b.distance(3), 0);
         assert_eq!(b.distance(0), UNREACHED); // stale state must not leak
+    }
+
+    #[test]
+    fn targeted_stops_once_targets_are_placed() {
+        // 0 → 1 → 2 → 3 → 4 → 5: target 2 needs levels 0..=1 complete
+        // plus a probe; nothing past it is visited.
+        let g = crate::gen::fixtures::path(6);
+        let mut b = BfsBuffers::new(6);
+        let h = b.run_targeted(&g, 0, Direction::Out, 10, 0, &[2]);
+        assert_eq!(h, 1);
+        assert_eq!(b.distance(2), 2);
+        assert_eq!(b.distance(3), UNREACHED);
+        assert_eq!(b.visited(), &[0, 1, 2]);
+        // min_depth forces complete levels past the last target.
+        let h = b.run_targeted(&g, 0, Direction::Out, 10, 3, &[1]);
+        assert_eq!(h, 3);
+        assert_eq!(b.visited(), &[0, 1, 2, 3]);
+        // A target beyond max_depth stays unreached; min_depth above
+        // max_depth acts as max_depth.
+        let h = b.run_targeted(&g, 0, Direction::Out, 2, 9, &[4]);
+        assert_eq!(h, 2);
+        assert_eq!(b.distance(4), UNREACHED);
+        assert_eq!(b.visited(), &[0, 1, 2]);
+        // Exhausting the reachable set completes the ball at any depth.
+        let h = b.run_targeted(&g, 5, Direction::Out, 7, 0, &[0]);
+        assert_eq!(h, 7);
+        assert_eq!(b.distance(0), UNREACHED);
+    }
+
+    /// Plain queue BFS, independent of [`BfsBuffers`].
+    fn reference_distances(g: &Graph, source: VertexId, direction: Direction) -> Vec<u32> {
+        let mut dist = vec![UNREACHED; g.num_vertices() as usize];
+        let mut queue = std::collections::VecDeque::from([source]);
+        dist[source as usize] = 0;
+        while let Some(u) = queue.pop_front() {
+            let (out, inn): (&[VertexId], &[VertexId]) = match direction {
+                Direction::Out => (g.out_neighbors(u), &[]),
+                Direction::In => (&[], g.in_neighbors(u)),
+                Direction::Undirected => (g.out_neighbors(u), g.in_neighbors(u)),
+            };
+            for &v in out.iter().chain(inn) {
+                if dist[v as usize] == UNREACHED {
+                    dist[v as usize] = dist[u as usize] + 1;
+                    queue.push_back(v);
+                }
+            }
+        }
+        dist
+    }
+
+    #[test]
+    fn targeted_bfs_agrees_with_full_bfs() {
+        use crate::gen;
+        let graphs = [
+            gen::erdos_renyi(300, 900, 1),
+            gen::erdos_renyi(200, 120, 2), // many components
+            gen::preferential_attachment_windowed(400, 4, 60, 3),
+            gen::copying_web(400, 3, 0.8, 4),
+            gen::copying_web(3000, 4, 0.8, 5), // frontiers big enough for bottom-up levels
+            Graph::from_edges(9, vec![(0, 1), (1, 2), (3, 4), (5, 6), (6, 5)]).unwrap(),
+            Graph::from_edges(1, vec![]).unwrap(),
+            Graph::from_edges(2, vec![(1, 0)]).unwrap(),
+        ];
+        let dirs = [Direction::Out, Direction::In, Direction::Undirected];
+        let mut trials = 0;
+        for (gi, g) in graphs.iter().enumerate() {
+            let n = g.num_vertices();
+            let mut b = BfsBuffers::new(n);
+            for trial in 0..60u64 {
+                let r = |salt: u64| crate::hash::mix_seed(&[gi as u64, trial, salt]);
+                let source = (r(0) % n as u64) as VertexId;
+                let direction = dirs[(r(1) % 3) as usize];
+                let max_depth = if r(2) % 4 == 0 { u32::MAX - 1 } else { (r(3) % 7) as u32 };
+                let min_depth = (r(4) % 9) as u32;
+                let targets: Vec<VertexId> =
+                    (0..r(5) % 12).map(|i| (r(100 + i) % n as u64) as VertexId).collect();
+                let full = reference_distances(g, source, direction);
+                let h = b.run_targeted(g, source, direction, max_depth, min_depth, &targets);
+                let ctx = format!("graph {gi} trial {trial}: source {source} {direction:?} max {max_depth} min {min_depth} targets {targets:?} h {h}");
+                assert!(h <= max_depth && h >= min_depth.min(max_depth), "{ctx}");
+                for v in 0..n {
+                    let (got, want) = (b.distance(v), full[v as usize]);
+                    if want <= h {
+                        assert_eq!(got, want, "{ctx}: vertex {v} inside the complete ball");
+                    } else if got != UNREACHED {
+                        // Only targets are placed past the ball, one level out.
+                        assert!(
+                            got == want && want == h + 1 && targets.contains(&v),
+                            "{ctx}: vertex {v} at {got}"
+                        );
+                    }
+                }
+                let mut max_target = 0;
+                for &t in &targets {
+                    let want = full[t as usize];
+                    if want <= max_depth {
+                        assert_eq!(b.distance(t), want, "{ctx}: target {t}");
+                        max_target = max_target.max(want);
+                    } else {
+                        assert_eq!(b.distance(t), UNREACHED, "{ctx}: target {t} beyond max_depth");
+                    }
+                }
+                assert!(h + 1 >= max_target, "{ctx}: ball too shallow for target distance {max_target}");
+                let mut seen: Vec<VertexId> = b.visited().to_vec();
+                seen.sort_unstable();
+                seen.dedup();
+                assert_eq!(seen.len(), b.visited().len(), "{ctx}: duplicate visits");
+                trials += 1;
+            }
+        }
+        assert_eq!(trials, graphs.len() * 60);
     }
 
     #[test]

@@ -174,12 +174,35 @@ impl GammaTable {
 }
 
 /// Query-time α/β tables for one query vertex (Algorithm 2 output).
+///
+/// The table is **horizon-limited**: it is built from a BFS ball that is
+/// complete only through depth `horizon − 1` (the query BFS stops once
+/// every candidate has a distance), and it answers `β(u, d)` exactly for
+/// every `d ≤ horizon`:
+///
+/// * steps `t < horizon` keep the per-distance rows `α(u, d', t)` — a
+///   `t`-step reverse walk stays within distance `t` of `u`, so every
+///   position lies inside the complete ball and has its exact distance;
+/// * steps `t ≥ horizon` keep one distance-free maximum over all
+///   positions. For any `d ≤ horizon ≤ t` the β window `[d−t, d+t]`
+///   starts at 0 and reaches past every position's distance, so the
+///   windowed maximum *is* the distance-free maximum (`max` is exact on
+///   `f64`, so β matches the full table bit for bit).
+///
+/// Positions farther than `d_max` are excluded, as in the full table;
+/// at steps `t ≤ d_max` none exist, and beyond that the caller's ball
+/// must be complete through `d_max` (see [`AlphaBeta::compute_into`]).
 #[derive(Debug, Clone)]
 pub struct AlphaBeta {
-    d_max: u32,
-    /// `alpha[d * t_steps + t]` = `α(u, d, t)` estimates.
-    alpha: Vec<f64>,
-    /// `beta[d]` = `β(u, d)` (equation (18)).
+    /// Rows `t < horizon` hold per-distance values.
+    horizon: u32,
+    /// `near[t * horizon + d]` = `α(u, d, t)` for `t < min(horizon, T)`,
+    /// `d < horizon` (zero for `d > t`: no walk gets that far).
+    near: Vec<f64>,
+    /// `far[t − horizon]` = `max_{d ≤ d_max} α(u, d, t)` for
+    /// `horizon ≤ t < T`.
+    far: Vec<f64>,
+    /// `beta[d]` = `β(u, d)` (equation (18)) for `d ≤ min(horizon, d_max)`.
     beta: Vec<f64>,
 }
 
@@ -188,13 +211,13 @@ impl AlphaBeta {
     /// [`AlphaBeta::compute_into`]. Until then `beta` returns +∞
     /// everywhere, i.e. the table is uninformative, never unsound.
     pub fn new_empty() -> Self {
-        AlphaBeta { d_max: 0, alpha: Vec::new(), beta: Vec::new() }
+        AlphaBeta { horizon: 0, near: Vec::new(), far: Vec::new(), beta: Vec::new() }
     }
 
-    /// Runs Algorithm 2 for query vertex `u` with `params.r_bounds` walks.
-    /// `dist(w)` must give the undirected BFS distance from `u` (or
-    /// [`UNREACHED`]); positions farther than `d_max` are ignored (they can
-    /// only matter for candidates beyond the search horizon).
+    /// Runs Algorithm 2 for query vertex `u` with `params.r_bounds` walks
+    /// over the full `d_max` horizon. `dist(w)` must give the undirected
+    /// BFS distance from `u` for every vertex within `d_max` (and
+    /// [`UNREACHED`] or anything larger beyond it).
     pub fn compute(
         g: &Graph,
         u: VertexId,
@@ -210,6 +233,7 @@ impl AlphaBeta {
             params,
             diag,
             dist,
+            params.d_max.saturating_add(1),
             seed,
             &mut WalkPositions::new(),
             &mut PositionCounter::new(),
@@ -217,10 +241,18 @@ impl AlphaBeta {
         ab
     }
 
-    /// [`AlphaBeta::compute`] into existing storage: `self`'s tables and
-    /// the caller's walk/counter buffers are reused, so a warm query
-    /// worker recomputes the L1 bound without allocating. Results are
-    /// bit-identical to `compute` for the same inputs.
+    /// [`AlphaBeta::compute`] limited to `horizon`, into existing
+    /// storage: `self`'s tables and the caller's walk/counter buffers are
+    /// reused, so a warm query worker recomputes the L1 bound without
+    /// allocating.
+    ///
+    /// `dist(w)` must be exact for every `w` within distance
+    /// `horizon − 1` of `u` (a BFS ball complete through `horizon − 1`);
+    /// other vertices may read anything. If `T − 1 > d_max`, the ball
+    /// must also be complete through `d_max`, so that positions beyond
+    /// `d_max` can be told apart and excluded. Then `beta(d)` is
+    /// bit-identical to [`AlphaBeta::compute`]'s for every
+    /// `d ≤ horizon`, and +∞ beyond.
     #[allow(clippy::too_many_arguments)]
     pub fn compute_into(
         &mut self,
@@ -229,6 +261,7 @@ impl AlphaBeta {
         params: &SimRankParams,
         diag: &Diagonal,
         dist: impl Fn(VertexId) -> u32,
+        horizon: u32,
         seed: u64,
         walks: &mut WalkPositions,
         counter: &mut PositionCounter,
@@ -236,9 +269,14 @@ impl AlphaBeta {
         params.validate();
         let t_steps = params.t as usize;
         let d_max = params.d_max as usize;
-        self.d_max = params.d_max;
-        self.alpha.clear();
-        self.alpha.resize((d_max + 1) * t_steps, 0.0);
+        let horizon = horizon.min(params.d_max.saturating_add(1)).max(1);
+        let h = horizon as usize;
+        let near_steps = h.min(t_steps);
+        self.horizon = horizon;
+        self.near.clear();
+        self.near.resize(near_steps * h, 0.0);
+        self.far.clear();
+        self.far.resize(t_steps - near_steps, 0.0);
         let engine = WalkEngine::new(g);
         let r = params.r_bounds as usize;
         let mut rng = Pcg32::from_parts(&[seed, 0xB0, u as u64]);
@@ -249,15 +287,31 @@ impl AlphaBeta {
             } else {
                 counter.fill(walks.positions());
             }
-            for (w, cnt) in counter.iter() {
-                let d = dist(w);
-                if d == UNREACHED || d as usize > d_max {
-                    continue;
+            if t < near_steps {
+                let row = &mut self.near[t * h..(t + 1) * h];
+                for (w, cnt) in counter.iter() {
+                    let d = dist(w) as usize;
+                    debug_assert!(d <= t, "walk position outside the complete ball");
+                    let a = diag.weight(w) * cnt as f64 / r as f64;
+                    if a > row[d] {
+                        row[d] = a;
+                    }
                 }
-                let a = diag.weight(w) * cnt as f64 / r as f64;
-                let slot = &mut self.alpha[d as usize * t_steps + t];
-                if a > *slot {
-                    *slot = a;
+            } else {
+                // Only positions beyond d_max are excluded, and none exist
+                // before step d_max + 1.
+                let slot = &mut self.far[t - near_steps];
+                for (w, cnt) in counter.iter() {
+                    if t > d_max {
+                        let d = dist(w);
+                        if d == UNREACHED || d as usize > d_max {
+                            continue;
+                        }
+                    }
+                    let a = diag.weight(w) * cnt as f64 / r as f64;
+                    if a > *slot {
+                        *slot = a;
+                    }
                 }
             }
             if walks.is_empty() {
@@ -266,19 +320,25 @@ impl AlphaBeta {
                 break;
             }
         }
-        // β(u,d) = Σ_t cᵗ · max_{max(0,d−t) ≤ d' ≤ min(d_max, d+t)} α(d', t).
+        // β(u,d) = Σ_t cᵗ · max_{max(0,d−t) ≤ d' ≤ min(d_max, d+t)} α(d', t),
+        // for d ≤ min(horizon, d_max). Near rows are zero past d' = t (and
+        // t ≤ d_max there), so the window stops at t; far rows are the
+        // whole window (d ≤ t).
         self.beta.clear();
-        self.beta.resize(d_max + 1, 0.0);
+        self.beta.resize(h.min(d_max) + 1, 0.0);
         for (d, slot) in self.beta.iter_mut().enumerate() {
             let mut acc = 0.0;
             let mut ct = 1.0;
             for t in 0..t_steps {
-                let lo = d.saturating_sub(t);
-                let hi = (d + t).min(d_max);
-                let mut best = 0.0f64;
-                for dp in lo..=hi {
-                    best = best.max(self.alpha[dp * t_steps + t]);
-                }
+                let best = if t < near_steps {
+                    let mut best = 0.0f64;
+                    for dp in d.saturating_sub(t)..=t {
+                        best = best.max(self.near[t * h + dp]);
+                    }
+                    best
+                } else {
+                    self.far[t - near_steps]
+                };
                 acc += ct * best;
                 ct *= params.c;
             }
@@ -287,9 +347,10 @@ impl AlphaBeta {
     }
 
     /// `β(u, d)` — the L1 bound for any `v` at distance `d` from `u`
-    /// (Proposition 4). Beyond `d_max` the table carries no information,
-    /// so the bound degrades to +∞ (callers fall back to the other
-    /// bounds); returning anything finite there would be unsound.
+    /// (Proposition 4). Beyond the horizon (or `d_max`) the table carries
+    /// no information, so the bound degrades to +∞ (callers fall back to
+    /// the other bounds); returning anything finite there would be
+    /// unsound.
     #[inline]
     pub fn beta(&self, d: u32) -> f64 {
         if d as usize >= self.beta.len() {
@@ -299,15 +360,24 @@ impl AlphaBeta {
         }
     }
 
-    /// `α(u, d, t)` estimate (exposed for the ablation benches and tests).
-    pub fn alpha(&self, d: u32, t: u32) -> f64 {
-        let t_steps = self.alpha.len() / (self.d_max as usize + 1);
-        self.alpha[d as usize * t_steps + t as usize]
+    /// The per-distance estimate `α(u, d, t)`, for the rows the table
+    /// holds: `t < min(horizon, T)` and `d < horizon`. `None` for any
+    /// other `(d, t)` — an empty table, or a step `t ≥ horizon`, where
+    /// only the distance-free maximum is kept.
+    pub fn alpha(&self, d: u32, t: u32) -> Option<f64> {
+        let h = self.horizon as usize;
+        let (d, t) = (d as usize, t as usize);
+        if d < h && t * h < self.near.len() {
+            Some(self.near[t * h + d])
+        } else {
+            None
+        }
     }
 
-    /// The maximum distance the table covers.
-    pub fn d_max(&self) -> u32 {
-        self.d_max
+    /// The horizon the table was computed for: `β(u, d)` is informative
+    /// for `d ≤ horizon` (and `d ≤ d_max`). 0 for an empty table.
+    pub fn horizon(&self) -> u32 {
+        self.horizon
     }
 }
 
@@ -411,7 +481,154 @@ mod tests {
         let ab =
             AlphaBeta::compute(&g, 0, &params, &Diagonal::paper_default(params.c), |w| bfs.distance(w), 1);
         assert_eq!(ab.beta(params.d_max + 5), f64::INFINITY);
-        assert_eq!(ab.d_max(), params.d_max);
+        assert_eq!(ab.horizon(), params.d_max + 1);
+    }
+
+    /// The dense Algorithm 2 table over every distance `0..=d_max` and
+    /// every step, from a complete `d_max` ball — the reference the
+    /// horizon-limited table must reproduce bit for bit.
+    fn full_table_beta(
+        g: &Graph,
+        u: VertexId,
+        params: &SimRankParams,
+        diag: &Diagonal,
+        dist: impl Fn(VertexId) -> u32,
+        seed: u64,
+    ) -> Vec<f64> {
+        let (t_steps, d_max) = (params.t as usize, params.d_max as usize);
+        let mut alpha = vec![0.0f64; (d_max + 1) * t_steps];
+        let engine = WalkEngine::new(g);
+        let r = params.r_bounds as usize;
+        let mut rng = Pcg32::from_parts(&[seed, 0xB0, u as u64]);
+        let (mut walks, mut counter) = (WalkPositions::new(), PositionCounter::new());
+        walks.reset(u, r);
+        for t in 0..t_steps {
+            if t > 0 {
+                walks.step_count(&engine, &mut rng, &mut counter);
+            } else {
+                counter.fill(walks.positions());
+            }
+            for (w, cnt) in counter.iter() {
+                let d = dist(w);
+                if d == UNREACHED || d as usize > d_max {
+                    continue;
+                }
+                let slot = &mut alpha[d as usize * t_steps + t];
+                *slot = slot.max(diag.weight(w) * cnt as f64 / r as f64);
+            }
+            if walks.is_empty() {
+                break;
+            }
+        }
+        (0..=d_max)
+            .map(|d| {
+                let (mut acc, mut ct) = (0.0, 1.0);
+                for t in 0..t_steps {
+                    let mut best = 0.0f64;
+                    for dp in d.saturating_sub(t)..=(d + t).min(d_max) {
+                        best = best.max(alpha[dp * t_steps + t]);
+                    }
+                    acc += ct * best;
+                    ct *= params.c;
+                }
+                acc
+            })
+            .collect()
+    }
+
+    #[test]
+    fn horizon_limited_beta_matches_full_table_bit_for_bit() {
+        let graphs = [
+            gen::preferential_attachment_windowed(300, 3, 40, 5),
+            gen::copying_web(300, 3, 0.8, 6),
+            gen::erdos_renyi(150, 200, 7), // several components
+        ];
+        let param_sets = [
+            SimRankParams { r_bounds: 200, ..Default::default() },
+            // T − 1 > d_max: positions beyond d_max stay excluded.
+            SimRankParams { r_bounds: 200, t: 9, d_max: 3, ..Default::default() },
+            SimRankParams { r_bounds: 200, t: 4, d_max: 6, ..Default::default() },
+        ];
+        let mut walks = WalkPositions::new();
+        let mut counter = PositionCounter::new();
+        let mut ab = AlphaBeta::new_empty();
+        let mut checked = 0;
+        for (gi, g) in graphs.iter().enumerate() {
+            let n = g.num_vertices();
+            let per_vertex: Vec<f64> = (0..n).map(|v| 0.3 + 0.1 * (v % 5) as f64).collect();
+            let diags = [Diagonal::paper_default(0.6), Diagonal::PerVertex(std::sync::Arc::new(per_vertex))];
+            let mut partial = BfsBuffers::new(n);
+            for params in &param_sets {
+                for diag in &diags {
+                    for u in [0u32, 17, 101, n - 1] {
+                        let full = undirected_dist(g, u, params.d_max);
+                        let reference = full_table_beta(g, u, params, diag, |w| full.distance(w), 9);
+                        // Every min_depth the query BFS may stop at, with
+                        // and without targets placed one level past it.
+                        for min_depth in 0..=params.d_max {
+                            let min_depth =
+                                if params.t > params.d_max + 1 { params.d_max } else { min_depth };
+                            let targets: Vec<VertexId> =
+                                (0..n).filter(|&v| full.distance(v) == min_depth + 1).take(3).collect();
+                            let h = partial.run_targeted(
+                                g,
+                                u,
+                                Direction::Undirected,
+                                params.d_max,
+                                min_depth,
+                                &targets,
+                            );
+                            ab.compute_into(
+                                g,
+                                u,
+                                params,
+                                diag,
+                                |w| partial.distance(w),
+                                h + 1,
+                                9,
+                                &mut walks,
+                                &mut counter,
+                            );
+                            assert_eq!(ab.horizon(), (h + 1).min(params.d_max + 1));
+                            for d in 0..=(h + 1).min(params.d_max) {
+                                assert_eq!(
+                                    ab.beta(d).to_bits(),
+                                    reference[d as usize].to_bits(),
+                                    "graph {gi} u {u} t {} d_max {} h {h} d {d}",
+                                    params.t,
+                                    params.d_max
+                                );
+                                checked += 1;
+                            }
+                            assert_eq!(ab.beta(h + 2), f64::INFINITY, "beyond the horizon");
+                        }
+                    }
+                }
+            }
+        }
+        assert!(checked > 500, "{checked}");
+    }
+
+    #[test]
+    fn alpha_holds_only_the_per_distance_rows() {
+        let empty = AlphaBeta::new_empty();
+        assert_eq!(empty.alpha(0, 0), None);
+        assert_eq!(empty.horizon(), 0);
+        assert_eq!(empty.beta(0), f64::INFINITY);
+
+        let g = fixtures::path(6);
+        let params = SimRankParams { r_bounds: 50, ..Default::default() };
+        let diag = Diagonal::paper_default(params.c);
+        let bfs = undirected_dist(&g, 0, params.d_max);
+        let mut ab = AlphaBeta::new_empty();
+        let (mut walks, mut counter) = (WalkPositions::new(), PositionCounter::new());
+        ab.compute_into(&g, 0, &params, &diag, |w| bfs.distance(w), 3, 1, &mut walks, &mut counter);
+        assert_eq!(ab.horizon(), 3);
+        assert!((ab.alpha(0, 0).unwrap() - 0.4).abs() < 1e-12);
+        assert_eq!(ab.alpha(2, 0), Some(0.0), "no walk is 2 hops out at step 0");
+        assert_eq!(ab.alpha(3, 0), None, "distance past the held rows");
+        assert_eq!(ab.alpha(0, 3), None, "step at the horizon keeps no per-distance row");
+        assert_eq!(ab.beta(4), f64::INFINITY);
     }
 
     #[test]
@@ -422,7 +639,7 @@ mod tests {
         let bfs = undirected_dist(&g, 0, params.d_max);
         let ab =
             AlphaBeta::compute(&g, 0, &params, &Diagonal::paper_default(params.c), |w| bfs.distance(w), 1);
-        assert!((ab.alpha(0, 0) - 0.4).abs() < 1e-12);
+        assert!((ab.alpha(0, 0).unwrap() - 0.4).abs() < 1e-12);
     }
 
     #[test]

@@ -49,6 +49,9 @@ pub struct CandidateIndex {
     /// having signature `w`.
     inv_offsets: srs_graph::storage::SharedSlice<u64>,
     inv_entries: srs_graph::storage::SharedSlice<VertexId>,
+    /// Vertex range `[lo, hi)` the inverted side may hold: `0..n`, or a
+    /// shard's range under sharded serving.
+    holder_range: (VertexId, VertexId),
 }
 
 impl CandidateIndex {
@@ -204,6 +207,7 @@ impl CandidateIndex {
             entries: entries.into(),
             inv_offsets: inv_offsets.into(),
             inv_entries: inv_entries.into(),
+            holder_range: (0, n as u32),
         }
     }
 
@@ -272,6 +276,14 @@ impl CandidateIndex {
         out.sort_unstable();
     }
 
+    /// Whether `v` lies in the vertex range this index's inverted side
+    /// covers — every vertex, except under sharded serving, where each
+    /// shard enumerates (and so owns) only its own range.
+    #[inline]
+    pub fn holds(&self, v: VertexId) -> bool {
+        v >= self.holder_range.0 && v < self.holder_range.1
+    }
+
     /// Number of vertices indexed.
     pub fn num_vertices(&self) -> u32 {
         self.n
@@ -337,26 +349,28 @@ impl CandidateIndex {
             entries,
             inv_offsets: inv_offsets.into(),
             inv_entries: inv_entries.into(),
+            holder_range: (0, n),
         }
     }
 
     /// Assembles from a persisted forward CSR *and* a persisted inverted
-    /// side (which may cover only one shard's vertex range). The caller
-    /// (the persist layer) is responsible for having validated both sides
-    /// — this only asserts the shape invariants that are programming
-    /// errors rather than data errors.
+    /// side covering the vertex range `holder_range` (`0..n`, or one
+    /// shard's range). The caller (the persist layer) is responsible for
+    /// having validated both sides — this only asserts the shape
+    /// invariants that are programming errors rather than data errors.
     pub(crate) fn from_parts_with_inverted(
         n: u32,
         offsets: impl Into<srs_graph::storage::SharedSlice<u64>>,
         entries: impl Into<srs_graph::storage::SharedSlice<VertexId>>,
         inv_offsets: impl Into<srs_graph::storage::SharedSlice<u64>>,
         inv_entries: impl Into<srs_graph::storage::SharedSlice<VertexId>>,
+        holder_range: (VertexId, VertexId),
     ) -> Self {
         let (offsets, entries) = (offsets.into(), entries.into());
         let (inv_offsets, inv_entries) = (inv_offsets.into(), inv_entries.into());
         assert_eq!(offsets.len(), n as usize + 1, "offsets length");
         assert_eq!(inv_offsets.len(), n as usize + 1, "inverted offsets length");
-        CandidateIndex { n, offsets, entries, inv_offsets, inv_entries }
+        CandidateIndex { n, offsets, entries, inv_offsets, inv_entries, holder_range }
     }
 
     /// Restricts the inverted map to holders in `[lo, hi)`: the

@@ -230,7 +230,10 @@ impl ServingMetrics {
             batches: r.counter("srs_query_batches_total", "Query batches served"),
             candidates: r.counter("srs_query_candidates_total", "Candidates enumerated"),
             fates,
-            bfs_visited: r.counter("srs_query_bfs_visited_total", "Vertices visited by query BFS"),
+            bfs_visited: r.counter(
+                "srs_query_bfs_visited_total",
+                "Vertices visited by the query BFS (it stops once every candidate is placed)",
+            ),
             waves: r.counter("srs_query_waves_total", "Walk waves formed by the batched scan"),
             wave_wasted: r
                 .counter("srs_query_wave_wasted_total", "Wave-precomputed estimates never consumed"),

@@ -189,6 +189,7 @@ impl IndexCore {
                     self.entries,
                     inv_offsets,
                     inv_entries,
+                    (0, self.n),
                 );
                 if level == ValidationLevel::Deep {
                     let (n, off, ent) = idx.raw_parts();
@@ -212,13 +213,15 @@ impl IndexCore {
     }
 
     /// Assembles a shard's index: the global forward map plus this
-    /// shard's inverted slice. The inverted side must already be
-    /// validated (see [`validate_inverted`]); clones of the shared
-    /// slices are O(1) `Arc` bumps.
+    /// shard's inverted slice, which holds the vertices of `range`. The
+    /// inverted side must already be validated (see
+    /// [`validate_inverted`]); clones of the shared slices are O(1)
+    /// `Arc` bumps.
     pub(crate) fn shard_index(
         &self,
         inv_offsets: SharedSlice<u64>,
         inv_entries: SharedSlice<VertexId>,
+        range: (VertexId, VertexId),
     ) -> TopKIndex {
         TopKIndex {
             params: self.params.clone(),
@@ -230,6 +233,7 @@ impl IndexCore {
                 self.entries.clone(),
                 inv_offsets,
                 inv_entries,
+                range,
             ),
             seed: self.seed,
         }

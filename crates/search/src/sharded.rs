@@ -22,13 +22,21 @@
 //! bit. The CI pin compares `--hits-out` across shard counts to keep
 //! this argument honest.
 //!
-//! What is *not* partition-invariant: BFS distance enumeration and wave
-//! formation run per shard over the whole graph, so `bfs_visited` and
-//! `waves` in merged [`QueryStats`] are inflated roughly `N×` relative
-//! to an unsharded run (the fate counters — pruned/refined/reported —
-//! do sum exactly). The deterministic fast tier scores vertices without
-//! consulting the inverted map, so it is forced off under sharding, as
-//! are explain traces (they would interleave per-shard scans).
+//! The optional candidate ball ([`QueryOptions::candidate_ball`]) keeps
+//! the partition too: each shard adds only the ball vertices in its own
+//! range ([`crate::index::CandidateIndex::holds`]).
+//!
+//! What is *not* partition-invariant: each shard runs its own query BFS
+//! and wave formation. The BFS stops once the shard's own candidates
+//! have distances (and the candidate ball is complete), so a shard
+//! visits about as much of the graph as an unsharded query with its
+//! candidate subset would — the shards' `bfs_visited` overlap near the
+//! query vertex, and the merged sum lies between one unsharded run and
+//! `N×` it; `waves` is likewise per shard (the fate counters —
+//! pruned/refined/reported — do sum exactly). The deterministic fast
+//! tier scores vertices without consulting the inverted map, so it is
+//! forced off under sharding, as are explain traces (they would
+//! interleave per-shard scans).
 
 use crate::engine::{ServingEngine, WaveOutcome, WaveQuery};
 use crate::obs::ServingMetrics;
@@ -491,20 +499,26 @@ mod tests {
     #[test]
     fn sharded_fate_counters_sum_exactly() {
         let (g, idx) = build(120, 22);
-        let theta_only = Arc::new(QueryOptions { kth_prune: false, ..Default::default() });
         let reference = ServingEngine::with_threads(Dataset::new(g.clone(), idx.clone()).unwrap(), 1);
         let vertices: Vec<u32> = (0..120).step_by(11).collect();
-        let ref_out = reference.query_wave(&wave(&vertices, 6, &theta_only));
         let engine = ShardedEngine::with_threads(sharded(&g, &idx, 3), 3);
-        let got = engine.query_wave(&wave(&vertices, 6, &theta_only));
-        for (i, v) in vertices.iter().enumerate() {
-            let (a, b) = (&ref_out.results[i].stats, &got.results[i].stats);
-            assert_eq!(a.candidates, b.candidates, "u={v}");
-            assert_eq!(a.pruned_distance, b.pruned_distance, "u={v}");
-            assert_eq!(a.pruned_bounds, b.pruned_bounds, "u={v}");
-            assert_eq!(a.pruned_coarse, b.pruned_coarse, "u={v}");
-            assert_eq!(a.refined, b.refined, "u={v}");
-            assert_eq!(a.reported, b.reported, "u={v}");
+        // A candidate ball must not be enumerated once per shard: each
+        // shard adds only the ball vertices in its own range.
+        for ball in [None, Some(1), Some(3)] {
+            let theta_only =
+                Arc::new(QueryOptions { kth_prune: false, candidate_ball: ball, ..Default::default() });
+            let ref_out = reference.query_wave(&wave(&vertices, 6, &theta_only));
+            let got = engine.query_wave(&wave(&vertices, 6, &theta_only));
+            for (i, v) in vertices.iter().enumerate() {
+                let (a, b) = (&ref_out.results[i].stats, &got.results[i].stats);
+                assert_eq!(a.candidates, b.candidates, "u={v} ball={ball:?}");
+                assert_eq!(a.pruned_distance, b.pruned_distance, "u={v} ball={ball:?}");
+                assert_eq!(a.pruned_bounds, b.pruned_bounds, "u={v} ball={ball:?}");
+                assert_eq!(a.pruned_coarse, b.pruned_coarse, "u={v} ball={ball:?}");
+                assert_eq!(a.refined, b.refined, "u={v} ball={ball:?}");
+                assert_eq!(a.reported, b.reported, "u={v} ball={ball:?}");
+                assert_eq!(ref_out.results[i].hits, got.results[i].hits, "u={v} ball={ball:?}");
+            }
         }
     }
 

@@ -367,7 +367,7 @@ fn build_loaded(reader: &BundleReader, level: ValidationLevel) -> Result<Loaded,
     for (s, &range) in manifest.ranges.iter().enumerate() {
         let (inv_offsets, inv_entries) = shard_inverted_from_bundle(reader, s as u32, n, range)?;
         inv_total += inv_entries.len() as u64;
-        let index = core.shard_index(inv_offsets, inv_entries);
+        let index = core.shard_index(inv_offsets, inv_entries, range);
         shards.push(Dataset::from_arcs(Arc::clone(&graph), Arc::new(index))?);
     }
     // The shard ranges partition the vertex space and each shard's

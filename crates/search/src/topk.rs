@@ -115,7 +115,8 @@ pub struct QueryOptions {
     /// this undirected distance of the query as a candidate. Raises recall
     /// on graphs where the random-walk index misses borderline pairs, at
     /// the cost of more bound evaluations. `None` (default) is the paper's
-    /// pure Algorithm 5.
+    /// pure Algorithm 5. A radius above the index's `d_max` acts as
+    /// `d_max`: the query BFS never looks farther.
     pub candidate_ball: Option<u32>,
     /// Overrides the index's score threshold `θ` for this query (used by
     /// the Table 3 accuracy experiment, which sweeps thresholds).
@@ -230,7 +231,10 @@ pub struct QueryStats {
     /// Candidates refined with the full walk budget whose score reached θ
     /// (offered to the top-k heap; lower scorers may still be evicted).
     pub reported: u64,
-    /// Vertices visited by the query-time BFS.
+    /// Vertices visited by the query-time BFS: the ball around the query
+    /// vertex complete through the depth that places every candidate
+    /// (the candidate-ball radius at least), plus candidates one level
+    /// deeper — not the whole `d_max` ball.
     pub bfs_visited: u64,
     /// Reverse walk steps performed answering the query (L1 table, coarse
     /// and refine estimates — everything the walk kernels stepped). Under
@@ -397,8 +401,10 @@ impl TopKIndex {
 /// its own deterministic seed stream, so neither batching nor thread
 /// count can perturb scores.
 pub struct QueryScratch {
-    /// Query-time BFS out to the search horizon.
+    /// Query-time BFS, stopped once every candidate has a distance.
     bfs: BfsBuffers,
+    /// Depth through which the last query's BFS ball is complete.
+    ball_depth: u32,
     /// Algorithm 1 walk/counter buffers.
     estimator: EstimatorBuffers,
     /// Algorithm 2 L1 table storage (recomputed per query when enabled).
@@ -486,6 +492,7 @@ impl QueryScratch {
     pub fn new(g: &Graph) -> Self {
         QueryScratch {
             bfs: BfsBuffers::new(g.num_vertices()),
+            ball_depth: 0,
             estimator: EstimatorBuffers::new(),
             l1: AlphaBeta::new_empty(),
             walks: WalkPositions::new(),
@@ -629,9 +636,11 @@ impl QueryScratch {
         }
     }
 
-    /// Stage 1 — BFS to the horizon, then candidate enumeration (line 2 of
-    /// Algorithm 5, plus the optional candidate-ball extension), leaving
-    /// `self.cands` sorted for the ascending-distance scan (§2.2).
+    /// Stage 1 — candidate enumeration (line 2 of Algorithm 5, plus the
+    /// optional candidate-ball extension), then a BFS just deep enough to
+    /// give every candidate its distance, leaving `self.cands` sorted for
+    /// the ascending-distance scan (§2.2) and `self.ball_depth` set for
+    /// the L1 table.
     fn enumerate_candidates(
         &mut self,
         g: &Graph,
@@ -640,17 +649,30 @@ impl QueryScratch {
         opts: &QueryOptions,
         stats: &mut QueryStats,
     ) {
-        // Distances from u out to the search horizon (needed by the c^d and
-        // L1 bounds; undirected — see DESIGN.md on Proposition 4).
-        self.bfs.run(g, u, Direction::Undirected, index.params.d_max);
-        stats.bfs_visited = self.bfs.visited().len() as u64;
-
         // The stamp generation opened here (u and all index candidates
         // marked seen) carries over to the candidate-ball extension below.
         index.candidates.candidates_into_stamped(u, &mut self.cand_ids, &mut self.seen);
+
+        // Distances from u (needed by the c^d and L1 bounds; undirected —
+        // see DESIGN.md on Proposition 4), never past d_max. The BFS stops
+        // once every index candidate has one and the candidate ball is
+        // complete; a radius above d_max is clamped there by the BFS. With
+        // more series terms than d_max + 1 the L1 table must tell
+        // positions beyond d_max apart, which needs the full d_max ball.
+        let params = &index.params;
+        let mut min_depth = opts.candidate_ball.unwrap_or(0);
+        if params.t > params.d_max.saturating_add(1) {
+            min_depth = params.d_max;
+        }
+        self.ball_depth =
+            self.bfs.run_targeted(g, u, Direction::Undirected, params.d_max, min_depth, &self.cand_ids);
+        stats.bfs_visited = self.bfs.visited().len() as u64;
+
         if let Some(radius) = opts.candidate_ball {
+            // A shard adds only the ball vertices it owns, so the shards'
+            // candidate sets stay a partition of the unsharded one.
             for &v in self.bfs.visited() {
-                if self.bfs.distance(v) <= radius && self.seen.insert(v) {
+                if self.bfs.distance(v) <= radius && index.candidates.holds(v) && self.seen.insert(v) {
                     self.cand_ids.push(v);
                 }
             }
@@ -664,11 +686,14 @@ impl QueryScratch {
         self.cands.sort_unstable();
     }
 
-    /// Stage 2 — per-query bound tables: the L1 table (Algorithm 2) and the
-    /// optional shared source walks, both into reused storage.
+    /// Stage 2 — per-query bound tables: the L1 table (Algorithm 2, only
+    /// when there are candidates to bound) and the optional shared source
+    /// walks, both into reused storage.
     fn prepare_query_tables(&mut self, g: &Graph, index: &TopKIndex, u: VertexId, opts: &QueryOptions) {
         let params = &index.params;
-        if opts.use_l1 {
+        if opts.use_l1 && !self.cands.is_empty() {
+            // Candidates sit at most one level past the complete ball, and
+            // the table is exact through that distance.
             let bfs = &self.bfs;
             self.l1.compute_into(
                 g,
@@ -676,6 +701,7 @@ impl QueryScratch {
                 params,
                 &index.diag,
                 |w| bfs.distance(w),
+                self.ball_depth.saturating_add(1),
                 mix_seed(&[index.seed, 3, u as u64]),
                 &mut self.walks,
                 &mut self.counter,
@@ -1203,6 +1229,73 @@ mod tests {
         // 0.82–0.99; the walk-based candidate index is heuristic and misses
         // some borderline (≈ θ) pairs by design.
         assert!(recall >= 0.65, "recall = {recall}");
+    }
+
+    #[test]
+    fn l1_table_matches_the_full_d_max_table_at_every_candidate() {
+        // The targeted BFS leaves most of the graph without a distance;
+        // the L1 table built from it must still give every candidate the
+        // β of a table built from the whole d_max ball — including when
+        // T − 1 > d_max, where walk positions beyond d_max are excluded.
+        let g = gen::preferential_attachment_windowed(400, 4, 60, 8);
+        let mut full = BfsBuffers::new(g.num_vertices());
+        let mut checked = 0;
+        for params in [fast_params(), SimRankParams { d_max: 3, ..fast_params() }] {
+            let idx = TopKIndex::build_with(&g, &params, Diagonal::paper_default(params.c), 6, 2);
+            let mut scratch = QueryScratch::new(&g);
+            for ball in [None, Some(1)] {
+                let opts = QueryOptions { candidate_ball: ball, ..Default::default() };
+                for u in srs_graph::stats::sample_query_vertices(&g, 25, 2) {
+                    scratch.enumerate_candidates(&g, &idx, u, &opts, &mut QueryStats::default());
+                    scratch.prepare_query_tables(&g, &idx, u, &opts);
+                    full.run(&g, u, Direction::Undirected, params.d_max);
+                    let reference = AlphaBeta::compute(
+                        &g,
+                        u,
+                        &params,
+                        &idx.diag,
+                        |w| full.distance(w),
+                        mix_seed(&[idx.seed, 3, u as u64]),
+                    );
+                    for &(d, v) in &scratch.cands {
+                        assert_eq!(d, full.distance(v), "u={u} v={v}");
+                        if d != UNREACHED {
+                            let (got, want) = (scratch.l1.beta(d), reference.beta(d));
+                            assert_eq!(
+                                got.to_bits(),
+                                want.to_bits(),
+                                "u={u} v={v} d={d} d_max={}",
+                                params.d_max
+                            );
+                            checked += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(checked > 100, "{checked}");
+    }
+
+    #[test]
+    fn candidate_ball_beyond_d_max_acts_as_d_max() {
+        // The query BFS never looks past d_max, so a larger radius adds
+        // no candidate: hits, fates and explain traces match radius d_max.
+        let g = gen::copying_web(300, 4, 0.8, 9);
+        let params = SimRankParams { t: 4, d_max: 3, ..fast_params() };
+        let idx = TopKIndex::build_with(&g, &params, Diagonal::paper_default(params.c), 5, 2);
+        let mut ctx = QueryContext::new(&g, &idx);
+        let at = QueryOptions { candidate_ball: Some(params.d_max), explain: true, ..Default::default() };
+        let beyond = QueryOptions { candidate_ball: Some(params.d_max + 5), ..at.clone() };
+        let mut hits = 0;
+        for u in srs_graph::stats::sample_query_vertices(&g, 12, 4) {
+            let a = ctx.query(u, 10, &at);
+            let b = ctx.query(u, 10, &beyond);
+            assert_eq!(a.hits, b.hits, "u={u}");
+            assert_eq!(a.stats, b.stats, "u={u}");
+            assert_eq!(a.explain, b.explain, "u={u}");
+            hits += a.hits.len();
+        }
+        assert!(hits > 0, "the comparison must cover non-empty answers");
     }
 
     #[test]
