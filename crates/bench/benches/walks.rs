@@ -2,19 +2,28 @@
 //! entry point of `srs_mc::WalkEngine` on a generated copying-model web
 //! graph (the in-degree skew the index build actually faces).
 //!
+//! Two entries measure the shapes the query path runs: `frontier_r10`
+//! (many 10-walk frontiers, the coarse-pass size) and `l1_table` (the
+//! Algorithm 2 table of `srs_search::bounds::AlphaBeta`: 10,000 walks
+//! from degree-weighted hubs of a social-family graph, counted densely).
+//!
 //! "Logical steps" = walks × steps each was *asked* to advance, i.e. the
 //! caller-visible unit of work. The frontier kernels do less physical
 //! work than that once walks die — which is exactly the optimization the
-//! number should reflect. Results are printed as Msteps/s and written to
-//! `BENCH_walks.json` at the repo root (skipped in `-- --test` smoke
-//! mode, which also shrinks the fixture so CI just checks the harness).
+//! number should reflect. Results are printed as Msteps/s and written,
+//! with a host block, to `BENCH_walks.json` at the repo root. In
+//! `-- --test` smoke mode the fixtures shrink and the JSON goes to
+//! stdout instead, so CI checks the harness and the report shape.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use srs_bench::walkbench::WalkBenchReport;
-use srs_graph::gen;
+use srs_graph::bfs::{BfsBuffers, Direction};
+use srs_graph::{gen, Graph, VertexId};
 use srs_mc::multiset::PositionCounter;
-use srs_mc::{Pcg32, WalkEngine, DEAD};
-use std::time::Instant;
+use srs_mc::{Pcg32, WalkEngine, WalkPositions, DEAD};
+use srs_search::bounds::AlphaBeta;
+use srs_search::{Diagonal, SimRankParams};
+use std::time::{Duration, Instant};
 
 struct Fixture {
     n: u32,
@@ -81,6 +90,23 @@ fn bench_walks(_c: &mut Criterion) {
     }
     record(&mut report, "step_frontier_count", logical, t0.elapsed().as_secs_f64());
 
+    // frontier_r10: one 10-walk frontier per source, the coarse-pass
+    // shape, where per-call overhead weighs against the per-walk work.
+    let sources = if smoke { 200 } else { 100_000 };
+    let r10 = 10;
+    let t0 = Instant::now();
+    for u in 0..sources {
+        frontier.clear();
+        frontier.resize(r10, (u % f.n as usize) as u32);
+        for _ in 0..f.t_max {
+            if frontier.is_empty() {
+                break;
+            }
+            engine.step_frontier(&mut frontier, &mut rng);
+        }
+    }
+    record(&mut report, "frontier_r10", (sources * r10 * f.t_max) as u64, t0.elapsed().as_secs_f64());
+
     // walk_matrix: R recorded trajectories per source (query refinement
     // shape). Logical steps = walks × t_max per call.
     let sources = if smoke { 50 } else { 2_000 };
@@ -103,11 +129,62 @@ fn bench_walks(_c: &mut Criterion) {
     }
     record(&mut report, "walk_fill", (walks * f.t_max) as u64, t0.elapsed().as_secs_f64());
 
-    if !smoke {
+    l1_table(&mut report, smoke);
+
+    if smoke {
+        print!("{}", report.to_json());
+    } else {
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_walks.json");
         report.write(path).expect("write BENCH_walks.json");
         println!("wrote {path}");
     }
+}
+
+/// The Algorithm 2 L1 table as a query computes it: `r_bounds = 10,000`
+/// walks from each of a set of degree-weighted hubs of a social-family
+/// graph (the `srs generate --family social` generator, n = 20k, deg 8),
+/// stepped `T − 1` times with a dense count per step. Only
+/// `AlphaBeta::compute_into` is timed; each hub's BFS ball is built
+/// before its clock starts.
+fn l1_table(report: &mut WalkBenchReport, smoke: bool) {
+    let (n, deg, hubs) = if smoke { (2_000u32, 8u32, 5usize) } else { (20_000, 8, 400) };
+    let window = ((n as usize * deg as usize * 2) / 100).max(100);
+    let g = gen::preferential_attachment_windowed(n, deg, window, 42);
+    let params = SimRankParams::default();
+    let diag = Diagonal::paper_default(params.c);
+    let sources = degree_weighted(&g, hubs, 7);
+    let (mut ab, mut walks, mut counts) = (AlphaBeta::new_empty(), WalkPositions::new(), Vec::new());
+    let mut bfs = BfsBuffers::new(g.num_vertices());
+    let (horizon, mut elapsed) = (params.d_max + 1, Duration::ZERO);
+    for (i, &u) in sources.iter().enumerate() {
+        bfs.run(&g, u, Direction::Undirected, params.d_max);
+        let t0 = Instant::now();
+        ab.compute_into(
+            &g,
+            u,
+            &params,
+            &diag,
+            |w| bfs.distance(w),
+            horizon,
+            i as u64,
+            &mut walks,
+            &mut counts,
+        );
+        elapsed += t0.elapsed();
+    }
+    let steps = (hubs * params.r_bounds as usize * (params.t as usize - 1)) as u64;
+    let graph = format!("preferential_attachment_windowed(n={n}, out_deg={deg}, window={window}, seed=42)");
+    println!("  l1_table: {:.1} Msteps/s", steps as f64 / elapsed.as_secs_f64() / 1e6);
+    report.push_on(graph, "l1_table", steps, elapsed.as_secs_f64());
+}
+
+/// `k` query vertices drawn with probability proportional to their
+/// in-degree (the endpoint of a uniformly drawn edge) — the hubs a
+/// degree-weighted query mix hits most.
+fn degree_weighted(g: &Graph, k: usize, seed: u64) -> Vec<VertexId> {
+    let edges: Vec<(VertexId, VertexId)> = g.edges().collect();
+    let mut rng = Pcg32::new(seed, 1);
+    (0..k).map(|_| edges[rng.gen_range(edges.len() as u32) as usize].1).collect()
 }
 
 /// Deterministic per-iteration restart positions spanning the vertex set.

@@ -21,6 +21,8 @@ pub struct WalkBenchEntry {
     pub steps: u64,
     /// Wall-clock seconds for those steps.
     pub elapsed_secs: f64,
+    /// The graph this entry ran over, when it is not the report's graph.
+    pub graph: Option<String>,
 }
 
 impl WalkBenchEntry {
@@ -34,9 +36,36 @@ impl WalkBenchEntry {
     }
 }
 
+/// The machine a bench ran on: what a kernel throughput number needs
+/// beside it to be comparable across runs.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct HostInfo {
+    /// Logical CPUs available to the process.
+    pub vcpus: usize,
+    /// The co-location kernel `colocate::dispatch()` selects.
+    pub kernel: String,
+    /// L3 size as `/sys` reports it (`unknown` where it is not exposed).
+    pub l3: String,
+}
+
+impl HostInfo {
+    /// Reads the current host.
+    pub fn detect() -> Self {
+        HostInfo {
+            vcpus: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
+            kernel: format!("{:?}", srs_search::colocate::dispatch()),
+            l3: std::fs::read_to_string("/sys/devices/system/cpu/cpu0/cache/index3/size")
+                .map(|s| s.trim().to_string())
+                .unwrap_or_else(|_| "unknown".to_string()),
+        }
+    }
+}
+
 /// A full walk-bench run over one generated graph.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct WalkBenchReport {
+    /// The host the bench ran on.
+    pub host: HostInfo,
     /// Description of the graph the kernels ran over.
     pub graph: String,
     /// Measured entries, in run order.
@@ -44,24 +73,48 @@ pub struct WalkBenchReport {
 }
 
 impl WalkBenchReport {
-    /// An empty report for the given graph description.
+    /// An empty report for the given graph description, on this host.
     pub fn new(graph: impl Into<String>) -> Self {
-        WalkBenchReport { graph: graph.into(), entries: Vec::new() }
+        WalkBenchReport { host: HostInfo::detect(), graph: graph.into(), entries: Vec::new() }
     }
 
-    /// Records one measurement.
+    /// Records one measurement on the report's graph.
     pub fn push(&mut self, name: impl Into<String>, steps: u64, elapsed_secs: f64) {
-        self.entries.push(WalkBenchEntry { name: name.into(), steps, elapsed_secs });
+        self.entries.push(WalkBenchEntry { name: name.into(), steps, elapsed_secs, graph: None });
+    }
+
+    /// Records one measurement on another graph.
+    pub fn push_on(
+        &mut self,
+        graph: impl Into<String>,
+        name: impl Into<String>,
+        steps: u64,
+        elapsed_secs: f64,
+    ) {
+        self.entries.push(WalkBenchEntry {
+            name: name.into(),
+            steps,
+            elapsed_secs,
+            graph: Some(graph.into()),
+        });
     }
 
     /// Serializes the report as pretty-printed JSON.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
+        out.push_str(&format!(
+            "  \"host\": {{\"vcpus\": {}, \"kernel\": {}, \"l3\": {}}},\n",
+            self.host.vcpus,
+            json_string(&self.host.kernel),
+            json_string(&self.host.l3)
+        ));
         out.push_str(&format!("  \"graph\": {},\n", json_string(&self.graph)));
         out.push_str("  \"entries\": [\n");
         for (i, e) in self.entries.iter().enumerate() {
+            let graph =
+                e.graph.as_deref().map(|g| format!(", \"graph\": {}", json_string(g))).unwrap_or_default();
             out.push_str(&format!(
-                "    {{\"name\": {}, \"steps\": {}, \"elapsed_secs\": {:.6}, \"msteps_per_sec\": {:.1}}}{}\n",
+                "    {{\"name\": {}, \"steps\": {}, \"elapsed_secs\": {:.6}, \"msteps_per_sec\": {:.1}{graph}}}{}\n",
                 json_string(&e.name),
                 e.steps,
                 e.elapsed_secs,
@@ -105,9 +158,9 @@ mod tests {
 
     #[test]
     fn throughput_math() {
-        let e = WalkBenchEntry { name: "step_all".into(), steps: 2_000_000, elapsed_secs: 0.5 };
+        let e = WalkBenchEntry { name: "step_all".into(), steps: 2_000_000, elapsed_secs: 0.5, graph: None };
         assert!((e.msteps_per_sec() - 4.0).abs() < 1e-12);
-        let zero = WalkBenchEntry { name: "x".into(), steps: 1, elapsed_secs: 0.0 };
+        let zero = WalkBenchEntry { name: "x".into(), steps: 1, elapsed_secs: 0.0, graph: None };
         assert_eq!(zero.msteps_per_sec(), 0.0);
     }
 
@@ -116,13 +169,27 @@ mod tests {
         let mut r = WalkBenchReport::new("copying_web(n=8)");
         r.push("step_all", 100, 0.25);
         r.push("has \"quote\"\n", 1, 1.0);
+        r.host = HostInfo { vcpus: 2, kernel: "Avx2".into(), l3: "32768K".into() };
         let j = r.to_json();
+        assert!(j.contains("\"host\": {\"vcpus\": 2, \"kernel\": \"Avx2\", \"l3\": \"32768K\"},"));
         assert!(j.contains("\"graph\": \"copying_web(n=8)\""));
         assert!(j.contains("\"msteps_per_sec\": 0.0"));
         assert!(j.contains("\\\"quote\\\"\\n"));
-        // Every entry line but the last carries a trailing comma.
-        assert_eq!(j.matches("},\n").count(), 1);
+        // Every entry line but the last carries a trailing comma (the
+        // host line is the other `},`).
+        assert_eq!(j.matches("},\n").count(), 2);
         assert!(j.contains("}\n  ]"));
+    }
+
+    #[test]
+    fn entries_on_another_graph_name_it() {
+        let mut r = WalkBenchReport::new("web");
+        r.push("step_frontier", 10, 1.0);
+        r.push_on("social", "l1_table", 10, 1.0);
+        let j = r.to_json();
+        assert!(j.contains("\"msteps_per_sec\": 0.0},\n"), "{j}");
+        assert!(j.contains("\"msteps_per_sec\": 0.0, \"graph\": \"social\"}\n"), "{j}");
+        assert!(HostInfo::detect().vcpus >= 1);
     }
 
     #[test]

@@ -333,18 +333,45 @@ impl Graph {
     /// gather from [`Graph::in_source_at`].
     #[inline]
     pub fn reverse_step(&self, v: VertexId) -> ReverseStep {
+        match self.reverse_step_parts(v) {
+            (0, _) => ReverseStep::Dead,
+            (1, w) => ReverseStep::Unique(w as VertexId),
+            (len, offset) => ReverseStep::Branch { offset, len },
+        }
+    }
+
+    /// [`Graph::reverse_step`] without the class match: `(len, payload)`
+    /// where `len` is the in-degree and `payload` is the unique
+    /// in-neighbour when `len == 1`, the in-sources offset when
+    /// `len ≥ 2` (and meaningless when `len == 0`). Walk kernels decode
+    /// every position with this and select on `len` arithmetically; the
+    /// one branch is the saturated-length fallback to the exact offsets,
+    /// which only vertices with ≥ 2²⁴ − 1 in-links (or offsets ≥ 2⁴⁰)
+    /// take.
+    #[inline]
+    pub fn reverse_step_parts(&self, v: VertexId) -> (u32, u64) {
         let d = self.reverse_desc[v as usize];
         let len = d >> DESC_LEN_SHIFT;
+        if len == DESC_LEN_SAT {
+            return self.reverse_step_parts_exact(v);
+        }
+        (len as u32, d & DESC_OFFSET_MASK)
+    }
+
+    /// The saturated-descriptor fallback of [`Graph::reverse_step_parts`],
+    /// read from the in-CSR offsets. Kept out of line so the hot decode
+    /// stays small. Degrees 0 and 1 decode exactly as unsaturated
+    /// descriptors do, so even a forged saturated descriptor (accepted by
+    /// [`ValidationLevel::Safety`]) never yields a bad index.
+    #[cold]
+    #[inline(never)]
+    fn reverse_step_parts_exact(&self, v: VertexId) -> (u32, u64) {
+        let lo = self.in_offsets[v as usize];
+        let len = self.in_offsets[v as usize + 1] - lo;
         match len {
-            0 => ReverseStep::Dead,
-            1 => ReverseStep::Unique(d as VertexId),
-            DESC_LEN_SAT => {
-                // Saturated descriptor: fall back to the exact offsets.
-                let lo = self.in_offsets[v as usize];
-                let hi = self.in_offsets[v as usize + 1];
-                ReverseStep::Branch { offset: lo, len: (hi - lo) as u32 }
-            }
-            _ => ReverseStep::Branch { offset: d & DESC_OFFSET_MASK, len: len as u32 },
+            0 => (0, 0),
+            1 => (1, self.in_sources[lo as usize] as u64),
+            _ => (len as u32, lo),
         }
     }
 
@@ -677,6 +704,39 @@ mod tests {
         // Prefetch hints must be callable on any vertex without effect.
         g.prefetch_reverse_step(3);
         g.prefetch_in_source(0);
+    }
+
+    #[test]
+    fn reverse_step_parts_decode_saturated_descriptors_from_offsets() {
+        let g = Graph::from_edges(6, vec![(0, 1), (2, 1), (3, 1), (1, 2), (4, 5)]).unwrap();
+        let parts: Vec<(u32, u64)> = (0..6).map(|v| g.reverse_step_parts(v)).collect();
+        assert_eq!(parts[0].0, 0);
+        assert_eq!(parts[2], (1, 1));
+        assert_eq!(parts[5], (1, 4));
+        assert_eq!(parts[1], (3, g.in_offsets[1]));
+        // Every descriptor forced to the saturated marker (a forgery the
+        // Safety level accepts): the exact-offsets fallback must decode
+        // each degree class exactly like the packed descriptors.
+        let mut w = BundleWriter::new();
+        let mut meta = Vec::new();
+        meta.extend_from_slice(&6u32.to_le_bytes());
+        meta.extend_from_slice(&5u64.to_le_bytes());
+        w.add_bytes("g.meta", 8, meta);
+        w.add_pod("g.out_off", &g.out_offsets[..]);
+        w.add_pod("g.out_tgt", &g.out_targets[..]);
+        w.add_pod("g.in_off", &g.in_offsets[..]);
+        w.add_pod("g.in_src", &g.in_sources[..]);
+        w.add_pod("g.rdesc", &[DESC_LEN_SAT << DESC_LEN_SHIFT; 6]);
+        let r = BundleReader::open(w.to_bytes()).unwrap();
+        let forged = Graph::from_bundle_with(&r, ValidationLevel::Safety).unwrap();
+        for v in 0..6u32 {
+            let (len, payload) = forged.reverse_step_parts(v);
+            assert_eq!(len, parts[v as usize].0, "v={v}");
+            if len > 0 {
+                assert_eq!(payload, parts[v as usize].1, "v={v}");
+            }
+            assert_eq!(forged.reverse_step(v), g.reverse_step(v), "v={v}");
+        }
     }
 
     #[test]

@@ -8,12 +8,14 @@
 //! * [`WalkEngine::step_frontier`] / [`WalkEngine::step_frontier_count`] —
 //!   advance a compacted **live frontier** one step (dead walks leave the
 //!   loop once instead of being re-branched every later step), optionally
-//!   fused with the per-step multiset counting of Algorithms 1–3;
+//!   counting the new positions for the multisets of Algorithms 1–3;
 //! * [`WalkEngine::step_all`] — advance a fixed slice of positions in
 //!   place (dead entries stay [`DEAD`]; used where slot identity matters,
 //!   e.g. the auxiliary walks of Algorithm 4);
 //! * [`WalkEngine::walk`] / [`WalkEngine::walk_fill`] — record a full
 //!   trajectory (used by the candidate index construction, Algorithm 4);
+//! * [`MultiFrontier`] — one frontier holding many sources' walks, each
+//!   drawing from its own RNG (the wave-batched candidate scan);
 //! * [`WalkMatrix`] — `R × (T+1)` recorded trajectories from one source.
 //!
 //! # Fast paths and the RNG stream
@@ -27,11 +29,17 @@
 //! changed once when this kernel landed, but all determinism guarantees
 //! (same seed → same result, thread-count invariance) are unaffected.
 //!
-//! The batched entry points additionally software-prefetch the descriptor
-//! `PREFETCH_DIST` positions ahead and pipeline the in-CSR gathers of
-//! branch steps through a small ring (`GATHER_LANES` pending loads), so
-//! the dependent random loads that dominate on large CSRs overlap instead
-//! of serializing.
+//! # The split frontier kernel
+//!
+//! The single-source frontier step runs in three passes (resolve → draw
+//! → gather, see `WalkEngine::advance_frontier`) so the serial PCG state
+//! never waits on a descriptor or in-CSR load: the resolve pass decodes
+//! every descriptor branch-free ([`srs_graph::Graph::reverse_step_parts`],
+//! prefetched `PREFETCH_DIST` ahead) and lists the branch walks, the draw
+//! pass is a bare `gen_range` chain over that list, and the gather pass's
+//! loads are independent of each other. [`MultiFrontier`], whose walks
+//! switch RNG per source, pipelines its gathers through a small ring
+//! instead.
 //!
 //! A walk that reaches a vertex with no in-links **dies**: its position
 //! becomes [`DEAD`] (in-place APIs) or is compacted out (frontier APIs).
@@ -42,6 +50,7 @@ use crate::multiset::PositionCounter;
 use crate::obs;
 use crate::rng::Pcg32;
 use srs_graph::{Graph, ReverseStep, VertexId};
+use std::cell::Cell;
 
 /// Sentinel position of a dead walk (vertex with no in-links was reached).
 pub const DEAD: VertexId = VertexId::MAX;
@@ -51,8 +60,8 @@ pub const DEAD: VertexId = VertexId::MAX;
 /// throughput, small enough to stay inside any frontier worth batching.
 pub const PREFETCH_DIST: usize = 16;
 
-/// Depth of the gather ring: how many in-CSR loads (branch steps) are kept
-/// in flight before the oldest is consumed.
+/// Depth of the [`MultiFrontier`] gather ring: how many in-CSR loads
+/// (branch steps) are kept in flight before the oldest is consumed.
 const GATHER_LANES: usize = 8;
 
 /// A pending branch-step gather: the frontier slot awaiting its value and
@@ -61,6 +70,59 @@ const GATHER_LANES: usize = 8;
 struct PendingGather {
     slot: usize,
     src: u64,
+}
+
+/// How many branch walks late [`WalkEngine::step_frontier_count`] counts
+/// a branch walk: a unique walk is counted when it is read, the j-th
+/// branch walk of a step just before the (j + `OBSERVE_LAG`)-th is read,
+/// and the last ≤ `OBSERVE_LAG` after the loop. This is the order of the
+/// gather-ring kernel the split kernel replaced, kept so that
+/// insertion-ordered counters iterate (and sum) exactly as before.
+const OBSERVE_LAG: usize = 8;
+
+/// One branch walk between the resolve and gather passes of the frontier
+/// kernel: its compacted slot, in-degree, and in-sources offset (plus the
+/// draw, after the draw pass).
+#[derive(Clone, Copy, Default)]
+struct BranchStep {
+    slot: u32,
+    len: u32,
+    offset: u64,
+}
+
+thread_local! {
+    /// Per-thread branch list reused by every frontier step on the thread.
+    static BRANCH_LIST: Cell<Vec<BranchStep>> = const { Cell::new(Vec::new()) };
+}
+
+/// Runs `f` with this thread's reusable branch list. The list is taken
+/// out of its cell for the call, so a nested use (an `observe` callback
+/// that steps another frontier) gets a fresh list instead of a conflict.
+#[inline]
+fn with_branch_list(f: impl FnOnce(&mut Vec<BranchStep>)) {
+    let mut list = BRANCH_LIST.with(Cell::take);
+    f(&mut list);
+    BRANCH_LIST.with(|c| c.set(list));
+}
+
+/// Replays a finished frontier step to `observe` in `OBSERVE_LAG`
+/// order. `positions` is the compacted new frontier; `branches` lists the
+/// branch walks' slots in ascending order.
+fn observe_in_lag_order(positions: &[VertexId], branches: &[BranchStep], mut observe: impl FnMut(VertexId)) {
+    let mut next = 0usize;
+    for (slot, &w) in positions.iter().enumerate() {
+        if next < branches.len() && branches[next].slot as usize == slot {
+            if next >= OBSERVE_LAG {
+                observe(positions[branches[next - OBSERVE_LAG].slot as usize]);
+            }
+            next += 1;
+        } else {
+            observe(w);
+        }
+    }
+    for b in &branches[branches.len().saturating_sub(OBSERVE_LAG)..] {
+        observe(positions[b.slot as usize]);
+    }
 }
 
 /// Batched reverse random-walk stepping over one graph.
@@ -146,13 +208,20 @@ impl<'g> WalkEngine<'g> {
     /// steps only, so the stream is deterministic and independent of how
     /// many walks have died.
     pub fn step_frontier(&self, positions: &mut Vec<VertexId>, rng: &mut Pcg32) {
-        self.step_frontier_impl(positions, rng, |_| {});
+        with_branch_list(|branches| {
+            self.advance_frontier(positions, rng, branches);
+        });
     }
 
-    /// [`WalkEngine::step_frontier`] fused with per-step counting: `counter`
-    /// is cleared and filled with the multiset of the *new* positions, in
-    /// the same pass over the frontier that computes them. This is the
-    /// kernel behind the `α(w)β(w)` tables of Algorithms 1–3.
+    /// [`WalkEngine::step_frontier`] plus per-step counting: `counter` is
+    /// cleared and filled with the multiset of the *new* positions. This
+    /// is the kernel behind the `α(w)β(w)` tables of Algorithms 1–3.
+    ///
+    /// Positions are added in a fixed order — unique walks as they are
+    /// read, each branch walk eight branch walks late — because the
+    /// counter's iteration order depends on insertion order, and the γ
+    /// build and the per-vertex-diagonal dot products sum `f64` in that
+    /// order.
     pub fn step_frontier_count(
         &self,
         positions: &mut Vec<VertexId>,
@@ -160,72 +229,76 @@ impl<'g> WalkEngine<'g> {
         counter: &mut PositionCounter,
     ) {
         counter.clear();
-        self.step_frontier_impl(positions, rng, |v| counter.add(v));
+        self.step_frontier_with(positions, rng, |v| counter.add(v));
     }
 
-    /// The shared frontier kernel: descriptor prefetch at
-    /// [`PREFETCH_DIST`], stable in-place compaction, and branch-step
-    /// gathers pipelined through a [`GATHER_LANES`]-deep ring so the
-    /// random in-CSR loads overlap. `observe` sees every surviving
-    /// position exactly once (in unspecified order).
-    #[inline]
-    fn step_frontier_impl(
+    /// [`WalkEngine::step_frontier`] reporting every new position to
+    /// `observe`, in the fixed order [`WalkEngine::step_frontier_count`]
+    /// documents.
+    fn step_frontier_with(
         &self,
         positions: &mut Vec<VertexId>,
         rng: &mut Pcg32,
-        mut observe: impl FnMut(VertexId),
+        observe: impl FnMut(VertexId),
     ) {
+        with_branch_list(|branches| {
+            let nb = self.advance_frontier(positions, rng, branches);
+            observe_in_lag_order(positions, &branches[..nb], observe);
+        });
+    }
+
+    /// The frontier kernel, in three passes so the serial PCG state never
+    /// waits on a memory load:
+    ///
+    /// 1. **resolve** — decode every walk's descriptor (prefetched
+    ///    [`PREFETCH_DIST`] ahead) with no class branch: the payload is
+    ///    written to the walk's compacted slot (final for a unique step),
+    ///    and a `(slot, len, offset)` entry is appended to `branches`,
+    ///    which only advances past it for a branch step;
+    /// 2. **draw** — one `gen_range(len)` per branch entry, in frontier
+    ///    order, folded into the entry's offset;
+    /// 3. **gather** — each branch slot reads its drawn in-source.
+    ///
+    /// Returns the number of branch entries; `branches[..nb]` lists the
+    /// branch walks' slots in ascending order. `branches` only grows, so
+    /// a warm caller pays no per-step fill.
+    #[inline]
+    fn advance_frontier(
+        &self,
+        positions: &mut Vec<VertexId>,
+        rng: &mut Pcg32,
+        branches: &mut Vec<BranchStep>,
+    ) -> usize {
         let n = positions.len();
-        let mut ring = [PendingGather { slot: 0, src: 0 }; GATHER_LANES];
-        let mut ring_head = 0usize; // oldest pending entry
-        let mut ring_len = 0usize;
-        let mut write = 0usize;
-        // Walk-step class accounting: branch steps are counted in their
-        // arm; deaths fall out as `n - write` and unique as the remainder,
-        // so the hot loop carries a single extra register increment.
-        let mut branches = 0u64;
-        for read in 0..n {
-            if let Some(&ahead) = positions.get(read + PREFETCH_DIST) {
-                self.g.prefetch_reverse_step(ahead);
-            }
-            let pos = positions[read];
-            match self.g.reverse_step(pos) {
-                ReverseStep::Dead => {}
-                ReverseStep::Unique(w) => {
-                    // Pending gathers all target slots below `write`, and
-                    // `write <= read`, so this store cannot clobber them.
-                    positions[write] = w;
-                    observe(w);
-                    write += 1;
-                }
-                ReverseStep::Branch { offset, len } => {
-                    branches += 1;
-                    let src = offset + rng.gen_range(len) as u64;
-                    self.g.prefetch_in_source(src);
-                    if ring_len == GATHER_LANES {
-                        let done = ring[ring_head];
-                        ring_head = (ring_head + 1) % GATHER_LANES;
-                        ring_len -= 1;
-                        let w = self.g.in_source_at(done.src);
-                        positions[done.slot] = w;
-                        observe(w);
-                    }
-                    ring[(ring_head + ring_len) % GATHER_LANES] = PendingGather { slot: write, src };
-                    ring_len += 1;
-                    write += 1;
-                }
-            }
+        assert!(n <= u32::MAX as usize, "frontier of {n} walks exceeds the u32 slot range");
+        if branches.len() < n {
+            branches.resize(n, BranchStep::default());
         }
-        while ring_len > 0 {
-            let done = ring[ring_head];
-            ring_head = (ring_head + 1) % GATHER_LANES;
-            ring_len -= 1;
-            let w = self.g.in_source_at(done.src);
-            positions[done.slot] = w;
-            observe(w);
+        let (pos, list) = (&mut positions[..], &mut branches[..n]);
+        let (mut write, mut nb) = (0usize, 0usize);
+        for read in 0..n {
+            if read + PREFETCH_DIST < n {
+                self.g.prefetch_reverse_step(pos[read + PREFETCH_DIST]);
+            }
+            let (len, payload) = self.g.reverse_step_parts(pos[read]);
+            // `write <= read`: the store never clobbers an unread walk. A
+            // dead walk's store is overwritten by the next survivor (or
+            // truncated away); a branch walk's is replaced by the gather.
+            pos[write] = payload as VertexId;
+            list[nb] = BranchStep { slot: write as u32, len, offset: payload };
+            nb += (len >= 2) as usize;
+            write += (len != 0) as usize;
+        }
+        let list = &mut list[..nb];
+        for b in list.iter_mut() {
+            b.offset += rng.gen_range(b.len) as u64;
+        }
+        for b in list.iter() {
+            pos[b.slot as usize] = self.g.in_source_at(b.offset);
         }
         positions.truncate(write);
-        obs::record([(n - write) as u64, write as u64 - branches, branches]);
+        obs::record([(n - write) as u64, (write - nb) as u64, nb as u64]);
+        nb
     }
 
     /// Records a single trajectory of `t_max` steps from `start`
@@ -393,9 +466,9 @@ impl WalkPositions {
     }
 
     /// Tracked stepping: scalar loop keeping `ids` aligned with `pos`
-    /// under stable compaction. (The pipelined kernel reorders its slot
-    /// writes, not its slot *assignment*, so identities stay stable; the
-    /// scalar form here keeps the two arrays trivially in lock-step.)
+    /// under stable compaction. (The frontier kernel defers its branch
+    /// slot writes, not its slot *assignment*, so identities stay stable;
+    /// the scalar form here keeps the two arrays trivially in lock-step.)
     fn step_tracked(&mut self, engine: &WalkEngine, rng: &mut Pcg32) {
         let mut counts = [0u64; 3];
         let mut write = 0usize;
@@ -833,6 +906,108 @@ mod tests {
                 assert_eq!(got, live, "graph {gi} step {step}");
             }
         }
+    }
+
+    /// The gather-ring frontier kernel the split kernel replaced, kept
+    /// (minus its prefetch hints) as the equivalence oracle: same
+    /// compaction, same draws, same `observe` order. Returns the
+    /// `[dead, unique, branch]` counts.
+    fn ring_step(
+        g: &Graph,
+        positions: &mut Vec<VertexId>,
+        rng: &mut Pcg32,
+        mut observe: impl FnMut(VertexId),
+    ) -> [u64; 3] {
+        let n = positions.len();
+        let mut ring = [PendingGather { slot: 0, src: 0 }; GATHER_LANES];
+        let (mut ring_head, mut ring_len, mut write, mut branches) = (0usize, 0usize, 0usize, 0u64);
+        for read in 0..n {
+            match g.reverse_step(positions[read]) {
+                ReverseStep::Dead => {}
+                ReverseStep::Unique(w) => {
+                    positions[write] = w;
+                    observe(w);
+                    write += 1;
+                }
+                ReverseStep::Branch { offset, len } => {
+                    branches += 1;
+                    let src = offset + rng.gen_range(len) as u64;
+                    if ring_len == GATHER_LANES {
+                        let done = ring[ring_head];
+                        ring_head = (ring_head + 1) % GATHER_LANES;
+                        ring_len -= 1;
+                        let w = g.in_source_at(done.src);
+                        positions[done.slot] = w;
+                        observe(w);
+                    }
+                    ring[(ring_head + ring_len) % GATHER_LANES] = PendingGather { slot: write, src };
+                    ring_len += 1;
+                    write += 1;
+                }
+            }
+        }
+        while ring_len > 0 {
+            let done = ring[ring_head];
+            ring_head = (ring_head + 1) % GATHER_LANES;
+            ring_len -= 1;
+            let w = g.in_source_at(done.src);
+            positions[done.slot] = w;
+            observe(w);
+        }
+        positions.truncate(write);
+        [(n - write) as u64, write as u64 - branches, branches]
+    }
+
+    #[test]
+    fn split_kernel_matches_the_ring_kernel_step_for_step() {
+        let graphs = [
+            ("er", gen::erdos_renyi(500, 2_500, 3)),
+            ("windowed-pa", gen::preferential_attachment_windowed(600, 3, 40, 4)),
+            ("copying-web", gen::copying_web(700, 4, 0.8, 5)),
+            ("edgeless", Graph::from_edges(50, Vec::<(VertexId, VertexId)>::new()).unwrap()),
+        ];
+        let mut checked_branches = 0u64;
+        for (name, g) in &graphs {
+            let e = WalkEngine::new(g);
+            let n = g.num_vertices();
+            for size in [0usize, 1, 10, 100, 10_000] {
+                // A spread frontier and one that starts piled on a single
+                // vertex (the L1 table's shape).
+                for piled in [false, true] {
+                    let start: Vec<VertexId> = (0..size)
+                        .map(|i| if piled { n / 2 } else { (i as u32).wrapping_mul(7919) % n })
+                        .collect();
+                    let (mut plain, mut observed, mut ring) = (start.clone(), start.clone(), start);
+                    let mut rng_plain = Pcg32::from_parts(&[31, size as u64, piled as u64]);
+                    let (mut rng_observed, mut rng_ring) = (rng_plain.clone(), rng_plain.clone());
+                    for step in 0..12 {
+                        let ctx = format!("{name} size {size} piled {piled} step {step}");
+                        let (mut seen, mut seen_ring) = (Vec::new(), Vec::new());
+                        let base = obs::thread_counts();
+                        e.step_frontier(&mut plain, &mut rng_plain);
+                        let mid = obs::thread_counts();
+                        e.step_frontier_with(&mut observed, &mut rng_observed, |w| seen.push(w));
+                        let (c_plain, c_observed) = (mid.since(&base), obs::thread_counts().since(&mid));
+                        let expect = ring_step(g, &mut ring, &mut rng_ring, |w| seen_ring.push(w));
+                        assert_eq!(plain, ring, "{ctx}: positions");
+                        assert_eq!(observed, ring, "{ctx}: positions (observed)");
+                        assert_eq!(seen, seen_ring, "{ctx}: observe sequence");
+                        for c in [c_plain, c_observed] {
+                            assert_eq!([c.dead, c.unique, c.branch], expect, "{ctx}: class counters");
+                        }
+                        let next = rng_ring.clone().next_u32();
+                        assert_eq!(rng_plain.clone().next_u32(), next, "{ctx}: next RNG output");
+                        assert_eq!(
+                            rng_observed.clone().next_u32(),
+                            next,
+                            "{ctx}: next RNG output (observed)"
+                        );
+                        checked_branches += expect[2];
+                    }
+                }
+            }
+        }
+        assert!(checked_branches > 10_000, "{checked_branches}");
     }
 
     #[test]

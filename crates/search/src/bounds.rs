@@ -236,15 +236,16 @@ impl AlphaBeta {
             params.d_max.saturating_add(1),
             seed,
             &mut WalkPositions::new(),
-            &mut PositionCounter::new(),
+            &mut Vec::new(),
         );
         ab
     }
 
     /// [`AlphaBeta::compute`] limited to `horizon`, into existing
-    /// storage: `self`'s tables and the caller's walk/counter buffers are
-    /// reused, so a warm query worker recomputes the L1 bound without
-    /// allocating.
+    /// storage: `self`'s tables and the caller's walk buffer are reused,
+    /// so a warm query worker recomputes the L1 bound without allocating.
+    /// `counts` is a dense per-vertex count array; it is grown to `n`
+    /// zeros on first use and handed back all-zero.
     ///
     /// `dist(w)` must be exact for every `w` within distance
     /// `horizon − 1` of `u` (a BFS ball complete through `horizon − 1`);
@@ -264,7 +265,7 @@ impl AlphaBeta {
         horizon: u32,
         seed: u64,
         walks: &mut WalkPositions,
-        counter: &mut PositionCounter,
+        counts: &mut Vec<u32>,
     ) {
         params.validate();
         let t_steps = params.t as usize;
@@ -281,38 +282,43 @@ impl AlphaBeta {
         let r = params.r_bounds as usize;
         let mut rng = Pcg32::from_parts(&[seed, 0xB0, u as u64]);
         walks.reset(u, r);
+        if counts.len() < g.num_vertices() as usize {
+            counts.resize(g.num_vertices() as usize, 0);
+        }
         for t in 0..t_steps {
-            if t > 0 {
-                walks.step_count(&engine, &mut rng, counter);
-            } else {
-                counter.fill(walks.positions());
-            }
-            if t < near_steps {
-                let row = &mut self.near[t * h..(t + 1) * h];
-                for (w, cnt) in counter.iter() {
+            let (near, far) = (&mut self.near, &mut self.far);
+            let mut record = |w: VertexId, cnt: u32| {
+                let a = diag.weight(w) * cnt as f64 / r as f64;
+                if t < near_steps {
                     let d = dist(w) as usize;
                     debug_assert!(d <= t, "walk position outside the complete ball");
-                    let a = diag.weight(w) * cnt as f64 / r as f64;
-                    if a > row[d] {
-                        row[d] = a;
+                    let slot = &mut near[t * h + d];
+                    if a > *slot {
+                        *slot = a;
                     }
-                }
-            } else {
-                // Only positions beyond d_max are excluded, and none exist
-                // before step d_max + 1.
-                let slot = &mut self.far[t - near_steps];
-                for (w, cnt) in counter.iter() {
+                } else {
+                    // Only positions beyond d_max are excluded, and none
+                    // exist before step d_max + 1.
                     if t > d_max {
                         let d = dist(w);
                         if d == UNREACHED || d as usize > d_max {
-                            continue;
+                            return;
                         }
                     }
-                    let a = diag.weight(w) * cnt as f64 / r as f64;
+                    let slot = &mut far[t - near_steps];
                     if a > *slot {
                         *slot = a;
                     }
                 }
+            };
+            if t == 0 {
+                // Every walk starts at u: one count of r, no counting pass.
+                if r > 0 {
+                    record(u, r as u32);
+                }
+            } else {
+                walks.step(&engine, &mut rng);
+                for_each_count(walks.positions(), counts, record);
             }
             if walks.is_empty() {
                 // All walks dead: every remaining α estimate is 0 (the
@@ -381,12 +387,32 @@ impl AlphaBeta {
     }
 }
 
+/// Calls `f(w, count)` once per distinct vertex of `positions`, where
+/// `count` is how many entries sit at `w`. `counts` must be all-zero over
+/// the vertex range and is left all-zero: the positions are counted into
+/// it, then re-walked, and each vertex is reported and reset at its first
+/// occurrence. The report order is first-occurrence order; the L1 table
+/// only takes maxima over it, which do not depend on order.
+#[inline]
+fn for_each_count(positions: &[VertexId], counts: &mut [u32], mut f: impl FnMut(VertexId, u32)) {
+    for &w in positions {
+        counts[w as usize] += 1;
+    }
+    for &w in positions {
+        let c = std::mem::take(&mut counts[w as usize]);
+        if c != 0 {
+            f(w, c);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use srs_exact::{diagonal, linearized, ExactParams};
     use srs_graph::bfs::{BfsBuffers, Direction};
     use srs_graph::gen::{self, fixtures};
+    use srs_mc::walker::reference;
 
     fn exact_scores(g: &Graph, u: VertexId, params: &SimRankParams) -> Vec<f64> {
         let ep = ExactParams::new(params.c, params.t);
@@ -486,7 +512,11 @@ mod tests {
 
     /// The dense Algorithm 2 table over every distance `0..=d_max` and
     /// every step, from a complete `d_max` ball — the reference the
-    /// horizon-limited table must reproduce bit for bit.
+    /// horizon-limited table must reproduce bit for bit. Its walks are
+    /// stepped by the scalar reference kernel (fixed slots, dead walks
+    /// stay [`srs_mc::DEAD`]), which draws the same stream as the frontier
+    /// kernel, and counted with a hash counter — so the comparison does not
+    /// depend on the frontier kernel or the dense count under test.
     fn full_table_beta(
         g: &Graph,
         u: VertexId,
@@ -497,17 +527,14 @@ mod tests {
     ) -> Vec<f64> {
         let (t_steps, d_max) = (params.t as usize, params.d_max as usize);
         let mut alpha = vec![0.0f64; (d_max + 1) * t_steps];
-        let engine = WalkEngine::new(g);
         let r = params.r_bounds as usize;
         let mut rng = Pcg32::from_parts(&[seed, 0xB0, u as u64]);
-        let (mut walks, mut counter) = (WalkPositions::new(), PositionCounter::new());
-        walks.reset(u, r);
+        let (mut slots, mut counter) = (vec![u; r], PositionCounter::new());
         for t in 0..t_steps {
             if t > 0 {
-                walks.step_count(&engine, &mut rng, &mut counter);
-            } else {
-                counter.fill(walks.positions());
+                reference::step_all(g, &mut slots, &mut rng);
             }
+            counter.fill(&slots);
             for (w, cnt) in counter.iter() {
                 let d = dist(w);
                 if d == UNREACHED || d as usize > d_max {
@@ -516,7 +543,7 @@ mod tests {
                 let slot = &mut alpha[d as usize * t_steps + t];
                 *slot = slot.max(diag.weight(w) * cnt as f64 / r as f64);
             }
-            if walks.is_empty() {
+            if counter.distinct() == 0 {
                 break;
             }
         }
@@ -548,9 +575,11 @@ mod tests {
             // T − 1 > d_max: positions beyond d_max stay excluded.
             SimRankParams { r_bounds: 200, t: 9, d_max: 3, ..Default::default() },
             SimRankParams { r_bounds: 200, t: 4, d_max: 6, ..Default::default() },
+            // The served default: 10,000 walks, from hubs only (below).
+            SimRankParams { r_bounds: 10_000, ..Default::default() },
         ];
         let mut walks = WalkPositions::new();
-        let mut counter = PositionCounter::new();
+        let mut counts = Vec::new();
         let mut ab = AlphaBeta::new_empty();
         let mut checked = 0;
         for (gi, g) in graphs.iter().enumerate() {
@@ -558,9 +587,14 @@ mod tests {
             let per_vertex: Vec<f64> = (0..n).map(|v| 0.3 + 0.1 * (v % 5) as f64).collect();
             let diags = [Diagonal::paper_default(0.6), Diagonal::PerVertex(std::sync::Arc::new(per_vertex))];
             let mut partial = BfsBuffers::new(n);
+            let mut hubs: Vec<VertexId> = (0..n).collect();
+            hubs.sort_by_key(|&v| std::cmp::Reverse(g.in_degree(v) + g.out_degree(v)));
+            hubs.truncate(3);
             for params in &param_sets {
+                let sources =
+                    if params.r_bounds >= 10_000 { hubs.clone() } else { vec![0u32, 17, 101, n - 1] };
                 for diag in &diags {
-                    for u in [0u32, 17, 101, n - 1] {
+                    for &u in &sources {
                         let full = undirected_dist(g, u, params.d_max);
                         let reference = full_table_beta(g, u, params, diag, |w| full.distance(w), 9);
                         // Every min_depth the query BFS may stop at, with
@@ -587,7 +621,7 @@ mod tests {
                                 h + 1,
                                 9,
                                 &mut walks,
-                                &mut counter,
+                                &mut counts,
                             );
                             assert_eq!(ab.horizon(), (h + 1).min(params.d_max + 1));
                             for d in 0..=(h + 1).min(params.d_max) {
@@ -621,8 +655,8 @@ mod tests {
         let diag = Diagonal::paper_default(params.c);
         let bfs = undirected_dist(&g, 0, params.d_max);
         let mut ab = AlphaBeta::new_empty();
-        let (mut walks, mut counter) = (WalkPositions::new(), PositionCounter::new());
-        ab.compute_into(&g, 0, &params, &diag, |w| bfs.distance(w), 3, 1, &mut walks, &mut counter);
+        let (mut walks, mut counts) = (WalkPositions::new(), Vec::new());
+        ab.compute_into(&g, 0, &params, &diag, |w| bfs.distance(w), 3, 1, &mut walks, &mut counts);
         assert_eq!(ab.horizon(), 3);
         assert!((ab.alpha(0, 0).unwrap() - 0.4).abs() < 1e-12);
         assert_eq!(ab.alpha(2, 0), Some(0.0), "no walk is 2 hops out at step 0");

@@ -463,7 +463,11 @@ mod tests {
         let bytes = pack_sharded_to_bytes(g, idx, shards).unwrap();
         let dir = std::env::temp_dir().join(format!("srs-sharded-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("s{shards}.srs"));
+        // Tests run in parallel: every call gets its own file, so no
+        // test's write or delete can race another's load.
+        static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let call = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let path = dir.join(format!("s{shards}-{call}.srs"));
         std::fs::write(&path, &bytes).unwrap();
         let (loaded, _, _) = load_snapshot(&path, &LoadOptions::default()).unwrap();
         let _ = std::fs::remove_file(&path);

@@ -24,7 +24,6 @@ use crate::{Diagonal, SimRankParams};
 use srs_graph::bfs::{BfsBuffers, Direction, UNREACHED};
 use srs_graph::hash::mix_seed;
 use srs_graph::{Graph, VertexId};
-use srs_mc::multiset::PositionCounter;
 use srs_mc::{WalkEngine, WalkPositions};
 use srs_obs::{CandidateFate, CandidateRecord, ExplainTrace};
 use std::cmp::Reverse;
@@ -411,8 +410,9 @@ pub struct QueryScratch {
     l1: AlphaBeta,
     /// Shared walk-position buffer for the L1 table and source walks.
     walks: WalkPositions,
-    /// Position counter for the L1 table.
-    counter: PositionCounter,
+    /// Dense per-vertex position counts for the L1 table (grown to `n`
+    /// on the first L1 query, all-zero between uses).
+    l1_counts: Vec<u32>,
     /// Shared source walks (when `QueryOptions::share_source_walks`).
     source_walks: SourceWalks,
     /// Candidate ids straight from the index.
@@ -496,7 +496,7 @@ impl QueryScratch {
             estimator: EstimatorBuffers::new(),
             l1: AlphaBeta::new_empty(),
             walks: WalkPositions::new(),
-            counter: PositionCounter::new(),
+            l1_counts: Vec::new(),
             source_walks: SourceWalks::new_empty(),
             cand_ids: Vec::new(),
             cands: Vec::new(),
@@ -704,7 +704,7 @@ impl QueryScratch {
                 self.ball_depth.saturating_add(1),
                 mix_seed(&[index.seed, 3, u as u64]),
                 &mut self.walks,
-                &mut self.counter,
+                &mut self.l1_counts,
             );
         }
         if opts.share_source_walks {
