@@ -7,7 +7,7 @@
 //! bench builds a [`QueryBenchReport`] and writes it after measuring;
 //! JSON is hand-rolled because the workspace is offline (no serde).
 
-use crate::walkbench::json_string;
+use crate::walkbench::{json_string, HostInfo};
 use std::io::Write;
 use std::path::Path;
 
@@ -49,14 +49,16 @@ impl QueryBenchEntry {
 /// A full batch-query bench run (one entry per dataset/workload).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct QueryBenchReport {
+    /// The host the bench ran on.
+    pub host: HostInfo,
     /// Measured entries, in run order.
     pub entries: Vec<QueryBenchEntry>,
 }
 
 impl QueryBenchReport {
-    /// An empty report.
+    /// An empty report, on this host.
     pub fn new() -> Self {
-        Self::default()
+        QueryBenchReport { host: HostInfo::detect(), entries: Vec::new() }
     }
 
     /// Records one measurement.
@@ -66,7 +68,14 @@ impl QueryBenchReport {
 
     /// Serializes the report as pretty-printed JSON.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"entries\": [\n");
+        let mut out = String::from("{\n");
+        out.push_str(&format!(
+            "  \"host\": {{\"vcpus\": {}, \"kernel\": {}, \"l3\": {}}},\n",
+            self.host.vcpus,
+            json_string(&self.host.kernel),
+            json_string(&self.host.l3)
+        ));
+        out.push_str("  \"entries\": [\n");
         for (i, e) in self.entries.iter().enumerate() {
             out.push_str(&format!(
                 "    {{\"dataset\": {}, \"queries\": {}, \"threads\": {}, \"k\": {}, \
@@ -123,16 +132,19 @@ mod tests {
     #[test]
     fn json_shape_and_escaping() {
         let mut r = QueryBenchReport::new();
+        r.host = HostInfo { vcpus: 2, kernel: "Avx2".into(), l3: "32768K".into() };
         r.push(entry("web-BerkStan(m=6143)", 32, 0.128));
         r.push(entry("has \"quote\"", 1, 1.0));
         let j = r.to_json();
+        assert!(j.starts_with("{\n  \"host\": {\"vcpus\": 2, \"kernel\": \"Avx2\", \"l3\": \"32768K\"},\n"));
         assert!(j.contains("\"dataset\": \"web-BerkStan(m=6143)\""));
         assert!(j.contains("\"qps\": 250.0"));
         assert!(j.contains("\"wave_width\": 32"));
         assert!(j.contains("\"p99_us\": 400.0"));
         assert!(j.contains("\\\"quote\\\""));
-        // Every entry line but the last carries a trailing comma.
-        assert_eq!(j.matches("},\n").count(), 1);
+        // Every entry line but the last carries a trailing comma (the
+        // host line is the other `},`).
+        assert_eq!(j.matches("},\n").count(), 2);
         assert!(j.contains("}\n  ]"));
     }
 

@@ -36,6 +36,7 @@ pub mod extend;
 pub mod index;
 pub mod obs;
 pub mod persist;
+mod screen;
 pub mod sharded;
 pub mod single_pair;
 pub mod snapshot;

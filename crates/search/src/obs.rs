@@ -19,6 +19,7 @@
 //! | `srs_query_candidates_total` | counter | |
 //! | `srs_query_candidate_fates_total` | counter | `fate` |
 //! | `srs_query_bfs_visited_total` | counter | |
+//! | `srs_query_zero_screened_total` | counter | |
 //! | `srs_query_waves_total` | counter | |
 //! | `srs_query_wave_wasted_total` | counter | |
 //! | `srs_query_wave_survivors` | histogram | |
@@ -104,6 +105,9 @@ pub struct ServingMetrics {
     pub fates: [Arc<Counter>; 5],
     /// `srs_query_bfs_visited_total`.
     pub bfs_visited: Arc<Counter>,
+    /// `srs_query_zero_screened_total` (candidates whose estimates the
+    /// structural-zero screen set to 0.0 without walking).
+    pub zero_screened: Arc<Counter>,
     /// `srs_query_waves_total` (walk waves formed by the batched scan).
     pub waves: Arc<Counter>,
     /// `srs_query_wave_wasted_total` (precomputed estimates never used).
@@ -234,6 +238,10 @@ impl ServingMetrics {
                 "srs_query_bfs_visited_total",
                 "Vertices visited by the query BFS (it stops once every candidate is placed)",
             ),
+            zero_screened: r.counter(
+                "srs_query_zero_screened_total",
+                "Candidates estimated as exactly 0 by the structural-zero screen, without walks",
+            ),
             waves: r.counter("srs_query_waves_total", "Walk waves formed by the batched scan"),
             wave_wasted: r
                 .counter("srs_query_wave_wasted_total", "Wave-precomputed estimates never consumed"),
@@ -322,6 +330,7 @@ impl ServingMetrics {
         self.fates[3].add(s.refined);
         self.fates[4].add(s.reported);
         self.bfs_visited.add(s.bfs_visited);
+        self.zero_screened.add(s.zero_screened);
         self.waves.add(s.waves);
         self.wave_wasted.add(s.wave_wasted);
         self.fast_tier_queries.add(s.fast_tier_queries);
@@ -404,6 +413,7 @@ mod tests {
             reported: 2,
             bfs_visited: 50,
             walk_steps: 123,
+            zero_screened: 5,
             waves: 2,
             wave_wasted: 4,
             fast_tier_queries: 1,
@@ -419,6 +429,7 @@ mod tests {
             "srs_query_candidates_total",
             "srs_query_candidate_fates_total",
             "srs_query_bfs_visited_total",
+            "srs_query_zero_screened_total",
             "srs_query_waves_total",
             "srs_query_wave_wasted_total",
             "srs_query_wave_survivors",
@@ -458,6 +469,7 @@ mod tests {
         // The fate family sums to the candidate count (identity holds).
         assert_eq!(snap.counter_total("srs_query_candidate_fates_total"), 10);
         assert_eq!(snap.counter_total("srs_walk_steps_total"), 6);
+        assert_eq!(snap.counter_total("srs_query_zero_screened_total"), 5);
         assert_eq!(snap.counter_total("srs_query_waves_total"), 2);
         assert_eq!(snap.counter_total("srs_query_wave_wasted_total"), 4);
         assert_eq!(snap.counter_total("srs_query_fast_tier_queries_total"), 1);

@@ -19,6 +19,7 @@
 use crate::bounds::{AlphaBeta, GammaTable};
 use crate::index::{CandidateIndex, SeenStamps};
 use crate::obs::{BuildObs, QueryLocalObs, ServingMetrics, StageTimings};
+use crate::screen::ZeroScreen;
 use crate::single_pair::{EstimatorBuffers, SourceWalks, WaveEstimator};
 use crate::{Diagonal, SimRankParams};
 use srs_graph::bfs::{BfsBuffers, Direction, UNREACHED};
@@ -241,6 +242,13 @@ pub struct QueryStats {
     /// may precompute estimates the consumer then prunes); the fate
     /// counters above never do.
     pub walk_steps: u64,
+    /// Candidates whose estimates the structural-zero screen set to 0.0
+    /// without walking (their reverse layers never share a vertex at the
+    /// same step; see DESIGN.md §5g). A work counter, not a fate: these
+    /// candidates keep their coarse-pruned or refined fate. Like
+    /// `walk_steps` it can drift between wave widths (the screen's credit
+    /// depends on how many candidates it has seen).
+    pub zero_screened: u64,
     /// Walk waves formed by the batched scan (0 on the scalar path).
     pub waves: u64,
     /// Wave-precomputed estimates (coarse or refine) that consumption
@@ -267,6 +275,7 @@ impl QueryStats {
         self.reported += other.reported;
         self.bfs_visited += other.bfs_visited;
         self.walk_steps += other.walk_steps;
+        self.zero_screened += other.zero_screened;
         self.waves += other.waves;
         self.wave_wasted += other.wave_wasted;
         self.fast_tier_queries += other.fast_tier_queries;
@@ -411,8 +420,11 @@ pub struct QueryScratch {
     /// Shared walk-position buffer for the L1 table and source walks.
     walks: WalkPositions,
     /// Dense per-vertex position counts for the L1 table (grown to `n`
-    /// on the first L1 query, all-zero between uses).
+    /// on first use, all-zero between uses). The scan lends it to the
+    /// structural-zero screen as its layer mask.
     l1_counts: Vec<u32>,
+    /// Structural-zero screen of the candidate scan.
+    screen: ZeroScreen,
     /// Shared source walks (when `QueryOptions::share_source_walks`).
     source_walks: SourceWalks,
     /// Candidate ids straight from the index.
@@ -468,11 +480,17 @@ struct WaveScratch {
     slots: Vec<WaveSlot>,
 }
 
+/// Most candidates one formation pass examines. Screened zeros take no
+/// wave lane, so an uncapped span could stretch over the whole candidate
+/// list, and the slot table with it.
+const MAX_SPAN: usize = 1024;
+
 /// Precomputed work for one candidate a wave's formation pass examined:
 /// the bound values formation evaluated anyway (reused verbatim by
 /// consumption — same pure expressions, so caching cannot change a
-/// decision) and the batched estimates. Consumption `take`s the estimates
-/// it uses; leftovers are counted as wasted work.
+/// decision), the structural-zero verdict, and the batched estimates.
+/// Consumption `take`s the estimates it uses; leftovers are counted as
+/// wasted work.
 #[derive(Debug, Clone, Copy, Default)]
 struct WaveSlot {
     /// Distance bound `c^⌈d/2⌉` (0.0 placeholder when the distance bound
@@ -482,6 +500,9 @@ struct WaveSlot {
     /// would produce them (∞ for a disabled bound).
     l1b: f64,
     l2b: f64,
+    /// The screen proved every estimate of this survivor exactly 0.0; it
+    /// took no wave lane and carries no precomputed estimate.
+    zero: bool,
     coarse: Option<f64>,
     refine: Option<f64>,
 }
@@ -497,6 +518,7 @@ impl QueryScratch {
             l1: AlphaBeta::new_empty(),
             walks: WalkPositions::new(),
             l1_counts: Vec::new(),
+            screen: ZeroScreen::default(),
             source_walks: SourceWalks::new_empty(),
             cand_ids: Vec::new(),
             cands: Vec::new(),
@@ -748,6 +770,7 @@ impl QueryScratch {
         // Move the candidate list out so the scan can borrow the other
         // scratch fields mutably; moved back below.
         let cands = std::mem::take(&mut self.cands);
+        self.screen.begin(g, u, &index.params, std::mem::take(&mut self.l1_counts));
         let width = opts.wave_width.max(1) as usize;
         // The wave path replays scalar estimates bit-for-bit only for a
         // uniform diagonal (its co-location sums are integers, which
@@ -758,6 +781,7 @@ impl QueryScratch {
         } else {
             self.scan_waved(g, index, u, k, opts, theta, stats, &mut explain, &cands, width);
         }
+        self.l1_counts = self.screen.end();
         self.cands = cands;
     }
 
@@ -766,6 +790,8 @@ impl QueryScratch {
     /// `width` survivors), *precompute* their coarse — and likely-needed
     /// refine — estimates through the batched [`WaveEstimator`], then
     /// hand the span to [`QueryScratch::scan_span`] for consumption.
+    /// A survivor the structural-zero screen proves 0.0 is marked in its
+    /// slot instead and takes no wave lane.
     ///
     /// Soundness of the precompute set: the pruning threshold
     /// `max(θ, kth − slack)` is non-decreasing over the scan (the heap
@@ -821,15 +847,16 @@ impl QueryScratch {
                 let l1b = if opts.use_l1 && d != UNREACHED { self.l1.beta(d) } else { f64::INFINITY };
                 let l2b = if opts.use_l2 { index.gamma.l2_bound(u, v, params.c) } else { f64::INFINITY };
                 let survives = l1b.min(l2b) >= prune_floor;
-                wave.slots.push(WaveSlot { cd, l1b, l2b, coarse: None, refine: None });
+                let zero = survives && self.screen.is_zero(g, v);
+                wave.slots.push(WaveSlot { cd, l1b, l2b, zero, coarse: None, refine: None });
                 end += 1;
-                if survives {
+                if survives && !zero {
                     wave.survivors.push(end - 1);
                     wave.targets.push(v);
                     wave.seeds.push(mix_seed(&[index.seed, 4, u as u64, v as u64]));
-                    if wave.survivors.len() == width {
-                        break;
-                    }
+                }
+                if wave.survivors.len() == width || wave.slots.len() == MAX_SPAN {
+                    break;
                 }
             }
             stats.waves += 1;
@@ -1036,7 +1063,13 @@ impl QueryScratch {
             // Adaptive sampling (§7.2). Estimates come from the wave's
             // precompute table when present (bit-identical by the
             // WaveEstimator contract) and are computed here otherwise —
-            // with the same per-candidate seed either way.
+            // with the same per-candidate seed either way. A structural
+            // zero is exactly what either route would return, +0.0.
+            let zero = match cached {
+                Some(slot) => slot.zero,
+                None => self.screen.is_zero(g, v),
+            };
+            stats.zero_screened += zero as u64;
             let seed = || mix_seed(&[index.seed, 4, u as u64, v as u64]);
             let precomputed = |pre: &mut Option<(usize, &mut [WaveSlot])>, refine: bool| {
                 let (base, slots) = pre.as_mut()?;
@@ -1049,6 +1082,7 @@ impl QueryScratch {
             };
             if opts.adaptive {
                 let coarse = match precomputed(&mut pre, false) {
+                    _ if zero => 0.0,
                     Some(value) => value,
                     None if opts.share_source_walks => self.estimator.estimate_from_source(
                         &engine,
@@ -1073,6 +1107,7 @@ impl QueryScratch {
                 }
             }
             let score = match precomputed(&mut pre, true) {
+                _ if zero => 0.0,
                 Some(value) => value,
                 None if opts.share_source_walks => self.estimator.estimate_from_source(
                     &engine,

@@ -104,3 +104,43 @@ fn snap_edge_list_roundtrip_through_pipeline() {
     let res = idx.query(&g2, 7, 5, &QueryOptions::default());
     assert!(res.hits.len() <= 5);
 }
+
+#[test]
+fn zero_screen_skips_only_pairs_whose_estimate_is_exactly_zero() {
+    // A web graph with a radius-2 candidate ball: most coarse-stage
+    // candidates there can never co-locate with the query's walks, and
+    // the scan sets their estimates to 0.0 without walking them.
+    let g = simrank_search::graph::gen::copying_web(2000, 5, 0.8, 42);
+    let params = SimRankParams { r_bounds: 1_000, ..Default::default() };
+    let index = TopKIndex::build(&g, &params, 3);
+    let ep = ExactParams::new(params.c, params.t);
+    let d = diagonal::uniform(g.num_vertices() as usize, params.c);
+    let mut ctx = QueryContext::new(&g, &index);
+    let opts = QueryOptions { candidate_ball: Some(2), explain: true, ..Default::default() };
+    let mut screened = 0;
+    for u in stats::sample_query_vertices(&g, 20, 11) {
+        let res = ctx.query(u, 10, &opts);
+        let s = res.stats;
+        assert!(s.zero_screened <= s.pruned_coarse + s.refined, "u={u}: {s:?}");
+        // Every screened candidate is an exact structural zero whose
+        // estimate fate records the value +0.0, so at least that many
+        // such records exist.
+        let exact = linearized::single_source(&g, u, &ep, &d);
+        let zero_records = res
+            .explain
+            .expect("explain requested")
+            .records
+            .iter()
+            .filter(|r| matches!(r.fate.as_str(), "pruned_coarse" | "refined_below_theta"))
+            .filter(|r| exact[r.vertex as usize] == 0.0)
+            .inspect(|r| assert_eq!(r.value.to_bits(), 0, "u={u} v={}: {}", r.vertex, r.value))
+            .count() as u64;
+        assert!(
+            s.zero_screened <= zero_records,
+            "u={u}: {} screened, {zero_records} zero records",
+            s.zero_screened
+        );
+        screened += s.zero_screened;
+    }
+    assert!(screened > 0, "the fixture must exercise the screen");
+}
