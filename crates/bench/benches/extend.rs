@@ -19,10 +19,11 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use srs_bench::extendbench::{ExtendBenchEntry, ExtendBenchReport};
+use srs_bench::walkbench::HostInfo;
 use srs_graph::{gen, GraphDelta};
 use srs_search::snapshot::pack_to_bytes;
 use srs_search::{
-    build_delta, load_chain, Dataset, Diagonal, LoadOptions, Loaded, QueryOptions, SimRankParams, TopKIndex,
+    build_delta, load_chain, Dataset, Diagonal, LoadOptions, QueryOptions, SimRankParams, TopKIndex,
 };
 use std::time::Instant;
 
@@ -78,6 +79,7 @@ fn bench_extend(_c: &mut Criterion) {
     }
 
     let mut report = ExtendBenchReport {
+        host: HostInfo::detect(),
         graph: format!("copying_web(n={n}, out_deg=4, copy_prob=0.8, seed=42)"),
         n,
         m: g.num_edges(),
@@ -94,14 +96,11 @@ fn bench_extend(_c: &mut Criterion) {
         let apply_secs = t0.elapsed().as_secs_f64();
         std::fs::write(&delta_path, &built.bytes).expect("write delta");
         let t0 = Instant::now();
-        let (loaded, _, chain, _) =
+        let (shards, _, chain, _) =
             load_chain(&base_path, &[&delta_path], &LoadOptions::default()).expect("chain loads");
         let reload_secs = t0.elapsed().as_secs_f64();
         assert_eq!(chain.depth, 1);
-        let chained = match loaded {
-            Loaded::Single(d) => d,
-            Loaded::Sharded(_) => unreachable!("classic pack is unsharded"),
-        };
+        let [chained] = &shards[..] else { unreachable!("a chain loads as one shard") };
 
         // From-scratch side on the identical post-edit graph.
         let new_g = batch.apply(&g).expect("batch applies");

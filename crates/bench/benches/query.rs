@@ -4,7 +4,7 @@
 //!
 //! Two shapes per dataset: `top20` is the single-query latency through a
 //! sequential [`QueryContext`], `batch32` pushes the same workload through
-//! the parallel [`QueryEngine`] (pooled scratch state, all cores), i.e.
+//! the parallel [`ServingEngine`] (pooled scratch state, all cores), i.e.
 //! the serving-layer throughput. A wave-width ablation (1/8/32/128 on
 //! copying_web(100k), 4 threads) measures what batching the adaptive
 //! scan's walk work buys — results are bit-identical at every width, so
@@ -17,7 +17,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use srs_bench::cache;
 use srs_bench::querybench::{QueryBenchEntry, QueryBenchReport};
 use srs_search::topk::QueryContext;
-use srs_search::{QueryEngine, QueryOptions, SimRankParams, TopKIndex};
+use srs_search::{Dataset, QueryOptions, ServingEngine, SimRankParams, TopKIndex};
 
 fn bench_query(c: &mut Criterion) {
     let smoke = criterion::smoke_mode();
@@ -34,6 +34,7 @@ fn bench_query(c: &mut Criterion) {
         let index = TopKIndex::build(&g, &params, 9);
         let queries = srs_graph::stats::sample_query_vertices(&g, 32, 13);
         let label = format!("{name}_m{}", g.num_edges());
+        let dataset = Dataset::from_arcs(g.clone(), index.clone().into()).unwrap();
         group.bench_function(BenchmarkId::new("top20", &label), |b| {
             let mut ctx = QueryContext::new(&g, &index);
             let mut i = 0usize;
@@ -43,7 +44,7 @@ fn bench_query(c: &mut Criterion) {
             });
         });
         group.bench_function(BenchmarkId::new("batch32_top20", &label), |b| {
-            let engine = QueryEngine::new(&g, &index);
+            let engine = ServingEngine::new(vec![dataset.clone()]);
             let mut out = srs_search::BatchResult::new();
             b.iter(|| {
                 engine.query_batch_into(&queries, 20, &opts, &mut out);
@@ -53,7 +54,7 @@ fn bench_query(c: &mut Criterion) {
 
         // One measured batch for the JSON artifact: QPS + tail latency
         // from the engine's own per-query latency summary.
-        let engine = QueryEngine::new(&g, &index);
+        let engine = ServingEngine::new(vec![dataset]);
         let workload = srs_graph::stats::sample_query_vertices(&g, if smoke { 16 } else { 256 }, 13);
         let batch = engine.query_batch(&workload, 20, &opts);
         let entry = QueryBenchEntry {
@@ -83,7 +84,7 @@ fn bench_query(c: &mut Criterion) {
     let n = if smoke { 2_000 } else { 100_000 };
     let g = srs_graph::gen::copying_web(n, 5, 0.8, 7);
     let index = TopKIndex::build(&g, &params, 9);
-    let engine = QueryEngine::with_threads(&g, &index, 4);
+    let engine = ServingEngine::with_threads(vec![Dataset::new(g.clone(), index).unwrap()], 4);
     let queries = srs_graph::stats::sample_query_vertices(&g, 32, 13);
     let workload = srs_graph::stats::sample_query_vertices(&g, if smoke { 16 } else { 256 }, 13);
     for width in [1u32, 8, 32, 128] {

@@ -12,9 +12,10 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use srs_bench::snapbench::SnapshotBenchReport;
+use srs_bench::walkbench::HostInfo;
 use srs_graph::gen;
 use srs_search::snapshot::{pack_to_bytes, Dataset};
-use srs_search::{load_snapshot, Diagonal, LoadOptions, Loaded, QueryOptions, SimRankParams, TopKIndex};
+use srs_search::{load_snapshot, Diagonal, LoadOptions, QueryOptions, SimRankParams, TopKIndex};
 use std::time::Instant;
 
 fn bench_snapshot(_c: &mut Criterion) {
@@ -56,10 +57,6 @@ fn bench_snapshot(_c: &mut Criterion) {
     // on a genuinely cold cache the gap only widens.
     let path = std::env::temp_dir().join(format!("srs_snapbench_{}.srs", std::process::id()));
     std::fs::write(&path, &bytes).expect("write snapshot fixture");
-    let single = |loaded: Loaded| match loaded {
-        Loaded::Single(d) => d,
-        Loaded::Sharded(_) => unreachable!("classic pack is unsharded"),
-    };
     let mut heap_ttfq = f64::INFINITY;
     let mut heap_resident = 0u64;
     let mut mmap_ttfq = f64::INFINITY;
@@ -67,8 +64,8 @@ fn bench_snapshot(_c: &mut Criterion) {
     let mut mmap_mapped = 0u64;
     for _ in 0..load_reps {
         let t0 = Instant::now();
-        let (loaded, info, _) = load_snapshot(&path, &LoadOptions::default()).expect("heap load");
-        let ds = single(loaded);
+        let (shards, info, _) = load_snapshot(&path, &LoadOptions::default()).expect("heap load");
+        let ds = &shards[0];
         let hit = ds.index().query(ds.graph(), 0, 5, &QueryOptions::default());
         heap_ttfq = heap_ttfq.min(t0.elapsed().as_secs_f64());
         heap_resident = info.resident_bytes;
@@ -76,8 +73,8 @@ fn bench_snapshot(_c: &mut Criterion) {
 
         let t0 = Instant::now();
         let mopts = LoadOptions { mmap: true, ..Default::default() };
-        let (loaded, info, _verifier) = load_snapshot(&path, &mopts).expect("mmap load");
-        let ds = single(loaded);
+        let (shards, info, _verifier) = load_snapshot(&path, &mopts).expect("mmap load");
+        let ds = &shards[0];
         let hit = ds.index().query(ds.graph(), 0, 5, &QueryOptions::default());
         mmap_ttfq = mmap_ttfq.min(t0.elapsed().as_secs_f64());
         mmap_resident = info.resident_bytes;
@@ -87,6 +84,7 @@ fn bench_snapshot(_c: &mut Criterion) {
     std::fs::remove_file(&path).ok();
 
     let report = SnapshotBenchReport {
+        host: HostInfo::detect(),
         graph: format!("copying_web(n={n}, out_deg=4, copy_prob=0.8, seed=42)"),
         n,
         m,

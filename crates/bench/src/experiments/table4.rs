@@ -19,7 +19,7 @@ use crate::{cache, metrics, ReproConfig};
 use srs_baselines::fogaras::{FingerprintIndex, FogarasParams};
 use srs_exact::{yu, ExactParams};
 use srs_graph::datasets::DatasetSpec;
-use srs_search::{QueryEngine, QueryOptions, SimRankParams, TopKIndex};
+use srs_search::{Dataset, QueryOptions, ServingEngine, SimRankParams, TopKIndex};
 use std::time::Duration;
 
 /// Datasets measured (paper order).
@@ -177,14 +177,16 @@ pub fn measure_one(cfg: &ReproConfig, name: &'static str) -> Row {
 
     // Proposed method.
     let (index, prop_preprocess) = metrics::timed(|| TopKIndex::build(&g, &params, cfg.seed ^ 0x40));
+    let prop_index = index.memory_bytes();
     let queries = srs_graph::stats::sample_query_vertices(&g, cfg.timing_queries, cfg.seed ^ 0x41);
+    let dataset = Dataset::from_arcs(g.clone(), index.into()).expect("index built for this graph");
     // Single engine worker so the mean reflects per-query latency, not
     // parallel throughput (matching the paper's sequential query column).
-    let engine = QueryEngine::with_threads(&g, &index, 1);
+    let engine = ServingEngine::with_threads(vec![dataset.clone()], 1);
     let batch = engine.query_batch(&queries, 20, &opts);
     let prop_query = batch.latency.mean;
     let prop_allpairs = (n <= ALLPAIRS_CAP_N)
-        .then(|| metrics::timed(|| srs_search::all_vertices::all_topk(&g, &index, 20, &opts, threads)).1);
+        .then(|| metrics::timed(|| srs_search::all_vertices::all_topk(&dataset, 20, &opts, threads)).1);
 
     // Fogaras-Racz under the measured budget.
     let fr_params = FogarasParams { c: params.c, t: params.t, r_prime: 100 };
@@ -217,7 +219,7 @@ pub fn measure_one(cfg: &ReproConfig, name: &'static str) -> Row {
         prop_preprocess,
         prop_query,
         prop_allpairs,
-        prop_index: index.memory_bytes(),
+        prop_index,
         fr,
         yu,
         fr_fits_paper: FingerprintIndex::required_bytes(spec.paper_n, &fr_params) <= PAPER_FR_BUDGET,

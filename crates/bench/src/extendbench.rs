@@ -8,7 +8,7 @@
 //! a ladder of batch sizes and writes this report at the repo root
 //! (hand-rolled JSON; the workspace is offline, no serde).
 
-use crate::walkbench::json_string;
+use crate::walkbench::{json_string, HostInfo};
 use std::io::Write;
 use std::path::Path;
 
@@ -70,6 +70,8 @@ impl ExtendBenchEntry {
 /// A full batch-size ladder on one base dataset.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ExtendBenchReport {
+    /// The host the bench ran on.
+    pub host: HostInfo,
     /// Description of the base graph.
     pub graph: String,
     /// Base vertex count.
@@ -87,6 +89,7 @@ impl ExtendBenchReport {
     /// Serializes the report as pretty-printed JSON.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
+        out.push_str(&format!("  \"host\": {},\n", self.host.to_json()));
         out.push_str(&format!("  \"graph\": {},\n", json_string(&self.graph)));
         out.push_str(&format!("  \"n\": {},\n  \"m\": {},\n", self.n, self.m));
         out.push_str(&format!("  \"staleness_depth\": {},\n", self.staleness_depth));
@@ -158,6 +161,7 @@ mod tests {
     #[test]
     fn json_shape() {
         let r = ExtendBenchReport {
+            host: HostInfo { vcpus: 2, kernel: "Avx2".into(), l3: "32768K".into() },
             graph: "copying_web(n=2000)".into(),
             n: 2000,
             m: 8000,
@@ -166,6 +170,7 @@ mod tests {
         };
         let j = r.to_json();
         for key in [
+            "\"host\": {\"vcpus\": 2, \"kernel\": \"Avx2\", \"l3\": \"32768K\"}",
             "\"graph\"",
             "\"staleness_depth\": 10",
             "\"dirty_fraction\": 0.0500",
@@ -175,12 +180,14 @@ mod tests {
         ] {
             assert!(j.contains(key), "missing {key}: {j}");
         }
-        assert_eq!(j.matches("},\n").count(), 1, "{j}");
+        // One separator between the two entries, one after the host block.
+        assert_eq!(j.matches("},\n").count(), 2, "{j}");
     }
 
     #[test]
     fn write_roundtrip() {
         let r = ExtendBenchReport {
+            host: HostInfo::detect(),
             graph: "x".into(),
             n: 10,
             m: 20,

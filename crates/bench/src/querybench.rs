@@ -69,12 +69,7 @@ impl QueryBenchReport {
     /// Serializes the report as pretty-printed JSON.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
-        out.push_str(&format!(
-            "  \"host\": {{\"vcpus\": {}, \"kernel\": {}, \"l3\": {}}},\n",
-            self.host.vcpus,
-            json_string(&self.host.kernel),
-            json_string(&self.host.l3)
-        ));
+        out.push_str(&format!("  \"host\": {},\n", self.host.to_json()));
         out.push_str("  \"entries\": [\n");
         for (i, e) in self.entries.iter().enumerate() {
             out.push_str(&format!(

@@ -10,7 +10,7 @@
 //! the lightest rung. Like `BENCH_query.json`, the JSON is hand-rolled
 //! because the workspace is offline (no serde).
 
-use crate::walkbench::json_string;
+use crate::walkbench::{json_string, HostInfo};
 use std::io::Write;
 use std::path::Path;
 
@@ -89,7 +89,7 @@ pub struct HotsetPhase {
 
 impl HotsetPhase {
     /// Cache hit rate in [0, 1]; zero when the cache saw no traffic
-    /// (e.g. a sharded engine, which serves uncached).
+    /// (e.g. a server started with `--cache 0`).
     pub fn hit_rate(&self) -> f64 {
         let total = self.cache_hits + self.cache_misses;
         if total == 0 {
@@ -103,6 +103,9 @@ impl HotsetPhase {
 /// A full rate-sweep run against one server.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServeBenchReport {
+    /// The host the sweep ran on (the load generator's; the committed
+    /// runs put the server on the same host).
+    pub host: HostInfo,
     /// Server address the sweep targeted.
     pub addr: String,
     /// Measured rungs, in ascending offered-rate order.
@@ -115,7 +118,7 @@ pub struct ServeBenchReport {
 impl ServeBenchReport {
     /// An empty report for `addr`.
     pub fn new(addr: impl Into<String>) -> Self {
-        Self { addr: addr.into(), entries: Vec::new(), hotset: Vec::new() }
+        Self { host: HostInfo::detect(), addr: addr.into(), entries: Vec::new(), hotset: Vec::new() }
     }
 
     /// Records one rung.
@@ -142,6 +145,7 @@ impl ServeBenchReport {
     /// Serializes the report as pretty-printed JSON.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
+        out.push_str(&format!("  \"host\": {},\n", self.host.to_json()));
         out.push_str(&format!("  \"addr\": {},\n", json_string(&self.addr)));
         match self.knee_rate() {
             Some(rate) => out.push_str(&format!("  \"knee_rate\": {rate:.1},\n")),
@@ -259,10 +263,12 @@ mod tests {
         r.push(rung(100.0, 200, 2.0, 800.0));
         r.push(rung(400.0, 500, 2.0, 1000.0));
         let j = r.to_json();
+        assert!(j.starts_with("{\n  \"host\": {\"vcpus\": "), "{j}");
         assert!(j.contains("\"addr\": \"127.0.0.1:7171\""));
         assert!(j.contains("\"knee_rate\": 400.0"));
         assert!(j.contains("\"achieved_qps\": 100.0"));
-        assert_eq!(j.matches("},\n").count(), 1);
+        // One separator between the two rungs, one after the host block.
+        assert_eq!(j.matches("},\n").count(), 2, "{j}");
     }
 
     #[test]
@@ -290,7 +296,7 @@ mod tests {
         assert!(j.contains("\"hotset\": ["), "{j}");
         assert!(j.contains("\"phase\": \"hotset-a\""), "{j}");
         assert!(j.contains("\"hit_rate\": 0.7500"), "{j}");
-        // An idle cache (sharded engines serve uncached) reports rate 0.
+        // An idle cache (no lookups in the phase) reports rate 0.
         assert!(j.contains("\"hit_rate\": 0.0000"), "{j}");
         // Still valid JSON shape: the hotset array is the last key.
         assert!(j.trim_end().ends_with("]\n}"), "{j}");

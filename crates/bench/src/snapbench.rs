@@ -8,13 +8,15 @@
 //! report at the repo root (JSON is hand-rolled; the workspace is
 //! offline, no serde).
 
-use crate::walkbench::json_string;
+use crate::walkbench::{json_string, HostInfo};
 use std::io::Write;
 use std::path::Path;
 
 /// One cold-build vs snapshot-load comparison on a single dataset.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SnapshotBenchReport {
+    /// The host the bench ran on.
+    pub host: HostInfo,
     /// Description of the graph the dataset was built over.
     pub graph: String,
     /// Vertex count.
@@ -71,11 +73,12 @@ impl SnapshotBenchReport {
     /// Serializes the report as pretty-printed JSON.
     pub fn to_json(&self) -> String {
         format!(
-            "{{\n  \"graph\": {},\n  \"n\": {},\n  \"m\": {},\n  \"snapshot_bytes\": {},\n  \
+            "{{\n  \"host\": {},\n  \"graph\": {},\n  \"n\": {},\n  \"m\": {},\n  \"snapshot_bytes\": {},\n  \
              \"sections_verified\": {},\n  \"preprocess_secs\": {:.6},\n  \"load_secs\": {:.6},\n  \
              \"speedup\": {:.1},\n  \"heap_ttfq_secs\": {:.6},\n  \"mmap_ttfq_secs\": {:.6},\n  \
              \"mmap_speedup\": {:.1},\n  \"heap_resident_bytes\": {},\n  \
              \"mmap_resident_bytes\": {},\n  \"mmap_mapped_bytes\": {}\n}}\n",
+            self.host.to_json(),
             json_string(&self.graph),
             self.n,
             self.m,
@@ -106,6 +109,7 @@ mod tests {
 
     fn report() -> SnapshotBenchReport {
         SnapshotBenchReport {
+            host: HostInfo { vcpus: 2, kernel: "Avx2".into(), l3: "32768K".into() },
             graph: "copying_web(n=100)".into(),
             n: 100,
             m: 400,
@@ -134,6 +138,10 @@ mod tests {
     #[test]
     fn json_shape() {
         let j = report().to_json();
+        assert!(
+            j.starts_with("{\n  \"host\": {\"vcpus\": 2, \"kernel\": \"Avx2\", \"l3\": \"32768K\"},\n"),
+            "{j}"
+        );
         for key in [
             "\"graph\"",
             "\"snapshot_bytes\": 12345",

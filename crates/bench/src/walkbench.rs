@@ -59,6 +59,17 @@ impl HostInfo {
                 .unwrap_or_else(|_| "unknown".to_string()),
         }
     }
+
+    /// The host as one JSON object, the `"host"` block every
+    /// `BENCH_*.json` report opens with.
+    pub fn to_json(&self) -> String {
+        format!(
+            "{{\"vcpus\": {}, \"kernel\": {}, \"l3\": {}}}",
+            self.vcpus,
+            json_string(&self.kernel),
+            json_string(&self.l3)
+        )
+    }
 }
 
 /// A full walk-bench run over one generated graph.
@@ -102,12 +113,7 @@ impl WalkBenchReport {
     /// Serializes the report as pretty-printed JSON.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
-        out.push_str(&format!(
-            "  \"host\": {{\"vcpus\": {}, \"kernel\": {}, \"l3\": {}}},\n",
-            self.host.vcpus,
-            json_string(&self.host.kernel),
-            json_string(&self.host.l3)
-        ));
+        out.push_str(&format!("  \"host\": {},\n", self.host.to_json()));
         out.push_str(&format!("  \"graph\": {},\n", json_string(&self.graph)));
         out.push_str("  \"entries\": [\n");
         for (i, e) in self.entries.iter().enumerate() {

@@ -5,7 +5,7 @@ use crate::args::Args;
 use srs_graph::{datasets, gen, io, stats, Graph};
 use srs_obs::Progress;
 use srs_search::{
-    persist, snapshot, BuildObs, Dataset, EngineHandle, Loaded, QueryOptions, ServingMetrics, SimRankParams,
+    persist, snapshot, BuildObs, Dataset, QueryOptions, ServingEngine, ServingMetrics, SimRankParams,
     SnapshotInfo, TopKIndex, TopKResult,
 };
 use std::fmt::Write as _;
@@ -420,7 +420,7 @@ fn batch_query(args: &Args) -> Result<String, String> {
     ])?;
     let load_opts = load_options(args)?;
     let chain_paths: Vec<String> = args.get_list::<String>("deltas")?.unwrap_or_default();
-    let (loaded, snap_info) = if let Some(path) = args.opt("snapshot") {
+    let (shards, snap_info) = if let Some(path) = args.opt("snapshot") {
         if args.opt("graph").is_some() || args.opt("index").is_some() {
             return Err("--snapshot already carries graph and index; drop --graph/--index".into());
         }
@@ -430,15 +430,10 @@ fn batch_query(args: &Args) -> Result<String, String> {
         // `--deltas` replays a delta chain on top of the base snapshot —
         // the offline twin of `serve --deltas`, used by CI to diff
         // chain-served answers against a compacted bundle.
-        let (loaded, info, _verifier) = if chain_paths.is_empty() {
-            snapshot::load_snapshot(Path::new(path), &load_opts).map_err(|e| format!("{path}: {e}"))?
-        } else {
-            let (loaded, info, _chain, verifier) =
-                srs_search::load_chain(Path::new(path), &chain_paths, &load_opts)
-                    .map_err(|e| format!("{path}: {e}"))?;
-            (loaded, info, verifier)
-        };
-        (loaded, Some(info))
+        let (shards, info, _chain, _verifier) =
+            srs_search::load_chain(Path::new(path), &chain_paths, &load_opts)
+                .map_err(|e| format!("{path}: {e}"))?;
+        (shards, Some(info))
     } else {
         if load_opts.mmap {
             return Err("--mmap requires --snapshot".into());
@@ -448,24 +443,21 @@ fn batch_query(args: &Args) -> Result<String, String> {
         }
         let g = load_graph(Path::new(args.req("graph")?))?;
         let index = load_index(args)?;
-        (Loaded::Single(Dataset::new(g, index).map_err(|e| e.to_string())?), None)
+        (vec![Dataset::new(g, index).map_err(|e| e.to_string())?], None)
     };
     let k: usize = args.get_or("k", 20)?;
     let threads: usize =
         args.get_or("threads", std::thread::available_parallelism().map(|v| v.get()).unwrap_or(1))?;
     let mut opts = query_options(args)?;
     // `--prune-theta-only` switches off the adaptive kth-score pruning
-    // floor, leaving only the partition-invariant θ floor. Sharded
-    // engines force this mode regardless; setting it explicitly on an
-    // unsharded run produces the hit lists a sharded run is compared
-    // against bit for bit (the CI determinism matrix).
+    // floor, leaving only the partition-invariant θ floor. Engines over
+    // more than one shard force this mode regardless; setting it
+    // explicitly on a one-shard run produces the hit lists a sharded run
+    // is compared against bit for bit (the CI determinism matrix).
     if args.flag("prune-theta-only") {
         opts.kth_prune = false;
     }
-    let graph = match &loaded {
-        Loaded::Single(d) => d.graph(),
-        Loaded::Sharded(s) => s.graph(),
-    };
+    let graph = shards[0].graph();
     let n = graph.num_vertices();
     let queries: Vec<u32> = match args.get_list::<u32>("vertices")? {
         Some(v) if v.is_empty() => return Err("--vertices names no vertices".into()),
@@ -498,49 +490,14 @@ fn batch_query(args: &Args) -> Result<String, String> {
     if let Some(&bad) = queries.iter().find(|&&u| u >= n) {
         return Err(format!("vertex {bad} out of range (n = {n})"));
     }
-    let engine = EngineHandle::with_threads(loaded, threads);
+    let engine = ServingEngine::with_threads(shards, threads);
     if let Some(info) = &snap_info {
         engine.metrics().record_snapshot_load(info);
     }
     let start = std::time::Instant::now();
-    // An unsharded engine keeps the batch path (in-batch dedup and its
-    // accounting); a sharded one serves the whole workload as one
-    // scatter-gather wave — same results either way, per vertex.
-    let (results, latencies, totals, deduped) = match &engine {
-        EngineHandle::Single(e) => {
-            let batch = e.query_batch(&queries, k, &opts);
-            (batch.results, batch.latencies, batch.totals, batch.deduped)
-        }
-        EngineHandle::Sharded(_) => {
-            let shared = std::sync::Arc::new(opts.clone());
-            let wave: Vec<srs_search::WaveQuery> = queries
-                .iter()
-                .map(|&u| srs_search::WaveQuery { vertex: u, k, opts: std::sync::Arc::clone(&shared) })
-                .collect();
-            let outcome = engine.query_wave(&wave);
-            let mut totals = srs_search::QueryStats::default();
-            for r in &outcome.results {
-                totals.accumulate(&r.stats);
-            }
-            (outcome.results, outcome.latencies, totals, 0)
-        }
-    };
+    let batch = engine.query_batch(&queries, k, &opts);
     let elapsed = start.elapsed();
-    let t = &totals;
-    // Nearest-rank percentiles, the same formula `BatchResult` uses.
-    let mut sorted = latencies.clone();
-    sorted.sort_unstable();
-    let rank = |p: f64| -> std::time::Duration {
-        if sorted.is_empty() {
-            return std::time::Duration::ZERO;
-        }
-        sorted[((p * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len()) - 1]
-    };
-    let mean = if sorted.is_empty() {
-        std::time::Duration::ZERO
-    } else {
-        sorted.iter().sum::<std::time::Duration>() / sorted.len() as u32
-    };
+    let (t, results, lat) = (&batch.totals, &batch.results, &batch.latency);
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -550,8 +507,9 @@ fn batch_query(args: &Args) -> Result<String, String> {
         elapsed,
         queries.len() as f64 / elapsed.as_secs_f64().max(1e-9)
     );
-    if engine.shards() > 1 {
-        let _ = writeln!(out, "shards           {} (scatter-gather merge, θ-only pruning)", engine.shards());
+    if engine.num_shards() > 1 {
+        let _ =
+            writeln!(out, "shards           {} (scatter-gather merge, θ-only pruning)", engine.num_shards());
     }
     if let Some(info) = &snap_info {
         let _ = writeln!(
@@ -577,16 +535,12 @@ fn batch_query(args: &Args) -> Result<String, String> {
     let _ = writeln!(
         out,
         "latency mean {:.2?} | p50 {:.2?} | p95 {:.2?} | p99 {:.2?} | max {:.2?}",
-        mean,
-        rank(0.50),
-        rank(0.95),
-        rank(0.99),
-        rank(1.0)
+        lat.mean, lat.p50, lat.p95, lat.p99, lat.max
     );
     let hits: usize = results.iter().map(|r| r.hits.len()).sum();
     let _ = writeln!(out, "hits             {} ({:.1} per query)", hits, hits as f64 / queries.len() as f64);
-    if deduped > 0 {
-        let _ = writeln!(out, "deduped          {deduped} (answered once, copied)");
+    if batch.deduped > 0 {
+        let _ = writeln!(out, "deduped          {} (answered once, copied)", batch.deduped);
     }
     if let Some(path) = args.opt("hits-out") {
         // One line per query, input order: `vertex<TAB>hit:score...`.
@@ -595,7 +549,7 @@ fn batch_query(args: &Args) -> Result<String, String> {
         // file is a determinism witness (CI diffs it across wave widths),
         // not just a report.
         let mut body = String::new();
-        for (u, res) in queries.iter().zip(&results) {
+        for (u, res) in queries.iter().zip(results) {
             let _ = write!(body, "{u}");
             for h in &res.hits {
                 let _ = write!(body, "\t{}:{}", h.vertex, h.score);
@@ -606,7 +560,7 @@ fn batch_query(args: &Args) -> Result<String, String> {
         let _ = writeln!(out, "hits -> {path}");
     }
     if let Some(path) = args.opt("trace-out") {
-        let json = chrome_trace_export(&queries, &results, k, engine.threads());
+        let json = chrome_trace_export(&queries, results, k, engine.threads());
         std::fs::write(path, json).map_err(|e| format!("{path}: {e}"))?;
         let _ = writeln!(out, "chrome trace ({} queries) -> {path}", queries.len());
     }
@@ -811,12 +765,9 @@ fn delta(args: &Args) -> Result<String, String> {
         return Err("edit batch is empty (nothing to apply)".into());
     }
     let opts = srs_search::LoadOptions::default();
-    let (loaded, _, chain, _) =
+    let (shards, _, chain, _) =
         srs_search::load_chain(base, &chain_paths, &opts).map_err(|e| format!("{}: {e}", base.display()))?;
-    let ds = match loaded {
-        Loaded::Single(d) => d,
-        Loaded::Sharded(_) => return Err("delta chains require an unsharded base snapshot".into()),
-    };
+    let ds = srs_search::chain::one_shard(shards).map_err(|e| format!("{}: {e}", base.display()))?;
     let t = ds.index().params().t;
     let depth: u32 = args.get_or("staleness-depth", t.saturating_sub(1))?;
     let threads: usize =
@@ -1345,10 +1296,7 @@ fn hotset_shift(
         100.0 * report.hotset[2].hit_rate(),
     );
     if report.hotset.iter().all(|p| p.cache_hits + p.cache_misses == 0) {
-        let _ = writeln!(
-            out,
-            "note: the server's result cache saw no traffic (cache disabled or sharded engine)"
-        );
+        let _ = writeln!(out, "note: the server's result cache saw no traffic (cache disabled)");
     }
     if let Some(path) = out_path {
         report.write(path).map_err(|e| format!("{path}: {e}"))?;
@@ -1439,8 +1387,7 @@ fn topk_all(args: &Args) -> Result<String, String> {
     let threads: usize =
         args.get_or("threads", std::thread::available_parallelism().map(|v| v.get()).unwrap_or(1))?;
     let start = std::time::Instant::now();
-    let (all, stats) =
-        srs_search::all_vertices::all_topk(ds.graph(), ds.index(), k, &QueryOptions::default(), threads);
+    let (all, stats) = srs_search::all_vertices::all_topk(&ds, k, &QueryOptions::default(), threads);
     let elapsed = start.elapsed();
     let mut csv = String::from("vertex,rank,similar,score\n");
     for (u, hits) in all.iter().enumerate() {

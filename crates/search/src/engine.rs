@@ -1,33 +1,63 @@
-//! The batch query engine: a parallel, zero-alloc-steady-state serving
-//! layer over Algorithm 5.
+//! The serving engine: parallel, cached, hot-swappable Algorithm 5
+//! serving over one shard or many.
 //!
-//! [`QueryEngine`] owns a pool of [`QueryScratch`] states (one grows per
-//! concurrently active worker) and answers a *batch* of queries across a
-//! fixed number of threads. Because every per-query seed is derived only
-//! from `(index seed, query vertex)` — never from thread ids, scratch
-//! identity, or arrival order — results are bit-identical regardless of
-//! thread count, batch composition, or how often the pool is reused; the
-//! partitioning below only decides *who* computes each answer, never
-//! *what* the answer is.
+//! [`ServingEngine`] owns one dataset *generation* at a time: a list of
+//! shards ([`Dataset`]s sharing one `Arc<Graph>`; an unsharded snapshot
+//! is one shard), one [`QueryScratch`] pool per shard, and one result
+//! cache. Every request flows the same way — probe the cache, group by
+//! `(k, options)`, run each group as one batch — and only the batch step
+//! looks at the shard count:
 //!
+//! - **One shard.** The batch is split into contiguous chunks across the
+//!   worker threads, each answering its chunk through a pooled scratch.
+//! - **N shards.** Every shard runs the whole batch at the same time (the
+//!   thread budget is split between them) under the partition-invariant
+//!   options, and each query's per-shard hit lists are re-selected into
+//!   one top k.
+//!
+//! # Determinism
+//!
+//! Every per-query seed is derived only from `(index seed, query vertex)`
+//! — never from thread ids, scratch identity, or arrival order — so
+//! results are bit-identical regardless of thread count, batch
+//! composition, or how often a pool is reused; the partitioning only
+//! decides *who* computes each answer, never *what* the answer is.
 //! Steady state allocates nothing: scratches are recycled through the
-//! pool, and [`QueryEngine::query_batch_into`] additionally recycles the
-//! output buffers (`TopKResult` hit vectors, latency samples) of a
-//! previous batch.
+//! pools, and [`ServingEngine::query_batch_into`] also recycles the output
+//! buffers of a previous batch.
 //!
-//! [`ServingEngine`] is the owned form of the same machinery: it holds a
-//! [`Dataset`] (`Arc<Graph>` + `Arc<TopKIndex>`, e.g. loaded from a
-//! snapshot) instead of borrows, so it has no lifetime parameter, and it
-//! supports atomic hot swaps to a new dataset while in-flight batches
-//! drain against the old one. Both engines answer through one shared
-//! serving core, so their results are bit-identical.
+//! # Why the shard merge is exact
+//!
+//! Shards partition only the *inverted* candidate map by vertex range
+//! (see [`crate::snapshot::pack_sharded`]): every shard shares the graph,
+//! γ table, diagonal, and forward candidate map, so for one query vertex
+//! `u` the shards enumerate **disjoint** candidate sets whose union is
+//! exactly the unsharded candidate set. With more than one shard the
+//! engine turns [`QueryOptions::kth_prune`] off, which makes every
+//! per-candidate decision a pure function of `(u, v, θ)` — independent of
+//! scan order and of which other candidates share the shard — and every
+//! estimate seed is already per-pair. Each shard therefore reports
+//! exactly its slice of "all candidates with refined score ≥ θ", keeping
+//! its top k under the engine's total order (score, then vertex id); the
+//! global top k is a subset of the union of per-shard top k's, so
+//! re-selecting k from the concatenation reproduces the unsharded hit
+//! list bit for bit. A candidate ball keeps the partition too: each shard
+//! adds only the ball vertices in its own range
+//! ([`crate::index::CandidateIndex::holds`]).
+//!
+//! What is *not* partition-invariant: each shard runs its own query BFS
+//! and wave formation, so the merged `bfs_visited` lies between one
+//! unsharded run and `N×` it and `waves` is per shard (the fate counters
+//! sum exactly). The fast tier scores vertices without consulting the
+//! inverted map, so it is off under sharding, as are explain traces (they
+//! would interleave per-shard scans). One shard keeps every option.
 
 use crate::obs::ServingMetrics;
 use crate::snapshot::Dataset;
-use crate::topk::{QueryOptions, QueryScratch, QueryStats, TopKIndex, TopKResult};
+use crate::topk::{FastTier, Hit, QueryOptions, QueryScratch, QueryStats, TopKResult};
 use parking_lot::Mutex;
 use srs_graph::hash::FxHashMap;
-use srs_graph::{Graph, VertexId};
+use srs_graph::VertexId;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -75,13 +105,14 @@ impl LatencySummary {
 }
 
 /// Everything a finished batch produced. Reusable across batches via
-/// [`QueryEngine::query_batch_into`] — the per-query result and latency
+/// [`ServingEngine::query_batch_into`] — the per-query result and latency
 /// vectors keep their allocations.
 #[derive(Debug, Default)]
 pub struct BatchResult {
     /// Per-query results, in the order of the input batch.
     pub results: Vec<TopKResult>,
-    /// Per-query wall-clock latencies, in the order of the input batch.
+    /// Per-query wall-clock latencies, in the order of the input batch
+    /// (the slowest shard's, when sharded).
     pub latencies: Vec<Duration>,
     /// Aggregated pruning counters over the whole batch.
     pub totals: QueryStats,
@@ -102,17 +133,19 @@ pub struct BatchResult {
     uniq_queries: Vec<VertexId>,
     uniq_results: Vec<TopKResult>,
     uniq_latencies: Vec<Duration>,
-    /// Result-cache scratch (only used by [`ServingEngine`] batches with
-    /// caching enabled): miss positions, the miss sub-batch, and the inner
-    /// `BatchResult` the misses are computed into, all reused.
+    /// Result-cache scratch (only used with caching enabled): miss
+    /// positions, the miss sub-batch, and the inner `BatchResult` the
+    /// misses are computed into, all reused.
     cache_miss_idx: Vec<usize>,
     cache_miss_queries: Vec<VertexId>,
     cache_inner: Option<Box<BatchResult>>,
+    /// Per-shard partial batches of a sharded generation, reused.
+    shard_parts: Vec<BatchResult>,
 }
 
 impl BatchResult {
     /// An empty result ready to be filled by
-    /// [`QueryEngine::query_batch_into`].
+    /// [`ServingEngine::query_batch_into`].
     pub fn new() -> Self {
         Self::default()
     }
@@ -128,62 +161,37 @@ impl BatchResult {
     }
 }
 
-/// The shared serving core: everything one query or batch needs —
-/// dataset, scratch pool, worker count, optional metrics. Both
-/// [`QueryEngine`] (borrowed dataset) and [`ServingEngine`] (owned,
-/// swappable dataset) serve through these functions, so their answers
-/// are bit-identical by construction.
+/// One shard of a generation: its dataset plus the scratch pool sized for
+/// its graph. The pool travels with the dataset — scratches are allocated
+/// per vertex count, so they must never cross generations during a hot
+/// swap.
+struct Shard {
+    dataset: Dataset,
+    pool: Mutex<Vec<QueryScratch>>,
+}
+
+/// What one shard's batch needs: the shard, its worker count, and the
+/// engine's metric cells (scratch observations merge there).
 struct ServeCtx<'a> {
-    g: &'a Graph,
-    index: &'a TopKIndex,
-    pool: &'a Mutex<Vec<QueryScratch>>,
+    shard: &'a Shard,
     threads: usize,
-    /// `None` = metrics disabled (no batch-end merges).
-    metrics: Option<&'a ServingMetrics>,
+    metrics: &'a ServingMetrics,
 }
 
 impl ServeCtx<'_> {
     fn take_scratch(&self) -> QueryScratch {
-        self.pool.lock().pop().unwrap_or_else(|| QueryScratch::new(self.g))
+        self.shard.pool.lock().pop().unwrap_or_else(|| QueryScratch::new(self.shard.dataset.graph()))
     }
 
     fn put_scratch(&self, scratch: QueryScratch) {
-        self.pool.lock().push(scratch);
-    }
-
-    fn pooled(&self) -> usize {
-        self.pool.lock().len()
+        self.shard.pool.lock().push(scratch);
     }
 }
 
-/// Answers one query through the pool (no worker threads spawned).
-fn serve_query(ctx: &ServeCtx<'_>, u: VertexId, k: usize, opts: &QueryOptions) -> TopKResult {
-    let mut out = TopKResult::default();
-    let mut scratch = ctx.take_scratch();
-    let walk_base = srs_mc::obs::thread_counts();
-    let t0 = Instant::now();
-    scratch.query_into(ctx.g, ctx.index, u, k, opts, &mut out);
-    let lat = t0.elapsed();
-    if let Some(m) = ctx.metrics {
-        scratch.merge_obs_into(m);
-        m.record_walk_steps(srs_mc::obs::thread_counts().since(&walk_base));
-        m.queries.inc();
-        m.record_query_stats(&out.stats);
-        m.latency.observe(lat.as_nanos() as u64);
-        m.candidates_per_query.observe(out.stats.candidates);
-        m.hits_per_query.observe(out.hits.len() as u64);
-    } else {
-        scratch.clear_obs();
-    }
-    ctx.put_scratch(scratch);
-    if let Some(m) = ctx.metrics {
-        m.pooled_scratches.set(ctx.pooled() as u64);
-    }
-    out
-}
-
-/// Answers a batch into an existing [`BatchResult`], recycling its
-/// allocations; see [`QueryEngine::query_batch_into`] for semantics.
+/// Answers a batch on one shard into an existing [`BatchResult`],
+/// recycling its allocations: repeated vertices are answered once and
+/// copied (answers are deterministic per vertex, so the copy is exact),
+/// and `totals` counts every slot, copies included.
 fn serve_batch_into(
     ctx: &ServeCtx<'_>,
     queries: &[VertexId],
@@ -242,18 +250,6 @@ fn serve_batch_into(
     }
     out.latency = LatencySummary::compute(&out.latencies, &mut out.lat_scratch);
     out.elapsed = started.elapsed();
-    if let Some(m) = ctx.metrics {
-        m.batches.inc();
-        m.queries.add(n as u64);
-        m.deduped.add(out.deduped);
-        m.record_query_stats(&out.totals);
-        for (res, lat) in out.results.iter().zip(&out.latencies) {
-            m.latency.observe(lat.as_nanos() as u64);
-            m.candidates_per_query.observe(res.stats.candidates);
-            m.hits_per_query.observe(res.hits.len() as u64);
-        }
-        m.pooled_scratches.set(ctx.pooled() as u64);
-    }
 }
 
 /// The parallel worker loop: answers `queries[i]` into `results[i]` /
@@ -268,6 +264,7 @@ fn run_workers(
     opts: &QueryOptions,
 ) -> QueryStats {
     let n = queries.len();
+    let (g, index) = (ctx.shard.dataset.graph(), ctx.shard.dataset.index());
     // Contiguous chunks, ⌈n/threads⌉ queries each. The split only
     // assigns work to workers; per-query seeding keeps the answers
     // independent of it.
@@ -284,19 +281,15 @@ fn run_workers(
                 let mut local = QueryStats::default();
                 for ((&u, slot), lat) in q_chunk.iter().zip(r_chunk).zip(l_chunk) {
                     let t0 = Instant::now();
-                    scratch.query_into(ctx.g, ctx.index, u, k, opts, slot);
+                    scratch.query_into(g, index, u, k, opts, slot);
                     *lat = t0.elapsed();
                     local.accumulate(&slot.stats);
                 }
                 // Batch-end merge: this worker's stage timings and
                 // walk-step class delta fold into the shared cells in
                 // one lock-free pass (per worker, not per query).
-                if let Some(m) = ctx.metrics {
-                    scratch.merge_obs_into(m);
-                    m.record_walk_steps(srs_mc::obs::thread_counts().since(&walk_base));
-                } else {
-                    scratch.clear_obs();
-                }
+                scratch.merge_obs_into(ctx.metrics);
+                ctx.metrics.record_walk_steps(srs_mc::obs::thread_counts().since(&walk_base));
                 ctx.put_scratch(scratch);
                 local
             }));
@@ -310,122 +303,22 @@ fn run_workers(
     .expect("query scope panicked")
 }
 
-/// A parallel serving layer for Algorithm 5 queries over one graph +
-/// index pair. See the module docs for the determinism and allocation
-/// guarantees.
-pub struct QueryEngine<'g> {
-    g: &'g Graph,
-    index: &'g TopKIndex,
-    threads: usize,
-    pool: Mutex<Vec<QueryScratch>>,
-    metrics: Arc<ServingMetrics>,
-    metrics_on: bool,
-}
-
-impl<'g> QueryEngine<'g> {
-    /// An engine using all available parallelism.
-    pub fn new(g: &'g Graph, index: &'g TopKIndex) -> Self {
-        let threads = std::thread::available_parallelism().map(|v| v.get()).unwrap_or(1);
-        Self::with_threads(g, index, threads)
-    }
-
-    /// An engine with an explicit worker count (≥ 1). Metrics collection
-    /// is on by default (see [`QueryEngine::set_metrics_enabled`]).
-    pub fn with_threads(g: &'g Graph, index: &'g TopKIndex, threads: usize) -> Self {
-        let threads = threads.max(1);
-        let metrics = Arc::new(ServingMetrics::new());
-        metrics.graph_vertices.set(g.num_vertices() as u64);
-        metrics.graph_edges.set(g.num_edges());
-        metrics.index_bytes.set(index.memory_bytes());
-        metrics.engine_threads.set(threads as u64);
-        QueryEngine { g, index, threads, pool: Mutex::new(Vec::new()), metrics, metrics_on: true }
-    }
-
-    /// The worker count batches are split across.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// The engine's metric cells (snapshot for exposition via
-    /// [`ServingMetrics::snapshot`]).
-    pub fn metrics(&self) -> &ServingMetrics {
-        &self.metrics
-    }
-
-    /// A clonable handle to the metric cells (e.g. for a scrape endpoint
-    /// living longer than a borrow of the engine).
-    pub fn metrics_handle(&self) -> Arc<ServingMetrics> {
-        Arc::clone(&self.metrics)
-    }
-
-    /// Enables or disables metric collection. Disabling skips the batch-end
-    /// merges (counters stop advancing); per-query results and stats are
-    /// bit-identical either way — instrumentation is pure observation.
-    pub fn set_metrics_enabled(&mut self, on: bool) {
-        self.metrics_on = on;
-    }
-
-    /// Whether metric collection is enabled.
-    pub fn metrics_enabled(&self) -> bool {
-        self.metrics_on
-    }
-
-    /// The graph this engine serves.
-    pub fn graph(&self) -> &'g Graph {
-        self.g
-    }
-
-    /// The index this engine serves.
-    pub fn index(&self) -> &'g TopKIndex {
-        self.index
-    }
-
-    /// How many scratch states the pool currently holds (grows up to the
-    /// peak number of concurrently active workers, then stays flat).
-    pub fn pooled_states(&self) -> usize {
-        self.pool.lock().len()
-    }
-
-    fn ctx(&self) -> ServeCtx<'_> {
-        ServeCtx {
-            g: self.g,
-            index: self.index,
-            pool: &self.pool,
-            threads: self.threads,
-            metrics: self.metrics_on.then_some(&*self.metrics),
-        }
-    }
-
-    /// Answers one query through the pool (no worker threads spawned).
-    pub fn query(&self, u: VertexId, k: usize, opts: &QueryOptions) -> TopKResult {
-        serve_query(&self.ctx(), u, k, opts)
-    }
-
-    /// Answers a batch of queries in parallel. Results come back in input
-    /// order; `BatchResult::totals` aggregates the pruning counters and
-    /// `BatchResult::latency` summarizes per-query wall times.
-    pub fn query_batch(&self, queries: &[VertexId], k: usize, opts: &QueryOptions) -> BatchResult {
-        let mut out = BatchResult::new();
-        self.query_batch_into(queries, k, opts, &mut out);
-        out
-    }
-
-    /// [`QueryEngine::query_batch`] into an existing [`BatchResult`],
-    /// recycling its result and latency allocations.
-    ///
-    /// Repeated query vertices within the batch are answered once and the
-    /// result copied into every occurrence: answers are deterministic per
-    /// vertex, so the copy is exact, and `BatchResult::totals` still counts
-    /// every slot (bit-identical to answering each occurrence afresh).
-    pub fn query_batch_into(
-        &self,
-        queries: &[VertexId],
-        k: usize,
-        opts: &QueryOptions,
-        out: &mut BatchResult,
-    ) {
-        serve_batch_into(&self.ctx(), queries, k, opts, out);
-    }
+/// Re-selects the global top `k` from concatenated per-shard hit lists.
+///
+/// Selection must replicate the scan heap's retention order — score,
+/// then **larger** vertex id wins a score tie (a min-heap evicts the
+/// smallest entry under that order) — while the presented list is
+/// sorted score-descending with *ascending* vertex ids on ties, exactly
+/// like [`TopKResult::hits`]. Shards partition candidates, so the pool
+/// holds no duplicate vertices.
+fn merge_hits(pool: &mut Vec<Hit>, k: usize) {
+    pool.sort_by(|a, b| {
+        b.score.partial_cmp(&a.score).expect("scores are finite").then(b.vertex.cmp(&a.vertex))
+    });
+    pool.truncate(k);
+    pool.sort_by(|a, b| {
+        b.score.partial_cmp(&a.score).expect("scores are finite").then(a.vertex.cmp(&b.vertex))
+    });
 }
 
 /// Combines the per-query `k` with the options fingerprint into the
@@ -529,29 +422,33 @@ pub struct WaveOutcome {
     pub out_of_range: Vec<bool>,
 }
 
-/// One dataset generation inside a [`ServingEngine`]: the dataset plus the
-/// scratch pool sized for *its* graph. The pool travels with the dataset —
-/// scratches are allocated per vertex count, so they must never cross
-/// generations during a hot swap. The result cache travels the same way,
-/// which is what makes swap-time invalidation free.
+/// One dataset generation inside a [`ServingEngine`]: the shards (each
+/// with its scratch pool) plus the result cache. The cache travels with
+/// the generation, which is what makes swap-time invalidation free.
 struct EngineState {
-    dataset: Dataset,
+    shards: Vec<Shard>,
     /// The generation this state was installed as — travels with the
-    /// dataset so a pinned state knows which generation it is without a
+    /// shards so a pinned state knows which generation it is without a
     /// racy second read of the engine's counter.
     generation: u64,
-    pool: Mutex<Vec<QueryScratch>>,
     cache: Mutex<ResultCache>,
 }
 
 impl EngineState {
-    fn new(dataset: Dataset, generation: u64) -> Arc<Self> {
+    fn new(shards: Vec<Dataset>, generation: u64) -> Arc<Self> {
+        assert!(!shards.is_empty(), "a serving engine needs at least one shard");
         Arc::new(EngineState {
-            dataset,
+            shards: shards
+                .into_iter()
+                .map(|dataset| Shard { dataset, pool: Mutex::new(Vec::new()) })
+                .collect(),
             generation,
-            pool: Mutex::new(Vec::new()),
             cache: Mutex::new(ResultCache::default()),
         })
+    }
+
+    fn pooled(&self) -> usize {
+        self.shards.iter().map(|s| s.pool.lock().len()).sum()
     }
 }
 
@@ -572,31 +469,26 @@ pub struct AppliedDelta {
     pub generation: u64,
 }
 
-/// An *owned*, hot-swappable serving engine over a [`Dataset`].
+/// The owned, hot-swappable serving engine over a list of shards.
 ///
-/// Unlike [`QueryEngine`] (which borrows its graph and index for `'g`),
-/// a `ServingEngine` holds `Arc`s and therefore has no lifetime — it can
-/// live in a server struct, move across threads, and outlive the code
-/// that loaded the snapshot it serves.
+/// The engine holds `Arc`s and therefore has no lifetime — it can live in
+/// a server struct, move across threads, and outlive the code that
+/// loaded the snapshot it serves. It owns one [`ServingMetrics`] set;
+/// every shard's scratch observations merge into it, and request-level
+/// observations are recorded once per request on the merged answer.
 ///
-/// [`ServingEngine::swap`] atomically replaces the dataset: every batch
-/// clones the current generation's `Arc` once at entry, so in-flight
-/// batches finish against the dataset they started with while new calls
-/// see the new one. There is no torn state — a query never observes a
-/// graph from one generation and an index from another, because both
-/// travel inside one [`Dataset`]. Scratch pools are per-generation
-/// (scratches are sized to a graph's vertex count), so after a swap the
-/// new generation warms its own pool and the old one is freed when its
-/// last in-flight batch drains.
-///
-/// Answers are produced by the same serving core as [`QueryEngine`], so
-/// results are bit-identical between the two for the same dataset.
+/// [`ServingEngine::swap`] atomically replaces the shard list (the shard
+/// count may change): every batch clones the current generation's `Arc`
+/// once at entry, so in-flight batches finish against the shards they
+/// started with while new calls see the new ones. There is no torn state
+/// — a query never observes a graph from one generation and an index
+/// from another. After a swap the new generation warms its own pools and
+/// the old ones are freed when the last in-flight batch drains.
 pub struct ServingEngine {
     current: Mutex<Arc<EngineState>>,
     threads: usize,
     metrics: Arc<ServingMetrics>,
-    metrics_on: bool,
-    /// Dataset generation: 1 for the initial dataset, +1 per [`swap`].
+    /// Dataset generation: 1 for the initial shards, +1 per [`swap`].
     ///
     /// [`swap`]: ServingEngine::swap
     generation: AtomicU64,
@@ -606,33 +498,45 @@ pub struct ServingEngine {
 
 impl ServingEngine {
     /// An engine using all available parallelism.
-    pub fn new(dataset: Dataset) -> Self {
+    pub fn new(shards: Vec<Dataset>) -> Self {
         let threads = std::thread::available_parallelism().map(|v| v.get()).unwrap_or(1);
-        Self::with_threads(dataset, threads)
+        Self::with_threads(shards, threads)
     }
 
-    /// An engine with an explicit worker count (≥ 1). Metrics collection
-    /// is on by default; result caching is off (see
-    /// [`ServingEngine::set_cache_capacity`]).
-    pub fn with_threads(dataset: Dataset, threads: usize) -> Self {
-        let threads = threads.max(1);
-        let metrics = Arc::new(ServingMetrics::new());
-        metrics.engine_threads.set(threads as u64);
-        Self::set_dataset_gauges(&metrics, &dataset);
-        ServingEngine {
-            current: Mutex::new(EngineState::new(dataset, 1)),
-            threads,
-            metrics,
-            metrics_on: true,
+    /// An engine with a total worker budget of `threads` (≥ 1), split
+    /// evenly across the shards. Result caching is off (see
+    /// [`ServingEngine::set_cache_capacity`]). Panics on an empty shard
+    /// list.
+    pub fn with_threads(shards: Vec<Dataset>, threads: usize) -> Self {
+        let engine = ServingEngine {
+            current: Mutex::new(EngineState::new(shards, 1)),
+            threads: threads.max(1),
+            metrics: Arc::new(ServingMetrics::new()),
             generation: AtomicU64::new(1),
             cache_capacity: AtomicUsize::new(0),
-        }
+        };
+        engine.set_dataset_gauges(&engine.state());
+        engine
     }
 
-    fn set_dataset_gauges(metrics: &ServingMetrics, dataset: &Dataset) {
-        metrics.graph_vertices.set(dataset.graph().num_vertices() as u64);
-        metrics.graph_edges.set(dataset.graph().num_edges());
-        metrics.index_bytes.set(dataset.index().memory_bytes());
+    fn set_dataset_gauges(&self, state: &EngineState) {
+        let m = &self.metrics;
+        let first = &state.shards[0].dataset;
+        m.graph_vertices.set(first.graph().num_vertices() as u64);
+        m.graph_edges.set(first.graph().num_edges());
+        // Shards past the first share every array but their inverted
+        // slice, so each adds only that.
+        let inverted: u64 = state.shards[1..]
+            .iter()
+            .map(|s| s.dataset.index().candidate_index().inverted_memory_profile().total())
+            .sum();
+        m.index_bytes.set(first.index().memory_bytes() + inverted);
+        m.engine_threads.set((self.shard_threads(state) * state.shards.len()) as u64);
+    }
+
+    /// Each shard's worker count under the total budget.
+    fn shard_threads(&self, state: &EngineState) -> usize {
+        (self.threads / state.shards.len()).max(1)
     }
 
     /// The current generation (cloned `Arc`, so the borrow ends here and
@@ -641,14 +545,21 @@ impl ServingEngine {
         self.current.lock().clone()
     }
 
-    /// The worker count batches are split across.
+    /// The total worker budget batches are split across.
     pub fn threads(&self) -> usize {
         self.threads
     }
 
-    /// The dataset new queries will be answered against.
+    /// Number of shards in the current generation.
+    pub fn num_shards(&self) -> usize {
+        self.state().shards.len()
+    }
+
+    /// Shard 0 of the current generation — the graph and every global
+    /// array are shared by all shards, so this answers dataset-level
+    /// questions (vertex count, parameters) for any shard count.
     pub fn dataset(&self) -> Dataset {
-        self.state().dataset.clone()
+        self.state().shards[0].dataset.clone()
     }
 
     /// The engine's metric cells.
@@ -661,26 +572,15 @@ impl ServingEngine {
         Arc::clone(&self.metrics)
     }
 
-    /// Enables or disables metric collection (see
-    /// [`QueryEngine::set_metrics_enabled`]).
-    pub fn set_metrics_enabled(&mut self, on: bool) {
-        self.metrics_on = on;
-    }
-
-    /// Whether metric collection is enabled.
-    pub fn metrics_enabled(&self) -> bool {
-        self.metrics_on
-    }
-
-    /// How many scratch states the current generation's pool holds.
+    /// How many scratch states the current generation's pools hold.
     pub fn pooled_states(&self) -> usize {
-        self.state().pool.lock().len()
+        self.state().pooled()
     }
 
-    /// The current dataset generation: 1 for the dataset the engine was
+    /// The current dataset generation: 1 for the shards the engine was
     /// constructed with, incremented by every [`ServingEngine::swap`].
     /// Result-cache keys are implicitly generation-scoped (the cache
-    /// lives and dies with its generation's [`EngineState`]).
+    /// lives and dies with its generation).
     pub fn generation(&self) -> u64 {
         self.generation.load(Ordering::Relaxed)
     }
@@ -706,24 +606,25 @@ impl ServingEngine {
         self.state().cache.lock().len()
     }
 
-    /// Atomically replaces the served dataset and returns the previous
-    /// one. Batches already in flight complete against the old dataset
-    /// (their entry-time `Arc` keeps it alive); calls arriving after
-    /// `swap` returns see only the new one. Nothing is ever torn: graph
-    /// and index swap as one unit, and the result cache is invalidated
+    /// Atomically replaces the served shards and returns the previous
+    /// ones. Batches already in flight complete against the old shards
+    /// (their entry-time `Arc` keeps them alive); calls arriving after
+    /// `swap` returns see only the new ones. The shard count may change.
+    /// Nothing is ever torn, and the result cache is invalidated
     /// wholesale (it belongs to the replaced generation).
-    pub fn swap(&self, dataset: Dataset) -> Dataset {
-        Self::set_dataset_gauges(&self.metrics, &dataset);
+    pub fn swap(&self, shards: Vec<Dataset>) -> Vec<Dataset> {
         let mut current = self.current.lock();
         // The new state carries its generation number; storing the
         // counter while still holding the lock keeps `generation()` and
         // the installed state consistent with each other.
         let generation = current.generation + 1;
-        let old = std::mem::replace(&mut *current, EngineState::new(dataset, generation));
+        let next = EngineState::new(shards, generation);
+        self.set_dataset_gauges(&next);
+        let old = std::mem::replace(&mut *current, next);
         self.generation.store(generation, Ordering::Relaxed);
         drop(current);
         self.metrics.dataset_swaps.inc();
-        old.dataset.clone()
+        old.shards.iter().map(|s| s.dataset.clone()).collect()
     }
 
     /// Applies a batch of graph edits to the served dataset *in place*:
@@ -733,30 +634,36 @@ impl ServingEngine {
     /// generation in. In-flight batches drain against the old dataset;
     /// no request is ever dropped or torn.
     ///
+    /// Only a one-shard engine ingests: shards partition the inverted
+    /// candidate map, so an incremental extension would have to
+    /// re-partition every shard (that is a repack, not a delta). With
+    /// more than one shard this returns a format error and serves on.
+    ///
     /// Concurrent `apply_delta` calls are the caller's responsibility to
     /// serialize (the server holds its reload lock across the call) — two
     /// racing appliers would each extend the *same* base and the loser's
     /// edits would be swapped away.
-    ///
-    /// Returns the delta bundle bytes (for persisting alongside the base
-    /// snapshot), the extension stats, the delta's own container
-    /// fingerprint (the next delta's parent link), and the generation now
-    /// serving.
     pub fn apply_delta(
         &self,
         batch: &srs_graph::GraphDelta,
         staleness_depth: u32,
         parent_fingerprint: u64,
     ) -> Result<AppliedDelta, crate::persist::PersistError> {
-        let base = self.dataset();
+        let base = match &self.state().shards[..] {
+            [only] => only.dataset.clone(),
+            shards => {
+                return Err(crate::persist::PersistError::Format(format!(
+                    "online ingest requires a one-shard engine, this one serves {} shards",
+                    shards.len()
+                )))
+            }
+        };
         let t0 = Instant::now();
         let built =
             crate::chain::build_delta(&base, batch, staleness_depth, self.threads, parent_fingerprint)?;
         let elapsed_ns = t0.elapsed().as_nanos() as u64;
-        self.swap(built.dataset);
-        if self.metrics_on {
-            self.metrics.record_extend(&built.stats, elapsed_ns);
-        }
+        self.swap(vec![built.dataset]);
+        self.metrics.record_extend(&built.stats, elapsed_ns);
         Ok(AppliedDelta {
             bytes: built.bytes,
             stats: built.stats,
@@ -765,37 +672,18 @@ impl ServingEngine {
         })
     }
 
-    /// Answers one query through the pool (no worker threads spawned).
-    /// With caching enabled, a repeat of a `(vertex, k, options)` already
-    /// answered in this generation returns the cached copy.
+    /// Answers one query as a one-slot batch. With caching enabled, a
+    /// repeat of a `(vertex, k, options)` already answered in this
+    /// generation returns the cached copy.
     pub fn query(&self, u: VertexId, k: usize, opts: &QueryOptions) -> TopKResult {
-        let state = self.state();
-        let capacity = self.cache_capacity();
-        if capacity == 0 {
-            return serve_query(&self.ctx_for(&state), u, k, opts);
-        }
-        let key = opts_key(k, opts);
-        if let Some(hit) = state.cache.lock().get(u, key, k, opts) {
-            if let Some(m) = self.metrics_on.then_some(&*self.metrics) {
-                m.cache_hits.inc();
-                m.queries.inc();
-                m.record_query_stats(&hit.stats);
-                m.latency.observe(0);
-                m.candidates_per_query.observe(hit.stats.candidates);
-                m.hits_per_query.observe(hit.hits.len() as u64);
-            }
-            return hit;
-        }
-        let res = serve_query(&self.ctx_for(&state), u, k, opts);
-        if let Some(m) = self.metrics_on.then_some(&*self.metrics) {
-            m.cache_misses.inc();
-        }
-        state.cache.lock().insert(u, key, k, opts, &res, capacity);
-        res
+        let mut out = BatchResult::new();
+        self.query_batch_into(&[u], k, opts, &mut out);
+        out.results.pop().expect("a one-query batch has one result")
     }
 
-    /// Answers a batch of queries in parallel; see
-    /// [`QueryEngine::query_batch`].
+    /// Answers a batch of queries in parallel. Results come back in input
+    /// order; `BatchResult::totals` aggregates the pruning counters and
+    /// `BatchResult::latency` summarizes per-query wall times.
     pub fn query_batch(&self, queries: &[VertexId], k: usize, opts: &QueryOptions) -> BatchResult {
         let mut out = BatchResult::new();
         self.query_batch_into(queries, k, opts, &mut out);
@@ -803,14 +691,16 @@ impl ServingEngine {
     }
 
     /// [`ServingEngine::query_batch`] into an existing [`BatchResult`],
-    /// recycling its allocations; see [`QueryEngine::query_batch_into`].
-    /// The whole batch runs against one dataset generation, pinned at
-    /// entry. With caching enabled, slots whose `(vertex, k, options)`
-    /// were already answered this generation are filled from the cache
-    /// and only the misses go through the engine (the copy is exact, so
-    /// results are bit-identical to an uncached run; cached slots report
-    /// zero latency). `BatchResult::totals` counts every slot either way,
-    /// the same accounting the in-batch dedup uses.
+    /// recycling its allocations. The whole batch runs against one
+    /// generation, pinned at entry.
+    ///
+    /// Repeated query vertices within the batch are answered once and the
+    /// result copied into every occurrence, and with caching enabled,
+    /// slots whose `(vertex, k, options)` were already answered this
+    /// generation are filled from the cache (cached slots report zero
+    /// latency). Both copies are exact, so results are bit-identical to
+    /// answering every slot afresh, and `BatchResult::totals` counts
+    /// every slot either way.
     pub fn query_batch_into(
         &self,
         queries: &[VertexId],
@@ -833,10 +723,97 @@ impl ServingEngine {
     ) {
         let capacity = self.cache_capacity();
         if capacity == 0 {
-            serve_batch_into(&self.ctx_for(state), queries, k, opts, out);
+            self.compute_batch(state, queries, k, opts, out);
         } else {
             self.serve_batch_cached(state, capacity, queries, k, opts, out);
         }
+    }
+
+    /// Computes a batch on every shard (no cache) and records its
+    /// request-level metrics once, on the merged answers.
+    fn compute_batch(
+        &self,
+        state: &EngineState,
+        queries: &[VertexId],
+        k: usize,
+        opts: &QueryOptions,
+        out: &mut BatchResult,
+    ) {
+        let threads = self.shard_threads(state);
+        if let [shard] = &state.shards[..] {
+            serve_batch_into(&ServeCtx { shard, threads, metrics: &self.metrics }, queries, k, opts, out);
+        } else {
+            self.scatter_batch(state, threads, queries, k, opts, out);
+        }
+        if queries.is_empty() {
+            return;
+        }
+        let m = &*self.metrics;
+        m.batches.inc();
+        m.queries.add(queries.len() as u64);
+        m.deduped.add(out.deduped);
+        m.record_query_stats(&out.totals);
+        for (res, lat) in out.results.iter().zip(&out.latencies) {
+            m.latency.observe(lat.as_nanos() as u64);
+            m.candidates_per_query.observe(res.stats.candidates);
+            m.hits_per_query.observe(res.hits.len() as u64);
+        }
+        m.pooled_scratches.set(state.pooled() as u64);
+    }
+
+    /// The N-shard batch: every shard answers the whole batch at the same
+    /// time under the partition-invariant options (see the module doc),
+    /// then each query's shard answers merge — hits re-selected to `k`,
+    /// stats and stage timings summed, latency the slowest shard's.
+    fn scatter_batch(
+        &self,
+        state: &EngineState,
+        threads: usize,
+        queries: &[VertexId],
+        k: usize,
+        opts: &QueryOptions,
+        out: &mut BatchResult,
+    ) {
+        let started = Instant::now();
+        let shard_opts =
+            QueryOptions { kth_prune: false, fast_tier: FastTier::Off, explain: false, ..opts.clone() };
+        let mut parts = std::mem::take(&mut out.shard_parts);
+        parts.resize_with(state.shards.len(), BatchResult::default);
+        std::thread::scope(|s| {
+            for (shard, part) in state.shards.iter().zip(parts.iter_mut()) {
+                let ctx = ServeCtx { shard, threads, metrics: &self.metrics };
+                let shard_opts = &shard_opts;
+                s.spawn(move || serve_batch_into(&ctx, queries, k, shard_opts, part));
+            }
+        });
+        let n = queries.len();
+        out.results.resize_with(n, TopKResult::default);
+        out.latencies.clear();
+        out.latencies.resize(n, Duration::ZERO);
+        out.totals = QueryStats::default();
+        // Every shard dedups the same batch the same way.
+        out.deduped = parts[0].deduped;
+        for (i, merged) in out.results.iter_mut().enumerate() {
+            merged.hits.clear();
+            merged.stats = QueryStats::default();
+            merged.explain = None;
+            merged.timings = Default::default();
+            for part in &parts {
+                let r = &part.results[i];
+                merged.hits.extend_from_slice(&r.hits);
+                merged.stats.accumulate(&r.stats);
+                for (t, s) in merged.timings.stages.iter_mut().zip(&r.timings.stages) {
+                    *t += s;
+                }
+                merged.timings.fast_tier_ns += r.timings.fast_tier_ns;
+                out.latencies[i] = out.latencies[i].max(part.latencies[i]);
+            }
+            merge_hits(&mut merged.hits, k);
+            out.totals.accumulate(&merged.stats);
+        }
+        out.shard_parts = parts;
+        out.latency = LatencySummary::compute(&out.latencies, &mut out.lat_scratch);
+        out.elapsed = started.elapsed();
     }
 
     /// The cached batch path: probe every slot, compute the misses as one
@@ -873,7 +850,7 @@ impl ServingEngine {
             out.cache_miss_queries.clear();
             out.cache_miss_queries.extend(out.cache_miss_idx.iter().map(|&i| queries[i]));
             let mut inner = out.cache_inner.take().unwrap_or_default();
-            serve_batch_into(&self.ctx_for(state), &out.cache_miss_queries, k, opts, &mut inner);
+            self.compute_batch(state, &out.cache_miss_queries, k, opts, &mut inner);
             let mut cache = state.cache.lock();
             for (j, &i) in out.cache_miss_idx.iter().enumerate() {
                 let res = std::mem::take(&mut inner.results[j]);
@@ -889,27 +866,26 @@ impl ServingEngine {
         }
         out.latency = LatencySummary::compute(&out.latencies, &mut out.lat_scratch);
         out.elapsed = started.elapsed();
-        if let Some(m) = self.metrics_on.then_some(&*self.metrics) {
-            m.cache_hits.add(hits);
-            m.cache_misses.add(out.cache_miss_idx.len() as u64);
-            // The inner call already counted the missed slots; account the
-            // cached slots here with the same per-slot semantics the
-            // in-batch dedup uses (every slot counts, copies included).
-            m.queries.add(hits);
-            if out.cache_miss_idx.is_empty() && n > 0 {
-                m.batches.inc();
+        let m = &*self.metrics;
+        m.cache_hits.add(hits);
+        m.cache_misses.add(out.cache_miss_idx.len() as u64);
+        // The inner batch already counted the missed slots; account the
+        // cached slots here with the same per-slot semantics the in-batch
+        // dedup uses (every slot counts, copies included).
+        m.queries.add(hits);
+        if out.cache_miss_idx.is_empty() && n > 0 {
+            m.batches.inc();
+        }
+        let mut miss = out.cache_miss_idx.iter().copied().peekable();
+        for (i, res) in out.results.iter().enumerate() {
+            if miss.peek() == Some(&i) {
+                miss.next();
+                continue; // already recorded by the inner batch
             }
-            let mut miss = out.cache_miss_idx.iter().copied().peekable();
-            for (i, res) in out.results.iter().enumerate() {
-                if miss.peek() == Some(&i) {
-                    miss.next();
-                    continue; // already recorded by the inner batch
-                }
-                m.record_query_stats(&res.stats);
-                m.latency.observe(0);
-                m.candidates_per_query.observe(res.stats.candidates);
-                m.hits_per_query.observe(res.hits.len() as u64);
-            }
+            m.record_query_stats(&res.stats);
+            m.latency.observe(0);
+            m.candidates_per_query.observe(res.stats.candidates);
+            m.hits_per_query.observe(res.hits.len() as u64);
         }
     }
 
@@ -922,16 +898,16 @@ impl ServingEngine {
     /// calling [`ServingEngine::query`] for each request alone: batching
     /// decides who computes together, never what the answer is.
     ///
-    /// The whole wave runs against **one** dataset generation, pinned at
-    /// entry and reported in [`WaveOutcome::generation`]. Because the
-    /// submitters may have validated their vertices against an older
-    /// generation (a hot swap can land between submit and dispatch),
-    /// every vertex is re-validated against the pinned dataset here:
-    /// out-of-range requests are flagged in [`WaveOutcome::out_of_range`]
-    /// with an empty result slot instead of panicking the caller.
+    /// The whole wave runs against **one** generation, pinned at entry and
+    /// reported in [`WaveOutcome::generation`]. Because the submitters may
+    /// have validated their vertices against an older generation (a hot
+    /// swap can land between submit and dispatch), every vertex is
+    /// re-validated against the pinned graph here: out-of-range requests
+    /// are flagged in [`WaveOutcome::out_of_range`] with an empty result
+    /// slot instead of panicking the caller.
     pub fn query_wave(&self, wave: &[WaveQuery]) -> WaveOutcome {
         let state = self.state();
-        let num_vertices = state.dataset.graph().num_vertices();
+        let num_vertices = state.shards[0].dataset.graph().num_vertices();
         let mut out = WaveOutcome {
             results: Vec::with_capacity(wave.len()),
             latencies: vec![Duration::ZERO; wave.len()],
@@ -972,24 +948,15 @@ impl ServingEngine {
         }
         out
     }
-
-    fn ctx_for<'a>(&'a self, state: &'a EngineState) -> ServeCtx<'a> {
-        ServeCtx {
-            g: state.dataset.graph(),
-            index: state.dataset.index(),
-            pool: &state.pool,
-            threads: self.threads,
-            metrics: self.metrics_on.then_some(&*self.metrics),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::topk::QueryContext;
+    use crate::snapshot::{load_snapshot, pack_sharded_to_bytes, LoadOptions};
+    use crate::topk::{QueryContext, TopKIndex};
     use crate::{Diagonal, SimRankParams};
-    use srs_graph::gen;
+    use srs_graph::{gen, Graph};
 
     fn build() -> (Graph, TopKIndex) {
         let g = gen::copying_web(200, 4, 0.8, 8);
@@ -998,34 +965,70 @@ mod tests {
         (g, idx)
     }
 
+    fn build_small(n: u32, seed: u64) -> (Graph, TopKIndex) {
+        let g = gen::copying_web(n, 4, 0.8, seed);
+        let params = SimRankParams { r_bounds: 300, r_gamma: 25, ..Default::default() };
+        let idx = TopKIndex::build_with(&g, &params, Diagonal::paper_default(params.c), seed, 2);
+        (g, idx)
+    }
+
+    /// A one-shard engine over an in-memory graph + index.
+    fn engine(g: &Graph, idx: &TopKIndex, threads: usize) -> ServingEngine {
+        ServingEngine::with_threads(vec![Dataset::new(g.clone(), idx.clone()).unwrap()], threads)
+    }
+
+    /// The shard list a `pack --shards N` bundle loads as.
+    fn sharded(g: &Graph, idx: &TopKIndex, shards: u32) -> Vec<Dataset> {
+        let bytes = pack_sharded_to_bytes(g, idx, shards).unwrap();
+        let dir = std::env::temp_dir().join(format!("srs-engine-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        // Tests run in parallel: every call gets its own file, so no
+        // test's write or delete can race another's load.
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let path = dir.join(format!("s{shards}-{}.srs", NEXT.fetch_add(1, Ordering::Relaxed)));
+        std::fs::write(&path, &bytes).unwrap();
+        let (shards_loaded, _, _) = load_snapshot(&path, &LoadOptions::default()).unwrap();
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(shards_loaded.len(), shards as usize);
+        shards_loaded
+    }
+
+    fn wave(vertices: &[u32], k: usize, opts: &Arc<QueryOptions>) -> Vec<WaveQuery> {
+        vertices.iter().map(|&v| WaveQuery { vertex: v, k, opts: Arc::clone(opts) }).collect()
+    }
+
     #[test]
     fn batch_matches_sequential_context() {
         let (g, idx) = build();
-        let engine = QueryEngine::with_threads(&g, &idx, 4);
+        let engine = engine(&g, &idx, 4);
         let queries: Vec<VertexId> = (0..50).collect();
-        let batch = engine.query_batch(&queries, 5, &QueryOptions::default());
+        let opts = QueryOptions { explain: true, ..Default::default() };
+        let batch = engine.query_batch(&queries, 5, &opts);
         assert_eq!(batch.results.len(), queries.len());
         assert_eq!(batch.latencies.len(), queries.len());
         let mut ctx = QueryContext::new(&g, &idx);
         let mut expected_totals = QueryStats::default();
         for (&u, got) in queries.iter().zip(&batch.results) {
-            let want = ctx.query(u, 5, &QueryOptions::default());
+            let want = ctx.query(u, 5, &opts);
             assert_eq!(want.hits, got.hits, "u={u}");
             assert_eq!(want.stats, got.stats, "u={u}");
+            assert_eq!(want.explain, got.explain, "u={u}");
             expected_totals.accumulate(&want.stats);
         }
         assert_eq!(batch.totals, expected_totals);
+        assert_eq!(engine.query(7, 5, &opts).hits, batch.results[7].hits);
+        let m = engine.metrics();
+        assert_eq!(m.queries.get(), queries.len() as u64 + 1);
+        assert_eq!(m.graph_vertices.get(), 200);
     }
 
     #[test]
     fn thread_count_invariant() {
         let (g, idx) = build();
         let queries: Vec<VertexId> = (0..40).collect();
-        let reference =
-            QueryEngine::with_threads(&g, &idx, 1).query_batch(&queries, 8, &QueryOptions::default());
+        let reference = engine(&g, &idx, 1).query_batch(&queries, 8, &QueryOptions::default());
         for threads in [2, 3, 8] {
-            let engine = QueryEngine::with_threads(&g, &idx, threads);
-            let batch = engine.query_batch(&queries, 8, &QueryOptions::default());
+            let batch = engine(&g, &idx, threads).query_batch(&queries, 8, &QueryOptions::default());
             for (a, b) in reference.results.iter().zip(&batch.results) {
                 assert_eq!(a.hits, b.hits);
                 assert_eq!(a.stats, b.stats);
@@ -1035,19 +1038,28 @@ mod tests {
     }
 
     #[test]
-    fn pool_is_bounded_and_reused() {
+    fn pool_is_stable_after_warmup() {
+        // Zero steady-state allocation proxy: the pool is a high-water
+        // mark of batch concurrency — it can only grow toward the worker
+        // count (how many workers raced a given batch is scheduling
+        // noise), never past it, and reused pools and result buffers
+        // never change an answer.
         let (g, idx) = build();
-        let engine = QueryEngine::with_threads(&g, &idx, 4);
+        let engine = engine(&g, &idx, 4);
         let queries: Vec<VertexId> = (0..32).collect();
         let mut out = BatchResult::new();
         engine.query_batch_into(&queries, 5, &QueryOptions::default(), &mut out);
-        let after_first = engine.pooled_states();
-        assert!((1..=4).contains(&after_first), "pool = {after_first}");
+        let mut warm = engine.pooled_states();
+        assert!((1..=4).contains(&warm), "pool = {warm}");
         let first_hits: Vec<_> = out.results.iter().map(|r| r.hits.clone()).collect();
-        engine.query_batch_into(&queries, 5, &QueryOptions::default(), &mut out);
-        assert!(engine.pooled_states() <= 4);
-        for (a, b) in first_hits.iter().zip(&out.results) {
-            assert_eq!(a, &b.hits, "reused pool/result buffers changed answers");
+        for _ in 0..3 {
+            engine.query_batch_into(&queries, 5, &QueryOptions::default(), &mut out);
+            let now = engine.pooled_states();
+            assert!((warm..=4).contains(&now), "pool must stay within [{warm}, 4], got {now}");
+            warm = now;
+            for (a, b) in first_hits.iter().zip(&out.results) {
+                assert_eq!(a, &b.hits, "reused pool/result buffers changed answers");
+            }
         }
     }
 
@@ -1059,7 +1071,7 @@ mod tests {
         let (g, idx) = build();
         let queries: Vec<VertexId> = vec![5, 7, 5, 5, 9, 7, 12, 9, 5];
         let opts = QueryOptions { explain: true, ..Default::default() };
-        let engine = QueryEngine::with_threads(&g, &idx, 3);
+        let engine = engine(&g, &idx, 3);
         let batch = engine.query_batch(&queries, 5, &opts);
         assert_eq!(batch.deduped, 5, "9 queries, 4 unique → 4 computed, 5 copied");
         let mut ctx = QueryContext::new(&g, &idx);
@@ -1081,65 +1093,24 @@ mod tests {
         // Duplicate slots share the unique computation's latency.
         assert_eq!(batch.latencies[0], batch.latencies[2]);
         assert_eq!(batch.latencies[0], batch.latencies[3]);
-    }
-
-    #[test]
-    fn duplicate_free_batch_reports_no_dedup() {
-        let (g, idx) = build();
-        let engine = QueryEngine::with_threads(&g, &idx, 2);
-        let batch = engine.query_batch(&(0..20).collect::<Vec<_>>(), 5, &QueryOptions::default());
-        assert_eq!(batch.deduped, 0);
-        assert_eq!(engine.metrics().deduped.get(), 0);
+        let unique = engine.query_batch(&(0..20).collect::<Vec<_>>(), 5, &QueryOptions::default());
+        assert_eq!(unique.deduped, 0);
+        assert_eq!(m.deduped.get(), 5);
     }
 
     #[test]
     fn empty_batch_is_fine() {
         let (g, idx) = build();
-        let engine = QueryEngine::with_threads(&g, &idx, 4);
-        let batch = engine.query_batch(&[], 5, &QueryOptions::default());
+        let batch = engine(&g, &idx, 4).query_batch(&[], 5, &QueryOptions::default());
         assert!(batch.results.is_empty());
         assert_eq!(batch.totals, QueryStats::default());
         assert_eq!(batch.latency, LatencySummary::default());
     }
 
     #[test]
-    fn single_query_via_pool_matches_index_query() {
-        let (g, idx) = build();
-        let engine = QueryEngine::new(&g, &idx);
-        let a = engine.query(7, 5, &QueryOptions::default());
-        let b = idx.query(&g, 7, 5, &QueryOptions::default());
-        assert_eq!(a.hits, b.hits);
-        assert_eq!(a.stats, b.stats);
-    }
-
-    #[test]
-    fn metrics_do_not_change_results() {
-        // Instrumentation neutrality: with metrics on (the default) and
-        // explain off, every hit and every counter is bit-identical to the
-        // uninstrumented engine, at every thread count.
-        let (g, idx) = build();
-        let queries: Vec<VertexId> = (0..40).collect();
-        let opts = QueryOptions::default();
-        let mut off = QueryEngine::with_threads(&g, &idx, 1);
-        off.set_metrics_enabled(false);
-        assert!(!off.metrics_enabled());
-        let reference = off.query_batch(&queries, 8, &opts);
-        for threads in [1, 2, 4] {
-            let on = QueryEngine::with_threads(&g, &idx, threads);
-            assert!(on.metrics_enabled(), "metrics are on by default");
-            let batch = on.query_batch(&queries, 8, &opts);
-            for (a, b) in reference.results.iter().zip(&batch.results) {
-                assert_eq!(a.hits, b.hits, "threads={threads}");
-                assert_eq!(a.stats, b.stats, "threads={threads}");
-            }
-            assert_eq!(reference.totals, batch.totals, "threads={threads}");
-        }
-    }
-
-    #[test]
     fn metrics_counters_match_batch_totals() {
         let (g, idx) = build();
-        let engine = QueryEngine::with_threads(&g, &idx, 3);
+        let engine = engine(&g, &idx, 3);
         let queries: Vec<VertexId> = (0..30).collect();
         let batch = engine.query_batch(&queries, 5, &QueryOptions::default());
         let t = &batch.totals;
@@ -1167,49 +1138,6 @@ mod tests {
     }
 
     #[test]
-    fn disabled_metrics_record_nothing() {
-        let (g, idx) = build();
-        let mut engine = QueryEngine::with_threads(&g, &idx, 2);
-        engine.set_metrics_enabled(false);
-        engine.query_batch(&(0..10).collect::<Vec<_>>(), 5, &QueryOptions::default());
-        let m = engine.metrics();
-        assert_eq!(m.queries.get(), 0);
-        assert_eq!(m.latency.count(), 0);
-        // Re-enabling starts clean: stage timings from the disabled batch
-        // must not leak into the first instrumented one.
-        engine.set_metrics_enabled(true);
-        engine.query_batch(&(0..10).collect::<Vec<_>>(), 5, &QueryOptions::default());
-        let m = engine.metrics();
-        assert_eq!(m.queries.get(), 10);
-        for h in &m.query_stages {
-            assert_eq!(h.count(), 10);
-        }
-    }
-
-    #[test]
-    fn serving_engine_matches_query_engine() {
-        // The owned engine serves through the same core as the borrowed
-        // one: identical hits, stats, and totals for the same dataset.
-        let (g, idx) = build();
-        let queries: Vec<VertexId> = (0..40).collect();
-        let opts = QueryOptions { explain: true, ..Default::default() };
-        let reference = QueryEngine::with_threads(&g, &idx, 3).query_batch(&queries, 6, &opts);
-        let owned = ServingEngine::with_threads(Dataset::new(g, idx).unwrap(), 3);
-        let batch = owned.query_batch(&queries, 6, &opts);
-        for (a, b) in reference.results.iter().zip(&batch.results) {
-            assert_eq!(a.hits, b.hits);
-            assert_eq!(a.stats, b.stats);
-            assert_eq!(a.explain, b.explain);
-        }
-        assert_eq!(reference.totals, batch.totals);
-        let single = owned.query(7, 6, &opts);
-        assert_eq!(single.hits, reference.results[7].hits);
-        let m = owned.metrics();
-        assert_eq!(m.queries.get(), queries.len() as u64 + 1);
-        assert_eq!(m.graph_vertices.get(), 200);
-    }
-
-    #[test]
     fn swap_switches_datasets_atomically() {
         let (g1, idx1) = build();
         let g2 = gen::copying_web(150, 4, 0.8, 21);
@@ -1218,15 +1146,15 @@ mod tests {
         let want1 = idx1.query(&g1, 5, 4, &QueryOptions::default());
         let want2 = idx2.query(&g2, 5, 4, &QueryOptions::default());
 
-        let engine = ServingEngine::with_threads(Dataset::new(g1, idx1).unwrap(), 2);
+        let engine = engine(&g1, &idx1, 2);
         assert_eq!(engine.query(5, 4, &QueryOptions::default()).hits, want1.hits);
         // Warm the pool, then swap: the new generation must not reuse
         // scratches sized for the old graph.
         engine.query_batch(&(0..20).collect::<Vec<_>>(), 4, &QueryOptions::default());
         assert!(engine.pooled_states() >= 1);
 
-        let old = engine.swap(Dataset::new(g2, idx2).unwrap());
-        assert_eq!(old.graph().num_vertices(), 200, "swap returns the replaced dataset");
+        let old = engine.swap(vec![Dataset::new(g2, idx2).unwrap()]);
+        assert_eq!(old[0].graph().num_vertices(), 200, "swap returns the replaced shards");
         assert_eq!(engine.dataset().graph().num_vertices(), 150);
         assert_eq!(engine.pooled_states(), 0, "fresh generation starts with an empty pool");
         assert_eq!(engine.query(5, 4, &QueryOptions::default()).hits, want2.hits);
@@ -1234,34 +1162,27 @@ mod tests {
         assert_eq!(engine.metrics().graph_vertices.get(), 150);
 
         // The old dataset is still usable by whoever holds it.
-        assert_eq!(old.index().query(old.graph(), 5, 4, &QueryOptions::default()).hits, want1.hits);
+        assert_eq!(old[0].index().query(old[0].graph(), 5, 4, &QueryOptions::default()).hits, want1.hits);
     }
 
     #[test]
-    fn serving_engine_pool_is_stable_after_warmup() {
-        // Zero steady-state allocation proxy: the pool is a high-water
-        // mark of batch concurrency — it can only grow toward the worker
-        // count (how many workers raced a given batch is scheduling
-        // noise), never past it, and never shrinks between batches.
-        let (g, idx) = build();
-        let engine = ServingEngine::with_threads(Dataset::new(g, idx).unwrap(), 4);
-        let queries: Vec<VertexId> = (0..32).collect();
-        let mut out = BatchResult::new();
-        engine.query_batch_into(&queries, 5, &QueryOptions::default(), &mut out);
-        let mut warm = engine.pooled_states();
-        assert!((1..=4).contains(&warm), "pool = {warm}");
-        for _ in 0..3 {
-            engine.query_batch_into(&queries, 5, &QueryOptions::default(), &mut out);
-            let now = engine.pooled_states();
-            assert!((warm..=4).contains(&now), "pool must stay within [{warm}, 4], got {now}");
-            warm = now;
-        }
+    fn swap_may_change_the_shard_count() {
+        let (g, idx) = build_small(80, 23);
+        let engine = ServingEngine::with_threads(sharded(&g, &idx, 2), 2);
+        assert_eq!((engine.generation(), engine.num_shards()), (1, 2));
+        engine.swap(sharded(&g, &idx, 4));
+        assert_eq!((engine.generation(), engine.num_shards()), (2, 4));
+        engine.swap(vec![Dataset::new(g.clone(), idx.clone()).unwrap()]);
+        assert_eq!((engine.generation(), engine.num_shards()), (3, 1));
+        let out = engine.query_wave(&wave(&[1, 2, 3], 4, &Arc::new(QueryOptions::default())));
+        assert_eq!(out.results.len(), 3);
+        assert_eq!(out.generation, 3);
     }
 
     #[test]
     fn result_cache_hits_are_exact_and_counted() {
         let (g, idx) = build();
-        let engine = ServingEngine::with_threads(Dataset::new(g, idx).unwrap(), 2);
+        let engine = engine(&g, &idx, 2);
         assert_eq!(engine.cache_capacity(), 0, "caching is off by default");
         engine.set_cache_capacity(64);
         let opts = QueryOptions::default();
@@ -1288,9 +1209,8 @@ mod tests {
         let (g, idx) = build();
         let queries: Vec<VertexId> = (0..30).chain(5..15).collect();
         let opts = QueryOptions::default();
-        let reference = ServingEngine::with_threads(Dataset::new(g.clone(), idx.clone()).unwrap(), 3)
-            .query_batch(&queries, 6, &opts);
-        let engine = ServingEngine::with_threads(Dataset::new(g, idx).unwrap(), 3);
+        let reference = engine(&g, &idx, 3).query_batch(&queries, 6, &opts);
+        let engine = engine(&g, &idx, 3);
         engine.set_cache_capacity(256);
         // First pass computes everything, second pass is all cache hits —
         // and both must match the uncached engine slot for slot.
@@ -1314,7 +1234,7 @@ mod tests {
     #[test]
     fn cache_evicts_fifo_and_caps_memory() {
         let (g, idx) = build();
-        let engine = ServingEngine::with_threads(Dataset::new(g, idx).unwrap(), 2);
+        let engine = engine(&g, &idx, 2);
         engine.set_cache_capacity(4);
         let opts = QueryOptions::default();
         for u in 0..10 {
@@ -1335,13 +1255,13 @@ mod tests {
         let params = SimRankParams { r_bounds: 2_000, ..Default::default() };
         let idx2 = TopKIndex::build_with(&g2, &params, Diagonal::paper_default(params.c), 9, 2);
         let want2 = idx2.query(&g2, 5, 4, &QueryOptions::default());
-        let engine = ServingEngine::with_threads(Dataset::new(g1, idx1).unwrap(), 2);
+        let engine = engine(&g1, &idx1, 2);
         engine.set_cache_capacity(64);
         assert_eq!(engine.generation(), 1);
         engine.query(5, 4, &QueryOptions::default());
         engine.query(5, 4, &QueryOptions::default());
         assert_eq!(engine.cached_results(), 1);
-        engine.swap(Dataset::new(g2, idx2).unwrap());
+        engine.swap(vec![Dataset::new(g2, idx2).unwrap()]);
         assert_eq!(engine.generation(), 2);
         assert_eq!(engine.cached_results(), 0, "new generation starts cold");
         // The same key now answers from the new dataset, not a stale entry.
@@ -1351,7 +1271,7 @@ mod tests {
     #[test]
     fn query_wave_groups_by_options_and_matches_singles() {
         let (g, idx) = build();
-        let engine = ServingEngine::with_threads(Dataset::new(g, idx).unwrap(), 2);
+        let engine = engine(&g, &idx, 2);
         let defaults = Arc::new(QueryOptions::default());
         let scalar = Arc::new(QueryOptions { wave_width: 1, ..Default::default() });
         let wave: Vec<WaveQuery> = vec![
@@ -1384,35 +1304,167 @@ mod tests {
     fn query_wave_rejects_out_of_range_vertices_instead_of_panicking() {
         let (g, idx) = build();
         let n = g.num_vertices() as VertexId;
-        let engine = ServingEngine::with_threads(Dataset::new(g, idx).unwrap(), 2);
         let defaults = Arc::new(QueryOptions::default());
         // A submitter may have validated against an older, larger
         // generation — the wave must flag the stale vertex, not index out
         // of range, and still answer the valid requests around it.
-        let wave = vec![
-            WaveQuery { vertex: 3, k: 5, opts: Arc::clone(&defaults) },
-            WaveQuery { vertex: n + 7, k: 5, opts: Arc::clone(&defaults) },
-            WaveQuery { vertex: 9, k: 5, opts: Arc::clone(&defaults) },
-        ];
-        let outcome = engine.query_wave(&wave);
-        assert_eq!(outcome.out_of_range, vec![false, true, false]);
-        assert!(outcome.results[1].hits.is_empty(), "rejected slot stays empty");
-        assert_eq!(outcome.results[0].hits, engine.query(3, 5, &defaults).hits);
-        assert_eq!(outcome.results[2].hits, engine.query(9, 5, &defaults).hits);
-        // The valid requests still coalesced into one engine batch.
-        assert_eq!(outcome.batch_sizes, vec![2]);
+        let queries = [3, n + 7, 9];
+        for engine in [engine(&g, &idx, 2), ServingEngine::with_threads(sharded(&g, &idx, 2), 2)] {
+            let outcome = engine.query_wave(&wave(&queries, 5, &defaults));
+            assert_eq!(outcome.out_of_range, vec![false, true, false]);
+            assert!(outcome.results[1].hits.is_empty(), "rejected slot stays empty");
+            assert_eq!(outcome.results[0].hits, engine.query(3, 5, &defaults).hits);
+            assert_eq!(outcome.results[2].hits, engine.query(9, 5, &defaults).hits);
+            // The valid requests still coalesced into one engine batch.
+            assert_eq!(outcome.batch_sizes, vec![2]);
+        }
     }
 
     #[test]
     fn wave_generation_tracks_swaps() {
         let (g, idx) = build();
-        let (g2, idx2) = build();
-        let engine = ServingEngine::with_threads(Dataset::new(g, idx).unwrap(), 2);
+        let engine = engine(&g, &idx, 2);
         let wave = vec![WaveQuery { vertex: 1, k: 3, opts: Arc::new(QueryOptions::default()) }];
         assert_eq!(engine.query_wave(&wave).generation, 1);
-        engine.swap(Dataset::new(g2, idx2).unwrap());
+        engine.swap(vec![Dataset::new(g, idx).unwrap()]);
         assert_eq!(engine.generation(), 2);
         assert_eq!(engine.query_wave(&wave).generation, 2);
+    }
+
+    #[test]
+    fn sharded_hits_match_theta_only_unsharded() {
+        let (g, idx) = build_small(160, 21);
+        let theta_only = Arc::new(QueryOptions { kth_prune: false, ..Default::default() });
+        let vertices: Vec<u32> = (0..160).step_by(7).collect();
+        let reference = engine(&g, &idx, 2).query_wave(&wave(&vertices, 8, &theta_only));
+        let opts = Arc::new(QueryOptions::default());
+        for shards in [3u32, 4] {
+            // Submit with *default* options: the engine itself must force
+            // the partition-invariant form once there is more than one
+            // shard.
+            let got = ServingEngine::with_threads(sharded(&g, &idx, shards), 4)
+                .query_wave(&wave(&vertices, 8, &opts));
+            for (i, v) in vertices.iter().enumerate() {
+                assert_eq!(reference.results[i].hits, got.results[i].hits, "u={v} shards={shards}");
+            }
+        }
+    }
+
+    #[test]
+    fn one_shard_bundle_is_the_unsharded_case() {
+        // A `--shards 1` bundle keeps every option — kth pruning, the
+        // fast tier, explain traces — and the cache: answers, stats, and
+        // traces match the plain bundle's exactly.
+        let (g, idx) = build_small(160, 25);
+        let plain = engine(&g, &idx, 2);
+        let one = ServingEngine::with_threads(sharded(&g, &idx, 1), 2);
+        plain.set_cache_capacity(64);
+        one.set_cache_capacity(64);
+        let vertices: Vec<u32> = (0..160).step_by(5).collect();
+        for opts in [
+            QueryOptions::default(),
+            QueryOptions { fast_tier: FastTier::Always, ..Default::default() },
+            QueryOptions { explain: true, candidate_ball: Some(2), ..Default::default() },
+        ] {
+            let a = plain.query_batch(&vertices, 6, &opts);
+            let b = one.query_batch(&vertices, 6, &opts);
+            for (i, v) in vertices.iter().enumerate() {
+                assert_eq!(a.results[i].hits, b.results[i].hits, "u={v} {opts:?}");
+                assert_eq!(a.results[i].stats, b.results[i].stats, "u={v} {opts:?}");
+                assert_eq!(a.results[i].explain, b.results[i].explain, "u={v} {opts:?}");
+            }
+        }
+        assert!(one.metrics().snapshot().counter_total("srs_query_fast_tier_queries_total") > 0);
+        assert_eq!(one.cached_results(), plain.cached_results());
+    }
+
+    #[test]
+    fn sharded_fate_counters_sum_exactly() {
+        let (g, idx) = build_small(120, 22);
+        let reference = engine(&g, &idx, 1);
+        let vertices: Vec<u32> = (0..120).step_by(11).collect();
+        let engine = ServingEngine::with_threads(sharded(&g, &idx, 3), 3);
+        // A candidate ball must not be enumerated once per shard: each
+        // shard adds only the ball vertices in its own range.
+        for ball in [None, Some(1), Some(3)] {
+            let theta_only =
+                Arc::new(QueryOptions { kth_prune: false, candidate_ball: ball, ..Default::default() });
+            let ref_out = reference.query_wave(&wave(&vertices, 6, &theta_only));
+            let got = engine.query_wave(&wave(&vertices, 6, &theta_only));
+            for (i, v) in vertices.iter().enumerate() {
+                let (a, b) = (&ref_out.results[i].stats, &got.results[i].stats);
+                assert_eq!(a.candidates, b.candidates, "u={v} ball={ball:?}");
+                assert_eq!(a.pruned_distance, b.pruned_distance, "u={v} ball={ball:?}");
+                assert_eq!(a.pruned_bounds, b.pruned_bounds, "u={v} ball={ball:?}");
+                assert_eq!(a.pruned_coarse, b.pruned_coarse, "u={v} ball={ball:?}");
+                assert_eq!(a.refined, b.refined, "u={v} ball={ball:?}");
+                assert_eq!(a.reported, b.reported, "u={v} ball={ball:?}");
+                assert_eq!(ref_out.results[i].hits, got.results[i].hits, "u={v} ball={ball:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn sharded_serving_records_stage_and_walk_metrics() {
+        // Every shard's scratch observations land in the one metrics set:
+        // the stage histograms sum to the merged per-query timings (the
+        // same clock reads traces and benches use), and the walk-step
+        // counters to the merged walk steps.
+        let (g, idx) = build_small(160, 26);
+        let engine = ServingEngine::with_threads(sharded(&g, &idx, 4), 4);
+        let queries: Vec<u32> = (0..160).step_by(3).collect();
+        let batch = engine.query_batch(&queries, 6, &QueryOptions::default());
+        let m = engine.metrics();
+        for (s, h) in m.query_stages.iter().enumerate() {
+            let want: u64 = batch.results.iter().map(|r| r.timings.stages[s]).sum();
+            assert_eq!(h.sum(), want, "stage {s}");
+            assert_eq!(h.count(), 4 * queries.len() as u64, "one observation per shard per query");
+        }
+        let by_class: u64 = m.walk_steps.iter().map(|c| c.get()).sum();
+        assert!(batch.totals.walk_steps > 0);
+        assert_eq!(by_class, batch.totals.walk_steps);
+        assert_eq!(m.queries.get(), queries.len() as u64);
+        assert_eq!(m.latency.count(), queries.len() as u64);
+        assert_eq!(m.candidates.get(), batch.totals.candidates);
+
+        // Repeated vertices are still answered once per shard and copied.
+        let repeated: Vec<u32> = vec![4, 8, 4, 4, 15, 8];
+        let batch = engine.query_batch(&repeated, 6, &QueryOptions::default());
+        assert_eq!(batch.deduped, 3);
+        assert_eq!(m.deduped.get(), 3);
+        assert_eq!(batch.results[0].hits, batch.results[2].hits);
+    }
+
+    #[test]
+    fn sharded_cache_serves_merged_answers() {
+        let (g, idx) = build_small(120, 27);
+        let engine = ServingEngine::with_threads(sharded(&g, &idx, 3), 3);
+        engine.set_cache_capacity(64);
+        let opts = QueryOptions::default();
+        let queries: Vec<u32> = (0..40).collect();
+        let cold = engine.query_batch(&queries, 5, &opts);
+        let warm = engine.query_batch(&queries, 5, &opts);
+        for (a, b) in cold.results.iter().zip(&warm.results) {
+            assert_eq!(a.hits, b.hits);
+            assert_eq!(a.stats, b.stats);
+        }
+        assert_eq!(engine.metrics().cache_hits.get(), queries.len() as u64);
+        assert_eq!(engine.cached_results(), queries.len());
+    }
+
+    #[test]
+    fn ingest_is_refused_only_with_more_than_one_shard() {
+        let (g, idx) = build_small(60, 28);
+        let mut batch = srs_graph::GraphDelta::new();
+        batch.insert(3, 9);
+        let many = ServingEngine::with_threads(sharded(&g, &idx, 2), 2);
+        let err = many.apply_delta(&batch, 1, 0).unwrap_err();
+        assert!(err.to_string().contains("one-shard"), "{err}");
+        assert_eq!(many.generation(), 1, "a refused ingest leaves the engine serving");
+        let one = ServingEngine::with_threads(sharded(&g, &idx, 1), 2);
+        let applied = one.apply_delta(&batch, 1, 0).unwrap();
+        assert_eq!(applied.generation, 2);
+        assert_eq!(one.num_shards(), 1);
     }
 
     #[test]

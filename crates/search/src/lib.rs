@@ -13,10 +13,10 @@
 //! | Algorithm 3 — γ computation (L2 bound) | [`bounds::GammaTable`] |
 //! | Algorithm 4 — candidate index (bipartite graph `H`) | [`index::CandidateIndex`] |
 //! | Algorithm 5 — pruned, adaptively-sampled top-k query | [`topk`] |
-//! | parallel batch serving over Algorithm 5 | [`engine`] |
+//! | parallel, cached, hot-swappable serving over 1..N shards | [`engine`] |
 //! | §2.2 — similarity search for *all* vertices | [`all_vertices`] |
 //! | index persistence (`O(n)` preprocess artifacts) | [`persist`] |
-//! | snapshot bundles (graph + index, zero-copy) + hot-swap datasets | [`snapshot`], [`engine::ServingEngine`] |
+//! | snapshot bundles (graph + index, zero-copy; optionally sharded) | [`snapshot`] |
 //! | incremental maintenance + delta snapshot chains | [`extend`], [`chain`] |
 //! | validation against the deterministic solver | [`validate`] |
 //! | serving metrics, stage timers, explain traces | [`obs`] |
@@ -24,8 +24,9 @@
 //! The usual flow is [`topk::TopKIndex::build`] once per graph (the
 //! preprocess phase: Algorithms 3 + 4), then [`topk::TopKIndex::query`] per
 //! query vertex (Algorithm 5, which internally runs Algorithms 1 and 2) —
-//! or, for query streams, [`engine::QueryEngine::query_batch`], which
-//! serves whole batches in parallel from pooled query state.
+//! or, for query streams, [`engine::ServingEngine::query_batch`], which
+//! serves whole batches in parallel from pooled query state over one
+//! shard or many.
 
 pub mod all_vertices;
 pub mod bounds;
@@ -37,24 +38,18 @@ pub mod index;
 pub mod obs;
 pub mod persist;
 mod screen;
-pub mod sharded;
 pub mod single_pair;
 pub mod snapshot;
 pub mod topk;
 pub mod validate;
 
 pub use chain::{build_delta, compact_chain, load_chain, BuiltDelta, ChainInfo, DeltaHeader};
-pub use engine::{
-    AppliedDelta, BatchResult, LatencySummary, QueryEngine, ServingEngine, WaveOutcome, WaveQuery,
-};
+pub use engine::{AppliedDelta, BatchResult, LatencySummary, ServingEngine, WaveOutcome, WaveQuery};
 pub use extend::{extend_appended, extend_delta, ExtendError, ExtendOutcome, ExtendStats};
 pub use index::SeenStamps;
 pub use obs::{BuildObs, ServingMetrics, StageTimings};
-pub use sharded::{EngineHandle, ShardedEngine};
 pub use single_pair::{SinglePairEstimator, WaveEstimator};
-pub use snapshot::{
-    load_snapshot, Dataset, LoadOptions, Loaded, ShardedDataset, SnapshotInfo, SnapshotVerifier,
-};
+pub use snapshot::{load_snapshot, Dataset, LoadOptions, SnapshotInfo, SnapshotVerifier};
 pub use topk::{FastTier, Hit, QueryContext, QueryOptions, QueryScratch, QueryStats, TopKIndex, TopKResult};
 
 /// The diagonal correction matrix `D` used by the estimators.

@@ -372,16 +372,6 @@ impl QueryLocalObs {
         self.wave_survivors.drain_into(&m.wave_survivors);
         self.fast_tier.drain_into(&m.fast_tier_ns);
     }
-
-    /// Discards accumulated observations (used when metrics are disabled,
-    /// so a later enable starts from a clean scratch).
-    pub fn clear(&mut self) {
-        for s in &mut self.stages {
-            s.clear();
-        }
-        self.wave_survivors.clear();
-        self.fast_tier.clear();
-    }
 }
 
 /// Optional observation hooks threaded through the preprocess build:
@@ -503,7 +493,7 @@ mod tests {
     }
 
     #[test]
-    fn local_obs_merges_and_clears() {
+    fn local_obs_merges_and_drains() {
         let m = ServingMetrics::new();
         let mut local = QueryLocalObs::new();
         local.stages[0].record(100);
@@ -513,9 +503,7 @@ mod tests {
         assert_eq!(m.query_stages[0].sum(), 100);
         assert_eq!(m.query_stages[2].count(), 1);
         assert_eq!(local.stages[0].count(), 0, "drained");
-        local.stages[1].record(5);
-        local.clear();
         local.merge_into(&m);
-        assert_eq!(m.query_stages[1].count(), 0, "cleared observations never merge");
+        assert_eq!(m.query_stages[0].count(), 1, "drained observations never merge twice");
     }
 }

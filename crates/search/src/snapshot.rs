@@ -18,14 +18,15 @@
 //!
 //! Bundles packed with [`pack_sharded`] additionally carry per-shard
 //! inverted candidate sections and a `s.manifest` section mapping shard
-//! → vertex range + fingerprint; [`load_snapshot`] auto-detects the
-//! manifest and returns a [`ShardedDataset`] (one [`Dataset`] per shard,
-//! all sharing the one graph and the global forward candidate map).
+//! → vertex range + fingerprint. [`load_snapshot`] always returns a
+//! shard list: one [`Dataset`] for a plain bundle, one per shard for a
+//! sharded one (all sharing the one graph and the global forward
+//! candidate map).
 //!
-//! [`Dataset`] is the unit the serving layer owns and swaps: an
-//! `Arc<Graph>` + `Arc<TopKIndex>` pair that clones in O(1), so an
-//! engine can atomically replace its dataset while in-flight batches
-//! keep the old one alive (see [`crate::engine::ServingEngine`]).
+//! [`Dataset`] is the per-shard unit the serving layer owns and swaps:
+//! an `Arc<Graph>` + `Arc<TopKIndex>` pair that clones in O(1), so an
+//! engine can atomically replace its shards while in-flight batches keep
+//! the old ones alive (see [`crate::engine::ServingEngine`]).
 
 use crate::persist::{
     add_index_core_sections, add_index_sections, index_from_bundle_with, read_index_core, shard_inv_tags,
@@ -144,76 +145,15 @@ pub struct LoadOptions {
     pub prefault: bool,
 }
 
-/// What [`load_snapshot`] produced: one dataset, or one per shard.
-#[derive(Debug, Clone)]
-pub enum Loaded {
-    /// An unsharded snapshot.
-    Single(Dataset),
-    /// A sharded snapshot (bundle carried a `s.manifest` section).
-    Sharded(ShardedDataset),
-}
-
-impl Loaded {
-    /// Vertices in the underlying graph.
-    pub fn num_vertices(&self) -> u32 {
-        match self {
-            Loaded::Single(d) => d.graph().num_vertices(),
-            Loaded::Sharded(s) => s.graph().num_vertices(),
-        }
+/// Heap vs mapped bytes behind a shard list. Shards share the graph, γ
+/// table, and forward candidate map, so those count once (from shard 0);
+/// each later shard adds only its own inverted slice.
+pub(crate) fn shards_memory_profile(shards: &[Dataset]) -> MemoryProfile {
+    let mut p = shards[0].memory_profile();
+    for d in &shards[1..] {
+        p.merge(d.index().candidate_index().inverted_memory_profile());
     }
-}
-
-/// A sharded snapshot: one [`Dataset`] per vertex-range shard, all
-/// sharing the same graph, γ table, diagonal, and forward candidate
-/// map — only the inverted candidate map is partitioned, so shard `s`
-/// enumerates exactly the candidates in `ranges[s]` and the shards'
-/// candidate sets are a disjoint partition of the global one.
-#[derive(Debug, Clone)]
-pub struct ShardedDataset {
-    graph: Arc<Graph>,
-    shards: Vec<Dataset>,
-    ranges: Vec<(VertexId, VertexId)>,
-}
-
-impl ShardedDataset {
-    /// The shared graph.
-    pub fn graph(&self) -> &Graph {
-        &self.graph
-    }
-
-    /// The shared graph handle.
-    pub fn graph_arc(&self) -> &Arc<Graph> {
-        &self.graph
-    }
-
-    /// Number of shards.
-    pub fn num_shards(&self) -> u32 {
-        self.shards.len() as u32
-    }
-
-    /// The per-shard datasets, in shard (= vertex-range) order.
-    pub fn shards(&self) -> &[Dataset] {
-        &self.shards
-    }
-
-    /// The shard vertex ranges `[lo, hi)`, in shard order.
-    pub fn ranges(&self) -> &[(VertexId, VertexId)] {
-        &self.ranges
-    }
-
-    /// Heap vs mapped bytes across the whole sharded dataset. Shared
-    /// arrays (graph, γ, forward map) are counted once; each shard adds
-    /// only its own inverted slice.
-    pub fn memory_profile(&self) -> MemoryProfile {
-        let mut p = match self.shards.first() {
-            Some(d) => d.memory_profile(),
-            None => self.graph.memory_profile(),
-        };
-        for d in &self.shards[1..] {
-            p.merge(d.index().candidate_index().inverted_memory_profile());
-        }
-        p
-    }
+    p
 }
 
 /// Statistics from one snapshot load, surfaced through
@@ -298,12 +238,13 @@ impl std::fmt::Debug for SnapshotVerifier {
 
 /// Loads a snapshot for serving: backing and verification per `opts`,
 /// sharding auto-detected from the `s.manifest` section. Returns the
-/// loaded dataset(s), load statistics, and — for lazy `mmap` opens —
-/// the [`SnapshotVerifier`] to run in the background.
+/// shard list (one dataset for a plain bundle, in shard = vertex-range
+/// order otherwise), load statistics, and — for lazy `mmap` opens — the
+/// [`SnapshotVerifier`] to run in the background.
 pub fn load_snapshot<P: AsRef<Path>>(
     path: P,
     opts: &LoadOptions,
-) -> Result<(Loaded, SnapshotInfo, Option<SnapshotVerifier>), PersistError> {
+) -> Result<(Vec<Dataset>, SnapshotInfo, Option<SnapshotVerifier>), PersistError> {
     let started = std::time::Instant::now();
     // Mode map: heap loads keep the classic eager-checksum + deep
     // validation contract. Mapped loads run the panic-safety scans
@@ -328,22 +269,19 @@ pub fn load_snapshot<P: AsRef<Path>>(
         }
     }
     let reader = Arc::new(reader);
-    let loaded = build_loaded(&reader, level)?;
-    let (profile, shards) = match &loaded {
-        Loaded::Single(d) => (d.memory_profile(), 1),
-        Loaded::Sharded(s) => (s.memory_profile(), s.num_shards()),
-    };
-    let info = SnapshotInfo::from_load(&reader, profile, shards, started.elapsed());
+    let shards = build_shards(&reader, level)?;
+    let profile = shards_memory_profile(&shards);
+    let info = SnapshotInfo::from_load(&reader, profile, shards.len() as u32, started.elapsed());
     let verifier = (mode == VerifyMode::Lazy).then(|| SnapshotVerifier { reader: Arc::clone(&reader) });
-    Ok((loaded, info, verifier))
+    Ok((shards, info, verifier))
 }
 
-fn build_loaded(reader: &BundleReader, level: ValidationLevel) -> Result<Loaded, PersistError> {
+fn build_shards(reader: &BundleReader, level: ValidationLevel) -> Result<Vec<Dataset>, PersistError> {
     let graph =
         Arc::new(Graph::from_bundle_with(reader, level).map_err(|e| PersistError::Format(e.to_string()))?);
     if !reader.has(SEC_MANIFEST) {
         let index = index_from_bundle_with(reader, level)?;
-        return Ok(Loaded::Single(Dataset::from_arcs(graph, Arc::new(index))?));
+        return Ok(vec![Dataset::from_arcs(graph, Arc::new(index))?]);
     }
     let manifest = parse_manifest(reader.bytes(SEC_MANIFEST)?)?;
     let core = read_index_core(reader)?;
@@ -379,8 +317,7 @@ fn build_loaded(reader: &BundleReader, level: ValidationLevel) -> Result<Loaded,
             "sharded inverted maps cover {inv_total} entries, forward map has {forward_total}"
         )));
     }
-    let ranges = manifest.ranges;
-    Ok(Loaded::Sharded(ShardedDataset { graph, shards, ranges }))
+    Ok(shards)
 }
 
 struct Manifest {
@@ -609,16 +546,13 @@ mod tests {
         let (g, idx) = build(100, 8);
         let bytes = pack_to_bytes(&g, &idx);
         let path = write_temp("lazy.srs", &bytes);
-        let (loaded, info, verifier) =
+        let (shards, info, verifier) =
             load_snapshot(&path, &LoadOptions { mmap: true, ..Default::default() }).unwrap();
         assert!(info.mapped);
         assert_eq!(info.sections_verified, 0, "lazy open must not checksum");
         #[cfg(all(unix, target_endian = "little"))]
         assert!(info.mapped_bytes > 0, "{info:?}");
-        let ds = match loaded {
-            Loaded::Single(d) => d,
-            other => panic!("expected single dataset, got {other:?}"),
-        };
+        let [ds] = &shards[..] else { panic!("expected one shard, got {}", shards.len()) };
         for u in [0u32, 31, 99] {
             let a = idx.query(&g, u, 6, &QueryOptions::default());
             let b = ds.index().query(ds.graph(), u, 6, &QueryOptions::default());
@@ -665,18 +599,13 @@ mod tests {
             LoadOptions { mmap: true, ..Default::default() },
             LoadOptions { mmap: true, verify_on_load: true, ..Default::default() },
         ] {
-            let (loaded, info, _) = load_snapshot(&path, &opts).unwrap();
+            let (shards, info, _) = load_snapshot(&path, &opts).unwrap();
             assert_eq!(info.shards, 4);
-            let sd = match loaded {
-                Loaded::Sharded(s) => s,
-                other => panic!("expected sharded dataset, got {other:?}"),
-            };
-            assert_eq!(sd.num_shards(), 4);
-            assert_eq!(sd.ranges(), &shard_ranges(90, 4)[..]);
+            assert_eq!(shards.len(), 4);
             // Per-shard candidate sets partition the global ones.
             for u in [0u32, 17, 45, 89] {
                 let mut union: Vec<VertexId> = Vec::new();
-                for (d, &(lo, hi)) in sd.shards().iter().zip(sd.ranges()) {
+                for (d, &(lo, hi)) in shards.iter().zip(&shard_ranges(90, 4)) {
                     let cs = d.index().candidate_index().candidates(u);
                     assert!(cs.iter().all(|&v| v >= lo && v < hi), "u={u} shard {lo}..{hi}");
                     union.extend(cs);

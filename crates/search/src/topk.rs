@@ -104,9 +104,10 @@ pub struct QueryOptions {
     /// uses `θ` alone, which makes every per-candidate decision
     /// independent of scan order and candidate partition: the reported
     /// set becomes exactly "all candidates with refined score ≥ θ"
-    /// (truncated to the top k), so sharded scatter-gather can merge
-    /// per-shard top-k lists bit-identically to an unsharded scan. The
-    /// sharded engine forces this off; single-node serving keeps it on.
+    /// (truncated to the top k), so sharded serving can merge per-shard
+    /// top-k lists bit-identically to an unsharded scan. The serving
+    /// engine forces this off with more than one shard; one shard keeps
+    /// it on.
     pub kth_prune: bool,
     /// A candidate is refined when its coarse estimate reaches this
     /// fraction of the pruning threshold.
@@ -534,11 +535,6 @@ impl QueryScratch {
     /// by the engine once per batch, per worker).
     pub(crate) fn merge_obs_into(&mut self, m: &ServingMetrics) {
         self.obs.merge_into(m);
-    }
-
-    /// Discards accumulated stage observations (metrics disabled).
-    pub(crate) fn clear_obs(&mut self) {
-        self.obs.clear();
     }
 
     /// Algorithm 5 for query vertex `u`, writing into `out` (cleared
@@ -1156,7 +1152,7 @@ fn kth_score(heap: &BinaryHeap<Reverse<HeapHit>>, k: usize) -> f64 {
 
 /// Reusable per-thread query state bound to one graph + index pair.
 /// Queries through one context are sequential; for parallel batches use
-/// [`crate::engine::QueryEngine`], which pools [`QueryScratch`] values
+/// [`crate::engine::ServingEngine`], which pools [`QueryScratch`] values
 /// across workers.
 pub struct QueryContext<'g> {
     g: &'g Graph,

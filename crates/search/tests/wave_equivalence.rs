@@ -10,7 +10,7 @@
 //! The decision-side counters never may.
 
 use srs_graph::{gen, VertexId};
-use srs_search::{Diagonal, QueryEngine, QueryOptions, QueryStats, SimRankParams, TopKIndex};
+use srs_search::{Dataset, Diagonal, QueryOptions, QueryStats, ServingEngine, SimRankParams, TopKIndex};
 
 /// The decision-side fate counters — everything in `QueryStats` that the
 /// bit-identity contract covers.
@@ -27,15 +27,16 @@ fn assert_wave_invariant_with(opts_base: QueryOptions, params: SimRankParams, la
     let g = gen::copying_web(800, 5, 0.8, 51);
     let idx = TopKIndex::build_with(&g, &params, Diagonal::paper_default(params.c), 7, 2);
     let queries: Vec<VertexId> = srs_graph::stats::sample_query_vertices(&g, 24, 19);
+    let dataset = Dataset::new(g, idx).unwrap();
+    let engine = |threads| ServingEngine::with_threads(vec![dataset.clone()], threads);
     // Width 1 is the scalar scan — the pre-wave reference.
     let scalar_opts = QueryOptions { wave_width: 1, explain: true, ..opts_base.clone() };
-    let reference = QueryEngine::with_threads(&g, &idx, 1).query_batch(&queries, 10, &scalar_opts);
+    let reference = engine(1).query_batch(&queries, 10, &scalar_opts);
     assert!(reference.results.iter().any(|r| !r.hits.is_empty()), "{label}: degenerate fixture");
     for width in [1u32, 4, 32, 128] {
         for threads in [1usize, 2, 8] {
             let opts = QueryOptions { wave_width: width, explain: true, ..opts_base.clone() };
-            let engine = QueryEngine::with_threads(&g, &idx, threads);
-            let batch = engine.query_batch(&queries, 10, &opts);
+            let batch = engine(threads).query_batch(&queries, 10, &opts);
             for (i, (a, b)) in reference.results.iter().zip(&batch.results).enumerate() {
                 let u = queries[i];
                 let ctx = format!("{label}: u={u} width={width} threads={threads}");

@@ -1,5 +1,5 @@
 //! The coalescing dispatcher: a bounded submit queue drained by one
-//! dispatcher thread into [`EngineHandle::query_wave`] waves.
+//! dispatcher thread into [`ServingEngine::query_wave`] waves.
 //!
 //! Request threads call [`Coalescer::submit`] and block on the returned
 //! reply channel; the dispatcher takes whatever is queued (up to
@@ -24,7 +24,7 @@
 //! thread and hanging every future query.
 
 use srs_search::engine::WaveQuery;
-use srs_search::{EngineHandle, TopKResult};
+use srs_search::{ServingEngine, TopKResult};
 use std::collections::VecDeque;
 use std::sync::mpsc;
 use std::sync::{Condvar, Mutex};
@@ -149,7 +149,7 @@ impl Coalescer {
     /// The dispatcher loop: collect a wave, serve it, fan the results
     /// back, repeat. Returns once closed **and** drained — every accepted
     /// query is answered before exit. Run this on a dedicated thread.
-    pub fn run(&self, engine: &EngineHandle, metrics: &ServerMetrics) {
+    pub fn run(&self, engine: &ServingEngine, metrics: &ServerMetrics) {
         let mut wave: Vec<WaveQuery> = Vec::with_capacity(self.max_batch);
         let mut replies: Vec<mpsc::Sender<QueryAnswer>> = Vec::with_capacity(self.max_batch);
         loop {

@@ -1,8 +1,8 @@
 #![warn(missing_docs)]
-//! # srs-serve — the batching network daemon over [`EngineHandle`]
+//! # srs-serve — the batching network daemon over [`ServingEngine`]
 //!
 //! A long-lived process that loads one `.srs` snapshot (heap or
-//! mmap-backed, unsharded or sharded), owns an [`EngineHandle`], and
+//! mmap-backed, one shard or many), owns a [`ServingEngine`], and
 //! answers top-k SimRank queries over HTTP/1.1 + JSON. The design goal is to put the engine's *batch* path — where its
 //! throughput lives — behind a *single-query* network API without giving
 //! up either: concurrent requests are **coalesced** into engine waves by
@@ -52,7 +52,7 @@
 //! plus one branch.
 //!
 //! Reload is zero-downtime: the new snapshot loads and verifies off to
-//! the side, then [`EngineHandle::swap`] switches generations atomically
+//! the side, then [`ServingEngine::swap`] switches generations atomically
 //! — in-flight waves finish on the old dataset, new waves see the new
 //! one, and no request ever fails *spuriously* because a reload happened
 //! (a request whose vertex no longer exists in a smaller snapshot gets a
@@ -76,7 +76,7 @@ use srs_graph::{GraphDelta, VertexId};
 use srs_obs::{AttrValue, Trace, TraceIdGen, TraceStore};
 use srs_search::engine::WaveQuery;
 use srs_search::persist::PersistError;
-use srs_search::{load_chain, ChainInfo, EngineHandle, LoadOptions, QueryOptions, TopKResult};
+use srs_search::{load_chain, ChainInfo, LoadOptions, QueryOptions, ServingEngine, TopKResult};
 use std::collections::HashMap;
 use std::io;
 use std::io::BufReader;
@@ -278,7 +278,7 @@ struct ConnTable {
 /// State shared by the accept loop, connection threads, the dispatcher,
 /// and the SIGHUP watcher.
 struct Shared {
-    engine: Arc<EngineHandle>,
+    engine: Arc<ServingEngine>,
     coalescer: Arc<Coalescer>,
     metrics: ServerMetrics,
     snapshot: PathBuf,
@@ -382,13 +382,13 @@ impl Server {
             verify_on_load: config.verify_on_load,
             prefault: config.prefault,
         };
-        let (loaded, info, chain_info, verifier) = load_chain(&config.snapshot, &config.deltas, &load_opts)?;
+        let (shards, info, chain_info, verifier) = load_chain(&config.snapshot, &config.deltas, &load_opts)?;
         let threads = if config.threads == 0 {
             std::thread::available_parallelism().map(|v| v.get()).unwrap_or(1)
         } else {
             config.threads
         };
-        let engine = Arc::new(EngineHandle::with_threads(loaded, threads));
+        let engine = Arc::new(ServingEngine::with_threads(shards, threads));
         engine.metrics().record_snapshot_load(&info);
         engine.metrics().chain_depth.set(chain_info.depth as u64);
         engine.set_cache_capacity(config.cache_capacity);
@@ -439,7 +439,7 @@ impl Server {
 
     /// The serving engine (tests compare served answers against direct
     /// engine calls through this).
-    pub fn engine(&self) -> Arc<EngineHandle> {
+    pub fn engine(&self) -> Arc<ServingEngine> {
         Arc::clone(&self.shared.engine)
     }
 
@@ -865,7 +865,7 @@ fn build_trace(
 /// On success the sections gauge catches up to the verified count; on
 /// failure the verdict is logged (queries stay structurally safe either
 /// way — load-time range validation already bounded every array).
-fn spawn_background_verify(engine: Arc<EngineHandle>, verifier: srs_search::SnapshotVerifier) {
+fn spawn_background_verify(engine: Arc<ServingEngine>, verifier: srs_search::SnapshotVerifier) {
     let spawned = std::thread::Builder::new().name("srs-verify".to_string()).spawn(move || {
         match verifier.verify_all() {
             Ok(n) => engine.metrics().snapshot_sections.set(n as u64),
@@ -893,7 +893,7 @@ fn delta_path(base: &std::path::Path, k: u32) -> PathBuf {
 /// magic). An optional `depth=N` query parameter overrides the server's
 /// configured staleness depth for this batch. The whole operation runs
 /// under the reload lock: the index is repaired incrementally
-/// ([`EngineHandle::apply_delta`]), the delta bundle is persisted next to
+/// ([`ServingEngine::apply_delta`]), the delta bundle is persisted next to
 /// the base snapshot, and the chain state advances — so a concurrent (or
 /// later) reload replays exactly what is now serving. In-flight queries
 /// drain against the pre-edit generation; nothing is dropped.
@@ -976,16 +976,16 @@ fn ingest_reply(shared: &Shared, req: &http::Request) -> Reply {
 /// Reloads the snapshot from disk (with the same load options as bind),
 /// replays the current delta chain on top, and hot-swaps the engine.
 /// Serialized — concurrent reload requests (endpoint + SIGHUP) apply one
-/// at a time, and never interleave with an ingest. On failure — including
-/// a shape change (sharded ↔ unsharded), which a hot reload refuses — the
-/// old dataset keeps serving untouched.
+/// at a time, and never interleave with an ingest. The shard count may
+/// change across a reload. On failure the old dataset keeps serving
+/// untouched.
 fn reload(shared: &Shared) -> Result<u64, String> {
     let _guard = shared.reload_lock.lock().unwrap();
     let chain_paths = shared.chain.lock().unwrap().paths.clone();
-    let swapped = load_chain(&shared.snapshot, &chain_paths, &shared.load_opts).and_then(
-        |(loaded, info, chain_info, verifier)| {
-            shared.engine.swap(loaded)?;
-            Ok((info, chain_info, verifier))
+    let swapped = load_chain(&shared.snapshot, &chain_paths, &shared.load_opts).map(
+        |(shards, info, chain_info, verifier)| {
+            shared.engine.swap(shards);
+            (info, chain_info, verifier)
         },
     );
     match swapped {
@@ -1034,7 +1034,7 @@ fn info_json(shared: &Shared) -> String {
         dataset.graph().num_edges(),
         shared.engine.generation(),
         shared.engine.threads(),
-        shared.engine.shards(),
+        shared.engine.num_shards(),
         shared.mapped,
         shared.engine.cache_capacity(),
         json_escape(&shared.snapshot.display().to_string()),

@@ -4,7 +4,7 @@
 //! drop nothing.
 
 use srs_graph::gen;
-use srs_search::{snapshot, EngineHandle, QueryOptions, ServingEngine, SimRankParams, TopKIndex};
+use srs_search::{snapshot, QueryOptions, ServingEngine, SimRankParams, TopKIndex};
 use srs_serve::{HttpClient, Server, ServerConfig};
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
@@ -32,7 +32,7 @@ fn config(snapshot: &Path) -> ServerConfig {
 
 struct Running {
     addr: SocketAddr,
-    engine: Arc<EngineHandle>,
+    engine: Arc<ServingEngine>,
     handle: std::thread::JoinHandle<std::io::Result<()>>,
 }
 
@@ -52,7 +52,7 @@ fn quit(r: Running) {
 
 /// The exact body `/query` must answer, built from a direct engine call
 /// (the server adds nothing but JSON framing — same seeds, same walks).
-fn expected_body(engine: &EngineHandle, u: u32, k: usize) -> String {
+fn expected_body(engine: &ServingEngine, u: u32, k: usize) -> String {
     let result = engine.query(u, k, &QueryOptions::default());
     let mut body = format!("{{\"vertex\":{u},\"k\":{k},\"generation\":{},\"hits\":[", engine.generation());
     for (i, h) in result.hits.iter().enumerate() {
@@ -204,7 +204,7 @@ fn dispatcher_survives_stale_vertex_validation() {
 
     let snap = fixture_snapshot("stale");
     let (dataset, _info) = srs_search::Dataset::load(&snap).unwrap();
-    let engine = Arc::new(EngineHandle::Single(ServingEngine::new(dataset)));
+    let engine = Arc::new(ServingEngine::new(vec![dataset]));
     let metrics = ServerMetrics::register_on(engine.metrics().registry());
     let coalescer = Arc::new(Coalescer::new(16, 8, Duration::ZERO));
     let dispatcher = {
@@ -465,5 +465,51 @@ fn ingest_under_concurrent_traffic_drops_nothing() {
         let mut name = snap.as_os_str().to_os_string();
         name.push(format!(".d{i:04}"));
         std::fs::remove_file(PathBuf::from(name)).ok();
+    }
+}
+
+/// Sharded bundles serve through the same engine: `--shards 1` is the
+/// unsharded case (cache on, ingest accepted, reload replays its chain),
+/// and more shards keep the cache but refuse ingest with a 400 while
+/// serving on. A reload may change the shard count.
+#[test]
+fn sharded_bundles_cache_and_gate_ingest_by_shard_count() {
+    let g = gen::copying_web(300, 4, 0.8, 8);
+    let params = SimRankParams { r_bounds: 2_000, ..Default::default() };
+    let idx = TopKIndex::build(&g, &params, 7);
+    for shards in [1u32, 4] {
+        let snap = std::env::temp_dir().join(format!("srs_serve_{}_shards{shards}.srs", std::process::id()));
+        std::fs::write(&snap, snapshot::pack_sharded_to_bytes(&g, &idx, shards).unwrap()).unwrap();
+        let r = start(config(&snap));
+        let mut c = HttpClient::connect(r.addr.to_string()).unwrap();
+        let info = c.get("/info").unwrap().body_str().to_string();
+        assert!(info.contains(&format!("\"shards\":{shards}")), "{info}");
+        assert!(info.contains("\"cache_capacity\":4096"), "{info}");
+        for _ in 0..2 {
+            let resp = c.get("/query?u=7&k=5").unwrap();
+            assert_eq!(resp.status, 200);
+            assert_eq!(resp.body_str(), expected_body(&r.engine, 7, 5));
+        }
+        let m = r.engine.metrics().snapshot();
+        assert!(m.counter_total("srs_cache_hits_total") > 0, "shards={shards}: cache never hit");
+        let ingest = c.post_body("/admin/ingest", b"+ 3 9").unwrap();
+        let mut delta = snap.as_os_str().to_os_string();
+        delta.push(".d0001");
+        if shards == 1 {
+            assert_eq!(ingest.status, 200, "{}", ingest.body_str());
+            assert_eq!(c.post("/admin/reload").unwrap().status, 200);
+            assert!(c.get("/info").unwrap().body_str().contains("\"chain_depth\":1"));
+        } else {
+            assert_eq!(ingest.status, 400, "{}", ingest.body_str());
+            assert!(ingest.body_str().contains("one-shard"), "{}", ingest.body_str());
+            // Reloading from a plain bundle re-shapes the engine to one shard.
+            std::fs::write(&snap, snapshot::pack_to_bytes(&g, &idx)).unwrap();
+            assert_eq!(c.post("/admin/reload").unwrap().status, 200);
+            assert!(c.get("/info").unwrap().body_str().contains("\"shards\":1"));
+        }
+        assert_eq!(c.get("/query?u=7&k=5").unwrap().status, 200);
+        quit(r);
+        std::fs::remove_file(&snap).ok();
+        std::fs::remove_file(PathBuf::from(delta)).ok();
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! Demonstrates the full production flow: generate (or load) a large web
 //! graph, preprocess once, persist the index to disk, reload it, and serve
-//! a batch of queries through the parallel [`QueryEngine`], printing
+//! a batch of queries through the parallel [`ServingEngine`], printing
 //! aggregate pruning statistics and latency percentiles that show why web
 //! graphs are the method's best case (§8.1: query cost tracks structure,
 //! not size).
@@ -12,7 +12,7 @@
 //! ```
 
 use simrank_search::graph::{datasets, stats};
-use simrank_search::search::{persist, QueryEngine, QueryOptions, SimRankParams, TopKIndex};
+use simrank_search::search::{persist, Dataset, QueryOptions, ServingEngine, SimRankParams, TopKIndex};
 use std::time::Instant;
 
 fn main() {
@@ -35,9 +35,9 @@ fn main() {
     // Serve a batch of queries through the parallel engine. Scores are
     // bit-identical to sequential queries for any thread count: the
     // randomness is seeded per query, never per worker.
-    let engine = QueryEngine::new(&g, &index);
-    let opts = QueryOptions::default();
     let queries = stats::sample_query_vertices(&g, 64, 4);
+    let engine = ServingEngine::new(vec![Dataset::new(g, index).expect("index built for this graph")]);
+    let opts = QueryOptions::default();
     let batch = engine.query_batch(&queries, 20, &opts);
     let t = &batch.totals;
     println!(

@@ -28,7 +28,7 @@
 use simrank_search::graph::container::BundleReader;
 use simrank_search::graph::{gen, stats, Graph};
 use simrank_search::search::snapshot::pack_to_bytes;
-use simrank_search::search::{Diagonal, QueryEngine, QueryOptions, SimRankParams, TopKIndex};
+use simrank_search::search::{Dataset, Diagonal, QueryOptions, ServingEngine, SimRankParams, TopKIndex};
 use std::fmt::Write as _;
 use std::sync::OnceLock;
 
@@ -91,7 +91,7 @@ fn answers() -> String {
     let matrix = option_matrix();
     let mut body = String::new();
     for Pinned { name, graph: g, index: idx, options } in datasets() {
-        let engine = QueryEngine::with_threads(g, idx, 2);
+        let engine = ServingEngine::with_threads(vec![Dataset::new(g.clone(), idx.clone()).unwrap()], 2);
         let queries = stats::sample_query_vertices(g, 40, 3);
         for (label, opts) in &matrix[..*options] {
             let batch = engine.query_batch(&queries, 20, opts);

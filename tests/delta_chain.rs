@@ -7,7 +7,7 @@ use srs_exact::{partial_sums, ExactParams};
 use srs_graph::{gen, GraphDelta};
 use srs_search::snapshot::{self, Dataset};
 use srs_search::{
-    build_delta, load_chain, Diagonal, LoadOptions, Loaded, QueryOptions, SimRankParams, TopKIndex,
+    build_delta, load_chain, Diagonal, LoadOptions, QueryOptions, ServingEngine, SimRankParams, TopKIndex,
 };
 
 fn build(n: u32, seed: u64) -> Dataset {
@@ -81,7 +81,8 @@ fn delta_bit_flips_fail_closed_in_every_mode() {
         for opts in all_modes() {
             match load_chain(&fx.base_path, &[&fx.delta_path], &opts) {
                 Err(_) => rejected += 1,
-                Ok((Loaded::Single(loaded), _, chain, verifier)) => {
+                Ok((shards, _, chain, verifier)) => {
+                    let [loaded] = &shards[..] else { panic!("a chain loads as one shard") };
                     assert_eq!(chain.depth, 1, "flip at byte {pos} changed the chain shape");
                     // The base file is clean, so a handed-back lazy
                     // verifier must pass; the flip lives in the delta.
@@ -93,7 +94,6 @@ fn delta_bit_flips_fail_closed_in_every_mode() {
                         assert_eq!(want, &got.hits, "flip at byte {pos} changed answers ({opts:?})");
                     }
                 }
-                Ok(_) => panic!("unsharded chain loaded as sharded"),
             }
         }
     }
@@ -141,7 +141,8 @@ fn corrupt_delta_never_reaches_a_serving_engine() {
     corrupt[mid] ^= 0x40;
     std::fs::write(&fx.delta_path, &corrupt).unwrap();
     let chain_load = load_chain(&fx.base_path, &[&fx.delta_path], &LoadOptions::default());
-    if let Ok((Loaded::Single(loaded), _, _, _)) = &chain_load {
+    if let Ok((shards, _, _, _)) = &chain_load {
+        let [loaded] = &shards[..] else { panic!("a chain loads as one shard") };
         // Mid-file flips land in checksummed payload for this fixture.
         for (u, want) in fx.baseline.iter().enumerate() {
             let got = loaded.index().query(loaded.graph(), u as u32, 5, &QueryOptions::default());
@@ -151,13 +152,66 @@ fn corrupt_delta_never_reaches_a_serving_engine() {
     let (fallback, _, chain, _) =
         load_chain(&fx.base_path, &[] as &[&std::path::Path], &LoadOptions::default()).unwrap();
     assert_eq!(chain.depth, 0);
-    let ds = match fallback {
-        Loaded::Single(d) => d,
-        other => panic!("{other:?}"),
-    };
+    let [ds] = &fallback[..] else { panic!("a plain base loads as one shard") };
     // The pre-edit base knows nothing of the grown vertices.
     assert!(ds.graph().num_vertices() < fx.new_n);
     for p in [&fx.base_path, &fx.delta_path] {
+        std::fs::remove_file(p).ok();
+    }
+}
+
+#[test]
+fn one_shard_base_replays_a_chain_like_the_plain_base() {
+    // A `--shards 1` bundle is the unsharded case: the same edit batches
+    // chained onto it (each delta parented at that base's own
+    // fingerprints) load, serve, and ingest to the same hits as the chain
+    // on the plain bundle — and a base of more shards refuses a chain.
+    let ds = build(90, 5);
+    let t = ds.index().params().t;
+    let mut batches = [GraphDelta::new(), GraphDelta::new()];
+    batches[0].grow_to(92);
+    batches[0].insert(90, 1);
+    batches[0].insert(91, 90);
+    batches[0].delete(1, 0);
+    batches[1].insert(3, 91);
+    let opts = QueryOptions::default();
+    let queries: Vec<u32> = (0..92).collect();
+    let mut answers = Vec::new();
+    for (tag, bytes) in [
+        ("plain", snapshot::pack_to_bytes(ds.graph(), ds.index())),
+        ("one_shard", snapshot::pack_sharded_to_bytes(ds.graph(), ds.index(), 1).unwrap()),
+    ] {
+        let base_path = write_temp(&format!("{tag}.srs"), &bytes);
+        let (shards, info, _) = srs_search::load_snapshot(&base_path, &LoadOptions::default()).unwrap();
+        let engine = ServingEngine::with_threads(shards, 2);
+        let mut parent = info.fingerprint;
+        let mut paths = Vec::new();
+        for (i, batch) in batches.iter().enumerate() {
+            let applied = engine.apply_delta(batch, t - 1, parent).unwrap();
+            parent = applied.fingerprint;
+            paths.push(write_temp(&format!("{tag}.srs.d{i}"), &applied.bytes));
+        }
+        let live = engine.query_batch(&queries, 6, &opts);
+        let (shards, _, chain, _) = load_chain(&base_path, &paths, &LoadOptions::default()).unwrap();
+        assert_eq!((shards.len(), chain.depth), (1, 2), "{tag}");
+        let replayed = ServingEngine::with_threads(shards, 2).query_batch(&queries, 6, &opts);
+        let hits: Vec<_> = live.results.iter().map(|r| r.hits.clone()).collect();
+        for (u, (a, b)) in hits.iter().zip(&replayed.results).enumerate() {
+            assert_eq!(a, &b.hits, "{tag}: u={u} replay differs from the live chain");
+        }
+        answers.push(hits);
+        for p in paths.iter().chain([&base_path]) {
+            std::fs::remove_file(p).ok();
+        }
+    }
+    assert_eq!(answers[0], answers[1], "a --shards 1 chain must serve the plain chain's hits");
+
+    let sharded =
+        write_temp("two_shards.srs", &snapshot::pack_sharded_to_bytes(ds.graph(), ds.index(), 2).unwrap());
+    let delta = write_temp("two_shards.srs.d0", &build_delta(&ds, &batches[0], t - 1, 2, 0).unwrap().bytes);
+    let err = load_chain(&sharded, &[&delta], &LoadOptions::default()).unwrap_err();
+    assert!(err.to_string().contains("one-shard"), "{err}");
+    for p in [&sharded, &delta] {
         std::fs::remove_file(p).ok();
     }
 }

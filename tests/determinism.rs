@@ -5,10 +5,16 @@
 
 use simrank_search::baselines::fogaras::{FingerprintIndex, FogarasParams};
 use simrank_search::graph::gen;
-use simrank_search::search::{Diagonal, QueryEngine, QueryOptions, SimRankParams, TopKIndex};
+use simrank_search::graph::Graph;
+use simrank_search::search::{Dataset, Diagonal, QueryOptions, ServingEngine, SimRankParams, TopKIndex};
 
 fn params() -> SimRankParams {
     SimRankParams { r_gamma: 40, r_bounds: 200, ..Default::default() }
+}
+
+/// A one-shard serving engine over copies of `g` and `idx`.
+fn engine(g: &Graph, idx: &TopKIndex, threads: usize) -> ServingEngine {
+    ServingEngine::with_threads(vec![Dataset::new(g.clone(), idx.clone()).unwrap()], threads)
 }
 
 #[test]
@@ -49,7 +55,7 @@ fn queries_identical_after_save_load_cycles() {
 #[test]
 fn batch_engine_bit_identical_across_thread_counts() {
     // The tentpole guarantee of the serving layer: for a fixed index seed,
-    // QueryEngine::query_batch returns bit-identical hits and stats on 1,
+    // ServingEngine::query_batch returns bit-identical hits and stats on 1,
     // 2, and 8 threads, and each of them equals the sequential
     // TopKIndex::query answer — randomness is per query, never per worker.
     let g = gen::copying_web(350, 4, 0.8, 13);
@@ -59,7 +65,7 @@ fn batch_engine_bit_identical_across_thread_counts() {
     let opts = QueryOptions::default();
     let batches: Vec<_> = [1usize, 2, 8]
         .into_iter()
-        .map(|threads| QueryEngine::with_threads(&g, &idx, threads).query_batch(&queries, 10, &opts))
+        .map(|threads| engine(&g, &idx, threads).query_batch(&queries, 10, &opts))
         .collect();
     for batch in &batches[1..] {
         for (a, b) in batches[0].results.iter().zip(&batch.results) {
@@ -83,14 +89,14 @@ fn batch_engine_pool_reuse_does_not_perturb_results() {
     let p = params();
     let idx = TopKIndex::build_with(&g, &p, Diagonal::paper_default(p.c), 9, 2);
     let opts = QueryOptions { share_source_walks: true, candidate_ball: Some(2), ..Default::default() };
-    let engine = QueryEngine::with_threads(&g, &idx, 4);
+    let warm = engine(&g, &idx, 4);
     let queries: Vec<u32> = (0..40).collect();
     // Warm the pool on an unrelated workload first.
     let warmup: Vec<u32> = (200..250).collect();
     let mut out = simrank_search::search::BatchResult::new();
-    engine.query_batch_into(&warmup, 7, &opts, &mut out);
-    engine.query_batch_into(&queries, 7, &opts, &mut out);
-    let cold = QueryEngine::with_threads(&g, &idx, 4).query_batch(&queries, 7, &opts);
+    warm.query_batch_into(&warmup, 7, &opts, &mut out);
+    warm.query_batch_into(&queries, 7, &opts, &mut out);
+    let cold = engine(&g, &idx, 4).query_batch(&queries, 7, &opts);
     for ((a, b), &u) in cold.results.iter().zip(&out.results).zip(&queries) {
         assert_eq!(a.hits, b.hits, "u={u}");
         assert_eq!(a.stats, b.stats, "u={u}");

@@ -52,7 +52,8 @@ fn all_vertices_matches_individual_queries() {
     let params = SimRankParams { r_bounds: 500, r_gamma: 50, ..Default::default() };
     let index = TopKIndex::build(&g, &params, 1);
     let opts = QueryOptions::default();
-    let (all, stats) = simrank_search::search::all_vertices::all_topk(&g, &index, 5, &opts, 3);
+    let dataset = simrank_search::search::Dataset::new(g.clone(), index.clone()).unwrap();
+    let (all, stats) = simrank_search::search::all_vertices::all_topk(&dataset, 5, &opts, 3);
     assert_eq!(stats.queries, 150);
     let mut ctx = QueryContext::new(&g, &index);
     for u in [0u32, 42, 149] {

@@ -6,8 +6,7 @@
 use srs_graph::{container, gen};
 use srs_search::snapshot::{self, Dataset};
 use srs_search::{
-    load_snapshot, Diagonal, EngineHandle, LoadOptions, Loaded, QueryOptions, ServingEngine, SimRankParams,
-    TopKIndex, WaveQuery,
+    load_snapshot, Diagonal, LoadOptions, QueryOptions, ServingEngine, SimRankParams, TopKIndex, WaveQuery,
 };
 
 fn build(n: u32, seed: u64) -> Dataset {
@@ -28,8 +27,8 @@ fn snapshot_is_bit_identical_to_fresh_build() {
     assert_eq!(info.sections_verified, container::BundleReader::open(packed(&ds)).unwrap().num_sections());
     let opts = QueryOptions { explain: true, ..Default::default() };
     let queries: Vec<u32> = (0..150).step_by(3).collect();
-    let fresh = ServingEngine::with_threads(ds, 3).query_batch(&queries, 8, &opts);
-    let served = ServingEngine::with_threads(loaded, 3).query_batch(&queries, 8, &opts);
+    let fresh = ServingEngine::with_threads(vec![ds], 3).query_batch(&queries, 8, &opts);
+    let served = ServingEngine::with_threads(vec![loaded], 3).query_batch(&queries, 8, &opts);
     for (a, b) in fresh.results.iter().zip(&served.results) {
         assert_eq!(a.hits, b.hits);
         assert_eq!(a.stats, b.stats, "candidate fates must match");
@@ -149,7 +148,8 @@ fn mmap_bit_flips_fail_verification_or_serve_identical_answers() {
         // mapping: reject the flip, or (padding) answer identically.
         match load_snapshot(&path, &eager) {
             Err(_) => {}
-            Ok((Loaded::Single(loaded), info, verifier)) => {
+            Ok((shards, info, verifier)) => {
+                let [loaded] = &shards[..] else { panic!("unsharded snapshot loaded as sharded") };
                 assert!(info.mapped, "eager mmap load must stay mapped");
                 assert!(verifier.is_none(), "eager open must not hand back a verifier");
                 for (u, want) in baseline.iter().enumerate() {
@@ -157,14 +157,14 @@ fn mmap_bit_flips_fail_verification_or_serve_identical_answers() {
                     assert_eq!(want, &got.hits, "flip at byte {pos} changed answers under mmap");
                 }
             }
-            Ok(_) => panic!("unsharded snapshot loaded as sharded"),
         }
         // The lazy default defers checksums to the background sweep: the
         // open itself must never panic, and whenever the sweep passes
         // the served answers must match the baseline bit for bit.
         match load_snapshot(&path, &lazy) {
             Err(_) => {}
-            Ok((Loaded::Single(loaded), _, Some(verifier))) => {
+            Ok((shards, _, Some(verifier))) => {
+                let [loaded] = &shards[..] else { panic!("unsharded snapshot loaded as sharded") };
                 if verifier.verify_all().is_ok() {
                     for (u, want) in baseline.iter().enumerate() {
                         let got = loaded.index().query(loaded.graph(), u as u32, 5, &QueryOptions::default());
@@ -218,18 +218,18 @@ fn sharded_mmap_serving_matches_unsharded_heap_bit_for_bit() {
     let sharded = snapshot::pack_sharded_to_bytes(ds.graph(), ds.index(), 4).unwrap();
     let p_heap = write_temp("ident_heap.srs", &unsharded);
     let p_shard = write_temp("ident_shard.srs", &sharded);
-    let (l_heap, _, _) = load_snapshot(&p_heap, &LoadOptions::default()).unwrap();
+    let (s_heap, _, _) = load_snapshot(&p_heap, &LoadOptions::default()).unwrap();
     let mmap_eager = LoadOptions { mmap: true, verify_on_load: true, ..Default::default() };
-    let (l_shard, info, _) = load_snapshot(&p_shard, &mmap_eager).unwrap();
+    let (s_shard, info, _) = load_snapshot(&p_shard, &mmap_eager).unwrap();
     assert!(info.mapped);
     assert_eq!(info.shards, 4);
-    let heap = EngineHandle::with_threads(l_heap, 2);
-    let shard = EngineHandle::with_threads(l_shard, 3);
-    assert_eq!(heap.shards(), 1);
-    assert_eq!(shard.shards(), 4);
-    // θ-only pruning is the partition-invariant mode the sharded engine
-    // forces; running the unsharded engine the same way pins the merge
-    // to bit-identical output.
+    let heap = ServingEngine::with_threads(s_heap, 2);
+    let shard = ServingEngine::with_threads(s_shard, 3);
+    assert_eq!(heap.num_shards(), 1);
+    assert_eq!(shard.num_shards(), 4);
+    // θ-only pruning is the partition-invariant mode the engine forces
+    // with more than one shard; running the one-shard engine the same way
+    // pins the merge to bit-identical output.
     let opts = std::sync::Arc::new(QueryOptions { kth_prune: false, ..Default::default() });
     let wave: Vec<WaveQuery> = (0..150)
         .step_by(2)
@@ -255,15 +255,15 @@ fn hot_swap_is_atomic_under_concurrent_batches() {
     let ds_b = build(90, 12);
     let queries: Vec<u32> = (0..40).collect();
     let opts = QueryOptions::default();
-    let expect_a = ServingEngine::with_threads(ds_a.clone(), 2).query_batch(&queries, 5, &opts);
-    let expect_b = ServingEngine::with_threads(ds_b.clone(), 2).query_batch(&queries, 5, &opts);
+    let expect_a = ServingEngine::with_threads(vec![ds_a.clone()], 2).query_batch(&queries, 5, &opts);
+    let expect_b = ServingEngine::with_threads(vec![ds_b.clone()], 2).query_batch(&queries, 5, &opts);
     assert_ne!(
         expect_a.results.iter().map(|r| r.hits.clone()).collect::<Vec<_>>(),
         expect_b.results.iter().map(|r| r.hits.clone()).collect::<Vec<_>>(),
         "the two datasets must be distinguishable for the test to mean anything"
     );
 
-    let engine = ServingEngine::with_threads(ds_a.clone(), 2);
+    let engine = ServingEngine::with_threads(vec![ds_a.clone()], 2);
     std::thread::scope(|s| {
         for _ in 0..3 {
             s.spawn(|| {
@@ -284,7 +284,7 @@ fn hot_swap_is_atomic_under_concurrent_batches() {
         }
         for i in 0..30 {
             let next = if i % 2 == 0 { ds_b.clone() } else { ds_a.clone() };
-            engine.swap(next);
+            engine.swap(vec![next]);
             std::thread::yield_now();
         }
     });
