@@ -86,10 +86,11 @@ pub fn dispatch(argv: &[String]) -> Result<String, String> {
 }
 
 /// Loads a graph, auto-detecting the format: section bundle (also how
-/// snapshots start), legacy binary CSR, or text edge list.
+/// snapshots start) or text edge list. Any other `SRS` binary magic is a
+/// format error from the bundle reader, never an edge-list parse.
 pub fn load_graph(path: &Path) -> Result<Graph, String> {
     let bytes = std::fs::read(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    if srs_graph::container::is_bundle(&bytes) || bytes.starts_with(io::LEGACY_MAGIC) {
+    if bytes.starts_with(b"SRS") {
         io::read_binary(&bytes[..]).map_err(|e| format!("{}: {e}", path.display()))
     } else {
         io::read_edge_list(&bytes[..]).map_err(|e| format!("{}: {e}", path.display()))
@@ -291,21 +292,11 @@ fn pack(args: &Args) -> Result<String, String> {
     let out = Path::new(args.req("out")?);
     let f = std::fs::File::create(out).map_err(|e| format!("{}: {e}", out.display()))?;
     let w = std::io::BufWriter::new(f);
-    // `--shards N` writes the sharded layout (per-shard inverted maps +
-    // manifest) even for N=1, so shard-count experiments compare like
-    // with like; without the flag the classic unsharded bundle is
-    // written.
-    let shards: u32 = args.get_or("shards", 0)?;
-    let layout = if shards > 0 {
-        snapshot::pack_sharded(ds.graph(), ds.index(), shards, w).map_err(|e| e.to_string())?;
-        format!(", {shards} shards")
-    } else {
-        snapshot::pack(ds.graph(), ds.index(), w).map_err(|e| e.to_string())?;
-        String::new()
-    };
+    let shards: u32 = args.get_or("shards", 1)?;
+    snapshot::pack(ds.graph(), ds.index(), shards, w).map_err(|e| e.to_string())?;
     let bytes = std::fs::metadata(out).map(|m| m.len()).unwrap_or(0);
     Ok(format!(
-        "packed snapshot: n={} m={} index {} bytes{layout} -> {} ({bytes} bytes)\n",
+        "packed snapshot: n={} m={} index {} bytes, {shards} shard(s) -> {} ({bytes} bytes)\n",
         ds.graph().num_vertices(),
         ds.graph().num_edges(),
         ds.index().memory_bytes(),
@@ -2323,6 +2314,20 @@ mod tests {
         ))
         .unwrap();
         assert!(out.contains("packed snapshot: n=300"), "{out}");
+        // One shard is the default; zero shards are refused.
+        let snap1 = tmp("sn1.srs");
+        let pack_shards = |out: &Path, shards: u32| {
+            run(&format!(
+                "pack --graph {} --index {} --out {} --shards {shards}",
+                g_path.display(),
+                i_path.display(),
+                out.display()
+            ))
+        };
+        pack_shards(&snap1, 1).unwrap();
+        assert_eq!(std::fs::read(&snap).unwrap(), std::fs::read(&snap1).unwrap());
+        let err = pack_shards(&snap1, 0).unwrap_err();
+        assert!(err.contains("shard count 0"), "{err}");
 
         // The same batch through the file pair and through the snapshot
         // writes byte-identical hits files — the determinism witness the
@@ -2375,7 +2380,7 @@ mod tests {
             run(&format!("query --snapshot {} --graph {} --vertex 1", snap.display(), g_path.display()))
                 .unwrap_err();
         assert!(err.contains("drop --graph"), "{err}");
-        for f in [&g_path, &i_path, &snap, &h_files, &h_snap] {
+        for f in [&g_path, &i_path, &snap, &snap1, &h_files, &h_snap] {
             std::fs::remove_file(f).ok();
         }
     }
@@ -2423,6 +2428,13 @@ mod tests {
         run(&format!("generate --family er --n 50 --deg 2 --out {}", g_path.display())).unwrap();
         let err = run(&format!("exact --graph {} --vertex 999", g_path.display())).unwrap_err();
         assert!(err.contains("out of range"), "{err}");
+        // Any `SRS` binary that is not a bundle (such as a stream of a
+        // retired format) fails as a binary, not as an edge list.
+        for magic in ["SRSOLD01", "SRSBNDL0"] {
+            std::fs::write(&g_path, [magic.as_bytes(), &[0xff; 12]].concat()).unwrap();
+            let err = run(&format!("stats --graph {}", g_path.display())).unwrap_err();
+            assert!(err.contains("binary format error"), "{magic}: {err}");
+        }
         std::fs::remove_file(&g_path).ok();
     }
 }

@@ -13,8 +13,9 @@
 //! srs exact      --graph g.bin --vertex V [--k 20]
 //! ```
 //!
-//! Graph files are auto-detected: the binary CSR magic (`SRSCSR01`) or a
-//! SNAP-style edge list.
+//! Graph files are auto-detected: a `SRSBNDL1` section bundle (a graph
+//! file, or a snapshot, which carries the graph too) or a SNAP-style edge
+//! list.
 
 mod args;
 mod commands;

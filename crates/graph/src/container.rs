@@ -150,6 +150,7 @@ struct PendingSection {
     tag: [u8; TAG_LEN],
     align: usize,
     payload: Vec<u8>,
+    checksum: u64,
 }
 
 /// Page size assumed for page-aligned layout (the x86-64/aarch64
@@ -208,8 +209,19 @@ impl BundleWriter {
         );
         let mut t = [0u8; TAG_LEN];
         t[..tag.len()].copy_from_slice(tag.as_bytes());
-        self.sections.push(PendingSection { tag: t, align, payload });
+        let checksum = fnv1a64(&payload);
+        self.sections.push(PendingSection { tag: t, align, payload, checksum });
         self
+    }
+
+    /// The fingerprint (see [`section_fingerprint`]) section `tag` will
+    /// have in the written bundle, from the checksum taken when it was
+    /// added; `None` if no such section was added.
+    pub fn section_fingerprint(&self, tag: &str) -> Option<u64> {
+        self.sections
+            .iter()
+            .find(|s| tag_str(&s.tag) == tag)
+            .map(|s| section_fingerprint(tag, s.payload.len() as u64, s.checksum))
     }
 
     /// Adds a typed array section, encoded little-endian with alignment
@@ -241,7 +253,7 @@ impl BundleWriter {
             out.extend_from_slice(&(off as u64).to_le_bytes());
             out.extend_from_slice(&(s.payload.len() as u64).to_le_bytes());
             out.extend_from_slice(&(self.effective_align(s) as u64).to_le_bytes());
-            out.extend_from_slice(&fnv1a64(&s.payload).to_le_bytes());
+            out.extend_from_slice(&s.checksum.to_le_bytes());
         }
         for (s, &off) in self.sections.iter().zip(&offsets) {
             out.resize(off, 0); // alignment padding
@@ -643,6 +655,9 @@ mod tests {
         w.add_pod("nums32", &[10u32, 20]);
         let other = BundleReader::open(w.to_bytes()).unwrap();
         assert_ne!(r.fingerprint(), other.fingerprint());
+        // The writer predicts each section's fingerprint before writing.
+        assert_eq!(w.section_fingerprint("meta"), other.section_fingerprint_at(1));
+        assert_eq!(w.section_fingerprint("absent"), None);
     }
 
     #[test]

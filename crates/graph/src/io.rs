@@ -9,12 +9,10 @@
 //! * **Binary CSR** ([`read_binary`] / [`write_binary`]) — the CSR
 //!   arrays as bulk little-endian sections in a checksummed `SRSBNDL1`
 //!   bundle (see [`crate::container`]), for fast reloading of generated
-//!   datasets between benchmark runs. The legacy per-edge `SRSCSR01`
-//!   stream (deprecated) remains loadable: [`read_binary`] switches on
-//!   the magic.
+//!   datasets between benchmark runs. Any other binary input, older
+//!   per-edge streams included, fails with [`GraphError::Format`].
 
 use crate::{Graph, GraphBuilder, GraphError, VertexId};
-use bytes::{Buf, BufMut};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::path::Path;
 
@@ -77,11 +75,6 @@ pub fn write_edge_list<W: Write>(g: &Graph, mut w: W) -> Result<(), GraphError> 
     Ok(())
 }
 
-/// Magic of the legacy per-edge binary format (pre-bundle). Readable
-/// forever via [`read_binary`]'s version switch; no longer written by
-/// [`write_binary`].
-pub const LEGACY_MAGIC: &[u8; 8] = b"SRSCSR01";
-
 /// Writes the graph as a `SRSBNDL1` section bundle (bulk little-endian
 /// CSR arrays with per-section checksums; see [`crate::container`]).
 pub fn write_binary<W: Write>(g: &Graph, w: W) -> Result<(), GraphError> {
@@ -93,41 +86,13 @@ pub fn write_binary<W: Write>(g: &Graph, w: W) -> Result<(), GraphError> {
     })
 }
 
-/// Writes the **legacy** `SRSCSR01` per-edge stream.
-///
-/// Deprecated in favour of the bundle format emitted by
-/// [`write_binary`]; retained so the legacy read path stays exercised
-/// by tests and old artifacts can be regenerated if needed.
-pub fn write_binary_legacy<W: Write>(g: &Graph, mut w: W) -> Result<(), GraphError> {
-    let n = g.num_vertices();
-    let m = g.num_edges();
-    let mut header = Vec::with_capacity(8 + 4 + 8);
-    header.put_slice(LEGACY_MAGIC);
-    header.put_u32_le(n);
-    header.put_u64_le(m);
-    w.write_all(&header)?;
-    let mut body = Vec::with_capacity((m as usize) * 8 + 16);
-    for (u, v) in g.edges() {
-        body.put_u32_le(u);
-        body.put_u32_le(v);
-    }
-    w.write_all(&body)?;
-    Ok(())
-}
-
-/// Reads a binary graph, sniffing the format from the magic: `SRSBNDL1`
-/// bundles load as bulk sections (zero-copy), legacy `SRSCSR01` streams
-/// decode through the original per-edge path.
+/// Reads a binary graph: a `SRSBNDL1` bundle carrying the `g.*`
+/// sections, loaded as bulk sections (zero-copy). Anything else is a
+/// [`GraphError::Format`] error.
 pub fn read_binary<R: Read>(mut r: R) -> Result<Graph, GraphError> {
     let mut raw = Vec::new();
     r.read_to_end(&mut raw)?;
-    if crate::container::is_bundle(&raw) {
-        return graph_from_bundle_bytes(raw);
-    }
-    if raw.len() >= 8 && &raw[..8] == LEGACY_MAGIC {
-        return read_binary_legacy(&raw);
-    }
-    Err(GraphError::Format("bad magic".into()))
+    graph_from_bundle_bytes(raw)
 }
 
 /// Loads a graph from bundle bytes (a graph bundle or a full serving
@@ -135,40 +100,6 @@ pub fn read_binary<R: Read>(mut r: R) -> Result<Graph, GraphError> {
 pub fn graph_from_bundle_bytes(raw: Vec<u8>) -> Result<Graph, GraphError> {
     let reader = crate::container::BundleReader::open(raw).map_err(|e| GraphError::Format(e.to_string()))?;
     Graph::from_bundle(&reader)
-}
-
-/// Decodes the legacy `SRSCSR01` per-edge stream.
-fn read_binary_legacy(raw: &[u8]) -> Result<Graph, GraphError> {
-    if raw.len() < 20 {
-        return Err(GraphError::Format("truncated header".into()));
-    }
-    let mut buf = &raw[8..20];
-    let n = buf.get_u32_le();
-    let m = buf.get_u64_le();
-    let body_len =
-        (m as usize).checked_mul(8).ok_or_else(|| GraphError::Format("edge count overflow".into()))?;
-    // Check what is actually there before trusting the header's edge
-    // count: allocating `m * 8` up front would let a corrupted count
-    // abort on allocation instead of returning a Format error.
-    let body = &raw[20..];
-    if body.len() != body_len {
-        return Err(GraphError::Format(format!(
-            "body length mismatch: header promises {body_len} bytes, stream has {}",
-            body.len()
-        )));
-    }
-    let mut cur = body;
-    let mut b = GraphBuilder::with_capacity(n, m as usize).self_loop_policy(crate::SelfLoopPolicy::Keep);
-    for _ in 0..m {
-        let u = cur.get_u32_le();
-        let v = cur.get_u32_le();
-        b.add_edge(u, v);
-    }
-    let g = b.build()?;
-    if g.num_edges() != m {
-        return Err(GraphError::Format(format!("edge count mismatch: header {m}, body {}", g.num_edges())));
-    }
-    Ok(g)
 }
 
 #[cfg(test)]
@@ -247,30 +178,5 @@ mod tests {
         let mut buf = Vec::new();
         write_binary(&g, &mut buf).unwrap();
         assert_eq!(read_binary(&buf[..]).unwrap().num_vertices(), 0);
-    }
-
-    #[test]
-    fn legacy_stream_still_loads() {
-        let g = gen::erdos_renyi(50, 160, 3);
-        let mut legacy = Vec::new();
-        write_binary_legacy(&g, &mut legacy).unwrap();
-        assert_eq!(&legacy[..8], LEGACY_MAGIC);
-        assert_eq!(read_binary(&legacy[..]).unwrap(), g);
-
-        // And the two formats agree on the loaded graph.
-        let mut bundle = Vec::new();
-        write_binary(&g, &mut bundle).unwrap();
-        assert_eq!(&bundle[..8], crate::container::MAGIC);
-        assert_eq!(read_binary(&bundle[..]).unwrap(), read_binary(&legacy[..]).unwrap());
-    }
-
-    #[test]
-    fn legacy_truncation_still_rejected() {
-        let g = gen::erdos_renyi(10, 20, 1);
-        let mut buf = Vec::new();
-        write_binary_legacy(&g, &mut buf).unwrap();
-        let truncated = &buf[..buf.len() - 3];
-        assert!(matches!(read_binary(truncated), Err(GraphError::Format(_))));
-        assert!(matches!(read_binary(&buf[..10]), Err(GraphError::Format(_))));
     }
 }

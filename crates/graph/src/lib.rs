@@ -23,8 +23,7 @@
 //!   closed-form fixtures) substituting for the paper's SNAP/LAW datasets.
 //! * [`datasets`] — a registry mirroring Table 2 of the paper at a
 //!   configurable scale factor.
-//! * [`io`] — SNAP-style edge-list text I/O and the binary CSR bundle
-//!   (with a legacy per-element format kept loadable).
+//! * [`io`] — SNAP-style edge-list text I/O and the binary CSR bundle.
 //! * [`storage`] — [`storage::SharedSlice`], the owned-or-zero-copy
 //!   backing for every hot array.
 //! * [`container`] — the `SRSBNDL1` section container all persistent

@@ -359,8 +359,8 @@ pub fn one_shard(shards: Vec<Dataset>) -> Result<Dataset, PersistError> {
 }
 
 /// Folds a base + delta chain back into a base snapshot: loads the chain
-/// (heap-backed, eager) and writes a plain [`pack`] bundle of the final
-/// state. The compacted bundle serves byte-identical answers to the chain
+/// (heap-backed, eager) and writes a one-shard [`pack`] bundle of the
+/// final state. The compacted bundle serves byte-identical answers to the chain
 /// it replaced.
 pub fn compact_chain<P: AsRef<Path>, W: Write>(
     base_path: P,
@@ -369,7 +369,7 @@ pub fn compact_chain<P: AsRef<Path>, W: Write>(
 ) -> Result<(Dataset, ChainInfo), PersistError> {
     let (shards, _, chain, _) = load_chain(base_path, deltas, &LoadOptions::default())?;
     let ds = one_shard(shards)?;
-    pack(ds.graph(), ds.index(), w)?;
+    pack(ds.graph(), ds.index(), 1, w)?;
     Ok((ds, chain))
 }
 

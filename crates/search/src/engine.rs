@@ -29,7 +29,7 @@
 //! # Why the shard merge is exact
 //!
 //! Shards partition only the *inverted* candidate map by vertex range
-//! (see [`crate::snapshot::pack_sharded`]): every shard shares the graph,
+//! (see [`crate::persist`]): every shard shares the graph,
 //! γ table, diagonal, and forward candidate map, so for one query vertex
 //! `u` the shards enumerate **disjoint** candidate sets whose union is
 //! exactly the unsharded candidate set. With more than one shard the
@@ -953,7 +953,7 @@ impl ServingEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::snapshot::{load_snapshot, pack_sharded_to_bytes, LoadOptions};
+    use crate::snapshot::{load_snapshot, pack, LoadOptions};
     use crate::topk::{QueryContext, TopKIndex};
     use crate::{Diagonal, SimRankParams};
     use srs_graph::{gen, Graph};
@@ -979,7 +979,8 @@ mod tests {
 
     /// The shard list a `pack --shards N` bundle loads as.
     fn sharded(g: &Graph, idx: &TopKIndex, shards: u32) -> Vec<Dataset> {
-        let bytes = pack_sharded_to_bytes(g, idx, shards).unwrap();
+        let mut bytes = Vec::new();
+        pack(g, idx, shards, &mut bytes).unwrap();
         let dir = std::env::temp_dir().join(format!("srs-engine-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         // Tests run in parallel: every call gets its own file, so no
@@ -1352,13 +1353,13 @@ mod tests {
 
     #[test]
     fn one_shard_bundle_is_the_unsharded_case() {
-        // A `--shards 1` bundle keeps every option — kth pruning, the
-        // fast tier, explain traces — and the cache: answers, stats, and
-        // traces match the plain bundle's exactly.
+        // A loaded one-shard bundle keeps every option — kth pruning,
+        // the fast tier, explain traces — and the cache: answers, stats,
+        // and traces match the in-memory dataset's exactly.
         let (g, idx) = build_small(160, 25);
-        let plain = engine(&g, &idx, 2);
+        let memory = engine(&g, &idx, 2);
         let one = ServingEngine::with_threads(sharded(&g, &idx, 1), 2);
-        plain.set_cache_capacity(64);
+        memory.set_cache_capacity(64);
         one.set_cache_capacity(64);
         let vertices: Vec<u32> = (0..160).step_by(5).collect();
         for opts in [
@@ -1366,7 +1367,7 @@ mod tests {
             QueryOptions { fast_tier: FastTier::Always, ..Default::default() },
             QueryOptions { explain: true, candidate_ball: Some(2), ..Default::default() },
         ] {
-            let a = plain.query_batch(&vertices, 6, &opts);
+            let a = memory.query_batch(&vertices, 6, &opts);
             let b = one.query_batch(&vertices, 6, &opts);
             for (i, v) in vertices.iter().enumerate() {
                 assert_eq!(a.results[i].hits, b.results[i].hits, "u={v} {opts:?}");
@@ -1375,7 +1376,7 @@ mod tests {
             }
         }
         assert!(one.metrics().snapshot().counter_total("srs_query_fast_tier_queries_total") > 0);
-        assert_eq!(one.cached_results(), plain.cached_results());
+        assert_eq!(one.cached_results(), memory.cached_results());
     }
 
     #[test]

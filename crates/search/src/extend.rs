@@ -155,21 +155,6 @@ pub fn extend_delta(
     Ok(ExtendOutcome { index, stats, dirty })
 }
 
-/// The append-only special case of [`extend_delta`], kept for callers that
-/// model pure growth (`new` equals `old` plus appended vertices and new
-/// edges). Identical recompute semantics; returns just the index and
-/// counters.
-pub fn extend_appended(
-    index: &TopKIndex,
-    old: &Graph,
-    new: &Graph,
-    staleness_depth: u32,
-    threads: usize,
-) -> Result<(TopKIndex, ExtendStats), ExtendError> {
-    let out = extend_delta(index, old, new, staleness_depth, threads)?;
-    Ok((out.index, out.stats))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -202,7 +187,8 @@ mod tests {
         let p = params();
         let idx_old = TopKIndex::build_with(&old, &p, Diagonal::paper_default(p.c), 9, 2);
         // Full-fidelity extension: dilate staleness the whole walk horizon.
-        let (extended, stats) = extend_appended(&idx_old, &old, &new, p.t - 1, 2).unwrap();
+        let ExtendOutcome { index: extended, stats, .. } =
+            extend_delta(&idx_old, &old, &new, p.t - 1, 2).unwrap();
         let rebuilt = TopKIndex::build_with(&new, &p, Diagonal::paper_default(p.c), 9, 2);
         assert_eq!(extended.gamma, rebuilt.gamma);
         assert_eq!(extended.candidates, rebuilt.candidates);
@@ -276,7 +262,7 @@ mod tests {
         let new = build_graph(110, &[(105, 101), (106, 101), (107, 102)]);
         let p = params();
         let idx_old = TopKIndex::build_with(&old, &p, Diagonal::paper_default(p.c), 4, 2);
-        let (_, stats) = extend_appended(&idx_old, &old, &new, 0, 2).unwrap();
+        let stats = extend_delta(&idx_old, &old, &new, 0, 2).unwrap().stats;
         assert_eq!(stats.appended, 10);
         // build_graph wires 100..110 to u/2, u/3 ∈ old — those targets gain
         // in-links, so some old vertices are dirty; at depth 0 the clean
@@ -291,7 +277,7 @@ mod tests {
         let p = params();
         let idx = TopKIndex::build_with(&old, &p, Diagonal::paper_default(p.c), 1, 1);
         assert_eq!(
-            extend_appended(&idx, &old, &new, 3, 1).unwrap_err(),
+            extend_delta(&idx, &old, &new, 3, 1).unwrap_err(),
             ExtendError::Shrunk { index_n: 50, graph_n: 40 }
         );
     }
@@ -301,7 +287,7 @@ mod tests {
         let g = build_graph(80, &[]);
         let p = params();
         let idx = TopKIndex::build_with(&g, &p, Diagonal::paper_default(p.c), 2, 2);
-        let (same, stats) = extend_appended(&idx, &g, &g, p.t, 2).unwrap();
+        let ExtendOutcome { index: same, stats, .. } = extend_delta(&idx, &g, &g, p.t, 2).unwrap();
         assert_eq!(stats, ExtendStats { appended: 0, dirty: 0, reused: 80 });
         assert_eq!(same.gamma, idx.gamma);
         assert_eq!(same.candidates, idx.candidates);

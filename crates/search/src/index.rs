@@ -33,12 +33,10 @@ const BUILD_CHUNK: usize = 256;
 /// The candidate index: bipartite graph `H` in CSR form, both directions.
 ///
 /// Both sides are [`srs_graph::storage::SharedSlice`]s — owned when
-/// built, zero-copy views when loaded from a snapshot bundle that
-/// persists them (bundles written before the inverted sections existed
-/// re-derive the inverted side on load, which stays owned). Under
-/// sharded serving the forward side is the *global* map while the
-/// inverted side holds only the holders inside this shard's vertex
-/// range, so per-shard candidate sets partition the global one.
+/// built, zero-copy views when loaded from a bundle. Under sharded
+/// serving the forward side is the *global* map while the inverted side
+/// holds only the holders inside this shard's vertex range, so
+/// per-shard candidate sets partition the global one.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CandidateIndex {
     n: u32,
@@ -332,9 +330,16 @@ impl CandidateIndex {
         (&self.inv_offsets, &self.inv_entries)
     }
 
-    /// Rebuilds from persisted forward CSR (the inverted side is
-    /// re-derived). The forward arrays may be owned vectors or zero-copy
-    /// snapshot views.
+    /// This index with the inverted side re-derived over every vertex:
+    /// one shard's index widened back to the whole index. The forward
+    /// arrays are shared, not copied.
+    pub(crate) fn unsharded(&self) -> Self {
+        Self::from_raw_parts(self.n, self.offsets.clone(), self.entries.clone())
+    }
+
+    /// Rebuilds from a forward CSR (the inverted side is re-derived).
+    /// The forward arrays may be owned vectors or zero-copy snapshot
+    /// views.
     pub(crate) fn from_raw_parts(
         n: u32,
         offsets: impl Into<srs_graph::storage::SharedSlice<u64>>,
@@ -445,7 +450,7 @@ impl SeenStamps {
 }
 
 /// Builds the inverted CSR (signature → holders) by counting sort.
-fn invert(n: usize, offsets: &[u64], entries: &[VertexId]) -> (Vec<u64>, Vec<VertexId>) {
+pub(crate) fn invert(n: usize, offsets: &[u64], entries: &[VertexId]) -> (Vec<u64>, Vec<VertexId>) {
     let mut counts = vec![0u64; n];
     for &w in entries {
         counts[w as usize] += 1;

@@ -15,8 +15,8 @@
 //! | Algorithm 5 — pruned, adaptively-sampled top-k query | [`topk`] |
 //! | parallel, cached, hot-swappable serving over 1..N shards | [`engine`] |
 //! | §2.2 — similarity search for *all* vertices | [`all_vertices`] |
-//! | index persistence (`O(n)` preprocess artifacts) | [`persist`] |
-//! | snapshot bundles (graph + index, zero-copy; optionally sharded) | [`snapshot`] |
+//! | the on-disk index layout (`O(n)` preprocess artifacts, 1..N shards) | [`persist`] |
+//! | snapshot bundles (graph + index, zero-copy) | [`snapshot`] |
 //! | incremental maintenance + delta snapshot chains | [`extend`], [`chain`] |
 //! | validation against the deterministic solver | [`validate`] |
 //! | serving metrics, stage timers, explain traces | [`obs`] |
@@ -45,7 +45,7 @@ pub mod validate;
 
 pub use chain::{build_delta, compact_chain, load_chain, BuiltDelta, ChainInfo, DeltaHeader};
 pub use engine::{AppliedDelta, BatchResult, LatencySummary, ServingEngine, WaveOutcome, WaveQuery};
-pub use extend::{extend_appended, extend_delta, ExtendError, ExtendOutcome, ExtendStats};
+pub use extend::{extend_delta, ExtendError, ExtendOutcome, ExtendStats};
 pub use index::SeenStamps;
 pub use obs::{BuildObs, ServingMetrics, StageTimings};
 pub use single_pair::{SinglePairEstimator, WaveEstimator};

@@ -1,25 +1,35 @@
-//! Binary persistence of the preprocess artifact.
+//! The on-disk index layout.
 //!
 //! The whole point of the paper's `O(n)` preprocess is to pay it once per
-//! graph; this module snapshots a [`TopKIndex`] (parameters, diagonal,
+//! graph; this module persists a [`TopKIndex`] (parameters, diagonal,
 //! γ table, candidate index) so the query phase can start instantly on
-//! reload. The artifact is a `SRSBNDL1` section bundle
-//! ([`srs_graph::container`]): the γ table and candidate CSR are bulk
-//! little-endian sections that load as zero-copy views, and every
-//! section is checksummed so corruption fails loudly at open time. The
-//! inverted candidate map is re-derived on load (cheaper than storing
-//! it).
+//! reload. There is one layout, the `i.*` and `s.*` sections of a
+//! `SRSBNDL1` bundle ([`srs_graph::container`]), whatever the shard
+//! count; an unsharded index is one shard:
 //!
-//! The legacy per-element `SRSIDX01` stream (deprecated) remains
-//! loadable: [`load`] switches on the magic. [`save`] always writes the
-//! bundle format.
+//! - **core** (`i.meta`, `i.diag` for per-vertex diagonals, `i.gamma`,
+//!   `i.cand_off`, `i.cand_ent`): parameters, the γ table, and the
+//!   global forward candidate map;
+//! - **one inverted slice per shard** (`i.sinv_off.{s}`,
+//!   `i.sinv_ent.{s}`): the inverted candidate map restricted to the
+//!   holders in shard `s`'s vertex range ([`shard_ranges`]);
+//! - **the manifest** ([`SEC_MANIFEST`]): each shard's vertex range and
+//!   the fingerprint of its two inverted sections.
+//!
+//! Hot arrays are bulk little-endian sections that load as zero-copy
+//! views, and every section is checksummed. [`add_index_sections`]
+//! writes the layout into any bundle, so a serving snapshot
+//! ([`crate::snapshot`]) is the union of a graph bundle and an index
+//! bundle; [`save`] writes an index-only bundle. [`index_shards_from_bundle`]
+//! is the one reader; [`index_from_bundle`] and [`load`] merge its shards
+//! into one index.
 
 use crate::bounds::GammaTable;
-use crate::index::CandidateIndex;
+use crate::index::{invert, CandidateIndex};
 use crate::topk::TopKIndex;
 use crate::{Diagonal, SimRankParams};
 use bytes::{Buf, BufMut};
-use srs_graph::container::{is_bundle, BundleError, BundleReader, BundleWriter};
+use srs_graph::container::{fold_fingerprints, BundleError, BundleReader, BundleWriter};
 use srs_graph::storage::SharedSlice;
 use srs_graph::{ValidationLevel, VertexId};
 use std::io::{Read, Write};
@@ -59,26 +69,27 @@ impl From<BundleError> for PersistError {
     }
 }
 
-/// Magic of the legacy per-element stream (pre-bundle). Readable forever
-/// via [`load`]'s version switch; no longer written by [`save`].
-pub const LEGACY_MAGIC: &[u8; 8] = b"SRSIDX01";
-
 const SEC_INDEX_META: &str = "i.meta";
 const SEC_DIAG: &str = "i.diag";
 const SEC_GAMMA: &str = "i.gamma";
 const SEC_CAND_OFFSETS: &str = "i.cand_off";
 const SEC_CAND_ENTRIES: &str = "i.cand_ent";
-/// Global inverted candidate map (signature → holders). Written since
-/// PR 9 so `mmap` loads skip the O(m) re-derivation; absent in older
-/// bundles (the loader falls back to re-deriving) and in sharded
-/// bundles (which carry per-shard inverted sections instead).
-const SEC_CAND_INV_OFFSETS: &str = "i.cinv_off";
-const SEC_CAND_INV_ENTRIES: &str = "i.cinv_ent";
+
+/// Tag of the shard manifest section.
+pub const SEC_MANIFEST: &str = "s.manifest";
+
+/// Manifest format version.
+const MANIFEST_VERSION: u32 = 1;
+
+/// Maximum shard count (keeps shard section tags within the container's
+/// 16-byte tag limit with margin).
+pub const MAX_SHARDS: u32 = 64;
 
 /// Tags of shard `s`'s inverted candidate sections.
-pub(crate) fn shard_inv_tags(s: u32) -> (String, String) {
+fn shard_inv_tags(s: u32) -> (String, String) {
     (format!("i.sinv_off.{s}"), format!("i.sinv_ent.{s}"))
 }
+
 /// c, theta, seed, uniform-diag (f64/u64 × 4), eight u32 params, n,
 /// gamma steps, diagonal tag, padding (u32 × 4).
 const INDEX_META_LEN: usize = 8 * 4 + 4 * 8 + 4 * 4;
@@ -86,21 +97,61 @@ const INDEX_META_LEN: usize = 8 * 4 + 4 * 8 + 4 * 4;
 const DIAG_UNIFORM: u32 = 0;
 const DIAG_PER_VERTEX: u32 = 1;
 
-/// Appends the index's sections (`i.*` tags) to a bundle under
-/// construction, including the global inverted candidate map. The
-/// inverse of [`index_from_bundle`]. Composes with
-/// [`srs_graph::Graph::add_bundle_sections`] to form a full serving
-/// snapshot in one file.
-pub fn add_index_sections(index: &TopKIndex, w: &mut BundleWriter) {
-    add_index_core_sections(index, w);
-    let (inv_offsets, inv_entries) = index.candidates.inv_raw_parts();
-    w.add_pod(SEC_CAND_INV_OFFSETS, inv_offsets);
-    w.add_pod(SEC_CAND_INV_ENTRIES, inv_entries);
+/// The contiguous vertex ranges `shards` shards split `0..n` into
+/// (near-equal vertex counts; shard `s` owns `[s·n/N, (s+1)·n/N)`).
+pub fn shard_ranges(n: u32, shards: u32) -> Vec<(VertexId, VertexId)> {
+    let (n64, s64) = (n as u64, shards as u64);
+    (0..s64).map(|s| (((s * n64) / s64) as u32, (((s + 1) * n64) / s64) as u32)).collect()
 }
 
-/// The index sections minus the inverted map — what a sharded bundle
-/// stores globally (each shard carries its own inverted slice instead).
-pub(crate) fn add_index_core_sections(index: &TopKIndex, w: &mut BundleWriter) {
+/// Appends the index layout to a bundle under construction: the core
+/// sections, one inverted slice per shard of [`shard_ranges`]`(n,
+/// shards)`, and the manifest. The inverse of
+/// [`index_shards_from_bundle`]. Composes with
+/// [`srs_graph::Graph::add_bundle_sections`] to form a serving snapshot
+/// in one file. Errors on a shard count outside `1..=`[`MAX_SHARDS`] or
+/// above the vertex count.
+pub fn add_index_sections(index: &TopKIndex, shards: u32, w: &mut BundleWriter) -> Result<(), PersistError> {
+    let cands = &index.candidates;
+    let n = cands.num_vertices();
+    if shards == 0 || shards > MAX_SHARDS {
+        return Err(PersistError::Format(format!("shard count {shards} outside 1..={MAX_SHARDS}")));
+    }
+    if shards > n.max(1) {
+        return Err(PersistError::Format(format!("{shards} shards for {n} vertices")));
+    }
+    add_core_sections(index, w);
+    let mut manifest = Vec::with_capacity(8 + shards as usize * 16);
+    manifest.put_u32_le(MANIFEST_VERSION);
+    manifest.put_u32_le(shards);
+    for (s, (lo, hi)) in shard_ranges(n, shards).into_iter().enumerate() {
+        let (off_tag, ent_tag) = shard_inv_tags(s as u32);
+        let restricted;
+        let (inv_offsets, inv_entries) = if (lo, hi) == (0, n) {
+            cands.inv_raw_parts()
+        } else {
+            restricted = cands.inverted_for_range(lo, hi);
+            (&restricted.0[..], &restricted.1[..])
+        };
+        w.add_pod(&off_tag, inv_offsets);
+        w.add_pod(&ent_tag, inv_entries);
+        // The shard fingerprint folds its sections' (tag, len, checksum)
+        // fingerprints — exactly what the loader recomputes from the
+        // section table, so a damaged manifest or a swapped shard
+        // section fails the cross-check in every verification mode.
+        let fp = fold_fingerprints(
+            [&off_tag, &ent_tag].map(|tag| w.section_fingerprint(tag).expect("section just added")),
+        );
+        manifest.put_u32_le(lo);
+        manifest.put_u32_le(hi);
+        manifest.put_u64_le(fp);
+    }
+    w.add_bytes(SEC_MANIFEST, 8, manifest);
+    Ok(())
+}
+
+/// The core sections: parameters, diagonal, γ table, forward map.
+fn add_core_sections(index: &TopKIndex, w: &mut BundleWriter) {
     let p = &index.params;
     let (diag_tag, uniform) = match &index.diag {
         Diagonal::Uniform(x) => (DIAG_UNIFORM, *x),
@@ -128,34 +179,84 @@ pub(crate) fn add_index_core_sections(index: &TopKIndex, w: &mut BundleWriter) {
     w.add_pod(SEC_CAND_ENTRIES, entries);
 }
 
-/// Reconstructs an index from the `i.*` sections of an opened bundle,
-/// borrowing the γ table and candidate CSR zero-copy from the bundle's
-/// buffer. Other sections (e.g. a snapshot's graph) are ignored.
-pub fn index_from_bundle(r: &BundleReader) -> Result<TopKIndex, PersistError> {
-    index_from_bundle_with(r, ValidationLevel::Deep)
-}
-
-/// [`index_from_bundle`] with an explicit validation level. Both levels
-/// run the shape/range scans that make the query path panic-free; only
-/// [`ValidationLevel::Deep`] additionally proves the persisted inverted
-/// map consistent with the forward map (by re-deriving and comparing).
-pub fn index_from_bundle_with(r: &BundleReader, level: ValidationLevel) -> Result<TopKIndex, PersistError> {
+/// Reads the index layout of an opened bundle as one index per shard, in
+/// vertex-range order, borrowing every array zero-copy from the bundle's
+/// buffer. The shards share the γ table, diagonal and forward candidate
+/// map; each holds its own inverted slice. Other sections (e.g. a
+/// snapshot's graph) are ignored.
+///
+/// Both validation levels check the manifest against the section table
+/// and run the shape/range scans that make the query path panic-free.
+/// [`ValidationLevel::Deep`] also derives the global inverted map from
+/// the forward map once and proves the shards' slices partition it
+/// exactly.
+pub fn index_shards_from_bundle(
+    r: &BundleReader,
+    level: ValidationLevel,
+) -> Result<Vec<TopKIndex>, PersistError> {
+    let manifest = parse_manifest(r.bytes(SEC_MANIFEST)?)?;
     let core = read_index_core(r)?;
-    let inverted = if r.has(SEC_CAND_INV_OFFSETS) {
-        let inv_offsets: SharedSlice<u64> = r.pod_slice(SEC_CAND_INV_OFFSETS)?;
-        let inv_entries: SharedSlice<VertexId> = r.pod_slice(SEC_CAND_INV_ENTRIES)?;
-        validate_inverted(core.n, &inv_offsets, &inv_entries, None, Some(core.entries.len() as u64))?;
-        Some((inv_offsets, inv_entries))
-    } else {
-        None // pre-PR-9 bundle: re-derive below
-    };
-    core.into_index(inverted, level)
+    let n = core.n;
+    validate_ranges(n, &manifest.ranges)?;
+    // Cross-check each shard's stored fingerprint against the section
+    // table before touching any shard payload: a damaged manifest (or a
+    // manifest pointing at swapped/resized shard sections) fails loudly
+    // with a named error in every verification mode, at O(shards) cost.
+    let table_fps = shard_table_fingerprints(r, manifest.ranges.len() as u32)?;
+    for (s, (&stored, &computed)) in manifest.fingerprints.iter().zip(&table_fps).enumerate() {
+        if stored != computed {
+            return Err(PersistError::Format(format!(
+                "section {SEC_MANIFEST:?}: shard {s} fingerprint mismatch \
+                 (stored {stored:#018x}, computed {computed:#018x})"
+            )));
+        }
+    }
+    let mut slices = Vec::with_capacity(manifest.ranges.len());
+    for (s, &range) in manifest.ranges.iter().enumerate() {
+        let (off_tag, ent_tag) = shard_inv_tags(s as u32);
+        let inv_offsets: SharedSlice<u64> = r.pod_slice(&off_tag)?;
+        let inv_entries: SharedSlice<VertexId> = r.pod_slice(&ent_tag)?;
+        validate_inverted(n, &inv_offsets, &inv_entries, range)?;
+        slices.push(ShardSlice { range, inv_offsets, inv_entries });
+    }
+    // The shard ranges tile the vertex space and each shard's entries
+    // were range-checked, so the shard maps are disjoint; equal totals
+    // therefore mean they cover as many entries as the forward map.
+    let inv_total: u64 = slices.iter().map(|s| s.inv_entries.len() as u64).sum();
+    if inv_total != core.entries.len() as u64 {
+        return Err(PersistError::Format(format!(
+            "inverted maps cover {inv_total} entries, forward map has {}",
+            core.entries.len()
+        )));
+    }
+    if level == ValidationLevel::Deep {
+        check_inverted_partition(&core, &slices)?;
+    }
+    Ok(slices.into_iter().map(|s| core.shard_index(s)).collect())
 }
 
-/// The shared `i.*` payloads of a bundle, parsed and shape-validated but
-/// not yet assembled into a [`TopKIndex`]. Sharded loading parses this
-/// once and assembles one index per shard from it.
-pub(crate) struct IndexCore {
+/// Reads the whole index of an opened bundle with
+/// [`ValidationLevel::Deep`]. A bundle of several shards is merged: the
+/// inverted map is re-derived over every vertex.
+pub fn index_from_bundle(r: &BundleReader) -> Result<TopKIndex, PersistError> {
+    let mut shards = index_shards_from_bundle(r, ValidationLevel::Deep)?;
+    let mut index = shards.swap_remove(0);
+    if !shards.is_empty() {
+        index.candidates = index.candidates.unsharded();
+    }
+    Ok(index)
+}
+
+/// One shard's inverted slice: the holders inside `range`.
+struct ShardSlice {
+    range: (VertexId, VertexId),
+    inv_offsets: SharedSlice<u64>,
+    inv_entries: SharedSlice<VertexId>,
+}
+
+/// The shared `i.*` payloads of a bundle, parsed and shape-validated; one
+/// index per shard is assembled from it.
+struct IndexCore {
     params: SimRankParams,
     seed: u64,
     diag: Diagonal,
@@ -167,62 +268,11 @@ pub(crate) struct IndexCore {
 }
 
 impl IndexCore {
-    /// Number of vertices the index covers.
-    pub(crate) fn num_vertices(&self) -> u32 {
-        self.n
-    }
-
-    /// Assembles a [`TopKIndex`], re-deriving the inverted map when
-    /// `inverted` is `None` and (at [`ValidationLevel::Deep`]) proving a
-    /// supplied inverted map consistent with the forward map.
-    fn into_index(
-        self,
-        inverted: Option<(SharedSlice<u64>, SharedSlice<VertexId>)>,
-        level: ValidationLevel,
-    ) -> Result<TopKIndex, PersistError> {
-        let candidates = match inverted {
-            None => CandidateIndex::from_raw_parts(self.n, self.offsets, self.entries),
-            Some((inv_offsets, inv_entries)) => {
-                let idx = CandidateIndex::from_parts_with_inverted(
-                    self.n,
-                    self.offsets,
-                    self.entries,
-                    inv_offsets,
-                    inv_entries,
-                    (0, self.n),
-                );
-                if level == ValidationLevel::Deep {
-                    let (n, off, ent) = idx.raw_parts();
-                    let rebuilt = CandidateIndex::from_raw_parts(n, off.to_vec(), ent.to_vec());
-                    if rebuilt.inv_raw_parts() != idx.inv_raw_parts() {
-                        return Err(PersistError::Format(
-                            "inverted candidate map inconsistent with forward map".into(),
-                        ));
-                    }
-                }
-                idx
-            }
-        };
-        Ok(TopKIndex {
-            params: self.params,
-            diag: self.diag,
-            gamma: GammaTable::from_raw(self.steps, self.gamma),
-            candidates,
-            seed: self.seed,
-        })
-    }
-
-    /// Assembles a shard's index: the global forward map plus this
-    /// shard's inverted slice, which holds the vertices of `range`. The
-    /// inverted side must already be validated (see
+    /// Assembles a shard's index: the global forward map plus the
+    /// shard's inverted slice. The slice must already be validated (see
     /// [`validate_inverted`]); clones of the shared slices are O(1)
     /// `Arc` bumps.
-    pub(crate) fn shard_index(
-        &self,
-        inv_offsets: SharedSlice<u64>,
-        inv_entries: SharedSlice<VertexId>,
-        range: (VertexId, VertexId),
-    ) -> TopKIndex {
+    fn shard_index(&self, shard: ShardSlice) -> TopKIndex {
         TopKIndex {
             params: self.params.clone(),
             diag: self.diag.clone(),
@@ -231,18 +281,59 @@ impl IndexCore {
                 self.n,
                 self.offsets.clone(),
                 self.entries.clone(),
-                inv_offsets,
-                inv_entries,
-                range,
+                shard.inv_offsets,
+                shard.inv_entries,
+                shard.range,
             ),
             seed: self.seed,
         }
     }
+
+    /// Shape/range scans of the core: a corrupted artifact must error
+    /// here, not panic later.
+    fn validate(&self) -> Result<(), PersistError> {
+        let (n, steps, gamma, offsets, entries) =
+            (self.n, self.steps, &self.gamma, &self.offsets, &self.entries);
+        if steps == 0 || !gamma.len().is_multiple_of(steps as usize) {
+            return Err(PersistError::Format("gamma shape mismatch".into()));
+        }
+        if gamma.len() / steps as usize != n as usize {
+            return Err(PersistError::Format(format!(
+                "gamma covers {} vertices, candidate index {n}",
+                gamma.len() / steps as usize
+            )));
+        }
+        if offsets.len() != n as usize + 1 {
+            return Err(PersistError::Format("offsets shape mismatch".into()));
+        }
+        if offsets.last().copied().unwrap_or(0) != entries.len() as u64 {
+            return Err(PersistError::Format("entry count mismatch".into()));
+        }
+        if offsets[0] != 0 || offsets.windows(2).any(|w| w[0] > w[1]) {
+            return Err(PersistError::Format("offsets not monotone".into()));
+        }
+        if entries.iter().any(|&e| e >= n) {
+            return Err(PersistError::Format("candidate entry out of range".into()));
+        }
+        if !self.params.is_valid() {
+            return Err(PersistError::Format("parameters out of range".into()));
+        }
+        match &self.diag {
+            Diagonal::PerVertex(v) if v.len() != n as usize => Err(PersistError::Format(format!(
+                "per-vertex diagonal covers {} vertices, index {n}",
+                v.len()
+            ))),
+            Diagonal::PerVertex(v) if v.iter().any(|x| !x.is_finite()) => {
+                Err(PersistError::Format("non-finite diagonal".into()))
+            }
+            Diagonal::Uniform(x) if !x.is_finite() => Err(PersistError::Format("non-finite diagonal".into())),
+            _ => Ok(()),
+        }
+    }
 }
 
-/// Parses and shape-validates the shared `i.*` sections (everything but
-/// the inverted map).
-pub(crate) fn read_index_core(r: &BundleReader) -> Result<IndexCore, PersistError> {
+/// Parses and shape-validates the core sections.
+fn read_index_core(r: &BundleReader) -> Result<IndexCore, PersistError> {
     let meta = r.bytes(SEC_INDEX_META)?;
     if meta.len() != INDEX_META_LEN {
         return Err(PersistError::Format(format!(
@@ -277,25 +368,29 @@ pub(crate) fn read_index_core(r: &BundleReader) -> Result<IndexCore, PersistErro
         }
         other => return Err(PersistError::Format(format!("unknown diagonal tag {other}"))),
     };
-    let gamma: SharedSlice<f32> = r.pod_slice(SEC_GAMMA)?;
-    let offsets: SharedSlice<u64> = r.pod_slice(SEC_CAND_OFFSETS)?;
-    let entries: SharedSlice<VertexId> = r.pod_slice(SEC_CAND_ENTRIES)?;
-    validate_core(&params, &seed, &diag, steps, &gamma, n, &offsets, &entries)?;
-    Ok(IndexCore { params, seed, diag, steps, gamma, n, offsets, entries })
+    let core = IndexCore {
+        params,
+        seed,
+        diag,
+        steps,
+        gamma: r.pod_slice(SEC_GAMMA)?,
+        n,
+        offsets: r.pod_slice(SEC_CAND_OFFSETS)?,
+        entries: r.pod_slice(SEC_CAND_ENTRIES)?,
+    };
+    core.validate()?;
+    Ok(core)
 }
 
-/// Shape/range scans making every query-path access of a persisted
+/// Shape/range scans making every query-path access of a shard's
 /// inverted CSR bounds-proven: offsets cover `n + 1` slots, start at 0,
 /// grow monotonically, end at the entry count, and every entry names a
-/// real vertex (and stays inside `range` when the map is one shard's
-/// slice). `expect_total` pins the entry count for the *global* map,
-/// where it must equal the forward entry count.
+/// vertex inside the shard's `range`.
 fn validate_inverted(
     n: u32,
     inv_offsets: &[u64],
     inv_entries: &[VertexId],
-    range: Option<(VertexId, VertexId)>,
-    expect_total: Option<u64>,
+    (lo, hi): (VertexId, VertexId),
 ) -> Result<(), PersistError> {
     if inv_offsets.len() != n as usize + 1 {
         return Err(PersistError::Format("inverted offsets shape mismatch".into()));
@@ -306,271 +401,124 @@ fn validate_inverted(
     if inv_offsets[n as usize] != inv_entries.len() as u64 {
         return Err(PersistError::Format("inverted entry count mismatch".into()));
     }
-    if let Some(total) = expect_total {
-        if inv_entries.len() as u64 != total {
-            return Err(PersistError::Format(format!(
-                "inverted map has {} entries, forward map {total}",
-                inv_entries.len()
-            )));
-        }
-    }
-    let (lo, hi) = range.unwrap_or((0, n));
     if inv_entries.iter().any(|&v| v < lo || v >= hi) {
         return Err(PersistError::Format("inverted entry out of range".into()));
     }
     Ok(())
 }
 
-/// Loads shard `s`'s inverted sections, validated against its vertex
-/// range.
-pub(crate) fn shard_inverted_from_bundle(
-    r: &BundleReader,
-    s: u32,
-    n: u32,
-    range: (VertexId, VertexId),
-) -> Result<(SharedSlice<u64>, SharedSlice<VertexId>), PersistError> {
-    let (off_tag, ent_tag) = shard_inv_tags(s);
-    let inv_offsets: SharedSlice<u64> = r.pod_slice(&off_tag)?;
-    let inv_entries: SharedSlice<VertexId> = r.pod_slice(&ent_tag)?;
-    validate_inverted(n, &inv_offsets, &inv_entries, Some(range), None)?;
-    Ok((inv_offsets, inv_entries))
+/// The deep check: derives the global inverted map from the forward map
+/// and proves that, signature by signature, the shards' holder lists
+/// concatenated in range order equal it. With the range checks already
+/// done, that makes each shard's slice exactly its range's share.
+fn check_inverted_partition(core: &IndexCore, slices: &[ShardSlice]) -> Result<(), PersistError> {
+    let mismatch = |w: usize| {
+        PersistError::Format(format!("inverted candidate map inconsistent with forward map at {w}"))
+    };
+    let (inv_offsets, inv_entries) = invert(core.n as usize, &core.offsets, &core.entries);
+    for w in 0..core.n as usize {
+        let mut want = &inv_entries[inv_offsets[w] as usize..inv_offsets[w + 1] as usize];
+        for s in slices {
+            let held = &s.inv_entries[s.inv_offsets[w] as usize..s.inv_offsets[w + 1] as usize];
+            want = want.strip_prefix(held).ok_or_else(|| mismatch(w))?;
+        }
+        if !want.is_empty() {
+            return Err(mismatch(w));
+        }
+    }
+    Ok(())
 }
 
-/// Serializes the index as a `SRSBNDL1` bundle.
+struct Manifest {
+    ranges: Vec<(VertexId, VertexId)>,
+    fingerprints: Vec<u64>,
+}
+
+fn parse_manifest(bytes: &[u8]) -> Result<Manifest, PersistError> {
+    let fail = |m: &str| PersistError::Format(format!("section {SEC_MANIFEST:?}: {m}"));
+    if bytes.len() < 8 {
+        return Err(fail("truncated header"));
+    }
+    let mut buf = bytes;
+    let version = buf.get_u32_le();
+    if version != MANIFEST_VERSION {
+        return Err(fail(&format!("unsupported manifest version {version}")));
+    }
+    let count = buf.get_u32_le();
+    if count == 0 || count > MAX_SHARDS {
+        return Err(fail(&format!("shard count {count} outside 1..={MAX_SHARDS}")));
+    }
+    let expect = 8 + count as usize * 16;
+    if bytes.len() != expect {
+        return Err(fail(&format!("{} bytes for {count} shards, expected {expect}", bytes.len())));
+    }
+    let mut ranges = Vec::with_capacity(count as usize);
+    let mut fingerprints = Vec::with_capacity(count as usize);
+    for _ in 0..count {
+        ranges.push((buf.get_u32_le(), buf.get_u32_le()));
+        fingerprints.push(buf.get_u64_le());
+    }
+    Ok(Manifest { ranges, fingerprints })
+}
+
+/// Shard ranges must tile `[0, n)` contiguously in order — anything
+/// else would silently drop or double-count candidates.
+pub(crate) fn validate_ranges(n: u32, ranges: &[(VertexId, VertexId)]) -> Result<(), PersistError> {
+    let fail = |m: String| PersistError::Format(format!("section {SEC_MANIFEST:?}: {m}"));
+    let mut cursor = 0u32;
+    for (s, &(lo, hi)) in ranges.iter().enumerate() {
+        if lo != cursor || hi < lo || hi > n {
+            return Err(fail(format!("shard {s} range {lo}..{hi} does not tile 0..{n}")));
+        }
+        cursor = hi;
+    }
+    if cursor != n {
+        return Err(fail(format!("shard ranges end at {cursor}, graph has {n} vertices")));
+    }
+    Ok(())
+}
+
+/// Computes each shard's fingerprint from the section *table* (tags,
+/// lengths, stored checksums — no payload reads): the fold of its two
+/// inverted sections' fingerprints, in tag order `off` then `ent`.
+fn shard_table_fingerprints(r: &BundleReader, shards: u32) -> Result<Vec<u64>, PersistError> {
+    let fp_of = |tag: &str| -> Result<u64, PersistError> {
+        for i in 0..r.num_sections() {
+            if r.section_tag(i) == Some(tag) {
+                return Ok(r.section_fingerprint_at(i).expect("section index in range"));
+            }
+        }
+        Err(PersistError::Format(format!("missing section {tag:?}")))
+    };
+    (0..shards)
+        .map(|s| {
+            let (off_tag, ent_tag) = shard_inv_tags(s);
+            Ok(fold_fingerprints([fp_of(&off_tag)?, fp_of(&ent_tag)?]))
+        })
+        .collect()
+}
+
+/// Serializes the index as a one-shard `SRSBNDL1` index bundle.
 pub fn save<W: Write>(index: &TopKIndex, w: W) -> Result<(), PersistError> {
     let mut bundle = BundleWriter::new();
-    add_index_sections(index, &mut bundle);
-    bundle.write_to(w).map_err(PersistError::from)
+    add_index_sections(index, 1, &mut bundle)?;
+    Ok(bundle.write_to(w)?)
 }
 
-/// Deserializes an index, sniffing the format from the magic: `SRSBNDL1`
-/// bundles load as bulk sections (zero-copy), legacy `SRSIDX01` streams
-/// decode through the original per-element path.
+/// Deserializes an index from any bundle carrying the index layout (an
+/// index bundle or a serving snapshot); see [`index_from_bundle`]. Any
+/// other input is a [`PersistError::Format`] error.
 pub fn load<R: Read>(mut r: R) -> Result<TopKIndex, PersistError> {
     let mut raw = Vec::new();
     r.read_to_end(&mut raw)?;
-    if is_bundle(&raw) {
-        let reader = BundleReader::open(raw)?;
-        return index_from_bundle(&reader);
-    }
-    if raw.len() >= 8 && &raw[..8] == LEGACY_MAGIC {
-        return load_legacy(&raw);
-    }
-    Err(PersistError::Format("bad magic".into()))
-}
-
-/// Structural validation shared by the bundle and legacy load paths,
-/// then assembly (re-deriving the inverted map). A corrupted artifact
-/// must error here, not panic later.
-#[allow(clippy::too_many_arguments)]
-fn assemble(
-    params: SimRankParams,
-    seed: u64,
-    diag: Diagonal,
-    steps: u32,
-    gamma: SharedSlice<f32>,
-    n: u32,
-    offsets: SharedSlice<u64>,
-    entries: SharedSlice<VertexId>,
-) -> Result<TopKIndex, PersistError> {
-    validate_core(&params, &seed, &diag, steps, &gamma, n, &offsets, &entries)?;
-    let gamma = GammaTable::from_raw(steps, gamma);
-    let candidates = CandidateIndex::from_raw_parts(n, offsets, entries);
-    Ok(TopKIndex { params, diag, gamma, candidates, seed })
-}
-
-/// The shape/range scans behind [`assemble`] and [`read_index_core`].
-#[allow(clippy::too_many_arguments)]
-fn validate_core(
-    params: &SimRankParams,
-    _seed: &u64,
-    diag: &Diagonal,
-    steps: u32,
-    gamma: &SharedSlice<f32>,
-    n: u32,
-    offsets: &SharedSlice<u64>,
-    entries: &SharedSlice<VertexId>,
-) -> Result<(), PersistError> {
-    if steps == 0 || !gamma.len().is_multiple_of(steps as usize) {
-        return Err(PersistError::Format("gamma shape mismatch".into()));
-    }
-    if gamma.len() / steps as usize != n as usize {
-        return Err(PersistError::Format(format!(
-            "gamma covers {} vertices, candidate index {n}",
-            gamma.len() / steps as usize
-        )));
-    }
-    if offsets.len() != n as usize + 1 {
-        return Err(PersistError::Format("offsets shape mismatch".into()));
-    }
-    if offsets.last().copied().unwrap_or(0) != entries.len() as u64 {
-        return Err(PersistError::Format("entry count mismatch".into()));
-    }
-    if offsets[0] != 0 || offsets.windows(2).any(|w| w[0] > w[1]) {
-        return Err(PersistError::Format("offsets not monotone".into()));
-    }
-    if entries.iter().any(|&e| e >= n) {
-        return Err(PersistError::Format("candidate entry out of range".into()));
-    }
-    if !params.is_valid() {
-        return Err(PersistError::Format("parameters out of range".into()));
-    }
-    match &diag {
-        Diagonal::PerVertex(v) if v.len() != n as usize => {
-            return Err(PersistError::Format(format!(
-                "per-vertex diagonal covers {} vertices, index {n}",
-                v.len()
-            )));
-        }
-        Diagonal::PerVertex(v) if v.iter().any(|x| !x.is_finite()) => {
-            return Err(PersistError::Format("non-finite diagonal".into()));
-        }
-        Diagonal::Uniform(x) if !x.is_finite() => {
-            return Err(PersistError::Format("non-finite diagonal".into()));
-        }
-        _ => {}
-    }
-    Ok(())
-}
-
-/// Writes the **legacy** `SRSIDX01` per-element stream.
-///
-/// Deprecated in favour of the bundle format emitted by [`save`];
-/// retained so the legacy read path stays exercised by tests.
-pub fn save_legacy<W: Write>(index: &TopKIndex, mut w: W) -> Result<(), PersistError> {
-    let mut buf = Vec::new();
-    buf.put_slice(LEGACY_MAGIC);
-    // Parameters.
-    let p = &index.params;
-    buf.put_f64_le(p.c);
-    buf.put_u32_le(p.t);
-    buf.put_u32_le(p.r_refine);
-    buf.put_u32_le(p.r_coarse);
-    buf.put_u32_le(p.r_bounds);
-    buf.put_u32_le(p.r_gamma);
-    buf.put_u32_le(p.index_reps);
-    buf.put_u32_le(p.index_walks);
-    buf.put_u32_le(p.d_max);
-    buf.put_f64_le(p.theta);
-    buf.put_u64_le(index.seed);
-    // Diagonal.
-    match &index.diag {
-        Diagonal::Uniform(x) => {
-            buf.put_u8(0);
-            buf.put_f64_le(*x);
-        }
-        Diagonal::PerVertex(v) => {
-            buf.put_u8(1);
-            buf.put_u64_le(v.len() as u64);
-            for &x in v.iter() {
-                buf.put_f64_le(x);
-            }
-        }
-    }
-    // Gamma table.
-    let gamma = index.gamma.raw();
-    buf.put_u32_le(index.gamma.steps());
-    buf.put_u64_le(gamma.len() as u64);
-    for &x in gamma {
-        buf.put_f32_le(x);
-    }
-    // Candidate index (forward CSR only).
-    let (n, offsets, entries) = index.candidates.raw_parts();
-    buf.put_u32_le(n);
-    buf.put_u64_le(offsets.len() as u64);
-    for &o in offsets {
-        buf.put_u64_le(o);
-    }
-    buf.put_u64_le(entries.len() as u64);
-    for &e in entries {
-        buf.put_u32_le(e);
-    }
-    w.write_all(&buf)?;
-    Ok(())
-}
-
-/// Decodes the legacy `SRSIDX01` per-element stream (magic already
-/// sniffed by [`load`]).
-fn load_legacy(raw: &[u8]) -> Result<TopKIndex, PersistError> {
-    let mut buf = raw;
-    let need = |buf: &&[u8], n: usize| -> Result<(), PersistError> {
-        if buf.remaining() < n {
-            Err(PersistError::Format("truncated stream".into()))
-        } else {
-            Ok(())
-        }
-    };
-    // Length fields are untrusted: multiply with overflow checking so a
-    // corrupted count can never wrap past the truncation check and reach
-    // an allocation.
-    let span = |count: usize, width: usize| -> Result<usize, PersistError> {
-        count.checked_mul(width).ok_or_else(|| PersistError::Format("length overflow".into()))
-    };
-    buf.advance(8); // magic, validated by the caller
-    need(&buf, 8 + 4 * 9 + 8 + 8 + 1)?;
-    let params = SimRankParams {
-        c: buf.get_f64_le(),
-        t: buf.get_u32_le(),
-        r_refine: buf.get_u32_le(),
-        r_coarse: buf.get_u32_le(),
-        r_bounds: buf.get_u32_le(),
-        r_gamma: buf.get_u32_le(),
-        index_reps: buf.get_u32_le(),
-        index_walks: buf.get_u32_le(),
-        d_max: buf.get_u32_le(),
-        theta: buf.get_f64_le(),
-    };
-    let seed = buf.get_u64_le();
-    let diag = match buf.get_u8() {
-        0 => {
-            need(&buf, 8)?;
-            Diagonal::Uniform(buf.get_f64_le())
-        }
-        1 => {
-            need(&buf, 8)?;
-            let len = buf.get_u64_le() as usize;
-            need(&buf, span(len, 8)?)?;
-            let mut v = Vec::with_capacity(len);
-            for _ in 0..len {
-                v.push(buf.get_f64_le());
-            }
-            Diagonal::PerVertex(std::sync::Arc::new(v))
-        }
-        other => return Err(PersistError::Format(format!("unknown diagonal tag {other}"))),
-    };
-    need(&buf, 12)?;
-    let steps = buf.get_u32_le();
-    let glen = buf.get_u64_le() as usize;
-    need(&buf, span(glen, 4)?)?;
-    let mut gamma = Vec::with_capacity(glen);
-    for _ in 0..glen {
-        gamma.push(buf.get_f32_le());
-    }
-    need(&buf, 12)?;
-    let n = buf.get_u32_le();
-    let olen = buf.get_u64_le() as usize;
-    if olen != n as usize + 1 {
-        return Err(PersistError::Format("offsets shape mismatch".into()));
-    }
-    need(&buf, span(olen, 8)?)?;
-    let mut offsets = Vec::with_capacity(olen);
-    for _ in 0..olen {
-        offsets.push(buf.get_u64_le());
-    }
-    need(&buf, 8)?;
-    let elen = buf.get_u64_le() as usize;
-    need(&buf, span(elen, 4)?)?;
-    let mut entries = Vec::with_capacity(elen);
-    for _ in 0..elen {
-        entries.push(buf.get_u32_le());
-    }
-    assemble(params, seed, diag, steps, gamma.into(), n, offsets.into(), entries.into())
+    index_from_bundle(&BundleReader::open(raw)?)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::topk::QueryOptions;
+    use srs_graph::container::is_bundle;
     use srs_graph::gen;
 
     fn build_index(g: &srs_graph::Graph) -> TopKIndex {
@@ -592,6 +540,7 @@ mod tests {
             assert_eq!(a.hits, b.hits, "u={u}");
         }
         assert_eq!(idx.params, *back.params());
+        assert_eq!(idx.candidates, back.candidates);
     }
 
     #[test]
@@ -610,27 +559,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_stream_still_loads() {
-        let g = gen::copying_web(100, 4, 0.8, 7);
-        let idx = build_index(&g);
-        let mut legacy = Vec::new();
-        save_legacy(&idx, &mut legacy).unwrap();
-        assert_eq!(&legacy[..8], LEGACY_MAGIC);
-        let back = load(&legacy[..]).unwrap();
-        for u in [4u32, 55] {
-            let a = idx.query(&g, u, 5, &QueryOptions::default());
-            let b = back.query(&g, u, 5, &QueryOptions::default());
-            assert_eq!(a.hits, b.hits, "u={u}");
-        }
-        // Both formats reconstruct the same index.
-        let mut bundle = Vec::new();
-        save(&idx, &mut bundle).unwrap();
-        let via_bundle = load(&bundle[..]).unwrap();
-        assert_eq!(via_bundle.candidates, back.candidates);
-        assert_eq!(via_bundle.gamma, back.gamma);
-    }
-
-    #[test]
     fn rejects_corruption() {
         let g = gen::erdos_renyi(30, 90, 1);
         let idx = build_index(&g);
@@ -641,17 +569,6 @@ mod tests {
         bad[3] ^= 0xFF;
         assert!(matches!(load(&bad[..]), Err(PersistError::Format(_))));
         // Truncation at arbitrary points must error, never panic.
-        for cut in [10, 60, buf.len() / 2, buf.len() - 2] {
-            assert!(load(&buf[..cut]).is_err(), "cut={cut}");
-        }
-    }
-
-    #[test]
-    fn legacy_rejects_corruption() {
-        let g = gen::erdos_renyi(30, 90, 1);
-        let idx = build_index(&g);
-        let mut buf = Vec::new();
-        save_legacy(&idx, &mut buf).unwrap();
         for cut in [10, 60, buf.len() / 2, buf.len() - 2] {
             assert!(load(&buf[..cut]).is_err(), "cut={cut}");
         }

@@ -1,57 +1,40 @@
 //! Serving snapshots: graph + index as one zero-copy artifact.
 //!
 //! A snapshot is a single `SRSBNDL1` bundle ([`srs_graph::container`])
-//! carrying both the graph's `g.*` sections and the index's `i.*`
-//! sections. [`pack`] writes one from in-memory objects; [`Dataset::load`]
-//! reads one back with a single bulk read — every hot array becomes a
+//! carrying both the graph's `g.*` sections and the index layout of
+//! [`crate::persist`] (core sections, one inverted slice per shard, and
+//! the shard manifest). [`pack`] writes one from in-memory objects for
+//! any shard count — unsharded is one shard; [`Dataset::load`] reads
+//! one back with a single bulk read — every hot array becomes a
 //! zero-copy view into the one shared buffer, so startup cost is I/O plus
 //! checksums, not Monte-Carlo work. Because section readers ignore tags
-//! they don't know, a snapshot also loads anywhere a graph bundle does
-//! (e.g. `srs_graph::io::read_binary`).
+//! they don't know, a snapshot also loads anywhere a graph bundle or an
+//! index bundle does (`srs_graph::io::read_binary`,
+//! [`crate::persist::load`]).
 //!
 //! [`load_snapshot`] is the serving entry point: [`LoadOptions`] selects
-//! the backing (heap read vs `mmap`) and verification mode. An `mmap`
-//! load without `verify_on_load` is O(sections): structural table checks
+//! the backing (heap read vs `mmap`) and verification mode, and the
+//! shard list it returns holds one [`Dataset`] per shard (all sharing
+//! the one graph and the global forward candidate map). An `mmap` load
+//! without `verify_on_load` is O(sections): structural table checks
 //! plus cheap word-wide shape/range scans (which guarantee the query
 //! path cannot panic, whatever the bytes say), with checksums deferred
 //! to a [`SnapshotVerifier`] the server runs on a background thread.
-//!
-//! Bundles packed with [`pack_sharded`] additionally carry per-shard
-//! inverted candidate sections and a `s.manifest` section mapping shard
-//! → vertex range + fingerprint. [`load_snapshot`] always returns a
-//! shard list: one [`Dataset`] for a plain bundle, one per shard for a
-//! sharded one (all sharing the one graph and the global forward
-//! candidate map).
 //!
 //! [`Dataset`] is the per-shard unit the serving layer owns and swaps:
 //! an `Arc<Graph>` + `Arc<TopKIndex>` pair that clones in O(1), so an
 //! engine can atomically replace its shards while in-flight batches keep
 //! the old ones alive (see [`crate::engine::ServingEngine`]).
 
-use crate::persist::{
-    add_index_core_sections, add_index_sections, index_from_bundle_with, read_index_core, shard_inv_tags,
-    shard_inverted_from_bundle, PersistError,
-};
+use crate::persist::{add_index_sections, index_from_bundle, index_shards_from_bundle, PersistError};
 use crate::topk::TopKIndex;
-use srs_graph::container::{
-    fnv1a64, fold_fingerprints, section_fingerprint, BundleReader, BundleWriter, VerifyMode,
-};
-use srs_graph::storage::{encode_pod, BundleBuf};
-use srs_graph::{Graph, MemoryProfile, ValidationLevel, VertexId};
+use srs_graph::container::{BundleReader, BundleWriter, VerifyMode};
+use srs_graph::storage::BundleBuf;
+use srs_graph::{Graph, MemoryProfile, ValidationLevel};
 use std::io::Write;
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
-
-/// Tag of the shard manifest section (present only in sharded bundles).
-pub const SEC_MANIFEST: &str = "s.manifest";
-
-/// Manifest format version.
-const MANIFEST_VERSION: u32 = 1;
-
-/// Maximum shard count [`pack_sharded`] accepts (keeps shard section
-/// tags within the container's 16-byte tag limit with margin).
-pub const MAX_SHARDS: u32 = 64;
 
 /// An immutable graph + index pair, shared via `Arc` so clones are O(1)
 /// and a serving engine can hand the same dataset to many threads (or
@@ -107,23 +90,22 @@ impl Dataset {
     }
 
     /// Loads a snapshot from bundle bytes (heap backing, eager
-    /// verification, deep validation — the classic path). A sharded
-    /// bundle loads too: the global forward candidate map is present,
-    /// so the inverted map is re-derived and the shard sections are
-    /// ignored. Returns the dataset plus [`SnapshotInfo`] load
-    /// statistics (for `srs-obs` gauges).
+    /// verification, deep validation) as one dataset: the shards of a
+    /// bundle of several are merged (see
+    /// [`crate::persist::index_from_bundle`]). Returns the dataset plus
+    /// [`SnapshotInfo`] load statistics (for `srs-obs` gauges).
     pub fn from_snapshot_bytes(bytes: Vec<u8>) -> Result<(Self, SnapshotInfo), PersistError> {
         let started = std::time::Instant::now();
         let reader = BundleReader::open_buf(BundleBuf::from(bytes), VerifyMode::Eager)?;
         let graph = Graph::from_bundle(&reader).map_err(|e| PersistError::Format(e.to_string()))?;
-        let index = index_from_bundle_with(&reader, ValidationLevel::Deep)?;
+        let index = index_from_bundle(&reader)?;
         let ds = Self::new(graph, index)?;
         let info = SnapshotInfo::from_load(&reader, ds.memory_profile(), 1, started.elapsed());
         Ok((ds, info))
     }
 
-    /// Loads a snapshot file written by [`pack`] (or [`pack_sharded`];
-    /// see [`Dataset::from_snapshot_bytes`]).
+    /// Loads a snapshot file written by [`pack`] (see
+    /// [`Dataset::from_snapshot_bytes`]).
     pub fn load<P: AsRef<Path>>(path: P) -> Result<(Self, SnapshotInfo), PersistError> {
         Self::from_snapshot_bytes(std::fs::read(path)?)
     }
@@ -236,11 +218,10 @@ impl std::fmt::Debug for SnapshotVerifier {
     }
 }
 
-/// Loads a snapshot for serving: backing and verification per `opts`,
-/// sharding auto-detected from the `s.manifest` section. Returns the
-/// shard list (one dataset for a plain bundle, in shard = vertex-range
-/// order otherwise), load statistics, and — for lazy `mmap` opens — the
-/// [`SnapshotVerifier`] to run in the background.
+/// Loads a snapshot for serving: backing and verification per `opts`.
+/// Returns the shard list (in shard = vertex-range order), load
+/// statistics, and — for lazy `mmap` opens — the [`SnapshotVerifier`] to
+/// run in the background.
 pub fn load_snapshot<P: AsRef<Path>>(
     path: P,
     opts: &LoadOptions,
@@ -279,215 +260,52 @@ pub fn load_snapshot<P: AsRef<Path>>(
 fn build_shards(reader: &BundleReader, level: ValidationLevel) -> Result<Vec<Dataset>, PersistError> {
     let graph =
         Arc::new(Graph::from_bundle_with(reader, level).map_err(|e| PersistError::Format(e.to_string()))?);
-    if !reader.has(SEC_MANIFEST) {
-        let index = index_from_bundle_with(reader, level)?;
-        return Ok(vec![Dataset::from_arcs(graph, Arc::new(index))?]);
-    }
-    let manifest = parse_manifest(reader.bytes(SEC_MANIFEST)?)?;
-    let core = read_index_core(reader)?;
-    let n = core.num_vertices();
-    validate_ranges(n, &manifest.ranges)?;
-    // Cross-check each shard's stored fingerprint against the section
-    // table before touching any shard payload: a damaged manifest (or a
-    // manifest pointing at swapped/resized shard sections) fails loudly
-    // with a named error in every verification mode, at O(shards) cost.
-    let table_fps = shard_table_fingerprints(reader, manifest.ranges.len() as u32)?;
-    for (s, (&stored, &computed)) in manifest.fingerprints.iter().zip(&table_fps).enumerate() {
-        if stored != computed {
-            return Err(PersistError::Format(format!(
-                "section {SEC_MANIFEST:?}: shard {s} fingerprint mismatch \
-                 (stored {stored:#018x}, computed {computed:#018x})"
-            )));
-        }
-    }
-    let mut shards = Vec::with_capacity(manifest.ranges.len());
-    let mut inv_total = 0u64;
-    for (s, &range) in manifest.ranges.iter().enumerate() {
-        let (inv_offsets, inv_entries) = shard_inverted_from_bundle(reader, s as u32, n, range)?;
-        inv_total += inv_entries.len() as u64;
-        let index = core.shard_index(inv_offsets, inv_entries, range);
-        shards.push(Dataset::from_arcs(Arc::clone(&graph), Arc::new(index))?);
-    }
-    // The shard ranges partition the vertex space and each shard's
-    // entries were range-checked, so the shard maps are disjoint; equal
-    // totals therefore mean they partition the global inverted map.
-    let forward_total = shards[0].index().candidate_index().num_edges();
-    if inv_total != forward_total {
-        return Err(PersistError::Format(format!(
-            "sharded inverted maps cover {inv_total} entries, forward map has {forward_total}"
-        )));
-    }
-    Ok(shards)
-}
-
-struct Manifest {
-    ranges: Vec<(VertexId, VertexId)>,
-    fingerprints: Vec<u64>,
-}
-
-fn parse_manifest(bytes: &[u8]) -> Result<Manifest, PersistError> {
-    let fail = |m: &str| PersistError::Format(format!("section {SEC_MANIFEST:?}: {m}"));
-    if bytes.len() < 8 {
-        return Err(fail("truncated header"));
-    }
-    let version = u32::from_le_bytes(bytes[..4].try_into().unwrap());
-    if version != MANIFEST_VERSION {
-        return Err(fail(&format!("unsupported manifest version {version}")));
-    }
-    let count = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
-    if count == 0 || count > MAX_SHARDS {
-        return Err(fail(&format!("shard count {count} outside 1..={MAX_SHARDS}")));
-    }
-    let expect = 8 + count as usize * 16;
-    if bytes.len() != expect {
-        return Err(fail(&format!("{} bytes for {count} shards, expected {expect}", bytes.len())));
-    }
-    let mut ranges = Vec::with_capacity(count as usize);
-    let mut fingerprints = Vec::with_capacity(count as usize);
-    for s in 0..count as usize {
-        let e = &bytes[8 + s * 16..8 + (s + 1) * 16];
-        let lo = u32::from_le_bytes(e[..4].try_into().unwrap());
-        let hi = u32::from_le_bytes(e[4..8].try_into().unwrap());
-        ranges.push((lo, hi));
-        fingerprints.push(u64::from_le_bytes(e[8..16].try_into().unwrap()));
-    }
-    Ok(Manifest { ranges, fingerprints })
-}
-
-/// Shard ranges must tile `[0, n)` contiguously in order — anything
-/// else would silently drop or double-count candidates.
-fn validate_ranges(n: u32, ranges: &[(VertexId, VertexId)]) -> Result<(), PersistError> {
-    let fail = |m: String| PersistError::Format(format!("section {SEC_MANIFEST:?}: {m}"));
-    let mut cursor = 0u32;
-    for (s, &(lo, hi)) in ranges.iter().enumerate() {
-        if lo != cursor || hi < lo || hi > n {
-            return Err(fail(format!("shard {s} range {lo}..{hi} does not tile 0..{n}")));
-        }
-        cursor = hi;
-    }
-    if cursor != n {
-        return Err(fail(format!("shard ranges end at {cursor}, graph has {n} vertices")));
-    }
-    Ok(())
-}
-
-/// Computes each shard's fingerprint from the section *table* (tags,
-/// lengths, stored checksums — no payload reads): the fold of its two
-/// inverted sections' fingerprints, in tag order `off` then `ent`.
-fn shard_table_fingerprints(r: &BundleReader, shards: u32) -> Result<Vec<u64>, PersistError> {
-    let fp_of = |tag: &str| -> Result<u64, PersistError> {
-        for i in 0..r.num_sections() {
-            if r.section_tag(i) == Some(tag) {
-                return Ok(r.section_fingerprint_at(i).expect("section index in range"));
-            }
-        }
-        Err(PersistError::Format(format!("missing section {tag:?}")))
-    };
-    (0..shards)
-        .map(|s| {
-            let (off_tag, ent_tag) = shard_inv_tags(s);
-            Ok(fold_fingerprints([fp_of(&off_tag)?, fp_of(&ent_tag)?]))
-        })
+    index_shards_from_bundle(reader, level)?
+        .into_iter()
+        .map(|index| Dataset::from_arcs(Arc::clone(&graph), Arc::new(index)))
         .collect()
 }
 
-/// The contiguous vertex ranges `pack --shards N` splits `0..n` into
-/// (near-equal vertex counts; shard `s` owns `[s·n/N, (s+1)·n/N)`).
-pub fn shard_ranges(n: u32, shards: u32) -> Vec<(VertexId, VertexId)> {
-    let (n64, s64) = (n as u64, shards as u64);
-    (0..s64).map(|s| (((s * n64) / s64) as u32, (((s + 1) * n64) / s64) as u32)).collect()
-}
-
 /// Writes graph + index as one snapshot bundle (the `srs pack`
-/// artifact). Large sections start on page boundaries so `mmap` loads
-/// fault in only what they touch.
-pub fn pack<W: Write>(graph: &Graph, index: &TopKIndex, w: W) -> Result<(), PersistError> {
-    w_pack(graph, index).write_to(w).map_err(PersistError::from)
+/// artifact) with the index split into `shards` vertex-range shards.
+/// Large sections start on page boundaries so `mmap` loads fault in
+/// only what they touch.
+pub fn pack<W: Write>(graph: &Graph, index: &TopKIndex, shards: u32, w: W) -> Result<(), PersistError> {
+    Ok(snapshot_bundle(graph, index, shards)?.write_to(w)?)
 }
 
-/// [`pack`] to a byte vector.
+/// [`pack`] of one shard to a byte vector.
 pub fn pack_to_bytes(graph: &Graph, index: &TopKIndex) -> Vec<u8> {
-    w_pack(graph, index).to_bytes()
+    snapshot_bundle(graph, index, 1).expect("one shard fits every index").to_bytes()
 }
 
-fn w_pack(graph: &Graph, index: &TopKIndex) -> BundleWriter {
+fn snapshot_bundle(graph: &Graph, index: &TopKIndex, shards: u32) -> Result<BundleWriter, PersistError> {
     let mut bundle = BundleWriter::new().page_aligned();
     graph.add_bundle_sections(&mut bundle);
-    add_index_sections(index, &mut bundle);
-    bundle
-}
-
-/// Writes a sharded snapshot: the global sections (graph, index core —
-/// no global inverted map) plus per-shard inverted candidate sections
-/// and the `s.manifest` section carrying each shard's vertex range and
-/// fingerprint. `shards == 1` still writes the sharded layout — that is
-/// the degenerate case the bit-identity CI pin compares against.
-pub fn pack_sharded<W: Write>(
-    graph: &Graph,
-    index: &TopKIndex,
-    shards: u32,
-    w: W,
-) -> Result<(), PersistError> {
-    Ok(w_pack_sharded(graph, index, shards)?.write_to(w)?)
-}
-
-/// [`pack_sharded`] to a byte vector.
-pub fn pack_sharded_to_bytes(graph: &Graph, index: &TopKIndex, shards: u32) -> Result<Vec<u8>, PersistError> {
-    Ok(w_pack_sharded(graph, index, shards)?.to_bytes())
-}
-
-fn w_pack_sharded(graph: &Graph, index: &TopKIndex, shards: u32) -> Result<BundleWriter, PersistError> {
-    let n = graph.num_vertices();
-    if shards == 0 || shards > MAX_SHARDS {
-        return Err(PersistError::Format(format!("shard count {shards} outside 1..={MAX_SHARDS}")));
-    }
-    if shards > n.max(1) {
-        return Err(PersistError::Format(format!("{shards} shards for {n} vertices")));
-    }
-    let mut bundle = BundleWriter::new().page_aligned();
-    graph.add_bundle_sections(&mut bundle);
-    add_index_core_sections(index, &mut bundle);
-    let ranges = shard_ranges(n, shards);
-    let mut manifest = Vec::with_capacity(8 + ranges.len() * 16);
-    manifest.extend_from_slice(&MANIFEST_VERSION.to_le_bytes());
-    manifest.extend_from_slice(&shards.to_le_bytes());
-    for (s, &(lo, hi)) in ranges.iter().enumerate() {
-        let (inv_offsets, inv_entries) = index.candidate_index().inverted_for_range(lo, hi);
-        let (off_tag, ent_tag) = shard_inv_tags(s as u32);
-        let mut off_bytes = Vec::with_capacity(inv_offsets.len() * 8);
-        encode_pod(&inv_offsets, &mut off_bytes);
-        let mut ent_bytes = Vec::with_capacity(inv_entries.len() * 4);
-        encode_pod(&inv_entries, &mut ent_bytes);
-        // The shard fingerprint folds its sections' (tag, len, checksum)
-        // fingerprints — exactly what the loader recomputes from the
-        // section table, so a damaged manifest or a swapped shard
-        // section fails the cross-check in every verification mode.
-        let fp = fold_fingerprints([
-            section_fingerprint(&off_tag, off_bytes.len() as u64, fnv1a64(&off_bytes)),
-            section_fingerprint(&ent_tag, ent_bytes.len() as u64, fnv1a64(&ent_bytes)),
-        ]);
-        manifest.extend_from_slice(&lo.to_le_bytes());
-        manifest.extend_from_slice(&hi.to_le_bytes());
-        manifest.extend_from_slice(&fp.to_le_bytes());
-        bundle.add_bytes(&off_tag, 8, off_bytes);
-        bundle.add_bytes(&ent_tag, 4, ent_bytes);
-    }
-    bundle.add_bytes(SEC_MANIFEST, 8, manifest);
+    add_index_sections(index, shards, &mut bundle)?;
     Ok(bundle)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::persist::{shard_ranges, validate_ranges, MAX_SHARDS, SEC_MANIFEST};
     use crate::topk::QueryOptions;
     use crate::{Diagonal, SimRankParams};
-    use srs_graph::gen;
+    use srs_graph::container::fnv1a64;
+    use srs_graph::{gen, VertexId};
 
     fn build(n: u32, seed: u64) -> (Graph, TopKIndex) {
         let g = gen::copying_web(n, 4, 0.8, seed);
         let params = SimRankParams { r_bounds: 200, r_gamma: 25, ..Default::default() };
         let idx = TopKIndex::build_with(&g, &params, Diagonal::paper_default(params.c), seed, 2);
         (g, idx)
+    }
+
+    fn packed(g: &Graph, idx: &TopKIndex, shards: u32) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        pack(g, idx, shards, &mut bytes).unwrap();
+        bytes
     }
 
     fn write_temp(name: &str, bytes: &[u8]) -> std::path::PathBuf {
@@ -508,9 +326,10 @@ mod tests {
         // Same bytes → same fingerprint (the identity is content-derived).
         let (_, info2) = Dataset::from_snapshot_bytes(bytes.clone()).unwrap();
         assert_eq!(info.fingerprint, info2.fingerprint);
-        // 6 graph sections + 6 index sections (uniform diagonal stores
-        // no `i.diag`; the inverted candidate map adds two sections).
-        assert_eq!(info.sections_verified, 12, "{info:?}");
+        // 6 graph sections + 7 index sections: 4 core (a uniform
+        // diagonal stores no `i.diag`), one shard's 2 inverted sections,
+        // and the manifest.
+        assert_eq!(info.sections_verified, 13, "{info:?}");
         assert_eq!(info.shards, 1);
         assert!(!info.mapped);
         assert_eq!(info.mapped_bytes, 0);
@@ -592,7 +411,7 @@ mod tests {
     #[test]
     fn sharded_pack_loads_and_partitions_candidates() {
         let (g, idx) = build(90, 4);
-        let bytes = pack_sharded_to_bytes(&g, &idx, 4).unwrap();
+        let bytes = packed(&g, &idx, 4);
         let path = write_temp("sharded.srs", &bytes);
         for opts in [
             LoadOptions::default(),
@@ -619,10 +438,10 @@ mod tests {
 
     #[test]
     fn sharded_bundle_still_loads_unsharded() {
-        // A classic reader ignores the shard sections and re-derives the
-        // inverted map from the global forward sections.
+        // A one-dataset load merges the shards: the inverted map is
+        // re-derived over every vertex.
         let (g, idx) = build(70, 3);
-        let bytes = pack_sharded_to_bytes(&g, &idx, 2).unwrap();
+        let bytes = packed(&g, &idx, 2);
         let (ds, info) = Dataset::from_snapshot_bytes(bytes).unwrap();
         assert_eq!(info.shards, 1);
         for u in [0u32, 35, 69] {
@@ -635,7 +454,7 @@ mod tests {
     #[test]
     fn damaged_manifest_fails_with_named_error_in_all_modes() {
         let (g, idx) = build(50, 2);
-        let bytes = pack_sharded_to_bytes(&g, &idx, 2).unwrap();
+        let bytes = packed(&g, &idx, 2);
         let reader = BundleReader::open(bytes.clone()).unwrap();
         // Find the manifest section and flip a fingerprint byte, then
         // recompute the container checksum so only the manifest-level
@@ -672,7 +491,10 @@ mod tests {
             assert_eq!(r.len(), s as usize);
             validate_ranges(n, &r).unwrap();
         }
-        assert!(pack_sharded_to_bytes(&build(4, 1).0, &build(4, 1).1, 5).is_err());
+        let (g, idx) = build(4, 1);
+        for shards in [0, 5, MAX_SHARDS + 1] {
+            assert!(pack(&g, &idx, shards, &mut Vec::new()).is_err(), "{shards} shards");
+        }
     }
 
     #[test]

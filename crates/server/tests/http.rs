@@ -17,7 +17,7 @@ fn write_snapshot(path: &Path, n: u32) {
     let params = SimRankParams { r_bounds: 2_000, ..Default::default() };
     let idx = TopKIndex::build(&g, &params, 7);
     let f = std::fs::File::create(path).unwrap();
-    snapshot::pack(&g, &idx, std::io::BufWriter::new(f)).unwrap();
+    snapshot::pack(&g, &idx, 1, std::io::BufWriter::new(f)).unwrap();
 }
 
 fn fixture_snapshot(name: &str) -> PathBuf {
@@ -479,7 +479,7 @@ fn sharded_bundles_cache_and_gate_ingest_by_shard_count() {
     let idx = TopKIndex::build(&g, &params, 7);
     for shards in [1u32, 4] {
         let snap = std::env::temp_dir().join(format!("srs_serve_{}_shards{shards}.srs", std::process::id()));
-        std::fs::write(&snap, snapshot::pack_sharded_to_bytes(&g, &idx, shards).unwrap()).unwrap();
+        snapshot::pack(&g, &idx, shards, std::fs::File::create(&snap).unwrap()).unwrap();
         let r = start(config(&snap));
         let mut c = HttpClient::connect(r.addr.to_string()).unwrap();
         let info = c.get("/info").unwrap().body_str().to_string();
@@ -502,7 +502,7 @@ fn sharded_bundles_cache_and_gate_ingest_by_shard_count() {
         } else {
             assert_eq!(ingest.status, 400, "{}", ingest.body_str());
             assert!(ingest.body_str().contains("one-shard"), "{}", ingest.body_str());
-            // Reloading from a plain bundle re-shapes the engine to one shard.
+            // Reloading from a one-shard bundle re-shapes the engine.
             std::fs::write(&snap, snapshot::pack_to_bytes(&g, &idx)).unwrap();
             assert_eq!(c.post("/admin/reload").unwrap().status, 200);
             assert!(c.get("/info").unwrap().body_str().contains("\"shards\":1"));

@@ -16,7 +16,7 @@ fn fixture_snapshot(name: &str) -> PathBuf {
     let params = SimRankParams { r_bounds: 2_000, ..Default::default() };
     let idx = TopKIndex::build(&g, &params, 7);
     let f = std::fs::File::create(&path).unwrap();
-    snapshot::pack(&g, &idx, std::io::BufWriter::new(f)).unwrap();
+    snapshot::pack(&g, &idx, 1, std::io::BufWriter::new(f)).unwrap();
     path
 }
 

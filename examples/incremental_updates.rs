@@ -10,7 +10,7 @@
 //! ```
 
 use simrank_search::graph::{gen, Graph, GraphBuilder};
-use simrank_search::search::extend::extend_appended;
+use simrank_search::search::extend::extend_delta;
 use simrank_search::search::{QueryOptions, SimRankParams, TopKIndex};
 use std::time::Instant;
 
@@ -28,7 +28,8 @@ fn main() {
 
     for depth in [0u32, 2, params.t - 1] {
         let t = Instant::now();
-        let (extended, stats) = extend_appended(&index, &old, &new, depth, 2).expect("append-only growth");
+        let out = extend_delta(&index, &old, &new, depth, 2).expect("append-only growth");
+        let (extended, stats) = (out.index, out.stats);
         println!(
             "extend depth={depth}: {:.2?} (appended {}, recomputed {}, reused {})",
             t.elapsed(),
@@ -43,7 +44,7 @@ fn main() {
     let t = Instant::now();
     let rebuilt = TopKIndex::build(&new, &params, 3);
     println!("full rebuild for comparison: {:.2?}", t.elapsed());
-    let (exact, _) = extend_appended(&index, &old, &new, params.t - 1, 2).expect("append-only growth");
+    let exact = extend_delta(&index, &old, &new, params.t - 1, 2).expect("append-only growth").index;
     let same = exact.memory_bytes() == rebuilt.memory_bytes();
     println!("full-depth extension identical to rebuild: {same}");
 }

@@ -152,7 +152,7 @@ fn corrupt_delta_never_reaches_a_serving_engine() {
     let (fallback, _, chain, _) =
         load_chain(&fx.base_path, &[] as &[&std::path::Path], &LoadOptions::default()).unwrap();
     assert_eq!(chain.depth, 0);
-    let [ds] = &fallback[..] else { panic!("a plain base loads as one shard") };
+    let [ds] = &fallback[..] else { panic!("a one-shard base loads as one shard") };
     // The pre-edit base knows nothing of the grown vertices.
     assert!(ds.graph().num_vertices() < fx.new_n);
     for p in [&fx.base_path, &fx.delta_path] {
@@ -161,11 +161,11 @@ fn corrupt_delta_never_reaches_a_serving_engine() {
 }
 
 #[test]
-fn one_shard_base_replays_a_chain_like_the_plain_base() {
-    // A `--shards 1` bundle is the unsharded case: the same edit batches
-    // chained onto it (each delta parented at that base's own
-    // fingerprints) load, serve, and ingest to the same hits as the chain
-    // on the plain bundle — and a base of more shards refuses a chain.
+fn live_ingest_replays_through_a_chain_and_more_shards_refuse_one() {
+    // Edit batches ingested live by an engine over a packed base (each
+    // delta parented at the previous artifact's fingerprint) load back
+    // through the chain to the live engine's hits — and a base of more
+    // shards refuses a chain.
     let ds = build(90, 5);
     let t = ds.index().params().t;
     let mut batches = [GraphDelta::new(), GraphDelta::new()];
@@ -176,38 +176,30 @@ fn one_shard_base_replays_a_chain_like_the_plain_base() {
     batches[1].insert(3, 91);
     let opts = QueryOptions::default();
     let queries: Vec<u32> = (0..92).collect();
-    let mut answers = Vec::new();
-    for (tag, bytes) in [
-        ("plain", snapshot::pack_to_bytes(ds.graph(), ds.index())),
-        ("one_shard", snapshot::pack_sharded_to_bytes(ds.graph(), ds.index(), 1).unwrap()),
-    ] {
-        let base_path = write_temp(&format!("{tag}.srs"), &bytes);
-        let (shards, info, _) = srs_search::load_snapshot(&base_path, &LoadOptions::default()).unwrap();
-        let engine = ServingEngine::with_threads(shards, 2);
-        let mut parent = info.fingerprint;
-        let mut paths = Vec::new();
-        for (i, batch) in batches.iter().enumerate() {
-            let applied = engine.apply_delta(batch, t - 1, parent).unwrap();
-            parent = applied.fingerprint;
-            paths.push(write_temp(&format!("{tag}.srs.d{i}"), &applied.bytes));
-        }
-        let live = engine.query_batch(&queries, 6, &opts);
-        let (shards, _, chain, _) = load_chain(&base_path, &paths, &LoadOptions::default()).unwrap();
-        assert_eq!((shards.len(), chain.depth), (1, 2), "{tag}");
-        let replayed = ServingEngine::with_threads(shards, 2).query_batch(&queries, 6, &opts);
-        let hits: Vec<_> = live.results.iter().map(|r| r.hits.clone()).collect();
-        for (u, (a, b)) in hits.iter().zip(&replayed.results).enumerate() {
-            assert_eq!(a, &b.hits, "{tag}: u={u} replay differs from the live chain");
-        }
-        answers.push(hits);
-        for p in paths.iter().chain([&base_path]) {
-            std::fs::remove_file(p).ok();
-        }
+    let base_path = write_temp("one_shard.srs", &snapshot::pack_to_bytes(ds.graph(), ds.index()));
+    let (shards, info, _) = srs_search::load_snapshot(&base_path, &LoadOptions::default()).unwrap();
+    let engine = ServingEngine::with_threads(shards, 2);
+    let mut parent = info.fingerprint;
+    let mut paths = Vec::new();
+    for (i, batch) in batches.iter().enumerate() {
+        let applied = engine.apply_delta(batch, t - 1, parent).unwrap();
+        parent = applied.fingerprint;
+        paths.push(write_temp(&format!("one_shard.srs.d{i}"), &applied.bytes));
     }
-    assert_eq!(answers[0], answers[1], "a --shards 1 chain must serve the plain chain's hits");
+    let live = engine.query_batch(&queries, 6, &opts);
+    let (shards, _, chain, _) = load_chain(&base_path, &paths, &LoadOptions::default()).unwrap();
+    assert_eq!((shards.len(), chain.depth), (1, 2));
+    let replayed = ServingEngine::with_threads(shards, 2).query_batch(&queries, 6, &opts);
+    for (u, (a, b)) in live.results.iter().zip(&replayed.results).enumerate() {
+        assert_eq!(a.hits, b.hits, "u={u}: replay differs from the live chain");
+    }
+    for p in paths.iter().chain([&base_path]) {
+        std::fs::remove_file(p).ok();
+    }
 
-    let sharded =
-        write_temp("two_shards.srs", &snapshot::pack_sharded_to_bytes(ds.graph(), ds.index(), 2).unwrap());
+    let mut two_shards = Vec::new();
+    snapshot::pack(ds.graph(), ds.index(), 2, &mut two_shards).unwrap();
+    let sharded = write_temp("two_shards.srs", &two_shards);
     let delta = write_temp("two_shards.srs.d0", &build_delta(&ds, &batches[0], t - 1, 2, 0).unwrap().bytes);
     let err = load_chain(&sharded, &[&delta], &LoadOptions::default()).unwrap_err();
     assert!(err.to_string().contains("one-shard"), "{err}");

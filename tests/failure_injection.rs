@@ -2,8 +2,13 @@
 //! as errors, never as panics, hangs, or silently-wrong data.
 
 use proptest::prelude::*;
-use simrank_search::graph::{gen, io};
-use simrank_search::search::{persist, Diagonal, SimRankParams, TopKIndex};
+use simrank_search::graph::{gen, io, GraphError};
+use simrank_search::search::persist::{self, PersistError};
+use simrank_search::search::{Diagonal, SimRankParams, TopKIndex};
+
+/// Magics of the retired per-element graph and index streams. Neither is
+/// readable any more: both must fail typed, whatever follows them.
+const RETIRED_MAGICS: [&[u8; 8]; 2] = [b"SRSCSR01", b"SRSIDX01"];
 
 fn sample_index_bytes() -> Vec<u8> {
     let g = gen::copying_web(60, 3, 0.8, 4);
@@ -71,6 +76,13 @@ proptest! {
         let _ = persist::load(&data[..]);
         let _ = io::read_binary(&data[..]);
         let _ = io::read_edge_list(&data[..]);
+        // Behind a retired magic the random bytes include huge length
+        // fields: still a format error, never a panic or an allocation.
+        for magic in RETIRED_MAGICS {
+            let retired = [&magic[..], &data[..]].concat();
+            prop_assert!(matches!(persist::load(&retired[..]), Err(PersistError::Format(_))));
+            prop_assert!(matches!(io::read_binary(&retired[..]), Err(GraphError::Format(_))));
+        }
     }
 
     #[test]

@@ -4,6 +4,7 @@
 //! concurrent batches.
 
 use srs_graph::{container, gen};
+use srs_search::persist::{self, PersistError};
 use srs_search::snapshot::{self, Dataset};
 use srs_search::{
     load_snapshot, Diagonal, LoadOptions, QueryOptions, ServingEngine, SimRankParams, TopKIndex, WaveQuery,
@@ -18,6 +19,12 @@ fn build(n: u32, seed: u64) -> Dataset {
 
 fn packed(ds: &Dataset) -> Vec<u8> {
     snapshot::pack_to_bytes(ds.graph(), ds.index())
+}
+
+fn packed_shards(ds: &Dataset, shards: u32) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    snapshot::pack(ds.graph(), ds.index(), shards, &mut bytes).unwrap();
+    bytes
 }
 
 #[test]
@@ -181,10 +188,10 @@ fn mmap_bit_flips_fail_verification_or_serve_identical_answers() {
 #[test]
 fn sharded_manifest_corruption_fails_closed_in_every_mode() {
     let ds = build(100, 6);
-    let bytes = snapshot::pack_sharded_to_bytes(ds.graph(), ds.index(), 4).unwrap();
+    let bytes = packed_shards(&ds, 4);
     let reader = container::BundleReader::open(bytes.clone()).unwrap();
     let idx = (0..reader.num_sections())
-        .find(|&i| reader.section_tag(i) == Some(snapshot::SEC_MANIFEST))
+        .find(|&i| reader.section_tag(i) == Some(persist::SEC_MANIFEST))
         .expect("sharded bundle carries a manifest");
     let (off, len) = reader.section_extent(idx).unwrap();
     let path = write_temp("shard_manifest.srs", &bytes);
@@ -203,7 +210,7 @@ fn sharded_manifest_corruption_fails_closed_in_every_mode() {
                 Ok(_) => panic!("manifest flip at byte {byte} must not load under {opts:?}"),
                 Err(e) => {
                     let msg = e.to_string();
-                    assert!(msg.contains(snapshot::SEC_MANIFEST), "error must name the manifest: {msg}");
+                    assert!(msg.contains(persist::SEC_MANIFEST), "error must name the manifest: {msg}");
                 }
             }
         }
@@ -212,10 +219,57 @@ fn sharded_manifest_corruption_fails_closed_in_every_mode() {
 }
 
 #[test]
+fn heap_load_proves_every_shards_inverted_map() {
+    // Swap one holder in shard 0's inverted slice for another vertex of
+    // the same range, then re-seal the section checksum and the manifest
+    // fingerprint: shape, range and entry totals all still hold, so only
+    // the deep comparison with the forward map can tell.
+    let ds = build(100, 6);
+    let mut bytes = packed_shards(&ds, 2);
+    let reader = container::BundleReader::open(bytes.clone()).unwrap();
+    let section =
+        |tag: &str| (0..reader.num_sections()).find(|&i| reader.section_tag(i) == Some(tag)).unwrap();
+    let reseal = |bytes: &mut [u8], i: u32| {
+        let (off, len) = reader.section_extent(i).unwrap();
+        let sum = container::fnv1a64(&bytes[off as usize..(off + len) as usize]);
+        let entry = 16 + i as usize * 48; // header, then 48-byte table entries ending in the checksum
+        bytes[entry + 40..entry + 48].copy_from_slice(&sum.to_le_bytes());
+    };
+    let (ent, manifest) = (section("i.sinv_ent.0"), section(persist::SEC_MANIFEST));
+    let (at, len) = reader.section_extent(ent).unwrap();
+    assert!(len >= 4, "shard 0 must hold some candidates");
+    let at = at as usize;
+    let hi = persist::shard_ranges(100, 2)[0].1;
+    let v = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+    let w = if v + 1 < hi { v + 1 } else { v - 1 };
+    bytes[at..at + 4].copy_from_slice(&w.to_le_bytes());
+    reseal(&mut bytes, ent);
+    let table = container::BundleReader::open(bytes.clone()).unwrap();
+    let fp = container::fold_fingerprints(
+        ["i.sinv_off.0", "i.sinv_ent.0"].map(|tag| table.section_fingerprint_at(section(tag)).unwrap()),
+    );
+    // Manifest: version and shard count, then (lo, hi, fingerprint) per shard.
+    let fp_at = reader.section_extent(manifest).unwrap().0 as usize + 8 + 8;
+    bytes[fp_at..fp_at + 8].copy_from_slice(&fp.to_le_bytes());
+    reseal(&mut bytes, manifest);
+
+    // Checksums and the manifest hold: an eagerly verified mapped load
+    // (shape and range scans only) accepts the bundle.
+    let path = write_temp("shard_inverse.srs", &bytes);
+    let eager_mmap = LoadOptions { mmap: true, verify_on_load: true, ..Default::default() };
+    assert!(load_snapshot(&path, &eager_mmap).is_ok(), "the damaged bundle must be well sealed");
+    let err = load_snapshot(&path, &LoadOptions::default()).expect_err("a heap load must reject the bundle");
+    assert!(matches!(&err, PersistError::Format(m) if m.contains("inverted")), "{err}");
+    assert!(matches!(Dataset::from_snapshot_bytes(bytes.clone()), Err(PersistError::Format(_))));
+    assert!(matches!(persist::load(&bytes[..]), Err(PersistError::Format(_))));
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
 fn sharded_mmap_serving_matches_unsharded_heap_bit_for_bit() {
     let ds = build(150, 9);
     let unsharded = packed(&ds);
-    let sharded = snapshot::pack_sharded_to_bytes(ds.graph(), ds.index(), 4).unwrap();
+    let sharded = packed_shards(&ds, 4);
     let p_heap = write_temp("ident_heap.srs", &unsharded);
     let p_shard = write_temp("ident_shard.srs", &sharded);
     let (s_heap, _, _) = load_snapshot(&p_heap, &LoadOptions::default()).unwrap();
