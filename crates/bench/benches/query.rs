@@ -120,62 +120,6 @@ fn bench_query(c: &mut Criterion) {
         );
         report.push(entry);
     }
-    // Fast-tier ablation, two workloads over the same graph: `hideg32`
-    // is the 32 highest-degree vertices (the head Auto's degree
-    // threshold names), `dwsample32` the degree-weighted 32-sample the
-    // wave groups use (the serving mix). Three arms each: `off` is the
-    // ball-2 acceptance config (cheap, but scores far fewer vertices
-    // than the tier); `off_ball3` widens the ball toward the tier's
-    // full-graph recall — the like-for-like cost; `always` answers with
-    // one forward–backward linearized pass per query (no walks, no RNG,
-    // every vertex scored exactly). Criterion groups cover the sample
-    // workload; both workloads get best-of-3 JSON entries.
-    let mut by_deg: Vec<u32> = (0..g.num_vertices()).collect();
-    by_deg.sort_unstable_by_key(|&v| std::cmp::Reverse(g.in_degree(v) as u64 + g.out_degree(v) as u64));
-    let hideg: Vec<u32> = by_deg[..32.min(by_deg.len())].to_vec();
-    let tiers = [
-        ("off", QueryOptions { wave_width: 32, candidate_ball: Some(2), ..QueryOptions::default() }),
-        ("off_ball3", QueryOptions { wave_width: 32, candidate_ball: Some(3), ..QueryOptions::default() }),
-        ("always", QueryOptions { fast_tier: srs_search::FastTier::Always, ..QueryOptions::default() }),
-    ];
-    for (wname, workload) in [("hideg32", &hideg), ("dwsample32", &queries)] {
-        for (tier, topts) in &tiers {
-            if wname == "dwsample32" {
-                group.bench_function(BenchmarkId::new("fast_tier_dw", *tier), |b| {
-                    let mut out = srs_search::BatchResult::new();
-                    b.iter(|| {
-                        engine.query_batch_into(workload, 20, topts, &mut out);
-                        out.totals
-                    });
-                });
-            }
-            let batch = (0..3)
-                .map(|_| engine.query_batch(workload, 20, topts))
-                .min_by(|a, b| a.elapsed.cmp(&b.elapsed))
-                .unwrap();
-            let entry = QueryBenchEntry {
-                dataset: format!(
-                    "copying_web(n={}, m={}, {wname}, fast_tier={tier})",
-                    g.num_vertices(),
-                    g.num_edges()
-                ),
-                queries: workload.len() as u64,
-                threads: engine.threads(),
-                k: 20,
-                wave_width: topts.wave_width,
-                elapsed_secs: batch.elapsed.as_secs_f64(),
-                p50_us: batch.latency.p50.as_secs_f64() * 1e6,
-                p95_us: batch.latency.p95.as_secs_f64() * 1e6,
-                p99_us: batch.latency.p99.as_secs_f64() * 1e6,
-            };
-            println!(
-                "  fast_tier={tier} {wname}: {:.0} queries/s (p99 {:.0} µs)",
-                entry.queries_per_sec(),
-                entry.p99_us
-            );
-            report.push(entry);
-        }
-    }
     group.finish();
     cache::clear();
     if !smoke {

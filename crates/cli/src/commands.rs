@@ -4,6 +4,7 @@
 use crate::args::Args;
 use srs_graph::{datasets, gen, io, stats, Graph};
 use srs_obs::Progress;
+use srs_search::obs::STAGE_SPANS;
 use srs_search::{
     persist, snapshot, BuildObs, Dataset, QueryOptions, ServingEngine, ServingMetrics, SimRankParams,
     SnapshotInfo, TopKIndex, TopKResult,
@@ -23,18 +24,17 @@ usage:
   srs pack       --graph FILE --index FILE --out FILE.srs [--shards N]
   srs query      {--snapshot FILE.srs | --graph FILE --index FILE} --vertex V [--k 20]
                  [--ball R] [--theta X] [--wave-width W] [--explain]
-                 [--fast-tier off|auto|always [--fast-tier-degree D] [--fast-tier-candidates C]]
   srs batch-query {--snapshot FILE.srs [--deltas D1,D2,...]
                   [--mmap [--verify-on-load] [--prefault]] | --graph FILE --index FILE}
                  [--vertices 1,2,3 | --queries N|FILE|- [--seed S]]
                  [--k 20] [--threads T] [--ball R] [--theta X] [--wave-width W]
-                 [--prune-theta-only] [--fast-tier off|auto|always]
+                 [--prune-theta-only]
                  [--metrics-out FILE] [--hits-out FILE] [--trace-out FILE.json]
   srs serve      --snapshot FILE.srs [--deltas D1,D2,...] [--staleness-depth N]
                  [--mmap [--verify-on-load] [--prefault]]
                  [--addr 127.0.0.1:7171] [--threads T] [--max-batch 64]
                  [--batch-window-us 500] [--queue 1024] [--cache 4096] [--k 20]
-                 [--read-timeout-s 60] [--max-conns 1024] [--fast-tier off|auto|always]
+                 [--read-timeout-s 60] [--max-conns 1024]
                  [--trace-sample N] [--slow-query-ms T]
   srs delta      --snapshot FILE.srs [--deltas D1,D2,...] --edits FILE|- --out FILE.d
                  [--staleness-depth N] [--threads T]
@@ -317,41 +317,34 @@ fn load_options(args: &Args) -> Result<srs_search::LoadOptions, String> {
     Ok(opts)
 }
 
+/// Flags `query` and `batch-query` share: the dataset source, `k`, and
+/// the ones [`query_options`] reads.
+const QUERY_FLAGS: &[&str] = &["graph", "index", "snapshot", "k", "ball", "theta", "wave-width"];
+
+/// The [`QueryOptions`] both query commands take from their flags.
 fn query_options(args: &Args) -> Result<QueryOptions, String> {
     let mut opts = QueryOptions::default();
     if let Some(r) = args.opt("ball") {
         opts.candidate_ball = Some(r.parse::<u32>().map_err(|e| format!("--ball: {e}"))?);
     }
     if let Some(t) = args.opt("theta") {
-        opts.theta = Some(t.parse::<f64>().map_err(|e| format!("--theta: {e}"))?);
+        let theta = t.parse::<f64>().map_err(|e| format!("--theta: {e}"))?;
+        // A NaN θ would silently admit nothing; a score is a probability.
+        if !(0.0..=1.0).contains(&theta) {
+            return Err(format!("--theta: `{t}` is not a score in [0, 1]"));
+        }
+        opts.theta = Some(theta);
     }
     // Wave width only changes how the scan batches its walk work; results
     // are bit-identical at every width (1 disables batching).
     opts.wave_width = args.get_or("wave-width", opts.wave_width)?;
-    if let Some(ft) = args.opt("fast-tier") {
-        opts.fast_tier = srs_search::FastTier::parse(ft)
-            .ok_or_else(|| format!("--fast-tier `{ft}` (expected off|auto|always)"))?;
-    }
-    opts.fast_tier_min_degree = args.get_or("fast-tier-degree", opts.fast_tier_min_degree)?;
-    opts.fast_tier_min_candidates = args.get_or("fast-tier-candidates", opts.fast_tier_min_candidates)?;
     Ok(opts)
 }
 
 fn query(args: &Args) -> Result<String, String> {
-    args.ensure_known(&[
-        "graph",
-        "index",
-        "snapshot",
-        "vertex",
-        "k",
-        "ball",
-        "theta",
-        "wave-width",
-        "fast-tier",
-        "fast-tier-degree",
-        "fast-tier-candidates",
-        "explain",
-    ])?;
+    args.ensure_known(&[QUERY_FLAGS, &["vertex", "explain"]].concat())?;
+    let mut opts = query_options(args)?;
+    opts.explain = args.flag("explain");
     let (ds, _) = load_dataset(args)?;
     let (g, index) = (ds.graph(), ds.index());
     let vertex: u32 = args.get_req("vertex")?;
@@ -359,8 +352,6 @@ fn query(args: &Args) -> Result<String, String> {
         return Err(format!("vertex {vertex} out of range (n = {})", g.num_vertices()));
     }
     let k: usize = args.get_or("k", 20)?;
-    let mut opts = query_options(args)?;
-    opts.explain = args.flag("explain");
     let start = std::time::Instant::now();
     let res = index.query(g, vertex, k, &opts);
     let elapsed = start.elapsed();
@@ -385,30 +376,27 @@ fn query(args: &Args) -> Result<String, String> {
 }
 
 fn batch_query(args: &Args) -> Result<String, String> {
-    args.ensure_known(&[
-        "graph",
-        "index",
-        "snapshot",
-        "deltas",
-        "vertices",
-        "queries",
-        "seed",
-        "k",
-        "threads",
-        "ball",
-        "theta",
-        "wave-width",
-        "fast-tier",
-        "fast-tier-degree",
-        "fast-tier-candidates",
-        "metrics-out",
-        "hits-out",
-        "trace-out",
-        "mmap",
-        "verify-on-load",
-        "prefault",
-        "prune-theta-only",
-    ])?;
+    args.ensure_known(
+        &[
+            QUERY_FLAGS,
+            &[
+                "deltas",
+                "vertices",
+                "queries",
+                "seed",
+                "threads",
+                "metrics-out",
+                "hits-out",
+                "trace-out",
+                "mmap",
+                "verify-on-load",
+                "prefault",
+                "prune-theta-only",
+            ],
+        ]
+        .concat(),
+    )?;
+    let mut opts = query_options(args)?;
     let load_opts = load_options(args)?;
     let chain_paths: Vec<String> = args.get_list::<String>("deltas")?.unwrap_or_default();
     let (shards, snap_info) = if let Some(path) = args.opt("snapshot") {
@@ -439,7 +427,6 @@ fn batch_query(args: &Args) -> Result<String, String> {
     let k: usize = args.get_or("k", 20)?;
     let threads: usize =
         args.get_or("threads", std::thread::available_parallelism().map(|v| v.get()).unwrap_or(1))?;
-    let mut opts = query_options(args)?;
     // `--prune-theta-only` switches off the adaptive kth-score pruning
     // floor, leaving only the partition-invariant θ floor. Engines over
     // more than one shard force this mode regardless; setting it
@@ -577,10 +564,6 @@ fn batch_query(args: &Args) -> Result<String, String> {
 /// tile queries sequentially per lane, which loses inter-query idle gaps
 /// but keeps every slice visible and ordered.
 fn chrome_trace_export(queries: &[u32], results: &[TopKResult], k: usize, threads: usize) -> String {
-    // Child slice names, index-aligned with `srs_search::obs::QUERY_STAGES`
-    // and spelled like the server's span names, so one Perfetto query
-    // matches slices from both exporters.
-    const STAGE_SPANS: [&str; 4] = ["stage:enumerate", "stage:bounds", "stage:scan", "stage:collect"];
     let per = queries.len().div_ceil(threads.max(1)).max(1);
     let ids = srs_obs::TraceIdGen::with_seed(0x7472_6163);
     let mut cursors = vec![0u64; threads.max(1)];
@@ -594,13 +577,9 @@ fn chrome_trace_export(queries: &[u32], results: &[TopKResult], k: usize, thread
         tr.attr(root, "vertex", srs_obs::AttrValue::U64(u as u64));
         tr.attr(root, "k", srs_obs::AttrValue::U64(k as u64));
         let mut child_at = at;
-        if res.timings.fast_tier_ns > 0 {
-            let s = tr.push_span("stage:fast_tier", child_at, res.timings.fast_tier_ns, Some(root));
-            tr.attr(s, "fast_tier_route", srs_obs::AttrValue::Str("linearized"));
-            child_at += res.timings.fast_tier_ns;
-        }
-        for (si, name) in STAGE_SPANS.iter().enumerate() {
-            let dur = res.timings.stages[si];
+        // Child slices are named like the server's stage spans, so one
+        // Perfetto query matches slices from both exporters.
+        for (name, &dur) in STAGE_SPANS.iter().zip(&res.timings.stages) {
             if dur > 0 {
                 tr.push_span(name, child_at, dur, Some(root));
                 child_at += dur;
@@ -645,7 +624,6 @@ fn serve(args: &Args) -> Result<String, String> {
         "k",
         "read-timeout-s",
         "max-conns",
-        "fast-tier",
         "trace-sample",
         "slow-query-ms",
         "mmap",
@@ -672,7 +650,9 @@ fn serve(args: &Args) -> Result<String, String> {
         addr: args.opt("addr").unwrap_or(&defaults.addr).to_string(),
         threads: args.get_or("threads", defaults.threads)?,
         max_batch: args.get_or("max-batch", defaults.max_batch)?,
-        batch_window: std::time::Duration::from_micros(args.get_or("batch-window-us", 500)?),
+        batch_window: std::time::Duration::from_micros(
+            args.get_or("batch-window-us", defaults.batch_window.as_micros() as u64)?,
+        ),
         queue_capacity: args.get_or("queue", defaults.queue_capacity)?,
         cache_capacity: args.get_or("cache", defaults.cache_capacity)?,
         default_k: args.get_or("k", defaults.default_k)?,
@@ -681,11 +661,6 @@ fn serve(args: &Args) -> Result<String, String> {
             args.get_or("read-timeout-s", defaults.read_timeout.as_secs())?,
         ),
         max_connections: args.get_or("max-conns", defaults.max_connections)?,
-        fast_tier: match args.opt("fast-tier") {
-            Some(ft) => srs_search::FastTier::parse(ft)
-                .ok_or_else(|| format!("--fast-tier `{ft}` (expected off|auto|always)"))?,
-            None => defaults.fast_tier,
-        },
         // `--trace-sample N` keeps 1-in-N requests' span trees (1 = all,
         // 0 = tracing off); `--slow-query-ms T` always keeps requests
         // slower than T. Either one being nonzero enables tracing.
@@ -2436,5 +2411,38 @@ mod tests {
             assert!(err.contains("binary format error"), "{magic}: {err}");
         }
         std::fs::remove_file(&g_path).ok();
+    }
+
+    #[test]
+    fn theta_must_be_a_score() {
+        // Options are parsed before any file is opened, so the missing
+        // files below are never reached.
+        for cmd in ["query --vertex 1", "batch-query --vertices 1"] {
+            for bad in ["nan", "NaN", "-1", "inf", "-inf", "1.5"] {
+                let err = run(&format!("{cmd} --graph none.bin --index none.idx --theta {bad}")).unwrap_err();
+                assert!(err.contains("--theta"), "{cmd} --theta {bad}: {err}");
+            }
+        }
+        let args = Args::parse(&["query".to_string(), "--theta".to_string(), "0".to_string()]).unwrap();
+        assert_eq!(query_options(&args).unwrap().theta, Some(0.0));
+    }
+
+    #[test]
+    fn retired_linearized_tier_flags_are_unknown() {
+        // The linearized serving tier and its flags are gone; each one
+        // must fail loudly rather than be ignored. (Names are assembled
+        // so a search for the retired identifiers finds only history.)
+        let flag = |suffix: &str| format!("fast-{}{suffix}", "tier");
+        for (cmd, suffixes) in [
+            ("query", &["", "-degree", "-candidates"][..]),
+            ("batch-query", &["", "-degree", "-candidates"][..]),
+            ("serve", &[""][..]),
+        ] {
+            for suffix in suffixes {
+                let name = flag(suffix);
+                let err = run(&format!("{cmd} --snapshot none.srs --{name} 1")).unwrap_err();
+                assert!(err.contains(&format!("unknown flag --{name}")), "{cmd} --{name}: {err}");
+            }
+        }
     }
 }

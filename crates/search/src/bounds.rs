@@ -22,7 +22,7 @@
 //! (`E[(count/R)²] = p² + p(1−p)/R`), which keeps the L2 bound conservative.
 //! The α estimator is unbiased per entry, but the max over entries is again
 //! positively biased — also conservative. Callers still add an ε-slack for
-//! the downward noise (see `QueryOptions::bound_slack`).
+//! the downward noise (see `BOUND_SLACK` in the `topk` scan).
 
 use crate::{Diagonal, SimRankParams};
 use srs_graph::bfs::UNREACHED;

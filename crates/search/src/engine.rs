@@ -48,13 +48,12 @@
 //! What is *not* partition-invariant: each shard runs its own query BFS
 //! and wave formation, so the merged `bfs_visited` lies between one
 //! unsharded run and `N×` it and `waves` is per shard (the fate counters
-//! sum exactly). The fast tier scores vertices without consulting the
-//! inverted map, so it is off under sharding, as are explain traces (they
-//! would interleave per-shard scans). One shard keeps every option.
+//! sum exactly). Explain traces are off under sharding (they would
+//! interleave per-shard scans). One shard keeps every option.
 
 use crate::obs::ServingMetrics;
 use crate::snapshot::Dataset;
-use crate::topk::{FastTier, Hit, QueryOptions, QueryScratch, QueryStats, TopKResult};
+use crate::topk::{Hit, QueryOptions, QueryScratch, QueryStats, TopKResult};
 use parking_lot::Mutex;
 use srs_graph::hash::FxHashMap;
 use srs_graph::VertexId;
@@ -775,8 +774,7 @@ impl ServingEngine {
         out: &mut BatchResult,
     ) {
         let started = Instant::now();
-        let shard_opts =
-            QueryOptions { kth_prune: false, fast_tier: FastTier::Off, explain: false, ..opts.clone() };
+        let shard_opts = QueryOptions { kth_prune: false, explain: false, ..opts.clone() };
         let mut parts = std::mem::take(&mut out.shard_parts);
         parts.resize_with(state.shards.len(), BatchResult::default);
         std::thread::scope(|s| {
@@ -805,7 +803,6 @@ impl ServingEngine {
                 for (t, s) in merged.timings.stages.iter_mut().zip(&r.timings.stages) {
                     *t += s;
                 }
-                merged.timings.fast_tier_ns += r.timings.fast_tier_ns;
                 out.latencies[i] = out.latencies[i].max(part.latencies[i]);
             }
             merge_hits(&mut merged.hits, k);
@@ -1354,8 +1351,8 @@ mod tests {
     #[test]
     fn one_shard_bundle_is_the_unsharded_case() {
         // A loaded one-shard bundle keeps every option — kth pruning,
-        // the fast tier, explain traces — and the cache: answers, stats,
-        // and traces match the in-memory dataset's exactly.
+        // explain traces — and the cache: answers, stats, and traces
+        // match the in-memory dataset's exactly.
         let (g, idx) = build_small(160, 25);
         let memory = engine(&g, &idx, 2);
         let one = ServingEngine::with_threads(sharded(&g, &idx, 1), 2);
@@ -1364,7 +1361,6 @@ mod tests {
         let vertices: Vec<u32> = (0..160).step_by(5).collect();
         for opts in [
             QueryOptions::default(),
-            QueryOptions { fast_tier: FastTier::Always, ..Default::default() },
             QueryOptions { explain: true, candidate_ball: Some(2), ..Default::default() },
         ] {
             let a = memory.query_batch(&vertices, 6, &opts);
@@ -1375,7 +1371,6 @@ mod tests {
                 assert_eq!(a.results[i].explain, b.results[i].explain, "u={v} {opts:?}");
             }
         }
-        assert!(one.metrics().snapshot().counter_total("srs_query_fast_tier_queries_total") > 0);
         assert_eq!(one.cached_results(), memory.cached_results());
     }
 
@@ -1472,14 +1467,22 @@ mod tests {
     fn opts_fingerprint_distinguishes_fields() {
         let base = QueryOptions::default();
         assert_eq!(base.fingerprint(), QueryOptions::default().fingerprint());
-        for changed in [
-            QueryOptions { wave_width: 1, ..Default::default() },
-            QueryOptions { theta: Some(0.05), ..Default::default() },
+        // One input per field, so the hand-written `fingerprint()` is
+        // pinned to every field `QueryOptions` has.
+        let changed = [
+            QueryOptions { use_distance_bound: false, ..Default::default() },
+            QueryOptions { use_l1: false, ..Default::default() },
+            QueryOptions { use_l2: false, ..Default::default() },
+            QueryOptions { adaptive: false, ..Default::default() },
+            QueryOptions { kth_prune: false, ..Default::default() },
             QueryOptions { candidate_ball: Some(2), ..Default::default() },
+            QueryOptions { theta: Some(0.05), ..Default::default() },
+            QueryOptions { share_source_walks: true, ..Default::default() },
             QueryOptions { explain: true, ..Default::default() },
-            QueryOptions { bound_slack: 0.03, ..Default::default() },
-        ] {
-            assert_ne!(base.fingerprint(), changed.fingerprint(), "{changed:?}");
+            QueryOptions { wave_width: 1, ..Default::default() },
+        ];
+        for c in &changed {
+            assert_ne!(base.fingerprint(), c.fingerprint(), "{c:?}");
         }
         assert_ne!(opts_key(5, &base), opts_key(6, &base), "k is part of the key");
     }

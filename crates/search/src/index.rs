@@ -219,18 +219,6 @@ impl CandidateIndex {
         &self.inv_entries[self.inv_offsets[w as usize] as usize..self.inv_offsets[w as usize + 1] as usize]
     }
 
-    /// Upper bound on `u`'s candidate count *and* on the enumeration work
-    /// it implies: `Σ |holders(w)|` over `u`'s signatures, i.e. the
-    /// candidate list length before deduplication. `O(|signatures(u)|)` —
-    /// no holder list is touched — so policies (like the fast-tier
-    /// routing heuristic) can consult it before paying for enumeration.
-    pub fn candidate_upper_bound(&self, u: VertexId) -> u64 {
-        self.signatures(u)
-            .iter()
-            .map(|&w| self.inv_offsets[w as usize + 1] - self.inv_offsets[w as usize])
-            .sum()
-    }
-
     /// Candidate set of `u`: all `v ≠ u` sharing at least one signature
     /// (§7.2, line 2 of Algorithm 5). Deduplicated, sorted ascending.
     pub fn candidates(&self, u: VertexId) -> Vec<VertexId> {

@@ -50,7 +50,7 @@ pub use index::SeenStamps;
 pub use obs::{BuildObs, ServingMetrics, StageTimings};
 pub use single_pair::{SinglePairEstimator, WaveEstimator};
 pub use snapshot::{load_snapshot, Dataset, LoadOptions, SnapshotInfo, SnapshotVerifier};
-pub use topk::{FastTier, Hit, QueryContext, QueryOptions, QueryScratch, QueryStats, TopKIndex, TopKResult};
+pub use topk::{Hit, QueryContext, QueryOptions, QueryScratch, QueryStats, TopKIndex, TopKResult};
 
 /// The diagonal correction matrix `D` used by the estimators.
 ///

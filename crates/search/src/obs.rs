@@ -26,9 +26,6 @@
 //! | `srs_queries_deduped_total` | counter | |
 //! | `srs_cache_hits_total` / `srs_cache_misses_total` | counter | |
 //! | `srs_walk_steps_total` | counter | `class` |
-//! | `srs_query_fast_tier_queries_total` | counter | |
-//! | `srs_query_fast_tier_fallback_total` | counter | |
-//! | `srs_query_fast_tier_ns` | histogram | |
 //! | `srs_query_latency_ns` | histogram | |
 //! | `srs_query_stage_ns` | histogram | `stage` |
 //! | `srs_query_candidates` | histogram | |
@@ -53,6 +50,11 @@ use std::sync::Arc;
 /// into [`ServingMetrics::query_stages`] and `QueryLocalObs::stages`.
 pub const QUERY_STAGES: [&str; 4] = ["enumerate", "bounds", "scan", "collect"];
 
+/// Trace span names of the [`QUERY_STAGES`], index for index — the one
+/// table both trace exporters (the server's per-request trace and the
+/// CLI's Chrome trace) name their stage spans from.
+pub const STAGE_SPANS: [&str; 4] = ["stage:enumerate", "stage:bounds", "stage:scan", "stage:collect"];
+
 /// Named stages of the preprocess build, in pipeline order. Indexes into
 /// [`ServingMetrics::build_stages`].
 pub const BUILD_STAGES: [&str; 4] = ["gamma", "walk_generation", "coincidence_probe", "assemble"];
@@ -67,17 +69,14 @@ pub const BUILD_STAGES: [&str; 4] = ["gamma", "walk_generation", "coincidence_pr
 /// them; `TopKResult` deliberately does not derive `PartialEq`).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StageTimings {
-    /// Per-stage ns, indexed like [`QUERY_STAGES`]. All zero when the
-    /// query took the fast tier.
+    /// Per-stage ns, indexed like [`QUERY_STAGES`].
     pub stages: [u64; QUERY_STAGES.len()],
-    /// Fast-tier pass ns (0 when the query took the MC scan).
-    pub fast_tier_ns: u64,
 }
 
 impl StageTimings {
-    /// Sum of everything measured (MC stages + fast tier).
+    /// Sum of every stage's duration.
     pub fn total_ns(&self) -> u64 {
-        self.stages.iter().sum::<u64>() + self.fast_tier_ns
+        self.stages.iter().sum()
     }
 }
 
@@ -125,14 +124,6 @@ pub struct ServingMetrics {
     pub cache_misses: Arc<Counter>,
     /// `srs_walk_steps_total{class=...}`, indexed by [`WALK_CLASSES`].
     pub walk_steps: [Arc<Counter>; 3],
-    /// `srs_query_fast_tier_queries_total` (queries answered by the
-    /// deterministic linearized tier instead of the MC pipeline).
-    pub fast_tier_queries: Arc<Counter>,
-    /// `srs_query_fast_tier_fallback_total` (queries the `Auto` policy
-    /// examined but routed to the MC pipeline).
-    pub fast_tier_fallbacks: Arc<Counter>,
-    /// `srs_query_fast_tier_ns` (wall time of linearized-tier answers).
-    pub fast_tier_ns: Arc<Histogram>,
     /// `srs_query_latency_ns`.
     pub latency: Arc<Histogram>,
     /// `srs_query_stage_ns{stage=...}`, indexed by [`QUERY_STAGES`].
@@ -250,13 +241,6 @@ impl ServingMetrics {
             cache_hits: r.counter("srs_cache_hits_total", "Queries answered from the result cache"),
             cache_misses: r.counter("srs_cache_misses_total", "Result-cache probes that missed"),
             walk_steps,
-            fast_tier_queries: r
-                .counter("srs_query_fast_tier_queries_total", "Queries answered by the linearized fast tier"),
-            fast_tier_fallbacks: r.counter(
-                "srs_query_fast_tier_fallback_total",
-                "Auto-policy queries routed back to the MC pipeline",
-            ),
-            fast_tier_ns: r.histogram("srs_query_fast_tier_ns", "Linearized fast-tier answer duration (ns)"),
             latency: r.histogram("srs_query_latency_ns", "Per-query wall latency (ns)"),
             query_stages,
             candidates_per_query: r.histogram("srs_query_candidates", "Candidates enumerated per query"),
@@ -333,8 +317,6 @@ impl ServingMetrics {
         self.zero_screened.add(s.zero_screened);
         self.waves.add(s.waves);
         self.wave_wasted.add(s.wave_wasted);
-        self.fast_tier_queries.add(s.fast_tier_queries);
-        self.fast_tier_fallbacks.add(s.fast_tier_fallbacks);
     }
 
     /// Folds a worker's walk-step class delta into the shared cells.
@@ -354,8 +336,6 @@ pub struct QueryLocalObs {
     pub stages: [LocalHistogram; 4],
     /// Per-wave survivor counts from the batched scan.
     pub wave_survivors: LocalHistogram,
-    /// Linearized fast-tier answer durations.
-    pub fast_tier: LocalHistogram,
 }
 
 impl QueryLocalObs {
@@ -370,7 +350,6 @@ impl QueryLocalObs {
             local.drain_into(shared);
         }
         self.wave_survivors.drain_into(&m.wave_survivors);
-        self.fast_tier.drain_into(&m.fast_tier_ns);
     }
 }
 
@@ -406,8 +385,6 @@ mod tests {
             zero_screened: 5,
             waves: 2,
             wave_wasted: 4,
-            fast_tier_queries: 1,
-            fast_tier_fallbacks: 2,
         });
         m.record_walk_steps(WalkStepCounts { dead: 1, unique: 2, branch: 3 });
         m.record_extend(&crate::ExtendStats { appended: 3, dirty: 5, reused: 92 }, 1000);
@@ -427,9 +404,6 @@ mod tests {
             "srs_cache_hits_total",
             "srs_cache_misses_total",
             "srs_walk_steps_total",
-            "srs_query_fast_tier_queries_total",
-            "srs_query_fast_tier_fallback_total",
-            "srs_query_fast_tier_ns",
             "srs_query_latency_ns",
             "srs_query_stage_ns",
             "srs_query_candidates",
@@ -462,14 +436,19 @@ mod tests {
         assert_eq!(snap.counter_total("srs_query_zero_screened_total"), 5);
         assert_eq!(snap.counter_total("srs_query_waves_total"), 2);
         assert_eq!(snap.counter_total("srs_query_wave_wasted_total"), 4);
-        assert_eq!(snap.counter_total("srs_query_fast_tier_queries_total"), 1);
-        assert_eq!(snap.counter_total("srs_query_fast_tier_fallback_total"), 2);
         assert_eq!(snap.family("srs_query_candidate_fates_total").unwrap().samples.len(), 5);
         assert_eq!(snap.family("srs_query_stage_ns").unwrap().samples.len(), 4);
         assert_eq!(snap.counter_total("srs_extend_applies_total"), 1);
         assert_eq!(snap.counter_total("srs_extend_dirty_vertices_total"), 5);
         assert_eq!(snap.counter_total("srs_extend_reused_vertices_total"), 92);
         assert_eq!(m.chain_depth.get(), 2);
+    }
+
+    #[test]
+    fn stage_span_names_track_engine_stages() {
+        for (span, stage) in STAGE_SPANS.iter().zip(QUERY_STAGES) {
+            assert_eq!(*span, format!("stage:{stage}"), "span names must mirror QUERY_STAGES");
+        }
     }
 
     #[test]

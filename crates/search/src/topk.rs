@@ -13,8 +13,10 @@
 //!    survivors with `R = 100` (§7.2);
 //! 4. return the k highest refined scores.
 //!
-//! Every pruning knob can be disabled through [`QueryOptions`] — that is
-//! what the ablation benches sweep.
+//! Every pruning stage (the three bounds, adaptive sampling, the k-th
+//! threshold) can be disabled through [`QueryOptions`] — that is what the
+//! ablation benches sweep. The noise slack and the coarse cut are fixed
+//! constants of the scan (`BOUND_SLACK`, `COARSE_FRACTION`).
 
 use crate::bounds::{AlphaBeta, GammaTable};
 use crate::index::{CandidateIndex, SeenStamps};
@@ -30,49 +32,6 @@ use srs_obs::{CandidateFate, CandidateRecord, ExplainTrace};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::time::Instant;
-
-/// When to answer a query with the **deterministic fast tier** — one
-/// `O(Tm)` forward–backward pass of the linearized series
-/// (`srs_exact::linearized::single_source_into`) over the whole graph —
-/// instead of the Monte-Carlo bounded scan (Algorithm 5).
-///
-/// The MC scan's cost scales with the candidate count, and its bounds
-/// prune worst for exactly the vertices that have the most candidates
-/// (high-degree hubs whose walks co-locate with everything). For those
-/// queries one deterministic pass is both faster and noise-free; for the
-/// long tail of low-degree vertices the scan examines a few hundred
-/// candidates and remains far cheaper than touching every edge.
-///
-/// The tier is deterministic by construction (no RNG is consumed — a
-/// fast-tier answer never perturbs any other query's walk streams) and
-/// scores every vertex, so its hits need no recall caveat: they are the
-/// exact truncated-series top-k at the query's `θ`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum FastTier {
-    /// Never — always the MC scan (the PR 6 baseline; bit-identical
-    /// results to builds that predate the tier).
-    #[default]
-    Off,
-    /// Route through the heuristic: fast tier iff the query vertex's
-    /// candidate upper bound ([`CandidateIndex::candidate_upper_bound`])
-    /// reaches [`QueryOptions::fast_tier_min_candidates`] or its total
-    /// degree reaches [`QueryOptions::fast_tier_min_degree`].
-    Auto,
-    /// Every query takes the fast tier (accuracy tests, dense graphs).
-    Always,
-}
-
-impl FastTier {
-    /// Parses the CLI spelling (`off` / `auto` / `always`).
-    pub fn parse(s: &str) -> Option<FastTier> {
-        match s {
-            "off" => Some(FastTier::Off),
-            "auto" => Some(FastTier::Auto),
-            "always" => Some(FastTier::Always),
-            _ => None,
-        }
-    }
-}
 
 /// One result row: a vertex and its estimated SimRank score.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -95,9 +54,6 @@ pub struct QueryOptions {
     /// Two-stage adaptive sampling (§7.2). When off, every surviving
     /// candidate is refined directly.
     pub adaptive: bool,
-    /// Slack subtracted from the running k-th score before pruning, to
-    /// absorb Monte-Carlo noise in the bounds and estimates.
-    pub bound_slack: f64,
     /// Tighten the pruning threshold with the running k-th heap score
     /// (Algorithm 5's `max(θ, kth − slack)`). On by default — it is the
     /// main source of pruning power once the heap fills. Off, pruning
@@ -109,9 +65,6 @@ pub struct QueryOptions {
     /// engine forces this off with more than one shard; one shard keeps
     /// it on.
     pub kth_prune: bool,
-    /// A candidate is refined when its coarse estimate reaches this
-    /// fraction of the pruning threshold.
-    pub coarse_fraction: f64,
     /// Extension beyond the paper: additionally treat every vertex within
     /// this undirected distance of the query as a candidate. Raises recall
     /// on graphs where the random-walk index misses borderline pairs, at
@@ -142,18 +95,6 @@ pub struct QueryOptions {
     /// are bit-identical for every width. `1` disables batching (the
     /// scalar scan); per-vertex diagonals always use the scalar scan.
     pub wave_width: u32,
-    /// Deterministic fast-tier routing policy (see [`FastTier`]). `Off`
-    /// by default: results are then bit-identical to builds without the
-    /// tier.
-    pub fast_tier: FastTier,
-    /// `FastTier::Auto` threshold: take the fast tier when the query
-    /// vertex's candidate upper bound (pre-dedup candidate list length,
-    /// known in `O(signatures)` before enumeration) is at least this.
-    pub fast_tier_min_candidates: u64,
-    /// `FastTier::Auto` threshold: take the fast tier when the query
-    /// vertex's total (in + out) degree is at least this — the cheap
-    /// hub signal that needs no index lookup at all.
-    pub fast_tier_min_degree: u64,
 }
 
 impl Default for QueryOptions {
@@ -163,17 +104,12 @@ impl Default for QueryOptions {
             use_l1: true,
             use_l2: true,
             adaptive: true,
-            bound_slack: 0.02,
             kth_prune: true,
-            coarse_fraction: 0.5,
             candidate_ball: None,
             theta: None,
             share_source_walks: false,
             explain: false,
             wave_width: 32,
-            fast_tier: FastTier::Off,
-            fast_tier_min_candidates: 4096,
-            fast_tier_min_degree: 512,
         }
     }
 }
@@ -193,17 +129,12 @@ impl QueryOptions {
         self.use_l1.hash(&mut h);
         self.use_l2.hash(&mut h);
         self.adaptive.hash(&mut h);
-        self.bound_slack.to_bits().hash(&mut h);
         self.kth_prune.hash(&mut h);
-        self.coarse_fraction.to_bits().hash(&mut h);
         self.candidate_ball.hash(&mut h);
         self.theta.map(f64::to_bits).hash(&mut h);
         self.share_source_walks.hash(&mut h);
         self.explain.hash(&mut h);
         self.wave_width.hash(&mut h);
-        self.fast_tier.hash(&mut h);
-        self.fast_tier_min_candidates.hash(&mut h);
-        self.fast_tier_min_degree.hash(&mut h);
         h.finish()
     }
 }
@@ -255,13 +186,6 @@ pub struct QueryStats {
     /// Wave-precomputed estimates (coarse or refine) that consumption
     /// never used — the speculative overhead of batching.
     pub wave_wasted: u64,
-    /// Queries answered by the deterministic fast tier (0 or 1 per
-    /// query; a fast-tier answer enumerates no candidates, so every fate
-    /// counter above stays 0 and the accounting identity holds).
-    pub fast_tier_queries: u64,
-    /// Queries where `FastTier::Auto` was consulted but the heuristic
-    /// routed to the MC scan.
-    pub fast_tier_fallbacks: u64,
 }
 
 impl QueryStats {
@@ -279,8 +203,6 @@ impl QueryStats {
         self.zero_screened += other.zero_screened;
         self.waves += other.waves;
         self.wave_wasted += other.wave_wasted;
-        self.fast_tier_queries += other.fast_tier_queries;
-        self.fast_tier_fallbacks += other.fast_tier_fallbacks;
     }
 
     /// The checked accounting identity: every enumerated candidate has
@@ -439,23 +361,8 @@ pub struct QueryScratch {
     heap: BinaryHeap<Reverse<HeapHit>>,
     /// Wave-batched scan state (formation buffers + estimate table).
     wave: WaveScratch,
-    /// Fast-tier state (linearized pass scratch + score vector). Empty
-    /// until the first fast-tier query through this scratch — a pool
-    /// serving `FastTier::Off` traffic never pays its `O(Tn)` doubles.
-    fast: FastTierScratch,
     /// Stage-duration accumulators, drained by the engine at batch end.
     obs: QueryLocalObs,
-}
-
-/// Scratch for the deterministic fast tier: the linearized pass's
-/// forward/backward vectors, the full score vector it produces, and a
-/// uniform-diagonal expansion buffer (`single_source_into` takes `D` as
-/// a dense slice).
-#[derive(Default)]
-struct FastTierScratch {
-    lin: srs_exact::linearized::SingleSourceScratch,
-    scores: Vec<f64>,
-    diag: Vec<f64>,
 }
 
 /// Scratch for the wave-batched scan: formation output, the batched
@@ -485,6 +392,14 @@ struct WaveScratch {
 /// wave lane, so an uncapped span could stretch over the whole candidate
 /// list, and the slot table with it.
 const MAX_SPAN: usize = 1024;
+
+/// Slack subtracted from the running k-th score before pruning, to absorb
+/// Monte-Carlo noise in the bounds and estimates.
+const BOUND_SLACK: f64 = 0.02;
+
+/// A candidate is refined when its coarse estimate reaches this fraction
+/// of the pruning threshold.
+const COARSE_FRACTION: f64 = 0.5;
 
 /// Precomputed work for one candidate a wave's formation pass examined:
 /// the bound values formation evaluated anyway (reused verbatim by
@@ -526,7 +441,6 @@ impl QueryScratch {
             seen: SeenStamps::new(),
             heap: BinaryHeap::new(),
             wave: WaveScratch::default(),
-            fast: FastTierScratch::default(),
             obs: QueryLocalObs::new(),
         }
     }
@@ -560,33 +474,21 @@ impl QueryScratch {
         // migrate threads mid-query). Deterministic — the same query
         // performs the same walks regardless of thread count.
         let walk_base = srs_mc::obs::thread_counts().total();
-        if self.route_fast_tier(g, index, u, opts, &mut out.stats) {
-            // Deterministic fast tier: one linearized forward–backward
-            // pass scores every vertex; no candidates are enumerated (all
-            // fate counters stay 0), no RNG stream is consumed.
-            let t = Instant::now();
-            self.fast_tier_scores(g, index, u, k, theta);
-            let dt = t.elapsed().as_nanos() as u64;
-            self.obs.fast_tier.record(dt);
-            out.timings.fast_tier_ns = dt;
-            out.stats.fast_tier_queries = 1;
-        } else {
-            let t = Instant::now();
-            self.enumerate_candidates(g, index, u, opts, &mut out.stats);
-            let dt = t.elapsed().as_nanos() as u64;
-            self.obs.stages[0].record(dt);
-            out.timings.stages[0] = dt;
-            let t = Instant::now();
-            self.prepare_query_tables(g, index, u, opts);
-            let dt = t.elapsed().as_nanos() as u64;
-            self.obs.stages[1].record(dt);
-            out.timings.stages[1] = dt;
-            let t = Instant::now();
-            self.scan_candidates(g, index, u, k, opts, theta, &mut out.stats, out.explain.as_mut());
-            let dt = t.elapsed().as_nanos() as u64;
-            self.obs.stages[2].record(dt);
-            out.timings.stages[2] = dt;
-        }
+        let t = Instant::now();
+        self.enumerate_candidates(g, index, u, opts, &mut out.stats);
+        let dt = t.elapsed().as_nanos() as u64;
+        self.obs.stages[0].record(dt);
+        out.timings.stages[0] = dt;
+        let t = Instant::now();
+        self.prepare_query_tables(g, index, u, opts);
+        let dt = t.elapsed().as_nanos() as u64;
+        self.obs.stages[1].record(dt);
+        out.timings.stages[1] = dt;
+        let t = Instant::now();
+        self.scan_candidates(g, index, u, k, opts, theta, &mut out.stats, out.explain.as_mut());
+        let dt = t.elapsed().as_nanos() as u64;
+        self.obs.stages[2].record(dt);
+        out.timings.stages[2] = dt;
         let t = Instant::now();
         out.hits.extend(self.heap.drain().map(|h| Hit { vertex: h.0.vertex, score: h.0.score }));
         out.hits.sort_by(|a, b| {
@@ -597,61 +499,6 @@ impl QueryScratch {
         out.timings.stages[3] = dt;
         out.stats.walk_steps = srs_mc::obs::thread_counts().total() - walk_base;
         debug_assert!(out.stats.fates_accounted(), "fate counters drifted: {:?}", out.stats);
-    }
-
-    /// Whether this query takes the deterministic fast tier. Decided
-    /// *before* candidate enumeration from `O(1)`-ish signals (degree,
-    /// pre-dedup candidate-list length) so a routed query pays nothing
-    /// for the MC machinery and its stats stay trivially consistent.
-    fn route_fast_tier(
-        &self,
-        g: &Graph,
-        index: &TopKIndex,
-        u: VertexId,
-        opts: &QueryOptions,
-        stats: &mut QueryStats,
-    ) -> bool {
-        match opts.fast_tier {
-            FastTier::Off => false,
-            FastTier::Always => true,
-            FastTier::Auto => {
-                let degree = g.in_degree(u) as u64 + g.out_degree(u) as u64;
-                let take = degree >= opts.fast_tier_min_degree
-                    || index.candidates.candidate_upper_bound(u) >= opts.fast_tier_min_candidates;
-                if !take {
-                    stats.fast_tier_fallbacks = 1;
-                }
-                take
-            }
-        }
-    }
-
-    /// The fast tier itself: score all of `s(u, ·)` with one linearized
-    /// forward–backward pass (`O(Tm)`, allocation-free once warm), then
-    /// offer every vertex `v ≠ u` with `score ≥ θ` to the same top-k
-    /// heap the MC scan feeds — identical tie-breaking and collection.
-    /// Works for both diagonal modes: a per-vertex diagonal is passed
-    /// through exactly, the uniform one is expanded into scratch.
-    fn fast_tier_scores(&mut self, g: &Graph, index: &TopKIndex, u: VertexId, k: usize, theta: f64) {
-        let FastTierScratch { lin, scores, diag } = &mut self.fast;
-        let d: &[f64] = match &index.diag {
-            Diagonal::PerVertex(d) => d,
-            Diagonal::Uniform(x) => {
-                diag.clear();
-                diag.resize(g.num_vertices() as usize, *x);
-                diag
-            }
-        };
-        let ep = srs_exact::ExactParams::new(index.params.c, index.params.t);
-        srs_exact::linearized::single_source_into(g, u, &ep, d, lin, scores);
-        for (v, &score) in scores.iter().enumerate() {
-            if v as VertexId != u && score >= theta {
-                self.heap.push(Reverse(HeapHit { score, vertex: v as VertexId }));
-                if self.heap.len() > k {
-                    self.heap.pop();
-                }
-            }
-        }
     }
 
     /// Stage 1 — candidate enumeration (line 2 of Algorithm 5, plus the
@@ -819,7 +666,7 @@ impl QueryScratch {
             // stat bumped; consumption below re-decides every candidate
             // against the threshold in force *then*.
             let prune_floor =
-                if opts.kth_prune { theta.max(kth_score(&self.heap, k) - opts.bound_slack) } else { theta };
+                if opts.kth_prune { theta.max(kth_score(&self.heap, k) - BOUND_SLACK) } else { theta };
             let wave = &mut self.wave;
             wave.survivors.clear();
             wave.targets.clear();
@@ -892,7 +739,7 @@ impl QueryScratch {
             wave.refine_picks.clear();
             wave.refine_targets.clear();
             wave.refine_seeds.clear();
-            let coarse_floor = opts.coarse_fraction * prune_floor;
+            let coarse_floor = COARSE_FRACTION * prune_floor;
             for si in 0..wave.survivors.len() {
                 if !opts.adaptive || wave.coarse[si] >= coarse_floor {
                     wave.refine_picks.push(si);
@@ -992,7 +839,7 @@ impl QueryScratch {
         for ci in span {
             let (d, v) = cands[ci];
             let prune_at =
-                if opts.kth_prune { theta.max(kth_score(&self.heap, k) - opts.bound_slack) } else { theta };
+                if opts.kth_prune { theta.max(kth_score(&self.heap, k) - BOUND_SLACK) } else { theta };
             // Bound values come from the wave's formation pass when it
             // examined this candidate (the identical pure expressions, so
             // reuse cannot change a decision) and are computed here
@@ -1093,7 +940,7 @@ impl QueryScratch {
                         self.estimator.estimate(&engine, &index.diag, u, v, params, params.r_coarse, seed())
                     }
                 };
-                let coarse_at = opts.coarse_fraction * prune_at;
+                let coarse_at = COARSE_FRACTION * prune_at;
                 if coarse < coarse_at {
                     stats.pruned_coarse += 1;
                     if let Some(tr) = explain.as_deref_mut() {
@@ -1490,137 +1337,6 @@ mod tests {
         let idx = TopKIndex::build_with(&g, &params, Diagonal::paper_default(params.c), 2, 1);
         let res = idx.query(&g, 9, 5, &QueryOptions::default());
         assert!(res.hits.is_empty());
-    }
-
-    #[test]
-    fn fast_tier_always_matches_linearized_exact() {
-        // `Always` must reproduce the deterministic linearized solver
-        // bit-for-bit: same scores, same θ cut, same top-k tie-breaking.
-        let g = gen::copying_web(300, 5, 0.8, 21);
-        let params = fast_params();
-        let idx = TopKIndex::build_with(&g, &params, Diagonal::paper_default(params.c), 5, 2);
-        let ep = ExactParams::new(params.c, params.t);
-        let d = diagonal::uniform(300, params.c);
-        let mut ctx = QueryContext::new(&g, &idx);
-        let opts = QueryOptions { fast_tier: FastTier::Always, ..Default::default() };
-        let k = 10;
-        for u in srs_graph::stats::sample_query_vertices(&g, 12, 33) {
-            let exact = linearized::single_source(&g, u, &ep, &d);
-            let mut truth: Vec<Hit> = (0..300u32)
-                .filter(|&v| v != u && exact[v as usize] >= idx.params.theta)
-                .map(|v| Hit { vertex: v, score: exact[v as usize] })
-                .collect();
-            truth.sort_by(|a, b| b.score.partial_cmp(&a.score).unwrap().then(a.vertex.cmp(&b.vertex)));
-            truth.truncate(k);
-            let res = ctx.query(u, k, &opts);
-            assert_eq!(res.hits, truth, "u={u}");
-            assert_eq!(res.stats.fast_tier_queries, 1, "u={u}");
-            assert_eq!(res.stats.candidates, 0, "fast tier enumerates nothing");
-            assert!(res.stats.fates_accounted());
-        }
-    }
-
-    #[test]
-    fn fast_tier_with_exact_diagonal_matches_naive_simrank() {
-        // With the exact diagonal correction, the linearized series the
-        // fast tier evaluates equals true Jeh–Widom SimRank (Proposition
-        // 1) up to truncation — so its reported scores must track the
-        // naive fixpoint solver within the paper's error bound.
-        let g = gen::erdos_renyi(40, 150, 13);
-        let params = SimRankParams { c: 0.6, t: 25, ..fast_params() };
-        let ep = ExactParams::new(params.c, params.t);
-        let d = diagonal::estimate(&g, &ep, 1e-7, 300).unwrap();
-        let truth = srs_exact::naive::all_pairs(&g, &ep);
-        let idx = TopKIndex::build_with(&g, &params, Diagonal::PerVertex(std::sync::Arc::new(d)), 3, 1);
-        let mut ctx = QueryContext::new(&g, &idx);
-        let opts = QueryOptions { fast_tier: FastTier::Always, theta: Some(1e-4), ..Default::default() };
-        let tol = 3.0 * ep.truncation_error() + 1e-9;
-        let mut checked = 0;
-        for u in 0..40u32 {
-            let res = ctx.query(u, 40, &opts);
-            for h in &res.hits {
-                let want = truth.get(u as usize, h.vertex as usize);
-                assert!(
-                    (h.score - want).abs() < tol,
-                    "u={u} v={}: fast tier {} vs naive {want}",
-                    h.vertex,
-                    h.score
-                );
-                checked += 1;
-            }
-        }
-        assert!(checked > 40, "fixture produced too few hits ({checked})");
-    }
-
-    #[test]
-    fn fast_tier_auto_routes_on_thresholds() {
-        let g = gen::copying_web(300, 5, 0.8, 21);
-        let params = fast_params();
-        let idx = TopKIndex::build_with(&g, &params, Diagonal::paper_default(params.c), 5, 2);
-        let mut ctx = QueryContext::new(&g, &idx);
-        let u = 7;
-        // Thresholds nobody meets: Auto must fall back to the MC pipeline
-        // and record the fallback.
-        let never = QueryOptions {
-            fast_tier: FastTier::Auto,
-            fast_tier_min_degree: u64::MAX,
-            fast_tier_min_candidates: u64::MAX,
-            ..Default::default()
-        };
-        let a = ctx.query(u, 10, &never);
-        assert_eq!(a.stats.fast_tier_queries, 0);
-        assert_eq!(a.stats.fast_tier_fallbacks, 1);
-        assert!(a.stats.candidates > 0, "fell through to the MC scan");
-        // A zero degree threshold admits everyone.
-        let always =
-            QueryOptions { fast_tier: FastTier::Auto, fast_tier_min_degree: 0, ..Default::default() };
-        let b = ctx.query(u, 10, &always);
-        assert_eq!(b.stats.fast_tier_queries, 1);
-        assert_eq!(b.stats.fast_tier_fallbacks, 0);
-        assert_eq!(b.stats.candidates, 0);
-        // The MC fallback answer is bit-identical to a plain Off query —
-        // routing never perturbs the estimator's RNG streams.
-        let off = ctx.query(u, 10, &QueryOptions::default());
-        assert_eq!(a.hits, off.hits);
-    }
-
-    #[test]
-    fn fast_tier_per_vertex_diagonal_passes_through() {
-        // A PerVertex diagonal holding the uniform value must score
-        // identically to the Uniform mode (the tier reads either exactly).
-        let g = gen::copying_web(200, 4, 0.8, 8);
-        let params = fast_params();
-        let x = 1.0 - params.c;
-        let uni = TopKIndex::build_with(&g, &params, Diagonal::Uniform(x), 3, 2);
-        let pv =
-            TopKIndex::build_with(&g, &params, Diagonal::PerVertex(std::sync::Arc::new(vec![x; 200])), 3, 2);
-        let opts = QueryOptions { fast_tier: FastTier::Always, ..Default::default() };
-        let mut cu = QueryContext::new(&g, &uni);
-        let mut cp = QueryContext::new(&g, &pv);
-        for u in [0u32, 9, 55, 123] {
-            assert_eq!(cu.query(u, 8, &opts).hits, cp.query(u, 8, &opts).hits, "u={u}");
-        }
-    }
-
-    #[test]
-    fn fast_tier_options_change_fingerprint() {
-        let base = QueryOptions::default();
-        assert_eq!(base.fast_tier, FastTier::Off, "default stays the PR 6 pipeline");
-        let auto = QueryOptions { fast_tier: FastTier::Auto, ..Default::default() };
-        let always = QueryOptions { fast_tier: FastTier::Always, ..Default::default() };
-        let tuned = QueryOptions { fast_tier_min_degree: 7, ..Default::default() };
-        assert_ne!(base.fingerprint(), auto.fingerprint());
-        assert_ne!(auto.fingerprint(), always.fingerprint());
-        assert_ne!(base.fingerprint(), tuned.fingerprint());
-        assert_eq!(base.fingerprint(), QueryOptions::default().fingerprint());
-    }
-
-    #[test]
-    fn fast_tier_parse_round_trips() {
-        assert_eq!(FastTier::parse("off"), Some(FastTier::Off));
-        assert_eq!(FastTier::parse("auto"), Some(FastTier::Auto));
-        assert_eq!(FastTier::parse("always"), Some(FastTier::Always));
-        assert_eq!(FastTier::parse("bogus"), None);
     }
 
     #[test]

@@ -89,21 +89,6 @@ fn wave_invariant_holds_in_sort_merge_regime() {
 }
 
 #[test]
-fn fast_tier_auto_fallback_keeps_wave_invariant() {
-    // An Auto policy whose thresholds never fire routes every query back
-    // to the MC pipeline; the routing check alone may not perturb the MC
-    // streams, so the width/thread bit-identity contract must still hold
-    // (Auto-fallback == Off is pinned separately in the topk unit tests).
-    let auto = QueryOptions {
-        fast_tier: srs_search::FastTier::Auto,
-        fast_tier_min_degree: u64::MAX,
-        fast_tier_min_candidates: u64::MAX,
-        ..Default::default()
-    };
-    assert_wave_invariant(auto, "fast-tier auto fallback");
-}
-
-#[test]
 fn per_vertex_diagonal_routes_to_scalar_scan() {
     // The wave path is gated to uniform diagonals; a per-vertex diagonal
     // must fall back to the scalar scan at any width (waves == 0) and

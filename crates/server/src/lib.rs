@@ -43,9 +43,8 @@
 //! the latency histogram both measure) with `queue_linger` and
 //! `wave_exec` → per-stage engine children, plus an informational
 //! top-level `socket_read` span (which includes keep-alive idle wait),
-//! and attributes like `wave_width`, `candidates`, and
-//! `fast_tier_route`. Sampling is a
-//! deterministic hash of the trace ID (`splitmix64(id) % N == 0`) — no
+//! and attributes like `wave_width`, `candidates`, and `waves`.
+//! Sampling is a deterministic hash of the trace ID (`splitmix64(id) % N == 0`) — no
 //! RNG is consulted, so results are bit-identical with tracing on or
 //! off, and replaying a workload reproduces the sample set. When
 //! tracing is disabled the per-request cost is one relaxed atomic load
@@ -75,6 +74,7 @@ use srs_graph::container::{fnv1a64_extend, fold_fingerprints};
 use srs_graph::{GraphDelta, VertexId};
 use srs_obs::{AttrValue, Trace, TraceIdGen, TraceStore};
 use srs_search::engine::WaveQuery;
+use srs_search::obs::STAGE_SPANS;
 use srs_search::persist::PersistError;
 use srs_search::{load_chain, ChainInfo, LoadOptions, QueryOptions, ServingEngine, TopKResult};
 use std::collections::HashMap;
@@ -123,10 +123,6 @@ pub struct ServerConfig {
     /// Most connections served concurrently; above this, new connections
     /// answer 503 and close instead of spawning unbounded threads.
     pub max_connections: usize,
-    /// Fast-tier routing policy applied to every served query (see
-    /// [`srs_search::FastTier`]); thresholds keep their
-    /// [`QueryOptions`] defaults.
-    pub fast_tier: srs_search::FastTier,
     /// Deterministic trace sampling: keep 1 in `trace_sample` requests
     /// (0 disables sampling, 1 keeps everything). Keyed on the trace ID
     /// hash, never an RNG.
@@ -169,7 +165,6 @@ impl Default for ServerConfig {
             default_k: 20,
             read_timeout: Duration::from_secs(60),
             max_connections: 1024,
-            fast_tier: srs_search::FastTier::Off,
             trace_sample: 0,
             slow_query_ms: 0,
             trace_capacity: 256,
@@ -412,7 +407,7 @@ impl Server {
             shutdown: AtomicBool::new(false),
             started: Instant::now(),
             default_k: config.default_k.clamp(1, MAX_K),
-            default_opts: Arc::new(QueryOptions { fast_tier: config.fast_tier, ..QueryOptions::default() }),
+            default_opts: Arc::new(QueryOptions::default()),
             addr,
             read_timeout: config.read_timeout,
             max_connections: config.max_connections.max(1),
@@ -796,10 +791,6 @@ fn query_reply_inner(shared: &Shared, req: &http::Request, trace_id: u64, read_s
     reply
 }
 
-/// Per-stage span names, aligned index-for-index with
-/// [`srs_search::obs::QUERY_STAGES`] (pinned by a test below).
-const STAGE_SPANS: [&str; 4] = ["stage:enumerate", "stage:bounds", "stage:scan", "stage:collect"];
-
 /// Assembles the span tree for one answered query.
 ///
 /// The root `request` span covers *service time* — parse completion to
@@ -843,19 +834,10 @@ fn build_trace(
     t.attr(wave, "wave_width", AttrValue::U64(answer.wave_width as u64));
     t.attr(wave, "candidates", AttrValue::U64(stats.candidates));
     t.attr(wave, "waves", AttrValue::U64(stats.waves));
-    let fast = stats.fast_tier_queries > 0;
-    t.attr(wave, "fast_tier_route", AttrValue::Str(if fast { "linearized" } else { "mc_scan" }));
-    let timings = &answer.result.timings;
     let mut cursor = answer.wave_started_ns;
-    if fast {
-        t.push_span("stage:fast_tier", cursor, timings.fast_tier_ns, Some(wave));
-        cursor += timings.fast_tier_ns;
-        t.push_span(STAGE_SPANS[3], cursor, timings.stages[3], Some(wave));
-    } else {
-        for (i, name) in STAGE_SPANS.iter().enumerate() {
-            t.push_span(name, cursor, timings.stages[i], Some(wave));
-            cursor += timings.stages[i];
-        }
+    for (name, &ns) in STAGE_SPANS.iter().zip(&answer.result.timings.stages) {
+        t.push_span(name, cursor, ns, Some(wave));
+        cursor += ns;
     }
     t
 }
@@ -1106,19 +1088,12 @@ mod tests {
     }
 
     #[test]
-    fn stage_span_names_track_engine_stages() {
-        for (span, stage) in STAGE_SPANS.iter().zip(srs_search::obs::QUERY_STAGES) {
-            assert_eq!(*span, format!("stage:{stage}"), "span names must mirror QUERY_STAGES");
-        }
-    }
-
-    #[test]
     fn build_trace_covers_every_layer() {
         let answer = QueryAnswer {
             result: TopKResult {
                 hits: vec![Hit { vertex: 2, score: 0.25 }],
                 stats: srs_search::QueryStats { candidates: 10, waves: 3, ..Default::default() },
-                timings: srs_search::StageTimings { stages: [100, 200, 300, 50], fast_tier_ns: 0 },
+                timings: srs_search::StageTimings { stages: [100, 200, 300, 50] },
                 ..Default::default()
             },
             generation: 4,
@@ -1158,29 +1133,8 @@ mod tests {
         assert_eq!(t.spans[5].start_ns, 2_100);
         assert!(t.spans[4..].iter().all(|s| s.parent == Some(3)));
         let json = t.to_json();
-        for attr in ["\"wave_width\": 5", "\"candidates\": 10", "\"fast_tier_route\": \"mc_scan\""] {
+        for attr in ["\"wave_width\": 5", "\"candidates\": 10", "\"waves\": 3"] {
             assert!(json.contains(attr), "missing {attr} in {json}");
         }
-    }
-
-    #[test]
-    fn build_trace_fast_tier_route() {
-        let answer = QueryAnswer {
-            result: TopKResult {
-                stats: srs_search::QueryStats { fast_tier_queries: 1, ..Default::default() },
-                timings: srs_search::StageTimings { stages: [0, 0, 0, 40], fast_tier_ns: 700 },
-                ..Default::default()
-            },
-            generation: 1,
-            out_of_range: false,
-            wave_started_ns: 100,
-            wave_ended_ns: 900,
-            wave_width: 1,
-        };
-        let t = build_trace(1, 0, 50, 1_000, &answer, 0, 5);
-        let names: Vec<&str> = t.spans.iter().map(|s| s.name).collect();
-        assert!(names.contains(&"stage:fast_tier"));
-        assert!(!names.contains(&"stage:scan"), "fast tier skips the MC stages");
-        assert!(t.to_json().contains("\"fast_tier_route\": \"linearized\""));
     }
 }
