@@ -67,39 +67,6 @@ impl ServeBenchEntry {
     }
 }
 
-/// One phase of a `srs loadgen --hotset-shift` run: a fixed-duration
-/// request window together with the server-side cache-counter deltas
-/// scraped from `/metrics` around it. The hit rate is therefore what the
-/// result cache actually did, not a client-side estimate.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct HotsetPhase {
-    /// Phase label (`hotset-a`, `hotset-b`, `hotset-b-reloaded`).
-    pub phase: String,
-    /// Requests scheduled in this phase.
-    pub requests: u64,
-    /// Requests answered with HTTP 200.
-    pub completed: u64,
-    /// Requests that failed (transport or non-200).
-    pub errors: u64,
-    /// `srs_cache_hits_total` delta across the phase.
-    pub cache_hits: u64,
-    /// `srs_cache_misses_total` delta across the phase.
-    pub cache_misses: u64,
-}
-
-impl HotsetPhase {
-    /// Cache hit rate in [0, 1]; zero when the cache saw no traffic
-    /// (e.g. a server started with `--cache 0`).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / total as f64
-        }
-    }
-}
-
 /// A full rate-sweep run against one server.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServeBenchReport {
@@ -110,15 +77,12 @@ pub struct ServeBenchReport {
     pub addr: String,
     /// Measured rungs, in ascending offered-rate order.
     pub entries: Vec<ServeBenchEntry>,
-    /// Hotset-rotation phases (`--hotset-shift` runs only; empty for a
-    /// plain rate sweep, and then omitted from the JSON).
-    pub hotset: Vec<HotsetPhase>,
 }
 
 impl ServeBenchReport {
     /// An empty report for `addr`.
     pub fn new(addr: impl Into<String>) -> Self {
-        Self { host: HostInfo::detect(), addr: addr.into(), entries: Vec::new(), hotset: Vec::new() }
+        Self { host: HostInfo::detect(), addr: addr.into(), entries: Vec::new() }
     }
 
     /// Records one rung.
@@ -172,26 +136,7 @@ impl ServeBenchReport {
                 if i + 1 < self.entries.len() { "," } else { "" }
             ));
         }
-        out.push_str("  ]");
-        if !self.hotset.is_empty() {
-            out.push_str(",\n  \"hotset\": [\n");
-            for (i, p) in self.hotset.iter().enumerate() {
-                out.push_str(&format!(
-                    "    {{\"phase\": {}, \"requests\": {}, \"completed\": {}, \"errors\": {}, \
-                     \"cache_hits\": {}, \"cache_misses\": {}, \"hit_rate\": {:.4}}}{}\n",
-                    json_string(&p.phase),
-                    p.requests,
-                    p.completed,
-                    p.errors,
-                    p.cache_hits,
-                    p.cache_misses,
-                    p.hit_rate(),
-                    if i + 1 < self.hotset.len() { "," } else { "" }
-                ));
-            }
-            out.push_str("  ]");
-        }
-        out.push_str("\n}\n");
+        out.push_str("  ]\n}\n");
         out
     }
 
@@ -269,37 +214,6 @@ mod tests {
         assert!(j.contains("\"achieved_qps\": 100.0"));
         // One separator between the two rungs, one after the host block.
         assert_eq!(j.matches("},\n").count(), 2, "{j}");
-    }
-
-    #[test]
-    fn hotset_phases_appear_only_when_recorded() {
-        let mut r = ServeBenchReport::new("x");
-        r.push(rung(100.0, 200, 2.0, 800.0));
-        assert!(!r.to_json().contains("\"hotset\""));
-        r.hotset.push(HotsetPhase {
-            phase: "hotset-a".into(),
-            requests: 200,
-            completed: 200,
-            errors: 0,
-            cache_hits: 150,
-            cache_misses: 50,
-        });
-        r.hotset.push(HotsetPhase {
-            phase: "hotset-b".into(),
-            requests: 200,
-            completed: 199,
-            errors: 1,
-            cache_hits: 0,
-            cache_misses: 0,
-        });
-        let j = r.to_json();
-        assert!(j.contains("\"hotset\": ["), "{j}");
-        assert!(j.contains("\"phase\": \"hotset-a\""), "{j}");
-        assert!(j.contains("\"hit_rate\": 0.7500"), "{j}");
-        // An idle cache (no lookups in the phase) reports rate 0.
-        assert!(j.contains("\"hit_rate\": 0.0000"), "{j}");
-        // Still valid JSON shape: the hotset array is the last key.
-        assert!(j.trim_end().ends_with("]\n}"), "{j}");
     }
 
     #[test]

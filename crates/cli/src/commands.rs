@@ -43,7 +43,6 @@ usage:
   srs loadgen    --addr HOST:PORT [--rate 200] [--duration-s 2 | --requests N] [--k 20]
                  [--zipf 1.0] [--connections 4] [--seed S] [--slow N]
                  [--sweep R1,R2,... [--sweep-out FILE.json]]
-                 [--hotset-shift SECS [--sweep-out FILE.json]]
   srs topk-all   {--snapshot FILE.srs | --graph FILE --index FILE} [--k 20] [--out FILE]
   srs exact      --graph FILE --vertex V [--k 20] [--c 0.6] [--t 11]
   srs validate   --graph FILE --index FILE [--k 20] [--queries 50] [--seed S]
@@ -857,10 +856,6 @@ impl LoadOutcome {
 /// (`x-srs-trace-id`), and the outcome's `traced` list pairs each
 /// latency with its ID — so the slowest requests can be looked up in the
 /// server's `/debug/trace` after the run.
-/// `hot_offset` rotates the rank→vertex bijection: the same Zipf ranks
-/// land on a disjoint-headed set of vertex ids, which is how
-/// `--hotset-shift` moves the hot set without changing the workload's
-/// shape.
 #[allow(clippy::too_many_arguments)]
 fn run_load(
     addr: &str,
@@ -872,7 +867,6 @@ fn run_load(
     connections: usize,
     seed: u64,
     trace: bool,
-    hot_offset: u64,
 ) -> LoadOutcome {
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::time::{Duration, Instant};
@@ -887,7 +881,7 @@ fn run_load(
         .map(|_| {
             let x = rng.gen_f64();
             let rank = cdf.partition_point(|&p| p <= x).min(n - 1);
-            ((rank as u64 * stride + hot_offset) % n as u64) as u32
+            (rank as u64 * stride % n as u64) as u32
         })
         .collect();
     // Pre-drawn per-request trace IDs (deterministic in `--seed`), so the
@@ -985,7 +979,6 @@ fn loadgen(args: &Args) -> Result<String, String> {
         "slow",
         "sweep",
         "sweep-out",
-        "hotset-shift",
     ])?;
     let addr = args.req("addr")?.to_string();
     let k: usize = args.get_or("k", 20)?;
@@ -1010,9 +1003,6 @@ fn loadgen(args: &Args) -> Result<String, String> {
     let slow: usize = args.get_or("slow", 0)?;
     if slow > 0 && args.opt("sweep").is_some() {
         return Err("--slow and --sweep are mutually exclusive".into());
-    }
-    if args.opt("hotset-shift").is_some() && (slow > 0 || args.opt("sweep").is_some()) {
-        return Err("--hotset-shift is mutually exclusive with --sweep and --slow".into());
     }
 
     // The vertex universe comes from the server itself.
@@ -1048,7 +1038,7 @@ fn loadgen(args: &Args) -> Result<String, String> {
         );
         for (rung, &rate) in rates.iter().enumerate() {
             let total = (rate * secs).ceil().max(1.0) as usize;
-            let r = run_load(&addr, n, rate, total, k, exponent, connections, seed + rung as u64, false, 0);
+            let r = run_load(&addr, n, rate, total, k, exponent, connections, seed + rung as u64, false);
             let us = |d: std::time::Duration| d.as_secs_f64() * 1e6;
             let _ = writeln!(
                 out,
@@ -1096,24 +1086,6 @@ fn loadgen(args: &Args) -> Result<String, String> {
         return Err("--rate must be a positive number".into());
     }
 
-    if args.opt("hotset-shift").is_some() {
-        let phase_secs: f64 = args.get_req("hotset-shift")?;
-        if !(phase_secs.is_finite() && phase_secs > 0.0) {
-            return Err("--hotset-shift must be a positive number of seconds".into());
-        }
-        return hotset_shift(
-            &addr,
-            n,
-            rate,
-            phase_secs,
-            k,
-            exponent,
-            connections,
-            seed,
-            args.opt("sweep-out"),
-        );
-    }
-
     let total: usize = match args.opt("requests") {
         Some(_) => args.get_req("requests")?,
         None => (rate * secs).ceil().max(1.0) as usize,
@@ -1121,7 +1093,7 @@ fn loadgen(args: &Args) -> Result<String, String> {
     if total == 0 {
         return Err("--requests must be positive".into());
     }
-    let r = run_load(&addr, n, rate, total, k, exponent, connections, seed, slow > 0, 0);
+    let r = run_load(&addr, n, rate, total, k, exponent, connections, seed, slow > 0);
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -1178,120 +1150,6 @@ fn loadgen(args: &Args) -> Result<String, String> {
         let _ = writeln!(out, "error: {msg}");
     }
     Ok(out)
-}
-
-/// Three-phase cache study behind `loadgen --hotset-shift SECS`: a Zipf
-/// hotset, the same distribution rotated onto a disjoint hot head, and
-/// the rotated hotset replayed after a snapshot reload. Phases B and C
-/// replay the *same* request stream (same seed, same rotation), so any
-/// hit-rate drop in C is the reload's cache invalidation, not workload
-/// drift. Hit rates come from the server's own `/metrics` cache counters
-/// (per-phase deltas), not a client-side guess.
-#[allow(clippy::too_many_arguments)]
-fn hotset_shift(
-    addr: &str,
-    n: usize,
-    rate: f64,
-    phase_secs: f64,
-    k: usize,
-    exponent: f64,
-    connections: usize,
-    seed: u64,
-    out_path: Option<&str>,
-) -> Result<String, String> {
-    let total = (rate * phase_secs).ceil().max(1.0) as usize;
-    // Rotate by half the id space: with the coprime-stride rank map the
-    // hot heads of the two hotsets are disjoint for any realistic cache.
-    let rotated = n as u64 / 2;
-    let phases: [(&str, u64, u64, bool); 3] = [
-        ("hotset-a", seed, 0, false),
-        ("hotset-b", seed + 1, rotated, false),
-        ("hotset-b-reloaded", seed + 1, rotated, true),
-    ];
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "loadgen hotset-shift: 3 phases x {phase_secs}s at {rate:.0} rps against {addr} \
-         (zipf {exponent}, k={k}, rotation offset {rotated})"
-    );
-    let mut report = srs_bench::servebench::ServeBenchReport::new(addr.to_string());
-    let mut last = scrape_cache_counters(addr)?;
-    for (name, phase_seed, offset, reload_first) in phases {
-        if reload_first {
-            let mut c = srs_serve::HttpClient::connect(addr).map_err(|e| format!("{addr}: {e}"))?;
-            let resp = c.post("/admin/reload").map_err(|e| format!("{addr}: POST /admin/reload: {e}"))?;
-            if resp.status != 200 {
-                return Err(format!(
-                    "{addr}: POST /admin/reload answered {}: {}",
-                    resp.status,
-                    resp.body_str()
-                ));
-            }
-        }
-        let r = run_load(addr, n, rate, total, k, exponent, connections, phase_seed, false, offset);
-        let now = scrape_cache_counters(addr)?;
-        let phase = srs_bench::servebench::HotsetPhase {
-            phase: name.to_string(),
-            requests: r.total as u64,
-            completed: r.completed() as u64,
-            errors: r.errors,
-            cache_hits: now.0.saturating_sub(last.0),
-            cache_misses: now.1.saturating_sub(last.1),
-        };
-        last = now;
-        let _ = writeln!(
-            out,
-            "  {name:<18} {:>6.0} qps, {} errors, cache {}/{} hit/miss ({:.1}% hit rate), p99 {:.2?}",
-            r.achieved_qps(),
-            r.errors,
-            phase.cache_hits,
-            phase.cache_misses,
-            100.0 * phase.hit_rate(),
-            r.pct(0.99),
-        );
-        for msg in &r.failures {
-            let _ = writeln!(out, "  error: {msg}");
-        }
-        report.hotset.push(phase);
-    }
-    let _ = writeln!(
-        out,
-        "hit rate: warm {:.1}% -> shifted {:.1}% -> same hotset after reload {:.1}%",
-        100.0 * report.hotset[0].hit_rate(),
-        100.0 * report.hotset[1].hit_rate(),
-        100.0 * report.hotset[2].hit_rate(),
-    );
-    if report.hotset.iter().all(|p| p.cache_hits + p.cache_misses == 0) {
-        let _ = writeln!(out, "note: the server's result cache saw no traffic (cache disabled)");
-    }
-    if let Some(path) = out_path {
-        report.write(path).map_err(|e| format!("{path}: {e}"))?;
-        let _ = writeln!(out, "hotset report -> {path}");
-    }
-    Ok(out)
-}
-
-/// Reads `(srs_cache_hits_total, srs_cache_misses_total)` from the
-/// server's Prometheus text exposition.
-fn scrape_cache_counters(addr: &str) -> Result<(u64, u64), String> {
-    let mut c = srs_serve::HttpClient::connect(addr).map_err(|e| format!("{addr}: {e}"))?;
-    let resp = c.get("/metrics").map_err(|e| format!("{addr}: GET /metrics: {e}"))?;
-    if resp.status != 200 {
-        return Err(format!("{addr}: GET /metrics answered {}", resp.status));
-    }
-    let body = resp.body_str().to_string();
-    let take = |family: &str| -> u64 {
-        body.lines()
-            .filter(|l| !l.starts_with('#'))
-            .filter_map(|l| l.strip_prefix(family))
-            // Require a space after the family name (rejects longer
-            // names sharing the prefix) and take only the first token
-            // (ignores any trailing exemplar annotation).
-            .filter_map(|rest| rest.strip_prefix(' ')?.split_whitespace().next()?.parse::<f64>().ok())
-            .map(|v| v as u64)
-            .sum()
-    };
-    Ok((take("srs_cache_hits_total"), take("srs_cache_misses_total")))
 }
 
 /// Cumulative Zipf(`s`) distribution over `n` ranks (`s = 0` is uniform).
@@ -1648,58 +1506,6 @@ mod tests {
         assert_eq!(c.post("/admin/quit").unwrap().status, 200);
         handle.join().unwrap().unwrap();
         for p in [&g_path, &i_path, &s_path] {
-            std::fs::remove_file(p).ok();
-        }
-    }
-
-    #[test]
-    fn loadgen_hotset_shift_reports_cache_rates_across_reload() {
-        let g_path = tmp("lghot.bin");
-        let i_path = tmp("lghot.idx");
-        let s_path = tmp("lghot.srs");
-        let j_path = tmp("lghot.json");
-        run(&format!("generate --family web --n 120 --deg 4 --out {}", g_path.display())).unwrap();
-        run(&format!("preprocess --graph {} --index {}", g_path.display(), i_path.display())).unwrap();
-        run(&format!(
-            "pack --graph {} --index {} --out {}",
-            g_path.display(),
-            i_path.display(),
-            s_path.display()
-        ))
-        .unwrap();
-        let config = srs_serve::ServerConfig {
-            snapshot: s_path.clone(),
-            addr: "127.0.0.1:0".into(),
-            ..srs_serve::ServerConfig::default()
-        };
-        let server = srs_serve::Server::bind(config).unwrap();
-        let addr = server.local_addr();
-        let handle = std::thread::spawn(move || server.run());
-        // --hotset-shift doesn't compose with --sweep or --slow.
-        let err = run(&format!("loadgen --addr {addr} --hotset-shift 0.1 --sweep 100")).unwrap_err();
-        assert!(err.contains("mutually exclusive"), "{err}");
-        let out = run(&format!(
-            "loadgen --addr {addr} --hotset-shift 0.05 --rate 2000 --connections 3 \
-             --zipf 1.2 --seed 5 --k 5 --sweep-out {}",
-            j_path.display()
-        ))
-        .unwrap();
-        assert!(out.contains("hotset-a"), "{out}");
-        assert!(out.contains("hotset-b-reloaded"), "{out}");
-        assert!(out.contains("hit rate: warm"), "{out}");
-        assert!(!out.contains("error:"), "{out}");
-        // A Zipf(1.2) hotset over 120 vertices repeats its head, so the
-        // warm phase must register cache traffic.
-        let json = std::fs::read_to_string(&j_path).unwrap();
-        assert!(json.contains("\"hotset\": ["), "{json}");
-        assert!(json.contains("\"phase\": \"hotset-b-reloaded\""), "{json}");
-        // The reload bumped the generation the cache is keyed by.
-        let mut c = srs_serve::HttpClient::connect(addr.to_string()).unwrap();
-        let info = c.get("/info").unwrap();
-        assert!(info.body_str().contains("\"generation\":2"), "{}", info.body_str());
-        assert_eq!(c.post("/admin/quit").unwrap().status, 200);
-        handle.join().unwrap().unwrap();
-        for p in [&g_path, &i_path, &s_path, &j_path] {
             std::fs::remove_file(p).ok();
         }
     }

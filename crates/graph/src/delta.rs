@@ -30,6 +30,13 @@ use crate::{Graph, GraphError, VertexId};
 /// [`GraphDelta::to_bytes`]).
 pub const EDIT_MAGIC: &[u8; 8] = b"SRSEDIT1";
 
+/// One batch may append at most `max(base_n, GROWTH_FLOOR)` vertices to a
+/// base graph of `base_n`: it can double a graph, or add this many to a
+/// small one. A larger `grow` fails in [`GraphDelta::apply`] before any
+/// CSR array is sized, so a short edit line cannot make the caller
+/// allocate billions of vertices.
+pub const GROWTH_FLOOR: u32 = 65_536;
+
 /// A deterministic batch of graph mutations: edge insertions, edge
 /// deletions, and append-only vertex growth.
 ///
@@ -111,8 +118,14 @@ impl GraphDelta {
 
     /// Applies the delta to `base`, producing a new canonical CSR graph
     /// (with fresh reverse-step descriptors). `O(m + |edits| log |edits|)`.
+    /// Growth past `base_n + max(base_n, GROWTH_FLOOR)` vertices is
+    /// [`GraphError::TooManyVertices`].
     pub fn apply(&self, base: &Graph) -> Result<Graph, GraphError> {
-        let n = base.num_vertices().max(self.grow_to);
+        let base_n = base.num_vertices();
+        if self.grow_to as u64 > base_n as u64 + base_n.max(GROWTH_FLOOR) as u64 {
+            return Err(GraphError::TooManyVertices(self.grow_to as u64));
+        }
+        let n = base_n.max(self.grow_to);
         for &(u, v) in self.insertions.iter().chain(&self.deletions) {
             if u >= n || v >= n {
                 return Err(GraphError::VertexOutOfRange { vertex: u.max(v) as u64, n: n as u64 });
@@ -281,6 +294,32 @@ mod tests {
         assert!(!g2.has_edge(0, 2));
         assert!(g2.has_edge(0, 1), "untouched edges survive");
         assert_eq!(g2.num_edges(), g.num_edges() - 1 + 2);
+    }
+
+    #[test]
+    fn growth_beyond_the_batch_bound_is_rejected() {
+        let g = base();
+        let limit = 5 + GROWTH_FLOOR;
+        let mut ok = GraphDelta::new();
+        ok.grow_to(limit);
+        assert_eq!(ok.apply(&g).unwrap().num_vertices(), limit);
+        let mut over = GraphDelta::new();
+        over.grow_to(limit + 1);
+        assert!(matches!(over.apply(&g), Err(GraphError::TooManyVertices(n)) if n == limit as u64 + 1));
+        // The same 4e9-vertex request as text and as SRSEDIT1 bytes fails
+        // before any CSR array is sized.
+        let text = GraphDelta::parse_text("grow 4000000000\n").unwrap();
+        let binary = GraphDelta::from_bytes(&text.to_bytes()).unwrap();
+        for d in [text, binary] {
+            assert!(matches!(d.apply(&g), Err(GraphError::TooManyVertices(4_000_000_000))));
+        }
+        // Past the floor, a batch may double the graph and no more.
+        let big = Graph::from_edges(2 * GROWTH_FLOOR, vec![(0, 1)]).unwrap();
+        let mut double = GraphDelta::new();
+        double.grow_to(4 * GROWTH_FLOOR);
+        assert_eq!(double.apply(&big).unwrap().num_vertices(), 4 * GROWTH_FLOOR);
+        double.grow_to(4 * GROWTH_FLOOR + 1);
+        assert!(matches!(double.apply(&big), Err(GraphError::TooManyVertices(_))));
     }
 
     #[test]

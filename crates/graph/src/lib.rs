@@ -68,7 +68,8 @@ pub enum GraphError {
         /// The vertex with the self-loop.
         vertex: VertexId,
     },
-    /// The vertex count would overflow `u32`.
+    /// The vertex count would overflow `u32`, or one edit batch grows a
+    /// graph past [`delta::GROWTH_FLOOR`]'s bound.
     TooManyVertices(u64),
     /// Text parse failure (edge-list I/O).
     Parse {
@@ -93,7 +94,7 @@ impl std::fmt::Display for GraphError {
                 write!(f, "self-loop at vertex {vertex} forbidden by policy")
             }
             GraphError::TooManyVertices(n) => {
-                write!(f, "{n} vertices exceed the u32 vertex-id space")
+                write!(f, "{n} vertices exceed the vertex-count limit")
             }
             GraphError::Parse { line, message } => write!(f, "parse error at line {line}: {message}"),
             GraphError::Format(m) => write!(f, "binary format error: {m}"),

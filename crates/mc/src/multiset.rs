@@ -70,11 +70,6 @@ impl PositionCounter {
             if self.counts.len() <= other.counts.len() { (self, other) } else { (other, self) };
         small.counts.iter().map(|(&w, &c)| c as u64 * large.count(w) as u64).sum()
     }
-
-    /// `Σ_w self(w)²` — used by the γ (L2 bound) estimator of Algorithm 3.
-    pub fn sum_of_squares(&self) -> u64 {
-        self.counts.values().map(|&c| c as u64 * c as u64).sum()
-    }
 }
 
 #[cfg(test)]
@@ -122,17 +117,9 @@ mod tests {
     }
 
     #[test]
-    fn sum_of_squares() {
-        let mut a = PositionCounter::new();
-        a.fill(&[7, 7, 7, 8]);
-        assert_eq!(a.sum_of_squares(), 9 + 1);
-    }
-
-    #[test]
     fn all_dead_is_empty() {
         let mut a = PositionCounter::new();
         a.fill(&[DEAD, DEAD]);
         assert_eq!(a.distinct(), 0);
-        assert_eq!(a.sum_of_squares(), 0);
     }
 }

@@ -405,17 +405,9 @@ pub mod reference {
 /// position *multiset*, so one of these per worker makes their walk
 /// simulation allocation-free in the steady state — and the per-step cost
 /// tracks the live count, not `R`.
-///
-/// Callers that need per-walk identity construct with
-/// [`WalkPositions::with_tracking`]: a parallel index map then records,
-/// for every live slot, which of the original `R` walks it is.
 #[derive(Debug, Clone, Default)]
 pub struct WalkPositions {
     pos: Vec<VertexId>,
-    /// `ids[i]` = original walk index of live slot `i` (empty unless
-    /// tracking).
-    ids: Vec<u32>,
-    tracking: bool,
     /// Number of walks the batch was reset to (`R`), live or not.
     r: usize,
 }
@@ -426,77 +418,23 @@ impl WalkPositions {
         Self::default()
     }
 
-    /// Creates an empty buffer that maintains the original-walk index map
-    /// across compaction (see [`WalkPositions::walk_ids`]).
-    pub fn with_tracking() -> Self {
-        WalkPositions { tracking: true, ..Self::default() }
-    }
-
     /// Restarts the batch: `r` walks, all at `start`. Reuses allocations.
     pub fn reset(&mut self, start: VertexId, r: usize) {
         self.pos.clear();
         self.pos.resize(r, start);
         self.r = r;
-        if self.tracking {
-            self.ids.clear();
-            self.ids.extend(0..r as u32);
-        }
     }
 
     /// Advances every live walk one reverse step, compacting out deaths.
     #[inline]
     pub fn step(&mut self, engine: &WalkEngine, rng: &mut Pcg32) {
-        if self.tracking {
-            self.step_tracked(engine, rng);
-        } else {
-            engine.step_frontier(&mut self.pos, rng);
-        }
-    }
-
-    /// [`WalkPositions::step`] fused with per-step counting: `counter`
-    /// ends up holding the multiset of the new live positions.
-    #[inline]
-    pub fn step_count(&mut self, engine: &WalkEngine, rng: &mut Pcg32, counter: &mut PositionCounter) {
-        if self.tracking {
-            self.step_tracked(engine, rng);
-            counter.fill(&self.pos);
-        } else {
-            engine.step_frontier_count(&mut self.pos, rng, counter);
-        }
-    }
-
-    /// Tracked stepping: scalar loop keeping `ids` aligned with `pos`
-    /// under stable compaction. (The frontier kernel defers its branch
-    /// slot writes, not its slot *assignment*, so identities stay stable;
-    /// the scalar form here keeps the two arrays trivially in lock-step.)
-    fn step_tracked(&mut self, engine: &WalkEngine, rng: &mut Pcg32) {
-        let mut counts = [0u64; 3];
-        let mut write = 0usize;
-        for read in 0..self.pos.len() {
-            let next = engine.step_one_counted(self.pos[read], rng, &mut counts);
-            if next != DEAD {
-                self.pos[write] = next;
-                self.ids[write] = self.ids[read];
-                write += 1;
-            }
-        }
-        self.pos.truncate(write);
-        self.ids.truncate(write);
-        obs::record(counts);
+        engine.step_frontier(&mut self.pos, rng);
     }
 
     /// The current live positions (no [`DEAD`] entries).
     #[inline]
     pub fn positions(&self) -> &[VertexId] {
         &self.pos
-    }
-
-    /// The original walk index of each live slot (aligned with
-    /// [`WalkPositions::positions`]). Empty unless the buffer was created
-    /// with [`WalkPositions::with_tracking`].
-    #[inline]
-    pub fn walk_ids(&self) -> &[u32] {
-        &self.ids
     }
 
     /// Number of walks the batch was reset to (`R`), dead or alive — the
@@ -1041,27 +979,6 @@ mod tests {
             assert_eq!(via_walk, via_fill, "u={u}");
             assert_eq!(via_walk, via_ref, "u={u}");
         }
-    }
-
-    #[test]
-    fn tracked_frontier_recovers_per_walk_positions() {
-        let g = gen::copying_web(200, 4, 0.8, 17);
-        let e = WalkEngine::new(&g);
-        let mut tracked = WalkPositions::with_tracking();
-        tracked.reset(5, 64);
-        // Reference: step 64 independent slots with the identical stream.
-        let mut slots = vec![5u32; 64];
-        let mut rng_a = Pcg32::new(77, 3);
-        let mut rng_b = rng_a.clone();
-        for _ in 0..6 {
-            tracked.step(&e, &mut rng_a);
-            reference::step_all(&g, &mut slots, &mut rng_b);
-            assert_eq!(tracked.len(), slots.iter().filter(|&&p| p != DEAD).count());
-            for (i, &id) in tracked.walk_ids().iter().enumerate() {
-                assert_eq!(tracked.positions()[i], slots[id as usize], "walk {id}");
-            }
-        }
-        assert_eq!(tracked.num_walks(), 64);
     }
 
     #[test]

@@ -18,10 +18,8 @@
 //!   architectures.
 //! * **Large `r`** — quadratic row compares stop paying past a couple
 //!   of cache lines, so [`count_matches_sorted`] sorts both position
-//!   buffers and merges equal-value runs (`Σ run_u(w)·run_v(w)`), and
-//!   [`count_weighted_sorted`] merges one sorted buffer against a
-//!   prebuilt `(vertex, count)` table (the shared-source path). Both
-//!   replace the per-walk hash-map probes the wave estimator used
+//!   buffers and merges equal-value runs (`Σ run_u(w)·run_v(w)`),
+//!   replacing the per-walk hash-map probes the wave estimator used
 //!   before.
 //!
 //! # Runtime dispatch
@@ -200,30 +198,6 @@ pub fn count_matches_sorted(u: &mut [VertexId], v: &mut [VertexId]) -> u64 {
     total
 }
 
-/// `Σ_w count(w)·β(w)`: sorts the position buffer in place and merges it
-/// against a `(vertex, count)` table sorted by vertex (the shared-source
-/// path, where one side is a prebuilt per-step aggregate).
-pub fn count_weighted_sorted(v: &mut [VertexId], table: &[(VertexId, u32)]) -> u64 {
-    v.sort_unstable();
-    let (mut i, mut j, mut total) = (0usize, 0usize, 0u64);
-    while i < v.len() && j < table.len() {
-        let (w, (tw, c)) = (v[i], table[j]);
-        if w < tw {
-            i += 1;
-        } else if tw < w {
-            j += 1;
-        } else {
-            let i0 = i;
-            while i < v.len() && v[i] == w {
-                i += 1;
-            }
-            j += 1;
-            total += (i - i0) as u64 * c as u64;
-        }
-    }
-    total
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -284,18 +258,6 @@ mod tests {
             let want = reference_count(u, v);
             let (mut a, mut b) = (u.to_vec(), v.to_vec());
             assert_eq!(count_matches_sorted(&mut a, &mut b), want, "u={u:?} v={v:?}");
-        }
-    }
-
-    #[test]
-    fn weighted_merge_agrees_with_expanded_reference() {
-        // table {3:2, 8:1, 12:4} expanded is [3,3,8,12,12,12,12].
-        let table = [(3u32, 2u32), (8, 1), (12, 4)];
-        let expanded = [3u32, 3, 8, 12, 12, 12, 12];
-        for v in [&[3u32, 12, 12, 5][..], &[], &[8, 8, 8], &[1, 2, 3, 8, 12]] {
-            let want = reference_count(&expanded, v);
-            let mut buf = v.to_vec();
-            assert_eq!(count_weighted_sorted(&mut buf, &table), want, "v={v:?}");
         }
     }
 

@@ -1477,7 +1477,6 @@ mod tests {
             QueryOptions { kth_prune: false, ..Default::default() },
             QueryOptions { candidate_ball: Some(2), ..Default::default() },
             QueryOptions { theta: Some(0.05), ..Default::default() },
-            QueryOptions { share_source_walks: true, ..Default::default() },
             QueryOptions { explain: true, ..Default::default() },
             QueryOptions { wave_width: 1, ..Default::default() },
         ];

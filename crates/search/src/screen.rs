@@ -7,9 +7,9 @@
 //! `L_t(u) ∩ L_t(v) = ∅` for every such `t`, no RNG stream can co-locate
 //! the two walk sets, so every per-step count is 0 and every term
 //! `ct · (x · 0) / r²` is `+0.0`. The estimate is then exactly `+0.0` for
-//! every seed, walk count and finite diagonal, with or without shared
-//! source walks. The linearized score is exactly 0 too, and a shared
-//! layer vertex makes it positive, so the screen is exact, not a bound.
+//! every seed, walk count and finite diagonal. The linearized score is
+//! exactly 0 too, and a shared layer vertex makes it positive, so the
+//! screen is exact, not a bound.
 //! The scan uses `0.0` for such a pair instead of walking it.
 //!
 //! [`ZeroScreen::is_zero`] decides one candidate `v` of one query vertex

@@ -22,12 +22,17 @@
 //! [`WalkEngine`] and [`Diagonal`] for convenient standalone use. Either
 //! way, a query evaluating hundreds of candidates allocates nothing after
 //! the first call.
+//!
+//! There is one estimator, in two shapes: the scalar
+//! [`EstimatorBuffers::estimate`] (the reference, used for width-1 scans
+//! and per-vertex diagonals) and [`WaveEstimator::estimate_pairs_into`],
+//! its batched twin, bit-identical per pair for a uniform diagonal.
 
 use crate::colocate;
 use crate::{Diagonal, SimRankParams};
 use srs_graph::{Graph, VertexId};
 use srs_mc::multiset::PositionCounter;
-use srs_mc::{MultiFrontier, Pcg32, WalkEngine, WalkPositions, DEAD};
+use srs_mc::{MultiFrontier, Pcg32, WalkEngine, DEAD};
 
 /// Lifetime-free Algorithm 1 scratch: two walk-position buffers and two
 /// position counters, reused across every estimate. The graph is passed
@@ -87,61 +92,6 @@ impl EstimatorBuffers {
         sigma
     }
 
-    /// Estimates `s(src.source, v)` reusing a prebuilt set of source
-    /// walks. A top-k query evaluates dozens-to-thousands of candidates
-    /// against the *same* query vertex, so its walk work can be generated
-    /// once ([`SourceWalks::generate`]) and shared — the estimates stay
-    /// individually unbiased (the two walk sets remain independent),
-    /// they just become correlated *across* candidates, which ranking
-    /// tolerates. Opt-in via `QueryOptions::share_source_walks`.
-    #[allow(clippy::too_many_arguments)] // graph state is per-call by design
-    pub fn estimate_from_source(
-        &mut self,
-        engine: &WalkEngine<'_>,
-        diag: &Diagonal,
-        src: &SourceWalks,
-        v: VertexId,
-        params: &SimRankParams,
-        r: u32,
-        seed: u64,
-    ) -> f64 {
-        if src.source == v {
-            return 1.0;
-        }
-        assert_eq!(src.counters.len(), params.t as usize, "source walks horizon mismatch");
-        let r = r as usize;
-        self.pos_v.clear();
-        self.pos_v.resize(r, v);
-        let mut rng = Pcg32::from_parts(&[seed, 0x55AA, v as u64]);
-        let norm = (src.r as usize * r) as f64;
-        let mut sigma = 0.0;
-        let mut ct = 1.0;
-        for t in 1..params.t {
-            ct *= params.c;
-            engine.step_frontier_count(&mut self.pos_v, &mut rng, &mut self.count_v);
-            sigma += ct * self.weighted_dot_with(diag, &src.counters[t as usize]) / norm;
-            if self.pos_v.is_empty() {
-                break;
-            }
-        }
-        sigma
-    }
-
-    /// `Σ_w D_ww · counts(w) · count_v(w)` against an external counter.
-    fn weighted_dot_with(&self, diag: &Diagonal, source_counts: &PositionCounter) -> f64 {
-        match diag {
-            Diagonal::Uniform(x) => *x * source_counts.dot(&self.count_v) as f64,
-            Diagonal::PerVertex(d) => {
-                let (a, b) = if source_counts.distinct() <= self.count_v.distinct() {
-                    (source_counts, &self.count_v)
-                } else {
-                    (&self.count_v, source_counts)
-                };
-                a.iter().map(|(w, cu)| d[w as usize] * cu as f64 * b.count(w) as f64).sum()
-            }
-        }
-    }
-
     /// `Σ_w D_ww · count_u(w) · count_v(w)` over the co-located vertices.
     fn weighted_dot(&self, diag: &Diagonal) -> f64 {
         match diag {
@@ -179,99 +129,6 @@ impl<'g> SinglePairEstimator<'g> {
     pub fn estimate(&mut self, u: VertexId, v: VertexId, params: &SimRankParams, r: u32, seed: u64) -> f64 {
         self.buffers.estimate(&self.engine, &self.diag, u, v, params, r, seed)
     }
-
-    /// See [`EstimatorBuffers::estimate_from_source`].
-    pub fn estimate_from_source(
-        &mut self,
-        src: &SourceWalks,
-        v: VertexId,
-        params: &SimRankParams,
-        r: u32,
-        seed: u64,
-    ) -> f64 {
-        self.buffers.estimate_from_source(&self.engine, &self.diag, src, v, params, r, seed)
-    }
-}
-
-/// Prebuilt reverse-walk position counts from one source vertex: the
-/// per-step multiset of `R` walk positions, ready for repeated inner
-/// products against candidate walk sets.
-pub struct SourceWalks {
-    source: VertexId,
-    r: u32,
-    /// One aggregated counter per step `t ∈ 0..T`.
-    counters: Vec<PositionCounter>,
-    /// The same per-step counts as `(vertex, count)` runs sorted by
-    /// vertex, built once at generation time so the wave estimator can
-    /// merge candidate positions against them instead of hash-probing
-    /// per walk ([`colocate::count_weighted_sorted`]).
-    sorted: Vec<Vec<(VertexId, u32)>>,
-}
-
-impl SourceWalks {
-    /// An empty placeholder (no walks, no allocation) to be filled by
-    /// [`SourceWalks::generate_into`]. Its source is the `DEAD` sentinel,
-    /// which never equals a real vertex id.
-    pub fn new_empty() -> Self {
-        SourceWalks { source: srs_mc::DEAD, r: 0, counters: Vec::new(), sorted: Vec::new() }
-    }
-
-    /// Simulates `r` reverse walks from `u` and aggregates their positions
-    /// per step. Deterministic in `seed`.
-    pub fn generate(g: &Graph, u: VertexId, params: &SimRankParams, r: u32, seed: u64) -> Self {
-        let mut walks = Self::new_empty();
-        walks.generate_into(g, u, params, r, seed, &mut WalkPositions::new());
-        walks
-    }
-
-    /// [`SourceWalks::generate`] into existing storage: the per-step
-    /// counters and the caller's walk buffer are reused, so a warm query
-    /// worker regenerates source walks without allocating. Results are
-    /// bit-identical to `generate` for the same inputs.
-    pub fn generate_into(
-        &mut self,
-        g: &Graph,
-        u: VertexId,
-        params: &SimRankParams,
-        r: u32,
-        seed: u64,
-        walks: &mut WalkPositions,
-    ) {
-        let engine = WalkEngine::new(g);
-        let mut rng = Pcg32::from_parts(&[seed, 0xAA55, u as u64]);
-        walks.reset(u, r as usize);
-        let t_steps = params.t as usize;
-        self.counters.resize_with(t_steps, PositionCounter::new);
-        self.counters[0].fill(walks.positions());
-        let mut t = 1;
-        while t < t_steps && !walks.is_empty() {
-            walks.step_count(&engine, &mut rng, &mut self.counters[t]);
-            t += 1;
-        }
-        // If every walk died early, stale counts from a previous use of
-        // this storage must not leak into the (all-zero) remaining steps.
-        for counter in &mut self.counters[t..] {
-            counter.clear();
-        }
-        self.sorted.resize_with(t_steps, Vec::new);
-        for (counter, runs) in self.counters.iter().zip(&mut self.sorted) {
-            runs.clear();
-            runs.extend(counter.iter());
-            runs.sort_unstable_by_key(|&(w, _)| w);
-        }
-        self.source = u;
-        self.r = r;
-    }
-
-    /// The source vertex.
-    pub fn source(&self) -> VertexId {
-        self.source
-    }
-
-    /// Number of walks aggregated.
-    pub fn num_walks(&self) -> u32 {
-        self.r
-    }
 }
 
 /// Batched Algorithm 1: estimates `s(u, vᵢ)` for a whole **wave** of
@@ -281,9 +138,8 @@ impl SourceWalks {
 /// # Bit-identity contract
 ///
 /// For a **uniform** diagonal, every estimate this produces is
-/// bit-identical to the corresponding scalar
-/// [`EstimatorBuffers::estimate`] / [`EstimatorBuffers::estimate_from_source`]
-/// call with the same `(u, vᵢ, params, r, seedᵢ)`:
+/// bit-identical to the scalar reference [`EstimatorBuffers::estimate`]
+/// called with the same `(u, vᵢ, params, r, seedᵢ)`:
 ///
 /// * candidate `i` draws only from its own RNG, seeded exactly as the
 ///   scalar path seeds it, and the fused frontier replays each
@@ -292,12 +148,12 @@ impl SourceWalks {
 ///   accumulating it walk-by-walk in whatever order the kernel emits
 ///   positions yields the same integer the scalar hash-table dot does;
 /// * each step's floating-point term is then formed by the exact same
-///   expression (`ct * (x * dot as f64) / norm`) in the same order.
+///   expression (`ct * (x * dot as f64) / r²`) in the same order.
 ///
 /// A *per-vertex* diagonal has no such guarantee (its dot is an `f64`
 /// sum over hash-table order), which is why the wave scan falls back to
-/// the scalar path for `Diagonal::PerVertex` — these entry points take
-/// the uniform weight `x` directly.
+/// the scalar path for `Diagonal::PerVertex` — the wave entry point
+/// takes the uniform weight `x` directly.
 #[derive(Default)]
 pub struct WaveEstimator {
     front_u: MultiFrontier,
@@ -439,67 +295,6 @@ impl WaveEstimator {
         self.shrink_scratch();
     }
 
-    /// Estimates `s(src.source, vᵢ)` for every candidate against one
-    /// prebuilt set of source walks. Bit-identical per candidate to
-    /// [`EstimatorBuffers::estimate_from_source`].
-    #[allow(clippy::too_many_arguments)] // graph state is per-call by design
-    pub fn estimate_from_source_into(
-        &mut self,
-        engine: &WalkEngine<'_>,
-        x: f64,
-        src: &SourceWalks,
-        targets: &[VertexId],
-        params: &SimRankParams,
-        r: u32,
-        seeds: &[u64],
-        out: &mut Vec<f64>,
-    ) {
-        debug_assert_eq!(targets.len(), seeds.len());
-        assert_eq!(src.counters.len(), params.t as usize, "source walks horizon mismatch");
-        let m = targets.len();
-        let rr = r as usize;
-        let norm = (src.r as usize * rr) as f64;
-        self.reset(m);
-        self.v_pos.resize(m * rr, DEAD);
-        self.v_len.resize(m, 0);
-        for (i, (&v, &seed)) in targets.iter().zip(seeds).enumerate() {
-            self.rngs.push(Pcg32::from_parts(&[seed, 0x55AA, v as u64]));
-            let walks = if v == src.source { 0 } else { rr };
-            self.front_v.push_source(v, walks);
-            if v == src.source {
-                self.sigma[i] = 1.0;
-            }
-        }
-        let mut ct = 1.0;
-        for t in 1..params.t {
-            if self.front_v.is_empty() {
-                break;
-            }
-            ct *= params.c;
-            // Candidate positions are buffered per row, then each row is
-            // sorted and merged against the source side's prebuilt sorted
-            // (vertex, count) runs — the same integer Σ count(w)·β(w) the
-            // per-walk hash probes produced.
-            let table = &src.sorted[t as usize];
-            self.v_len[..m].fill(0);
-            self.front_v.step_strided(engine, &mut self.rngs, &mut self.v_pos, rr, &mut self.v_len);
-            for i in 0..m {
-                let vl = self.v_len[i] as usize;
-                if vl > 0 && !table.is_empty() {
-                    let row = &mut self.v_pos[i * rr..i * rr + vl];
-                    self.dots[i] += colocate::count_weighted_sorted(row, table);
-                }
-            }
-            for i in 0..m {
-                self.sigma[i] += ct * (x * self.dots[i] as f64) / norm;
-                self.dots[i] = 0;
-            }
-        }
-        out.clear();
-        out.extend_from_slice(&self.sigma[..m]);
-        self.shrink_scratch();
-    }
-
     /// Clears per-wave state for `m` candidates, keeping allocations.
     fn reset(&mut self, m: usize) {
         self.front_u.clear();
@@ -627,62 +422,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_source_estimates_match_independent_in_expectation() {
-        let g = gen::copying_web(80, 4, 0.8, 6);
-        let params = SimRankParams::default();
-        let ep = srs_exact::ExactParams::new(params.c, params.t);
-        let d = srs_exact::diagonal::uniform(80, params.c);
-        let mut est = SinglePairEstimator::new(&g, Diagonal::paper_default(params.c));
-        for v in [1u32, 17, 40] {
-            let exact = srs_exact::linearized::single_pair(&g, 3, v, &ep, &d);
-            let mut mean = 0.0;
-            let trials = 48;
-            for s in 0..trials {
-                let src = SourceWalks::generate(&g, 3, &params, 150, 500 + s);
-                mean += est.estimate_from_source(&src, v, &params, 150, 900 + s);
-            }
-            mean /= trials as f64;
-            assert!((mean - exact).abs() < 0.02, "v={v}: mean {mean} vs exact {exact}");
-        }
-    }
-
-    #[test]
-    fn shared_source_identity_and_determinism() {
-        let g = fixtures::claw();
-        let params = SimRankParams { c: 0.8, ..Default::default() };
-        let src = SourceWalks::generate(&g, 1, &params, 50, 7);
-        assert_eq!(src.source(), 1);
-        assert_eq!(src.num_walks(), 50);
-        let mut est = SinglePairEstimator::new(&g, Diagonal::paper_default(0.8));
-        assert_eq!(est.estimate_from_source(&src, 1, &params, 50, 1), 1.0);
-        let a = est.estimate_from_source(&src, 2, &params, 50, 1);
-        let b = est.estimate_from_source(&src, 2, &params, 50, 1);
-        assert_eq!(a, b);
-        assert!(a > 0.1, "leaves co-locate at the hub: {a}");
-    }
-
-    #[test]
-    fn generate_into_matches_generate_and_reuses_storage() {
-        let g = gen::copying_web(120, 4, 0.8, 9);
-        let params = SimRankParams::default();
-        let mut est = SinglePairEstimator::new(&g, Diagonal::paper_default(params.c));
-        let mut reused = SourceWalks::new_empty();
-        let mut walk_buf = WalkPositions::new();
-        // Fill the reused instance from a *different* source first, then
-        // regenerate — stale counters must not leak into the estimates.
-        reused.generate_into(&g, 77, &params, 80, 3, &mut walk_buf);
-        reused.generate_into(&g, 5, &params, 120, 11, &mut walk_buf);
-        let fresh = SourceWalks::generate(&g, 5, &params, 120, 11);
-        assert_eq!(reused.source(), fresh.source());
-        assert_eq!(reused.num_walks(), fresh.num_walks());
-        for v in [0u32, 9, 44, 100] {
-            let a = est.estimate_from_source(&fresh, v, &params, 100, 42);
-            let b = est.estimate_from_source(&reused, v, &params, 100, 42);
-            assert_eq!(a, b, "v={v}");
-        }
-    }
-
-    #[test]
     fn wave_pair_estimates_bit_identical_to_scalar() {
         // The wave estimator's whole value rests on this: for a uniform
         // diagonal, each candidate's batched estimate equals the scalar
@@ -773,28 +512,6 @@ mod tests {
         assert!(settled < peak / 2, "scratch not released: peak {peak}, settled {settled}");
         let floor = 2 * POS_SCRATCH_RETAIN * std::mem::size_of::<VertexId>();
         assert!(settled <= floor + 64 * 1024, "settled {settled} above retain floor {floor}");
-    }
-
-    #[test]
-    fn wave_shared_source_estimates_bit_identical_to_scalar() {
-        let g = gen::copying_web(250, 4, 0.8, 31);
-        let params = SimRankParams::default();
-        let engine = WalkEngine::new(&g);
-        let x = 1.0 - params.c;
-        let diag = Diagonal::Uniform(x);
-        let src = SourceWalks::generate(&g, 9, &params, 100, 77);
-        let mut scalar = EstimatorBuffers::new();
-        let mut wave = WaveEstimator::new();
-        let targets: Vec<VertexId> = vec![3, 200, 41, 9, 118, 77];
-        let seeds: Vec<u64> = targets.iter().map(|&v| 4000 + v as u64).collect();
-        for r in [10u32, 100] {
-            let mut got = Vec::new();
-            wave.estimate_from_source_into(&engine, x, &src, &targets, &params, r, &seeds, &mut got);
-            for (i, (&v, &seed)) in targets.iter().zip(&seeds).enumerate() {
-                let want = scalar.estimate_from_source(&engine, &diag, &src, v, &params, r, seed);
-                assert!(got[i] == want, "r={r} v={v}: wave {} != scalar {want}", got[i]);
-            }
-        }
     }
 
     #[test]

@@ -22,7 +22,7 @@ use crate::bounds::{AlphaBeta, GammaTable};
 use crate::index::{CandidateIndex, SeenStamps};
 use crate::obs::{BuildObs, QueryLocalObs, ServingMetrics, StageTimings};
 use crate::screen::ZeroScreen;
-use crate::single_pair::{EstimatorBuffers, SourceWalks, WaveEstimator};
+use crate::single_pair::{EstimatorBuffers, WaveEstimator};
 use crate::{Diagonal, SimRankParams};
 use srs_graph::bfs::{BfsBuffers, Direction, UNREACHED};
 use srs_graph::hash::mix_seed;
@@ -75,11 +75,6 @@ pub struct QueryOptions {
     /// Overrides the index's score threshold `θ` for this query (used by
     /// the Table 3 accuracy experiment, which sweeps thresholds).
     pub theta: Option<f64>,
-    /// Extension beyond the paper: generate the query vertex's walks once
-    /// and share them across all candidate estimates (each estimate stays
-    /// unbiased; estimates become correlated across candidates, which
-    /// ranking tolerates). Roughly halves estimation work per candidate.
-    pub share_source_walks: bool,
     /// Record a per-candidate [`ExplainTrace`] into
     /// [`TopKResult::explain`]: every enumerated candidate's fate (which
     /// bound pruned it, or how its refinement scored) with the bound value
@@ -107,7 +102,6 @@ impl Default for QueryOptions {
             kth_prune: true,
             candidate_ball: None,
             theta: None,
-            share_source_walks: false,
             explain: false,
             wave_width: 32,
         }
@@ -132,7 +126,6 @@ impl QueryOptions {
         self.kth_prune.hash(&mut h);
         self.candidate_ball.hash(&mut h);
         self.theta.map(f64::to_bits).hash(&mut h);
-        self.share_source_walks.hash(&mut h);
         self.explain.hash(&mut h);
         self.wave_width.hash(&mut h);
         h.finish()
@@ -340,7 +333,7 @@ pub struct QueryScratch {
     estimator: EstimatorBuffers,
     /// Algorithm 2 L1 table storage (recomputed per query when enabled).
     l1: AlphaBeta,
-    /// Shared walk-position buffer for the L1 table and source walks.
+    /// Walk-position buffer for the L1 table.
     walks: WalkPositions,
     /// Dense per-vertex position counts for the L1 table (grown to `n`
     /// on first use, all-zero between uses). The scan lends it to the
@@ -348,8 +341,6 @@ pub struct QueryScratch {
     l1_counts: Vec<u32>,
     /// Structural-zero screen of the candidate scan.
     screen: ZeroScreen,
-    /// Shared source walks (when `QueryOptions::share_source_walks`).
-    source_walks: SourceWalks,
     /// Candidate ids straight from the index.
     cand_ids: Vec<VertexId>,
     /// Candidates keyed for the ascending-distance scan.
@@ -435,7 +426,6 @@ impl QueryScratch {
             walks: WalkPositions::new(),
             l1_counts: Vec::new(),
             screen: ZeroScreen::default(),
-            source_walks: SourceWalks::new_empty(),
             cand_ids: Vec::new(),
             cands: Vec::new(),
             seen: SeenStamps::new(),
@@ -551,9 +541,8 @@ impl QueryScratch {
         self.cands.sort_unstable();
     }
 
-    /// Stage 2 — per-query bound tables: the L1 table (Algorithm 2, only
-    /// when there are candidates to bound) and the optional shared source
-    /// walks, both into reused storage.
+    /// Stage 2 — the per-query L1 table (Algorithm 2, only when there are
+    /// candidates to bound), into reused storage.
     fn prepare_query_tables(&mut self, g: &Graph, index: &TopKIndex, u: VertexId, opts: &QueryOptions) {
         let params = &index.params;
         if opts.use_l1 && !self.cands.is_empty() {
@@ -570,16 +559,6 @@ impl QueryScratch {
                 mix_seed(&[index.seed, 3, u as u64]),
                 &mut self.walks,
                 &mut self.l1_counts,
-            );
-        }
-        if opts.share_source_walks {
-            self.source_walks.generate_into(
-                g,
-                u,
-                params,
-                params.r_refine,
-                mix_seed(&[index.seed, 5, u as u64]),
-                &mut self.walks,
             );
         }
     }
@@ -710,29 +689,16 @@ impl QueryScratch {
             // clears the coarse gate at the formation threshold (a
             // superset of those clearing it at consumption time).
             if opts.adaptive && !wave.survivors.is_empty() {
-                if opts.share_source_walks {
-                    wave.estimator.estimate_from_source_into(
-                        &engine,
-                        x,
-                        &self.source_walks,
-                        &wave.targets,
-                        params,
-                        params.r_coarse,
-                        &wave.seeds,
-                        &mut wave.coarse,
-                    );
-                } else {
-                    wave.estimator.estimate_pairs_into(
-                        &engine,
-                        x,
-                        u,
-                        &wave.targets,
-                        params,
-                        params.r_coarse,
-                        &wave.seeds,
-                        &mut wave.coarse,
-                    );
-                }
+                wave.estimator.estimate_pairs_into(
+                    &engine,
+                    x,
+                    u,
+                    &wave.targets,
+                    params,
+                    params.r_coarse,
+                    &wave.seeds,
+                    &mut wave.coarse,
+                );
             } else {
                 wave.coarse.clear();
             }
@@ -748,29 +714,16 @@ impl QueryScratch {
                 }
             }
             if !wave.refine_targets.is_empty() {
-                if opts.share_source_walks {
-                    wave.estimator.estimate_from_source_into(
-                        &engine,
-                        x,
-                        &self.source_walks,
-                        &wave.refine_targets,
-                        params,
-                        params.r_refine,
-                        &wave.refine_seeds,
-                        &mut wave.refine_values,
-                    );
-                } else {
-                    wave.estimator.estimate_pairs_into(
-                        &engine,
-                        x,
-                        u,
-                        &wave.refine_targets,
-                        params,
-                        params.r_refine,
-                        &wave.refine_seeds,
-                        &mut wave.refine_values,
-                    );
-                }
+                wave.estimator.estimate_pairs_into(
+                    &engine,
+                    x,
+                    u,
+                    &wave.refine_targets,
+                    params,
+                    params.r_refine,
+                    &wave.refine_seeds,
+                    &mut wave.refine_values,
+                );
             } else {
                 wave.refine_values.clear();
             }
@@ -927,15 +880,6 @@ impl QueryScratch {
                 let coarse = match precomputed(&mut pre, false) {
                     _ if zero => 0.0,
                     Some(value) => value,
-                    None if opts.share_source_walks => self.estimator.estimate_from_source(
-                        &engine,
-                        &index.diag,
-                        &self.source_walks,
-                        v,
-                        params,
-                        params.r_coarse,
-                        seed(),
-                    ),
                     None => {
                         self.estimator.estimate(&engine, &index.diag, u, v, params, params.r_coarse, seed())
                     }
@@ -952,15 +896,6 @@ impl QueryScratch {
             let score = match precomputed(&mut pre, true) {
                 _ if zero => 0.0,
                 Some(value) => value,
-                None if opts.share_source_walks => self.estimator.estimate_from_source(
-                    &engine,
-                    &index.diag,
-                    &self.source_walks,
-                    v,
-                    params,
-                    params.r_refine,
-                    seed(),
-                ),
                 None => self.estimator.estimate(&engine, &index.diag, u, v, params, params.r_refine, seed()),
             };
             if score >= theta {
@@ -1305,25 +1240,6 @@ mod tests {
         let b = idx.query(&g, 7, 10, &QueryOptions::default());
         assert_eq!(a.hits, b.hits);
         assert_eq!(a.stats, b.stats);
-    }
-
-    #[test]
-    fn shared_source_walks_preserve_strong_hits() {
-        let g = gen::copying_web(250, 5, 0.8, 12);
-        let params = fast_params();
-        let idx = TopKIndex::build_with(&g, &params, Diagonal::paper_default(params.c), 4, 2);
-        let mut ctx = QueryContext::new(&g, &idx);
-        let plain = QueryOptions::default();
-        let shared = QueryOptions { share_source_walks: true, ..Default::default() };
-        for u in srs_graph::stats::sample_query_vertices(&g, 10, 6) {
-            let a = ctx.query(u, 5, &plain);
-            let b = ctx.query(u, 5, &shared);
-            let strong: Vec<_> = a.hits.iter().filter(|h| h.score > 0.1).collect();
-            let bset: std::collections::HashSet<_> = b.hits.iter().map(|h| h.vertex).collect();
-            for h in strong {
-                assert!(bset.contains(&h.vertex), "u={u}: shared walks lost {h:?}");
-            }
-        }
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! Property tests for the co-location counting kernels: every layout —
-//! portable branchless, SSE2, AVX2 (where the host has them), the
-//! sort-and-merge path, and the weighted source-table merge — must
-//! produce the same exact integer count as a naive nested-loop oracle
-//! on arbitrary position rows, including rows on both sides of the old
-//! flat-threshold lengths (16/17).
+//! portable branchless, SSE2, AVX2 (where the host has them) and the
+//! sort-and-merge path — must produce the same exact integer count as a
+//! naive nested-loop oracle on arbitrary position rows, including rows on
+//! both sides of the old flat-threshold lengths (16/17).
 
 use proptest::prelude::*;
 use srs_search::colocate::{self, DEAD};
@@ -54,27 +53,6 @@ proptest! {
         let expected = oracle(&u, &v);
         let (mut su, mut sv) = (u, v);
         prop_assert_eq!(colocate::count_matches_sorted(&mut su, &mut sv), expected);
-    }
-
-    #[test]
-    fn weighted_merge_matches_expanded_oracle(uv in rows(), reps in 1u32..4) {
-        // A (vertex, count) table is the run-length form of a repeated
-        // row: merging against it must equal the oracle on the expansion.
-        let (u, v) = uv;
-        let mut table: Vec<(u32, u32)> = Vec::new();
-        let mut sorted_u = u;
-        sorted_u.sort_unstable();
-        for &w in &sorted_u {
-            match table.last_mut() {
-                Some(last) if last.0 == w => last.1 += reps,
-                _ => table.push((w, reps)),
-            }
-        }
-        let expanded: Vec<u32> =
-            table.iter().flat_map(|&(w, c)| std::iter::repeat_n(w, c as usize)).collect();
-        let expected = oracle(&expanded, &v);
-        let mut sv = v;
-        prop_assert_eq!(colocate::count_weighted_sorted(&mut sv, &table), expected);
     }
 
     #[test]

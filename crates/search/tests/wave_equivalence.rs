@@ -62,14 +62,6 @@ fn hits_and_fates_identical_across_wave_widths_and_threads() {
 }
 
 #[test]
-fn wave_invariant_holds_with_shared_source_walks() {
-    assert_wave_invariant(
-        QueryOptions { share_source_walks: true, ..Default::default() },
-        "share_source_walks",
-    );
-}
-
-#[test]
 fn wave_invariant_holds_without_adaptive_sampling() {
     assert_wave_invariant(QueryOptions { adaptive: false, ..Default::default() }, "non-adaptive");
 }

@@ -342,6 +342,20 @@ fn bad_requests_answer_4xx_and_admin_surface_works() {
     assert!(buf.starts_with("HTTP/1.1 400 "), "{buf}");
     assert!(buf.contains("Connection: close"), "{buf}");
 
+    // A 16-byte ingest asking for 4e9 vertices, as text or as SRSEDIT1
+    // bytes, is refused before any array is sized; the served graph and
+    // its answers are unchanged.
+    let huge = srs_graph::GraphDelta::parse_text("grow 4000000000").unwrap();
+    for body in [b"grow 4000000000".to_vec(), huge.to_bytes()] {
+        let resp = c.post_body("/admin/ingest", &body).unwrap();
+        assert_eq!(resp.status, 400, "{}", resp.body_str());
+        assert!(resp.body_str().contains("vertex-count limit"), "{}", resp.body_str());
+    }
+    assert!(c.get("/info").unwrap().body_str().contains("\"vertices\":300"));
+    let resp = c.get("/query?u=7&k=5").unwrap();
+    assert_eq!(resp.status, 200);
+    assert_eq!(resp.body_str(), expected_body(&r.engine, 7, 5));
+
     // The server is still healthy afterwards.
     assert_eq!(c.get("/healthz").unwrap().status, 200);
     quit(r);

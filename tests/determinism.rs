@@ -88,7 +88,7 @@ fn batch_engine_pool_reuse_does_not_perturb_results() {
     let g = gen::copying_web(250, 4, 0.8, 7);
     let p = params();
     let idx = TopKIndex::build_with(&g, &p, Diagonal::paper_default(p.c), 9, 2);
-    let opts = QueryOptions { share_source_walks: true, candidate_ball: Some(2), ..Default::default() };
+    let opts = QueryOptions { candidate_ball: Some(2), ..Default::default() };
     let warm = engine(&g, &idx, 4);
     let queries: Vec<u32> = (0..40).collect();
     // Warm the pool on an unrelated workload first.
