@@ -6,6 +6,12 @@
 //! ball). This experiment measures query time and retained recall for each
 //! configuration on a web graph and a social graph, against the
 //! everything-off configuration as the recall reference.
+//!
+//! "L1 only" measures the L1 bound as the query path runs it: the
+//! per-query table is built only when the candidate count lets it pay for
+//! its walks (`|C| · 2 · r_refine > r_bounds` without adaptive sampling,
+//! more than 50 candidates at the defaults), so smaller queries run that
+//! row with the distance bound alone.
 
 use super::Report;
 use crate::{cache, metrics, ReproConfig};

@@ -9,6 +9,44 @@ use std::collections::BTreeMap;
 const BOOL_FLAGS: &[&str] =
     &["explain", "progress", "mmap", "verify-on-load", "prefault", "prune-theta-only"];
 
+/// A failed invocation. `usage` marks a mistake in the command line
+/// itself (an unknown flag, a missing or unparsable value), after which
+/// the usage text helps; any other failure (I/O, a rejected edit batch,
+/// a server's refusal) is reported as its one error line.
+#[derive(Debug)]
+pub struct CliError {
+    /// The error line, without the `error: ` prefix.
+    pub message: String,
+    /// Whether the usage text should follow the error line.
+    pub usage: bool,
+}
+
+impl CliError {
+    /// An argument error: the usage text follows it.
+    pub fn usage(message: impl Into<String>) -> Self {
+        CliError { message: message.into(), usage: true }
+    }
+}
+
+/// A runtime failure: just the error line.
+impl From<String> for CliError {
+    fn from(message: String) -> Self {
+        CliError { message, usage: false }
+    }
+}
+
+impl From<&str> for CliError {
+    fn from(message: &str) -> Self {
+        message.to_string().into()
+    }
+}
+
+impl std::fmt::Display for CliError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.message)
+    }
+}
+
 /// Parsed command line: subcommand plus `--flag value` pairs.
 #[derive(Debug, Clone, Default)]
 pub struct Args {
@@ -19,30 +57,35 @@ pub struct Args {
 
 impl Args {
     /// Parses `argv` (without the program name).
-    pub fn parse(argv: &[String]) -> Result<Args, String> {
+    pub fn parse(argv: &[String]) -> Result<Args, CliError> {
         let mut it = argv.iter();
-        let command = it.next().ok_or("missing subcommand")?.clone();
+        let command = it.next().ok_or_else(|| CliError::usage("missing subcommand"))?.clone();
         if command.starts_with("--") {
-            return Err(format!("expected a subcommand, found flag {command}"));
+            return Err(CliError::usage(format!("expected a subcommand, found flag {command}")));
         }
         let mut flags = BTreeMap::new();
         while let Some(flag) = it.next() {
-            let name = flag.strip_prefix("--").ok_or_else(|| format!("expected --flag, found {flag}"))?;
+            let name = flag
+                .strip_prefix("--")
+                .ok_or_else(|| CliError::usage(format!("expected --flag, found {flag}")))?;
             let value = if BOOL_FLAGS.contains(&name) {
                 "true".to_string()
             } else {
-                it.next().ok_or_else(|| format!("missing value for --{name}"))?.clone()
+                it.next().ok_or_else(|| CliError::usage(format!("missing value for --{name}")))?.clone()
             };
             if flags.insert(name.to_string(), value).is_some() {
-                return Err(format!("duplicate flag --{name}"));
+                return Err(CliError::usage(format!("duplicate flag --{name}")));
             }
         }
         Ok(Args { command, flags })
     }
 
     /// Required string flag.
-    pub fn req(&self, name: &str) -> Result<&str, String> {
-        self.flags.get(name).map(String::as_str).ok_or_else(|| format!("missing required flag --{name}"))
+    pub fn req(&self, name: &str) -> Result<&str, CliError> {
+        self.flags
+            .get(name)
+            .map(String::as_str)
+            .ok_or_else(|| CliError::usage(format!("missing required flag --{name}")))
     }
 
     /// Optional string flag.
@@ -51,28 +94,28 @@ impl Args {
     }
 
     /// Optional parsed flag with a default.
-    pub fn get_or<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String>
+    pub fn get_or<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, CliError>
     where
         T::Err: std::fmt::Display,
     {
         match self.flags.get(name) {
             None => Ok(default),
-            Some(v) => v.parse::<T>().map_err(|e| format!("--{name}: {e}")),
+            Some(v) => v.parse::<T>().map_err(|e| CliError::usage(format!("--{name}: {e}"))),
         }
     }
 
     /// Required parsed flag.
-    pub fn get_req<T: std::str::FromStr>(&self, name: &str) -> Result<T, String>
+    pub fn get_req<T: std::str::FromStr>(&self, name: &str) -> Result<T, CliError>
     where
         T::Err: std::fmt::Display,
     {
-        self.req(name)?.parse::<T>().map_err(|e| format!("--{name}: {e}"))
+        self.req(name)?.parse::<T>().map_err(|e| CliError::usage(format!("--{name}: {e}")))
     }
 
     /// Optional comma-separated list flag (e.g. `--vertices 3,17,99`).
     /// Empty items are ignored; `Some(vec![])` means the flag was present
     /// but named no values.
-    pub fn get_list<T: std::str::FromStr>(&self, name: &str) -> Result<Option<Vec<T>>, String>
+    pub fn get_list<T: std::str::FromStr>(&self, name: &str) -> Result<Option<Vec<T>>, CliError>
     where
         T::Err: std::fmt::Display,
     {
@@ -82,8 +125,8 @@ impl Args {
                 .split(',')
                 .map(str::trim)
                 .filter(|s| !s.is_empty())
-                .map(|s| s.parse::<T>().map_err(|e| format!("--{name}: `{s}`: {e}")))
-                .collect::<Result<Vec<T>, String>>()
+                .map(|s| s.parse::<T>().map_err(|e| CliError::usage(format!("--{name}: `{s}`: {e}"))))
+                .collect::<Result<Vec<T>, CliError>>()
                 .map(Some),
         }
     }
@@ -95,10 +138,10 @@ impl Args {
     }
 
     /// Rejects flags outside `allowed` (catches typos).
-    pub fn ensure_known(&self, allowed: &[&str]) -> Result<(), String> {
+    pub fn ensure_known(&self, allowed: &[&str]) -> Result<(), CliError> {
         for k in self.flags.keys() {
             if !allowed.contains(&k.as_str()) {
-                return Err(format!("unknown flag --{k} for `{}`", self.command));
+                return Err(CliError::usage(format!("unknown flag --{k} for `{}`", self.command)));
             }
         }
         Ok(())
@@ -109,7 +152,7 @@ impl Args {
 mod tests {
     use super::*;
 
-    fn parse(s: &str) -> Result<Args, String> {
+    fn parse(s: &str) -> Result<Args, CliError> {
         Args::parse(&s.split_whitespace().map(String::from).collect::<Vec<_>>())
     }
 
@@ -141,7 +184,7 @@ mod tests {
         assert_eq!(spaced.get_list::<u32>("vertices").unwrap(), Some(vec![1, 2]));
         let bad = parse("batch-query --vertices 1,banana").unwrap();
         let err = bad.get_list::<u32>("vertices").unwrap_err();
-        assert!(err.contains("banana"), "{err}");
+        assert!(err.usage && err.message.contains("banana"), "{err}");
     }
 
     #[test]
@@ -169,6 +212,6 @@ mod tests {
     fn parse_errors_carry_flag_name() {
         let a = parse("query --vertex banana").unwrap();
         let err = a.get_req::<u32>("vertex").unwrap_err();
-        assert!(err.contains("--vertex"), "{err}");
+        assert!(err.usage && err.message.contains("--vertex"), "{err}");
     }
 }

@@ -1,7 +1,7 @@
 //! Subcommand implementations. Each returns its stdout text so the logic
 //! is unit-testable without spawning processes.
 
-use crate::args::Args;
+use crate::args::{Args, CliError};
 use srs_graph::{datasets, gen, io, stats, Graph};
 use srs_obs::Progress;
 use srs_search::obs::STAGE_SPANS;
@@ -12,7 +12,7 @@ use srs_search::{
 use std::fmt::Write as _;
 use std::path::Path;
 
-/// Usage text printed on errors.
+/// Usage text printed after argument errors.
 pub const USAGE: &str = "\
 usage:
   srs generate   --dataset NAME --scale X --out FILE [--seed S]
@@ -57,7 +57,7 @@ options:
                  farther";
 
 /// Parses and runs one invocation, returning its stdout.
-pub fn dispatch(argv: &[String]) -> Result<String, String> {
+pub fn dispatch(argv: &[String]) -> Result<String, CliError> {
     if argv.is_empty() || argv[0] == "help" || argv[0] == "--help" {
         return Ok(format!("{USAGE}\n"));
     }
@@ -80,7 +80,7 @@ pub fn dispatch(argv: &[String]) -> Result<String, String> {
         "validate" => validate(&args),
         "reorder" => reorder(&args),
         "walk-bench" => walk_bench(&args),
-        other => Err(format!("unknown subcommand `{other}`")),
+        other => Err(CliError::usage(format!("unknown subcommand `{other}`"))),
     }
 }
 
@@ -106,13 +106,13 @@ fn save_graph(g: &Graph, path: &Path) -> Result<(), String> {
     }
 }
 
-fn generate(args: &Args) -> Result<String, String> {
+fn generate(args: &Args) -> Result<String, CliError> {
     args.ensure_known(&["dataset", "scale", "family", "n", "deg", "out", "seed"])?;
     let seed: u64 = args.get_or("seed", 42)?;
     let out = Path::new(args.req("out")?);
     let g = if let Some(name) = args.opt("dataset") {
         let spec = datasets::by_name(name)
-            .ok_or_else(|| format!("unknown dataset `{name}`; see `srs help` / Table 2"))?;
+            .ok_or_else(|| CliError::usage(format!("unknown dataset `{name}`; see `srs help` / Table 2")))?;
         let scale: f64 = args.get_or("scale", 0.05)?;
         spec.generate(scale, seed)
     } else {
@@ -127,14 +127,14 @@ fn generate(args: &Args) -> Result<String, String> {
             }
             "collab" => gen::collaboration(n, deg.div_ceil(2).max(1), 0.5, seed),
             "er" => gen::erdos_renyi(n, n as u64 * deg as u64, seed),
-            other => return Err(format!("unknown family `{other}` (web|social|collab|er)")),
+            other => return Err(CliError::usage(format!("unknown family `{other}` (web|social|collab|er)"))),
         }
     };
     save_graph(&g, out)?;
     Ok(format!("generated n={} m={} -> {}\n", g.num_vertices(), g.num_edges(), out.display()))
 }
 
-fn convert(args: &Args) -> Result<String, String> {
+fn convert(args: &Args) -> Result<String, CliError> {
     args.ensure_known(&["in", "out"])?;
     let input = Path::new(args.req("in")?);
     let output = Path::new(args.req("out")?);
@@ -149,7 +149,7 @@ fn convert(args: &Args) -> Result<String, String> {
     ))
 }
 
-fn graph_stats(args: &Args) -> Result<String, String> {
+fn graph_stats(args: &Args) -> Result<String, CliError> {
     args.ensure_known(&["graph"])?;
     let g = load_graph(Path::new(args.req("graph")?))?;
     let s = stats::degree_stats(&g);
@@ -168,18 +168,18 @@ fn graph_stats(args: &Args) -> Result<String, String> {
     Ok(out)
 }
 
-fn params_from(args: &Args) -> Result<SimRankParams, String> {
+fn params_from(args: &Args) -> Result<SimRankParams, CliError> {
     let mut p = SimRankParams::default();
     p.c = args.get_or("c", p.c)?;
     p.t = args.get_or("t", p.t)?;
     p.d_max = p.t;
     if !(p.c > 0.0 && p.c < 1.0) {
-        return Err("--c must be in (0,1)".into());
+        return Err(CliError::usage("--c must be in (0,1)"));
     }
     Ok(p)
 }
 
-fn preprocess(args: &Args) -> Result<String, String> {
+fn preprocess(args: &Args) -> Result<String, CliError> {
     args.ensure_known(&["graph", "index", "c", "t", "seed", "progress", "reorder", "graph-out", "map-out"])?;
     let mut g = load_graph(Path::new(args.req("graph")?))?;
     let mut out = String::new();
@@ -190,11 +190,11 @@ fn preprocess(args: &Args) -> Result<String, String> {
         let order = match by {
             "bfs" => srs_graph::order::bfs_order(&g),
             "degree" => srs_graph::order::degree_order(&g),
-            other => return Err(format!("unknown ordering `{other}` (bfs|degree)")),
+            other => return Err(CliError::usage(format!("unknown ordering `{other}` (bfs|degree)"))),
         };
-        let gout = args
-            .opt("graph-out")
-            .ok_or("--reorder needs --graph-out: the index refers to reordered vertex ids")?;
+        let gout = args.opt("graph-out").ok_or_else(|| {
+            CliError::usage("--reorder needs --graph-out: the index refers to reordered vertex ids")
+        })?;
         let before = srs_graph::order::edge_locality(&g);
         let reordered = srs_graph::order::apply_order(&g, &order);
         let after = srs_graph::order::edge_locality(&reordered.graph);
@@ -212,7 +212,7 @@ fn preprocess(args: &Args) -> Result<String, String> {
         );
         g = reordered.graph;
     } else if args.opt("graph-out").is_some() || args.opt("map-out").is_some() {
-        return Err("--graph-out/--map-out only make sense with --reorder".into());
+        return Err(CliError::usage("--graph-out/--map-out only make sense with --reorder"));
     }
     let params = params_from(args)?;
     let seed: u64 = args.get_or("seed", 42)?;
@@ -257,20 +257,20 @@ fn preprocess(args: &Args) -> Result<String, String> {
     Ok(out)
 }
 
-fn load_index(args: &Args) -> Result<TopKIndex, String> {
+fn load_index(args: &Args) -> Result<TopKIndex, CliError> {
     let path = Path::new(args.req("index")?);
     let f = std::fs::File::open(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    persist::load(std::io::BufReader::new(f)).map_err(|e| e.to_string())
+    persist::load(std::io::BufReader::new(f)).map_err(|e| e.to_string().into())
 }
 
 /// Loads the dataset a query command serves: either one `--snapshot`
 /// bundle (single bulk read, checksummed, zero-copy views) or a
 /// `--graph` + `--index` file pair. Results are bit-identical either
 /// way; the snapshot path additionally reports load statistics.
-fn load_dataset(args: &Args) -> Result<(Dataset, Option<SnapshotInfo>), String> {
+fn load_dataset(args: &Args) -> Result<(Dataset, Option<SnapshotInfo>), CliError> {
     if let Some(path) = args.opt("snapshot") {
         if args.opt("graph").is_some() || args.opt("index").is_some() {
-            return Err("--snapshot already carries graph and index; drop --graph/--index".into());
+            return Err(CliError::usage("--snapshot already carries graph and index; drop --graph/--index"));
         }
         let (ds, info) = Dataset::load(path).map_err(|e| format!("{path}: {e}"))?;
         Ok((ds, Some(info)))
@@ -281,7 +281,7 @@ fn load_dataset(args: &Args) -> Result<(Dataset, Option<SnapshotInfo>), String> 
     }
 }
 
-fn pack(args: &Args) -> Result<String, String> {
+fn pack(args: &Args) -> Result<String, CliError> {
     args.ensure_known(&["graph", "index", "out", "shards"])?;
     let g = load_graph(Path::new(args.req("graph")?))?;
     let index = load_index(args)?;
@@ -304,14 +304,14 @@ fn pack(args: &Args) -> Result<String, String> {
 }
 
 /// The snapshot-backend options shared by `batch-query` and `serve`.
-fn load_options(args: &Args) -> Result<srs_search::LoadOptions, String> {
+fn load_options(args: &Args) -> Result<srs_search::LoadOptions, CliError> {
     let opts = srs_search::LoadOptions {
         mmap: args.flag("mmap"),
         verify_on_load: args.flag("verify-on-load"),
         prefault: args.flag("prefault"),
     };
     if (opts.verify_on_load || opts.prefault) && !opts.mmap {
-        return Err("--verify-on-load/--prefault only apply with --mmap".into());
+        return Err(CliError::usage("--verify-on-load/--prefault only apply with --mmap"));
     }
     Ok(opts)
 }
@@ -321,16 +321,16 @@ fn load_options(args: &Args) -> Result<srs_search::LoadOptions, String> {
 const QUERY_FLAGS: &[&str] = &["graph", "index", "snapshot", "k", "ball", "theta", "wave-width"];
 
 /// The [`QueryOptions`] both query commands take from their flags.
-fn query_options(args: &Args) -> Result<QueryOptions, String> {
+fn query_options(args: &Args) -> Result<QueryOptions, CliError> {
     let mut opts = QueryOptions::default();
     if let Some(r) = args.opt("ball") {
-        opts.candidate_ball = Some(r.parse::<u32>().map_err(|e| format!("--ball: {e}"))?);
+        opts.candidate_ball = Some(r.parse::<u32>().map_err(|e| CliError::usage(format!("--ball: {e}")))?);
     }
     if let Some(t) = args.opt("theta") {
-        let theta = t.parse::<f64>().map_err(|e| format!("--theta: {e}"))?;
+        let theta = t.parse::<f64>().map_err(|e| CliError::usage(format!("--theta: {e}")))?;
         // A NaN θ would silently admit nothing; a score is a probability.
         if !(0.0..=1.0).contains(&theta) {
-            return Err(format!("--theta: `{t}` is not a score in [0, 1]"));
+            return Err(CliError::usage(format!("--theta: `{t}` is not a score in [0, 1]")));
         }
         opts.theta = Some(theta);
     }
@@ -340,7 +340,7 @@ fn query_options(args: &Args) -> Result<QueryOptions, String> {
     Ok(opts)
 }
 
-fn query(args: &Args) -> Result<String, String> {
+fn query(args: &Args) -> Result<String, CliError> {
     args.ensure_known(&[QUERY_FLAGS, &["vertex", "explain"]].concat())?;
     let mut opts = query_options(args)?;
     opts.explain = args.flag("explain");
@@ -348,7 +348,7 @@ fn query(args: &Args) -> Result<String, String> {
     let (g, index) = (ds.graph(), ds.index());
     let vertex: u32 = args.get_req("vertex")?;
     if vertex >= g.num_vertices() {
-        return Err(format!("vertex {vertex} out of range (n = {})", g.num_vertices()));
+        return Err(format!("vertex {vertex} out of range (n = {})", g.num_vertices()).into());
     }
     let k: usize = args.get_or("k", 20)?;
     let start = std::time::Instant::now();
@@ -374,7 +374,7 @@ fn query(args: &Args) -> Result<String, String> {
     Ok(out)
 }
 
-fn batch_query(args: &Args) -> Result<String, String> {
+fn batch_query(args: &Args) -> Result<String, CliError> {
     args.ensure_known(
         &[
             QUERY_FLAGS,
@@ -400,7 +400,7 @@ fn batch_query(args: &Args) -> Result<String, String> {
     let chain_paths: Vec<String> = args.get_list::<String>("deltas")?.unwrap_or_default();
     let (shards, snap_info) = if let Some(path) = args.opt("snapshot") {
         if args.opt("graph").is_some() || args.opt("index").is_some() {
-            return Err("--snapshot already carries graph and index; drop --graph/--index".into());
+            return Err(CliError::usage("--snapshot already carries graph and index; drop --graph/--index"));
         }
         // A finite batch run drops the lazy verifier: load-time structural
         // validation already bounded every array access, and the process
@@ -414,10 +414,10 @@ fn batch_query(args: &Args) -> Result<String, String> {
         (shards, Some(info))
     } else {
         if load_opts.mmap {
-            return Err("--mmap requires --snapshot".into());
+            return Err(CliError::usage("--mmap requires --snapshot"));
         }
         if !chain_paths.is_empty() {
-            return Err("--deltas requires --snapshot".into());
+            return Err(CliError::usage("--deltas requires --snapshot"));
         }
         let g = load_graph(Path::new(args.req("graph")?))?;
         let index = load_index(args)?;
@@ -437,7 +437,7 @@ fn batch_query(args: &Args) -> Result<String, String> {
     let graph = shards[0].graph();
     let n = graph.num_vertices();
     let queries: Vec<u32> = match args.get_list::<u32>("vertices")? {
-        Some(v) if v.is_empty() => return Err("--vertices names no vertices".into()),
+        Some(v) if v.is_empty() => return Err(CliError::usage("--vertices names no vertices")),
         Some(v) => v,
         // `--queries` is sniffed for back-compat: an integer samples that
         // many degree-weighted vertices (the original meaning), `-` reads
@@ -465,7 +465,7 @@ fn batch_query(args: &Args) -> Result<String, String> {
         },
     };
     if let Some(&bad) = queries.iter().find(|&&u| u >= n) {
-        return Err(format!("vertex {bad} out of range (n = {n})"));
+        return Err(format!("vertex {bad} out of range (n = {n})").into());
     }
     let engine = ServingEngine::with_threads(shards, threads);
     if let Some(info) = &snap_info {
@@ -609,7 +609,7 @@ fn parse_query_lines(text: &str, source: &str) -> Result<Vec<u32>, String> {
     Ok(ids)
 }
 
-fn serve(args: &Args) -> Result<String, String> {
+fn serve(args: &Args) -> Result<String, CliError> {
     args.ensure_known(&[
         "snapshot",
         "deltas",
@@ -643,7 +643,7 @@ fn serve(args: &Args) -> Result<String, String> {
             .map(std::path::PathBuf::from)
             .collect(),
         staleness_depth: match args.opt("staleness-depth") {
-            Some(v) => Some(v.parse().map_err(|e| format!("--staleness-depth: {e}"))?),
+            Some(v) => Some(v.parse().map_err(|e| CliError::usage(format!("--staleness-depth: {e}")))?),
             None => None,
         },
         addr: args.opt("addr").unwrap_or(&defaults.addr).to_string(),
@@ -720,12 +720,13 @@ fn read_edit_batch(spec: &str) -> Result<srs_graph::GraphDelta, String> {
 /// Builds a delta snapshot offline: the same incremental maintenance the
 /// server runs on `/admin/ingest`, but from files — load the base (plus
 /// any existing chain), apply one edit batch, write the next chain link.
-fn delta(args: &Args) -> Result<String, String> {
+fn delta(args: &Args) -> Result<String, CliError> {
     args.ensure_known(&["snapshot", "deltas", "edits", "out", "staleness-depth", "threads"])?;
     let base = Path::new(args.req("snapshot")?);
     let chain_paths: Vec<String> = args.get_list::<String>("deltas")?.unwrap_or_default();
     let out = Path::new(args.req("out")?);
-    let batch = read_edit_batch(args.req("edits")?)?;
+    let edits = args.req("edits")?;
+    let batch = read_edit_batch(edits)?;
     if batch.is_empty() {
         return Err("edit batch is empty (nothing to apply)".into());
     }
@@ -738,8 +739,13 @@ fn delta(args: &Args) -> Result<String, String> {
     let threads: usize =
         args.get_or("threads", std::thread::available_parallelism().map(|v| v.get()).unwrap_or(1))?;
     let start = std::time::Instant::now();
-    let built = srs_search::build_delta(&ds, &batch, depth, threads, chain.tip_fingerprint)
-        .map_err(|e| e.to_string())?;
+    // A batch that does not apply is the batch's fault: name the edits
+    // file, not the snapshot.
+    let built =
+        srs_search::build_delta(&ds, &batch, depth, threads, chain.tip_fingerprint).map_err(|e| match e {
+            persist::PersistError::EditBatch(_) => format!("{edits}: {e}"),
+            other => other.to_string(),
+        })?;
     let elapsed = start.elapsed();
     std::fs::write(out, &built.bytes).map_err(|e| format!("{}: {e}", out.display()))?;
     Ok(format!(
@@ -762,7 +768,7 @@ fn delta(args: &Args) -> Result<String, String> {
 /// Posts an edit batch to a running server's `/admin/ingest`. The batch
 /// is parsed locally first (catching malformed input before it travels)
 /// and sent in the canonical binary form.
-fn ingest(args: &Args) -> Result<String, String> {
+fn ingest(args: &Args) -> Result<String, CliError> {
     args.ensure_known(&["addr", "edits", "depth"])?;
     let addr = args.req("addr")?;
     let batch = read_edit_batch(args.req("edits")?)?;
@@ -771,7 +777,7 @@ fn ingest(args: &Args) -> Result<String, String> {
     }
     let path = match args.opt("depth") {
         Some(d) => {
-            let _: u32 = d.parse().map_err(|e| format!("--depth: {e}"))?;
+            let _: u32 = d.parse().map_err(|e| CliError::usage(format!("--depth: {e}")))?;
             format!("/admin/ingest?depth={d}")
         }
         None => "/admin/ingest".to_string(),
@@ -779,7 +785,7 @@ fn ingest(args: &Args) -> Result<String, String> {
     let mut client = srs_serve::HttpClient::connect(addr.to_string()).map_err(|e| format!("{addr}: {e}"))?;
     let resp = client.post_body(&path, &batch.to_bytes()).map_err(|e| format!("{addr}: {e}"))?;
     if resp.status != 200 {
-        return Err(format!("ingest failed ({}): {}", resp.status, resp.body_str()));
+        return Err(format!("ingest failed ({}): {}", resp.status, resp.body_str()).into());
     }
     Ok(format!(
         "ingested +{} -{} edges: {}\n",
@@ -791,12 +797,12 @@ fn ingest(args: &Args) -> Result<String, String> {
 
 /// Folds a delta chain back into one self-contained base snapshot —
 /// byte-identical serving state, O(1)-chain startup again.
-fn compact(args: &Args) -> Result<String, String> {
+fn compact(args: &Args) -> Result<String, CliError> {
     args.ensure_known(&["snapshot", "deltas", "out"])?;
     let base = Path::new(args.req("snapshot")?);
     let deltas: Vec<String> = args.get_list::<String>("deltas")?.unwrap_or_default();
     if deltas.is_empty() {
-        return Err("--deltas names no delta files (nothing to compact)".into());
+        return Err(CliError::usage("--deltas names no delta files (nothing to compact)"));
     }
     let out = Path::new(args.req("out")?);
     let start = std::time::Instant::now();
@@ -966,7 +972,7 @@ fn run_load(
     }
 }
 
-fn loadgen(args: &Args) -> Result<String, String> {
+fn loadgen(args: &Args) -> Result<String, CliError> {
     args.ensure_known(&[
         "addr",
         "rate",
@@ -984,16 +990,16 @@ fn loadgen(args: &Args) -> Result<String, String> {
     let k: usize = args.get_or("k", 20)?;
     let exponent: f64 = args.get_or("zipf", 1.0)?;
     if !(exponent.is_finite() && exponent >= 0.0) {
-        return Err("--zipf must be >= 0 (0 = uniform)".into());
+        return Err(CliError::usage("--zipf must be >= 0 (0 = uniform)"));
     }
     let connections: usize = args.get_or("connections", 4)?;
     if connections == 0 {
-        return Err("--connections must be positive".into());
+        return Err(CliError::usage("--connections must be positive"));
     }
     let seed: u64 = args.get_or("seed", 7)?;
     let secs: f64 = args.get_or("duration-s", 2.0)?;
     if !(secs.is_finite() && secs > 0.0) {
-        return Err("--duration-s must be a positive number".into());
+        return Err(CliError::usage("--duration-s must be a positive number"));
     }
     // `--slow N`: send a client-assigned trace ID with every request and
     // report the N slowest requests' IDs, ready for `/debug/trace?id=`.
@@ -1002,19 +1008,19 @@ fn loadgen(args: &Args) -> Result<String, String> {
     // the slowest one and says whether lookups will work.
     let slow: usize = args.get_or("slow", 0)?;
     if slow > 0 && args.opt("sweep").is_some() {
-        return Err("--slow and --sweep are mutually exclusive".into());
+        return Err(CliError::usage("--slow and --sweep are mutually exclusive"));
     }
 
     // The vertex universe comes from the server itself.
     let mut probe = srs_serve::HttpClient::connect(&addr).map_err(|e| format!("{addr}: {e}"))?;
     let info = probe.get("/info").map_err(|e| format!("{addr}: GET /info: {e}"))?;
     if info.status != 200 {
-        return Err(format!("{addr}: GET /info answered {}", info.status));
+        return Err(format!("{addr}: GET /info answered {}", info.status).into());
     }
     let n = json_u64_field(&info.body_str(), "vertices")
         .ok_or_else(|| format!("{addr}: /info response had no vertex count"))? as usize;
     if n == 0 {
-        return Err(format!("{addr}: server graph has no vertices"));
+        return Err(format!("{addr}: server graph has no vertices").into());
     }
     drop(probe);
 
@@ -1023,9 +1029,10 @@ fn loadgen(args: &Args) -> Result<String, String> {
         // the report's knee is the first rung the server can't track.
         let mut rates = Vec::new();
         for part in spec.split(',') {
-            let r: f64 = part.trim().parse().map_err(|e| format!("--sweep `{part}`: {e}"))?;
+            let r: f64 =
+                part.trim().parse().map_err(|e| CliError::usage(format!("--sweep `{part}`: {e}")))?;
             if !(r.is_finite() && r > 0.0) {
-                return Err(format!("--sweep rate `{part}` must be positive"));
+                return Err(CliError::usage(format!("--sweep rate `{part}` must be positive")));
             }
             rates.push(r);
         }
@@ -1083,7 +1090,7 @@ fn loadgen(args: &Args) -> Result<String, String> {
 
     let rate: f64 = args.get_or("rate", 200.0)?;
     if !(rate.is_finite() && rate > 0.0) {
-        return Err("--rate must be a positive number".into());
+        return Err(CliError::usage("--rate must be a positive number"));
     }
 
     let total: usize = match args.opt("requests") {
@@ -1091,7 +1098,7 @@ fn loadgen(args: &Args) -> Result<String, String> {
         None => (rate * secs).ceil().max(1.0) as usize,
     };
     if total == 0 {
-        return Err("--requests must be positive".into());
+        return Err(CliError::usage("--requests must be positive"));
     }
     let r = run_load(&addr, n, rate, total, k, exponent, connections, seed, slow > 0);
     let mut out = String::new();
@@ -1204,7 +1211,7 @@ fn json_u64_field(body: &str, key: &str) -> Option<u64> {
     }
 }
 
-fn topk_all(args: &Args) -> Result<String, String> {
+fn topk_all(args: &Args) -> Result<String, CliError> {
     args.ensure_known(&["graph", "index", "snapshot", "k", "out", "threads"])?;
     let (ds, _) = load_dataset(args)?;
     let k: usize = args.get_or("k", 20)?;
@@ -1233,12 +1240,12 @@ fn topk_all(args: &Args) -> Result<String, String> {
     }
 }
 
-fn exact(args: &Args) -> Result<String, String> {
+fn exact(args: &Args) -> Result<String, CliError> {
     args.ensure_known(&["graph", "vertex", "k", "c", "t"])?;
     let g = load_graph(Path::new(args.req("graph")?))?;
     let vertex: u32 = args.get_req("vertex")?;
     if vertex >= g.num_vertices() {
-        return Err(format!("vertex {vertex} out of range (n = {})", g.num_vertices()));
+        return Err(format!("vertex {vertex} out of range (n = {})", g.num_vertices()).into());
     }
     let k: usize = args.get_or("k", 20)?;
     let params = srs_exact::ExactParams::new(args.get_or("c", 0.6)?, args.get_or("t", 11)?);
@@ -1260,7 +1267,7 @@ fn exact(args: &Args) -> Result<String, String> {
     Ok(out)
 }
 
-fn validate(args: &Args) -> Result<String, String> {
+fn validate(args: &Args) -> Result<String, CliError> {
     args.ensure_known(&["graph", "index", "k", "queries", "seed"])?;
     let g = load_graph(Path::new(args.req("graph")?))?;
     let index = load_index(args)?;
@@ -1278,7 +1285,7 @@ fn validate(args: &Args) -> Result<String, String> {
     Ok(out)
 }
 
-fn reorder(args: &Args) -> Result<String, String> {
+fn reorder(args: &Args) -> Result<String, CliError> {
     args.ensure_known(&["in", "out", "by"])?;
     let input = Path::new(args.req("in")?);
     let output = Path::new(args.req("out")?);
@@ -1287,7 +1294,7 @@ fn reorder(args: &Args) -> Result<String, String> {
     let order = match by {
         "bfs" => srs_graph::order::bfs_order(&g),
         "degree" => srs_graph::order::degree_order(&g),
-        other => return Err(format!("unknown ordering `{other}` (bfs|degree)")),
+        other => return Err(CliError::usage(format!("unknown ordering `{other}` (bfs|degree)"))),
     };
     let before = srs_graph::order::edge_locality(&g);
     let reordered = srs_graph::order::apply_order(&g, &order);
@@ -1306,7 +1313,7 @@ fn reorder(args: &Args) -> Result<String, String> {
 /// Walks start from every vertex round-robin and advance `--t` steps
 /// through the compacted-frontier kernels; throughput is reported in
 /// logical Msteps/s (walks × steps asked for, the caller-visible unit).
-fn walk_bench(args: &Args) -> Result<String, String> {
+fn walk_bench(args: &Args) -> Result<String, CliError> {
     args.ensure_known(&["graph", "walks", "t", "seed"])?;
     let g = load_graph(Path::new(args.req("graph")?))?;
     if g.num_vertices() == 0 {
@@ -1316,7 +1323,7 @@ fn walk_bench(args: &Args) -> Result<String, String> {
     let t_max: usize = args.get_or("t", 11)?;
     let seed: u64 = args.get_or("seed", 42)?;
     if walks == 0 || t_max == 0 {
-        return Err("--walks and --t must be positive".into());
+        return Err(CliError::usage("--walks and --t must be positive"));
     }
     let engine = srs_mc::WalkEngine::new(&g);
     let mut rng = srs_mc::Pcg32::new(seed, 1);
@@ -1376,6 +1383,10 @@ mod tests {
     use super::*;
 
     fn run(line: &str) -> Result<String, String> {
+        dispatch_line(line).map_err(|e| e.message)
+    }
+
+    fn dispatch_line(line: &str) -> Result<String, CliError> {
         dispatch(&line.split_whitespace().map(String::from).collect::<Vec<_>>())
     }
 
@@ -2217,6 +2228,73 @@ mod tests {
             assert!(err.contains("binary format error"), "{magic}: {err}");
         }
         std::fs::remove_file(&g_path).ok();
+    }
+
+    #[test]
+    fn usage_text_follows_only_argument_errors() {
+        // Argument errors: unknown subcommand or flag, missing or
+        // unparsable value.
+        for line in [
+            "frobnicate --x 1",
+            "stats --graph g.bin --typo x",
+            "stats",
+            "query --graph",
+            "generate --family web --n banana --out none.bin",
+            "query --snapshot none.srs --vertex 1 --ball far",
+        ] {
+            let err = dispatch_line(line).unwrap_err();
+            assert!(err.usage, "{line}: {err}");
+        }
+
+        // Runtime failures print only their error line: an I/O error...
+        let err = dispatch_line("stats --graph /nonexistent/srs_none.bin").unwrap_err();
+        assert!(!err.usage && err.message.contains("srs_none.bin"), "{err:?}");
+
+        // ...an edit batch `srs delta` rejects, reported against the
+        // batch rather than the snapshot...
+        let (g_path, i_path, s_path) = (tmp("rt.bin"), tmp("rt.idx"), tmp("rt.srs"));
+        let (edits, out) = (tmp("rt_edits.txt"), tmp("rt.srs.d0001"));
+        run(&format!("generate --family web --n 120 --deg 4 --out {}", g_path.display())).unwrap();
+        run(&format!("preprocess --graph {} --index {}", g_path.display(), i_path.display())).unwrap();
+        run(&format!(
+            "pack --graph {} --index {} --out {}",
+            g_path.display(),
+            i_path.display(),
+            s_path.display()
+        ))
+        .unwrap();
+        std::fs::write(&edits, "grow 4000000000\n").unwrap();
+        let err = dispatch_line(&format!(
+            "delta --snapshot {} --edits {} --out {}",
+            s_path.display(),
+            edits.display(),
+            out.display()
+        ))
+        .unwrap_err();
+        assert!(!err.usage, "{err:?}");
+        assert!(err.message.starts_with(&format!("{}: edit batch rejected", edits.display())), "{err}");
+        assert!(!err.message.contains("index format"), "{err}");
+        assert!(!out.exists(), "a rejected batch writes no delta");
+
+        // ...and a server that answers `srs ingest` with a 400.
+        let config = srs_serve::ServerConfig {
+            snapshot: s_path.clone(),
+            addr: "127.0.0.1:0".into(),
+            ..srs_serve::ServerConfig::default()
+        };
+        let server = srs_serve::Server::bind(config).unwrap();
+        let addr = server.local_addr();
+        let handle = std::thread::spawn(move || server.run());
+        let err = dispatch_line(&format!("ingest --addr {addr} --edits {}", edits.display())).unwrap_err();
+        assert!(!err.usage, "{err:?}");
+        assert!(err.message.contains("ingest failed (400)"), "{err}");
+        assert!(err.message.contains("edit batch rejected"), "{err}");
+        let mut c = srs_serve::HttpClient::connect(addr.to_string()).unwrap();
+        assert_eq!(c.post("/admin/quit").unwrap().status, 200);
+        handle.join().unwrap().unwrap();
+        for p in [&g_path, &i_path, &s_path, &edits, &out] {
+            std::fs::remove_file(p).ok();
+        }
     }
 
     #[test]

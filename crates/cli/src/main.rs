@@ -26,7 +26,9 @@ fn main() {
         Ok(output) => print!("{output}"),
         Err(e) => {
             eprintln!("error: {e}");
-            eprintln!("{}", commands::USAGE);
+            if e.usage {
+                eprintln!("{}", commands::USAGE);
+            }
             std::process::exit(2);
         }
     }

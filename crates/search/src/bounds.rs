@@ -9,7 +9,10 @@
 //!   `v` at distance `d` satisfies `s(u,v) ≤ β(u,d) = Σ_t cᵗ
 //!   max_{d−t≤d'≤d+t} α(u,d',t)` (Proposition 4). Effective for
 //!   **low-degree** query vertices, whose `Pᵗe_u` stays sparse. Computed at
-//!   query time for the query vertex only.
+//!   query time for the query vertex only, and only when the query has
+//!   enough candidates for the table's `r_bounds` walks to cost less than
+//!   the estimates it could save (the gate in the `topk` scan; a skipped
+//!   table is [`AlphaBeta::clear`]ed and reads +∞).
 //!
 //! * **L2 bound** (Algorithm 3, [`GammaTable`]): by Cauchy–Schwarz,
 //!   `s(u,v) ≤ Σ_t cᵗ γ(u,t) γ(v,t)` with `γ(u,t) = ‖√D Pᵗe_u‖`
@@ -212,6 +215,17 @@ impl AlphaBeta {
     /// everywhere, i.e. the table is uninformative, never unsound.
     pub fn new_empty() -> Self {
         AlphaBeta { horizon: 0, near: Vec::new(), far: Vec::new(), beta: Vec::new() }
+    }
+
+    /// Empties the table in place, keeping its storage: afterwards it
+    /// reads exactly like [`AlphaBeta::new_empty`] (`beta` is +∞
+    /// everywhere). A query that skips Algorithm 2 clears the table, so
+    /// no candidate is ever bounded by an earlier query's β.
+    pub fn clear(&mut self) {
+        self.horizon = 0;
+        self.near.clear();
+        self.far.clear();
+        self.beta.clear();
     }
 
     /// Runs Algorithm 2 for query vertex `u` with `params.r_bounds` walks
@@ -663,6 +677,13 @@ mod tests {
         assert_eq!(ab.alpha(3, 0), None, "distance past the held rows");
         assert_eq!(ab.alpha(0, 3), None, "step at the horizon keeps no per-distance row");
         assert_eq!(ab.beta(4), f64::INFINITY);
+
+        // A cleared table is uninformative again but keeps its storage.
+        let capacity = ab.beta.capacity();
+        ab.clear();
+        assert_eq!((ab.horizon(), ab.alpha(0, 0)), (0, None));
+        assert!((0..=params.d_max + 1).all(|d| ab.beta(d) == f64::INFINITY));
+        assert_eq!(ab.beta.capacity(), capacity);
     }
 
     #[test]

@@ -104,7 +104,7 @@ pub fn build_delta(
     parent_fingerprint: u64,
 ) -> Result<BuiltDelta, PersistError> {
     let old = base.graph();
-    let new = batch.apply(old).map_err(|e| PersistError::Format(e.to_string()))?;
+    let new = batch.apply(old).map_err(PersistError::EditBatch)?;
     let out = extend_delta(base.index(), old, &new, staleness_depth, threads)
         .map_err(|e| PersistError::Format(e.to_string()))?;
     let dirty_ids: Vec<VertexId> = (0..new.num_vertices()).filter(|&v| out.dirty[v as usize]).collect();
@@ -178,7 +178,7 @@ pub fn splice_delta(base: &Dataset, r: &BundleReader) -> Result<(Dataset, DeltaH
     }
     let batch =
         GraphDelta::from_bytes(r.bytes(SEC_DELTA_EDITS)?).map_err(|e| PersistError::Format(e.to_string()))?;
-    let new = batch.apply(base.graph()).map_err(|e| PersistError::Format(e.to_string()))?;
+    let new = batch.apply(base.graph()).map_err(PersistError::EditBatch)?;
     let new_n = new.num_vertices();
     if new_n != header.new_n {
         return Err(fail(format!("edits produce {new_n} vertices, header promises {}", header.new_n)));

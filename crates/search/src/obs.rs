@@ -20,6 +20,7 @@
 //! | `srs_query_candidate_fates_total` | counter | `fate` |
 //! | `srs_query_bfs_visited_total` | counter | |
 //! | `srs_query_zero_screened_total` | counter | |
+//! | `srs_query_l1_tables_total` | counter | |
 //! | `srs_query_waves_total` | counter | |
 //! | `srs_query_wave_wasted_total` | counter | |
 //! | `srs_query_wave_survivors` | histogram | |
@@ -107,6 +108,11 @@ pub struct ServingMetrics {
     /// `srs_query_zero_screened_total` (candidates whose estimates the
     /// structural-zero screen set to 0.0 without walking).
     pub zero_screened: Arc<Counter>,
+    /// `srs_query_l1_tables_total` (Algorithm 2 L1 tables built, counted
+    /// per answered query like the fate counters: 1 when the query built
+    /// its table, 0 when the table could not pay for itself; a sharded
+    /// query counts one per shard that built it).
+    pub l1_tables: Arc<Counter>,
     /// `srs_query_waves_total` (walk waves formed by the batched scan).
     pub waves: Arc<Counter>,
     /// `srs_query_wave_wasted_total` (precomputed estimates never used).
@@ -233,6 +239,10 @@ impl ServingMetrics {
                 "srs_query_zero_screened_total",
                 "Candidates estimated as exactly 0 by the structural-zero screen, without walks",
             ),
+            l1_tables: r.counter(
+                "srs_query_l1_tables_total",
+                "Per-query L1 bound tables built (skipped when they cannot pay for themselves)",
+            ),
             waves: r.counter("srs_query_waves_total", "Walk waves formed by the batched scan"),
             wave_wasted: r
                 .counter("srs_query_wave_wasted_total", "Wave-precomputed estimates never consumed"),
@@ -315,6 +325,7 @@ impl ServingMetrics {
         self.fates[4].add(s.reported);
         self.bfs_visited.add(s.bfs_visited);
         self.zero_screened.add(s.zero_screened);
+        self.l1_tables.add(s.l1_tables);
         self.waves.add(s.waves);
         self.wave_wasted.add(s.wave_wasted);
     }
@@ -384,6 +395,7 @@ mod tests {
             walk_steps: 123,
             zero_screened: 5,
             waves: 2,
+            l1_tables: 1,
             wave_wasted: 4,
         });
         m.record_walk_steps(WalkStepCounts { dead: 1, unique: 2, branch: 3 });
@@ -397,6 +409,7 @@ mod tests {
             "srs_query_candidate_fates_total",
             "srs_query_bfs_visited_total",
             "srs_query_zero_screened_total",
+            "srs_query_l1_tables_total",
             "srs_query_waves_total",
             "srs_query_wave_wasted_total",
             "srs_query_wave_survivors",
@@ -435,6 +448,7 @@ mod tests {
         assert_eq!(snap.counter_total("srs_walk_steps_total"), 6);
         assert_eq!(snap.counter_total("srs_query_zero_screened_total"), 5);
         assert_eq!(snap.counter_total("srs_query_waves_total"), 2);
+        assert_eq!(snap.counter_total("srs_query_l1_tables_total"), 1);
         assert_eq!(snap.counter_total("srs_query_wave_wasted_total"), 4);
         assert_eq!(snap.family("srs_query_candidate_fates_total").unwrap().samples.len(), 5);
         assert_eq!(snap.family("srs_query_stage_ns").unwrap().samples.len(), 4);

@@ -41,6 +41,10 @@ pub enum PersistError {
     Format(String),
     /// Underlying I/O failure.
     Io(std::io::Error),
+    /// An edit batch that does not apply to the graph it targets (a
+    /// vertex out of range, growth past the batch bound): the batch is at
+    /// fault, not any index file.
+    EditBatch(srs_graph::GraphError),
 }
 
 impl std::fmt::Display for PersistError {
@@ -48,6 +52,7 @@ impl std::fmt::Display for PersistError {
         match self {
             PersistError::Format(m) => write!(f, "index format error: {m}"),
             PersistError::Io(e) => write!(f, "I/O error: {e}"),
+            PersistError::EditBatch(e) => write!(f, "edit batch rejected: {e}"),
         }
     }
 }

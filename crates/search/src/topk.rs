@@ -8,7 +8,10 @@
 //! 1. enumerate candidates `S = {v : Γ(u) ∩ Γ(v) ≠ ∅}` from the index;
 //! 2. sort by undirected distance (the §2.2 "ascending order of distance"
 //!    scan) and prune with the three upper bounds
-//!    (`min(c^d, β(u,d), L2(u,v))` against `max(θ, current k-th score)`);
+//!    (`min(c^d, β(u,d), L2(u,v))` against `max(θ, current k-th score)`).
+//!    The per-query β table (Algorithm 2, `r_bounds` walks) is built only
+//!    when it can cost fewer walks than it could save,
+//!    `|C| · 2 · R > r_bounds` (see `l1_table_pays`); otherwise β reads +∞;
 //! 3. adaptive sampling: coarse estimate with `R = 10` walks, refine the
 //!    survivors with `R = 100` (§7.2);
 //! 4. return the k highest refined scores.
@@ -167,6 +170,11 @@ pub struct QueryStats {
     /// may precompute estimates the consumer then prunes); the fate
     /// counters above never do.
     pub walk_steps: u64,
+    /// Algorithm 2 L1 tables built: 1 when the query paid for its table,
+    /// 0 when it had no candidates, `use_l1` was off, or the table could
+    /// not pay for itself (`|C| · 2 · R ≤ r_bounds` with `kth_prune` on).
+    /// A sharded query sums one per shard that built the table.
+    pub l1_tables: u64,
     /// Candidates whose estimates the structural-zero screen set to 0.0
     /// without walking (their reverse layers never share a vertex at the
     /// same step; see DESIGN.md §5g). A work counter, not a fate: these
@@ -193,6 +201,7 @@ impl QueryStats {
         self.reported += other.reported;
         self.bfs_visited += other.bfs_visited;
         self.walk_steps += other.walk_steps;
+        self.l1_tables += other.l1_tables;
         self.zero_screened += other.zero_screened;
         self.waves += other.waves;
         self.wave_wasted += other.wave_wasted;
@@ -470,7 +479,7 @@ impl QueryScratch {
         self.obs.stages[0].record(dt);
         out.timings.stages[0] = dt;
         let t = Instant::now();
-        self.prepare_query_tables(g, index, u, opts);
+        self.prepare_query_tables(g, index, u, opts, &mut out.stats);
         let dt = t.elapsed().as_nanos() as u64;
         self.obs.stages[1].record(dt);
         out.timings.stages[1] = dt;
@@ -541,11 +550,22 @@ impl QueryScratch {
         self.cands.sort_unstable();
     }
 
-    /// Stage 2 — the per-query L1 table (Algorithm 2, only when there are
-    /// candidates to bound), into reused storage.
-    fn prepare_query_tables(&mut self, g: &Graph, index: &TopKIndex, u: VertexId, opts: &QueryOptions) {
+    /// Stage 2 — the per-query L1 table (Algorithm 2), into reused
+    /// storage, built only when there are candidates to bound and the
+    /// table can pay for itself ([`l1_table_pays`]). A skipped table is
+    /// cleared, so every β reads +∞ and the scan falls back to the other
+    /// bounds.
+    fn prepare_query_tables(
+        &mut self,
+        g: &Graph,
+        index: &TopKIndex,
+        u: VertexId,
+        opts: &QueryOptions,
+        stats: &mut QueryStats,
+    ) {
         let params = &index.params;
-        if opts.use_l1 && !self.cands.is_empty() {
+        if opts.use_l1 && !self.cands.is_empty() && l1_table_pays(self.cands.len(), params, opts) {
+            stats.l1_tables = 1;
             // Candidates sit at most one level past the complete ball, and
             // the table is exact through that distance.
             let bfs = &self.bfs;
@@ -560,6 +580,8 @@ impl QueryScratch {
                 &mut self.walks,
                 &mut self.l1_counts,
             );
+        } else {
+            self.l1.clear();
         }
     }
 
@@ -918,6 +940,23 @@ impl QueryScratch {
     }
 }
 
+/// Whether the per-query L1 table can cost fewer walk steps than it
+/// could save. Algorithm 2 steps `r_bounds` walks of `T` steps; the most
+/// a β can save is a candidate's first estimate, `2 · R` walks of `T`
+/// steps (`R = r_coarse` under adaptive sampling, `r_refine` without).
+/// So the table is built only when `|C| · 2 · R > r_bounds` — more than
+/// 500 candidates at the defaults.
+///
+/// The rule reads the candidate count, so it applies only with
+/// `kth_prune` on, where decisions already depend on the candidate set.
+/// With `kth_prune` off every decision must be independent of the
+/// candidate partition (a shard sees only its own candidates), so the
+/// table is always built.
+fn l1_table_pays(candidates: usize, params: &SimRankParams, opts: &QueryOptions) -> bool {
+    let r = if opts.adaptive { params.r_coarse } else { params.r_refine };
+    !opts.kth_prune || candidates as u64 * 2 * u64::from(r) > u64::from(params.r_bounds)
+}
+
 /// Shorthand for a scan-loop explain record.
 fn record(v: VertexId, d: u32, fate: CandidateFate, value: f64, threshold: f64) -> CandidateRecord {
     CandidateRecord { vertex: v, distance: d, fate, value, threshold }
@@ -1050,6 +1089,8 @@ mod tests {
         // the L1 table built from it must still give every candidate the
         // β of a table built from the whole d_max ball — including when
         // T − 1 > d_max, where walk positions beyond d_max are excluded.
+        // θ-only pruning always builds the table, whatever the candidate
+        // count.
         let g = gen::preferential_attachment_windowed(400, 4, 60, 8);
         let mut full = BfsBuffers::new(g.num_vertices());
         let mut checked = 0;
@@ -1057,10 +1098,12 @@ mod tests {
             let idx = TopKIndex::build_with(&g, &params, Diagonal::paper_default(params.c), 6, 2);
             let mut scratch = QueryScratch::new(&g);
             for ball in [None, Some(1)] {
-                let opts = QueryOptions { candidate_ball: ball, ..Default::default() };
+                let opts = QueryOptions { candidate_ball: ball, kth_prune: false, ..Default::default() };
                 for u in srs_graph::stats::sample_query_vertices(&g, 25, 2) {
-                    scratch.enumerate_candidates(&g, &idx, u, &opts, &mut QueryStats::default());
-                    scratch.prepare_query_tables(&g, &idx, u, &opts);
+                    let mut stats = QueryStats::default();
+                    scratch.enumerate_candidates(&g, &idx, u, &opts, &mut stats);
+                    scratch.prepare_query_tables(&g, &idx, u, &opts, &mut stats);
+                    assert_eq!(stats.l1_tables, u64::from(stats.candidates > 0), "u={u}");
                     full.run(&g, u, Direction::Undirected, params.d_max);
                     let reference = AlphaBeta::compute(
                         &g,
@@ -1087,6 +1130,85 @@ mod tests {
             }
         }
         assert!(checked > 100, "{checked}");
+    }
+
+    #[test]
+    fn l1_table_pays_only_past_its_walk_budget() {
+        // Defaults: r_bounds = 10,000 walks against 2 · R per candidate.
+        let params = SimRankParams::default();
+        let adaptive = QueryOptions::default();
+        assert!(!l1_table_pays(500, &params, &adaptive), "500 · 2 · 10 = r_bounds: no saving");
+        assert!(l1_table_pays(501, &params, &adaptive));
+        let refine_only = QueryOptions { adaptive: false, ..Default::default() };
+        assert!(!l1_table_pays(50, &params, &refine_only), "50 · 2 · 100 = r_bounds: no saving");
+        assert!(l1_table_pays(51, &params, &refine_only));
+        // θ-only pruning builds at any count.
+        for adaptive in [true, false] {
+            let theta_only = QueryOptions { kth_prune: false, adaptive, ..Default::default() };
+            assert!(l1_table_pays(1, &params, &theta_only));
+        }
+    }
+
+    #[test]
+    fn skipped_l1_table_reads_infinite_and_steps_no_walks() {
+        let g = gen::copying_web(300, 4, 0.8, 5);
+        // A small walk budget, so the table pays past 10 candidates.
+        let params = SimRankParams { r_bounds: 200, ..Default::default() };
+        let idx = TopKIndex::build_with(&g, &params, Diagonal::paper_default(params.c), 5, 2);
+        let mut scratch = QueryScratch::new(&g);
+        let theta_only = QueryOptions { kth_prune: false, ..Default::default() };
+        let (mut built, mut skipped) = (0, 0);
+        for u in srs_graph::stats::sample_query_vertices(&g, 40, 3) {
+            // Build a table first, so a skip must clear it rather than
+            // leave this β behind.
+            let mut stats = QueryStats::default();
+            scratch.enumerate_candidates(&g, &idx, u, &theta_only, &mut stats);
+            scratch.prepare_query_tables(&g, &idx, u, &theta_only, &mut stats);
+
+            let opts = QueryOptions::default();
+            let mut stats = QueryStats::default();
+            scratch.enumerate_candidates(&g, &idx, u, &opts, &mut stats);
+            let before = srs_mc::obs::thread_counts().total();
+            scratch.prepare_query_tables(&g, &idx, u, &opts, &mut stats);
+            let steps = srs_mc::obs::thread_counts().total() - before;
+            let pays = stats.candidates as usize * 2 * params.r_coarse as usize > params.r_bounds as usize;
+            if stats.candidates > 0 && pays {
+                built += 1;
+                assert_eq!(stats.l1_tables, 1, "u={u}");
+                assert!(steps > 0, "u={u}: a built table steps walks");
+            } else {
+                skipped += 1;
+                assert_eq!(stats.l1_tables, 0, "u={u}");
+                assert_eq!(steps, 0, "u={u}: a skipped table steps no walk");
+                assert_eq!(scratch.l1.horizon(), 0, "u={u}");
+                for d in 0..=params.d_max + 1 {
+                    assert_eq!(scratch.l1.beta(d), f64::INFINITY, "u={u} d={d}");
+                }
+                let res = idx.query(&g, u, 10, &QueryOptions { explain: true, ..opts.clone() });
+                let trace = res.explain.expect("explain requested");
+                assert_eq!(trace.count(CandidateFate::PrunedL1), 0, "u={u}");
+            }
+        }
+        assert!(built > 0 && skipped > 0, "built {built}, skipped {skipped}");
+    }
+
+    #[test]
+    fn theta_only_pruning_always_builds_the_l1_table() {
+        let g = gen::copying_web(300, 4, 0.8, 5);
+        let params = SimRankParams { r_bounds: 200, ..Default::default() };
+        let idx = TopKIndex::build_with(&g, &params, Diagonal::paper_default(params.c), 5, 2);
+        let mut ctx = QueryContext::new(&g, &idx);
+        let mut small = 0;
+        for adaptive in [true, false] {
+            let opts = QueryOptions { kth_prune: false, adaptive, ..Default::default() };
+            for u in srs_graph::stats::sample_query_vertices(&g, 40, 3) {
+                let s = ctx.query(u, 10, &opts).stats;
+                assert_eq!(s.l1_tables, u64::from(s.candidates > 0), "u={u} adaptive={adaptive}");
+                let gated = QueryOptions { kth_prune: true, ..opts.clone() };
+                small += (s.candidates > 0 && ctx.query(u, 10, &gated).stats.l1_tables == 0) as u32;
+            }
+        }
+        assert!(small > 0, "some queries must be below the gate's count");
     }
 
     #[test]

@@ -350,7 +350,15 @@ fn bad_requests_answer_4xx_and_admin_surface_works() {
         let resp = c.post_body("/admin/ingest", &body).unwrap();
         assert_eq!(resp.status, 400, "{}", resp.body_str());
         assert!(resp.body_str().contains("vertex-count limit"), "{}", resp.body_str());
+        // The batch is at fault, not any index file.
+        assert!(resp.body_str().contains("ingest failed: edit batch rejected: "), "{}", resp.body_str());
+        assert!(!resp.body_str().contains("index format"), "{}", resp.body_str());
     }
+    // An edge to a vertex the graph does not have is the same kind of
+    // rejected batch.
+    let resp = c.post_body("/admin/ingest", b"+ 5 900").unwrap();
+    assert_eq!(resp.status, 400, "{}", resp.body_str());
+    assert!(resp.body_str().contains("edit batch rejected: "), "{}", resp.body_str());
     assert!(c.get("/info").unwrap().body_str().contains("\"vertices\":300"));
     let resp = c.get("/query?u=7&k=5").unwrap();
     assert_eq!(resp.status, 200);

@@ -300,6 +300,49 @@ fn sharded_mmap_serving_matches_unsharded_heap_bit_for_bit() {
 }
 
 #[test]
+fn sharded_serving_matches_unsharded_across_the_l1_gate() {
+    // The per-query L1 table is skipped when the candidate count cannot
+    // pay for its walks (r_bounds = 300 pays past 15 candidates). A shard
+    // sees only its own candidates, so the gate must not apply under
+    // θ-only pruning: every shard builds the same table the unsharded
+    // scan builds, and fates and hits stay bit-identical on queries on
+    // both sides of the threshold. A social graph and θ = 0.05 make the
+    // L1 bound prune under θ alone, so a shard-local gate shows in the
+    // fates.
+    let g = gen::preferential_attachment_windowed(300, 6, 100, 13);
+    let params = SimRankParams { r_bounds: 300, r_gamma: 25, ..Default::default() };
+    let idx = TopKIndex::build_with(&g, &params, Diagonal::paper_default(params.c), 13, 2);
+    let ds = Dataset::new(g, idx).unwrap();
+    let path = write_temp("gate_shard.srs", &packed_shards(&ds, 4));
+    let (sharded, _, _) = load_snapshot(&path, &LoadOptions::default()).unwrap();
+    std::fs::remove_file(&path).ok();
+    let single = ServingEngine::with_threads(vec![ds], 2);
+    let shard = ServingEngine::with_threads(sharded, 2);
+    assert_eq!(shard.num_shards(), 4);
+    let queries: Vec<u32> = (0..300).step_by(2).collect();
+
+    // Under the default options the gate both builds and skips here.
+    let theta = Some(0.05);
+    let gated = single.query_batch(&queries, 8, &QueryOptions { theta, ..Default::default() });
+    let built = gated.results.iter().filter(|r| r.stats.l1_tables == 1).count();
+    let skipped = gated.results.iter().filter(|r| r.stats.candidates > 0 && r.stats.l1_tables == 0).count();
+    assert!(built > 0 && skipped > 0, "built {built}, skipped {skipped}");
+
+    let theta_only = QueryOptions { kth_prune: false, theta, ..Default::default() };
+    let a = single.query_batch(&queries, 8, &theta_only);
+    let b = shard.query_batch(&queries, 8, &theta_only);
+    assert!(a.results.iter().any(|r| r.stats.pruned_bounds > 0), "the bounds must prune under θ alone");
+    for ((qa, qb), u) in a.results.iter().zip(&b.results).zip(&queries) {
+        assert_eq!(qa.hits, qb.hits, "vertex {u}: hits diverged");
+        let fates = |s: &srs_search::QueryStats| {
+            [s.candidates, s.pruned_distance, s.pruned_bounds, s.pruned_coarse, s.refined, s.reported]
+        };
+        assert_eq!(fates(&qa.stats), fates(&qb.stats), "vertex {u}: fates diverged");
+        assert_eq!(qa.stats.l1_tables, u64::from(qa.stats.candidates > 0), "vertex {u}");
+    }
+}
+
+#[test]
 fn hot_swap_is_atomic_under_concurrent_batches() {
     // Two datasets over different graphs. Workers hammer the engine with
     // batches while the main thread swaps back and forth; every batch
