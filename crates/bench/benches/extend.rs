@@ -96,11 +96,10 @@ fn bench_extend(_c: &mut Criterion) {
         let apply_secs = t0.elapsed().as_secs_f64();
         std::fs::write(&delta_path, &built.bytes).expect("write delta");
         let t0 = Instant::now();
-        let (shards, _, chain, _) =
+        let (chained, _, chain, _) =
             load_chain(&base_path, &[&delta_path], &LoadOptions::default()).expect("chain loads");
         let reload_secs = t0.elapsed().as_secs_f64();
         assert_eq!(chain.depth, 1);
-        let [chained] = &shards[..] else { unreachable!("a chain loads as one shard") };
 
         // From-scratch side on the identical post-edit graph.
         let new_g = batch.apply(&g).expect("batch applies");

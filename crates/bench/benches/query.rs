@@ -44,7 +44,7 @@ fn bench_query(c: &mut Criterion) {
             });
         });
         group.bench_function(BenchmarkId::new("batch32_top20", &label), |b| {
-            let engine = ServingEngine::new(vec![dataset.clone()]);
+            let engine = ServingEngine::new(dataset.clone());
             let mut out = srs_search::BatchResult::new();
             b.iter(|| {
                 engine.query_batch_into(&queries, 20, &opts, &mut out);
@@ -54,7 +54,7 @@ fn bench_query(c: &mut Criterion) {
 
         // One measured batch for the JSON artifact: QPS + tail latency
         // from the engine's own per-query latency summary.
-        let engine = ServingEngine::new(vec![dataset]);
+        let engine = ServingEngine::new(dataset);
         let workload = srs_graph::stats::sample_query_vertices(&g, if smoke { 16 } else { 256 }, 13);
         let batch = engine.query_batch(&workload, 20, &opts);
         let entry = QueryBenchEntry {
@@ -84,7 +84,7 @@ fn bench_query(c: &mut Criterion) {
     let n = if smoke { 2_000 } else { 100_000 };
     let g = srs_graph::gen::copying_web(n, 5, 0.8, 7);
     let index = TopKIndex::build(&g, &params, 9);
-    let engine = ServingEngine::with_threads(vec![Dataset::new(g.clone(), index).unwrap()], 4);
+    let engine = ServingEngine::with_threads(Dataset::new(g.clone(), index).unwrap(), 4);
     let queries = srs_graph::stats::sample_query_vertices(&g, 32, 13);
     let workload = srs_graph::stats::sample_query_vertices(&g, if smoke { 16 } else { 256 }, 13);
     for width in [1u32, 8, 32, 128] {

@@ -64,8 +64,7 @@ fn bench_snapshot(_c: &mut Criterion) {
     let mut mmap_mapped = 0u64;
     for _ in 0..load_reps {
         let t0 = Instant::now();
-        let (shards, info, _) = load_snapshot(&path, &LoadOptions::default()).expect("heap load");
-        let ds = &shards[0];
+        let (ds, info, _) = load_snapshot(&path, &LoadOptions::default()).expect("heap load");
         let hit = ds.index().query(ds.graph(), 0, 5, &QueryOptions::default());
         heap_ttfq = heap_ttfq.min(t0.elapsed().as_secs_f64());
         heap_resident = info.resident_bytes;
@@ -73,8 +72,7 @@ fn bench_snapshot(_c: &mut Criterion) {
 
         let t0 = Instant::now();
         let mopts = LoadOptions { mmap: true, ..Default::default() };
-        let (shards, info, _verifier) = load_snapshot(&path, &mopts).expect("mmap load");
-        let ds = &shards[0];
+        let (ds, info, _verifier) = load_snapshot(&path, &mopts).expect("mmap load");
         let hit = ds.index().query(ds.graph(), 0, 5, &QueryOptions::default());
         mmap_ttfq = mmap_ttfq.min(t0.elapsed().as_secs_f64());
         mmap_resident = info.resident_bytes;

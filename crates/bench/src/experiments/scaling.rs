@@ -40,7 +40,7 @@ pub fn sweep(cfg: &ReproConfig, sizes: &[f64]) -> Vec<ScalePoint> {
             let dataset = Dataset::from_arcs(g.clone(), index.into()).expect("index built for this graph");
             // Single engine worker: the sweep charts per-query latency
             // against n, so parallel throughput would only obscure it.
-            let engine = ServingEngine::with_threads(vec![dataset], 1);
+            let engine = ServingEngine::with_threads(dataset, 1);
             let batch = engine.query_batch(&queries, 20, &QueryOptions::default());
             ScalePoint {
                 n: g.num_vertices(),

@@ -182,7 +182,7 @@ pub fn measure_one(cfg: &ReproConfig, name: &'static str) -> Row {
     let dataset = Dataset::from_arcs(g.clone(), index.into()).expect("index built for this graph");
     // Single engine worker so the mean reflects per-query latency, not
     // parallel throughput (matching the paper's sequential query column).
-    let engine = ServingEngine::with_threads(vec![dataset.clone()], 1);
+    let engine = ServingEngine::with_threads(dataset.clone(), 1);
     let batch = engine.query_batch(&queries, 20, &opts);
     let prop_query = batch.latency.mean;
     let prop_allpairs = (n <= ALLPAIRS_CAP_N)

@@ -398,7 +398,7 @@ fn batch_query(args: &Args) -> Result<String, CliError> {
     let mut opts = query_options(args)?;
     let load_opts = load_options(args)?;
     let chain_paths: Vec<String> = args.get_list::<String>("deltas")?.unwrap_or_default();
-    let (shards, snap_info) = if let Some(path) = args.opt("snapshot") {
+    let (dataset, snap_info) = if let Some(path) = args.opt("snapshot") {
         if args.opt("graph").is_some() || args.opt("index").is_some() {
             return Err(CliError::usage("--snapshot already carries graph and index; drop --graph/--index"));
         }
@@ -408,10 +408,10 @@ fn batch_query(args: &Args) -> Result<String, CliError> {
         // `--deltas` replays a delta chain on top of the base snapshot —
         // the offline twin of `serve --deltas`, used by CI to diff
         // chain-served answers against a compacted bundle.
-        let (shards, info, _chain, _verifier) =
+        let (dataset, info, _chain, _verifier) =
             srs_search::load_chain(Path::new(path), &chain_paths, &load_opts)
                 .map_err(|e| format!("{path}: {e}"))?;
-        (shards, Some(info))
+        (dataset, Some(info))
     } else {
         if load_opts.mmap {
             return Err(CliError::usage("--mmap requires --snapshot"));
@@ -421,20 +421,19 @@ fn batch_query(args: &Args) -> Result<String, CliError> {
         }
         let g = load_graph(Path::new(args.req("graph")?))?;
         let index = load_index(args)?;
-        (vec![Dataset::new(g, index).map_err(|e| e.to_string())?], None)
+        (Dataset::new(g, index).map_err(|e| e.to_string())?, None)
     };
     let k: usize = args.get_or("k", 20)?;
     let threads: usize =
         args.get_or("threads", std::thread::available_parallelism().map(|v| v.get()).unwrap_or(1))?;
     // `--prune-theta-only` switches off the adaptive kth-score pruning
-    // floor, leaving only the partition-invariant θ floor. Engines over
-    // more than one shard force this mode regardless; setting it
-    // explicitly on a one-shard run produces the hit lists a sharded run
-    // is compared against bit for bit (the CI determinism matrix).
+    // floor, leaving only the θ floor: every candidate decision is then
+    // independent of scan order. Like every option it applies to a
+    // snapshot of any shard count.
     if args.flag("prune-theta-only") {
         opts.kth_prune = false;
     }
-    let graph = shards[0].graph();
+    let graph = dataset.graph();
     let n = graph.num_vertices();
     let queries: Vec<u32> = match args.get_list::<u32>("vertices")? {
         Some(v) if v.is_empty() => return Err(CliError::usage("--vertices names no vertices")),
@@ -467,7 +466,7 @@ fn batch_query(args: &Args) -> Result<String, CliError> {
     if let Some(&bad) = queries.iter().find(|&&u| u >= n) {
         return Err(format!("vertex {bad} out of range (n = {n})").into());
     }
-    let engine = ServingEngine::with_threads(shards, threads);
+    let engine = ServingEngine::with_threads(dataset.clone(), threads);
     if let Some(info) = &snap_info {
         engine.metrics().record_snapshot_load(info);
     }
@@ -484,10 +483,6 @@ fn batch_query(args: &Args) -> Result<String, CliError> {
         elapsed,
         queries.len() as f64 / elapsed.as_secs_f64().max(1e-9)
     );
-    if engine.num_shards() > 1 {
-        let _ =
-            writeln!(out, "shards           {} (scatter-gather merge, θ-only pruning)", engine.num_shards());
-    }
     if let Some(info) = &snap_info {
         let _ = writeln!(
             out,
@@ -731,9 +726,8 @@ fn delta(args: &Args) -> Result<String, CliError> {
         return Err("edit batch is empty (nothing to apply)".into());
     }
     let opts = srs_search::LoadOptions::default();
-    let (shards, _, chain, _) =
+    let (ds, _, chain, _) =
         srs_search::load_chain(base, &chain_paths, &opts).map_err(|e| format!("{}: {e}", base.display()))?;
-    let ds = srs_search::chain::one_shard(shards).map_err(|e| format!("{}: {e}", base.display()))?;
     let t = ds.index().params().t;
     let depth: u32 = args.get_or("staleness-depth", t.saturating_sub(1))?;
     let threads: usize =

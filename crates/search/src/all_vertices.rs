@@ -21,7 +21,7 @@ pub struct AllVerticesStats {
 }
 
 /// Runs an Algorithm 5 query for every vertex, `threads`-way parallel
-/// through a one-shard [`ServingEngine`]. Returns per-vertex hit lists
+/// through a [`ServingEngine`]. Returns per-vertex hit lists
 /// (index = vertex id) and aggregate stats.
 pub fn all_topk(
     dataset: &Dataset,
@@ -30,7 +30,7 @@ pub fn all_topk(
     threads: usize,
 ) -> (Vec<Vec<Hit>>, AllVerticesStats) {
     assert!(threads >= 1);
-    let engine = ServingEngine::with_threads(vec![dataset.clone()], threads);
+    let engine = ServingEngine::with_threads(dataset.clone(), threads);
     let queries: Vec<VertexId> = (0..dataset.graph().num_vertices()).collect();
     let batch = engine.query_batch(&queries, k, opts);
     let stats = AllVerticesStats { totals: batch.totals, queries: queries.len() as u64 };

@@ -292,23 +292,20 @@ impl ChainInfo {
 /// Loads a base snapshot plus an ordered delta chain. The base loads per
 /// `opts` exactly like [`load_snapshot`]; each delta is then opened with
 /// eager checksums (deltas are small), its parent fingerprint checked
-/// against the previously loaded artifact, and spliced. A base of more
-/// than one shard cannot carry a chain (the inverted map is partitioned
-/// per shard); pass an empty `deltas` for those or repack with one shard.
-/// Returns the shard list like [`load_snapshot`] — exactly one shard
-/// whenever `deltas` is non-empty.
+/// against the previously loaded artifact, and spliced. A base of any
+/// shard count carries a chain: splicing reads only the forward
+/// candidate map and re-derives the inverted side.
 pub fn load_chain<P: AsRef<Path>>(
     base_path: P,
     deltas: &[impl AsRef<Path>],
     opts: &LoadOptions,
-) -> Result<(Vec<Dataset>, SnapshotInfo, ChainInfo, Option<SnapshotVerifier>), PersistError> {
+) -> Result<(Dataset, SnapshotInfo, ChainInfo, Option<SnapshotVerifier>), PersistError> {
     let started = std::time::Instant::now();
-    let (shards, mut info, verifier) = load_snapshot(base_path, opts)?;
+    let (mut ds, mut info, verifier) = load_snapshot(base_path, opts)?;
     let mut chain = ChainInfo::base_only(info.fingerprint);
     if deltas.is_empty() {
-        return Ok((shards, info, chain, verifier));
+        return Ok((ds, info, chain, verifier));
     }
-    let mut ds = one_shard(shards)?;
     let mut fold = vec![info.fingerprint];
     for (i, path) in deltas.iter().enumerate() {
         let path = path.as_ref();
@@ -346,16 +343,7 @@ pub fn load_chain<P: AsRef<Path>>(
     info.resident_bytes = profile.resident_bytes;
     info.mapped_bytes = profile.mapped_bytes;
     info.load_time = started.elapsed();
-    Ok((vec![ds], info, chain, verifier))
-}
-
-/// The one dataset of a one-shard list (what a delta chain extends); a
-/// format error for more shards.
-pub fn one_shard(shards: Vec<Dataset>) -> Result<Dataset, PersistError> {
-    let count = shards.len();
-    <[Dataset; 1]>::try_from(shards).map(|[ds]| ds).map_err(|_| {
-        PersistError::Format(format!("delta chains require a one-shard base snapshot, this one has {count}"))
-    })
+    Ok((ds, info, chain, verifier))
 }
 
 /// Folds a base + delta chain back into a base snapshot: loads the chain
@@ -367,8 +355,7 @@ pub fn compact_chain<P: AsRef<Path>, W: Write>(
     deltas: &[impl AsRef<Path>],
     w: W,
 ) -> Result<(Dataset, ChainInfo), PersistError> {
-    let (shards, _, chain, _) = load_chain(base_path, deltas, &LoadOptions::default())?;
-    let ds = one_shard(shards)?;
+    let (ds, _, chain, _) = load_chain(base_path, deltas, &LoadOptions::default())?;
     pack(ds.graph(), ds.index(), 1, w)?;
     Ok((ds, chain))
 }
@@ -445,8 +432,7 @@ mod tests {
             LoadOptions { mmap: true, ..Default::default() },
             LoadOptions { mmap: true, verify_on_load: true, ..Default::default() },
         ] {
-            let (shards, info, chain, _) = load_chain(&base_path, &[&d1_path, &d2_path], &opts).unwrap();
-            let [ds] = &shards[..] else { panic!("a chain loads as one shard") };
+            let (ds, info, chain, _) = load_chain(&base_path, &[&d1_path, &d2_path], &opts).unwrap();
             assert_eq!(chain.depth, 2);
             assert_eq!(chain.min_staleness_depth, t - 1);
             assert_eq!(chain.tip_fingerprint, b2.fingerprint);

@@ -1,19 +1,12 @@
 //! The serving engine: parallel, cached, hot-swappable Algorithm 5
-//! serving over one shard or many.
+//! serving over one dataset.
 //!
-//! [`ServingEngine`] owns one dataset *generation* at a time: a list of
-//! shards ([`Dataset`]s sharing one `Arc<Graph>`; an unsharded snapshot
-//! is one shard), one [`QueryScratch`] pool per shard, and one result
-//! cache. Every request flows the same way — probe the cache, group by
-//! `(k, options)`, run each group as one batch — and only the batch step
-//! looks at the shard count:
-//!
-//! - **One shard.** The batch is split into contiguous chunks across the
-//!   worker threads, each answering its chunk through a pooled scratch.
-//! - **N shards.** Every shard runs the whole batch at the same time (the
-//!   thread budget is split between them) under the partition-invariant
-//!   options, and each query's per-shard hit lists are re-selected into
-//!   one top k.
+//! [`ServingEngine`] owns one dataset *generation* at a time: a
+//! [`Dataset`] (a bundle of any shard count loads as one), one
+//! [`QueryScratch`] pool, and one result cache. Every request flows the
+//! same way — probe the cache, group by `(k, options)`, run each group
+//! as one batch — and a batch is split into contiguous chunks across the
+//! worker threads, each answering its chunk through a pooled scratch.
 //!
 //! # Determinism
 //!
@@ -23,37 +16,16 @@
 //! composition, or how often a pool is reused; the partitioning only
 //! decides *who* computes each answer, never *what* the answer is.
 //! Steady state allocates nothing: scratches are recycled through the
-//! pools, and [`ServingEngine::query_batch_into`] also recycles the output
-//! buffers of a previous batch.
-//!
-//! # Why the shard merge is exact
-//!
-//! Shards partition only the *inverted* candidate map by vertex range
-//! (see [`crate::persist`]): every shard shares the graph,
-//! γ table, diagonal, and forward candidate map, so for one query vertex
-//! `u` the shards enumerate **disjoint** candidate sets whose union is
-//! exactly the unsharded candidate set. With more than one shard the
-//! engine turns [`QueryOptions::kth_prune`] off, which makes every
-//! per-candidate decision a pure function of `(u, v, θ)` — independent of
-//! scan order and of which other candidates share the shard — and every
-//! estimate seed is already per-pair. Each shard therefore reports
-//! exactly its slice of "all candidates with refined score ≥ θ", keeping
-//! its top k under the engine's total order (score, then vertex id); the
-//! global top k is a subset of the union of per-shard top k's, so
-//! re-selecting k from the concatenation reproduces the unsharded hit
-//! list bit for bit. A candidate ball keeps the partition too: each shard
-//! adds only the ball vertices in its own range
-//! ([`crate::index::CandidateIndex::holds`]).
-//!
-//! What is *not* partition-invariant: each shard runs its own query BFS
-//! and wave formation, so the merged `bfs_visited` lies between one
-//! unsharded run and `N×` it and `waves` is per shard (the fate counters
-//! sum exactly). Explain traces are off under sharding (they would
-//! interleave per-shard scans). One shard keeps every option.
+//! pool, and [`ServingEngine::query_batch_into`] also recycles the output
+//! buffers of a previous batch. The shard count of the loaded bundle
+//! never enters a query: the candidate index reads the shards' inverted
+//! slices in range order, which yields the unsharded holder lists
+//! exactly, so hits, stats and explain traces match an unsharded bundle
+//! under every option.
 
 use crate::obs::ServingMetrics;
 use crate::snapshot::Dataset;
-use crate::topk::{Hit, QueryOptions, QueryScratch, QueryStats, TopKResult};
+use crate::topk::{QueryOptions, QueryScratch, QueryStats, TopKResult};
 use parking_lot::Mutex;
 use srs_graph::hash::FxHashMap;
 use srs_graph::VertexId;
@@ -110,8 +82,7 @@ impl LatencySummary {
 pub struct BatchResult {
     /// Per-query results, in the order of the input batch.
     pub results: Vec<TopKResult>,
-    /// Per-query wall-clock latencies, in the order of the input batch
-    /// (the slowest shard's, when sharded).
+    /// Per-query wall-clock latencies, in the order of the input batch.
     pub latencies: Vec<Duration>,
     /// Aggregated pruning counters over the whole batch.
     pub totals: QueryStats,
@@ -138,8 +109,6 @@ pub struct BatchResult {
     cache_miss_idx: Vec<usize>,
     cache_miss_queries: Vec<VertexId>,
     cache_inner: Option<Box<BatchResult>>,
-    /// Per-shard partial batches of a sharded generation, reused.
-    shard_parts: Vec<BatchResult>,
 }
 
 impl BatchResult {
@@ -160,34 +129,25 @@ impl BatchResult {
     }
 }
 
-/// One shard of a generation: its dataset plus the scratch pool sized for
-/// its graph. The pool travels with the dataset — scratches are allocated
-/// per vertex count, so they must never cross generations during a hot
-/// swap.
-struct Shard {
-    dataset: Dataset,
-    pool: Mutex<Vec<QueryScratch>>,
-}
-
-/// What one shard's batch needs: the shard, its worker count, and the
-/// engine's metric cells (scratch observations merge there).
+/// What one batch needs: the pinned generation, the worker count, and
+/// the engine's metric cells (scratch observations merge there).
 struct ServeCtx<'a> {
-    shard: &'a Shard,
+    state: &'a EngineState,
     threads: usize,
     metrics: &'a ServingMetrics,
 }
 
 impl ServeCtx<'_> {
     fn take_scratch(&self) -> QueryScratch {
-        self.shard.pool.lock().pop().unwrap_or_else(|| QueryScratch::new(self.shard.dataset.graph()))
+        self.state.pool.lock().pop().unwrap_or_else(|| QueryScratch::new(self.state.dataset.graph()))
     }
 
     fn put_scratch(&self, scratch: QueryScratch) {
-        self.shard.pool.lock().push(scratch);
+        self.state.pool.lock().push(scratch);
     }
 }
 
-/// Answers a batch on one shard into an existing [`BatchResult`],
+/// Answers a batch into an existing [`BatchResult`],
 /// recycling its allocations: repeated vertices are answered once and
 /// copied (answers are deterministic per vertex, so the copy is exact),
 /// and `totals` counts every slot, copies included.
@@ -263,7 +223,7 @@ fn run_workers(
     opts: &QueryOptions,
 ) -> QueryStats {
     let n = queries.len();
-    let (g, index) = (ctx.shard.dataset.graph(), ctx.shard.dataset.index());
+    let (g, index) = (ctx.state.dataset.graph(), ctx.state.dataset.index());
     // Contiguous chunks, ⌈n/threads⌉ queries each. The split only
     // assigns work to workers; per-query seeding keeps the answers
     // independent of it.
@@ -300,24 +260,6 @@ fn run_workers(
         totals
     })
     .expect("query scope panicked")
-}
-
-/// Re-selects the global top `k` from concatenated per-shard hit lists.
-///
-/// Selection must replicate the scan heap's retention order — score,
-/// then **larger** vertex id wins a score tie (a min-heap evicts the
-/// smallest entry under that order) — while the presented list is
-/// sorted score-descending with *ascending* vertex ids on ties, exactly
-/// like [`TopKResult::hits`]. Shards partition candidates, so the pool
-/// holds no duplicate vertices.
-fn merge_hits(pool: &mut Vec<Hit>, k: usize) {
-    pool.sort_by(|a, b| {
-        b.score.partial_cmp(&a.score).expect("scores are finite").then(b.vertex.cmp(&a.vertex))
-    });
-    pool.truncate(k);
-    pool.sort_by(|a, b| {
-        b.score.partial_cmp(&a.score).expect("scores are finite").then(a.vertex.cmp(&b.vertex))
-    });
 }
 
 /// Combines the per-query `k` with the options fingerprint into the
@@ -421,33 +363,29 @@ pub struct WaveOutcome {
     pub out_of_range: Vec<bool>,
 }
 
-/// One dataset generation inside a [`ServingEngine`]: the shards (each
-/// with its scratch pool) plus the result cache. The cache travels with
-/// the generation, which is what makes swap-time invalidation free.
+/// One dataset generation inside a [`ServingEngine`]: the dataset, the
+/// scratch pool sized for its graph, and the result cache. The pool and
+/// cache travel with the generation: scratches are allocated per vertex
+/// count, so they never cross a hot swap, and swap-time cache
+/// invalidation is free.
 struct EngineState {
-    shards: Vec<Shard>,
+    dataset: Dataset,
+    pool: Mutex<Vec<QueryScratch>>,
     /// The generation this state was installed as — travels with the
-    /// shards so a pinned state knows which generation it is without a
+    /// dataset so a pinned state knows which generation it is without a
     /// racy second read of the engine's counter.
     generation: u64,
     cache: Mutex<ResultCache>,
 }
 
 impl EngineState {
-    fn new(shards: Vec<Dataset>, generation: u64) -> Arc<Self> {
-        assert!(!shards.is_empty(), "a serving engine needs at least one shard");
+    fn new(dataset: Dataset, generation: u64) -> Arc<Self> {
         Arc::new(EngineState {
-            shards: shards
-                .into_iter()
-                .map(|dataset| Shard { dataset, pool: Mutex::new(Vec::new()) })
-                .collect(),
+            dataset,
+            pool: Mutex::new(Vec::new()),
             generation,
             cache: Mutex::new(ResultCache::default()),
         })
-    }
-
-    fn pooled(&self) -> usize {
-        self.shards.iter().map(|s| s.pool.lock().len()).sum()
     }
 }
 
@@ -468,26 +406,26 @@ pub struct AppliedDelta {
     pub generation: u64,
 }
 
-/// The owned, hot-swappable serving engine over a list of shards.
+/// The owned, hot-swappable serving engine over one dataset.
 ///
 /// The engine holds `Arc`s and therefore has no lifetime — it can live in
 /// a server struct, move across threads, and outlive the code that
 /// loaded the snapshot it serves. It owns one [`ServingMetrics`] set;
-/// every shard's scratch observations merge into it, and request-level
-/// observations are recorded once per request on the merged answer.
+/// every worker's scratch observations merge into it, and request-level
+/// observations are recorded once per request.
 ///
-/// [`ServingEngine::swap`] atomically replaces the shard list (the shard
-/// count may change): every batch clones the current generation's `Arc`
-/// once at entry, so in-flight batches finish against the shards they
-/// started with while new calls see the new ones. There is no torn state
-/// — a query never observes a graph from one generation and an index
-/// from another. After a swap the new generation warms its own pools and
-/// the old ones are freed when the last in-flight batch drains.
+/// [`ServingEngine::swap`] atomically replaces the dataset: every batch
+/// clones the current generation's `Arc` once at entry, so in-flight
+/// batches finish against the dataset they started with while new calls
+/// see the new one. There is no torn state — a query never observes a
+/// graph from one generation and an index from another. After a swap the
+/// new generation warms its own pool and the old one is freed when the
+/// last in-flight batch drains.
 pub struct ServingEngine {
     current: Mutex<Arc<EngineState>>,
     threads: usize,
     metrics: Arc<ServingMetrics>,
-    /// Dataset generation: 1 for the initial shards, +1 per [`swap`].
+    /// Dataset generation: 1 for the initial dataset, +1 per [`swap`].
     ///
     /// [`swap`]: ServingEngine::swap
     generation: AtomicU64,
@@ -497,18 +435,16 @@ pub struct ServingEngine {
 
 impl ServingEngine {
     /// An engine using all available parallelism.
-    pub fn new(shards: Vec<Dataset>) -> Self {
+    pub fn new(dataset: Dataset) -> Self {
         let threads = std::thread::available_parallelism().map(|v| v.get()).unwrap_or(1);
-        Self::with_threads(shards, threads)
+        Self::with_threads(dataset, threads)
     }
 
-    /// An engine with a total worker budget of `threads` (≥ 1), split
-    /// evenly across the shards. Result caching is off (see
-    /// [`ServingEngine::set_cache_capacity`]). Panics on an empty shard
-    /// list.
-    pub fn with_threads(shards: Vec<Dataset>, threads: usize) -> Self {
+    /// An engine with a worker budget of `threads` (≥ 1). Result caching
+    /// is off (see [`ServingEngine::set_cache_capacity`]).
+    pub fn with_threads(dataset: Dataset, threads: usize) -> Self {
         let engine = ServingEngine {
-            current: Mutex::new(EngineState::new(shards, 1)),
+            current: Mutex::new(EngineState::new(dataset, 1)),
             threads: threads.max(1),
             metrics: Arc::new(ServingMetrics::new()),
             generation: AtomicU64::new(1),
@@ -520,22 +456,11 @@ impl ServingEngine {
 
     fn set_dataset_gauges(&self, state: &EngineState) {
         let m = &self.metrics;
-        let first = &state.shards[0].dataset;
-        m.graph_vertices.set(first.graph().num_vertices() as u64);
-        m.graph_edges.set(first.graph().num_edges());
-        // Shards past the first share every array but their inverted
-        // slice, so each adds only that.
-        let inverted: u64 = state.shards[1..]
-            .iter()
-            .map(|s| s.dataset.index().candidate_index().inverted_memory_profile().total())
-            .sum();
-        m.index_bytes.set(first.index().memory_bytes() + inverted);
-        m.engine_threads.set((self.shard_threads(state) * state.shards.len()) as u64);
-    }
-
-    /// Each shard's worker count under the total budget.
-    fn shard_threads(&self, state: &EngineState) -> usize {
-        (self.threads / state.shards.len()).max(1)
+        let ds = &state.dataset;
+        m.graph_vertices.set(ds.graph().num_vertices() as u64);
+        m.graph_edges.set(ds.graph().num_edges());
+        m.index_bytes.set(ds.index().memory_bytes());
+        m.engine_threads.set(self.threads as u64);
     }
 
     /// The current generation (cloned `Arc`, so the borrow ends here and
@@ -544,21 +469,14 @@ impl ServingEngine {
         self.current.lock().clone()
     }
 
-    /// The total worker budget batches are split across.
+    /// The worker budget batches are split across.
     pub fn threads(&self) -> usize {
         self.threads
     }
 
-    /// Number of shards in the current generation.
-    pub fn num_shards(&self) -> usize {
-        self.state().shards.len()
-    }
-
-    /// Shard 0 of the current generation — the graph and every global
-    /// array are shared by all shards, so this answers dataset-level
-    /// questions (vertex count, parameters) for any shard count.
+    /// The current generation's dataset.
     pub fn dataset(&self) -> Dataset {
-        self.state().shards[0].dataset.clone()
+        self.state().dataset.clone()
     }
 
     /// The engine's metric cells.
@@ -571,12 +489,12 @@ impl ServingEngine {
         Arc::clone(&self.metrics)
     }
 
-    /// How many scratch states the current generation's pools hold.
+    /// How many scratch states the current generation's pool holds.
     pub fn pooled_states(&self) -> usize {
-        self.state().pooled()
+        self.state().pool.lock().len()
     }
 
-    /// The current dataset generation: 1 for the shards the engine was
+    /// The current dataset generation: 1 for the dataset the engine was
     /// constructed with, incremented by every [`ServingEngine::swap`].
     /// Result-cache keys are implicitly generation-scoped (the cache
     /// lives and dies with its generation).
@@ -605,25 +523,25 @@ impl ServingEngine {
         self.state().cache.lock().len()
     }
 
-    /// Atomically replaces the served shards and returns the previous
-    /// ones. Batches already in flight complete against the old shards
-    /// (their entry-time `Arc` keeps them alive); calls arriving after
-    /// `swap` returns see only the new ones. The shard count may change.
-    /// Nothing is ever torn, and the result cache is invalidated
-    /// wholesale (it belongs to the replaced generation).
-    pub fn swap(&self, shards: Vec<Dataset>) -> Vec<Dataset> {
+    /// Atomically replaces the served dataset and returns the previous
+    /// one. Batches already in flight complete against the old dataset
+    /// (their entry-time `Arc` keeps it alive); calls arriving after
+    /// `swap` returns see only the new one. Nothing is ever torn, and the
+    /// result cache is invalidated wholesale (it belongs to the replaced
+    /// generation).
+    pub fn swap(&self, dataset: Dataset) -> Dataset {
         let mut current = self.current.lock();
         // The new state carries its generation number; storing the
         // counter while still holding the lock keeps `generation()` and
         // the installed state consistent with each other.
         let generation = current.generation + 1;
-        let next = EngineState::new(shards, generation);
+        let next = EngineState::new(dataset, generation);
         self.set_dataset_gauges(&next);
         let old = std::mem::replace(&mut *current, next);
         self.generation.store(generation, Ordering::Relaxed);
         drop(current);
         self.metrics.dataset_swaps.inc();
-        old.shards.iter().map(|s| s.dataset.clone()).collect()
+        old.dataset.clone()
     }
 
     /// Applies a batch of graph edits to the served dataset *in place*:
@@ -631,12 +549,9 @@ impl ServingEngine {
     /// dirty rows, on this engine's worker threads), serializes a delta
     /// snapshot chained to `parent_fingerprint`, and hot-swaps the new
     /// generation in. In-flight batches drain against the old dataset;
-    /// no request is ever dropped or torn.
-    ///
-    /// Only a one-shard engine ingests: shards partition the inverted
-    /// candidate map, so an incremental extension would have to
-    /// re-partition every shard (that is a repack, not a delta). With
-    /// more than one shard this returns a format error and serves on.
+    /// no request is ever dropped or torn. The extension reads only the
+    /// forward candidate map, so a dataset loaded from a bundle of any
+    /// shard count ingests.
     ///
     /// Concurrent `apply_delta` calls are the caller's responsibility to
     /// serialize (the server holds its reload lock across the call) — two
@@ -648,20 +563,12 @@ impl ServingEngine {
         staleness_depth: u32,
         parent_fingerprint: u64,
     ) -> Result<AppliedDelta, crate::persist::PersistError> {
-        let base = match &self.state().shards[..] {
-            [only] => only.dataset.clone(),
-            shards => {
-                return Err(crate::persist::PersistError::Format(format!(
-                    "online ingest requires a one-shard engine, this one serves {} shards",
-                    shards.len()
-                )))
-            }
-        };
+        let base = self.dataset();
         let t0 = Instant::now();
         let built =
             crate::chain::build_delta(&base, batch, staleness_depth, self.threads, parent_fingerprint)?;
         let elapsed_ns = t0.elapsed().as_nanos() as u64;
-        self.swap(vec![built.dataset]);
+        self.swap(built.dataset);
         self.metrics.record_extend(&built.stats, elapsed_ns);
         Ok(AppliedDelta {
             bytes: built.bytes,
@@ -728,8 +635,8 @@ impl ServingEngine {
         }
     }
 
-    /// Computes a batch on every shard (no cache) and records its
-    /// request-level metrics once, on the merged answers.
+    /// Computes a batch (no cache) and records its request-level
+    /// metrics.
     fn compute_batch(
         &self,
         state: &EngineState,
@@ -738,12 +645,13 @@ impl ServingEngine {
         opts: &QueryOptions,
         out: &mut BatchResult,
     ) {
-        let threads = self.shard_threads(state);
-        if let [shard] = &state.shards[..] {
-            serve_batch_into(&ServeCtx { shard, threads, metrics: &self.metrics }, queries, k, opts, out);
-        } else {
-            self.scatter_batch(state, threads, queries, k, opts, out);
-        }
+        serve_batch_into(
+            &ServeCtx { state, threads: self.threads, metrics: &self.metrics },
+            queries,
+            k,
+            opts,
+            out,
+        );
         if queries.is_empty() {
             return;
         }
@@ -757,60 +665,7 @@ impl ServingEngine {
             m.candidates_per_query.observe(res.stats.candidates);
             m.hits_per_query.observe(res.hits.len() as u64);
         }
-        m.pooled_scratches.set(state.pooled() as u64);
-    }
-
-    /// The N-shard batch: every shard answers the whole batch at the same
-    /// time under the partition-invariant options (see the module doc),
-    /// then each query's shard answers merge — hits re-selected to `k`,
-    /// stats and stage timings summed, latency the slowest shard's.
-    fn scatter_batch(
-        &self,
-        state: &EngineState,
-        threads: usize,
-        queries: &[VertexId],
-        k: usize,
-        opts: &QueryOptions,
-        out: &mut BatchResult,
-    ) {
-        let started = Instant::now();
-        let shard_opts = QueryOptions { kth_prune: false, explain: false, ..opts.clone() };
-        let mut parts = std::mem::take(&mut out.shard_parts);
-        parts.resize_with(state.shards.len(), BatchResult::default);
-        std::thread::scope(|s| {
-            for (shard, part) in state.shards.iter().zip(parts.iter_mut()) {
-                let ctx = ServeCtx { shard, threads, metrics: &self.metrics };
-                let shard_opts = &shard_opts;
-                s.spawn(move || serve_batch_into(&ctx, queries, k, shard_opts, part));
-            }
-        });
-        let n = queries.len();
-        out.results.resize_with(n, TopKResult::default);
-        out.latencies.clear();
-        out.latencies.resize(n, Duration::ZERO);
-        out.totals = QueryStats::default();
-        // Every shard dedups the same batch the same way.
-        out.deduped = parts[0].deduped;
-        for (i, merged) in out.results.iter_mut().enumerate() {
-            merged.hits.clear();
-            merged.stats = QueryStats::default();
-            merged.explain = None;
-            merged.timings = Default::default();
-            for part in &parts {
-                let r = &part.results[i];
-                merged.hits.extend_from_slice(&r.hits);
-                merged.stats.accumulate(&r.stats);
-                for (t, s) in merged.timings.stages.iter_mut().zip(&r.timings.stages) {
-                    *t += s;
-                }
-                out.latencies[i] = out.latencies[i].max(part.latencies[i]);
-            }
-            merge_hits(&mut merged.hits, k);
-            out.totals.accumulate(&merged.stats);
-        }
-        out.shard_parts = parts;
-        out.latency = LatencySummary::compute(&out.latencies, &mut out.lat_scratch);
-        out.elapsed = started.elapsed();
+        m.pooled_scratches.set(state.pool.lock().len() as u64);
     }
 
     /// The cached batch path: probe every slot, compute the misses as one
@@ -904,7 +759,7 @@ impl ServingEngine {
     /// slot instead of panicking the caller.
     pub fn query_wave(&self, wave: &[WaveQuery]) -> WaveOutcome {
         let state = self.state();
-        let num_vertices = state.shards[0].dataset.graph().num_vertices();
+        let num_vertices = state.dataset.graph().num_vertices();
         let mut out = WaveOutcome {
             results: Vec::with_capacity(wave.len()),
             latencies: vec![Duration::ZERO; wave.len()],
@@ -969,13 +824,13 @@ mod tests {
         (g, idx)
     }
 
-    /// A one-shard engine over an in-memory graph + index.
+    /// An engine over an in-memory graph + index.
     fn engine(g: &Graph, idx: &TopKIndex, threads: usize) -> ServingEngine {
-        ServingEngine::with_threads(vec![Dataset::new(g.clone(), idx.clone()).unwrap()], threads)
+        ServingEngine::with_threads(Dataset::new(g.clone(), idx.clone()).unwrap(), threads)
     }
 
-    /// The shard list a `pack --shards N` bundle loads as.
-    fn sharded(g: &Graph, idx: &TopKIndex, shards: u32) -> Vec<Dataset> {
+    /// The dataset a `pack --shards N` bundle loads as.
+    fn sharded(g: &Graph, idx: &TopKIndex, shards: u32) -> Dataset {
         let mut bytes = Vec::new();
         pack(g, idx, shards, &mut bytes).unwrap();
         let dir = std::env::temp_dir().join(format!("srs-engine-test-{}", std::process::id()));
@@ -985,10 +840,10 @@ mod tests {
         static NEXT: AtomicUsize = AtomicUsize::new(0);
         let path = dir.join(format!("s{shards}-{}.srs", NEXT.fetch_add(1, Ordering::Relaxed)));
         std::fs::write(&path, &bytes).unwrap();
-        let (shards_loaded, _, _) = load_snapshot(&path, &LoadOptions::default()).unwrap();
+        let (loaded, info, _) = load_snapshot(&path, &LoadOptions::default()).unwrap();
         let _ = std::fs::remove_file(&path);
-        assert_eq!(shards_loaded.len(), shards as usize);
-        shards_loaded
+        assert_eq!(info.shards, shards);
+        loaded
     }
 
     fn wave(vertices: &[u32], k: usize, opts: &Arc<QueryOptions>) -> Vec<WaveQuery> {
@@ -1151,8 +1006,8 @@ mod tests {
         engine.query_batch(&(0..20).collect::<Vec<_>>(), 4, &QueryOptions::default());
         assert!(engine.pooled_states() >= 1);
 
-        let old = engine.swap(vec![Dataset::new(g2, idx2).unwrap()]);
-        assert_eq!(old[0].graph().num_vertices(), 200, "swap returns the replaced shards");
+        let old = engine.swap(Dataset::new(g2, idx2).unwrap());
+        assert_eq!(old.graph().num_vertices(), 200, "swap returns the replaced dataset");
         assert_eq!(engine.dataset().graph().num_vertices(), 150);
         assert_eq!(engine.pooled_states(), 0, "fresh generation starts with an empty pool");
         assert_eq!(engine.query(5, 4, &QueryOptions::default()).hits, want2.hits);
@@ -1160,19 +1015,26 @@ mod tests {
         assert_eq!(engine.metrics().graph_vertices.get(), 150);
 
         // The old dataset is still usable by whoever holds it.
-        assert_eq!(old[0].index().query(old[0].graph(), 5, 4, &QueryOptions::default()).hits, want1.hits);
+        assert_eq!(old.index().query(old.graph(), 5, 4, &QueryOptions::default()).hits, want1.hits);
     }
 
     #[test]
     fn swap_may_change_the_shard_count() {
         let (g, idx) = build_small(80, 23);
+        let slices = |e: &ServingEngine| e.dataset().index().candidate_index().inverted_slices();
+        let opts = Arc::new(QueryOptions::default());
+        let want = engine(&g, &idx, 2).query_wave(&wave(&[1, 2, 3], 4, &opts));
         let engine = ServingEngine::with_threads(sharded(&g, &idx, 2), 2);
-        assert_eq!((engine.generation(), engine.num_shards()), (1, 2));
+        assert_eq!((engine.generation(), slices(&engine)), (1, 2));
         engine.swap(sharded(&g, &idx, 4));
-        assert_eq!((engine.generation(), engine.num_shards()), (2, 4));
-        engine.swap(vec![Dataset::new(g.clone(), idx.clone()).unwrap()]);
-        assert_eq!((engine.generation(), engine.num_shards()), (3, 1));
-        let out = engine.query_wave(&wave(&[1, 2, 3], 4, &Arc::new(QueryOptions::default())));
+        assert_eq!((engine.generation(), slices(&engine)), (2, 4));
+        let out = engine.query_wave(&wave(&[1, 2, 3], 4, &opts));
+        for (a, b) in want.results.iter().zip(&out.results) {
+            assert_eq!((&a.hits, a.stats), (&b.hits, b.stats));
+        }
+        engine.swap(Dataset::new(g.clone(), idx.clone()).unwrap());
+        assert_eq!((engine.generation(), slices(&engine)), (3, 1));
+        let out = engine.query_wave(&wave(&[1, 2, 3], 4, &opts));
         assert_eq!(out.results.len(), 3);
         assert_eq!(out.generation, 3);
     }
@@ -1259,7 +1121,7 @@ mod tests {
         engine.query(5, 4, &QueryOptions::default());
         engine.query(5, 4, &QueryOptions::default());
         assert_eq!(engine.cached_results(), 1);
-        engine.swap(vec![Dataset::new(g2, idx2).unwrap()]);
+        engine.swap(Dataset::new(g2, idx2).unwrap());
         assert_eq!(engine.generation(), 2);
         assert_eq!(engine.cached_results(), 0, "new generation starts cold");
         // The same key now answers from the new dataset, not a stale entry.
@@ -1324,88 +1186,17 @@ mod tests {
         let engine = engine(&g, &idx, 2);
         let wave = vec![WaveQuery { vertex: 1, k: 3, opts: Arc::new(QueryOptions::default()) }];
         assert_eq!(engine.query_wave(&wave).generation, 1);
-        engine.swap(vec![Dataset::new(g, idx).unwrap()]);
+        engine.swap(Dataset::new(g, idx).unwrap());
         assert_eq!(engine.generation(), 2);
         assert_eq!(engine.query_wave(&wave).generation, 2);
     }
 
     #[test]
-    fn sharded_hits_match_theta_only_unsharded() {
-        let (g, idx) = build_small(160, 21);
-        let theta_only = Arc::new(QueryOptions { kth_prune: false, ..Default::default() });
-        let vertices: Vec<u32> = (0..160).step_by(7).collect();
-        let reference = engine(&g, &idx, 2).query_wave(&wave(&vertices, 8, &theta_only));
-        let opts = Arc::new(QueryOptions::default());
-        for shards in [3u32, 4] {
-            // Submit with *default* options: the engine itself must force
-            // the partition-invariant form once there is more than one
-            // shard.
-            let got = ServingEngine::with_threads(sharded(&g, &idx, shards), 4)
-                .query_wave(&wave(&vertices, 8, &opts));
-            for (i, v) in vertices.iter().enumerate() {
-                assert_eq!(reference.results[i].hits, got.results[i].hits, "u={v} shards={shards}");
-            }
-        }
-    }
-
-    #[test]
-    fn one_shard_bundle_is_the_unsharded_case() {
-        // A loaded one-shard bundle keeps every option — kth pruning,
-        // explain traces — and the cache: answers, stats, and traces
-        // match the in-memory dataset's exactly.
-        let (g, idx) = build_small(160, 25);
-        let memory = engine(&g, &idx, 2);
-        let one = ServingEngine::with_threads(sharded(&g, &idx, 1), 2);
-        memory.set_cache_capacity(64);
-        one.set_cache_capacity(64);
-        let vertices: Vec<u32> = (0..160).step_by(5).collect();
-        for opts in [
-            QueryOptions::default(),
-            QueryOptions { explain: true, candidate_ball: Some(2), ..Default::default() },
-        ] {
-            let a = memory.query_batch(&vertices, 6, &opts);
-            let b = one.query_batch(&vertices, 6, &opts);
-            for (i, v) in vertices.iter().enumerate() {
-                assert_eq!(a.results[i].hits, b.results[i].hits, "u={v} {opts:?}");
-                assert_eq!(a.results[i].stats, b.results[i].stats, "u={v} {opts:?}");
-                assert_eq!(a.results[i].explain, b.results[i].explain, "u={v} {opts:?}");
-            }
-        }
-        assert_eq!(one.cached_results(), memory.cached_results());
-    }
-
-    #[test]
-    fn sharded_fate_counters_sum_exactly() {
-        let (g, idx) = build_small(120, 22);
-        let reference = engine(&g, &idx, 1);
-        let vertices: Vec<u32> = (0..120).step_by(11).collect();
-        let engine = ServingEngine::with_threads(sharded(&g, &idx, 3), 3);
-        // A candidate ball must not be enumerated once per shard: each
-        // shard adds only the ball vertices in its own range.
-        for ball in [None, Some(1), Some(3)] {
-            let theta_only =
-                Arc::new(QueryOptions { kth_prune: false, candidate_ball: ball, ..Default::default() });
-            let ref_out = reference.query_wave(&wave(&vertices, 6, &theta_only));
-            let got = engine.query_wave(&wave(&vertices, 6, &theta_only));
-            for (i, v) in vertices.iter().enumerate() {
-                let (a, b) = (&ref_out.results[i].stats, &got.results[i].stats);
-                assert_eq!(a.candidates, b.candidates, "u={v} ball={ball:?}");
-                assert_eq!(a.pruned_distance, b.pruned_distance, "u={v} ball={ball:?}");
-                assert_eq!(a.pruned_bounds, b.pruned_bounds, "u={v} ball={ball:?}");
-                assert_eq!(a.pruned_coarse, b.pruned_coarse, "u={v} ball={ball:?}");
-                assert_eq!(a.refined, b.refined, "u={v} ball={ball:?}");
-                assert_eq!(a.reported, b.reported, "u={v} ball={ball:?}");
-                assert_eq!(ref_out.results[i].hits, got.results[i].hits, "u={v} ball={ball:?}");
-            }
-        }
-    }
-
-    #[test]
     fn sharded_serving_records_stage_and_walk_metrics() {
-        // Every shard's scratch observations land in the one metrics set:
-        // the stage histograms sum to the merged per-query timings (the
+        // Every worker's scratch observations land in the one metrics
+        // set: the stage histograms sum to the per-query timings (the
         // same clock reads traces and benches use), and the walk-step
-        // counters to the merged walk steps.
+        // counters to the walk steps.
         let (g, idx) = build_small(160, 26);
         let engine = ServingEngine::with_threads(sharded(&g, &idx, 4), 4);
         let queries: Vec<u32> = (0..160).step_by(3).collect();
@@ -1414,7 +1205,7 @@ mod tests {
         for (s, h) in m.query_stages.iter().enumerate() {
             let want: u64 = batch.results.iter().map(|r| r.timings.stages[s]).sum();
             assert_eq!(h.sum(), want, "stage {s}");
-            assert_eq!(h.count(), 4 * queries.len() as u64, "one observation per shard per query");
+            assert_eq!(h.count(), queries.len() as u64, "one observation per query");
         }
         let by_class: u64 = m.walk_steps.iter().map(|c| c.get()).sum();
         assert!(batch.totals.walk_steps > 0);
@@ -1423,44 +1214,12 @@ mod tests {
         assert_eq!(m.latency.count(), queries.len() as u64);
         assert_eq!(m.candidates.get(), batch.totals.candidates);
 
-        // Repeated vertices are still answered once per shard and copied.
+        // Repeated vertices are answered once and copied.
         let repeated: Vec<u32> = vec![4, 8, 4, 4, 15, 8];
         let batch = engine.query_batch(&repeated, 6, &QueryOptions::default());
         assert_eq!(batch.deduped, 3);
         assert_eq!(m.deduped.get(), 3);
         assert_eq!(batch.results[0].hits, batch.results[2].hits);
-    }
-
-    #[test]
-    fn sharded_cache_serves_merged_answers() {
-        let (g, idx) = build_small(120, 27);
-        let engine = ServingEngine::with_threads(sharded(&g, &idx, 3), 3);
-        engine.set_cache_capacity(64);
-        let opts = QueryOptions::default();
-        let queries: Vec<u32> = (0..40).collect();
-        let cold = engine.query_batch(&queries, 5, &opts);
-        let warm = engine.query_batch(&queries, 5, &opts);
-        for (a, b) in cold.results.iter().zip(&warm.results) {
-            assert_eq!(a.hits, b.hits);
-            assert_eq!(a.stats, b.stats);
-        }
-        assert_eq!(engine.metrics().cache_hits.get(), queries.len() as u64);
-        assert_eq!(engine.cached_results(), queries.len());
-    }
-
-    #[test]
-    fn ingest_is_refused_only_with_more_than_one_shard() {
-        let (g, idx) = build_small(60, 28);
-        let mut batch = srs_graph::GraphDelta::new();
-        batch.insert(3, 9);
-        let many = ServingEngine::with_threads(sharded(&g, &idx, 2), 2);
-        let err = many.apply_delta(&batch, 1, 0).unwrap_err();
-        assert!(err.to_string().contains("one-shard"), "{err}");
-        assert_eq!(many.generation(), 1, "a refused ingest leaves the engine serving");
-        let one = ServingEngine::with_threads(sharded(&g, &idx, 1), 2);
-        let applied = one.apply_delta(&batch, 1, 0).unwrap();
-        assert_eq!(applied.generation, 2);
-        assert_eq!(one.num_shards(), 1);
     }
 
     #[test]

@@ -13,7 +13,10 @@
 //! Two vertices that share a signature (`Γ(u_left) ∩ Γ(v_left) ≠ ∅`) are
 //! likely to have walks that meet, hence non-negligible SimRank — those are
 //! the query-time **candidates**. The inverted (signature → vertices) map
-//! makes candidate enumeration a two-hop lookup.
+//! makes candidate enumeration a two-hop lookup. A bundle packed with
+//! several shards stores that map as vertex-range slices; the index keeps
+//! them as loaded and reads them in range order, so every shard count
+//! enumerates exactly the same candidates.
 
 use crate::obs::BuildObs;
 use crate::SimRankParams;
@@ -32,24 +35,37 @@ const BUILD_CHUNK: usize = 256;
 
 /// The candidate index: bipartite graph `H` in CSR form, both directions.
 ///
-/// Both sides are [`srs_graph::storage::SharedSlice`]s — owned when
-/// built, zero-copy views when loaded from a bundle. Under sharded
-/// serving the forward side is the *global* map while the inverted side
-/// holds only the holders inside this shard's vertex range, so
-/// per-shard candidate sets partition the global one.
+/// Every array is an [`srs_graph::storage::SharedSlice`] — owned when
+/// built, zero-copy views when loaded from a bundle. The inverted side
+/// is a list of slices in vertex-range order: one for a built index, one
+/// per shard for a bundle packed with several. Each slice holds the
+/// holders inside its shard's range, so a signature's holder list is the
+/// slices' lists concatenated in order — exactly the list of a one-slice
+/// index (the persist layer proves this on a deep load).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CandidateIndex {
     n: u32,
     /// Forward: `entries[offsets[u]..offsets[u+1]]` = sorted signatures of `u`.
     offsets: srs_graph::storage::SharedSlice<u64>,
     entries: srs_graph::storage::SharedSlice<VertexId>,
-    /// Inverted: `inv_entries[inv_offsets[w]..inv_offsets[w+1]]` = vertices
-    /// having signature `w`.
-    inv_offsets: srs_graph::storage::SharedSlice<u64>,
-    inv_entries: srs_graph::storage::SharedSlice<VertexId>,
-    /// Vertex range `[lo, hi)` the inverted side may hold: `0..n`, or a
-    /// shard's range under sharded serving.
-    holder_range: (VertexId, VertexId),
+    /// Inverted: the holders of signature `w`, slice by slice.
+    inverted: Vec<InvertedSlice>,
+}
+
+/// One slice of the inverted map:
+/// `entries[offsets[w]..offsets[w+1]]` = the slice's vertices having
+/// signature `w`, ascending.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct InvertedSlice {
+    pub(crate) offsets: srs_graph::storage::SharedSlice<u64>,
+    pub(crate) entries: srs_graph::storage::SharedSlice<VertexId>,
+}
+
+impl InvertedSlice {
+    #[inline]
+    fn holders(&self, w: VertexId) -> &[VertexId] {
+        &self.entries[self.offsets[w as usize] as usize..self.offsets[w as usize + 1] as usize]
+    }
 }
 
 impl CandidateIndex {
@@ -203,9 +219,7 @@ impl CandidateIndex {
             n: n as u32,
             offsets: offsets.into(),
             entries: entries.into(),
-            inv_offsets: inv_offsets.into(),
-            inv_entries: inv_entries.into(),
-            holder_range: (0, n as u32),
+            inverted: vec![InvertedSlice { offsets: inv_offsets.into(), entries: inv_entries.into() }],
         }
     }
 
@@ -214,9 +228,9 @@ impl CandidateIndex {
         &self.entries[self.offsets[u as usize] as usize..self.offsets[u as usize + 1] as usize]
     }
 
-    /// Vertices having `w` among their signatures.
-    pub fn holders(&self, w: VertexId) -> &[VertexId] {
-        &self.inv_entries[self.inv_offsets[w as usize] as usize..self.inv_offsets[w as usize + 1] as usize]
+    /// Vertices having `w` among their signatures, ascending.
+    pub fn holders(&self, w: VertexId) -> impl Iterator<Item = VertexId> + '_ {
+        self.inverted.iter().flat_map(move |s| s.holders(w).iter().copied())
     }
 
     /// Candidate set of `u`: all `v ≠ u` sharing at least one signature
@@ -234,7 +248,7 @@ impl CandidateIndex {
     pub fn candidates_into(&self, u: VertexId, out: &mut Vec<VertexId>) {
         out.clear();
         for &w in self.signatures(u) {
-            out.extend_from_slice(self.holders(w));
+            out.extend(self.holders(w));
         }
         out.sort_unstable();
         out.dedup();
@@ -252,22 +266,25 @@ impl CandidateIndex {
         out.clear();
         seen.begin(self.n as usize);
         seen.insert(u); // excludes u from the output
-        for &w in self.signatures(u) {
-            for &v in self.holders(w) {
-                if seen.insert(v) {
-                    out.push(v);
+        let sigs = self.signatures(u);
+        // Slices outside the signature loop: one slice is the plain
+        // two-hop loop, and the final sort makes the visit order moot.
+        for slice in &self.inverted {
+            for &w in sigs {
+                for &v in slice.holders(w) {
+                    if seen.insert(v) {
+                        out.push(v);
+                    }
                 }
             }
         }
         out.sort_unstable();
     }
 
-    /// Whether `v` lies in the vertex range this index's inverted side
-    /// covers — every vertex, except under sharded serving, where each
-    /// shard enumerates (and so owns) only its own range.
-    #[inline]
-    pub fn holds(&self, v: VertexId) -> bool {
-        v >= self.holder_range.0 && v < self.holder_range.1
+    /// Number of inverted slices: 1 for a built index, the shard count
+    /// for one loaded from a bundle.
+    pub(crate) fn inverted_slices(&self) -> usize {
+        self.inverted.len()
     }
 
     /// Number of vertices indexed.
@@ -282,8 +299,9 @@ impl CandidateIndex {
 
     /// Bytes of the index arrays (Table 4 index-size accounting).
     pub fn memory_bytes(&self) -> u64 {
-        (self.offsets.len() as u64 + self.inv_offsets.len() as u64) * 8
-            + (self.entries.len() as u64 + self.inv_entries.len() as u64) * 4
+        let inverted: u64 =
+            self.inverted.iter().map(|s| s.offsets.len() as u64 * 8 + s.entries.len() as u64 * 4).sum();
+        self.offsets.len() as u64 * 8 + self.entries.len() as u64 * 4 + inverted
     }
 
     /// [`CandidateIndex::memory_bytes`] split by backing (heap-resident
@@ -292,19 +310,10 @@ impl CandidateIndex {
         let mut p = srs_graph::MemoryProfile::default();
         p.add(&self.offsets);
         p.add(&self.entries);
-        p.add(&self.inv_offsets);
-        p.add(&self.inv_entries);
-        p
-    }
-
-    /// Memory profile of the inverted side only. Sharded datasets use
-    /// this to account for shards past the first: those share the
-    /// forward arrays (and γ, diagonal, graph) with shard 0 and add
-    /// only their own inverted slice.
-    pub fn inverted_memory_profile(&self) -> srs_graph::MemoryProfile {
-        let mut p = srs_graph::MemoryProfile::default();
-        p.add(&self.inv_offsets);
-        p.add(&self.inv_entries);
+        for s in &self.inverted {
+            p.add(&s.offsets);
+            p.add(&s.entries);
+        }
         p
     }
 
@@ -313,16 +322,13 @@ impl CandidateIndex {
         (self.n, &self.offsets, &self.entries)
     }
 
-    /// Raw inverted-side arrays for persistence.
-    pub(crate) fn inv_raw_parts(&self) -> (&[u64], &[VertexId]) {
-        (&self.inv_offsets, &self.inv_entries)
-    }
-
-    /// This index with the inverted side re-derived over every vertex:
-    /// one shard's index widened back to the whole index. The forward
-    /// arrays are shared, not copied.
-    pub(crate) fn unsharded(&self) -> Self {
-        Self::from_raw_parts(self.n, self.offsets.clone(), self.entries.clone())
+    /// The inverted side as one CSR, when it is one slice (a built
+    /// index, or a bundle packed unsharded).
+    pub(crate) fn single_inverted(&self) -> Option<(&[u64], &[VertexId])> {
+        match &self.inverted[..] {
+            [only] => Some((&only.offsets, &only.entries)),
+            _ => None,
+        }
     }
 
     /// Rebuilds from a forward CSR (the inverted side is re-derived).
@@ -340,48 +346,42 @@ impl CandidateIndex {
             n,
             offsets,
             entries,
-            inv_offsets: inv_offsets.into(),
-            inv_entries: inv_entries.into(),
-            holder_range: (0, n),
+            inverted: vec![InvertedSlice { offsets: inv_offsets.into(), entries: inv_entries.into() }],
         }
     }
 
-    /// Assembles from a persisted forward CSR *and* a persisted inverted
-    /// side covering the vertex range `holder_range` (`0..n`, or one
-    /// shard's range). The caller (the persist layer) is responsible for
-    /// having validated both sides — this only asserts the shape
-    /// invariants that are programming errors rather than data errors.
+    /// Assembles from a persisted forward CSR *and* the persisted
+    /// inverted slices in vertex-range order. The caller (the persist
+    /// layer) is responsible for having validated both sides and proven
+    /// that the slices tile the holder lists — this only asserts the
+    /// shape invariants that are programming errors rather than data
+    /// errors.
     pub(crate) fn from_parts_with_inverted(
         n: u32,
         offsets: impl Into<srs_graph::storage::SharedSlice<u64>>,
         entries: impl Into<srs_graph::storage::SharedSlice<VertexId>>,
-        inv_offsets: impl Into<srs_graph::storage::SharedSlice<u64>>,
-        inv_entries: impl Into<srs_graph::storage::SharedSlice<VertexId>>,
-        holder_range: (VertexId, VertexId),
+        inverted: Vec<InvertedSlice>,
     ) -> Self {
         let (offsets, entries) = (offsets.into(), entries.into());
-        let (inv_offsets, inv_entries) = (inv_offsets.into(), inv_entries.into());
         assert_eq!(offsets.len(), n as usize + 1, "offsets length");
-        assert_eq!(inv_offsets.len(), n as usize + 1, "inverted offsets length");
-        CandidateIndex { n, offsets, entries, inv_offsets, inv_entries, holder_range }
+        assert!(!inverted.is_empty(), "at least one inverted slice");
+        for s in &inverted {
+            assert_eq!(s.offsets.len(), n as usize + 1, "inverted offsets length");
+        }
+        CandidateIndex { n, offsets, entries, inverted }
     }
 
     /// Restricts the inverted map to holders in `[lo, hi)`: the
-    /// per-shard inverted CSR for a vertex-range shard. Offsets keep
-    /// length `n + 1` (the signature space stays global); only entries
-    /// inside the range survive, so the shards' candidate sets are a
-    /// disjoint partition of the global one.
+    /// inverted slice of a vertex-range shard. Offsets keep length
+    /// `n + 1` (the signature space stays global); only entries inside
+    /// the range survive, so the shards' slices tile the global map.
     pub fn inverted_for_range(&self, lo: VertexId, hi: VertexId) -> (Vec<u64>, Vec<VertexId>) {
         let n = self.n as usize;
         let mut offsets = Vec::with_capacity(n + 1);
         offsets.push(0u64);
         let mut entries = Vec::new();
         for w in 0..n as VertexId {
-            for &v in self.holders(w) {
-                if v >= lo && v < hi {
-                    entries.push(v);
-                }
-            }
+            entries.extend(self.holders(w).filter(|&v| v >= lo && v < hi));
             offsets.push(entries.len() as u64);
         }
         (offsets, entries)
@@ -499,11 +499,11 @@ mod tests {
         let idx = CandidateIndex::build(&g, &small_params(), 2, 2);
         for u in 0..100u32 {
             for &w in idx.signatures(u) {
-                assert!(idx.holders(w).contains(&u), "u={u} w={w}");
+                assert!(idx.holders(w).any(|h| h == u), "u={u} w={w}");
             }
         }
         for w in 0..100u32 {
-            for &u in idx.holders(w) {
+            for u in idx.holders(w) {
                 assert!(idx.signatures(u).contains(&w), "w={w} u={u}");
             }
         }

@@ -13,7 +13,7 @@
 //! | Algorithm 3 — γ computation (L2 bound) | [`bounds::GammaTable`] |
 //! | Algorithm 4 — candidate index (bipartite graph `H`) | [`index::CandidateIndex`] |
 //! | Algorithm 5 — pruned, adaptively-sampled top-k query | [`topk`] |
-//! | parallel, cached, hot-swappable serving over 1..N shards | [`engine`] |
+//! | parallel, cached, hot-swappable serving over one dataset | [`engine`] |
 //! | §2.2 — similarity search for *all* vertices | [`all_vertices`] |
 //! | the on-disk index layout (`O(n)` preprocess artifacts, 1..N shards) | [`persist`] |
 //! | snapshot bundles (graph + index, zero-copy) | [`snapshot`] |
@@ -25,8 +25,7 @@
 //! preprocess phase: Algorithms 3 + 4), then [`topk::TopKIndex::query`] per
 //! query vertex (Algorithm 5, which internally runs Algorithms 1 and 2) —
 //! or, for query streams, [`engine::ServingEngine::query_batch`], which
-//! serves whole batches in parallel from pooled query state over one
-//! shard or many.
+//! serves whole batches in parallel from pooled query state.
 
 pub mod all_vertices;
 pub mod bounds;

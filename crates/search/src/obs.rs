@@ -110,8 +110,7 @@ pub struct ServingMetrics {
     pub zero_screened: Arc<Counter>,
     /// `srs_query_l1_tables_total` (Algorithm 2 L1 tables built, counted
     /// per answered query like the fate counters: 1 when the query built
-    /// its table, 0 when the table could not pay for itself; a sharded
-    /// query counts one per shard that built it).
+    /// its table, 0 when the table could not pay for itself).
     pub l1_tables: Arc<Counter>,
     /// `srs_query_waves_total` (walk waves formed by the batched scan).
     pub waves: Arc<Counter>,

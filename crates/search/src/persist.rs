@@ -20,12 +20,14 @@
 //! views, and every section is checksummed. [`add_index_sections`]
 //! writes the layout into any bundle, so a serving snapshot
 //! ([`crate::snapshot`]) is the union of a graph bundle and an index
-//! bundle; [`save`] writes an index-only bundle. [`index_shards_from_bundle`]
-//! is the one reader; [`index_from_bundle`] and [`load`] merge its shards
-//! into one index.
+//! bundle; [`save`] writes an index-only bundle. [`index_from_bundle_with`]
+//! is the one reader: whatever the shard count it returns one index,
+//! whose inverted map is the shards' slices in range order (see
+//! [`CandidateIndex`]). The slices are never merged or re-derived; the
+//! manifest keeps the bundle ready to be split across processes.
 
 use crate::bounds::GammaTable;
-use crate::index::{invert, CandidateIndex};
+use crate::index::{invert, CandidateIndex, InvertedSlice};
 use crate::topk::TopKIndex;
 use crate::{Diagonal, SimRankParams};
 use bytes::{Buf, BufMut};
@@ -112,7 +114,7 @@ pub fn shard_ranges(n: u32, shards: u32) -> Vec<(VertexId, VertexId)> {
 /// Appends the index layout to a bundle under construction: the core
 /// sections, one inverted slice per shard of [`shard_ranges`]`(n,
 /// shards)`, and the manifest. The inverse of
-/// [`index_shards_from_bundle`]. Composes with
+/// [`index_from_bundle_with`]. Composes with
 /// [`srs_graph::Graph::add_bundle_sections`] to form a serving snapshot
 /// in one file. Errors on a shard count outside `1..=`[`MAX_SHARDS`] or
 /// above the vertex count.
@@ -132,11 +134,12 @@ pub fn add_index_sections(index: &TopKIndex, shards: u32, w: &mut BundleWriter) 
     for (s, (lo, hi)) in shard_ranges(n, shards).into_iter().enumerate() {
         let (off_tag, ent_tag) = shard_inv_tags(s as u32);
         let restricted;
-        let (inv_offsets, inv_entries) = if (lo, hi) == (0, n) {
-            cands.inv_raw_parts()
-        } else {
-            restricted = cands.inverted_for_range(lo, hi);
-            (&restricted.0[..], &restricted.1[..])
+        let (inv_offsets, inv_entries) = match cands.single_inverted() {
+            Some(whole) if (lo, hi) == (0, n) => whole,
+            _ => {
+                restricted = cands.inverted_for_range(lo, hi);
+                (&restricted.0[..], &restricted.1[..])
+            }
         };
         w.add_pod(&off_tag, inv_offsets);
         w.add_pod(&ent_tag, inv_entries);
@@ -184,21 +187,16 @@ fn add_core_sections(index: &TopKIndex, w: &mut BundleWriter) {
     w.add_pod(SEC_CAND_ENTRIES, entries);
 }
 
-/// Reads the index layout of an opened bundle as one index per shard, in
-/// vertex-range order, borrowing every array zero-copy from the bundle's
-/// buffer. The shards share the γ table, diagonal and forward candidate
-/// map; each holds its own inverted slice. Other sections (e.g. a
-/// snapshot's graph) are ignored.
+/// Reads the index layout of an opened bundle as one index, borrowing
+/// every array zero-copy from the bundle's buffer. The shards' inverted
+/// slices stay separate, in vertex-range order; together they are the
+/// inverted map. Other sections (e.g. a snapshot's graph) are ignored.
 ///
 /// Both validation levels check the manifest against the section table
 /// and run the shape/range scans that make the query path panic-free.
 /// [`ValidationLevel::Deep`] also derives the global inverted map from
-/// the forward map once and proves the shards' slices partition it
-/// exactly.
-pub fn index_shards_from_bundle(
-    r: &BundleReader,
-    level: ValidationLevel,
-) -> Result<Vec<TopKIndex>, PersistError> {
+/// the forward map once and proves the shards' slices tile it exactly.
+pub fn index_from_bundle_with(r: &BundleReader, level: ValidationLevel) -> Result<TopKIndex, PersistError> {
     let manifest = parse_manifest(r.bytes(SEC_MANIFEST)?)?;
     let core = read_index_core(r)?;
     let n = core.n;
@@ -219,15 +217,14 @@ pub fn index_shards_from_bundle(
     let mut slices = Vec::with_capacity(manifest.ranges.len());
     for (s, &range) in manifest.ranges.iter().enumerate() {
         let (off_tag, ent_tag) = shard_inv_tags(s as u32);
-        let inv_offsets: SharedSlice<u64> = r.pod_slice(&off_tag)?;
-        let inv_entries: SharedSlice<VertexId> = r.pod_slice(&ent_tag)?;
-        validate_inverted(n, &inv_offsets, &inv_entries, range)?;
-        slices.push(ShardSlice { range, inv_offsets, inv_entries });
+        let slice = InvertedSlice { offsets: r.pod_slice(&off_tag)?, entries: r.pod_slice(&ent_tag)? };
+        validate_inverted(n, &slice, range)?;
+        slices.push(slice);
     }
     // The shard ranges tile the vertex space and each shard's entries
     // were range-checked, so the shard maps are disjoint; equal totals
     // therefore mean they cover as many entries as the forward map.
-    let inv_total: u64 = slices.iter().map(|s| s.inv_entries.len() as u64).sum();
+    let inv_total: u64 = slices.iter().map(|s| s.entries.len() as u64).sum();
     if inv_total != core.entries.len() as u64 {
         return Err(PersistError::Format(format!(
             "inverted maps cover {inv_total} entries, forward map has {}",
@@ -237,30 +234,22 @@ pub fn index_shards_from_bundle(
     if level == ValidationLevel::Deep {
         check_inverted_partition(&core, &slices)?;
     }
-    Ok(slices.into_iter().map(|s| core.shard_index(s)).collect())
+    Ok(TopKIndex {
+        params: core.params,
+        diag: core.diag,
+        gamma: GammaTable::from_raw(core.steps, core.gamma),
+        candidates: CandidateIndex::from_parts_with_inverted(n, core.offsets, core.entries, slices),
+        seed: core.seed,
+    })
 }
 
 /// Reads the whole index of an opened bundle with
-/// [`ValidationLevel::Deep`]. A bundle of several shards is merged: the
-/// inverted map is re-derived over every vertex.
+/// [`ValidationLevel::Deep`] (see [`index_from_bundle_with`]).
 pub fn index_from_bundle(r: &BundleReader) -> Result<TopKIndex, PersistError> {
-    let mut shards = index_shards_from_bundle(r, ValidationLevel::Deep)?;
-    let mut index = shards.swap_remove(0);
-    if !shards.is_empty() {
-        index.candidates = index.candidates.unsharded();
-    }
-    Ok(index)
+    index_from_bundle_with(r, ValidationLevel::Deep)
 }
 
-/// One shard's inverted slice: the holders inside `range`.
-struct ShardSlice {
-    range: (VertexId, VertexId),
-    inv_offsets: SharedSlice<u64>,
-    inv_entries: SharedSlice<VertexId>,
-}
-
-/// The shared `i.*` payloads of a bundle, parsed and shape-validated; one
-/// index per shard is assembled from it.
+/// The `i.*` core payloads of a bundle, parsed and shape-validated.
 struct IndexCore {
     params: SimRankParams,
     seed: u64,
@@ -273,27 +262,6 @@ struct IndexCore {
 }
 
 impl IndexCore {
-    /// Assembles a shard's index: the global forward map plus the
-    /// shard's inverted slice. The slice must already be validated (see
-    /// [`validate_inverted`]); clones of the shared slices are O(1)
-    /// `Arc` bumps.
-    fn shard_index(&self, shard: ShardSlice) -> TopKIndex {
-        TopKIndex {
-            params: self.params.clone(),
-            diag: self.diag.clone(),
-            gamma: GammaTable::from_raw(self.steps, self.gamma.clone()),
-            candidates: CandidateIndex::from_parts_with_inverted(
-                self.n,
-                self.offsets.clone(),
-                self.entries.clone(),
-                shard.inv_offsets,
-                shard.inv_entries,
-                shard.range,
-            ),
-            seed: self.seed,
-        }
-    }
-
     /// Shape/range scans of the core: a corrupted artifact must error
     /// here, not panic later.
     fn validate(&self) -> Result<(), PersistError> {
@@ -393,10 +361,10 @@ fn read_index_core(r: &BundleReader) -> Result<IndexCore, PersistError> {
 /// vertex inside the shard's `range`.
 fn validate_inverted(
     n: u32,
-    inv_offsets: &[u64],
-    inv_entries: &[VertexId],
+    slice: &InvertedSlice,
     (lo, hi): (VertexId, VertexId),
 ) -> Result<(), PersistError> {
+    let (inv_offsets, inv_entries) = (&slice.offsets, &slice.entries);
     if inv_offsets.len() != n as usize + 1 {
         return Err(PersistError::Format("inverted offsets shape mismatch".into()));
     }
@@ -416,7 +384,7 @@ fn validate_inverted(
 /// and proves that, signature by signature, the shards' holder lists
 /// concatenated in range order equal it. With the range checks already
 /// done, that makes each shard's slice exactly its range's share.
-fn check_inverted_partition(core: &IndexCore, slices: &[ShardSlice]) -> Result<(), PersistError> {
+fn check_inverted_partition(core: &IndexCore, slices: &[InvertedSlice]) -> Result<(), PersistError> {
     let mismatch = |w: usize| {
         PersistError::Format(format!("inverted candidate map inconsistent with forward map at {w}"))
     };
@@ -424,7 +392,7 @@ fn check_inverted_partition(core: &IndexCore, slices: &[ShardSlice]) -> Result<(
     for w in 0..core.n as usize {
         let mut want = &inv_entries[inv_offsets[w] as usize..inv_offsets[w + 1] as usize];
         for s in slices {
-            let held = &s.inv_entries[s.inv_offsets[w] as usize..s.inv_offsets[w + 1] as usize];
+            let held = &s.entries[s.offsets[w] as usize..s.offsets[w + 1] as usize];
             want = want.strip_prefix(held).ok_or_else(|| mismatch(w))?;
         }
         if !want.is_empty() {

@@ -13,20 +13,22 @@
 //! [`crate::persist::load`]).
 //!
 //! [`load_snapshot`] is the serving entry point: [`LoadOptions`] selects
-//! the backing (heap read vs `mmap`) and verification mode, and the
-//! shard list it returns holds one [`Dataset`] per shard (all sharing
-//! the one graph and the global forward candidate map). An `mmap` load
+//! the backing (heap read vs `mmap`) and verification mode. Whatever the
+//! bundle's shard count it returns one [`Dataset`]: the shards' inverted
+//! slices become one candidate index (see
+//! [`crate::index::CandidateIndex`]), so a sharded bundle answers
+//! exactly like an unsharded one. An `mmap` load
 //! without `verify_on_load` is O(sections): structural table checks
 //! plus cheap word-wide shape/range scans (which guarantee the query
 //! path cannot panic, whatever the bytes say), with checksums deferred
 //! to a [`SnapshotVerifier`] the server runs on a background thread.
 //!
-//! [`Dataset`] is the per-shard unit the serving layer owns and swaps:
-//! an `Arc<Graph>` + `Arc<TopKIndex>` pair that clones in O(1), so an
-//! engine can atomically replace its shards while in-flight batches keep
-//! the old ones alive (see [`crate::engine::ServingEngine`]).
+//! [`Dataset`] is the unit the serving layer owns and swaps: an
+//! `Arc<Graph>` + `Arc<TopKIndex>` pair that clones in O(1), so an
+//! engine can atomically replace it while in-flight batches keep the old
+//! one alive (see [`crate::engine::ServingEngine`]).
 
-use crate::persist::{add_index_sections, index_from_bundle, index_shards_from_bundle, PersistError};
+use crate::persist::{add_index_sections, index_from_bundle, index_from_bundle_with, PersistError};
 use crate::topk::TopKIndex;
 use srs_graph::container::{BundleReader, BundleWriter, VerifyMode};
 use srs_graph::storage::BundleBuf;
@@ -90,17 +92,15 @@ impl Dataset {
     }
 
     /// Loads a snapshot from bundle bytes (heap backing, eager
-    /// verification, deep validation) as one dataset: the shards of a
-    /// bundle of several are merged (see
-    /// [`crate::persist::index_from_bundle`]). Returns the dataset plus
-    /// [`SnapshotInfo`] load statistics (for `srs-obs` gauges).
+    /// verification, deep validation) of any shard count. Returns the
+    /// dataset plus [`SnapshotInfo`] load statistics (for `srs-obs`
+    /// gauges).
     pub fn from_snapshot_bytes(bytes: Vec<u8>) -> Result<(Self, SnapshotInfo), PersistError> {
         let started = std::time::Instant::now();
         let reader = BundleReader::open_buf(BundleBuf::from(bytes), VerifyMode::Eager)?;
         let graph = Graph::from_bundle(&reader).map_err(|e| PersistError::Format(e.to_string()))?;
-        let index = index_from_bundle(&reader)?;
-        let ds = Self::new(graph, index)?;
-        let info = SnapshotInfo::from_load(&reader, ds.memory_profile(), 1, started.elapsed());
+        let ds = Self::new(graph, index_from_bundle(&reader)?)?;
+        let info = SnapshotInfo::from_load(&reader, &ds, started.elapsed());
         Ok((ds, info))
     }
 
@@ -127,17 +127,6 @@ pub struct LoadOptions {
     pub prefault: bool,
 }
 
-/// Heap vs mapped bytes behind a shard list. Shards share the graph, γ
-/// table, and forward candidate map, so those count once (from shard 0);
-/// each later shard adds only its own inverted slice.
-pub(crate) fn shards_memory_profile(shards: &[Dataset]) -> MemoryProfile {
-    let mut p = shards[0].memory_profile();
-    for d in &shards[1..] {
-        p.merge(d.index().candidate_index().inverted_memory_profile());
-    }
-    p
-}
-
 /// Statistics from one snapshot load, surfaced through
 /// [`crate::obs::ServingMetrics`] and the CLI.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -161,14 +150,16 @@ pub struct SnapshotInfo {
     pub resident_bytes: u64,
     /// Bytes served through the `mmap` region (page cache, not heap).
     pub mapped_bytes: u64,
-    /// Shard count (1 for unsharded snapshots).
+    /// Shard count of the bundle's manifest (1 for unsharded
+    /// snapshots); every count loads as one dataset.
     pub shards: u32,
     /// Whether the bundle is backed by a file mapping.
     pub mapped: bool,
 }
 
 impl SnapshotInfo {
-    fn from_load(r: &BundleReader, profile: MemoryProfile, shards: u32, load_time: Duration) -> Self {
+    fn from_load(r: &BundleReader, ds: &Dataset, load_time: Duration) -> Self {
+        let profile = ds.memory_profile();
         SnapshotInfo {
             bytes: r.total_bytes(),
             sections_verified: r.verified_count(),
@@ -176,7 +167,7 @@ impl SnapshotInfo {
             fingerprint: r.fingerprint(),
             resident_bytes: profile.resident_bytes,
             mapped_bytes: profile.mapped_bytes,
-            shards,
+            shards: ds.index().candidate_index().inverted_slices() as u32,
             mapped: r.is_mapped(),
         }
     }
@@ -219,13 +210,12 @@ impl std::fmt::Debug for SnapshotVerifier {
 }
 
 /// Loads a snapshot for serving: backing and verification per `opts`.
-/// Returns the shard list (in shard = vertex-range order), load
-/// statistics, and — for lazy `mmap` opens — the [`SnapshotVerifier`] to
-/// run in the background.
+/// Returns the dataset, load statistics, and — for lazy `mmap` opens —
+/// the [`SnapshotVerifier`] to run in the background.
 pub fn load_snapshot<P: AsRef<Path>>(
     path: P,
     opts: &LoadOptions,
-) -> Result<(Vec<Dataset>, SnapshotInfo, Option<SnapshotVerifier>), PersistError> {
+) -> Result<(Dataset, SnapshotInfo, Option<SnapshotVerifier>), PersistError> {
     let started = std::time::Instant::now();
     // Mode map: heap loads keep the classic eager-checksum + deep
     // validation contract. Mapped loads run the panic-safety scans
@@ -250,20 +240,11 @@ pub fn load_snapshot<P: AsRef<Path>>(
         }
     }
     let reader = Arc::new(reader);
-    let shards = build_shards(&reader, level)?;
-    let profile = shards_memory_profile(&shards);
-    let info = SnapshotInfo::from_load(&reader, profile, shards.len() as u32, started.elapsed());
+    let graph = Graph::from_bundle_with(&reader, level).map_err(|e| PersistError::Format(e.to_string()))?;
+    let ds = Dataset::new(graph, index_from_bundle_with(&reader, level)?)?;
+    let info = SnapshotInfo::from_load(&reader, &ds, started.elapsed());
     let verifier = (mode == VerifyMode::Lazy).then(|| SnapshotVerifier { reader: Arc::clone(&reader) });
-    Ok((shards, info, verifier))
-}
-
-fn build_shards(reader: &BundleReader, level: ValidationLevel) -> Result<Vec<Dataset>, PersistError> {
-    let graph =
-        Arc::new(Graph::from_bundle_with(reader, level).map_err(|e| PersistError::Format(e.to_string()))?);
-    index_shards_from_bundle(reader, level)?
-        .into_iter()
-        .map(|index| Dataset::from_arcs(Arc::clone(&graph), Arc::new(index)))
-        .collect()
+    Ok((ds, info, verifier))
 }
 
 /// Writes graph + index as one snapshot bundle (the `srs pack`
@@ -365,13 +346,12 @@ mod tests {
         let (g, idx) = build(100, 8);
         let bytes = pack_to_bytes(&g, &idx);
         let path = write_temp("lazy.srs", &bytes);
-        let (shards, info, verifier) =
+        let (ds, info, verifier) =
             load_snapshot(&path, &LoadOptions { mmap: true, ..Default::default() }).unwrap();
         assert!(info.mapped);
         assert_eq!(info.sections_verified, 0, "lazy open must not checksum");
         #[cfg(all(unix, target_endian = "little"))]
         assert!(info.mapped_bytes > 0, "{info:?}");
-        let [ds] = &shards[..] else { panic!("expected one shard, got {}", shards.len()) };
         for u in [0u32, 31, 99] {
             let a = idx.query(&g, u, 6, &QueryOptions::default());
             let b = ds.index().query(ds.graph(), u, 6, &QueryOptions::default());
@@ -410,6 +390,9 @@ mod tests {
 
     #[test]
     fn sharded_pack_loads_and_partitions_candidates() {
+        // A 4-shard bundle loads as one index of four inverted slices
+        // that, read in range order, give exactly the built index's
+        // holder lists and candidates.
         let (g, idx) = build(90, 4);
         let bytes = packed(&g, &idx, 4);
         let path = write_temp("sharded.srs", &bytes);
@@ -418,19 +401,19 @@ mod tests {
             LoadOptions { mmap: true, ..Default::default() },
             LoadOptions { mmap: true, verify_on_load: true, ..Default::default() },
         ] {
-            let (shards, info, _) = load_snapshot(&path, &opts).unwrap();
+            let (ds, info, _) = load_snapshot(&path, &opts).unwrap();
             assert_eq!(info.shards, 4);
-            assert_eq!(shards.len(), 4);
-            // Per-shard candidate sets partition the global ones.
-            for u in [0u32, 17, 45, 89] {
-                let mut union: Vec<VertexId> = Vec::new();
-                for (d, &(lo, hi)) in shards.iter().zip(&shard_ranges(90, 4)) {
-                    let cs = d.index().candidate_index().candidates(u);
-                    assert!(cs.iter().all(|&v| v >= lo && v < hi), "u={u} shard {lo}..{hi}");
-                    union.extend(cs);
-                }
-                union.sort_unstable();
-                assert_eq!(union, idx.candidate_index().candidates(u), "u={u}");
+            let cands = ds.index().candidate_index();
+            assert_eq!(cands.inverted_slices(), 4);
+            for w in 0..90u32 {
+                let held: Vec<VertexId> = cands.holders(w).collect();
+                assert_eq!(held, idx.candidate_index().holders(w).collect::<Vec<_>>(), "w={w}");
+            }
+            let mut seen = crate::index::SeenStamps::new();
+            let mut got = Vec::new();
+            for u in 0..90u32 {
+                cands.candidates_into_stamped(u, &mut got, &mut seen);
+                assert_eq!(got, idx.candidate_index().candidates(u), "u={u}");
             }
         }
         let _ = std::fs::remove_file(&path);
@@ -438,16 +421,19 @@ mod tests {
 
     #[test]
     fn sharded_bundle_still_loads_unsharded() {
-        // A one-dataset load merges the shards: the inverted map is
-        // re-derived over every vertex.
+        // The one-dataset load of a sharded bundle answers like the
+        // index it was packed from: hits, stats and explain traces.
         let (g, idx) = build(70, 3);
         let bytes = packed(&g, &idx, 2);
         let (ds, info) = Dataset::from_snapshot_bytes(bytes).unwrap();
-        assert_eq!(info.shards, 1);
+        assert_eq!(info.shards, 2);
+        let opts = QueryOptions { explain: true, ..Default::default() };
         for u in [0u32, 35, 69] {
-            let a = idx.query(&g, u, 5, &QueryOptions::default());
-            let b = ds.index().query(ds.graph(), u, 5, &QueryOptions::default());
+            let a = idx.query(&g, u, 5, &opts);
+            let b = ds.index().query(ds.graph(), u, 5, &opts);
             assert_eq!(a.hits, b.hits, "u={u}");
+            assert_eq!(a.stats, b.stats, "u={u}");
+            assert_eq!(a.explain, b.explain, "u={u}");
         }
     }
 

@@ -61,12 +61,9 @@ pub struct QueryOptions {
     /// (Algorithm 5's `max(θ, kth − slack)`). On by default — it is the
     /// main source of pruning power once the heap fills. Off, pruning
     /// uses `θ` alone, which makes every per-candidate decision
-    /// independent of scan order and candidate partition: the reported
-    /// set becomes exactly "all candidates with refined score ≥ θ"
-    /// (truncated to the top k), so sharded serving can merge per-shard
-    /// top-k lists bit-identically to an unsharded scan. The serving
-    /// engine forces this off with more than one shard; one shard keeps
-    /// it on.
+    /// independent of scan order: the reported set becomes exactly "all
+    /// candidates with refined score ≥ θ" (truncated to the top k). Like
+    /// every option it is honoured for every shard count.
     pub kth_prune: bool,
     /// Extension beyond the paper: additionally treat every vertex within
     /// this undirected distance of the query as a candidate. Raises recall
@@ -172,8 +169,7 @@ pub struct QueryStats {
     pub walk_steps: u64,
     /// Algorithm 2 L1 tables built: 1 when the query paid for its table,
     /// 0 when it had no candidates, `use_l1` was off, or the table could
-    /// not pay for itself (`|C| · 2 · R ≤ r_bounds` with `kth_prune` on).
-    /// A sharded query sums one per shard that built the table.
+    /// not pay for itself (`|C| · 2 · R ≤ r_bounds`).
     pub l1_tables: u64,
     /// Candidates whose estimates the structural-zero screen set to 0.0
     /// without walking (their reverse layers never share a vertex at the
@@ -533,10 +529,8 @@ impl QueryScratch {
         stats.bfs_visited = self.bfs.visited().len() as u64;
 
         if let Some(radius) = opts.candidate_ball {
-            // A shard adds only the ball vertices it owns, so the shards'
-            // candidate sets stay a partition of the unsharded one.
             for &v in self.bfs.visited() {
-                if self.bfs.distance(v) <= radius && index.candidates.holds(v) && self.seen.insert(v) {
+                if self.bfs.distance(v) <= radius && self.seen.insert(v) {
                     self.cand_ids.push(v);
                 }
             }
@@ -946,15 +940,9 @@ impl QueryScratch {
 /// steps (`R = r_coarse` under adaptive sampling, `r_refine` without).
 /// So the table is built only when `|C| · 2 · R > r_bounds` — more than
 /// 500 candidates at the defaults.
-///
-/// The rule reads the candidate count, so it applies only with
-/// `kth_prune` on, where decisions already depend on the candidate set.
-/// With `kth_prune` off every decision must be independent of the
-/// candidate partition (a shard sees only its own candidates), so the
-/// table is always built.
 fn l1_table_pays(candidates: usize, params: &SimRankParams, opts: &QueryOptions) -> bool {
     let r = if opts.adaptive { params.r_coarse } else { params.r_refine };
-    !opts.kth_prune || candidates as u64 * 2 * u64::from(r) > u64::from(params.r_bounds)
+    candidates as u64 * 2 * u64::from(r) > u64::from(params.r_bounds)
 }
 
 /// Shorthand for a scan-loop explain record.
@@ -1089,16 +1077,17 @@ mod tests {
         // the L1 table built from it must still give every candidate the
         // β of a table built from the whole d_max ball — including when
         // T − 1 > d_max, where walk positions beyond d_max are excluded.
-        // θ-only pruning always builds the table, whatever the candidate
-        // count.
+        // r_bounds below 2 · r_coarse makes the table pay for a single
+        // candidate, so every query with candidates builds it.
         let g = gen::preferential_attachment_windowed(400, 4, 60, 8);
         let mut full = BfsBuffers::new(g.num_vertices());
         let mut checked = 0;
-        for params in [fast_params(), SimRankParams { d_max: 3, ..fast_params() }] {
+        let small = SimRankParams { r_bounds: 19, ..Default::default() };
+        for params in [small.clone(), SimRankParams { d_max: 3, ..small }] {
             let idx = TopKIndex::build_with(&g, &params, Diagonal::paper_default(params.c), 6, 2);
             let mut scratch = QueryScratch::new(&g);
             for ball in [None, Some(1)] {
-                let opts = QueryOptions { candidate_ball: ball, kth_prune: false, ..Default::default() };
+                let opts = QueryOptions { candidate_ball: ball, ..Default::default() };
                 for u in srs_graph::stats::sample_query_vertices(&g, 25, 2) {
                     let mut stats = QueryStats::default();
                     scratch.enumerate_candidates(&g, &idx, u, &opts, &mut stats);
@@ -1142,11 +1131,6 @@ mod tests {
         let refine_only = QueryOptions { adaptive: false, ..Default::default() };
         assert!(!l1_table_pays(50, &params, &refine_only), "50 · 2 · 100 = r_bounds: no saving");
         assert!(l1_table_pays(51, &params, &refine_only));
-        // θ-only pruning builds at any count.
-        for adaptive in [true, false] {
-            let theta_only = QueryOptions { kth_prune: false, adaptive, ..Default::default() };
-            assert!(l1_table_pays(1, &params, &theta_only));
-        }
     }
 
     #[test]
@@ -1156,14 +1140,15 @@ mod tests {
         let params = SimRankParams { r_bounds: 200, ..Default::default() };
         let idx = TopKIndex::build_with(&g, &params, Diagonal::paper_default(params.c), 5, 2);
         let mut scratch = QueryScratch::new(&g);
-        let theta_only = QueryOptions { kth_prune: false, ..Default::default() };
+        // Without adaptive sampling the table pays past one candidate.
+        let refine_only = QueryOptions { adaptive: false, ..Default::default() };
         let (mut built, mut skipped) = (0, 0);
         for u in srs_graph::stats::sample_query_vertices(&g, 40, 3) {
             // Build a table first, so a skip must clear it rather than
             // leave this β behind.
             let mut stats = QueryStats::default();
-            scratch.enumerate_candidates(&g, &idx, u, &theta_only, &mut stats);
-            scratch.prepare_query_tables(&g, &idx, u, &theta_only, &mut stats);
+            scratch.enumerate_candidates(&g, &idx, u, &refine_only, &mut stats);
+            scratch.prepare_query_tables(&g, &idx, u, &refine_only, &mut stats);
 
             let opts = QueryOptions::default();
             let mut stats = QueryStats::default();
@@ -1190,25 +1175,6 @@ mod tests {
             }
         }
         assert!(built > 0 && skipped > 0, "built {built}, skipped {skipped}");
-    }
-
-    #[test]
-    fn theta_only_pruning_always_builds_the_l1_table() {
-        let g = gen::copying_web(300, 4, 0.8, 5);
-        let params = SimRankParams { r_bounds: 200, ..Default::default() };
-        let idx = TopKIndex::build_with(&g, &params, Diagonal::paper_default(params.c), 5, 2);
-        let mut ctx = QueryContext::new(&g, &idx);
-        let mut small = 0;
-        for adaptive in [true, false] {
-            let opts = QueryOptions { kth_prune: false, adaptive, ..Default::default() };
-            for u in srs_graph::stats::sample_query_vertices(&g, 40, 3) {
-                let s = ctx.query(u, 10, &opts).stats;
-                assert_eq!(s.l1_tables, u64::from(s.candidates > 0), "u={u} adaptive={adaptive}");
-                let gated = QueryOptions { kth_prune: true, ..opts.clone() };
-                small += (s.candidates > 0 && ctx.query(u, 10, &gated).stats.l1_tables == 0) as u32;
-            }
-        }
-        assert!(small > 0, "some queries must be below the gate's count");
     }
 
     #[test]

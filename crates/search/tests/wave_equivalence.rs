@@ -28,7 +28,7 @@ fn assert_wave_invariant_with(opts_base: QueryOptions, params: SimRankParams, la
     let idx = TopKIndex::build_with(&g, &params, Diagonal::paper_default(params.c), 7, 2);
     let queries: Vec<VertexId> = srs_graph::stats::sample_query_vertices(&g, 24, 19);
     let dataset = Dataset::new(g, idx).unwrap();
-    let engine = |threads| ServingEngine::with_threads(vec![dataset.clone()], threads);
+    let engine = |threads| ServingEngine::with_threads(dataset.clone(), threads);
     // Width 1 is the scalar scan — the pre-wave reference.
     let scalar_opts = QueryOptions { wave_width: 1, explain: true, ..opts_base.clone() };
     let reference = engine(1).query_batch(&queries, 10, &scalar_opts);

@@ -179,8 +179,7 @@ fn read_response(r: &mut impl BufRead) -> io::Result<(Response, bool)> {
             }
         }
     }
-    let mut body = vec![0u8; content_length];
-    r.read_exact(&mut body)?;
+    let body = crate::http::read_body(r, content_length)?;
     Ok((Response { status, body, trace_id }, keep_alive))
 }
 
@@ -213,6 +212,13 @@ mod tests {
         let (resp, keep) = read_response(&mut Cursor::new(raw.as_bytes().to_vec())).unwrap();
         assert_eq!(resp.status, 503);
         assert!(!keep);
+    }
+
+    #[test]
+    fn truncated_body_is_a_typed_eof() {
+        let raw = "HTTP/1.1 200 OK\r\nContent-Length: 1048576\r\n\r\nhello";
+        let err = read_response(&mut Cursor::new(raw.as_bytes().to_vec())).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{err}");
     }
 
     #[test]

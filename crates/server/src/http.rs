@@ -9,7 +9,7 @@
 //! anything it does not understand. All limits are hard caps, so a
 //! misbehaving peer can never make the parser allocate without bound.
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
 
 /// Longest accepted request or header line, in bytes.
 pub const MAX_LINE: usize = 8192;
@@ -163,10 +163,25 @@ pub fn read_request(r: &mut impl BufRead) -> Result<Option<Request>, ParseError>
             wants_openmetrics = value.to_ascii_lowercase().contains("application/openmetrics-text");
         }
     }
-    let mut body = vec![0u8; content_length];
-    r.read_exact(&mut body).map_err(ParseError::Io)?;
+    let body = read_body(r, content_length).map_err(ParseError::Io)?;
     let (path, params) = parse_target(&target)?;
     Ok(Some(Request { method, path, params, body, keep_alive, trace_id, wants_openmetrics }))
+}
+
+/// Reads a body of exactly `len` bytes (requests and responses alike).
+/// The buffer grows with the bytes that actually arrive, never to `len`
+/// up front, so a peer that announces a large body and sends none pins
+/// no memory. A short body is an [`io::ErrorKind::UnexpectedEof`] error.
+pub fn read_body(r: &mut impl Read, len: usize) -> io::Result<Vec<u8>> {
+    let mut body = Vec::new();
+    r.take(len as u64).read_to_end(&mut body)?;
+    if body.len() != len {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            format!("body ends after {} of {len} bytes", body.len()),
+        ));
+    }
+    Ok(body)
 }
 
 /// Splits a request target into its decoded path and query parameters.
@@ -323,6 +338,15 @@ mod tests {
     fn reads_body_by_content_length() {
         let req = parse("POST /admin/reload HTTP/1.1\r\nContent-Length: 5\r\n\r\nhello").unwrap().unwrap();
         assert_eq!(req.body, b"hello");
+    }
+
+    #[test]
+    fn truncated_body_is_a_typed_eof() {
+        let err = parse("POST /admin/ingest HTTP/1.1\r\nContent-Length: 1048576\r\n\r\nhello").unwrap_err();
+        match err {
+            ParseError::Io(e) => assert_eq!(e.kind(), io::ErrorKind::UnexpectedEof, "{e}"),
+            other => panic!("expected an EOF error, got {other}"),
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! # srs-serve — the batching network daemon over [`ServingEngine`]
 //!
 //! A long-lived process that loads one `.srs` snapshot (heap or
-//! mmap-backed, one shard or many), owns a [`ServingEngine`], and
+//! mmap-backed, of any shard count), owns a [`ServingEngine`], and
 //! answers top-k SimRank queries over HTTP/1.1 + JSON. The design goal is to put the engine's *batch* path — where its
 //! throughput lives — behind a *single-query* network API without giving
 //! up either: concurrent requests are **coalesced** into engine waves by
@@ -82,7 +82,7 @@ use std::io;
 use std::io::BufReader;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -307,6 +307,9 @@ struct Shared {
     /// fingerprint, or the folded chain fingerprint once deltas apply
     /// (updated on reload and ingest; rendered in `/info`).
     fingerprint: AtomicU64,
+    /// Shard count of the loaded base snapshot's manifest (updated on
+    /// reload; rendered in `/info`). Every count serves as one dataset.
+    shards: AtomicU32,
     /// The served delta chain (startup chain + `/admin/ingest` appends).
     /// Mutated only under `reload_lock`.
     chain: Mutex<ChainState>,
@@ -377,13 +380,13 @@ impl Server {
             verify_on_load: config.verify_on_load,
             prefault: config.prefault,
         };
-        let (shards, info, chain_info, verifier) = load_chain(&config.snapshot, &config.deltas, &load_opts)?;
+        let (dataset, info, chain_info, verifier) = load_chain(&config.snapshot, &config.deltas, &load_opts)?;
         let threads = if config.threads == 0 {
             std::thread::available_parallelism().map(|v| v.get()).unwrap_or(1)
         } else {
             config.threads
         };
-        let engine = Arc::new(ServingEngine::with_threads(shards, threads));
+        let engine = Arc::new(ServingEngine::with_threads(dataset, threads));
         engine.metrics().record_snapshot_load(&info);
         engine.metrics().chain_depth.set(chain_info.depth as u64);
         engine.set_cache_capacity(config.cache_capacity);
@@ -421,6 +424,7 @@ impl Server {
             ),
             trace_ids: TraceIdGen::new(),
             fingerprint: AtomicU64::new(info.fingerprint),
+            shards: AtomicU32::new(info.shards),
             chain: Mutex::new(ChainState::from_info(config.deltas, &chain_info)),
             ingest_depth: config.staleness_depth,
         });
@@ -965,19 +969,23 @@ fn reload(shared: &Shared) -> Result<u64, String> {
     let _guard = shared.reload_lock.lock().unwrap();
     let chain_paths = shared.chain.lock().unwrap().paths.clone();
     let swapped = load_chain(&shared.snapshot, &chain_paths, &shared.load_opts).map(
-        |(shards, info, chain_info, verifier)| {
-            shared.engine.swap(shards);
+        |(dataset, info, chain_info, verifier)| {
+            shared.engine.swap(dataset);
             (info, chain_info, verifier)
         },
     );
     match swapped {
         Ok((info, chain_info, verifier)) => {
+            // The base file may have been replaced: the chain state (the
+            // next delta's parent above all) follows what was loaded.
+            *shared.chain.lock().unwrap() = ChainState::from_info(chain_paths, &chain_info);
             shared.engine.metrics().record_snapshot_load(&info);
             shared.engine.metrics().chain_depth.set(chain_info.depth as u64);
             if let Some(verifier) = verifier {
                 spawn_background_verify(Arc::clone(&shared.engine), verifier);
             }
             shared.fingerprint.store(info.fingerprint, Ordering::Relaxed);
+            shared.shards.store(info.shards, Ordering::Relaxed);
             let generation = shared.engine.generation();
             shared.metrics.generation.set(generation);
             shared.metrics.reloads.inc();
@@ -1016,7 +1024,7 @@ fn info_json(shared: &Shared) -> String {
         dataset.graph().num_edges(),
         shared.engine.generation(),
         shared.engine.threads(),
-        shared.engine.num_shards(),
+        shared.shards.load(Ordering::Relaxed),
         shared.mapped,
         shared.engine.cache_capacity(),
         json_escape(&shared.snapshot.display().to_string()),

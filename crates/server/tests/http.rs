@@ -204,7 +204,7 @@ fn dispatcher_survives_stale_vertex_validation() {
 
     let snap = fixture_snapshot("stale");
     let (dataset, _info) = srs_search::Dataset::load(&snap).unwrap();
-    let engine = Arc::new(ServingEngine::new(vec![dataset]));
+    let engine = Arc::new(ServingEngine::new(dataset));
     let metrics = ServerMetrics::register_on(engine.metrics().registry());
     let coalescer = Arc::new(Coalescer::new(16, 8, Duration::ZERO));
     let dispatcher = {
@@ -490,18 +490,23 @@ fn ingest_under_concurrent_traffic_drops_nothing() {
     }
 }
 
-/// Sharded bundles serve through the same engine: `--shards 1` is the
-/// unsharded case (cache on, ingest accepted, reload replays its chain),
-/// and more shards keep the cache but refuse ingest with a 400 while
-/// serving on. A reload may change the shard count.
+/// A bundle of any shard count serves as one dataset: the same answers,
+/// the result cache, and online ingest. A reload may change the shard
+/// count.
 #[test]
-fn sharded_bundles_cache_and_gate_ingest_by_shard_count() {
+fn sharded_bundles_cache_and_accept_ingest() {
     let g = gen::copying_web(300, 4, 0.8, 8);
     let params = SimRankParams { r_bounds: 2_000, ..Default::default() };
     let idx = TopKIndex::build(&g, &params, 7);
-    for shards in [1u32, 4] {
+    let packed = |shards: u32| {
+        let mut bytes = Vec::new();
+        snapshot::pack(&g, &idx, shards, &mut bytes).unwrap();
+        bytes
+    };
+    let mut bodies = Vec::new();
+    for (shards, reshaped) in [(1u32, 4u32), (4, 1)] {
         let snap = std::env::temp_dir().join(format!("srs_serve_{}_shards{shards}.srs", std::process::id()));
-        snapshot::pack(&g, &idx, shards, std::fs::File::create(&snap).unwrap()).unwrap();
+        std::fs::write(&snap, packed(shards)).unwrap();
         let r = start(config(&snap));
         let mut c = HttpClient::connect(r.addr.to_string()).unwrap();
         let info = c.get("/info").unwrap().body_str().to_string();
@@ -511,27 +516,28 @@ fn sharded_bundles_cache_and_gate_ingest_by_shard_count() {
             let resp = c.get("/query?u=7&k=5").unwrap();
             assert_eq!(resp.status, 200);
             assert_eq!(resp.body_str(), expected_body(&r.engine, 7, 5));
+            bodies.push(resp.body_str().to_string());
         }
         let m = r.engine.metrics().snapshot();
         assert!(m.counter_total("srs_cache_hits_total") > 0, "shards={shards}: cache never hit");
+        // Reloading a bundle of another shard count re-shapes the engine.
+        std::fs::write(&snap, packed(reshaped)).unwrap();
+        assert_eq!(c.post("/admin/reload").unwrap().status, 200);
+        assert!(c.get("/info").unwrap().body_str().contains(&format!("\"shards\":{reshaped}")));
         let ingest = c.post_body("/admin/ingest", b"+ 3 9").unwrap();
+        assert_eq!(ingest.status, 200, "shards={reshaped}: {}", ingest.body_str());
+        assert_eq!(c.post("/admin/reload").unwrap().status, 200);
+        assert!(c.get("/info").unwrap().body_str().contains("\"chain_depth\":1"));
+        let resp = c.get("/query?u=7&k=5").unwrap();
+        assert_eq!(resp.status, 200);
+        bodies.push(resp.body_str().to_string());
+        quit(r);
         let mut delta = snap.as_os_str().to_os_string();
         delta.push(".d0001");
-        if shards == 1 {
-            assert_eq!(ingest.status, 200, "{}", ingest.body_str());
-            assert_eq!(c.post("/admin/reload").unwrap().status, 200);
-            assert!(c.get("/info").unwrap().body_str().contains("\"chain_depth\":1"));
-        } else {
-            assert_eq!(ingest.status, 400, "{}", ingest.body_str());
-            assert!(ingest.body_str().contains("one-shard"), "{}", ingest.body_str());
-            // Reloading from a one-shard bundle re-shapes the engine.
-            std::fs::write(&snap, snapshot::pack_to_bytes(&g, &idx)).unwrap();
-            assert_eq!(c.post("/admin/reload").unwrap().status, 200);
-            assert!(c.get("/info").unwrap().body_str().contains("\"shards\":1"));
-        }
-        assert_eq!(c.get("/query?u=7&k=5").unwrap().status, 200);
-        quit(r);
         std::fs::remove_file(&snap).ok();
         std::fs::remove_file(PathBuf::from(delta)).ok();
     }
+    // Same answers, generation by generation, whatever the shard count.
+    let (one, four) = bodies.split_at(bodies.len() / 2);
+    assert_eq!(one, four);
 }

@@ -36,7 +36,7 @@ fn main() {
     // bit-identical to sequential queries for any thread count: the
     // randomness is seeded per query, never per worker.
     let queries = stats::sample_query_vertices(&g, 64, 4);
-    let engine = ServingEngine::new(vec![Dataset::new(g, index).expect("index built for this graph")]);
+    let engine = ServingEngine::new(Dataset::new(g, index).expect("index built for this graph"));
     let opts = QueryOptions::default();
     let batch = engine.query_batch(&queries, 20, &opts);
     let t = &batch.totals;

@@ -91,7 +91,7 @@ fn answers() -> String {
     let matrix = option_matrix();
     let mut body = String::new();
     for Pinned { name, graph: g, index: idx, options } in datasets() {
-        let engine = ServingEngine::with_threads(vec![Dataset::new(g.clone(), idx.clone()).unwrap()], 2);
+        let engine = ServingEngine::with_threads(Dataset::new(g.clone(), idx.clone()).unwrap(), 2);
         let queries = stats::sample_query_vertices(g, 40, 3);
         for (label, opts) in &matrix[..*options] {
             let batch = engine.query_batch(&queries, 20, opts);

@@ -81,8 +81,7 @@ fn delta_bit_flips_fail_closed_in_every_mode() {
         for opts in all_modes() {
             match load_chain(&fx.base_path, &[&fx.delta_path], &opts) {
                 Err(_) => rejected += 1,
-                Ok((shards, _, chain, verifier)) => {
-                    let [loaded] = &shards[..] else { panic!("a chain loads as one shard") };
+                Ok((loaded, _, chain, verifier)) => {
                     assert_eq!(chain.depth, 1, "flip at byte {pos} changed the chain shape");
                     // The base file is clean, so a handed-back lazy
                     // verifier must pass; the flip lives in the delta.
@@ -141,18 +140,16 @@ fn corrupt_delta_never_reaches_a_serving_engine() {
     corrupt[mid] ^= 0x40;
     std::fs::write(&fx.delta_path, &corrupt).unwrap();
     let chain_load = load_chain(&fx.base_path, &[&fx.delta_path], &LoadOptions::default());
-    if let Ok((shards, _, _, _)) = &chain_load {
-        let [loaded] = &shards[..] else { panic!("a chain loads as one shard") };
+    if let Ok((loaded, _, _, _)) = &chain_load {
         // Mid-file flips land in checksummed payload for this fixture.
         for (u, want) in fx.baseline.iter().enumerate() {
             let got = loaded.index().query(loaded.graph(), u as u32, 5, &QueryOptions::default());
             assert_eq!(want, &got.hits);
         }
     }
-    let (fallback, _, chain, _) =
+    let (ds, _, chain, _) =
         load_chain(&fx.base_path, &[] as &[&std::path::Path], &LoadOptions::default()).unwrap();
     assert_eq!(chain.depth, 0);
-    let [ds] = &fallback[..] else { panic!("a one-shard base loads as one shard") };
     // The pre-edit base knows nothing of the grown vertices.
     assert!(ds.graph().num_vertices() < fx.new_n);
     for p in [&fx.base_path, &fx.delta_path] {
@@ -161,11 +158,11 @@ fn corrupt_delta_never_reaches_a_serving_engine() {
 }
 
 #[test]
-fn live_ingest_replays_through_a_chain_and_more_shards_refuse_one() {
+fn live_ingest_replays_through_a_chain_on_any_shard_count() {
     // Edit batches ingested live by an engine over a packed base (each
     // delta parented at the previous artifact's fingerprint) load back
-    // through the chain to the live engine's hits — and a base of more
-    // shards refuses a chain.
+    // through the chain to the live engine's answers — and a 2-shard
+    // base answers exactly like a 1-shard base after the same edits.
     let ds = build(90, 5);
     let t = ds.index().params().t;
     let mut batches = [GraphDelta::new(), GraphDelta::new()];
@@ -174,37 +171,40 @@ fn live_ingest_replays_through_a_chain_and_more_shards_refuse_one() {
     batches[0].insert(91, 90);
     batches[0].delete(1, 0);
     batches[1].insert(3, 91);
-    let opts = QueryOptions::default();
+    let opts = QueryOptions { explain: true, ..Default::default() };
     let queries: Vec<u32> = (0..92).collect();
-    let base_path = write_temp("one_shard.srs", &snapshot::pack_to_bytes(ds.graph(), ds.index()));
-    let (shards, info, _) = srs_search::load_snapshot(&base_path, &LoadOptions::default()).unwrap();
-    let engine = ServingEngine::with_threads(shards, 2);
-    let mut parent = info.fingerprint;
-    let mut paths = Vec::new();
-    for (i, batch) in batches.iter().enumerate() {
-        let applied = engine.apply_delta(batch, t - 1, parent).unwrap();
-        parent = applied.fingerprint;
-        paths.push(write_temp(&format!("one_shard.srs.d{i}"), &applied.bytes));
+    let mut answers = Vec::new();
+    for shards in [1u32, 2] {
+        let mut bytes = Vec::new();
+        snapshot::pack(ds.graph(), ds.index(), shards, &mut bytes).unwrap();
+        let base_path = write_temp(&format!("s{shards}.srs"), &bytes);
+        let (base, info, _) = srs_search::load_snapshot(&base_path, &LoadOptions::default()).unwrap();
+        assert_eq!(info.shards, shards);
+        let engine = ServingEngine::with_threads(base, 2);
+        let mut parent = info.fingerprint;
+        let mut paths = Vec::new();
+        for (i, batch) in batches.iter().enumerate() {
+            let applied = engine.apply_delta(batch, t - 1, parent).unwrap();
+            parent = applied.fingerprint;
+            paths.push(write_temp(&format!("s{shards}.srs.d{i}"), &applied.bytes));
+        }
+        let live = engine.query_batch(&queries, 6, &opts);
+        let (chained, _, chain, _) = load_chain(&base_path, &paths, &LoadOptions::default()).unwrap();
+        assert_eq!(chain.depth, 2);
+        let replayed = ServingEngine::with_threads(chained, 2).query_batch(&queries, 6, &opts);
+        for (u, (a, b)) in live.results.iter().zip(&replayed.results).enumerate() {
+            assert_eq!(a.hits, b.hits, "u={u} shards={shards}: replay differs from the live chain");
+            assert_eq!(a.stats, b.stats, "u={u} shards={shards}");
+        }
+        answers.push(replayed);
+        for p in paths.iter().chain([&base_path]) {
+            std::fs::remove_file(p).ok();
+        }
     }
-    let live = engine.query_batch(&queries, 6, &opts);
-    let (shards, _, chain, _) = load_chain(&base_path, &paths, &LoadOptions::default()).unwrap();
-    assert_eq!((shards.len(), chain.depth), (1, 2));
-    let replayed = ServingEngine::with_threads(shards, 2).query_batch(&queries, 6, &opts);
-    for (u, (a, b)) in live.results.iter().zip(&replayed.results).enumerate() {
-        assert_eq!(a.hits, b.hits, "u={u}: replay differs from the live chain");
-    }
-    for p in paths.iter().chain([&base_path]) {
-        std::fs::remove_file(p).ok();
-    }
-
-    let mut two_shards = Vec::new();
-    snapshot::pack(ds.graph(), ds.index(), 2, &mut two_shards).unwrap();
-    let sharded = write_temp("two_shards.srs", &two_shards);
-    let delta = write_temp("two_shards.srs.d0", &build_delta(&ds, &batches[0], t - 1, 2, 0).unwrap().bytes);
-    let err = load_chain(&sharded, &[&delta], &LoadOptions::default()).unwrap_err();
-    assert!(err.to_string().contains("one-shard"), "{err}");
-    for p in [&sharded, &delta] {
-        std::fs::remove_file(p).ok();
+    for (u, (a, b)) in answers[0].results.iter().zip(&answers[1].results).enumerate() {
+        assert_eq!(a.hits, b.hits, "u={u}: 2-shard chain differs from 1-shard chain");
+        assert_eq!(a.stats, b.stats, "u={u}");
+        assert_eq!(a.explain, b.explain, "u={u}");
     }
 }
 

@@ -12,9 +12,9 @@ fn params() -> SimRankParams {
     SimRankParams { r_gamma: 40, r_bounds: 200, ..Default::default() }
 }
 
-/// A one-shard serving engine over copies of `g` and `idx`.
+/// A serving engine over copies of `g` and `idx`.
 fn engine(g: &Graph, idx: &TopKIndex, threads: usize) -> ServingEngine {
-    ServingEngine::with_threads(vec![Dataset::new(g.clone(), idx.clone()).unwrap()], threads)
+    ServingEngine::with_threads(Dataset::new(g.clone(), idx.clone()).unwrap(), threads)
 }
 
 #[test]

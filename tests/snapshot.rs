@@ -7,7 +7,7 @@ use srs_graph::{container, gen};
 use srs_search::persist::{self, PersistError};
 use srs_search::snapshot::{self, Dataset};
 use srs_search::{
-    load_snapshot, Diagonal, LoadOptions, QueryOptions, ServingEngine, SimRankParams, TopKIndex, WaveQuery,
+    load_snapshot, Diagonal, LoadOptions, QueryOptions, ServingEngine, SimRankParams, TopKIndex,
 };
 
 fn build(n: u32, seed: u64) -> Dataset {
@@ -34,8 +34,8 @@ fn snapshot_is_bit_identical_to_fresh_build() {
     assert_eq!(info.sections_verified, container::BundleReader::open(packed(&ds)).unwrap().num_sections());
     let opts = QueryOptions { explain: true, ..Default::default() };
     let queries: Vec<u32> = (0..150).step_by(3).collect();
-    let fresh = ServingEngine::with_threads(vec![ds], 3).query_batch(&queries, 8, &opts);
-    let served = ServingEngine::with_threads(vec![loaded], 3).query_batch(&queries, 8, &opts);
+    let fresh = ServingEngine::with_threads(ds, 3).query_batch(&queries, 8, &opts);
+    let served = ServingEngine::with_threads(loaded, 3).query_batch(&queries, 8, &opts);
     for (a, b) in fresh.results.iter().zip(&served.results) {
         assert_eq!(a.hits, b.hits);
         assert_eq!(a.stats, b.stats, "candidate fates must match");
@@ -155,8 +155,7 @@ fn mmap_bit_flips_fail_verification_or_serve_identical_answers() {
         // mapping: reject the flip, or (padding) answer identically.
         match load_snapshot(&path, &eager) {
             Err(_) => {}
-            Ok((shards, info, verifier)) => {
-                let [loaded] = &shards[..] else { panic!("unsharded snapshot loaded as sharded") };
+            Ok((loaded, info, verifier)) => {
                 assert!(info.mapped, "eager mmap load must stay mapped");
                 assert!(verifier.is_none(), "eager open must not hand back a verifier");
                 for (u, want) in baseline.iter().enumerate() {
@@ -170,8 +169,7 @@ fn mmap_bit_flips_fail_verification_or_serve_identical_answers() {
         // the served answers must match the baseline bit for bit.
         match load_snapshot(&path, &lazy) {
             Err(_) => {}
-            Ok((shards, _, Some(verifier))) => {
-                let [loaded] = &shards[..] else { panic!("unsharded snapshot loaded as sharded") };
+            Ok((loaded, _, Some(verifier))) => {
                 if verifier.verify_all().is_ok() {
                     for (u, want) in baseline.iter().enumerate() {
                         let got = loaded.index().query(loaded.graph(), u as u32, 5, &QueryOptions::default());
@@ -266,79 +264,57 @@ fn heap_load_proves_every_shards_inverted_map() {
 }
 
 #[test]
-fn sharded_mmap_serving_matches_unsharded_heap_bit_for_bit() {
-    let ds = build(150, 9);
-    let unsharded = packed(&ds);
-    let sharded = packed_shards(&ds, 4);
-    let p_heap = write_temp("ident_heap.srs", &unsharded);
-    let p_shard = write_temp("ident_shard.srs", &sharded);
-    let (s_heap, _, _) = load_snapshot(&p_heap, &LoadOptions::default()).unwrap();
-    let mmap_eager = LoadOptions { mmap: true, verify_on_load: true, ..Default::default() };
-    let (s_shard, info, _) = load_snapshot(&p_shard, &mmap_eager).unwrap();
-    assert!(info.mapped);
-    assert_eq!(info.shards, 4);
-    let heap = ServingEngine::with_threads(s_heap, 2);
-    let shard = ServingEngine::with_threads(s_shard, 3);
-    assert_eq!(heap.num_shards(), 1);
-    assert_eq!(shard.num_shards(), 4);
-    // θ-only pruning is the partition-invariant mode the engine forces
-    // with more than one shard; running the one-shard engine the same way
-    // pins the merge to bit-identical output.
-    let opts = std::sync::Arc::new(QueryOptions { kth_prune: false, ..Default::default() });
-    let wave: Vec<WaveQuery> = (0..150)
-        .step_by(2)
-        .map(|u| WaveQuery { vertex: u, k: 8, opts: std::sync::Arc::clone(&opts) })
-        .collect();
-    let a = heap.query_wave(&wave);
-    let b = shard.query_wave(&wave);
-    for ((qa, qb), q) in a.results.iter().zip(&b.results).zip(&wave) {
-        assert_eq!(qa.hits, qb.hits, "vertex {} answers diverged across backends", q.vertex);
-    }
-    for p in [&p_heap, &p_shard] {
-        std::fs::remove_file(p).ok();
-    }
-}
-
-#[test]
 fn sharded_serving_matches_unsharded_across_the_l1_gate() {
-    // The per-query L1 table is skipped when the candidate count cannot
-    // pay for its walks (r_bounds = 300 pays past 15 candidates). A shard
-    // sees only its own candidates, so the gate must not apply under
-    // θ-only pruning: every shard builds the same table the unsharded
-    // scan builds, and fates and hits stay bit-identical on queries on
-    // both sides of the threshold. A social graph and θ = 0.05 make the
-    // L1 bound prune under θ alone, so a shard-local gate shows in the
-    // fates.
+    // A bundle of any shard count loads as one dataset whose candidate
+    // index reads the shards' inverted slices in range order, so heap and
+    // mmap loads of 1, 3 and 4 shards answer exactly like the in-memory
+    // dataset under every option row — hits, every `QueryStats` field and
+    // explain traces — cold and from the result cache. r_bounds = 300
+    // makes the per-query L1 table pay past 15 candidates, so on this
+    // social graph the gate both builds and skips.
     let g = gen::preferential_attachment_windowed(300, 6, 100, 13);
     let params = SimRankParams { r_bounds: 300, r_gamma: 25, ..Default::default() };
     let idx = TopKIndex::build_with(&g, &params, Diagonal::paper_default(params.c), 13, 2);
     let ds = Dataset::new(g, idx).unwrap();
-    let path = write_temp("gate_shard.srs", &packed_shards(&ds, 4));
-    let (sharded, _, _) = load_snapshot(&path, &LoadOptions::default()).unwrap();
-    std::fs::remove_file(&path).ok();
-    let single = ServingEngine::with_threads(vec![ds], 2);
-    let shard = ServingEngine::with_threads(sharded, 2);
-    assert_eq!(shard.num_shards(), 4);
     let queries: Vec<u32> = (0..300).step_by(2).collect();
-
-    // Under the default options the gate both builds and skips here.
-    let theta = Some(0.05);
-    let gated = single.query_batch(&queries, 8, &QueryOptions { theta, ..Default::default() });
-    let built = gated.results.iter().filter(|r| r.stats.l1_tables == 1).count();
-    let skipped = gated.results.iter().filter(|r| r.stats.candidates > 0 && r.stats.l1_tables == 0).count();
+    let table = [
+        QueryOptions::default(),
+        QueryOptions { explain: true, candidate_ball: Some(2), ..Default::default() },
+        QueryOptions { kth_prune: false, ..Default::default() },
+        QueryOptions { theta: Some(0.05), ..Default::default() },
+    ];
+    let memory = ServingEngine::with_threads(ds.clone(), 2);
+    let want: Vec<_> = table.iter().map(|opts| memory.query_batch(&queries, 8, opts)).collect();
+    let gated = &want[3].results;
+    let built = gated.iter().filter(|r| r.stats.l1_tables == 1).count();
+    let skipped = gated.iter().filter(|r| r.stats.candidates > 0 && r.stats.l1_tables == 0).count();
     assert!(built > 0 && skipped > 0, "built {built}, skipped {skipped}");
+    assert!(want[1].results.iter().any(|r| r.explain.is_some()), "explain row must trace");
 
-    let theta_only = QueryOptions { kth_prune: false, theta, ..Default::default() };
-    let a = single.query_batch(&queries, 8, &theta_only);
-    let b = shard.query_batch(&queries, 8, &theta_only);
-    assert!(a.results.iter().any(|r| r.stats.pruned_bounds > 0), "the bounds must prune under θ alone");
-    for ((qa, qb), u) in a.results.iter().zip(&b.results).zip(&queries) {
-        assert_eq!(qa.hits, qb.hits, "vertex {u}: hits diverged");
-        let fates = |s: &srs_search::QueryStats| {
-            [s.candidates, s.pruned_distance, s.pruned_bounds, s.pruned_coarse, s.refined, s.reported]
-        };
-        assert_eq!(fates(&qa.stats), fates(&qb.stats), "vertex {u}: fates diverged");
-        assert_eq!(qa.stats.l1_tables, u64::from(qa.stats.candidates > 0), "vertex {u}");
+    for shards in [1u32, 3, 4] {
+        let path = write_temp(&format!("gate_s{shards}.srs"), &packed_shards(&ds, shards));
+        for load in [LoadOptions::default(), LoadOptions { mmap: true, ..Default::default() }] {
+            let (loaded, info, _) = load_snapshot(&path, &load).unwrap();
+            assert_eq!((info.shards, info.mapped), (shards, load.mmap));
+            let engine = ServingEngine::with_threads(loaded, 3);
+            engine.set_cache_capacity(4096);
+            // Pass 0 computes every answer, pass 1 serves them from the cache.
+            for pass in 0..2 {
+                for (opts, want) in table.iter().zip(&want) {
+                    let got = engine.query_batch(&queries, 8, opts);
+                    for ((a, b), u) in want.results.iter().zip(&got.results).zip(&queries) {
+                        let at = format!("u={u} shards={shards} mmap={} pass={pass} {opts:?}", load.mmap);
+                        assert_eq!(a.hits, b.hits, "{at}");
+                        assert_eq!(a.stats, b.stats, "{at}");
+                        assert_eq!(a.explain, b.explain, "{at}");
+                    }
+                    assert_eq!(want.totals, got.totals);
+                }
+            }
+            let cached = (table.len() * queries.len()) as u64;
+            assert_eq!(engine.metrics().cache_hits.get(), cached, "shards={shards}");
+        }
+        std::fs::remove_file(&path).ok();
     }
 }
 
@@ -352,15 +328,15 @@ fn hot_swap_is_atomic_under_concurrent_batches() {
     let ds_b = build(90, 12);
     let queries: Vec<u32> = (0..40).collect();
     let opts = QueryOptions::default();
-    let expect_a = ServingEngine::with_threads(vec![ds_a.clone()], 2).query_batch(&queries, 5, &opts);
-    let expect_b = ServingEngine::with_threads(vec![ds_b.clone()], 2).query_batch(&queries, 5, &opts);
+    let expect_a = ServingEngine::with_threads(ds_a.clone(), 2).query_batch(&queries, 5, &opts);
+    let expect_b = ServingEngine::with_threads(ds_b.clone(), 2).query_batch(&queries, 5, &opts);
     assert_ne!(
         expect_a.results.iter().map(|r| r.hits.clone()).collect::<Vec<_>>(),
         expect_b.results.iter().map(|r| r.hits.clone()).collect::<Vec<_>>(),
         "the two datasets must be distinguishable for the test to mean anything"
     );
 
-    let engine = ServingEngine::with_threads(vec![ds_a.clone()], 2);
+    let engine = ServingEngine::with_threads(ds_a.clone(), 2);
     std::thread::scope(|s| {
         for _ in 0..3 {
             s.spawn(|| {
@@ -381,7 +357,7 @@ fn hot_swap_is_atomic_under_concurrent_batches() {
         }
         for i in 0..30 {
             let next = if i % 2 == 0 { ds_b.clone() } else { ds_a.clone() };
-            engine.swap(vec![next]);
+            engine.swap(next);
             std::thread::yield_now();
         }
     });
