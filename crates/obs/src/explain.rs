@@ -2,9 +2,9 @@
 //!
 //! An opt-in sink recording the fate of every candidate a top-k query
 //! enumerated: which bound killed it (the `c^⌈d/2⌉` distance bound, the
-//! L1 bound β(u,d), the L2 bound Σ cᵗ γ·γ, or the coarse pass), or that
-//! it was refined with the full walk budget — and in each case the bound
-//! value that was compared against the running threshold. This is the
+//! L1 bound β(u,d), or the coarse pass), or that it was refined with the
+//! full walk budget — and in each case the bound value that was compared
+//! against the running threshold. This is the
 //! per-candidate view of the same accounting `QueryStats` keeps in
 //! aggregate, so a trace's fate counts must reconcile with the stats.
 
@@ -17,8 +17,6 @@ pub enum CandidateFate {
     PrunedDistance,
     /// Killed by the L1 upper bound β(u,d).
     PrunedL1,
-    /// Killed by the L2 upper bound Σ cᵗ γ(u,t) γ(v,t).
-    PrunedL2,
     /// Killed by the coarse low-budget estimate.
     PrunedCoarse,
     /// Refined with the full budget but scored below θ.
@@ -28,10 +26,9 @@ pub enum CandidateFate {
 }
 
 impl CandidateFate {
-    pub const ALL: [CandidateFate; 6] = [
+    pub const ALL: [CandidateFate; 5] = [
         CandidateFate::PrunedDistance,
         CandidateFate::PrunedL1,
-        CandidateFate::PrunedL2,
         CandidateFate::PrunedCoarse,
         CandidateFate::RefinedBelowTheta,
         CandidateFate::Reported,
@@ -41,7 +38,6 @@ impl CandidateFate {
         match self {
             CandidateFate::PrunedDistance => "pruned_distance",
             CandidateFate::PrunedL1 => "pruned_l1",
-            CandidateFate::PrunedL2 => "pruned_l2",
             CandidateFate::PrunedCoarse => "pruned_coarse",
             CandidateFate::RefinedBelowTheta => "refined_below_theta",
             CandidateFate::Reported => "reported",

@@ -45,7 +45,7 @@ mod tests {
     use srs_graph::{gen, Graph};
 
     fn dataset(g: Graph) -> Dataset {
-        let params = SimRankParams { r_bounds: 500, r_gamma: 40, ..Default::default() };
+        let params = SimRankParams { r_bounds: 500, ..Default::default() };
         let idx = TopKIndex::build_with(&g, &params, Diagonal::paper_default(params.c), 7, 2);
         Dataset::new(g, idx).unwrap()
     }

@@ -16,9 +16,12 @@
 //!
 //! * **L2 bound** (Algorithm 3, [`GammaTable`]): by Cauchy–Schwarz,
 //!   `s(u,v) ≤ Σ_t cᵗ γ(u,t) γ(v,t)` with `γ(u,t) = ‖√D Pᵗe_u‖`
-//!   (Proposition 6). Effective for **high-degree** query vertices, whose
-//!   walk distribution spreads thin. `γ` is precomputed for *every* vertex
-//!   in the preprocess phase — `O(n)` storage.
+//!   (Proposition 6). The paper expects it to help **high-degree** query
+//!   vertices, whose walk distribution spreads thin. But its `t = 0` term
+//!   is `γ(u,0) γ(v,0) = √(D_u D_v)`, at least `1 − c` under the model's
+//!   diagonal, so it never prunes at the served `θ`. Serving does not
+//!   build it; the paper's experiments do (the ablation and Table 4),
+//!   computing `γ` for *every* vertex — `O(n)` storage.
 //!
 //! Both estimators are Monte-Carlo; the γ estimator
 //! `Σ_w D_ww (count_w/R)²` has *positive* bias
@@ -33,43 +36,25 @@ use srs_graph::{Graph, VertexId};
 use srs_mc::multiset::PositionCounter;
 use srs_mc::{Pcg32, WalkEngine, WalkPositions};
 
-/// Precomputed `γ(u, t)` for all vertices (Algorithm 3 output). Stored as
-/// `f32` — `4 n T` bytes, part of the `O(n)` preprocess artifact. The
-/// storage is a [`srs_graph::storage::SharedSlice`]: owned when built,
-/// a zero-copy view when loaded from a snapshot bundle.
+/// Precomputed `γ(u, t)` for all vertices (Algorithm 3 output), stored as
+/// `f32` — `4 n T` bytes. Only the paper's experiments build it (see the
+/// module docs for why serving does not).
 #[derive(Debug, Clone, PartialEq)]
 pub struct GammaTable {
     t: u32,
     /// Row-major: `gamma[u * t + step]`.
-    gamma: srs_graph::storage::SharedSlice<f32>,
+    gamma: Vec<f32>,
 }
 
 impl GammaTable {
     /// Runs Algorithm 3 for every vertex with `params.r_gamma` walks,
     /// splitting vertices across `threads` workers. Deterministic in
-    /// `seed`.
+    /// `seed`: each vertex draws from its own `(seed, vertex)` stream, so
+    /// the table does not depend on `threads`.
     pub fn build(g: &Graph, params: &SimRankParams, diag: &Diagonal, seed: u64, threads: usize) -> Self {
-        Self::build_for(g, params, diag, seed, threads, &[])
-    }
-
-    /// Like [`GammaTable::build`], but only the vertices with
-    /// `mask[v] == true` are computed (others are left as zero rows). An
-    /// empty mask means "all vertices". Because each vertex draws from its
-    /// own `(seed, vertex)` stream, a masked row is bit-identical to the
-    /// same row of a full build — the property incremental extension
-    /// relies on.
-    pub fn build_for(
-        g: &Graph,
-        params: &SimRankParams,
-        diag: &Diagonal,
-        seed: u64,
-        threads: usize,
-        mask: &[bool],
-    ) -> Self {
         params.validate();
         assert!(threads >= 1);
         let n = g.num_vertices() as usize;
-        assert!(mask.is_empty() || mask.len() == n, "mask length");
         let t = params.t as usize;
         let mut gamma = vec![0.0f32; n * t];
         let per = n.div_ceil(threads).max(1);
@@ -83,9 +68,6 @@ impl GammaTable {
                     let verts = chunk.len() / t;
                     for i in 0..verts {
                         let u = (k * per + i) as VertexId;
-                        if !mask.is_empty() && !mask[u as usize] {
-                            continue;
-                        }
                         let mut rng = Pcg32::from_parts(&[seed, 0xAA, u as u64]);
                         pos.clear();
                         pos.resize(r, u);
@@ -111,13 +93,7 @@ impl GammaTable {
             }
         })
         .expect("worker thread panicked");
-        GammaTable { t: params.t, gamma: gamma.into() }
-    }
-
-    /// The stored row of `γ(u, ·)` values (length `T`).
-    pub fn row(&self, u: VertexId) -> &[f32] {
-        let t = self.t as usize;
-        &self.gamma[u as usize * t..(u as usize + 1) * t]
+        GammaTable { t: params.t, gamma }
     }
 
     /// `γ(u, t)`.
@@ -152,27 +128,6 @@ impl GammaTable {
     /// Bytes of the table (Table 4 index-size accounting).
     pub fn memory_bytes(&self) -> u64 {
         (self.gamma.len() * 4) as u64
-    }
-
-    /// [`GammaTable::memory_bytes`] split by backing (heap-resident
-    /// versus `mmap`-served bytes).
-    pub fn memory_profile(&self) -> srs_graph::MemoryProfile {
-        let mut p = srs_graph::MemoryProfile::default();
-        p.add(&self.gamma);
-        p
-    }
-
-    /// Raw storage (for persistence).
-    pub(crate) fn raw(&self) -> &[f32] {
-        &self.gamma
-    }
-
-    /// Rebuilds from raw parts (for persistence). The storage may be an
-    /// owned vector or a zero-copy snapshot view.
-    pub(crate) fn from_raw(t: u32, gamma: impl Into<srs_graph::storage::SharedSlice<f32>>) -> Self {
-        let gamma = gamma.into();
-        assert_eq!(gamma.len() % t as usize, 0, "raw gamma length");
-        GammaTable { t, gamma }
     }
 }
 

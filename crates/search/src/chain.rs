@@ -3,10 +3,10 @@
 //! A full serving snapshot ([`crate::snapshot::pack`]) costs O(n) to write
 //! and re-load; after a small edit batch, almost all of those bytes are
 //! unchanged. A **delta bundle** persists only what [`extend_delta`]
-//! recomputed: the graph edits, the dirty-vertex set, and the dirty γ rows
-//! and candidate signatures. It is an ordinary `SRSBNDL1` container (`d.*`
-//! section tags), so every section is checksummed and the whole file has a
-//! content fingerprint.
+//! recomputed: the graph edits, the dirty-vertex set, and the dirty
+//! vertices' candidate signatures. It is an ordinary `SRSBNDL1` container
+//! (`d.*` section tags), so every section is checksummed and the whole
+//! file has a content fingerprint.
 //!
 //! Deltas form a **chain**: each delta records the container fingerprint
 //! of its parent artifact — the base snapshot for the first delta, the
@@ -26,12 +26,16 @@
 //! `staleness_depth = T − 1` therefore serves byte-identical answers to a
 //! full rebuild — and to the compacted bundle [`compact_chain`] writes
 //! (fold the chain back into a base snapshot when it grows deep).
+//!
+//! Delta bundles written before the γ table (Algorithm 3) left the index
+//! also carry the dirty vertices' γ rows as a section of their own; the
+//! splicer never asks for it, so such a chain still loads.
 
 use crate::extend::{extend_delta, ExtendStats};
 use crate::persist::PersistError;
 use crate::snapshot::{load_snapshot, pack, LoadOptions, SnapshotInfo, SnapshotVerifier};
 use crate::topk::TopKIndex;
-use crate::{bounds::GammaTable, index::CandidateIndex, snapshot::Dataset};
+use crate::{index::CandidateIndex, snapshot::Dataset};
 use srs_graph::container::{fold_fingerprints, BundleReader, BundleWriter, VerifyMode};
 use srs_graph::storage::{BundleBuf, SharedSlice};
 use srs_graph::{GraphDelta, VertexId};
@@ -43,7 +47,6 @@ pub const SEC_DELTA_META: &str = "d.meta";
 /// Tag of the serialized [`GraphDelta`] edit batch.
 pub const SEC_DELTA_EDITS: &str = "d.edits";
 const SEC_DELTA_DIRTY: &str = "d.dirty";
-const SEC_DELTA_GAMMA: &str = "d.gamma";
 const SEC_DELTA_CAND_OFF: &str = "d.cand_off";
 const SEC_DELTA_CAND_ENT: &str = "d.cand_ent";
 
@@ -118,13 +121,10 @@ pub fn build_delta(
     meta.extend_from_slice(&(dirty_ids.len() as u32).to_le_bytes());
     meta.extend_from_slice(&0u32.to_le_bytes()); // padding
 
-    let steps = out.index.gamma.steps() as usize;
-    let mut gamma_rows: Vec<f32> = Vec::with_capacity(dirty_ids.len() * steps);
     let mut cand_off: Vec<u64> = Vec::with_capacity(dirty_ids.len() + 1);
     let mut cand_ent: Vec<VertexId> = Vec::new();
     cand_off.push(0);
     for &v in &dirty_ids {
-        gamma_rows.extend_from_slice(out.index.gamma.row(v));
         cand_ent.extend_from_slice(out.index.candidates.signatures(v));
         cand_off.push(cand_ent.len() as u64);
     }
@@ -133,7 +133,6 @@ pub fn build_delta(
     w.add_bytes(SEC_DELTA_META, 8, meta);
     w.add_bytes(SEC_DELTA_EDITS, 8, batch.to_bytes());
     w.add_pod(SEC_DELTA_DIRTY, &dirty_ids);
-    w.add_pod(SEC_DELTA_GAMMA, &gamma_rows);
     w.add_pod(SEC_DELTA_CAND_OFF, &cand_off);
     w.add_pod(SEC_DELTA_CAND_ENT, &cand_ent);
     let bytes = w.to_bytes();
@@ -202,15 +201,6 @@ pub fn splice_delta(base: &Dataset, r: &BundleReader) -> Result<(Dataset, DeltaH
         return Err(fail("appended vertices missing from the dirty set".into()));
     }
 
-    let steps = base.index().gamma.steps();
-    let gamma_rows: SharedSlice<f32> = r.pod_slice(SEC_DELTA_GAMMA)?;
-    if gamma_rows.len() != dirty_ids.len() * steps as usize {
-        return Err(fail(format!(
-            "{} γ values for {} dirty rows of {steps} steps",
-            gamma_rows.len(),
-            dirty_ids.len()
-        )));
-    }
     let cand_off: SharedSlice<u64> = r.pod_slice(SEC_DELTA_CAND_OFF)?;
     let cand_ent: SharedSlice<VertexId> = r.pod_slice(SEC_DELTA_CAND_ENT)?;
     if cand_off.len() != dirty_ids.len() + 1
@@ -227,19 +217,15 @@ pub fn splice_delta(base: &Dataset, r: &BundleReader) -> Result<(Dataset, DeltaH
     // Row surgery: dirty rows from the delta, clean rows from the base —
     // exactly the splice `extend_delta` performed when the delta was
     // packed, so the result is bit-identical to it.
-    let su = steps as usize;
-    let mut gamma_raw: Vec<f32> = Vec::with_capacity(new_n as usize * su);
     let mut offsets: Vec<u64> = Vec::with_capacity(new_n as usize + 1);
     let mut entries: Vec<VertexId> = Vec::new();
     offsets.push(0);
     let mut d = 0usize; // cursor into dirty_ids
     for v in 0..new_n {
         if d < dirty_ids.len() && dirty_ids[d] == v {
-            gamma_raw.extend_from_slice(&gamma_rows[d * su..(d + 1) * su]);
             entries.extend_from_slice(&cand_ent[cand_off[d] as usize..cand_off[d + 1] as usize]);
             d += 1;
         } else {
-            gamma_raw.extend_from_slice(base.index().gamma.row(v));
             entries.extend_from_slice(base.index().candidates.signatures(v));
         }
         offsets.push(entries.len() as u64);
@@ -247,7 +233,6 @@ pub fn splice_delta(base: &Dataset, r: &BundleReader) -> Result<(Dataset, DeltaH
     let index = TopKIndex {
         params: base.index().params().clone(),
         diag: base.index().diag.clone(),
-        gamma: GammaTable::from_raw(steps, gamma_raw),
         candidates: CandidateIndex::from_raw_parts(new_n, offsets, entries),
         seed: base.index().seed,
     };
@@ -370,7 +355,7 @@ mod tests {
 
     fn build(n: u32, seed: u64) -> Dataset {
         let g = gen::copying_web(n, 4, 0.8, seed);
-        let params = SimRankParams { r_bounds: 200, r_gamma: 25, ..Default::default() };
+        let params = SimRankParams { r_bounds: 200, ..Default::default() };
         let idx = TopKIndex::build_with(&g, &params, Diagonal::paper_default(params.c), seed, 2);
         Dataset::new(g, idx).unwrap()
     }
@@ -402,7 +387,6 @@ mod tests {
         assert_eq!(header.parent_fingerprint, 0xABCD);
         assert_eq!((header.base_n, header.new_n), (90, 93));
         let (spliced, _) = splice_delta(&base, &r).unwrap();
-        assert_eq!(spliced.index().gamma, built.dataset.index().gamma);
         assert_eq!(spliced.index().candidates, built.dataset.index().candidates);
         assert_eq!(*spliced.graph(), *built.dataset.graph());
     }
@@ -438,7 +422,6 @@ mod tests {
             assert_eq!(chain.tip_fingerprint, b2.fingerprint);
             assert_eq!(info.fingerprint, chain.fingerprint);
             assert_ne!(chain.fingerprint, base_info.fingerprint);
-            assert_eq!(ds.index().gamma, b2.dataset.index().gamma);
             assert_eq!(ds.index().candidates, b2.dataset.index().candidates);
         }
 
@@ -450,7 +433,6 @@ mod tests {
             7,
             2,
         );
-        assert_eq!(b2.dataset.index().gamma, rebuilt.gamma);
         assert_eq!(b2.dataset.index().candidates, rebuilt.candidates);
 
         // Compaction serves the same answers.

@@ -819,7 +819,7 @@ mod tests {
 
     fn build_small(n: u32, seed: u64) -> (Graph, TopKIndex) {
         let g = gen::copying_web(n, 4, 0.8, seed);
-        let params = SimRankParams { r_bounds: 300, r_gamma: 25, ..Default::default() };
+        let params = SimRankParams { r_bounds: 300, ..Default::default() };
         let idx = TopKIndex::build_with(&g, &params, Diagonal::paper_default(params.c), seed, 2);
         (g, idx)
     }
@@ -1231,7 +1231,6 @@ mod tests {
         let changed = [
             QueryOptions { use_distance_bound: false, ..Default::default() },
             QueryOptions { use_l1: false, ..Default::default() },
-            QueryOptions { use_l2: false, ..Default::default() },
             QueryOptions { adaptive: false, ..Default::default() },
             QueryOptions { kth_prune: false, ..Default::default() },
             QueryOptions { candidate_ball: Some(2), ..Default::default() },

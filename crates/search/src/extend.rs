@@ -1,7 +1,7 @@
 //! Incremental index maintenance for mutating graphs.
 //!
-//! The preprocess (Algorithms 3 + 4) is *per-vertex independent*: γ rows
-//! and candidate signatures of vertex `u` depend only on walks from `u`.
+//! The preprocess (Algorithm 4) is *per-vertex independent*: the
+//! candidate signatures of vertex `u` depend only on walks from `u`.
 //! When a graph mutates — edges inserted or deleted, vertices appended —
 //! the index can therefore be repaired by re-running the preprocess for
 //! the affected vertices only, instead of rebuilding from scratch.
@@ -32,7 +32,6 @@
 //! per-vertex artifacts are keyed by per-`(seed, vertex)` RNG streams, so
 //! `threads = 1` and `threads = 8` produce the same bytes (tested).
 
-use crate::bounds::GammaTable;
 use crate::index::CandidateIndex;
 use crate::topk::TopKIndex;
 use srs_graph::hash::mix_seed;
@@ -60,7 +59,7 @@ pub struct ExtendOutcome {
     /// Recompute/reuse counters.
     pub stats: ExtendStats,
     /// Per-vertex recompute mask over the *new* graph's vertices: `true`
-    /// where the γ row and candidate signature were rebuilt.
+    /// where the candidate signature was rebuilt.
     pub dirty: Vec<bool>,
 }
 
@@ -130,15 +129,6 @@ pub fn extend_delta(
     // (seed, vertex) streams, so recomputing exactly the dirty vertices
     // reproduces what a full rebuild would store for them.
     let params = index.params().clone();
-    let fresh_gamma =
-        GammaTable::build_for(new, &params, &index.diag, mix_seed(&[index.seed, 1]), threads, &dirty);
-    let mut gamma_raw: Vec<f32> = Vec::with_capacity(new_n as usize * params.t as usize);
-    for v in 0..new_n as usize {
-        let row = if dirty[v] { fresh_gamma.row(v as VertexId) } else { index.gamma.row(v as VertexId) };
-        gamma_raw.extend_from_slice(row);
-    }
-    let gamma = GammaTable::from_raw(params.t, gamma_raw);
-
     let fresh_cand = CandidateIndex::build_for(new, &params, mix_seed(&[index.seed, 2]), threads, &dirty);
     let mut offsets = Vec::with_capacity(new_n as usize + 1);
     offsets.push(0u64);
@@ -151,7 +141,7 @@ pub fn extend_delta(
     let candidates = CandidateIndex::from_raw_parts(new_n, offsets, entries);
 
     let stats = ExtendStats { appended: new_n - old_n, dirty: dirty_count, reused: old_n - dirty_count };
-    let index = TopKIndex { params, diag: index.diag.clone(), gamma, candidates, seed: index.seed };
+    let index = TopKIndex { params, diag: index.diag.clone(), candidates, seed: index.seed };
     Ok(ExtendOutcome { index, stats, dirty })
 }
 
@@ -177,7 +167,7 @@ mod tests {
     }
 
     fn params() -> SimRankParams {
-        SimRankParams { r_gamma: 40, r_bounds: 100, ..Default::default() }
+        SimRankParams { r_bounds: 100, ..Default::default() }
     }
 
     #[test]
@@ -190,7 +180,6 @@ mod tests {
         let ExtendOutcome { index: extended, stats, .. } =
             extend_delta(&idx_old, &old, &new, p.t - 1, 2).unwrap();
         let rebuilt = TopKIndex::build_with(&new, &p, Diagonal::paper_default(p.c), 9, 2);
-        assert_eq!(extended.gamma, rebuilt.gamma);
         assert_eq!(extended.candidates, rebuilt.candidates);
         assert_eq!(stats.appended, 30);
         // Queries agree completely.
@@ -221,7 +210,6 @@ mod tests {
         let idx_old = TopKIndex::build_with(&old, &p, Diagonal::paper_default(p.c), 9, 2);
         let out = extend_delta(&idx_old, &old, &new, p.t - 1, 2).unwrap();
         let rebuilt = TopKIndex::build_with(&new, &p, Diagonal::paper_default(p.c), 9, 2);
-        assert_eq!(out.index.gamma, rebuilt.gamma);
         assert_eq!(out.index.candidates, rebuilt.candidates);
         assert_eq!(out.stats.appended, 15);
         assert!(out.stats.dirty > 0, "deletions must dirty the targets");
@@ -249,7 +237,6 @@ mod tests {
         let idx_old = TopKIndex::build_with(&old, &p, Diagonal::paper_default(p.c), 5, 3);
         let a = extend_delta(&idx_old, &old, &new, 2, 1).unwrap();
         let b = extend_delta(&idx_old, &old, &new, 2, 4).unwrap();
-        assert_eq!(a.index.gamma, b.index.gamma);
         assert_eq!(a.index.candidates, b.index.candidates);
         assert_eq!(a.stats, b.stats);
         assert_eq!(a.dirty, b.dirty);
@@ -289,7 +276,6 @@ mod tests {
         let idx = TopKIndex::build_with(&g, &p, Diagonal::paper_default(p.c), 2, 2);
         let ExtendOutcome { index: same, stats, .. } = extend_delta(&idx, &g, &g, p.t, 2).unwrap();
         assert_eq!(stats, ExtendStats { appended: 0, dirty: 0, reused: 80 });
-        assert_eq!(same.gamma, idx.gamma);
         assert_eq!(same.candidates, idx.candidates);
     }
 }

@@ -190,8 +190,8 @@ impl CandidateIndex {
                         }
                     }
                     if let Some(m) = obs.metrics {
-                        walk_hist.drain_into(&m.build_stages[1]);
-                        probe_hist.drain_into(&m.build_stages[2]);
+                        walk_hist.drain_into(&m.build_stages[0]);
+                        probe_hist.drain_into(&m.build_stages[1]);
                     }
                 });
             }
@@ -213,7 +213,7 @@ impl CandidateIndex {
         }
         let (inv_offsets, inv_entries) = invert(n, &offsets, &entries);
         if let (Some(m), Some(t)) = (obs.metrics, t_asm) {
-            m.build_stages[3].observe(t.elapsed().as_nanos() as u64);
+            m.build_stages[2].observe(t.elapsed().as_nanos() as u64);
         }
         CandidateIndex {
             n: n as u32,

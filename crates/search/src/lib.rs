@@ -10,7 +10,7 @@
 //! |---|---|
 //! | Algorithm 1 — Monte-Carlo single-pair SimRank | [`single_pair`] |
 //! | Algorithm 2 — α/β computation (L1 bound) | [`bounds::AlphaBeta`] |
-//! | Algorithm 3 — γ computation (L2 bound) | [`bounds::GammaTable`] |
+//! | Algorithm 3 — γ computation (L2 bound; built by the paper's experiments, not served) | [`bounds::GammaTable`] |
 //! | Algorithm 4 — candidate index (bipartite graph `H`) | [`index::CandidateIndex`] |
 //! | Algorithm 5 — pruned, adaptively-sampled top-k query | [`topk`] |
 //! | parallel, cached, hot-swappable serving over one dataset | [`engine`] |
@@ -22,7 +22,7 @@
 //! | serving metrics, stage timers, explain traces | [`obs`] |
 //!
 //! The usual flow is [`topk::TopKIndex::build`] once per graph (the
-//! preprocess phase: Algorithms 3 + 4), then [`topk::TopKIndex::query`] per
+//! preprocess phase: Algorithm 4), then [`topk::TopKIndex::query`] per
 //! query vertex (Algorithm 5, which internally runs Algorithms 1 and 2) —
 //! or, for query streams, [`engine::ServingEngine::query_batch`], which
 //! serves whole batches in parallel from pooled query state.
@@ -104,7 +104,8 @@ pub struct SimRankParams {
     /// Walks for the α/β (L1) tables (Algorithm 2; §8 uses `R = 10000`).
     pub r_bounds: u32,
     /// Walks per vertex for the γ (L2) table (Algorithm 3; §8 uses
-    /// `R = 100`).
+    /// `R = 100`). Only the γ build in [`bounds`] reads it; the serving
+    /// index keeps no γ table.
     pub r_gamma: u32,
     /// Index repetitions per vertex (`P = 10`, §7.1).
     pub index_reps: u32,

@@ -58,7 +58,7 @@ pub const STAGE_SPANS: [&str; 4] = ["stage:enumerate", "stage:bounds", "stage:sc
 
 /// Named stages of the preprocess build, in pipeline order. Indexes into
 /// [`ServingMetrics::build_stages`].
-pub const BUILD_STAGES: [&str; 4] = ["gamma", "walk_generation", "coincidence_probe", "assemble"];
+pub const BUILD_STAGES: [&str; 3] = ["walk_generation", "coincidence_probe", "assemble"];
 
 /// Wall-clock stage durations measured for one query, copied from the
 /// same `Instant` reads that feed `srs_query_stage_ns` — so carrying
@@ -138,7 +138,7 @@ pub struct ServingMetrics {
     /// `srs_query_hits` (per-query hit count distribution).
     pub hits_per_query: Arc<Histogram>,
     /// `srs_build_stage_ns{stage=...}`, indexed by [`BUILD_STAGES`].
-    pub build_stages: [Arc<Histogram>; 4],
+    pub build_stages: [Arc<Histogram>; 3],
     /// `srs_graph_vertices`.
     pub graph_vertices: Arc<Gauge>,
     /// `srs_graph_edges`.

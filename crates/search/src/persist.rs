@@ -2,14 +2,14 @@
 //!
 //! The whole point of the paper's `O(n)` preprocess is to pay it once per
 //! graph; this module persists a [`TopKIndex`] (parameters, diagonal,
-//! γ table, candidate index) so the query phase can start instantly on
+//! candidate index) so the query phase can start instantly on
 //! reload. There is one layout, the `i.*` and `s.*` sections of a
 //! `SRSBNDL1` bundle ([`srs_graph::container`]), whatever the shard
 //! count; an unsharded index is one shard:
 //!
-//! - **core** (`i.meta`, `i.diag` for per-vertex diagonals, `i.gamma`,
-//!   `i.cand_off`, `i.cand_ent`): parameters, the γ table, and the
-//!   global forward candidate map;
+//! - **core** (`i.meta`, `i.diag` for per-vertex diagonals,
+//!   `i.cand_off`, `i.cand_ent`): parameters and the global forward
+//!   candidate map;
 //! - **one inverted slice per shard** (`i.sinv_off.{s}`,
 //!   `i.sinv_ent.{s}`): the inverted candidate map restricted to the
 //!   holders in shard `s`'s vertex range ([`shard_ranges`]);
@@ -25,8 +25,11 @@
 //! whose inverted map is the shards' slices in range order (see
 //! [`CandidateIndex`]). The slices are never merged or re-derived; the
 //! manifest keeps the bundle ready to be split across processes.
+//!
+//! Bundles written before the γ table (Algorithm 3) left the index also
+//! carry it as a section of its own, and its step count in `i.meta`'s
+//! unused word; the reader asks for neither, so they load as before.
 
-use crate::bounds::GammaTable;
 use crate::index::{invert, CandidateIndex, InvertedSlice};
 use crate::topk::TopKIndex;
 use crate::{Diagonal, SimRankParams};
@@ -78,7 +81,6 @@ impl From<BundleError> for PersistError {
 
 const SEC_INDEX_META: &str = "i.meta";
 const SEC_DIAG: &str = "i.diag";
-const SEC_GAMMA: &str = "i.gamma";
 const SEC_CAND_OFFSETS: &str = "i.cand_off";
 const SEC_CAND_ENTRIES: &str = "i.cand_ent";
 
@@ -98,7 +100,8 @@ fn shard_inv_tags(s: u32) -> (String, String) {
 }
 
 /// c, theta, seed, uniform-diag (f64/u64 × 4), eight u32 params, n,
-/// gamma steps, diagonal tag, padding (u32 × 4).
+/// an unused word (written 0, never read), diagonal tag, padding
+/// (u32 × 4).
 const INDEX_META_LEN: usize = 8 * 4 + 4 * 8 + 4 * 4;
 
 const DIAG_UNIFORM: u32 = 0;
@@ -158,7 +161,7 @@ pub fn add_index_sections(index: &TopKIndex, shards: u32, w: &mut BundleWriter) 
     Ok(())
 }
 
-/// The core sections: parameters, diagonal, γ table, forward map.
+/// The core sections: parameters, diagonal, forward map.
 fn add_core_sections(index: &TopKIndex, w: &mut BundleWriter) {
     let p = &index.params;
     let (diag_tag, uniform) = match &index.diag {
@@ -175,14 +178,13 @@ fn add_core_sections(index: &TopKIndex, w: &mut BundleWriter) {
     }
     let (n, offsets, entries) = index.candidates.raw_parts();
     meta.put_u32_le(n);
-    meta.put_u32_le(index.gamma.steps());
+    meta.put_u32_le(0); // unused
     meta.put_u32_le(diag_tag);
     meta.put_u32_le(0); // padding
     w.add_bytes(SEC_INDEX_META, 8, meta);
     if let Diagonal::PerVertex(d) = &index.diag {
         w.add_pod(SEC_DIAG, d.as_slice());
     }
-    w.add_pod(SEC_GAMMA, index.gamma.raw());
     w.add_pod(SEC_CAND_OFFSETS, offsets);
     w.add_pod(SEC_CAND_ENTRIES, entries);
 }
@@ -237,7 +239,6 @@ pub fn index_from_bundle_with(r: &BundleReader, level: ValidationLevel) -> Resul
     Ok(TopKIndex {
         params: core.params,
         diag: core.diag,
-        gamma: GammaTable::from_raw(core.steps, core.gamma),
         candidates: CandidateIndex::from_parts_with_inverted(n, core.offsets, core.entries, slices),
         seed: core.seed,
     })
@@ -254,8 +255,6 @@ struct IndexCore {
     params: SimRankParams,
     seed: u64,
     diag: Diagonal,
-    steps: u32,
-    gamma: SharedSlice<f32>,
     n: u32,
     offsets: SharedSlice<u64>,
     entries: SharedSlice<VertexId>,
@@ -265,17 +264,7 @@ impl IndexCore {
     /// Shape/range scans of the core: a corrupted artifact must error
     /// here, not panic later.
     fn validate(&self) -> Result<(), PersistError> {
-        let (n, steps, gamma, offsets, entries) =
-            (self.n, self.steps, &self.gamma, &self.offsets, &self.entries);
-        if steps == 0 || !gamma.len().is_multiple_of(steps as usize) {
-            return Err(PersistError::Format("gamma shape mismatch".into()));
-        }
-        if gamma.len() / steps as usize != n as usize {
-            return Err(PersistError::Format(format!(
-                "gamma covers {} vertices, candidate index {n}",
-                gamma.len() / steps as usize
-            )));
-        }
+        let (n, offsets, entries) = (self.n, &self.offsets, &self.entries);
         if offsets.len() != n as usize + 1 {
             return Err(PersistError::Format("offsets shape mismatch".into()));
         }
@@ -332,7 +321,7 @@ fn read_index_core(r: &BundleReader) -> Result<IndexCore, PersistError> {
         theta,
     };
     let n = buf.get_u32_le();
-    let steps = buf.get_u32_le();
+    buf.advance(4); // unused
     let diag = match buf.get_u32_le() {
         DIAG_UNIFORM => Diagonal::Uniform(uniform),
         DIAG_PER_VERTEX => {
@@ -345,8 +334,6 @@ fn read_index_core(r: &BundleReader) -> Result<IndexCore, PersistError> {
         params,
         seed,
         diag,
-        steps,
-        gamma: r.pod_slice(SEC_GAMMA)?,
         n,
         offsets: r.pod_slice(SEC_CAND_OFFSETS)?,
         entries: r.pod_slice(SEC_CAND_ENTRIES)?,
@@ -495,7 +482,7 @@ mod tests {
     use srs_graph::gen;
 
     fn build_index(g: &srs_graph::Graph) -> TopKIndex {
-        let params = SimRankParams { r_bounds: 300, r_gamma: 30, ..Default::default() };
+        let params = SimRankParams { r_bounds: 300, ..Default::default() };
         TopKIndex::build_with(g, &params, Diagonal::paper_default(params.c), 5, 2)
     }
 
@@ -519,7 +506,7 @@ mod tests {
     #[test]
     fn roundtrip_per_vertex_diagonal() {
         let g = gen::erdos_renyi(40, 120, 9);
-        let params = SimRankParams { r_bounds: 100, r_gamma: 20, ..Default::default() };
+        let params = SimRankParams { r_bounds: 100, ..Default::default() };
         let d: Vec<f64> = (0..40).map(|i| 0.4 + 0.01 * (i % 5) as f64).collect();
         let idx = TopKIndex::build_with(&g, &params, Diagonal::PerVertex(std::sync::Arc::new(d)), 1, 1);
         let mut buf = Vec::new();

@@ -278,7 +278,7 @@ mod tests {
 
     fn build(n: u32, seed: u64) -> (Graph, TopKIndex) {
         let g = gen::copying_web(n, 4, 0.8, seed);
-        let params = SimRankParams { r_bounds: 200, r_gamma: 25, ..Default::default() };
+        let params = SimRankParams { r_bounds: 200, ..Default::default() };
         let idx = TopKIndex::build_with(&g, &params, Diagonal::paper_default(params.c), seed, 2);
         (g, idx)
     }
@@ -307,10 +307,10 @@ mod tests {
         // Same bytes → same fingerprint (the identity is content-derived).
         let (_, info2) = Dataset::from_snapshot_bytes(bytes.clone()).unwrap();
         assert_eq!(info.fingerprint, info2.fingerprint);
-        // 6 graph sections + 7 index sections: 4 core (a uniform
+        // 6 graph sections + 6 index sections: 3 core (a uniform
         // diagonal stores no `i.diag`), one shard's 2 inverted sections,
         // and the manifest.
-        assert_eq!(info.sections_verified, 13, "{info:?}");
+        assert_eq!(info.sections_verified, 12, "{info:?}");
         assert_eq!(info.shards, 1);
         assert!(!info.mapped);
         assert_eq!(info.mapped_bytes, 0);
@@ -368,14 +368,14 @@ mod tests {
     fn verify_on_load_catches_corruption_mmap() {
         let (g, idx) = build(60, 12);
         let mut bytes = pack_to_bytes(&g, &idx);
-        // Corrupt the γ table: every bit pattern is a structurally valid
-        // f32, so only checksums can catch this — the panic-safety scans
-        // (correctly) let it through.
+        // Corrupt the unused word of the index meta (bytes 68..72): no
+        // reader looks at it, so only checksums can catch this — the
+        // panic-safety scans (correctly) let it through.
         let reader = BundleReader::open(bytes.clone()).unwrap();
-        let gidx = (0..reader.num_sections()).find(|&i| reader.section_tag(i) == Some("i.gamma")).unwrap();
-        let (off, _) = reader.section_extent(gidx).unwrap();
+        let midx = (0..reader.num_sections()).find(|&i| reader.section_tag(i) == Some("i.meta")).unwrap();
+        let (off, _) = reader.section_extent(midx).unwrap();
         drop(reader);
-        bytes[off as usize] ^= 0x20;
+        bytes[off as usize + 68] ^= 0x20;
         let path = write_temp("corrupt.srs", &bytes);
         let eager = LoadOptions { mmap: true, verify_on_load: true, ..Default::default() };
         let err = load_snapshot(&path, &eager).unwrap_err();

@@ -1,14 +1,15 @@
 //! Algorithm 5 — the top-k similarity query, plus the preprocess driver.
 //!
-//! [`TopKIndex::build`] runs the preprocess phase (γ table, Algorithm 3;
-//! candidate index, Algorithm 4) — `O(n (R + PQ) T)` time, `O(n)` space,
-//! exactly the paper's §7.1. [`TopKIndex::query`] then answers a top-k
-//! query (Algorithm 5):
+//! [`TopKIndex::build`] runs the preprocess phase (the candidate index,
+//! Algorithm 4) — `O(n PQ T)` time, `O(n)` space: the paper's §7.1
+//! without Algorithm 3's γ table, whose L2 bound cannot prune at the
+//! served θ (see [`crate::bounds`]). [`TopKIndex::query`] then answers a
+//! top-k query (Algorithm 5):
 //!
 //! 1. enumerate candidates `S = {v : Γ(u) ∩ Γ(v) ≠ ∅}` from the index;
 //! 2. sort by undirected distance (the §2.2 "ascending order of distance"
-//!    scan) and prune with the three upper bounds
-//!    (`min(c^d, β(u,d), L2(u,v))` against `max(θ, current k-th score)`).
+//!    scan) and prune with the two upper bounds `c^d` and `β(u,d)`
+//!    against `max(θ, current k-th score)`.
 //!    The per-query β table (Algorithm 2, `r_bounds` walks) is built only
 //!    when it can cost fewer walks than it could save,
 //!    `|C| · 2 · R > r_bounds` (see `l1_table_pays`); otherwise β reads +∞;
@@ -16,12 +17,12 @@
 //!    survivors with `R = 100` (§7.2);
 //! 4. return the k highest refined scores.
 //!
-//! Every pruning stage (the three bounds, adaptive sampling, the k-th
+//! Every pruning stage (the two bounds, adaptive sampling, the k-th
 //! threshold) can be disabled through [`QueryOptions`] — that is what the
 //! ablation benches sweep. The noise slack and the coarse cut are fixed
 //! constants of the scan (`BOUND_SLACK`, `COARSE_FRACTION`).
 
-use crate::bounds::{AlphaBeta, GammaTable};
+use crate::bounds::AlphaBeta;
 use crate::index::{CandidateIndex, SeenStamps};
 use crate::obs::{BuildObs, QueryLocalObs, ServingMetrics, StageTimings};
 use crate::screen::ZeroScreen;
@@ -52,8 +53,6 @@ pub struct QueryOptions {
     pub use_distance_bound: bool,
     /// Prune with the L1 bound `β(u, d)` (Algorithm 2, per query).
     pub use_l1: bool,
-    /// Prune with the L2 bound `Σ cᵗ γγ` (Algorithm 3, precomputed).
-    pub use_l2: bool,
     /// Two-stage adaptive sampling (§7.2). When off, every surviving
     /// candidate is refined directly.
     pub adaptive: bool,
@@ -97,7 +96,6 @@ impl Default for QueryOptions {
         QueryOptions {
             use_distance_bound: true,
             use_l1: true,
-            use_l2: true,
             adaptive: true,
             kth_prune: true,
             candidate_ball: None,
@@ -121,7 +119,6 @@ impl QueryOptions {
         let mut h = srs_graph::hash::FxHasher::default();
         self.use_distance_bound.hash(&mut h);
         self.use_l1.hash(&mut h);
-        self.use_l2.hash(&mut h);
         self.adaptive.hash(&mut h);
         self.kth_prune.hash(&mut h);
         self.candidate_ball.hash(&mut h);
@@ -146,7 +143,7 @@ pub struct QueryStats {
     pub candidates: u64,
     /// Candidates discarded by the `c^d` bound (incl. out-of-horizon ones).
     pub pruned_distance: u64,
-    /// Candidates discarded by the L1/L2 bounds.
+    /// Candidates discarded by the L1 bound.
     pub pruned_bounds: u64,
     /// Candidates discarded after the coarse pass.
     pub pruned_coarse: u64,
@@ -232,13 +229,12 @@ pub struct TopKResult {
     pub timings: StageTimings,
 }
 
-/// The preprocess artifact: γ table + candidate index (+ parameters and the
-/// seed that keeps query-time randomness reproducible).
+/// The preprocess artifact: the candidate index (+ parameters, diagonal and
+/// the seed that keeps query-time randomness reproducible).
 #[derive(Debug, Clone)]
 pub struct TopKIndex {
     pub(crate) params: SimRankParams,
     pub(crate) diag: Diagonal,
-    pub(crate) gamma: GammaTable,
     pub(crate) candidates: CandidateIndex,
     pub(crate) seed: u64,
 }
@@ -270,23 +266,13 @@ impl TopKIndex {
         obs: &BuildObs<'_>,
     ) -> Self {
         params.validate();
-        let t0 = Instant::now();
-        let gamma = GammaTable::build(g, params, &diag, mix_seed(&[seed, 1]), threads);
-        if let Some(m) = obs.metrics {
-            m.build_stages[0].observe(t0.elapsed().as_nanos() as u64);
-        }
         let candidates = CandidateIndex::build_observed(g, params, mix_seed(&[seed, 2]), threads, &[], obs);
-        TopKIndex { params: params.clone(), diag, gamma, candidates, seed }
+        TopKIndex { params: params.clone(), diag, candidates, seed }
     }
 
     /// The parameters the index was built with.
     pub fn params(&self) -> &SimRankParams {
         &self.params
-    }
-
-    /// The γ table (L2 bound; exposed for benches and tests).
-    pub fn gamma(&self) -> &GammaTable {
-        &self.gamma
     }
 
     /// The candidate index (exposed for benches and tests).
@@ -296,15 +282,14 @@ impl TopKIndex {
 
     /// Preprocess artifact size in bytes (the "Index" column of Table 4).
     pub fn memory_bytes(&self) -> u64 {
-        self.gamma.memory_bytes() + self.candidates.memory_bytes()
+        self.candidates.memory_bytes()
     }
 
     /// Index bytes split by backing (heap-resident versus `mmap`-served).
     /// A per-vertex diagonal counts as resident — it is always decoded
     /// onto the heap.
     pub fn memory_profile(&self) -> srs_graph::MemoryProfile {
-        let mut p = self.gamma.memory_profile();
-        p.merge(self.candidates.memory_profile());
+        let mut p = self.candidates.memory_profile();
         if let crate::Diagonal::PerVertex(v) = &self.diag {
             p.add_resident((v.len() * 8) as u64);
         }
@@ -408,10 +393,9 @@ struct WaveSlot {
     /// Distance bound `c^⌈d/2⌉` (0.0 placeholder when the distance bound
     /// is disabled — consumption never reads it then).
     cd: f64,
-    /// L1 / L2 bound values exactly as consumption's own expressions
-    /// would produce them (∞ for a disabled bound).
+    /// L1 bound value exactly as consumption's own expression would
+    /// produce it (∞ when the bound is disabled).
     l1b: f64,
-    l2b: f64,
     /// The screen proved every estimate of this survivor exactly 0.0; it
     /// took no wave lane and carries no precomputed estimate.
     zero: bool,
@@ -580,7 +564,7 @@ impl QueryScratch {
     }
 
     /// Stage 3 — the bounded, adaptive candidate scan: distance bound →
-    /// L1/L2 bounds → coarse pass → refine, maintaining the running top-k
+    /// L1 bound → coarse pass → refine, maintaining the running top-k
     /// heap. When `explain` is given, every candidate (including the bulk
     /// tail skipped by the early-break) gets exactly one
     /// [`CandidateRecord`] — fate counts in the trace reconcile with
@@ -683,10 +667,9 @@ impl QueryScratch {
                     break;
                 }
                 let l1b = if opts.use_l1 && d != UNREACHED { self.l1.beta(d) } else { f64::INFINITY };
-                let l2b = if opts.use_l2 { index.gamma.l2_bound(u, v, params.c) } else { f64::INFINITY };
-                let survives = l1b.min(l2b) >= prune_floor;
+                let survives = l1b >= prune_floor;
                 let zero = survives && self.screen.is_zero(g, v);
-                wave.slots.push(WaveSlot { cd, l1b, l2b, zero, coarse: None, refine: None });
+                wave.slots.push(WaveSlot { cd, l1b, zero, coarse: None, refine: None });
                 end += 1;
                 if survives && !zero {
                     wave.survivors.push(end - 1);
@@ -834,7 +817,7 @@ impl QueryScratch {
                         tr.push(record(v, d, CandidateFate::PrunedDistance, cd, prune_at));
                     }
                     // Candidates are distance-sorted: every later candidate
-                    // has an even smaller c^d, but their L1/L2 bounds could
+                    // has an even smaller c^d, but their L1 bounds could
                     // not save them either (bounds only prune further), so
                     // the scan can stop outright. (With `kth_prune` off the
                     // threshold is θ everywhere, so the break is always
@@ -856,19 +839,15 @@ impl QueryScratch {
                     continue;
                 }
             }
-            let (l1b, l2b) = match cached {
-                Some(slot) => (slot.l1b, slot.l2b),
-                None => (
-                    if opts.use_l1 && d != UNREACHED { self.l1.beta(d) } else { f64::INFINITY },
-                    if opts.use_l2 { index.gamma.l2_bound(u, v, params.c) } else { f64::INFINITY },
-                ),
+            let bound = match cached {
+                Some(slot) => slot.l1b,
+                None if opts.use_l1 && d != UNREACHED => self.l1.beta(d),
+                None => f64::INFINITY,
             };
-            let bound = l1b.min(l2b);
             if bound < prune_at {
                 stats.pruned_bounds += 1;
                 if let Some(tr) = explain.as_deref_mut() {
-                    let fate = if l1b <= l2b { CandidateFate::PrunedL1 } else { CandidateFate::PrunedL2 };
-                    tr.push(record(v, d, fate, bound, prune_at));
+                    tr.push(record(v, d, CandidateFate::PrunedL1, bound, prune_at));
                 }
                 continue;
             }
@@ -1239,13 +1218,8 @@ mod tests {
         let params = fast_params();
         let idx = TopKIndex::build_with(&g, &params, Diagonal::paper_default(params.c), 3, 2);
         let mut ctx = QueryContext::new(&g, &idx);
-        let open = QueryOptions {
-            use_distance_bound: false,
-            use_l1: false,
-            use_l2: false,
-            adaptive: false,
-            ..Default::default()
-        };
+        let open =
+            QueryOptions { use_distance_bound: false, use_l1: false, adaptive: false, ..Default::default() };
         let tight = QueryOptions::default();
         for u in srs_graph::stats::sample_query_vertices(&g, 10, 2) {
             let a = ctx.query(u, 5, &open);
@@ -1300,7 +1274,7 @@ mod tests {
             // Trace fates reconcile with the stats counters.
             use srs_obs::CandidateFate as F;
             assert_eq!(tr.count(F::PrunedDistance), b.stats.pruned_distance, "u={u}");
-            assert_eq!(tr.count(F::PrunedL1) + tr.count(F::PrunedL2), b.stats.pruned_bounds, "u={u}");
+            assert_eq!(tr.count(F::PrunedL1), b.stats.pruned_bounds, "u={u}");
             assert_eq!(tr.count(F::PrunedCoarse), b.stats.pruned_coarse, "u={u}");
             assert_eq!(tr.count(F::RefinedBelowTheta), b.stats.refined, "u={u}");
             assert_eq!(tr.count(F::Reported), b.stats.reported, "u={u}");
@@ -1345,7 +1319,7 @@ mod tests {
 
     #[test]
     fn memory_is_linear_not_quadratic() {
-        let params = SimRankParams { r_gamma: 20, r_bounds: 100, ..Default::default() };
+        let params = SimRankParams { r_bounds: 100, ..Default::default() };
         let g1 = gen::copying_web(200, 4, 0.8, 1);
         let g2 = gen::copying_web(400, 4, 0.8, 1);
         let i1 = TopKIndex::build_with(&g1, &params, Diagonal::paper_default(params.c), 1, 2);

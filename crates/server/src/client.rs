@@ -46,13 +46,16 @@ impl HttpClient {
     }
 
     fn ensure_connected(&mut self) -> io::Result<&mut BufReader<TcpStream>> {
-        if self.stream.is_none() {
-            let stream = TcpStream::connect(&self.addr)?;
-            stream.set_read_timeout(self.read_timeout)?;
-            stream.set_nodelay(true)?;
-            self.stream = Some(BufReader::new(stream));
-        }
-        Ok(self.stream.as_mut().expect("just connected"))
+        let stream = match self.stream.take() {
+            Some(stream) => stream,
+            None => {
+                let stream = TcpStream::connect(&self.addr)?;
+                stream.set_read_timeout(self.read_timeout)?;
+                stream.set_nodelay(true)?;
+                BufReader::new(stream)
+            }
+        };
+        Ok(self.stream.insert(stream))
     }
 
     /// Bodyless GET.

@@ -31,6 +31,7 @@ use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::metrics::ServerMetrics;
+use crate::sync::{lock, wait, wait_timeout};
 
 /// What the dispatcher sends back for one submitted query.
 #[derive(Debug)]
@@ -115,7 +116,7 @@ impl Coalescer {
     /// Enqueues one query; the answer arrives on the returned channel
     /// when its wave completes.
     pub fn submit(&self, query: WaveQuery) -> Result<mpsc::Receiver<QueryAnswer>, SubmitError> {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = lock(&self.inner);
         if inner.closed {
             return Err(SubmitError::Closed);
         }
@@ -132,18 +133,18 @@ impl Coalescer {
     /// Rejects all future submissions and wakes the dispatcher so it can
     /// drain the queue and return. Idempotent.
     pub fn close(&self) {
-        self.inner.lock().unwrap().closed = true;
+        lock(&self.inner).closed = true;
         self.nonempty.notify_all();
     }
 
     /// Whether [`Coalescer::close`] has been called.
     pub fn is_closed(&self) -> bool {
-        self.inner.lock().unwrap().closed
+        lock(&self.inner).closed
     }
 
     /// Queries currently waiting for a wave.
     pub fn depth(&self) -> usize {
-        self.inner.lock().unwrap().queue.len()
+        lock(&self.inner).queue.len()
     }
 
     /// The dispatcher loop: collect a wave, serve it, fan the results
@@ -156,7 +157,7 @@ impl Coalescer {
             wave.clear();
             replies.clear();
             {
-                let mut inner = self.inner.lock().unwrap();
+                let mut inner = lock(&self.inner);
                 loop {
                     if !inner.queue.is_empty() {
                         break;
@@ -165,7 +166,7 @@ impl Coalescer {
                         metrics.queue_depth.set(0);
                         return;
                     }
-                    inner = self.nonempty.wait(inner).unwrap();
+                    inner = wait(&self.nonempty, inner);
                 }
                 take_queued(&mut inner, self.max_batch, &mut wave, &mut replies);
                 // Linger for late arrivals — the coalescing window. Skipped
@@ -178,7 +179,7 @@ impl Coalescer {
                         if now >= deadline {
                             break;
                         }
-                        let (guard, timeout) = self.nonempty.wait_timeout(inner, deadline - now).unwrap();
+                        let (guard, timeout) = wait_timeout(&self.nonempty, inner, deadline - now);
                         inner = guard;
                         take_queued(&mut inner, self.max_batch, &mut wave, &mut replies);
                         if timeout.timed_out() {

@@ -65,6 +65,7 @@ pub mod dispatch;
 pub mod http;
 pub mod metrics;
 mod signal;
+mod sync;
 
 pub use client::{HttpClient, Response};
 pub use dispatch::{Coalescer, QueryAnswer, SubmitError};
@@ -324,7 +325,7 @@ impl Shared {
     /// stream handle cannot be duplicated for shutdown bookkeeping).
     fn register_conn(&self, stream: &TcpStream) -> Option<u64> {
         let clone = stream.try_clone().ok()?;
-        let mut conns = self.conns.lock().unwrap();
+        let mut conns = sync::lock(&self.conns);
         if conns.open.len() >= self.max_connections {
             return None;
         }
@@ -335,7 +336,7 @@ impl Shared {
     }
 
     fn deregister_conn(&self, id: u64) {
-        self.conns.lock().unwrap().open.remove(&id);
+        sync::lock(&self.conns).open.remove(&id);
         self.conn_closed.notify_all();
     }
 
@@ -343,7 +344,7 @@ impl Shared {
     /// the read side makes `fill_buf` return EOF, while responses still
     /// in flight keep their intact write side.
     fn shutdown_conn_reads(&self) {
-        for stream in self.conns.lock().unwrap().open.values() {
+        for stream in sync::lock(&self.conns).open.values() {
             let _ = stream.shutdown(Shutdown::Read);
         }
     }
@@ -353,13 +354,13 @@ impl Shared {
     /// before `run` returns, but a wedged peer cannot hold up exit.
     fn await_connections(&self, grace: Duration) {
         let deadline = Instant::now() + grace;
-        let mut conns = self.conns.lock().unwrap();
+        let mut conns = sync::lock(&self.conns);
         while !conns.open.is_empty() {
             let now = Instant::now();
             if now >= deadline {
                 break;
             }
-            let (guard, _) = self.conn_closed.wait_timeout(conns, deadline - now).unwrap();
+            let (guard, _) = sync::wait_timeout(&self.conn_closed, conns, deadline - now);
             conns = guard;
         }
     }
@@ -908,8 +909,8 @@ fn ingest_reply(shared: &Shared, req: &http::Request) -> Reply {
         Err(e) => return error_reply(400, &format!("bad edit batch: {e}")),
     };
 
-    let _guard = shared.reload_lock.lock().unwrap();
-    let mut chain = shared.chain.lock().unwrap();
+    let _guard = sync::lock(&shared.reload_lock);
+    let mut chain = sync::lock(&shared.chain);
     let depth = depth_override.or(shared.ingest_depth).unwrap_or_else(|| {
         let t = shared.engine.dataset().index().params().t;
         t.saturating_sub(1)
@@ -966,8 +967,8 @@ fn ingest_reply(shared: &Shared, req: &http::Request) -> Reply {
 /// change across a reload. On failure the old dataset keeps serving
 /// untouched.
 fn reload(shared: &Shared) -> Result<u64, String> {
-    let _guard = shared.reload_lock.lock().unwrap();
-    let chain_paths = shared.chain.lock().unwrap().paths.clone();
+    let _guard = sync::lock(&shared.reload_lock);
+    let chain_paths = sync::lock(&shared.chain).paths.clone();
     let swapped = load_chain(&shared.snapshot, &chain_paths, &shared.load_opts).map(
         |(dataset, info, chain_info, verifier)| {
             shared.engine.swap(dataset);
@@ -978,7 +979,7 @@ fn reload(shared: &Shared) -> Result<u64, String> {
         Ok((info, chain_info, verifier)) => {
             // The base file may have been replaced: the chain state (the
             // next delta's parent above all) follows what was loaded.
-            *shared.chain.lock().unwrap() = ChainState::from_info(chain_paths, &chain_info);
+            *sync::lock(&shared.chain) = ChainState::from_info(chain_paths, &chain_info);
             shared.engine.metrics().record_snapshot_load(&info);
             shared.engine.metrics().chain_depth.set(chain_info.depth as u64);
             if let Some(verifier) = verifier {
@@ -1013,7 +1014,7 @@ fn query_json(vertex: u64, k: usize, generation: u64, result: &TopKResult) -> St
 fn info_json(shared: &Shared) -> String {
     let dataset = shared.engine.dataset();
     let (chain_depth, tip, dirty_total, min_depth) = {
-        let chain = shared.chain.lock().unwrap();
+        let chain = sync::lock(&shared.chain);
         (chain.depth(), chain.tip, chain.dirty_total, chain.min_staleness_depth)
     };
     // `u32::MAX` marks an empty chain — render it as null, not a number.
@@ -1080,6 +1081,43 @@ mod tests {
         assert_eq!(json_escape("plain"), "\"plain\"");
         assert_eq!(json_escape("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
         assert_eq!(json_escape("\u{1}"), "\"\\u0001\"");
+    }
+
+    #[test]
+    fn poisoned_locks_do_not_take_the_daemon_down() {
+        let g = srs_graph::gen::copying_web(200, 4, 0.8, 8);
+        let params = srs_search::SimRankParams { r_bounds: 2_000, ..Default::default() };
+        let idx = srs_search::TopKIndex::build(&g, &params, 7);
+        let snapshot = std::env::temp_dir().join(format!("srs_serve_{}_poison.srs", std::process::id()));
+        std::fs::write(&snapshot, srs_search::snapshot::pack_to_bytes(&g, &idx)).unwrap();
+        let config = ServerConfig {
+            snapshot: snapshot.clone(),
+            addr: "127.0.0.1:0".into(),
+            ..ServerConfig::default()
+        };
+        let server = Server::bind(config).unwrap();
+        // A thread panics while holding the connection table (taken by
+        // every connection) and the delta chain (taken by `/info`).
+        let shared = Arc::clone(&server.shared);
+        let poisoner = std::thread::spawn(move || {
+            let _conns = sync::lock(&shared.conns);
+            let _chain = sync::lock(&shared.chain);
+            panic!("poisoning the connection table and the chain");
+        });
+        assert!(poisoner.join().is_err());
+        assert!(server.shared.conns.is_poisoned() && server.shared.chain.is_poisoned());
+        let engine = server.engine();
+        let expected = query_json(5, 3, engine.generation(), &engine.query(5, 3, &QueryOptions::default()));
+        let addr = server.local_addr().to_string();
+        let handle = std::thread::spawn(move || server.run());
+        let mut c = HttpClient::connect(addr).unwrap();
+        assert_eq!(c.get("/healthz").unwrap().status, 200);
+        let r = c.get("/query?u=5&k=3").unwrap();
+        assert_eq!((r.status, r.body_str().into_owned()), (200, expected));
+        assert_eq!(c.get("/info").unwrap().status, 200);
+        assert_eq!(c.post("/admin/quit").unwrap().status, 200);
+        handle.join().unwrap().unwrap();
+        let _ = std::fs::remove_file(&snapshot);
     }
 
     #[test]

@@ -15,7 +15,7 @@ fn main() {
     let g = gen::copying_web(2_000, 5, 0.8, 42);
     println!("graph: {} vertices, {} edges", g.num_vertices(), g.num_edges());
 
-    // Preprocess (the paper's Algorithms 3 + 4): O(n) time and space.
+    // Preprocess (the paper's Algorithm 4): O(n) time and space.
     let params = SimRankParams::default(); // c=0.6, T=11, R=100, P=10, Q=5, θ=0.01
     let index = TopKIndex::build(&g, &params, 7);
     println!(

@@ -25,7 +25,7 @@
 //! // A small copying-model web graph.
 //! let g = gen::copying_web(500, 5, 0.8, 42);
 //!
-//! // Preprocess once (Algorithms 3 & 4 of the paper) ...
+//! // Preprocess once (Algorithm 4 of the paper) ...
 //! let params = SimRankParams::default();
 //! let index = TopKIndex::build(&g, &params, 7);
 //!

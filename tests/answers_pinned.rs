@@ -12,10 +12,11 @@
 //!
 //! A second fixture, `tests/fixtures/snapshot_fingerprints.tsv`, pins the
 //! preprocess artifact itself: the fingerprint of every section of the
-//! `pack` output (γ table, candidate index, graph) of each dataset, and
-//! of the whole bundle. γ is summed in position-counter order, so a walk
-//! kernel that reorders its counting moves these bytes even where the
-//! answers above happen not to move.
+//! `pack` output (parameters, candidate index, graph) of each dataset,
+//! and of the whole bundle. The candidate index is built from walks, so a
+//! walk kernel that draws differently moves these bytes even where the
+//! answers above happen not to move. The serving index holds no γ table
+//! (Algorithm 3), so no γ section may appear.
 //!
 //! To regenerate a fixture (only when answers or index bytes are *meant*
 //! to change, and say so in the change log):
@@ -154,8 +155,9 @@ fn answers_match_the_pinned_fixture() {
 #[test]
 fn snapshot_fingerprints_match_the_pinned_fixture() {
     let got = snapshot_fingerprints();
-    for section in ["i.gamma", "i.cand_off", "i.cand_ent"] {
+    for section in ["i.cand_off", "i.cand_ent"] {
         assert!(got.contains(&format!("\t{section}\t")), "no {section} section pinned:\n{got}");
     }
+    assert!(!got.contains("\ti.gamma\t"), "the serving index must not pack a γ table:\n{got}");
     check_fixture(FINGERPRINTS, &got, "snapshot fingerprints");
 }

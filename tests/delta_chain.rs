@@ -4,7 +4,8 @@
 //! way DESIGN.md §5m promises — measured against the exact solver.
 
 use srs_exact::{partial_sums, ExactParams};
-use srs_graph::{gen, GraphDelta};
+use srs_graph::{container, gen, GraphDelta, ValidationLevel};
+use srs_search::persist;
 use srs_search::snapshot::{self, Dataset};
 use srs_search::{
     build_delta, load_chain, Diagonal, LoadOptions, QueryOptions, ServingEngine, SimRankParams, TopKIndex,
@@ -12,7 +13,7 @@ use srs_search::{
 
 fn build(n: u32, seed: u64) -> Dataset {
     let g = gen::copying_web(n, 4, 0.8, seed);
-    let params = SimRankParams { r_bounds: 300, r_gamma: 25, ..Default::default() };
+    let params = SimRankParams { r_bounds: 300, ..Default::default() };
     let idx = TopKIndex::build_with(&g, &params, Diagonal::paper_default(params.c), seed, 2);
     Dataset::new(g, idx).unwrap()
 }
@@ -208,6 +209,112 @@ fn live_ingest_replays_through_a_chain_on_any_shard_count() {
     }
 }
 
+/// Re-encodes `bytes` section by section into a new page-aligned bundle,
+/// letting `patch` rewrite a payload and inserting the extra `(tag, f32
+/// rows)` section right after the section tagged `after` — the layout
+/// that bundle had when the writer still stored the γ table.
+fn with_extra_section(
+    bytes: Vec<u8>,
+    after: &str,
+    extra: (&str, &[f32]),
+    patch: impl Fn(&str, &mut Vec<u8>),
+) -> Vec<u8> {
+    let r = container::BundleReader::open(bytes).unwrap();
+    let mut w = container::BundleWriter::new().page_aligned();
+    for i in 0..r.num_sections() {
+        let tag = r.section_tag(i).unwrap();
+        let mut payload = r.bytes(tag).unwrap().to_vec();
+        patch(tag, &mut payload);
+        w.add_bytes(tag, 8, payload);
+        if tag == after {
+            w.add_pod(extra.0, extra.1);
+        }
+    }
+    w.to_bytes()
+}
+
+#[test]
+fn bundles_and_links_carrying_gamma_rows_still_load_and_answer_identically() {
+    // Base snapshots and delta links written while the index still held
+    // the γ table carry it as one more section (`i.gamma`, `d.gamma`)
+    // and its step count in `i.meta`'s unused word. The readers never
+    // ask for either, so such a chain loads in every mode — deep
+    // validation included — and answers exactly like the same index in
+    // today's layout.
+    let ds = build(80, 4);
+    let (n, t) = (ds.graph().num_vertices() as usize, ds.index().params().t);
+    let mut batch = GraphDelta::new();
+    batch.grow_to(83);
+    batch.insert(80, 1);
+    batch.insert(81, 80);
+    batch.insert(82, 2);
+    batch.delete(1, 0);
+    let gamma_rows = vec![0.5f32; 83 * t as usize];
+    let current = snapshot::pack_to_bytes(ds.graph(), ds.index());
+    // `i.meta`: 32 bytes of f64/u64 fields, 8 u32 parameters, then n and
+    // the word that used to hold the γ step count.
+    let steps_word = |tag: &str, meta: &mut Vec<u8>| {
+        if tag == "i.meta" {
+            assert_eq!(meta[68..72], [0; 4], "the unused word is written as 0");
+            meta[68..72].copy_from_slice(&t.to_le_bytes());
+        }
+    };
+    let older =
+        with_extra_section(current.clone(), "i.meta", ("i.gamma", &gamma_rows[..n * t as usize]), steps_word);
+    let reader = container::BundleReader::open(older.clone()).unwrap();
+    assert!(reader.has("i.gamma"));
+    let deep = persist::index_from_bundle_with(&reader, ValidationLevel::Deep).unwrap();
+    assert_eq!(deep.candidate_index(), ds.index().candidate_index());
+
+    // Each base gets its own delta link, parented at that base's
+    // fingerprint; the older link also carries the dirty γ rows.
+    let mut chains = Vec::new();
+    for (name, base_bytes) in [("current", current), ("older", older)] {
+        let base_path = write_temp(&format!("gamma_{name}.srs"), &base_bytes);
+        let (base, info) = Dataset::from_snapshot_bytes(base_bytes).unwrap();
+        let built = build_delta(&base, &batch, t - 1, 2, info.fingerprint).unwrap();
+        let link = if name == "older" {
+            let dirty = built.stats.appended as usize + built.stats.dirty as usize;
+            with_extra_section(
+                built.bytes,
+                "d.dirty",
+                ("d.gamma", &gamma_rows[..dirty * t as usize]),
+                |_, _| (),
+            )
+        } else {
+            built.bytes
+        };
+        let delta_path = write_temp(&format!("gamma_{name}.srs.d0001"), &link);
+        chains.push((base_path, delta_path));
+    }
+    let opts = QueryOptions { explain: true, candidate_ball: Some(2), ..Default::default() };
+    let queries: Vec<u32> = (0..83).collect();
+    for load in all_modes() {
+        let mut answers = Vec::new();
+        for (base_path, delta_path) in &chains {
+            let (bare, _, _) = srs_search::load_snapshot(base_path, &load).unwrap();
+            let (chained, _, chain, _) = load_chain(base_path, &[delta_path], &load).unwrap();
+            assert_eq!(chain.depth, 1);
+            answers.push((
+                ServingEngine::with_threads(bare, 2).query_batch(&queries[..80], 6, &opts),
+                ServingEngine::with_threads(chained, 2).query_batch(&queries, 6, &opts),
+            ));
+        }
+        let [(base_now, chain_now), (base_old, chain_old)] = &answers[..] else { unreachable!() };
+        for (now, old) in [(base_now, base_old), (chain_now, chain_old)] {
+            for (u, (a, b)) in now.results.iter().zip(&old.results).enumerate() {
+                assert_eq!(a.hits, b.hits, "u={u} {load:?}");
+                assert_eq!(a.stats, b.stats, "u={u} {load:?}");
+                assert_eq!(a.explain, b.explain, "u={u} {load:?}");
+            }
+        }
+    }
+    for (base_path, delta_path) in chains {
+        std::fs::remove_file(base_path).ok();
+        std::fs::remove_file(delta_path).ok();
+    }
+}
+
 /// Exact top-`k` of vertex `u` (self excluded, zero scores excluded,
 /// ties broken by vertex id) — the reference set for precision@k, same
 /// shape as `rankings_agree_across_score_families`.
@@ -227,7 +334,7 @@ fn staleness_depth_trades_freshness_for_accuracy() {
     let n: u32 = 100;
     let seed = 5u64;
     let g = gen::copying_web(n, 4, 0.8, seed);
-    let params = SimRankParams { r_bounds: 300, r_gamma: 25, ..Default::default() };
+    let params = SimRankParams { r_bounds: 300, ..Default::default() };
     let idx = TopKIndex::build_with(&g, &params, Diagonal::paper_default(params.c), seed, 2);
     let base = Dataset::new(g.clone(), idx).unwrap();
     let t = params.t;

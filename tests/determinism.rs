@@ -9,7 +9,7 @@ use simrank_search::graph::Graph;
 use simrank_search::search::{Dataset, Diagonal, QueryOptions, ServingEngine, SimRankParams, TopKIndex};
 
 fn params() -> SimRankParams {
-    SimRankParams { r_gamma: 40, r_bounds: 200, ..Default::default() }
+    SimRankParams { r_bounds: 200, ..Default::default() }
 }
 
 /// A serving engine over copies of `g` and `idx`.
@@ -25,8 +25,6 @@ fn build_is_deterministic_across_thread_counts() {
     let a = TopKIndex::build_with(&g, &p, d.clone(), 77, 1);
     let b = TopKIndex::build_with(&g, &p, d.clone(), 77, 3);
     let c = TopKIndex::build_with(&g, &p, d, 77, 8);
-    assert_eq!(a.gamma(), b.gamma());
-    assert_eq!(b.gamma(), c.gamma());
     assert_eq!(a.candidate_index(), b.candidate_index());
     assert_eq!(b.candidate_index(), c.candidate_index());
 }

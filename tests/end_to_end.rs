@@ -49,7 +49,7 @@ fn dataset_to_query_pipeline_web() {
 #[test]
 fn all_vertices_matches_individual_queries() {
     let g = simrank_search::graph::gen::copying_web(150, 4, 0.8, 13);
-    let params = SimRankParams { r_bounds: 500, r_gamma: 50, ..Default::default() };
+    let params = SimRankParams { r_bounds: 500, ..Default::default() };
     let index = TopKIndex::build(&g, &params, 1);
     let opts = QueryOptions::default();
     let dataset = simrank_search::search::Dataset::new(g.clone(), index.clone()).unwrap();
@@ -100,7 +100,7 @@ fn snap_edge_list_roundtrip_through_pipeline() {
         d
     };
     assert_eq!(degs(&g), degs(&g2));
-    let params = SimRankParams { r_bounds: 300, r_gamma: 30, ..Default::default() };
+    let params = SimRankParams { r_bounds: 300, ..Default::default() };
     let idx = TopKIndex::build(&g2, &params, 4);
     let res = idx.query(&g2, 7, 5, &QueryOptions::default());
     assert!(res.hits.len() <= 5);

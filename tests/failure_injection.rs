@@ -12,7 +12,7 @@ const RETIRED_MAGICS: [&[u8; 8]; 2] = [b"SRSCSR01", b"SRSIDX01"];
 
 fn sample_index_bytes() -> Vec<u8> {
     let g = gen::copying_web(60, 3, 0.8, 4);
-    let params = SimRankParams { r_gamma: 10, r_bounds: 50, ..Default::default() };
+    let params = SimRankParams { r_bounds: 50, ..Default::default() };
     let idx = TopKIndex::build_with(&g, &params, Diagonal::paper_default(params.c), 1, 1);
     let mut buf = Vec::new();
     persist::save(&idx, &mut buf).unwrap();

@@ -139,7 +139,7 @@ proptest! {
 
     #[test]
     fn index_persistence_roundtrip(g in small_graph()) {
-        let params = SimRankParams { r_gamma: 20, r_bounds: 50, ..Default::default() };
+        let params = SimRankParams { r_bounds: 50, ..Default::default() };
         let idx = simrank_search::search::TopKIndex::build_with(
             &g, &params, Diagonal::paper_default(params.c), 3, 1,
         );
@@ -188,7 +188,7 @@ proptest! {
         // and structurally valid.
         use simrank_search::graph::order;
         let r = order::apply_order(&g, &order::degree_order(&g));
-        let params = SimRankParams { r_gamma: 10, r_bounds: 20, ..Default::default() };
+        let params = SimRankParams { r_bounds: 20, ..Default::default() };
         let idx = simrank_search::search::index::CandidateIndex::build(&r.graph, &params, 3, 1);
         for u in 0..r.graph.num_vertices() {
             for v in idx.candidates(u) {

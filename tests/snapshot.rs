@@ -12,7 +12,7 @@ use srs_search::{
 
 fn build(n: u32, seed: u64) -> Dataset {
     let g = gen::copying_web(n, 4, 0.8, seed);
-    let params = SimRankParams { r_bounds: 300, r_gamma: 25, ..Default::default() };
+    let params = SimRankParams { r_bounds: 300, ..Default::default() };
     let idx = TopKIndex::build_with(&g, &params, Diagonal::paper_default(params.c), seed, 2);
     Dataset::new(g, idx).unwrap()
 }
@@ -273,7 +273,7 @@ fn sharded_serving_matches_unsharded_across_the_l1_gate() {
     // makes the per-query L1 table pay past 15 candidates, so on this
     // social graph the gate both builds and skips.
     let g = gen::preferential_attachment_windowed(300, 6, 100, 13);
-    let params = SimRankParams { r_bounds: 300, r_gamma: 25, ..Default::default() };
+    let params = SimRankParams { r_bounds: 300, ..Default::default() };
     let idx = TopKIndex::build_with(&g, &params, Diagonal::paper_default(params.c), 13, 2);
     let ds = Dataset::new(g, idx).unwrap();
     let queries: Vec<u32> = (0..300).step_by(2).collect();
