@@ -504,6 +504,7 @@ fn batch_query(args: &Args) -> Result<String, CliError> {
     let _ = writeln!(out, "bfs visited      {}", t.bfs_visited);
     let _ = writeln!(out, "walk steps       {}", t.walk_steps);
     let _ = writeln!(out, "zero screened    {}", t.zero_screened);
+    let _ = writeln!(out, "meet sets        {}", t.meet_sets);
     let _ = writeln!(
         out,
         "latency mean {:.2?} | p50 {:.2?} | p95 {:.2?} | p99 {:.2?} | max {:.2?}",

@@ -25,10 +25,12 @@ use crate::{GraphError, VertexId};
 /// *derived* data is proven consistent with its source arrays.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ValidationLevel {
-    /// Full semantic validation: additionally rebuilds the reverse-step
-    /// descriptors from the in-CSR and compares, so a consistent graph
-    /// is the only thing the loader can return. O(n + m) with a rebuild
-    /// allocation — the classic heap-load behaviour.
+    /// Full semantic validation: additionally proves the in-CSR is
+    /// exactly the transpose of the out-CSR with strictly ascending
+    /// lists, and rebuilds the reverse-step descriptors from the in-CSR
+    /// and compares, so a consistent graph is the only thing the loader
+    /// can return. O(n + m) with two O(n) allocations — the classic
+    /// heap-load behaviour.
     #[default]
     Deep,
     /// Panic-safety only: range/monotonicity scans (word-wide, cheap)
@@ -496,6 +498,9 @@ impl Graph {
         }
         match level {
             ValidationLevel::Deep => {
+                // The out-CSR is derived from the same edges as the in-CSR;
+                // `has_edge` and forward probes rely on the two agreeing.
+                validate_transpose(&out_offsets, &out_targets, &in_offsets, &in_sources)?;
                 // Descriptors are derived data; verify them against the in-CSR
                 // so a consistent graph is the only thing this can return.
                 let expect = build_reverse_desc(&in_offsets, &in_sources);
@@ -554,6 +559,37 @@ fn validate_csr_side(
     }
     if entries.iter().any(|&v| v >= n) {
         return Err(GraphError::Format(format!("{side}-adjacency: vertex id out of range")));
+    }
+    Ok(())
+}
+
+/// Proves the in-CSR is exactly the transpose of the out-CSR and every
+/// out-list strictly ascends (so every in-list does too). Both sides have
+/// passed [`validate_csr_side`]: each out-edge `u → v` must take the next
+/// unmatched slot of `v`'s in-list, and with `m` edges on each side every
+/// slot is then taken. See [`ValidationLevel::Deep`].
+fn validate_transpose(
+    out_offsets: &[u64],
+    out_targets: &[VertexId],
+    in_offsets: &[u64],
+    in_sources: &[VertexId],
+) -> Result<(), GraphError> {
+    let n = out_offsets.len() - 1;
+    let mut cursor = in_offsets[..n].to_vec();
+    for u in 0..n {
+        let list = &out_targets[out_offsets[u] as usize..out_offsets[u + 1] as usize];
+        if list.windows(2).any(|w| w[0] >= w[1]) {
+            return Err(GraphError::Format(format!("out-adjacency of vertex {u} not strictly ascending")));
+        }
+        for &v in list {
+            let c = &mut cursor[v as usize];
+            if *c == in_offsets[v as usize + 1] || in_sources[*c as usize] as usize != u {
+                return Err(GraphError::Format(format!(
+                    "in-adjacency is not the transpose of out-adjacency at edge {u} -> {v}"
+                )));
+            }
+            *c += 1;
+        }
     }
     Ok(())
 }

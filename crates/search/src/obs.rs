@@ -21,6 +21,7 @@
 //! | `srs_query_bfs_visited_total` | counter | |
 //! | `srs_query_zero_screened_total` | counter | |
 //! | `srs_query_l1_tables_total` | counter | |
+//! | `srs_query_meet_sets_total` | counter | |
 //! | `srs_query_waves_total` | counter | |
 //! | `srs_query_wave_wasted_total` | counter | |
 //! | `srs_query_wave_survivors` | histogram | |
@@ -112,6 +113,9 @@ pub struct ServingMetrics {
     /// per answered query like the fate counters: 1 when the query built
     /// its table, 0 when the table could not pay for itself).
     pub l1_tables: Arc<Counter>,
+    /// `srs_query_meet_sets_total` (structural-zero meet sets built, 1 per
+    /// query that built its `M(u)` within budget, 0 otherwise).
+    pub meet_sets: Arc<Counter>,
     /// `srs_query_waves_total` (walk waves formed by the batched scan).
     pub waves: Arc<Counter>,
     /// `srs_query_wave_wasted_total` (precomputed estimates never used).
@@ -242,6 +246,10 @@ impl ServingMetrics {
                 "srs_query_l1_tables_total",
                 "Per-query L1 bound tables built (skipped when they cannot pay for themselves)",
             ),
+            meet_sets: r.counter(
+                "srs_query_meet_sets_total",
+                "Per-query structural-zero meet sets built (skipped when they exceed their edge-scan budget)",
+            ),
             waves: r.counter("srs_query_waves_total", "Walk waves formed by the batched scan"),
             wave_wasted: r
                 .counter("srs_query_wave_wasted_total", "Wave-precomputed estimates never consumed"),
@@ -325,6 +333,7 @@ impl ServingMetrics {
         self.bfs_visited.add(s.bfs_visited);
         self.zero_screened.add(s.zero_screened);
         self.l1_tables.add(s.l1_tables);
+        self.meet_sets.add(s.meet_sets);
         self.waves.add(s.waves);
         self.wave_wasted.add(s.wave_wasted);
     }
@@ -395,6 +404,7 @@ mod tests {
             zero_screened: 5,
             waves: 2,
             l1_tables: 1,
+            meet_sets: 1,
             wave_wasted: 4,
         });
         m.record_walk_steps(WalkStepCounts { dead: 1, unique: 2, branch: 3 });
@@ -409,6 +419,7 @@ mod tests {
             "srs_query_bfs_visited_total",
             "srs_query_zero_screened_total",
             "srs_query_l1_tables_total",
+            "srs_query_meet_sets_total",
             "srs_query_waves_total",
             "srs_query_wave_wasted_total",
             "srs_query_wave_survivors",
@@ -448,6 +459,7 @@ mod tests {
         assert_eq!(snap.counter_total("srs_query_zero_screened_total"), 5);
         assert_eq!(snap.counter_total("srs_query_waves_total"), 2);
         assert_eq!(snap.counter_total("srs_query_l1_tables_total"), 1);
+        assert_eq!(snap.counter_total("srs_query_meet_sets_total"), 1);
         assert_eq!(snap.counter_total("srs_query_wave_wasted_total"), 4);
         assert_eq!(snap.family("srs_query_candidate_fates_total").unwrap().samples.len(), 5);
         assert_eq!(snap.family("srs_query_stage_ns").unwrap().samples.len(), 4);

@@ -12,43 +12,70 @@
 //! screen is exact, not a bound.
 //! The scan uses `0.0` for such a pair instead of walking it.
 //!
-//! [`ZeroScreen::is_zero`] decides one candidate `v` of one query vertex
-//! `u`:
+//! `w ∈ L_t(v)` holds exactly when `v` is `t` out-edge hops from `w`, so
+//! the candidates that can meet `u` form `u`'s **meet set**
+//! `M(u) = ⋃_{1 ≤ t < T} Out^t(L_t(u))` — the forward probe of ProbeSim
+//! (Liu et al.), used here as an exact screen. [`ZeroScreen::begin`]
+//! tries to build it once per query; [`ZeroScreen::is_zero`] then decides
+//! a candidate with one bit test. When the build would cost too much, the
+//! screen falls back to deciding each candidate from its own layers.
 //!
-//! * **u side.** `u`'s layers are built lazily and kept for the whole
-//!   scan, layer `t` as bit `t` of a dense per-vertex `u32` mask. The mask
-//!   is the scan's L1 count array (all-zero between uses) and is handed
-//!   back all-zero through a touched list. Layers at `t ≥ 32` have no bit
-//!   and count as unknown.
-//! * **v side.** `v`'s layers are expanded without dedup, at most
-//!   `2 · R_coarse` in-list entries per candidate (checked before each
-//!   list). A hit on `u`'s layer of the same step means the pair may meet.
-//!   So do an exhausted budget and an unknown layer. An empty layer on
-//!   either side means zero.
-//! * **Self-funding credit.** Each checked candidate earns
+//! * **u side.** `u`'s layers are built (deduplicated) and kept for the
+//!   whole scan, layer `t` as bit `t` of a dense per-vertex `u32` mask.
+//!   The mask is the scan's L1 count array (all-zero between uses) and is
+//!   handed back all-zero through a touched list. Layers at `t ≥ 32` have
+//!   no bit and count as unknown.
+//! * **Meet set.** With `T ≤ 32`, `begin` builds all of `u`'s layers, then
+//!   walks them forward with one deduplicated set per level:
+//!   `R_k = L_k(u) ∪ Out(R_{k+1})` from the deepest non-empty layer down
+//!   to `k = 1`, and `M(u) = Out(R_1)`, marked as bit 0 of the mask (no
+//!   layer uses it). `L_k(u)` is read back from the mask through the
+//!   touched list, so no layer is stored twice. Each level's exact cost,
+//!   `Σ in_degree` or `Σ out_degree` over the level it expands, is
+//!   checked before it is expanded, and so is a floor on the forward
+//!   pass, `Σ out_degree` over the layers built so far (each
+//!   `R_k ⊇ L_k(u)`). The whole build
+//!   may scan at most `|C| · 2 · R_coarse` edges, where `|C|` counts the
+//!   candidates the distance and L1 bounds keep at θ: the fallback's
+//!   per-candidate budget, summed over every candidate that can reach
+//!   the screen. On overrun the build stops, and the layers it finished
+//!   stay in the mask for the fallback.
+//! * **Fallback, v side.** `v`'s layers are expanded without dedup, at
+//!   most `2 · R_coarse` in-list entries per candidate (checked before
+//!   each list). A hit on `u`'s layer of the same step means the pair may
+//!   meet. So do an exhausted budget and an unknown layer. An empty layer
+//!   on either side means zero.
+//! * **Fallback, self-funding credit.** Each checked candidate earns
 //!   `2 · R_coarse · (T − 1)` edge scans of credit, the most walk work its
 //!   coarse estimate could take. `u`'s next layer is built only when its
-//!   exact cost, `Σ in_degree` over the previous layer, fits the credit
-//!   earned so far. Per candidate the screen thus scans at most the walk
-//!   steps its coarse estimate could take, plus its own `2 · R_coarse`
-//!   budget, and it needs no tuning knob.
+//!   exact cost fits the credit earned so far. Per candidate the fallback
+//!   thus scans at most the walk steps its coarse estimate could take,
+//!   plus its own `2 · R_coarse` budget, and it needs no tuning knob.
 //!
-//! Both sides decode adjacency through the walk kernels' own descriptor
-//! decode ([`Graph::reverse_step_parts`] + [`Graph::in_source_at`]), not
-//! [`Graph::in_neighbors`]. "Every walk position lies in a screened
-//! layer" thus holds by construction, even for a forged but safe mmap
-//! descriptor.
+//! Reverse steps decode adjacency through the walk kernels' own
+//! descriptor decode ([`Graph::reverse_step_parts`] +
+//! [`Graph::in_source_at`]), not [`Graph::in_neighbors`], so "every walk
+//! position lies in a screened layer" holds by construction. The meet
+//! set's forward steps read the out-CSR, which a graph loaded at
+//! [`srs_graph::ValidationLevel::Deep`] has proven to be the exact
+//! transpose of the in-CSR. A forged out-CSR accepted at the `Safety`
+//! level can therefore give wrong scores, never an out-of-range access.
 
+use crate::index::SeenStamps;
 use crate::SimRankParams;
 use srs_graph::{Graph, VertexId};
 
 /// Mask bits per vertex: layers at or past this step are never built.
 const MASK_BITS: u32 = u32::BITS;
 
+/// Mask bit marking `M(u)`; layer 0 (`{u}`) never takes a bit.
+const MEET_BIT: u32 = 1;
+
 /// Per-scan screen state for one query vertex (see the module docs).
 #[derive(Default)]
 pub(crate) struct ZeroScreen {
-    /// Bit `t` of `mask[w]` is set iff `w ∈ L_t(u)`, for the built layers.
+    /// Bit `t ≥ 1` of `mask[w]` is set iff `w ∈ L_t(u)`, for the built
+    /// layers; bit 0 iff `w ∈ M(u)`, once the meet set is built.
     mask: Vec<u32>,
     /// Vertices with a non-zero mask word, for the reset.
     touched: Vec<VertexId>,
@@ -60,6 +87,8 @@ pub(crate) struct ZeroScreen {
     /// First step whose layer of `u` is empty (`u32::MAX` while none is
     /// known); every later layer is empty too.
     empty_from: u32,
+    /// `M(u)` is complete: a candidate is zero iff its bit 0 is clear.
+    meet: bool,
     credit: u64,
     /// Credit each checked candidate earns.
     earn: u64,
@@ -74,8 +103,19 @@ pub(crate) struct ZeroScreen {
 
 impl ZeroScreen {
     /// Starts screening candidates of `u`, taking over `mask` (all-zero;
-    /// grown to `n` here) until [`ZeroScreen::end`] hands it back.
-    pub(crate) fn begin(&mut self, g: &Graph, u: VertexId, params: &SimRankParams, mask: Vec<u32>) {
+    /// grown to `n` here) until [`ZeroScreen::end`] hands it back, and
+    /// tries to build `u`'s meet set for the `candidates` that can reach
+    /// the screen, using `seen` for its per-level dedup. Returns whether
+    /// the meet set was built.
+    pub(crate) fn begin(
+        &mut self,
+        g: &Graph,
+        u: VertexId,
+        params: &SimRankParams,
+        mask: Vec<u32>,
+        candidates: usize,
+        seen: &mut SeenStamps,
+    ) -> bool {
         // A scan that unwound never reached `end`: its mask is dropped here,
         // and its touched list with it.
         self.touched.clear();
@@ -94,6 +134,10 @@ impl ZeroScreen {
         self.earn = 2 * r * u64::from(params.t.saturating_sub(1));
         self.budget = 2 * r as usize;
         self.t_steps = params.t;
+        self.meet = candidates > 0
+            && params.t <= MASK_BITS
+            && self.build_meet(g, (candidates as u64).saturating_mul(self.budget as u64), seen);
+        self.meet
     }
 
     /// Clears the mask and returns it all-zero.
@@ -106,9 +150,13 @@ impl ZeroScreen {
 
     /// `true` when no step `1 ≤ t < T` has a vertex in both `L_t(u)` and
     /// `L_t(v)`: every estimate of the pair is then exactly `+0.0`.
-    /// `false` when the layers share one, or when the candidate's budget,
-    /// the credit or the mask runs out first. `v` must differ from `u`.
+    /// `false` when the layers share one, or, without a meet set, when the
+    /// candidate's budget, the credit or the mask runs out first. `v` must
+    /// differ from `u`.
     pub(crate) fn is_zero(&mut self, g: &Graph, v: VertexId) -> bool {
+        if self.meet {
+            return self.mask[v as usize] & MEET_BIT == 0;
+        }
         self.credit = self.credit.saturating_add(self.earn);
         let mut budget = self.budget;
         self.cur.clear();
@@ -149,42 +197,113 @@ impl ZeroScreen {
         true
     }
 
+    /// Builds `M(u)` into bit 0 of the mask, scanning at most `funds`
+    /// edges; `false` (with no bit 0 set) when a level does not fit. The
+    /// layers built on the way stay, and the fallback's credit starts at 0.
+    fn build_meet(&mut self, g: &Graph, mut funds: u64, seen: &mut SeenStamps) -> bool {
+        // The forward pass expands every R_k ⊇ L_k(u), so it scans at least
+        // `floor` edges, the out-degree sum over the layers built so far.
+        let mut floor = 0u64;
+        while self.layer + 1 < self.t_steps && self.empty_from == u32::MAX {
+            let cost = self.next_layer_cost(g);
+            if cost.saturating_add(floor) > funds {
+                return false;
+            }
+            funds -= cost;
+            self.push_layer(g);
+            floor += self.front.iter().map(|&x| u64::from(g.out_degree(x))).sum::<u64>();
+        }
+        if floor > funds {
+            return false;
+        }
+        // Layers past the deepest non-empty one are empty (layer 0 never is).
+        let deepest = self.layer.min(self.empty_from - 1);
+        // Every layer the scan can ask for is built, so the fallback never
+        // reads `front` again: it holds R_{k+1} from here on, starting
+        // with the empty R_{deepest+1}. Layer k is read back from the
+        // mask through the touched list, which holds every layer vertex.
+        self.front.clear();
+        for k in (0..=deepest).rev() {
+            let cost: u64 = self.front.iter().map(|&x| u64::from(g.out_degree(x))).sum();
+            if cost > funds {
+                return false;
+            }
+            funds -= cost;
+            if k == 0 {
+                for &x in &self.front {
+                    for &y in g.out_neighbors(x) {
+                        let m = &mut self.mask[y as usize];
+                        if *m == 0 {
+                            self.touched.push(y);
+                        }
+                        *m |= MEET_BIT;
+                    }
+                }
+                break;
+            }
+            seen.begin(self.mask.len());
+            self.grow.clear();
+            let bit = 1u32 << k;
+            for &x in &self.touched {
+                if self.mask[x as usize] & bit != 0 {
+                    seen.insert(x);
+                    self.grow.push(x);
+                }
+            }
+            for &x in &self.front {
+                self.grow.extend(g.out_neighbors(x).iter().copied().filter(|&y| seen.insert(y)));
+            }
+            std::mem::swap(&mut self.front, &mut self.grow);
+        }
+        true
+    }
+
     /// Builds `u`'s layers through step `t` (or until one is empty), as far
     /// as the credit pays for; `false` when it does not reach `t`.
     fn build_through(&mut self, g: &Graph, t: u32) -> bool {
         while self.layer < t && self.empty_from == u32::MAX {
-            let front = &self.front;
-            let cost = *self
-                .next_cost
-                .get_or_insert_with(|| front.iter().map(|&w| u64::from(g.reverse_step_parts(w).0)).sum());
+            let cost = self.next_layer_cost(g);
             if cost > self.credit {
                 return false;
             }
             self.credit -= cost;
-            self.next_cost = None;
-            self.layer += 1;
-            let bit = 1u32 << self.layer;
-            self.grow.clear();
-            for &w in &self.front {
-                let (len, payload) = g.reverse_step_parts(w);
-                for i in 0..u64::from(len) {
-                    let x = if len == 1 { payload as VertexId } else { g.in_source_at(payload + i) };
-                    let m = &mut self.mask[x as usize];
-                    if *m & bit == 0 {
-                        if *m == 0 {
-                            self.touched.push(x);
-                        }
-                        *m |= bit;
-                        self.grow.push(x);
-                    }
-                }
-            }
-            std::mem::swap(&mut self.front, &mut self.grow);
-            if self.front.is_empty() {
-                self.empty_from = self.layer;
-            }
+            self.push_layer(g);
         }
         true
+    }
+
+    /// Exact edge-scan cost of building `u`'s layer `layer + 1`.
+    fn next_layer_cost(&mut self, g: &Graph) -> u64 {
+        let front = &self.front;
+        *self
+            .next_cost
+            .get_or_insert_with(|| front.iter().map(|&w| u64::from(g.reverse_step_parts(w).0)).sum())
+    }
+
+    /// Builds `u`'s layer `layer + 1` from `front`, its cost paid.
+    fn push_layer(&mut self, g: &Graph) {
+        self.next_cost = None;
+        self.layer += 1;
+        let bit = 1u32 << self.layer;
+        self.grow.clear();
+        for &w in &self.front {
+            let (len, payload) = g.reverse_step_parts(w);
+            for i in 0..u64::from(len) {
+                let x = if len == 1 { payload as VertexId } else { g.in_source_at(payload + i) };
+                let m = &mut self.mask[x as usize];
+                if *m & bit == 0 {
+                    if *m == 0 {
+                        self.touched.push(x);
+                    }
+                    *m |= bit;
+                    self.grow.push(x);
+                }
+            }
+        }
+        std::mem::swap(&mut self.front, &mut self.grow);
+        if self.front.is_empty() {
+            self.empty_from = self.layer;
+        }
     }
 }
 
@@ -197,33 +316,67 @@ mod tests {
     use srs_graph::gen::{self, fixtures};
     use srs_mc::WalkEngine;
 
-    /// Checks every ordered pair `u ≠ v` of `g`. A zero verdict must mean
-    /// an exact linearized 0.0 and a `+0.0` estimate at every seed and
-    /// walk count; with `complete` layers (unbounded credit and budget) a
-    /// non-zero verdict must mean a positive linearized score. Returns
-    /// the (zero, non-zero) verdict counts.
-    fn check_pairs(g: &Graph, params: &SimRankParams, credit: Option<u64>, complete: bool) -> (usize, usize) {
+    /// How a test drives the screen for each query vertex.
+    #[derive(Clone, Copy)]
+    struct Setup {
+        /// Candidate count funding the meet set (0: no meet set).
+        candidates: usize,
+        /// Per-candidate credit override of the fallback.
+        earn: Option<u64>,
+        /// Lift the fallback's per-candidate budget.
+        complete: bool,
+    }
+
+    /// The scan's own budget and credit, without a meet set.
+    const SCAN: Setup = Setup { candidates: 0, earn: None, complete: false };
+    /// Complete layers on both sides, without a meet set.
+    const COMPLETE: Setup = Setup { candidates: 0, earn: Some(u64::MAX / 4), complete: true };
+    /// An unbounded meet set.
+    const MEET: Setup = Setup { candidates: usize::MAX, earn: None, complete: false };
+
+    /// The screen's verdict for every ordered pair `u ≠ v` of `g`, in
+    /// `(u, v)` order, and the number of query vertices that built a meet
+    /// set. Checks that every scan hands its mask back all-zero.
+    fn verdicts(g: &Graph, params: &SimRankParams, setup: Setup) -> (Vec<bool>, usize) {
+        let n = g.num_vertices();
+        let mut screen = ZeroScreen::default();
+        let mut seen = SeenStamps::new();
+        let mut mask = Vec::new();
+        let (mut out, mut meets) = (Vec::new(), 0);
+        for u in 0..n {
+            meets += usize::from(screen.begin(g, u, params, mask, setup.candidates, &mut seen));
+            if let Some(c) = setup.earn {
+                screen.earn = c;
+            }
+            if setup.complete {
+                screen.budget = usize::MAX;
+            }
+            out.extend((0..n).filter(|&v| v != u).map(|v| screen.is_zero(g, v)));
+            mask = screen.end();
+            assert!(mask.iter().all(|&m| m == 0), "u={u}: mask not handed back all-zero");
+        }
+        (out, meets)
+    }
+
+    /// Checks `verdicts` (as [`verdicts`] orders them). A zero verdict
+    /// must mean an exact linearized 0.0 and a `+0.0` estimate at every
+    /// seed and walk count; with `complete` verdicts a non-zero one must
+    /// mean a positive linearized score. Returns the (zero, non-zero)
+    /// verdict counts.
+    fn check_pairs(g: &Graph, params: &SimRankParams, verdicts: &[bool], complete: bool) -> (usize, usize) {
         let n = g.num_vertices();
         let ep = ExactParams::new(params.c, params.t);
         let d = diagonal::uniform(n as usize, params.c);
         let diag = Diagonal::paper_default(params.c);
         let engine = WalkEngine::new(g);
         let mut est = EstimatorBuffers::new();
-        let mut screen = ZeroScreen::default();
-        let mut mask = Vec::new();
+        let mut verdicts = verdicts.iter();
         let (mut zeros, mut others) = (0, 0);
         for u in 0..n {
             let exact = linearized::single_source(g, u, &ep, &d);
-            screen.begin(g, u, params, mask);
-            if let Some(c) = credit {
-                screen.earn = c;
-            }
-            if complete {
-                screen.budget = usize::MAX;
-            }
             for v in (0..n).filter(|&v| v != u) {
                 let s = exact[v as usize];
-                if screen.is_zero(g, v) {
+                if *verdicts.next().expect("one verdict per pair") {
                     zeros += 1;
                     assert_eq!(s, 0.0, "u={u} v={v}: screened zero, linearized {s}");
                     for r in [10, 100, 1000] {
@@ -237,8 +390,6 @@ mod tests {
                     assert!(!complete || s > 0.0, "u={u} v={v}: complete layers missed a zero");
                 }
             }
-            mask = screen.end();
-            assert!(mask.iter().all(|&m| m == 0), "u={u}: mask not handed back all-zero");
         }
         (zeros, others)
     }
@@ -263,33 +414,48 @@ mod tests {
         Graph::from_edges(10, edges).unwrap()
     }
 
-    #[test]
-    fn zero_verdicts_are_exact_zeros_and_complete_layers_decide_every_pair() {
-        let params = SimRankParams::default();
-        let graphs = [
+    fn fixture_graphs() -> [Graph; 6] {
+        [
             gen::erdos_renyi(40, 90, 5),
             gen::copying_web(60, 3, 0.8, 7),
             gen::preferential_attachment_windowed(50, 2, 10, 3),
             cyclic(),
             Graph::from_edges(8, Vec::new()).unwrap(),
             fixtures::claw(),
-        ];
+        ]
+    }
+
+    #[test]
+    fn zero_verdicts_are_exact_zeros_and_complete_layers_decide_every_pair() {
+        let params = SimRankParams::default();
         let (mut zeros, mut meets) = (0, 0);
-        for g in &graphs {
-            let (z, m) = check_pairs(g, &params, Some(u64::MAX / 4), true);
+        for g in &fixture_graphs() {
+            let (z, m) = check_pairs(g, &params, &verdicts(g, &params, COMPLETE).0, true);
             zeros += z;
             meets += m;
             // The scan's own budget and credit stay sound.
-            check_pairs(g, &params, None, false);
+            check_pairs(g, &params, &verdicts(g, &params, SCAN).0, false);
         }
         assert!(zeros > 1000 && meets > 1000, "fixtures too one-sided: {zeros} zero, {meets} meet");
+    }
+
+    #[test]
+    fn meet_set_verdicts_equal_complete_layer_verdicts() {
+        let params = SimRankParams::default();
+        for g in &fixture_graphs() {
+            let (meet, built) = verdicts(g, &params, MEET);
+            assert_eq!(built, g.num_vertices() as usize, "an unbounded meet set is always built");
+            assert_eq!(meet, verdicts(g, &params, COMPLETE).0);
+            check_pairs(g, &params, &meet, true);
+        }
     }
 
     #[test]
     fn starved_credit_never_yields_a_wrong_zero() {
         let params = SimRankParams::default();
         for g in [gen::copying_web(60, 3, 0.8, 7), cyclic()] {
-            let (zeros, _) = check_pairs(&g, &params, Some(0), false);
+            let (verdicts, _) = verdicts(&g, &params, Setup { earn: Some(0), ..SCAN });
+            let (zeros, _) = check_pairs(&g, &params, &verdicts, false);
             // With no credit, only an in-degree-0 side decides a pair: v's
             // own first layer, or u's free empty one once v's first layer
             // fits v's budget.
@@ -302,6 +468,58 @@ mod tests {
                 })
                 .sum();
             assert_eq!(zeros, want);
+        }
+    }
+
+    #[test]
+    fn starved_meet_set_falls_back_without_a_wrong_zero() {
+        let params = SimRankParams::default();
+        for g in fixture_graphs() {
+            let n = g.num_vertices() as usize;
+            // One candidate funds 2 · R_coarse edge scans: some meet sets
+            // fit, the rest fall back to per-candidate layers.
+            let (verdicts, built) = verdicts(&g, &params, Setup { candidates: 1, ..SCAN });
+            check_pairs(&g, &params, &verdicts, false);
+            if g.num_edges() > 40 {
+                assert!(0 < built && built < n, "{built} of {n} meet sets built");
+            }
+        }
+        // An aborted build leaves the layers it finished for the fallback.
+        let g = gen::copying_web(60, 3, 0.8, 7);
+        let mut screen = ZeroScreen::default();
+        let mut seen = SeenStamps::new();
+        let kept = (0..g.num_vertices()).any(|u| {
+            let built = screen.begin(&g, u, &params, Vec::new(), 1, &mut seen);
+            let kept = !built && screen.layer >= 2;
+            screen.end();
+            kept
+        });
+        assert!(kept, "no aborted meet set kept its layers");
+
+        // A hub 0 → 1..=30: u = 1's first layer {0} costs 1 edge scan, but
+        // walking it forward costs at least out_degree(0) = 30. Funds of 20
+        // stop at that floor, before the second layer; funds of 40 build
+        // both layers (the second empty) and the meet set.
+        let hub = Graph::from_edges(31, (1..=30).map(|v| (0, v))).unwrap();
+        for (candidates, built, layers) in [(1, false, 1), (2, true, 2)] {
+            assert_eq!(screen.begin(&hub, 1, &params, Vec::new(), candidates, &mut seen), built);
+            assert_eq!(screen.layer, layers);
+            assert!(!screen.is_zero(&hub, 2), "siblings meet at step 1");
+            assert!(screen.is_zero(&hub, 0), "the hub has no in-links");
+            screen.end();
+        }
+        // 2 → 0 → 1 and 2 → 3 → 4..=33: u = 1's layers {0}, {2} cost 2
+        // edge scans and their out-degrees sum to 3, but R_1 = {0, 3}
+        // costs 31 to walk forward. Funds of 20 stop the forward pass,
+        // funds of 40 finish it; the verdicts agree.
+        let fan = Graph::from_edges(34, [(0, 1), (2, 0), (2, 3)].into_iter().chain((4..34).map(|y| (3, y))))
+            .unwrap();
+        for (candidates, built) in [(1, false), (2, true)] {
+            assert_eq!(screen.begin(&fan, 1, &params, Vec::new(), candidates, &mut seen), built);
+            assert_eq!(screen.layer, 3, "every layer built (the third empty)");
+            assert!(!screen.is_zero(&fan, 4), "4 meets 1 at step 2, through 2");
+            assert!(screen.is_zero(&fan, 0), "0's second layer is empty");
+            screen.end();
         }
     }
 
@@ -320,9 +538,13 @@ mod tests {
         }
         let g = Graph::from_edges(201, edges).unwrap();
         let mut screen = ZeroScreen::default();
+        let mut seen = SeenStamps::new();
         for (t, want) in [(30, true), (37, false)] {
             let params = SimRankParams { t, ..Default::default() };
-            screen.begin(&g, 0, &params, Vec::new());
+            // Unbounded funds: the meet set is built wherever its layers
+            // fit the mask, and only there.
+            let built = screen.begin(&g, 0, &params, Vec::new(), usize::MAX, &mut seen);
+            assert_eq!(built, want, "T={t}");
             screen.earn = u64::MAX / 4;
             screen.budget = usize::MAX;
             // Past step 31 the screen cannot tell a meeting (41) from

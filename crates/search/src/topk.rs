@@ -175,6 +175,13 @@ pub struct QueryStats {
     /// `walk_steps` it can drift between wave widths (the screen's credit
     /// depends on how many candidates it has seen).
     pub zero_screened: u64,
+    /// Meet sets built by the structural-zero screen: 1 when the query
+    /// built `M(u)` within its `|C| · 2 · R_coarse` edge-scan budget (`|C|`
+    /// the candidates the bounds keep at θ) and decided every screened
+    /// candidate with one bit test, 0 when no candidate can reach the
+    /// screen, `T > 32`, or the build did not fit (the screen then decides
+    /// each candidate from its own layers).
+    pub meet_sets: u64,
     /// Walk waves formed by the batched scan (0 on the scalar path).
     pub waves: u64,
     /// Wave-precomputed estimates (coarse or refine) that consumption
@@ -196,6 +203,7 @@ impl QueryStats {
         self.walk_steps += other.walk_steps;
         self.l1_tables += other.l1_tables;
         self.zero_screened += other.zero_screened;
+        self.meet_sets += other.meet_sets;
         self.waves += other.waves;
         self.wave_wasted += other.wave_wasted;
     }
@@ -336,7 +344,8 @@ pub struct QueryScratch {
     /// Candidates keyed for the ascending-distance scan.
     cands: Vec<(u32, VertexId)>,
     /// Epoch-stamped dedup buffer for candidate enumeration and the
-    /// candidate-ball extension (O(1) reset per query).
+    /// candidate-ball extension (O(1) reset per query). The scan lends it
+    /// to the structural-zero screen for the meet set's per-level dedup.
     seen: SeenStamps,
     /// Running top-k (min-heap on score).
     heap: BinaryHeap<Reverse<HeapHit>>,
@@ -592,7 +601,10 @@ impl QueryScratch {
         // Move the candidate list out so the scan can borrow the other
         // scratch fields mutably; moved back below.
         let cands = std::mem::take(&mut self.cands);
-        self.screen.begin(g, u, &index.params, std::mem::take(&mut self.l1_counts));
+        let mask = std::mem::take(&mut self.l1_counts);
+        let screenable = self.screenable(index, opts, theta, &cands);
+        let meet = self.screen.begin(g, u, &index.params, mask, screenable, &mut self.seen);
+        stats.meet_sets = u64::from(meet);
         let width = opts.wave_width.max(1) as usize;
         // The wave path replays scalar estimates bit-for-bit only for a
         // uniform diagonal (its co-location sums are integers, which
@@ -605,6 +617,33 @@ impl QueryScratch {
         }
         self.l1_counts = self.screen.end();
         self.cands = cands;
+    }
+
+    /// How many of `cands` can reach the structural-zero screen: those
+    /// the distance and L1 bounds keep at θ. The pruning threshold never
+    /// falls below θ, so no other candidate is ever screened.
+    fn screenable(
+        &self,
+        index: &TopKIndex,
+        opts: &QueryOptions,
+        theta: f64,
+        cands: &[(u32, VertexId)],
+    ) -> usize {
+        let kept = |d: u32| {
+            let (cd, l1b) = candidate_bounds(&index.params, &self.l1, opts, d);
+            !(opts.use_distance_bound && cd < theta) && l1b >= theta
+        };
+        // Candidates are sorted by distance: decide each distance once.
+        let (mut screenable, mut i) = (0, 0);
+        while i < cands.len() {
+            let d = cands[i].0;
+            let run = cands[i..].partition_point(|c| c.0 == d);
+            if kept(d) {
+                screenable += run;
+            }
+            i += run;
+        }
+        screenable
     }
 
     /// The wave loop: repeatedly *form* a wave (classify upcoming
@@ -657,7 +696,7 @@ impl QueryScratch {
             let mut end = cursor;
             while end < cands.len() {
                 let (d, v) = cands[end];
-                let cd = if d == UNREACHED { 0.0 } else { params.distance_bound(d) };
+                let (cd, l1b) = candidate_bounds(params, &self.l1, opts, d);
                 if opts.use_distance_bound && cd < prune_floor {
                     // Thresholds only rise and distances only grow: no
                     // later candidate can out-survive this one, so this
@@ -666,7 +705,6 @@ impl QueryScratch {
                     end = cands.len();
                     break;
                 }
-                let l1b = if opts.use_l1 && d != UNREACHED { self.l1.beta(d) } else { f64::INFINITY };
                 let survives = l1b >= prune_floor;
                 let zero = survives && self.screen.is_zero(g, v);
                 wave.slots.push(WaveSlot { cd, l1b, zero, coarse: None, refine: None });
@@ -911,6 +949,14 @@ impl QueryScratch {
         }
         false
     }
+}
+
+/// The distance bound `c^⌈d/2⌉` (0.0 when unreached) and the L1 bound
+/// `β(u, d)` (+∞ when off or unreached) of a candidate at distance `d`.
+fn candidate_bounds(params: &SimRankParams, l1: &AlphaBeta, opts: &QueryOptions, d: u32) -> (f64, f64) {
+    let cd = if d == UNREACHED { 0.0 } else { params.distance_bound(d) };
+    let l1b = if opts.use_l1 && d != UNREACHED { l1.beta(d) } else { f64::INFINITY };
+    (cd, l1b)
 }
 
 /// Whether the per-query L1 table can cost fewer walk steps than it
@@ -1232,6 +1278,26 @@ mod tests {
                 assert!(bset.contains(&h.vertex), "u={u} lost strong hit {h:?} ({:?})", b.hits);
             }
         }
+    }
+
+    #[test]
+    fn meet_set_is_funded_only_by_candidates_the_bounds_keep() {
+        let g = gen::copying_web(200, 4, 0.8, 8);
+        let params = fast_params();
+        let idx = TopKIndex::build_with(&g, &params, Diagonal::paper_default(params.c), 3, 2);
+        let mut ctx = QueryContext::new(&g, &idx);
+        let ball = QueryOptions { candidate_ball: Some(2), ..Default::default() };
+        // At θ = 0.99 even distance 1 is pruned (c^1 = 0.6): no candidate
+        // can reach the screen, so none funds a meet set.
+        let unreachable = QueryOptions { theta: Some(0.99), ..ball.clone() };
+        let (mut built, mut candidates) = (0, 0);
+        for u in 0..g.num_vertices() {
+            let s = ctx.query(u, 10, &unreachable).stats;
+            assert_eq!((s.meet_sets, s.zero_screened), (0, 0), "u={u}: {s:?}");
+            candidates += s.candidates;
+            built += ctx.query(u, 10, &ball).stats.meet_sets;
+        }
+        assert!(candidates > 0 && built > 0, "{candidates} candidates, {built} meet sets at the default θ");
     }
 
     #[test]

@@ -118,11 +118,14 @@ fn zero_screen_skips_only_pairs_whose_estimate_is_exactly_zero() {
     let d = diagonal::uniform(g.num_vertices() as usize, params.c);
     let mut ctx = QueryContext::new(&g, &index);
     let opts = QueryOptions { candidate_ball: Some(2), explain: true, ..Default::default() };
-    let mut screened = 0;
+    let (mut screened, mut meets) = (0, 0);
     for u in stats::sample_query_vertices(&g, 20, 11) {
         let res = ctx.query(u, 10, &opts);
         let s = res.stats;
         assert!(s.zero_screened <= s.pruned_coarse + s.refined, "u={u}: {s:?}");
+        // At most one meet set, and only for a query with candidates.
+        assert!(s.meet_sets <= u64::from(s.candidates > 0), "u={u}: {s:?}");
+        meets += s.meet_sets;
         // Every screened candidate is an exact structural zero whose
         // estimate fate records the value +0.0, so at least that many
         // such records exist.
@@ -144,4 +147,5 @@ fn zero_screen_skips_only_pairs_whose_estimate_is_exactly_zero() {
         screened += s.zero_screened;
     }
     assert!(screened > 0, "the fixture must exercise the screen");
+    assert!(meets > 0, "the fixture must build meet sets");
 }

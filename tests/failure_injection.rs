@@ -2,7 +2,8 @@
 //! as errors, never as panics, hangs, or silently-wrong data.
 
 use proptest::prelude::*;
-use simrank_search::graph::{gen, io, GraphError};
+use simrank_search::graph::container::{BundleReader, BundleWriter};
+use simrank_search::graph::{gen, io, Graph, GraphError, ValidationLevel};
 use simrank_search::search::persist::{self, PersistError};
 use simrank_search::search::{Diagonal, SimRankParams, TopKIndex};
 
@@ -47,6 +48,51 @@ fn graph_every_truncation_point_errors() {
         assert!(io::read_binary(&buf[..cut]).is_err(), "cut={cut}");
     }
     assert!(io::read_binary(&buf[..]).is_ok());
+}
+
+/// `buf` (a bundle) with section `tag`'s payload replaced by `payload`
+/// and every checksum recomputed, so only the loader's own checks can
+/// reject the result.
+fn with_section(buf: Vec<u8>, tag: &str, payload: Vec<u8>) -> Vec<u8> {
+    let r = BundleReader::open(buf).unwrap();
+    let mut w = BundleWriter::new();
+    for i in 0..r.num_sections() {
+        let t = r.section_tag(i).unwrap();
+        let bytes = if t == tag { payload.clone() } else { r.bytes(t).unwrap().to_vec() };
+        w.add_bytes(t, 8, bytes);
+    }
+    w.to_bytes()
+}
+
+#[test]
+fn out_adjacency_that_is_not_the_transpose_is_a_format_error_under_deep() {
+    let g = gen::erdos_renyi(40, 160, 9);
+    let n = g.num_vertices();
+    let buf = sample_graph_bytes();
+    let targets = |f: &dyn Fn(u32, &[u32]) -> Vec<u32>| -> Vec<u8> {
+        (0..n).flat_map(|u| f(u, g.out_neighbors(u))).flat_map(u32::to_le_bytes).collect()
+    };
+    // Every target shifted by one and each list re-sorted: offsets, id
+    // ranges, descriptors and checksums all hold, but the out-CSR no
+    // longer has the in-CSR's edges.
+    let shifted = targets(&|_, l| {
+        let mut l: Vec<u32> = l.iter().map(|&v| (v + 1) % n).collect();
+        l.sort_unstable();
+        l
+    });
+    // The right edges, but one list out of order.
+    let u = (0..n).find(|&u| g.out_degree(u) >= 2).unwrap();
+    let unsorted = targets(&|w, l| if w == u { l.iter().rev().copied().collect() } else { l.to_vec() });
+    for (what, payload) in [("shifted targets", shifted), ("unsorted list", unsorted)] {
+        let forged = with_section(buf.clone(), "g.out_tgt", payload);
+        let err = io::read_binary(&forged[..]).err();
+        assert!(matches!(err, Some(GraphError::Format(_))), "{what}: {err:?}");
+        // Safety proves only that every access stays in range.
+        let r = BundleReader::open(forged).unwrap();
+        assert!(Graph::from_bundle_with(&r, ValidationLevel::Safety).is_ok(), "{what}");
+    }
+    // The untouched bundle still loads under Deep.
+    assert_eq!(io::read_binary(&buf[..]).unwrap(), g);
 }
 
 proptest! {
