@@ -6,8 +6,7 @@ use std::collections::BTreeMap;
 /// Flags that take no value; their presence means `true`. Registered here
 /// so `--explain` never swallows the next token as its "value" while
 /// `query --graph` (a value flag with nothing after it) still errors.
-const BOOL_FLAGS: &[&str] =
-    &["explain", "progress", "mmap", "verify-on-load", "prefault", "prune-theta-only"];
+const BOOL_FLAGS: &[&str] = &["explain", "progress", "mmap", "verify-on-load", "prefault"];
 
 /// A failed invocation. `usage` marks a mistake in the command line
 /// itself (an unknown flag, a missing or unparsable value), after which

@@ -28,7 +28,6 @@ usage:
                   [--mmap [--verify-on-load] [--prefault]] | --graph FILE --index FILE}
                  [--vertices 1,2,3 | --queries N|FILE|- [--seed S]]
                  [--k 20] [--threads T] [--ball R] [--theta X] [--wave-width W]
-                 [--prune-theta-only]
                  [--metrics-out FILE] [--hits-out FILE] [--trace-out FILE.json]
   srs serve      --snapshot FILE.srs [--deltas D1,D2,...] [--staleness-depth N]
                  [--mmap [--verify-on-load] [--prefault]]
@@ -390,12 +389,11 @@ fn batch_query(args: &Args) -> Result<String, CliError> {
                 "mmap",
                 "verify-on-load",
                 "prefault",
-                "prune-theta-only",
             ],
         ]
         .concat(),
     )?;
-    let mut opts = query_options(args)?;
+    let opts = query_options(args)?;
     let load_opts = load_options(args)?;
     let chain_paths: Vec<String> = args.get_list::<String>("deltas")?.unwrap_or_default();
     let (dataset, snap_info) = if let Some(path) = args.opt("snapshot") {
@@ -426,13 +424,6 @@ fn batch_query(args: &Args) -> Result<String, CliError> {
     let k: usize = args.get_or("k", 20)?;
     let threads: usize =
         args.get_or("threads", std::thread::available_parallelism().map(|v| v.get()).unwrap_or(1))?;
-    // `--prune-theta-only` switches off the adaptive kth-score pruning
-    // floor, leaving only the θ floor: every candidate decision is then
-    // independent of scan order. Like every option it applies to a
-    // snapshot of any shard count.
-    if args.flag("prune-theta-only") {
-        opts.kth_prune = false;
-    }
     let graph = dataset.graph();
     let n = graph.num_vertices();
     let queries: Vec<u32> = match args.get_list::<u32>("vertices")? {
@@ -2309,6 +2300,17 @@ mod tests {
         }
         let args = Args::parse(&["query".to_string(), "--theta".to_string(), "0".to_string()]).unwrap();
         assert_eq!(query_options(&args).unwrap().theta, Some(0.0));
+    }
+
+    #[test]
+    fn retired_theta_only_flag_is_unknown() {
+        // The scan prunes against θ alone, so the switch that chose that
+        // is gone; an old invocation must fail rather than be ignored.
+        let err = run("batch-query --snapshot none.srs --prune-theta-only 1").unwrap_err();
+        assert!(err.contains("unknown flag --prune-theta-only"), "{err}");
+        // As the last token it is now a flag without a value.
+        let err = run("batch-query --snapshot none.srs --prune-theta-only").unwrap_err();
+        assert!(err.contains("--prune-theta-only"), "{err}");
     }
 
     #[test]

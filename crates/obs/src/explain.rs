@@ -4,7 +4,7 @@
 //! enumerated: which bound killed it (the `c^⌈d/2⌉` distance bound, the
 //! L1 bound β(u,d), or the coarse pass), or that it was refined with the
 //! full walk budget — and in each case the bound value that was compared
-//! against the running threshold. This is the
+//! against the threshold. This is the
 //! per-candidate view of the same accounting `QueryStats` keeps in
 //! aggregate, so a trace's fate counts must reconcile with the stats.
 
@@ -13,7 +13,7 @@ use crate::registry::json_string;
 /// Why a candidate stopped (or survived) in the Algorithm 5 scan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CandidateFate {
-    /// Killed by the distance bound `c^⌈d/2⌉ ≤ θ'`.
+    /// Killed by the distance bound `c^⌈d/2⌉ < θ`.
     PrunedDistance,
     /// Killed by the L1 upper bound β(u,d).
     PrunedL1,
@@ -46,8 +46,8 @@ impl CandidateFate {
 }
 
 /// One candidate's outcome: the value that decided its fate (an upper
-/// bound for pruned fates, the estimated score for refined ones) against
-/// the threshold in force at that moment (θ or the current k-th score).
+/// bound for pruned fates, the estimated score for refined ones) and the
+/// threshold it was compared against (θ, or the coarse cut).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CandidateRecord {
     pub vertex: u32,
@@ -56,7 +56,7 @@ pub struct CandidateRecord {
     pub fate: CandidateFate,
     /// Bound or score compared against `threshold`.
     pub value: f64,
-    /// Running threshold at decision time.
+    /// Threshold `value` was compared against.
     pub threshold: f64,
 }
 
@@ -67,7 +67,7 @@ pub struct ExplainTrace {
     pub source: u32,
     /// Requested k.
     pub k: usize,
-    /// Reporting threshold θ the query started from.
+    /// Reporting threshold θ.
     pub theta: f64,
     /// One record per enumerated candidate, in scan order.
     pub records: Vec<CandidateRecord>,

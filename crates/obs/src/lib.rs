@@ -11,7 +11,7 @@
 //!   snapshottable to Prometheus text format or JSON.
 //! - [`explain`]: the opt-in per-query [`ExplainTrace`] recording each
 //!   candidate's fate (which bound pruned it, or how it was refined)
-//!   against the running threshold.
+//!   against the threshold.
 //! - [`progress`]: a throttled [`Progress`] reporter for long index
 //!   builds.
 //! - [`trace`]: request-scoped span tracing — 64-bit [`TraceIdGen`]

@@ -27,8 +27,8 @@
 //! `Σ_w D_ww (count_w/R)²` has *positive* bias
 //! (`E[(count/R)²] = p² + p(1−p)/R`), which keeps the L2 bound conservative.
 //! The α estimator is unbiased per entry, but the max over entries is again
-//! positively biased — also conservative. Callers still add an ε-slack for
-//! the downward noise (see `BOUND_SLACK` in the `topk` scan).
+//! positively biased — also conservative. The `topk` scan compares β with
+//! θ as it is.
 
 use crate::{Diagonal, SimRankParams};
 use srs_graph::bfs::UNREACHED;

@@ -1232,7 +1232,6 @@ mod tests {
             QueryOptions { use_distance_bound: false, ..Default::default() },
             QueryOptions { use_l1: false, ..Default::default() },
             QueryOptions { adaptive: false, ..Default::default() },
-            QueryOptions { kth_prune: false, ..Default::default() },
             QueryOptions { candidate_ball: Some(2), ..Default::default() },
             QueryOptions { theta: Some(0.05), ..Default::default() },
             QueryOptions { explain: true, ..Default::default() },

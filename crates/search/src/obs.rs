@@ -23,7 +23,6 @@
 //! | `srs_query_l1_tables_total` | counter | |
 //! | `srs_query_meet_sets_total` | counter | |
 //! | `srs_query_waves_total` | counter | |
-//! | `srs_query_wave_wasted_total` | counter | |
 //! | `srs_query_wave_survivors` | histogram | |
 //! | `srs_queries_deduped_total` | counter | |
 //! | `srs_cache_hits_total` / `srs_cache_misses_total` | counter | |
@@ -118,8 +117,6 @@ pub struct ServingMetrics {
     pub meet_sets: Arc<Counter>,
     /// `srs_query_waves_total` (walk waves formed by the batched scan).
     pub waves: Arc<Counter>,
-    /// `srs_query_wave_wasted_total` (precomputed estimates never used).
-    pub wave_wasted: Arc<Counter>,
     /// `srs_query_wave_survivors` (per-wave survivor count distribution).
     pub wave_survivors: Arc<Histogram>,
     /// `srs_queries_deduped_total` (batch queries answered by copying an
@@ -251,8 +248,6 @@ impl ServingMetrics {
                 "Per-query structural-zero meet sets built (skipped when they exceed their edge-scan budget)",
             ),
             waves: r.counter("srs_query_waves_total", "Walk waves formed by the batched scan"),
-            wave_wasted: r
-                .counter("srs_query_wave_wasted_total", "Wave-precomputed estimates never consumed"),
             wave_survivors: r.histogram("srs_query_wave_survivors", "Bound-surviving candidates per wave"),
             deduped: r.counter("srs_queries_deduped_total", "Batch queries answered via in-batch dedup"),
             cache_hits: r.counter("srs_cache_hits_total", "Queries answered from the result cache"),
@@ -335,7 +330,6 @@ impl ServingMetrics {
         self.l1_tables.add(s.l1_tables);
         self.meet_sets.add(s.meet_sets);
         self.waves.add(s.waves);
-        self.wave_wasted.add(s.wave_wasted);
     }
 
     /// Folds a worker's walk-step class delta into the shared cells.
@@ -405,7 +399,6 @@ mod tests {
             waves: 2,
             l1_tables: 1,
             meet_sets: 1,
-            wave_wasted: 4,
         });
         m.record_walk_steps(WalkStepCounts { dead: 1, unique: 2, branch: 3 });
         m.record_extend(&crate::ExtendStats { appended: 3, dirty: 5, reused: 92 }, 1000);
@@ -421,7 +414,6 @@ mod tests {
             "srs_query_l1_tables_total",
             "srs_query_meet_sets_total",
             "srs_query_waves_total",
-            "srs_query_wave_wasted_total",
             "srs_query_wave_survivors",
             "srs_queries_deduped_total",
             "srs_cache_hits_total",
@@ -460,7 +452,6 @@ mod tests {
         assert_eq!(snap.counter_total("srs_query_waves_total"), 2);
         assert_eq!(snap.counter_total("srs_query_l1_tables_total"), 1);
         assert_eq!(snap.counter_total("srs_query_meet_sets_total"), 1);
-        assert_eq!(snap.counter_total("srs_query_wave_wasted_total"), 4);
         assert_eq!(snap.family("srs_query_candidate_fates_total").unwrap().samples.len(), 5);
         assert_eq!(snap.family("srs_query_stage_ns").unwrap().samples.len(), 4);
         assert_eq!(snap.counter_total("srs_extend_applies_total"), 1);

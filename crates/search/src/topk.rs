@@ -9,7 +9,8 @@
 //! 1. enumerate candidates `S = {v : Γ(u) ∩ Γ(v) ≠ ∅}` from the index;
 //! 2. sort by undirected distance (the §2.2 "ascending order of distance"
 //!    scan) and prune with the two upper bounds `c^d` and `β(u,d)`
-//!    against `max(θ, current k-th score)`.
+//!    against θ. Both depend on the distance alone, so each distance is
+//!    decided once.
 //!    The per-query β table (Algorithm 2, `r_bounds` walks) is built only
 //!    when it can cost fewer walks than it could save,
 //!    `|C| · 2 · R > r_bounds` (see `l1_table_pays`); otherwise β reads +∞;
@@ -17,10 +18,16 @@
 //!    survivors with `R = 100` (§7.2);
 //! 4. return the k highest refined scores.
 //!
-//! Every pruning stage (the two bounds, adaptive sampling, the k-th
-//! threshold) can be disabled through [`QueryOptions`] — that is what the
-//! ablation benches sweep. The noise slack and the coarse cut are fixed
-//! constants of the scan (`BOUND_SLACK`, `COARSE_FRACTION`).
+//! The threshold is θ throughout — the paper's `max(θ, kth − slack)`
+//! k-th score floor is not applied — so every candidate's fate is
+//! independent of scan order and of k: the answer is the first k rows of
+//! the ranking (score, then lower vertex id) of all candidates whose
+//! refined score reaches θ.
+//!
+//! Every pruning stage (the two bounds, adaptive sampling) can be
+//! disabled through [`QueryOptions`] — that is what the ablation benches
+//! sweep. The coarse cut is a fixed constant of the scan
+//! (`COARSE_FRACTION`).
 
 use crate::bounds::AlphaBeta;
 use crate::index::{CandidateIndex, SeenStamps};
@@ -56,14 +63,6 @@ pub struct QueryOptions {
     /// Two-stage adaptive sampling (§7.2). When off, every surviving
     /// candidate is refined directly.
     pub adaptive: bool,
-    /// Tighten the pruning threshold with the running k-th heap score
-    /// (Algorithm 5's `max(θ, kth − slack)`). On by default — it is the
-    /// main source of pruning power once the heap fills. Off, pruning
-    /// uses `θ` alone, which makes every per-candidate decision
-    /// independent of scan order: the reported set becomes exactly "all
-    /// candidates with refined score ≥ θ" (truncated to the top k). Like
-    /// every option it is honoured for every shard count.
-    pub kth_prune: bool,
     /// Extension beyond the paper: additionally treat every vertex within
     /// this undirected distance of the query as a candidate. Raises recall
     /// on graphs where the random-walk index misses borderline pairs, at
@@ -77,17 +76,17 @@ pub struct QueryOptions {
     /// Record a per-candidate [`ExplainTrace`] into
     /// [`TopKResult::explain`]: every enumerated candidate's fate (which
     /// bound pruned it, or how its refinement scored) with the bound value
-    /// vs. the running threshold. Off by default — the trace allocates and
+    /// vs. the threshold. Off by default — the trace allocates and
     /// is meant for interactive debugging, not the serving path. Scores
     /// and stats are unaffected either way.
     pub explain: bool,
     /// How many bound-surviving candidates the scan batches into one
-    /// multi-source walk **wave** (see DESIGN.md §5g). A wave only
-    /// *precomputes* coarse/refine estimates through the wide kernel;
-    /// candidates are still consumed one at a time in distance order
-    /// against the running threshold, so hits, fates, and explain traces
-    /// are bit-identical for every width. `1` disables batching (the
-    /// scalar scan); per-vertex diagonals always use the scalar scan.
+    /// multi-source walk **wave** (see DESIGN.md §5g). A wave estimates
+    /// its candidates through the wide kernel, which replays the scalar
+    /// estimate bit for bit, and every candidate is decided once against
+    /// θ, so hits, every stat but `waves`, and explain traces are
+    /// identical for every width. `1` estimates one candidate at a time (the scalar
+    /// estimator); per-vertex diagonals always use the scalar estimator.
     pub wave_width: u32,
 }
 
@@ -97,7 +96,6 @@ impl Default for QueryOptions {
             use_distance_bound: true,
             use_l1: true,
             adaptive: true,
-            kth_prune: true,
             candidate_ball: None,
             theta: None,
             explain: false,
@@ -120,7 +118,6 @@ impl QueryOptions {
         self.use_distance_bound.hash(&mut h);
         self.use_l1.hash(&mut h);
         self.adaptive.hash(&mut h);
-        self.kth_prune.hash(&mut h);
         self.candidate_ball.hash(&mut h);
         self.theta.map(f64::to_bits).hash(&mut h);
         self.explain.hash(&mut h);
@@ -159,10 +156,9 @@ pub struct QueryStats {
     /// deeper — not the whole `d_max` ball.
     pub bfs_visited: u64,
     /// Reverse walk steps performed answering the query (L1 table, coarse
-    /// and refine estimates — everything the walk kernels stepped). Under
-    /// the wave-batched scan this can drift between wave widths (a wave
-    /// may precompute estimates the consumer then prunes); the fate
-    /// counters above never do.
+    /// and refine estimates — everything the walk kernels stepped). Equal
+    /// for every wave width: a wave estimates exactly the candidates the
+    /// scalar scan would.
     pub walk_steps: u64,
     /// Algorithm 2 L1 tables built: 1 when the query paid for its table,
     /// 0 when it had no candidates, `use_l1` was off, or the table could
@@ -171,9 +167,8 @@ pub struct QueryStats {
     /// Candidates whose estimates the structural-zero screen set to 0.0
     /// without walking (their reverse layers never share a vertex at the
     /// same step; see DESIGN.md §5g). A work counter, not a fate: these
-    /// candidates keep their coarse-pruned or refined fate. Like
-    /// `walk_steps` it can drift between wave widths (the screen's credit
-    /// depends on how many candidates it has seen).
+    /// candidates keep their coarse-pruned or refined fate. The screen
+    /// sees the same candidates in the same order at every wave width.
     pub zero_screened: u64,
     /// Meet sets built by the structural-zero screen: 1 when the query
     /// built `M(u)` within its `|C| · 2 · R_coarse` edge-scan budget (`|C|`
@@ -182,11 +177,9 @@ pub struct QueryStats {
     /// screen, `T > 32`, or the build did not fit (the screen then decides
     /// each candidate from its own layers).
     pub meet_sets: u64,
-    /// Walk waves formed by the batched scan (0 on the scalar path).
+    /// Walk waves estimated through the wide kernel (0 on the scalar
+    /// path).
     pub waves: u64,
-    /// Wave-precomputed estimates (coarse or refine) that consumption
-    /// never used — the speculative overhead of batching.
-    pub wave_wasted: u64,
 }
 
 impl QueryStats {
@@ -205,7 +198,6 @@ impl QueryStats {
         self.zero_screened += other.zero_screened;
         self.meet_sets += other.meet_sets;
         self.waves += other.waves;
-        self.wave_wasted += other.wave_wasted;
     }
 
     /// The checked accounting identity: every enumerated candidate has
@@ -327,8 +319,6 @@ pub struct QueryScratch {
     bfs: BfsBuffers,
     /// Depth through which the last query's BFS ball is complete.
     ball_depth: u32,
-    /// Algorithm 1 walk/counter buffers.
-    estimator: EstimatorBuffers,
     /// Algorithm 2 L1 table storage (recomputed per query when enabled).
     l1: AlphaBeta,
     /// Walk-position buffer for the L1 table.
@@ -341,7 +331,8 @@ pub struct QueryScratch {
     screen: ZeroScreen,
     /// Candidate ids straight from the index.
     cand_ids: Vec<VertexId>,
-    /// Candidates keyed for the ascending-distance scan.
+    /// Candidates keyed for the ascending-distance scan; the scan keeps
+    /// only the bound survivors.
     cands: Vec<(u32, VertexId)>,
     /// Epoch-stamped dedup buffer for candidate enumeration and the
     /// candidate-ball extension (O(1) reset per query). The scan lends it
@@ -349,68 +340,77 @@ pub struct QueryScratch {
     seen: SeenStamps,
     /// Running top-k (min-heap on score).
     heap: BinaryHeap<Reverse<HeapHit>>,
-    /// Wave-batched scan state (formation buffers + estimate table).
+    /// The scan's wave state and estimators.
     wave: WaveScratch,
     /// Stage-duration accumulators, drained by the engine at batch end.
     obs: QueryLocalObs,
 }
 
-/// Scratch for the wave-batched scan: formation output, the batched
-/// estimator, and the per-span estimate table `scan_span` consumes.
+/// Scratch for the candidate scan: the current wave's lanes, their
+/// estimates, and the two Algorithm 1 estimators.
 #[derive(Default)]
 struct WaveScratch {
-    estimator: WaveEstimator,
-    /// Candidate positions (indices into the scan order) of the current
-    /// wave's survivors.
-    survivors: Vec<usize>,
-    /// Survivor vertices / per-candidate seeds, aligned with `survivors`.
+    /// The wide multi-source kernel (uniform diagonal, width ≥ 2).
+    wide: WaveEstimator,
+    /// One pair at a time (width 1, or a per-vertex diagonal).
+    scalar: EstimatorBuffers,
+    /// The wave's lanes: vertices and per-candidate seeds, in scan order.
     targets: Vec<VertexId>,
     seeds: Vec<u64>,
-    /// Coarse estimates, aligned with `survivors`.
+    /// Coarse estimates, aligned with the lanes.
     coarse: Vec<f64>,
-    /// Survivors selected for refine precompute (indices into `survivors`),
-    /// with their gathered inputs and results.
-    refine_picks: Vec<usize>,
+    /// The lanes picked for refinement: vertices, seeds, refined scores.
     refine_targets: Vec<VertexId>,
     refine_seeds: Vec<u64>,
-    refine_values: Vec<f64>,
-    /// Precomputed estimates for every candidate of the consumption span.
-    slots: Vec<WaveSlot>,
+    refined: Vec<f64>,
 }
 
-/// Most candidates one formation pass examines. Screened zeros take no
-/// wave lane, so an uncapped span could stretch over the whole candidate
-/// list, and the slot table with it.
+impl WaveScratch {
+    /// Algorithm 1 for every lane (`refine` off: `r_coarse` walks into
+    /// `coarse`) or every picked lane (`refine` on: `r_refine` walks into
+    /// `refined`), through the wide kernel when `wide` is set and the
+    /// diagonal is uniform, one pair at a time otherwise. Both routes draw
+    /// each candidate's own seed, so the estimates are bit-identical.
+    fn estimate(
+        &mut self,
+        engine: &WalkEngine<'_>,
+        diag: &Diagonal,
+        wide: bool,
+        u: VertexId,
+        params: &SimRankParams,
+        refine: bool,
+    ) {
+        let (targets, seeds, out, r) = if refine {
+            (&self.refine_targets, &self.refine_seeds, &mut self.refined, params.r_refine)
+        } else {
+            (&self.targets, &self.seeds, &mut self.coarse, params.r_coarse)
+        };
+        match *diag {
+            Diagonal::Uniform(x) if wide && !targets.is_empty() => {
+                self.wide.estimate_pairs_into(engine, x, u, targets, params, r, seeds, out)
+            }
+            _ => {
+                out.clear();
+                let scalar = &mut self.scalar;
+                out.extend(
+                    targets
+                        .iter()
+                        .zip(seeds)
+                        .map(|(&v, &seed)| scalar.estimate(engine, diag, u, v, params, r, seed)),
+                );
+            }
+        }
+    }
+}
+
+/// Most bound survivors one wave examines. Screened zeros take no wave
+/// lane, so without a cap one wave could screen the whole candidate list
+/// before it estimates anything.
 const MAX_SPAN: usize = 1024;
 
-/// Slack subtracted from the running k-th score before pruning, to absorb
-/// Monte-Carlo noise in the bounds and estimates.
-const BOUND_SLACK: f64 = 0.02;
-
 /// A candidate is refined when its coarse estimate reaches this fraction
-/// of the pruning threshold.
+/// of θ.
 const COARSE_FRACTION: f64 = 0.5;
-
-/// Precomputed work for one candidate a wave's formation pass examined:
-/// the bound values formation evaluated anyway (reused verbatim by
-/// consumption — same pure expressions, so caching cannot change a
-/// decision), the structural-zero verdict, and the batched estimates.
-/// Consumption `take`s the estimates it uses; leftovers are counted as
-/// wasted work.
-#[derive(Debug, Clone, Copy, Default)]
-struct WaveSlot {
-    /// Distance bound `c^⌈d/2⌉` (0.0 placeholder when the distance bound
-    /// is disabled — consumption never reads it then).
-    cd: f64,
-    /// L1 bound value exactly as consumption's own expression would
-    /// produce it (∞ when the bound is disabled).
-    l1b: f64,
-    /// The screen proved every estimate of this survivor exactly 0.0; it
-    /// took no wave lane and carries no precomputed estimate.
-    zero: bool,
-    coarse: Option<f64>,
-    refine: Option<f64>,
-}
 
 impl QueryScratch {
     /// Creates scratch state sized for `g`. Everything else grows on first
@@ -419,7 +419,6 @@ impl QueryScratch {
         QueryScratch {
             bfs: BfsBuffers::new(g.num_vertices()),
             ball_depth: 0,
-            estimator: EstimatorBuffers::new(),
             l1: AlphaBeta::new_empty(),
             walks: WalkPositions::new(),
             l1_counts: Vec::new(),
@@ -573,19 +572,19 @@ impl QueryScratch {
     }
 
     /// Stage 3 — the bounded, adaptive candidate scan: distance bound →
-    /// L1 bound → coarse pass → refine, maintaining the running top-k
-    /// heap. When `explain` is given, every candidate (including the bulk
-    /// tail skipped by the early-break) gets exactly one
-    /// [`CandidateRecord`] — fate counts in the trace reconcile with
-    /// `stats` by construction.
+    /// L1 bound → coarse pass → refine, all against θ, into the running
+    /// top-k heap. [`QueryScratch::prune_by_bounds`] decides each distance
+    /// once and keeps the survivors; waves then estimate and decide each
+    /// survivor once, in scan order. When `explain` is given, every
+    /// candidate gets exactly one [`CandidateRecord`], in scan order —
+    /// fate counts in the trace reconcile with `stats` by construction.
     ///
-    /// With `QueryOptions::wave_width ≥ 2` (and a uniform diagonal) the
-    /// scan runs **wave-batched**: [`QueryScratch::scan_waved`] precomputes
-    /// estimates for the next `wave_width` likely survivors through the
-    /// wide multi-source kernel, then [`QueryScratch::scan_span`] consumes
-    /// them with the unchanged per-candidate decision loop. Hits, fates,
-    /// and explain traces are bit-identical for every width — a wave only
-    /// precomputes work, it never decides.
+    /// A wave is the next `wave_width` survivors the structural-zero
+    /// screen does not prove 0.0. With `wave_width ≥ 2` (and a uniform
+    /// diagonal) its estimates run through the wide multi-source kernel,
+    /// otherwise one pair at a time; either way the estimates are
+    /// bit-identical, so hits, fates, work counters and explain traces are
+    /// the same for every width.
     #[allow(clippy::too_many_arguments)]
     fn scan_candidates(
         &mut self,
@@ -600,363 +599,154 @@ impl QueryScratch {
     ) {
         // Move the candidate list out so the scan can borrow the other
         // scratch fields mutably; moved back below.
-        let cands = std::mem::take(&mut self.cands);
+        let mut cands = std::mem::take(&mut self.cands);
+        self.prune_by_bounds(&index.params, opts, theta, &mut cands, stats, explain.as_deref_mut());
         let mask = std::mem::take(&mut self.l1_counts);
-        let screenable = self.screenable(index, opts, theta, &cands);
-        let meet = self.screen.begin(g, u, &index.params, mask, screenable, &mut self.seen);
+        let meet = self.screen.begin(g, u, &index.params, mask, cands.len(), &mut self.seen);
         stats.meet_sets = u64::from(meet);
-        let width = opts.wave_width.max(1) as usize;
-        // The wave path replays scalar estimates bit-for-bit only for a
-        // uniform diagonal (its co-location sums are integers, which
-        // commute); the per-vertex diagonal's f64 hash-order dot does
-        // not, so it always takes the scalar scan.
-        if width <= 1 || !matches!(index.diag, Diagonal::Uniform(_)) {
-            self.scan_span(g, index, u, k, opts, theta, stats, &mut explain, &cands, 0..cands.len(), None);
-        } else {
-            self.scan_waved(g, index, u, k, opts, theta, stats, &mut explain, &cands, width);
-        }
-        self.l1_counts = self.screen.end();
-        self.cands = cands;
-    }
-
-    /// How many of `cands` can reach the structural-zero screen: those
-    /// the distance and L1 bounds keep at θ. The pruning threshold never
-    /// falls below θ, so no other candidate is ever screened.
-    fn screenable(
-        &self,
-        index: &TopKIndex,
-        opts: &QueryOptions,
-        theta: f64,
-        cands: &[(u32, VertexId)],
-    ) -> usize {
-        let kept = |d: u32| {
-            let (cd, l1b) = candidate_bounds(&index.params, &self.l1, opts, d);
-            !(opts.use_distance_bound && cd < theta) && l1b >= theta
-        };
-        // Candidates are sorted by distance: decide each distance once.
-        let (mut screenable, mut i) = (0, 0);
-        while i < cands.len() {
-            let d = cands[i].0;
-            let run = cands[i..].partition_point(|c| c.0 == d);
-            if kept(d) {
-                screenable += run;
-            }
-            i += run;
-        }
-        screenable
-    }
-
-    /// The wave loop: repeatedly *form* a wave (classify upcoming
-    /// candidates at the current threshold and collect the next
-    /// `width` survivors), *precompute* their coarse — and likely-needed
-    /// refine — estimates through the batched [`WaveEstimator`], then
-    /// hand the span to [`QueryScratch::scan_span`] for consumption.
-    /// A survivor the structural-zero screen proves 0.0 is marked in its
-    /// slot instead and takes no wave lane.
-    ///
-    /// Soundness of the precompute set: the pruning threshold
-    /// `max(θ, kth − slack)` is non-decreasing over the scan (the heap
-    /// only improves), so any candidate that will pass a bound at
-    /// consumption time also passes it at formation time — formation can
-    /// only *over*-approximate the work needed, never miss some. The
-    /// surplus is counted in `QueryStats::wave_wasted`.
-    #[allow(clippy::too_many_arguments)]
-    fn scan_waved(
-        &mut self,
-        g: &Graph,
-        index: &TopKIndex,
-        u: VertexId,
-        k: usize,
-        opts: &QueryOptions,
-        theta: f64,
-        stats: &mut QueryStats,
-        explain: &mut Option<&mut ExplainTrace>,
-        cands: &[(u32, VertexId)],
-        width: usize,
-    ) {
         let params = &index.params;
         let engine = WalkEngine::new(g);
-        let Diagonal::Uniform(x) = index.diag else { unreachable!("wave scan requires a uniform diagonal") };
-        let mut cursor = 0usize;
-        while cursor < cands.len() {
-            // --- Formation: find the span of the next wave and its
-            // survivors. Pure work collection — nothing is recorded, no
-            // stat bumped; consumption below re-decides every candidate
-            // against the threshold in force *then*.
-            let prune_floor =
-                if opts.kth_prune { theta.max(kth_score(&self.heap, k) - BOUND_SLACK) } else { theta };
+        let width = opts.wave_width.max(1) as usize;
+        // The wide kernel replays scalar estimates bit-for-bit only for a
+        // uniform diagonal (its co-location sums are integers, which
+        // commute); the per-vertex diagonal's f64 hash-order dot does not,
+        // so it always takes the scalar estimator.
+        let wide = width > 1 && matches!(index.diag, Diagonal::Uniform(_));
+        let coarse_at = COARSE_FRACTION * theta;
+        let mut start = 0;
+        while start < cands.len() {
+            // Form the wave: survivors in scan order until `width` lanes.
+            // A structural zero takes no lane; its estimates are +0.0,
+            // exactly what either estimator would return.
             let wave = &mut self.wave;
-            wave.survivors.clear();
             wave.targets.clear();
             wave.seeds.clear();
-            // Slots double as the bound cache: one entry per candidate this
-            // pass examines, in span order. The early-break tail (below)
-            // gets no slot — consumption computes those bounds itself.
-            wave.slots.clear();
-            let mut end = cursor;
-            while end < cands.len() {
-                let (d, v) = cands[end];
-                let (cd, l1b) = candidate_bounds(params, &self.l1, opts, d);
-                if opts.use_distance_bound && cd < prune_floor {
-                    // Thresholds only rise and distances only grow: no
-                    // later candidate can out-survive this one, so this
-                    // is the final wave. Consumption owns the
-                    // early-break bookkeeping over the whole tail.
-                    end = cands.len();
-                    break;
-                }
-                let survives = l1b >= prune_floor;
-                let zero = survives && self.screen.is_zero(g, v);
-                wave.slots.push(WaveSlot { cd, l1b, zero, coarse: None, refine: None });
-                end += 1;
-                if survives && !zero {
-                    wave.survivors.push(end - 1);
+            let mut end = start;
+            while end < cands.len() && wave.targets.len() < width && end - start < MAX_SPAN {
+                let v = cands[end].1;
+                if !self.screen.is_zero(g, v) {
                     wave.targets.push(v);
                     wave.seeds.push(mix_seed(&[index.seed, 4, u as u64, v as u64]));
                 }
-                if wave.survivors.len() == width || wave.slots.len() == MAX_SPAN {
-                    break;
-                }
+                end += 1;
             }
-            stats.waves += 1;
-            self.obs.wave_survivors.record(wave.survivors.len() as u64);
-
-            // --- Precompute: batched coarse estimates for every survivor,
-            // then batched refinement for those whose coarse estimate
-            // clears the coarse gate at the formation threshold (a
-            // superset of those clearing it at consumption time).
-            if opts.adaptive && !wave.survivors.is_empty() {
-                wave.estimator.estimate_pairs_into(
-                    &engine,
-                    x,
-                    u,
-                    &wave.targets,
-                    params,
-                    params.r_coarse,
-                    &wave.seeds,
-                    &mut wave.coarse,
-                );
-            } else {
-                wave.coarse.clear();
+            if wide {
+                stats.waves += 1;
+                self.obs.wave_survivors.record(wave.targets.len() as u64);
             }
-            wave.refine_picks.clear();
+            // Estimate: coarse for every lane (adaptive sampling, §7.2),
+            // then refine those whose coarse estimate reaches the cut.
+            if opts.adaptive {
+                wave.estimate(&engine, &index.diag, wide, u, params, false);
+            }
             wave.refine_targets.clear();
             wave.refine_seeds.clear();
-            let coarse_floor = COARSE_FRACTION * prune_floor;
-            for si in 0..wave.survivors.len() {
-                if !opts.adaptive || wave.coarse[si] >= coarse_floor {
-                    wave.refine_picks.push(si);
-                    wave.refine_targets.push(wave.targets[si]);
-                    wave.refine_seeds.push(wave.seeds[si]);
+            for (lane, (&v, &seed)) in wave.targets.iter().zip(&wave.seeds).enumerate() {
+                if !opts.adaptive || wave.coarse[lane] >= coarse_at {
+                    wave.refine_targets.push(v);
+                    wave.refine_seeds.push(seed);
                 }
             }
-            if !wave.refine_targets.is_empty() {
-                wave.estimator.estimate_pairs_into(
-                    &engine,
-                    x,
-                    u,
-                    &wave.refine_targets,
-                    params,
-                    params.r_refine,
-                    &wave.refine_seeds,
-                    &mut wave.refine_values,
-                );
-            } else {
-                wave.refine_values.clear();
-            }
-            if opts.adaptive {
-                for (si, &ci) in wave.survivors.iter().enumerate() {
-                    wave.slots[ci - cursor].coarse = Some(wave.coarse[si]);
-                }
-            }
-            for (ri, &si) in wave.refine_picks.iter().enumerate() {
-                wave.slots[wave.survivors[si] - cursor].refine = Some(wave.refine_values[ri]);
-            }
+            wave.estimate(&engine, &index.diag, wide, u, params, true);
 
-            // --- Consumption: the unchanged scalar decision loop, reading
-            // estimates out of the precomputed table.
-            let mut slots = std::mem::take(&mut self.wave.slots);
-            let stopped = self.scan_span(
-                g,
-                index,
-                u,
-                k,
-                opts,
-                theta,
-                stats,
-                explain,
-                cands,
-                cursor..end,
-                Some((cursor, &mut slots)),
-            );
-            stats.wave_wasted +=
-                slots.iter().map(|s| s.coarse.is_some() as u64 + s.refine.is_some() as u64).sum::<u64>();
-            self.wave.slots = slots;
-            if stopped {
-                return;
+            // Decide each candidate of the span once, in scan order.
+            let (mut lane, mut picked) = (0, 0);
+            for &(d, v) in &cands[start..end] {
+                // A survivor without a lane is a structural zero.
+                let zero = wave.targets.get(lane) != Some(&v);
+                stats.zero_screened += u64::from(zero);
+                let this = lane;
+                lane += usize::from(!zero);
+                if opts.adaptive {
+                    let coarse = if zero { 0.0 } else { wave.coarse[this] };
+                    if coarse < coarse_at {
+                        stats.pruned_coarse += 1;
+                        if let Some(tr) = explain.as_deref_mut() {
+                            tr.push(record(v, d, CandidateFate::PrunedCoarse, coarse, coarse_at));
+                        }
+                        continue;
+                    }
+                }
+                // Lanes reach this point in the order they were picked.
+                let score = if zero { 0.0 } else { wave.refined[picked] };
+                picked += usize::from(!zero);
+                if score >= theta {
+                    stats.reported += 1;
+                    if let Some(tr) = explain.as_deref_mut() {
+                        tr.push(record(v, d, CandidateFate::Reported, score, theta));
+                    }
+                    self.heap.push(Reverse(HeapHit { score, vertex: v }));
+                    if self.heap.len() > k {
+                        self.heap.pop();
+                    }
+                } else {
+                    stats.refined += 1;
+                    if let Some(tr) = explain.as_deref_mut() {
+                        tr.push(record(v, d, CandidateFate::RefinedBelowTheta, score, theta));
+                    }
+                }
             }
-            cursor = end;
+            start = end;
+        }
+        self.l1_counts = self.screen.end();
+        self.cands = cands;
+        // Bound-pruned candidates were recorded ahead of the survivors;
+        // (distance, vertex) is the scan order.
+        if let Some(tr) = explain {
+            tr.records.sort_unstable_by_key(|r| (r.distance, r.vertex));
         }
     }
 
-    /// The per-candidate decision loop over `cands[span]` — Algorithm 5's
-    /// scalar scan, unchanged. `pre` optionally carries wave-precomputed
-    /// estimates (`(span start, slots)` aligned to `span`): a needed
-    /// estimate is taken from its slot when present and computed on the
-    /// spot otherwise, and since both routes produce bit-identical values
-    /// (same per-candidate seeds), decisions, stats, and explain records
-    /// cannot depend on what was precomputed. Returns `true` when the
-    /// distance-bound early-break fired — the tail through the *end of
-    /// the candidate list* (not just the span) is then already accounted
-    /// and the whole scan is done.
-    #[allow(clippy::too_many_arguments)]
-    fn scan_span(
-        &mut self,
-        g: &Graph,
-        index: &TopKIndex,
-        u: VertexId,
-        k: usize,
+    /// Decides every candidate's distance and L1 bounds against θ, once
+    /// per distance: counts (and, under `explain`, records) the pruned
+    /// candidates and keeps the survivors in `cands`, in scan order. They
+    /// are exactly the candidates that can reach the structural-zero
+    /// screen. `c^⌈d/2⌉` never grows with d, so every candidate from the
+    /// first distance it prunes onward is distance-pruned.
+    fn prune_by_bounds(
+        &self,
+        params: &SimRankParams,
         opts: &QueryOptions,
         theta: f64,
+        cands: &mut Vec<(u32, VertexId)>,
         stats: &mut QueryStats,
-        explain: &mut Option<&mut ExplainTrace>,
-        cands: &[(u32, VertexId)],
-        span: std::ops::Range<usize>,
-        mut pre: Option<(usize, &mut [WaveSlot])>,
-    ) -> bool {
-        let params = &index.params;
-        let engine = WalkEngine::new(g);
-        for ci in span {
-            let (d, v) = cands[ci];
-            let prune_at =
-                if opts.kth_prune { theta.max(kth_score(&self.heap, k) - BOUND_SLACK) } else { theta };
-            // Bound values come from the wave's formation pass when it
-            // examined this candidate (the identical pure expressions, so
-            // reuse cannot change a decision) and are computed here
-            // otherwise — always against *this* loop's threshold.
-            let cached = pre.as_ref().and_then(|(base, slots)| slots.get(ci - *base)).copied();
+        mut explain: Option<&mut ExplainTrace>,
+    ) {
+        let (mut kept, mut i) = (0, 0);
+        while i < cands.len() {
+            let d = cands[i].0;
+            let end = i + cands[i..].partition_point(|c| c.0 == d);
             // Trivial distance bound c^⌈d/2⌉ (sound for the undirected
-            // metric — see SimRankParams::distance_bound). Undirected
-            // unreachability implies the walks can never meet, score 0.
-            if opts.use_distance_bound {
-                let cd = match cached {
-                    Some(slot) => slot.cd,
-                    None => {
-                        if d == UNREACHED {
-                            0.0
-                        } else {
-                            params.distance_bound(d)
-                        }
-                    }
-                };
-                if cd < prune_at {
-                    stats.pruned_distance += 1;
-                    if let Some(tr) = explain.as_deref_mut() {
-                        tr.push(record(v, d, CandidateFate::PrunedDistance, cd, prune_at));
-                    }
-                    // Candidates are distance-sorted: every later candidate
-                    // has an even smaller c^d, but their L1 bounds could
-                    // not save them either (bounds only prune further), so
-                    // the scan can stop outright. (With `kth_prune` off the
-                    // threshold is θ everywhere, so the break is always
-                    // sound; either way the per-candidate fates it records
-                    // match what scanning the tail one-by-one would record.)
-                    if !opts.kth_prune || kth_score(&self.heap, k) <= theta {
-                        // Everything after this position shares or exceeds
-                        // this distance, so its c^⌈d/2⌉ bound is no better;
-                        // count by position so distance ties are included.
-                        stats.pruned_distance += (cands.len() - ci - 1) as u64;
-                        if let Some(tr) = explain.as_deref_mut() {
-                            for &(d2, v2) in &cands[ci + 1..] {
-                                let cd2 = if d2 == UNREACHED { 0.0 } else { params.distance_bound(d2) };
-                                tr.push(record(v2, d2, CandidateFate::PrunedDistance, cd2, prune_at));
-                            }
-                        }
-                        return true;
-                    }
-                    continue;
-                }
-            }
-            let bound = match cached {
-                Some(slot) => slot.l1b,
-                None if opts.use_l1 && d != UNREACHED => self.l1.beta(d),
-                None => f64::INFINITY,
-            };
-            if bound < prune_at {
-                stats.pruned_bounds += 1;
-                if let Some(tr) = explain.as_deref_mut() {
-                    tr.push(record(v, d, CandidateFate::PrunedL1, bound, prune_at));
-                }
-                continue;
-            }
-            // Adaptive sampling (§7.2). Estimates come from the wave's
-            // precompute table when present (bit-identical by the
-            // WaveEstimator contract) and are computed here otherwise —
-            // with the same per-candidate seed either way. A structural
-            // zero is exactly what either route would return, +0.0.
-            let zero = match cached {
-                Some(slot) => slot.zero,
-                None => self.screen.is_zero(g, v),
-            };
-            stats.zero_screened += zero as u64;
-            let seed = || mix_seed(&[index.seed, 4, u as u64, v as u64]);
-            let precomputed = |pre: &mut Option<(usize, &mut [WaveSlot])>, refine: bool| {
-                let (base, slots) = pre.as_mut()?;
-                let slot = slots.get_mut(ci - *base)?;
-                if refine {
-                    slot.refine.take()
-                } else {
-                    slot.coarse.take()
-                }
-            };
-            if opts.adaptive {
-                let coarse = match precomputed(&mut pre, false) {
-                    _ if zero => 0.0,
-                    Some(value) => value,
-                    None => {
-                        self.estimator.estimate(&engine, &index.diag, u, v, params, params.r_coarse, seed())
-                    }
-                };
-                let coarse_at = COARSE_FRACTION * prune_at;
-                if coarse < coarse_at {
-                    stats.pruned_coarse += 1;
-                    if let Some(tr) = explain.as_deref_mut() {
-                        tr.push(record(v, d, CandidateFate::PrunedCoarse, coarse, coarse_at));
-                    }
-                    continue;
-                }
-            }
-            let score = match precomputed(&mut pre, true) {
-                _ if zero => 0.0,
-                Some(value) => value,
-                None => self.estimator.estimate(&engine, &index.diag, u, v, params, params.r_refine, seed()),
-            };
-            if score >= theta {
-                stats.reported += 1;
-                if let Some(tr) = explain.as_deref_mut() {
-                    tr.push(record(v, d, CandidateFate::Reported, score, theta));
-                }
-                self.heap.push(Reverse(HeapHit { score, vertex: v }));
-                if self.heap.len() > k {
-                    self.heap.pop();
-                }
+            // metric — see SimRankParams::distance_bound) and the L1 bound
+            // β(u, d). Undirected unreachability implies the walks can
+            // never meet: c^d reads 0 there, and β +∞ (as when it is off).
+            let cd = if d == UNREACHED { 0.0 } else { params.distance_bound(d) };
+            let l1b = if opts.use_l1 && d != UNREACHED { self.l1.beta(d) } else { f64::INFINITY };
+            let pruned = if opts.use_distance_bound && cd < theta {
+                stats.pruned_distance += (end - i) as u64;
+                Some((CandidateFate::PrunedDistance, cd))
+            } else if l1b < theta {
+                stats.pruned_bounds += (end - i) as u64;
+                Some((CandidateFate::PrunedL1, l1b))
             } else {
-                stats.refined += 1;
-                if let Some(tr) = explain.as_deref_mut() {
-                    tr.push(record(v, d, CandidateFate::RefinedBelowTheta, score, theta));
+                None
+            };
+            match (pruned, explain.as_deref_mut()) {
+                (None, _) => {
+                    cands.copy_within(i..end, kept);
+                    kept += end - i;
                 }
+                (Some((fate, value)), Some(tr)) => {
+                    for &(_, v) in &cands[i..end] {
+                        tr.push(record(v, d, fate, value, theta));
+                    }
+                }
+                (Some(_), None) => {}
             }
+            i = end;
         }
-        false
+        cands.truncate(kept);
     }
-}
-
-/// The distance bound `c^⌈d/2⌉` (0.0 when unreached) and the L1 bound
-/// `β(u, d)` (+∞ when off or unreached) of a candidate at distance `d`.
-fn candidate_bounds(params: &SimRankParams, l1: &AlphaBeta, opts: &QueryOptions, d: u32) -> (f64, f64) {
-    let cd = if d == UNREACHED { 0.0 } else { params.distance_bound(d) };
-    let l1b = if opts.use_l1 && d != UNREACHED { l1.beta(d) } else { f64::INFINITY };
-    (cd, l1b)
 }
 
 /// Whether the per-query L1 table can cost fewer walk steps than it
@@ -973,15 +763,6 @@ fn l1_table_pays(candidates: usize, params: &SimRankParams, opts: &QueryOptions)
 /// Shorthand for a scan-loop explain record.
 fn record(v: VertexId, d: u32, fate: CandidateFate, value: f64, threshold: f64) -> CandidateRecord {
     CandidateRecord { vertex: v, distance: d, fate, value, threshold }
-}
-
-/// Current k-th best score, or 0 while the heap is underfull.
-fn kth_score(heap: &BinaryHeap<Reverse<HeapHit>>, k: usize) -> f64 {
-    if heap.len() >= k {
-        heap.peek().map(|h| h.0.score).unwrap_or(0.0)
-    } else {
-        0.0
-    }
 }
 
 /// Reusable per-thread query state bound to one graph + index pair.
@@ -1014,7 +795,9 @@ impl<'g> QueryContext<'g> {
     }
 }
 
-/// Heap entry ordered by score (ties on vertex id for determinism).
+/// Heap entry ordered by rank: the higher score ranks higher, and on a
+/// tied score the lower vertex id — the order hits are reported in, so
+/// the heap keeps exactly the first k rows of the full ranking.
 #[derive(Debug, PartialEq)]
 struct HeapHit {
     score: f64,
@@ -1031,7 +814,7 @@ impl PartialOrd for HeapHit {
 
 impl Ord for HeapHit {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.score.partial_cmp(&other.score).expect("scores are finite").then(self.vertex.cmp(&other.vertex))
+        self.score.partial_cmp(&other.score).expect("scores are finite").then(other.vertex.cmp(&self.vertex))
     }
 }
 
@@ -1278,6 +1061,35 @@ mod tests {
                 assert!(bset.contains(&h.vertex), "u={u} lost strong hit {h:?} ({:?})", b.hits);
             }
         }
+    }
+
+    #[test]
+    fn hits_at_k_are_the_first_k_rows_of_hits_at_a_larger_k() {
+        // Every candidate is decided against θ alone and the heap keeps
+        // the reported order (score, then vertex id), so a smaller k only
+        // cuts the ranking shorter: no hit drops out, and tied scores keep
+        // the lower vertex ids at every k.
+        let social = gen::preferential_attachment_windowed(1200, 6, 144, 42);
+        let web = gen::copying_web(1200, 4, 0.8, 42);
+        let params = SimRankParams::default();
+        let mut compared = 0;
+        for g in [social, web] {
+            let idx = TopKIndex::build_with(&g, &params, Diagonal::paper_default(params.c), 7, 2);
+            let mut ctx = QueryContext::new(&g, &idx);
+            for opts in
+                [QueryOptions::default(), QueryOptions { candidate_ball: Some(2), ..Default::default() }]
+            {
+                for u in srs_graph::stats::sample_query_vertices(&g, 150, 3) {
+                    let full = ctx.query(u, 20, &opts).hits;
+                    for k in [1, 5] {
+                        let short = ctx.query(u, k, &opts).hits;
+                        assert_eq!(short[..], full[..full.len().min(k)], "u={u} k={k} {opts:?}");
+                        compared += usize::from(full.len() > k);
+                    }
+                }
+            }
+        }
+        assert!(compared > 100, "{compared}");
     }
 
     #[test]

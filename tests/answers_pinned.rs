@@ -5,8 +5,8 @@
 //! with the answers a known-good build produced: hits (vertex and
 //! shortest-roundtrip score) plus the five per-query fate counters, for
 //! a small social and a small web graph under a matrix of query options
-//! (`candidate_ball` none/1/2/3 × `wave_width` 1/32, plus `kth_prune`
-//! off), and for the social graph with `d_max` = 3 < `T` − 1. A change
+//! (`candidate_ball` none/1/2/3 × `wave_width` 1/32), and for the social
+//! graph with `d_max` = 3 < `T` − 1. A change
 //! that claims "answers are byte-identical" must leave
 //! `tests/fixtures/answers_pinned.tsv` untouched.
 //!
@@ -45,10 +45,6 @@ fn option_matrix() -> Vec<(String, QueryOptions)> {
             m.push((label, QueryOptions { candidate_ball: ball, wave_width: width, ..Default::default() }));
         }
     }
-    m.push((
-        "ball=none/w=32/kth_prune=off".to_string(),
-        QueryOptions { kth_prune: false, ..Default::default() },
-    ));
     m
 }
 

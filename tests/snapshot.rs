@@ -280,7 +280,7 @@ fn sharded_serving_matches_unsharded_across_the_l1_gate() {
     let table = [
         QueryOptions::default(),
         QueryOptions { explain: true, candidate_ball: Some(2), ..Default::default() },
-        QueryOptions { kth_prune: false, ..Default::default() },
+        QueryOptions { adaptive: false, ..Default::default() },
         QueryOptions { theta: Some(0.05), ..Default::default() },
     ];
     let memory = ServingEngine::with_threads(ds.clone(), 2);
