@@ -51,13 +51,17 @@ impl std::fmt::Display for CliError {
 pub struct Args {
     /// The subcommand (first positional argument).
     pub command: String,
-    flags: BTreeMap<String, String>,
+    /// Each flag's value; `None` for a value flag given none.
+    flags: BTreeMap<String, Option<String>>,
 }
 
 impl Args {
-    /// Parses `argv` (without the program name).
+    /// Parses `argv` (without the program name). A value flag followed by
+    /// another flag, or by nothing, has no value; [`Args::ensure_known`]
+    /// reports that once the flag is known to the command, so an unknown
+    /// switch is named as unknown and never takes the next flag's place.
     pub fn parse(argv: &[String]) -> Result<Args, CliError> {
-        let mut it = argv.iter();
+        let mut it = argv.iter().peekable();
         let command = it.next().ok_or_else(|| CliError::usage("missing subcommand"))?.clone();
         if command.starts_with("--") {
             return Err(CliError::usage(format!("expected a subcommand, found flag {command}")));
@@ -68,9 +72,9 @@ impl Args {
                 .strip_prefix("--")
                 .ok_or_else(|| CliError::usage(format!("expected --flag, found {flag}")))?;
             let value = if BOOL_FLAGS.contains(&name) {
-                "true".to_string()
+                Some("true".to_string())
             } else {
-                it.next().ok_or_else(|| CliError::usage(format!("missing value for --{name}")))?.clone()
+                it.next_if(|v| !v.starts_with("--")).cloned()
             };
             if flags.insert(name.to_string(), value).is_some() {
                 return Err(CliError::usage(format!("duplicate flag --{name}")));
@@ -81,15 +85,12 @@ impl Args {
 
     /// Required string flag.
     pub fn req(&self, name: &str) -> Result<&str, CliError> {
-        self.flags
-            .get(name)
-            .map(String::as_str)
-            .ok_or_else(|| CliError::usage(format!("missing required flag --{name}")))
+        self.opt(name).ok_or_else(|| CliError::usage(format!("missing required flag --{name}")))
     }
 
     /// Optional string flag.
     pub fn opt(&self, name: &str) -> Option<&str> {
-        self.flags.get(name).map(String::as_str)
+        self.flags.get(name).and_then(Option::as_deref)
     }
 
     /// Optional parsed flag with a default.
@@ -97,7 +98,7 @@ impl Args {
     where
         T::Err: std::fmt::Display,
     {
-        match self.flags.get(name) {
+        match self.opt(name) {
             None => Ok(default),
             Some(v) => v.parse::<T>().map_err(|e| CliError::usage(format!("--{name}: {e}"))),
         }
@@ -118,7 +119,7 @@ impl Args {
     where
         T::Err: std::fmt::Display,
     {
-        match self.flags.get(name) {
+        match self.opt(name) {
             None => Ok(None),
             Some(raw) => raw
                 .split(',')
@@ -136,14 +137,18 @@ impl Args {
         self.flags.contains_key(name)
     }
 
-    /// Rejects flags outside `allowed` (catches typos).
+    /// Rejects flags outside `allowed` (catches typos), then a known value
+    /// flag given no value.
     pub fn ensure_known(&self, allowed: &[&str]) -> Result<(), CliError> {
         for k in self.flags.keys() {
             if !allowed.contains(&k.as_str()) {
                 return Err(CliError::usage(format!("unknown flag --{k} for `{}`", self.command)));
             }
         }
-        Ok(())
+        match self.flags.iter().find(|(_, v)| v.is_none()) {
+            Some((k, _)) => Err(CliError::usage(format!("missing value for --{k}"))),
+            None => Ok(()),
+        }
     }
 }
 
@@ -165,11 +170,16 @@ mod tests {
         assert_eq!(a.get_or::<usize>("missing", 5).unwrap(), 5);
     }
 
+    /// `line` parsed and checked against `allowed`, as every command does.
+    fn checked(line: &str, allowed: &[&str]) -> Result<Args, CliError> {
+        parse(line).and_then(|a| a.ensure_known(allowed).map(|()| a))
+    }
+
     #[test]
     fn rejects_malformed() {
         assert!(parse("").is_err());
         assert!(parse("--graph g.bin").is_err());
-        assert!(parse("query --graph").is_err());
+        assert!(checked("query --graph", &["graph"]).is_err());
         assert!(parse("query graph g.bin").is_err());
         assert!(parse("query --k 1 --k 2").is_err());
     }
@@ -196,8 +206,26 @@ mod tests {
         assert!(b.flag("progress"));
         assert!(!parse("query --graph g.bin").unwrap().flag("explain"));
         // Trailing boolean flag is fine; trailing value flag still errors.
-        assert!(parse("query --explain").is_ok());
-        assert!(parse("query --graph").is_err());
+        assert!(checked("query --explain", &["explain"]).is_ok());
+        assert!(checked("query --graph", &["graph"]).is_err());
+    }
+
+    #[test]
+    fn a_value_flag_never_takes_the_next_flag() {
+        // A value flag followed by a flag, or by nothing, has no value: the
+        // command reports it as unknown if it is, and as valueless if not.
+        for line in ["query --retired --k 5", "query --k 5 --retired"] {
+            let err = checked(line, &["k"]).unwrap_err();
+            assert!(err.usage && err.message.starts_with("unknown flag --retired"), "{line}: {err}");
+            let a = parse(line).unwrap();
+            assert_eq!(a.get_or::<usize>("k", 1).unwrap(), 5, "{line}: --k keeps its value");
+        }
+        for line in ["query --graph --k 5", "query --k 5 --graph"] {
+            let err = checked(line, &["graph", "k"]).unwrap_err();
+            assert_eq!(err.message, "missing value for --graph", "{line}");
+        }
+        // A value that merely starts with '-' is still a value.
+        assert_eq!(checked("query --theta -1", &["theta"]).unwrap().opt("theta"), Some("-1"));
     }
 
     #[test]

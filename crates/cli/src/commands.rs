@@ -2306,11 +2306,13 @@ mod tests {
     fn retired_theta_only_flag_is_unknown() {
         // The scan prunes against θ alone, so the switch that chose that
         // is gone; an old invocation must fail rather than be ignored.
-        let err = run("batch-query --snapshot none.srs --prune-theta-only 1").unwrap_err();
-        assert!(err.contains("unknown flag --prune-theta-only"), "{err}");
-        // As the last token it is now a flag without a value.
-        let err = run("batch-query --snapshot none.srs --prune-theta-only").unwrap_err();
-        assert!(err.contains("--prune-theta-only"), "{err}");
+        for line in [
+            "batch-query --snapshot none.srs --prune-theta-only --k 5",
+            "batch-query --snapshot none.srs --prune-theta-only",
+        ] {
+            let err = run(line).unwrap_err();
+            assert!(err.contains("unknown flag --prune-theta-only"), "{line}: {err}");
+        }
     }
 
     #[test]

@@ -12,6 +12,9 @@
 //!    within 2–4 hops (Section 5), so [`BfsBuffers::run_targeted`] stops
 //!    once every candidate is placed and reports the depth `h` through
 //!    which the ball is complete; the L1 table needs no more than that.
+//!    The visited queue is level-ordered, so [`BfsBuffers::level`] hands
+//!    out each distance's vertices as one slice: the query counts its
+//!    candidate ball per distance instead of listing it.
 //! 2. **Distance histograms of top-k result lists** — the Figure 2
 //!    reproduction plots the average distance of the k-th most similar
 //!    vertex.
@@ -48,6 +51,8 @@ pub struct BfsBuffers {
     visited_bits: Vec<u64>,
     dist: Vec<u32>,
     queue: Vec<VertexId>,
+    /// `level_ends[d]` is the end of distance `d`'s vertices in `queue`.
+    level_ends: Vec<usize>,
     /// Targets of the current [`BfsBuffers::run_targeted`] call not yet
     /// placed.
     pending: Vec<VertexId>,
@@ -60,6 +65,7 @@ impl BfsBuffers {
             visited_bits: vec![0; (n as usize).div_ceil(64)],
             dist: vec![UNREACHED; n as usize],
             queue: Vec::new(),
+            level_ends: Vec::new(),
             pending: Vec::new(),
         }
     }
@@ -81,6 +87,24 @@ impl BfsBuffers {
         &self.queue
     }
 
+    /// Vertices the most recent traversal visited at distance `d`, in BFS
+    /// order (empty past the deepest level).
+    #[inline]
+    pub fn level(&self, d: u32) -> &[VertexId] {
+        let d = d as usize;
+        match self.level_ends.get(d) {
+            Some(&end) => &self.queue[if d == 0 { 0 } else { self.level_ends[d - 1] }..end],
+            None => &[],
+        }
+    }
+
+    /// Number of levels the most recent traversal recorded: every visited
+    /// vertex sits at a distance below it.
+    #[inline]
+    pub fn levels(&self) -> u32 {
+        self.level_ends.len() as u32
+    }
+
     fn begin(&mut self) {
         // Clear exactly the bits the previous traversal set.
         for i in 0..self.queue.len() {
@@ -88,6 +112,7 @@ impl BfsBuffers {
             self.visited_bits[v >> 6] &= !(1u64 << (v & 63));
         }
         self.queue.clear();
+        self.level_ends.clear();
     }
 
     #[inline]
@@ -161,10 +186,13 @@ impl BfsBuffers {
         let mut d = 0u32;
         loop {
             let level_end = self.queue.len();
+            self.level_ends.push(level_end);
             if d >= max_depth || level_start == level_end || level_end == n {
                 return max_depth;
             }
             if d >= min_depth && self.resolve_targets(g, direction, d) {
+                // The placed targets are level d + 1.
+                self.level_ends.push(self.queue.len());
                 return d;
             }
             let frontier = (level_end - level_start) as u64;
@@ -501,6 +529,16 @@ mod tests {
                 seen.sort_unstable();
                 seen.dedup();
                 assert_eq!(seen.len(), b.visited().len(), "{ctx}: duplicate visits");
+                // The levels partition the visited queue by distance.
+                let mut at = 0;
+                for d in 0..b.levels() {
+                    let level = b.level(d);
+                    assert_eq!(level, &b.visited()[at..at + level.len()], "{ctx}: level {d} out of order");
+                    assert!(level.iter().all(|&v| b.distance(v) == d), "{ctx}: level {d}");
+                    at += level.len();
+                }
+                assert_eq!(at, b.visited().len(), "{ctx}: a visited vertex outside every level");
+                assert!(b.level(b.levels()).is_empty(), "{ctx}");
                 trials += 1;
             }
         }

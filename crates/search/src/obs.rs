@@ -115,9 +115,10 @@ pub struct ServingMetrics {
     /// `srs_query_meet_sets_total` (structural-zero meet sets built, 1 per
     /// query that built its `M(u)` within budget, 0 otherwise).
     pub meet_sets: Arc<Counter>,
-    /// `srs_query_waves_total` (walk waves formed by the batched scan).
+    /// `srs_query_waves_total` (walk waves with at least one lane formed
+    /// by the batched scan).
     pub waves: Arc<Counter>,
-    /// `srs_query_wave_survivors` (per-wave survivor count distribution).
+    /// `srs_query_wave_survivors` (lanes per counted wave).
     pub wave_survivors: Arc<Histogram>,
     /// `srs_queries_deduped_total` (batch queries answered by copying an
     /// identical query's result instead of recomputing it).

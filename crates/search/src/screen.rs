@@ -17,8 +17,12 @@
 //! `M(u) = ⋃_{1 ≤ t < T} Out^t(L_t(u))` — the forward probe of ProbeSim
 //! (Liu et al.), used here as an exact screen. [`ZeroScreen::begin`]
 //! tries to build it once per query; [`ZeroScreen::is_zero`] then decides
-//! a candidate with one bit test. When the build would cost too much, the
-//! screen falls back to deciding each candidate from its own layers.
+//! a candidate with one bit test. The build also lists `M(u)`
+//! ([`ZeroScreen::meet_members`]), so the scan can decide every candidate
+//! outside it in bulk and list only the ones inside: a ball of thousands
+//! of candidates shrinks to the few hundred `M(u)` holds. When the build
+//! would cost too much, the screen falls back to deciding each candidate
+//! from its own layers, in scan order.
 //!
 //! * **u side.** `u`'s layers are built (deduplicated) and kept for the
 //!   whole scan, layer `t` as bit `t` of a dense per-vertex `u32` mask.
@@ -89,6 +93,9 @@ pub(crate) struct ZeroScreen {
     empty_from: u32,
     /// `M(u)` is complete: a candidate is zero iff its bit 0 is clear.
     meet: bool,
+    /// The vertices of `M(u)`, in the order bit 0 was set (only when
+    /// `meet`).
+    members: Vec<VertexId>,
     credit: u64,
     /// Credit each checked candidate earns.
     earn: u64,
@@ -119,6 +126,7 @@ impl ZeroScreen {
         // A scan that unwound never reached `end`: its mask is dropped here,
         // and its touched list with it.
         self.touched.clear();
+        self.members.clear();
         self.mask = mask;
         let n = g.num_vertices() as usize;
         if self.mask.len() < n {
@@ -155,7 +163,7 @@ impl ZeroScreen {
     /// differ from `u`.
     pub(crate) fn is_zero(&mut self, g: &Graph, v: VertexId) -> bool {
         if self.meet {
-            return self.mask[v as usize] & MEET_BIT == 0;
+            return !self.in_meet(v);
         }
         self.credit = self.credit.saturating_add(self.earn);
         let mut budget = self.budget;
@@ -197,6 +205,18 @@ impl ZeroScreen {
         true
     }
 
+    /// Whether `v ∈ M(u)`; meaningful only once the meet set is built.
+    #[inline]
+    pub(crate) fn in_meet(&self, v: VertexId) -> bool {
+        self.mask[v as usize] & MEET_BIT != 0
+    }
+
+    /// The vertices of `M(u)`, each once (empty unless the meet set is
+    /// built). `u` itself is among them whenever it has an in-link.
+    pub(crate) fn meet_members(&self) -> &[VertexId] {
+        &self.members
+    }
+
     /// Builds `M(u)` into bit 0 of the mask, scanning at most `funds`
     /// edges; `false` (with no bit 0 set) when a level does not fit. The
     /// layers built on the way stay, and the fallback's credit starts at 0.
@@ -233,10 +253,13 @@ impl ZeroScreen {
                 for &x in &self.front {
                     for &y in g.out_neighbors(x) {
                         let m = &mut self.mask[y as usize];
-                        if *m == 0 {
-                            self.touched.push(y);
+                        if *m & MEET_BIT == 0 {
+                            if *m == 0 {
+                                self.touched.push(y);
+                            }
+                            *m |= MEET_BIT;
+                            self.members.push(y);
                         }
-                        *m |= MEET_BIT;
                     }
                 }
                 break;
@@ -350,6 +373,13 @@ mod tests {
             }
             if setup.complete {
                 screen.budget = usize::MAX;
+            }
+            if screen.meet {
+                // The member list is exactly M(u), each vertex once.
+                let mut members = screen.meet_members().to_vec();
+                members.sort_unstable();
+                let marked: Vec<VertexId> = (0..n).filter(|&v| screen.in_meet(v)).collect();
+                assert_eq!(members, marked, "u={u}");
             }
             out.extend((0..n).filter(|&v| v != u).map(|v| screen.is_zero(g, v)));
             mask = screen.end();

@@ -6,17 +6,24 @@
 //! served θ (see [`crate::bounds`]). [`TopKIndex::query`] then answers a
 //! top-k query (Algorithm 5):
 //!
-//! 1. enumerate candidates `S = {v : Γ(u) ∩ Γ(v) ≠ ∅}` from the index;
-//! 2. sort by undirected distance (the §2.2 "ascending order of distance"
-//!    scan) and prune with the two upper bounds `c^d` and `β(u,d)`
-//!    against θ. Both depend on the distance alone, so each distance is
-//!    decided once.
+//! 1. enumerate candidates `S = {v : Γ(u) ∩ Γ(v) ≠ ∅}` from the index,
+//!    plus the optional candidate ball, which is counted per BFS level
+//!    and never listed;
+//! 2. prune with the two upper bounds `c^d` and `β(u,d)` against θ. Both
+//!    depend on the distance alone, so each distance is decided once,
+//!    and a ball level is counted as a whole.
 //!    The per-query β table (Algorithm 2, `r_bounds` walks) is built only
 //!    when it can cost fewer walks than it could save,
 //!    `|C| · 2 · R > r_bounds` (see `l1_table_pays`); otherwise β reads +∞;
-//! 3. adaptive sampling: coarse estimate with `R = 10` walks, refine the
-//!    survivors with `R = 100` (§7.2);
-//! 4. return the k highest refined scores.
+//! 3. screen structural zeros (see [`crate::screen`]). Once `u`'s meet
+//!    set `M(u)` is built, every survivor outside it scores exactly 0.0
+//!    and, at θ > 0, is decided in bulk: only `M(u)`'s survivors become
+//!    list entries. Without a meet set, or at θ = 0, every survivor does;
+//! 4. sort the entries by undirected distance (the §2.2 "ascending order
+//!    of distance" scan) and estimate them with adaptive sampling: coarse
+//!    estimate with `R = 10` walks, refine the survivors with `R = 100`
+//!    (§7.2);
+//! 5. return the k highest refined scores.
 //!
 //! The threshold is θ throughout — the paper's `max(θ, kth − slack)`
 //! k-th score floor is not applied — so every candidate's fate is
@@ -66,7 +73,8 @@ pub struct QueryOptions {
     /// Extension beyond the paper: additionally treat every vertex within
     /// this undirected distance of the query as a candidate. Raises recall
     /// on graphs where the random-walk index misses borderline pairs, at
-    /// the cost of more bound evaluations. `None` (default) is the paper's
+    /// the cost of a deeper query BFS and more estimates; the ball is
+    /// counted per BFS level, not listed. `None` (default) is the paper's
     /// pure Algorithm 5. A radius above the index's `d_max` acts as
     /// `d_max`: the query BFS never looks farther.
     pub candidate_ball: Option<u32>,
@@ -136,7 +144,8 @@ impl QueryOptions {
 /// pruning counters can never silently drift.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueryStats {
-    /// Candidates enumerated from the index.
+    /// Candidates enumerated: the index's, plus the candidate ball's
+    /// members, each once.
     pub candidates: u64,
     /// Candidates discarded by the `c^d` bound (incl. out-of-horizon ones).
     pub pruned_distance: u64,
@@ -167,8 +176,9 @@ pub struct QueryStats {
     /// Candidates whose estimates the structural-zero screen set to 0.0
     /// without walking (their reverse layers never share a vertex at the
     /// same step; see DESIGN.md §5g). A work counter, not a fate: these
-    /// candidates keep their coarse-pruned or refined fate. The screen
-    /// sees the same candidates in the same order at every wave width.
+    /// candidates keep their coarse-pruned or refined fate. With the meet
+    /// set built it is the survivors outside `M(u)`, counted in bulk at
+    /// θ > 0. The same at every wave width.
     pub zero_screened: u64,
     /// Meet sets built by the structural-zero screen: 1 when the query
     /// built `M(u)` within its `|C| · 2 · R_coarse` edge-scan budget (`|C|`
@@ -177,8 +187,12 @@ pub struct QueryStats {
     /// screen, `T > 32`, or the build did not fit (the screen then decides
     /// each candidate from its own layers).
     pub meet_sets: u64,
-    /// Walk waves estimated through the wide kernel (0 on the scalar
-    /// path).
+    /// Walk waves estimated through the wide kernel: only waves with at
+    /// least one lane count (0 on the scalar path). A wave fills its
+    /// `wave_width` lanes from the list entries the screen does not prove
+    /// 0.0, so when the meet set decides the zeros in bulk it is
+    /// `⌈entries / wave_width⌉`; on the full list a run of `MAX_SPAN`
+    /// zeros also closes a wave.
     pub waves: u64,
 }
 
@@ -319,6 +333,13 @@ pub struct QueryScratch {
     bfs: BfsBuffers,
     /// Depth through which the last query's BFS ball is complete.
     ball_depth: u32,
+    /// The candidate ball's radius, clamped to the BFS: levels `1..=`this
+    /// of the BFS are candidates, counted per level (0 without a ball).
+    ball_radius: u32,
+    /// Per-distance verdict of the `c^d` and L1 bounds for the last query:
+    /// entry `d` for every BFS level, then one for unreachable candidates
+    /// (see [`QueryScratch::bound_at`]). `None` keeps the distance.
+    bounds: Vec<Option<(CandidateFate, f64)>>,
     /// Algorithm 2 L1 table storage (recomputed per query when enabled).
     l1: AlphaBeta,
     /// Walk-position buffer for the L1 table.
@@ -331,12 +352,14 @@ pub struct QueryScratch {
     screen: ZeroScreen,
     /// Candidate ids straight from the index.
     cand_ids: Vec<VertexId>,
-    /// Candidates keyed for the ascending-distance scan; the scan keeps
-    /// only the bound survivors.
+    /// Candidate list entries keyed `(distance, vertex)`: after enumeration
+    /// the index candidates outside the ball; the scan narrows them to the
+    /// candidates it estimates (see [`QueryScratch::scan_candidates`]) and
+    /// sorts them.
     cands: Vec<(u32, VertexId)>,
-    /// Epoch-stamped dedup buffer for candidate enumeration and the
-    /// candidate-ball extension (O(1) reset per query). The scan lends it
-    /// to the structural-zero screen for the meet set's per-level dedup.
+    /// Epoch-stamped dedup buffer for candidate enumeration (O(1) reset per
+    /// query). The scan lends it to the structural-zero screen for the
+    /// meet set's per-level dedup.
     seen: SeenStamps,
     /// Running top-k (min-heap on score).
     heap: BinaryHeap<Reverse<HeapHit>>,
@@ -344,6 +367,10 @@ pub struct QueryScratch {
     wave: WaveScratch,
     /// Stage-duration accumulators, drained by the engine at batch end.
     obs: QueryLocalObs,
+    /// Fund no meet set, so the screen falls back and the scan walks the
+    /// full list (the reference the bulk path is tested against).
+    #[cfg(test)]
+    withhold_meet: bool,
 }
 
 /// Scratch for the candidate scan: the current wave's lanes, their
@@ -403,9 +430,10 @@ impl WaveScratch {
     }
 }
 
-/// Most bound survivors one wave examines. Screened zeros take no wave
+/// Most list entries one wave examines. Screened zeros take no wave
 /// lane, so without a cap one wave could screen the whole candidate list
-/// before it estimates anything.
+/// before it estimates anything. Only the full list holds zeros: on the
+/// bulk path every entry is in `M(u)`.
 const MAX_SPAN: usize = 1024;
 
 /// A candidate is refined when its coarse estimate reaches this fraction
@@ -419,6 +447,8 @@ impl QueryScratch {
         QueryScratch {
             bfs: BfsBuffers::new(g.num_vertices()),
             ball_depth: 0,
+            ball_radius: 0,
+            bounds: Vec::new(),
             l1: AlphaBeta::new_empty(),
             walks: WalkPositions::new(),
             l1_counts: Vec::new(),
@@ -429,6 +459,8 @@ impl QueryScratch {
             heap: BinaryHeap::new(),
             wave: WaveScratch::default(),
             obs: QueryLocalObs::new(),
+            #[cfg(test)]
+            withhold_meet: false,
         }
     }
 
@@ -489,10 +521,11 @@ impl QueryScratch {
     }
 
     /// Stage 1 — candidate enumeration (line 2 of Algorithm 5, plus the
-    /// optional candidate-ball extension), then a BFS just deep enough to
-    /// give every candidate its distance, leaving `self.cands` sorted for
-    /// the ascending-distance scan (§2.2) and `self.ball_depth` set for
-    /// the L1 table.
+    /// optional candidate ball), then a BFS just deep enough to give every
+    /// candidate its distance, leaving `self.ball_depth` set for the L1
+    /// table. The ball is the BFS's levels `1..=self.ball_radius` and is
+    /// only counted; the index candidates outside it are the list entries
+    /// of `self.cands`, unsorted.
     fn enumerate_candidates(
         &mut self,
         g: &Graph,
@@ -520,20 +553,14 @@ impl QueryScratch {
             self.bfs.run_targeted(g, u, Direction::Undirected, params.d_max, min_depth, &self.cand_ids);
         stats.bfs_visited = self.bfs.visited().len() as u64;
 
-        if let Some(radius) = opts.candidate_ball {
-            for &v in self.bfs.visited() {
-                if self.bfs.distance(v) <= radius && self.seen.insert(v) {
-                    self.cand_ids.push(v);
-                }
-            }
-        }
+        // The BFS completes the ball through the radius, or through d_max
+        // for a larger one, past which it visits nothing. Level 0 is u.
+        self.ball_radius = opts.candidate_ball.map_or(0, |r| r.min(self.ball_depth));
+        let (bfs, radius) = (&self.bfs, self.ball_radius);
         self.cands.clear();
-        self.cands.extend(self.cand_ids.iter().map(|&v| (self.bfs.distance(v), v)));
-        stats.candidates = self.cands.len() as u64;
-        // Ascending-distance scan order (§2.2). The (distance, vertex) key
-        // is a total order, so the scan sequence is independent of the
-        // enumeration order above.
-        self.cands.sort_unstable();
+        self.cands.extend(self.cand_ids.iter().map(|&v| (bfs.distance(v), v)).filter(|&(d, _)| d > radius));
+        let ball: usize = (1..=radius).map(|d| bfs.level(d).len()).sum();
+        stats.candidates = (ball + self.cands.len()) as u64;
     }
 
     /// Stage 2 — the per-query L1 table (Algorithm 2), into reused
@@ -550,7 +577,8 @@ impl QueryScratch {
         stats: &mut QueryStats,
     ) {
         let params = &index.params;
-        if opts.use_l1 && !self.cands.is_empty() && l1_table_pays(self.cands.len(), params, opts) {
+        let candidates = stats.candidates as usize;
+        if opts.use_l1 && candidates > 0 && l1_table_pays(candidates, params, opts) {
             stats.l1_tables = 1;
             // Candidates sit at most one level past the complete ball, and
             // the table is exact through that distance.
@@ -574,17 +602,23 @@ impl QueryScratch {
     /// Stage 3 — the bounded, adaptive candidate scan: distance bound →
     /// L1 bound → coarse pass → refine, all against θ, into the running
     /// top-k heap. [`QueryScratch::prune_by_bounds`] decides each distance
-    /// once and keeps the survivors; waves then estimate and decide each
-    /// survivor once, in scan order. When `explain` is given, every
-    /// candidate gets exactly one [`CandidateRecord`], in scan order —
-    /// fate counts in the trace reconcile with `stats` by construction.
+    /// once and counts the survivors `|C|`, which fund the structural-zero
+    /// screen's meet set `M(u)`. With `M(u)` built and θ > 0,
+    /// [`QueryScratch::keep_meet_members`] decides every survivor outside
+    /// it in bulk, and the list holds only `M(u)`'s survivors. Otherwise —
+    /// a fallback screen, whose credit depends on scan order, or θ = 0,
+    /// where a 0.0 score is reported — the list holds every survivor. The
+    /// list is sorted by `(distance, vertex)` (§2.2), and waves estimate
+    /// and decide each entry once, in that order. When `explain` is given,
+    /// every candidate gets exactly one [`CandidateRecord`], in scan order
+    /// — fate counts in the trace reconcile with `stats` by construction.
     ///
-    /// A wave is the next `wave_width` survivors the structural-zero
-    /// screen does not prove 0.0. With `wave_width ≥ 2` (and a uniform
-    /// diagonal) its estimates run through the wide multi-source kernel,
-    /// otherwise one pair at a time; either way the estimates are
-    /// bit-identical, so hits, fates, work counters and explain traces are
-    /// the same for every width.
+    /// A wave is the next `wave_width` entries the structural-zero screen
+    /// does not prove 0.0. With `wave_width ≥ 2` (and a uniform diagonal)
+    /// its estimates run through the wide multi-source kernel, otherwise
+    /// one pair at a time; either way the estimates are bit-identical, so
+    /// hits, fates, work counters and explain traces are the same for
+    /// every width.
     #[allow(clippy::too_many_arguments)]
     fn scan_candidates(
         &mut self,
@@ -597,14 +631,28 @@ impl QueryScratch {
         stats: &mut QueryStats,
         mut explain: Option<&mut ExplainTrace>,
     ) {
+        let params = &index.params;
         // Move the candidate list out so the scan can borrow the other
         // scratch fields mutably; moved back below.
         let mut cands = std::mem::take(&mut self.cands);
-        self.prune_by_bounds(&index.params, opts, theta, &mut cands, stats, explain.as_deref_mut());
+        let survivors = self.prune_by_bounds(params, opts, theta, &mut cands, stats, explain.as_deref_mut());
         let mask = std::mem::take(&mut self.l1_counts);
-        let meet = self.screen.begin(g, u, &index.params, mask, cands.len(), &mut self.seen);
+        let funds = survivors;
+        #[cfg(test)]
+        let funds = if self.withhold_meet { 0 } else { funds };
+        let meet = self.screen.begin(g, u, params, mask, funds, &mut self.seen);
         stats.meet_sets = u64::from(meet);
-        let params = &index.params;
+        if meet && theta > 0.0 {
+            self.keep_meet_members(opts, theta, survivors, &mut cands, stats, explain.as_deref_mut());
+        } else {
+            for d in (1..=self.ball_radius).filter(|&d| self.bound_at(d).is_none()) {
+                cands.extend(self.bfs.level(d).iter().map(|&v| (d, v)));
+            }
+        }
+        // Ascending-distance scan order (§2.2). The (distance, vertex) key
+        // is a total order, so the scan sequence is independent of the
+        // enumeration order.
+        cands.sort_unstable();
         let engine = WalkEngine::new(g);
         let width = opts.wave_width.max(1) as usize;
         // The wide kernel replays scalar estimates bit-for-bit only for a
@@ -630,7 +678,7 @@ impl QueryScratch {
                 }
                 end += 1;
             }
-            if wide {
+            if wide && !wave.targets.is_empty() {
                 stats.waves += 1;
                 self.obs.wave_survivors.record(wave.targets.len() as u64);
             }
@@ -698,54 +746,144 @@ impl QueryScratch {
     }
 
     /// Decides every candidate's distance and L1 bounds against θ, once
-    /// per distance: counts (and, under `explain`, records) the pruned
-    /// candidates and keeps the survivors in `cands`, in scan order. They
-    /// are exactly the candidates that can reach the structural-zero
-    /// screen. `c^⌈d/2⌉` never grows with d, so every candidate from the
-    /// first distance it prunes onward is distance-pruned.
+    /// per distance, through the per-distance table `self.bounds`: counts
+    /// (and, under `explain`, records) the pruned candidates — the ball's
+    /// a whole level at a time — and keeps the surviving entries in
+    /// `cands`. Returns `|C|`, the survivors: the ball's members at a kept
+    /// distance plus the kept entries. They are exactly the candidates
+    /// that can reach the structural-zero screen.
     fn prune_by_bounds(
-        &self,
+        &mut self,
         params: &SimRankParams,
         opts: &QueryOptions,
         theta: f64,
         cands: &mut Vec<(u32, VertexId)>,
         stats: &mut QueryStats,
         mut explain: Option<&mut ExplainTrace>,
-    ) {
-        let (mut kept, mut i) = (0, 0);
-        while i < cands.len() {
-            let d = cands[i].0;
-            let end = i + cands[i..].partition_point(|c| c.0 == d);
-            // Trivial distance bound c^⌈d/2⌉ (sound for the undirected
-            // metric — see SimRankParams::distance_bound) and the L1 bound
-            // β(u, d). Undirected unreachability implies the walks can
-            // never meet: c^d reads 0 there, and β +∞ (as when it is off).
-            let cd = if d == UNREACHED { 0.0 } else { params.distance_bound(d) };
-            let l1b = if opts.use_l1 && d != UNREACHED { self.l1.beta(d) } else { f64::INFINITY };
-            let pruned = if opts.use_distance_bound && cd < theta {
-                stats.pruned_distance += (end - i) as u64;
-                Some((CandidateFate::PrunedDistance, cd))
-            } else if l1b < theta {
-                stats.pruned_bounds += (end - i) as u64;
-                Some((CandidateFate::PrunedL1, l1b))
-            } else {
-                None
-            };
-            match (pruned, explain.as_deref_mut()) {
-                (None, _) => {
-                    cands.copy_within(i..end, kept);
-                    kept += end - i;
-                }
-                (Some((fate, value)), Some(tr)) => {
-                    for &(_, v) in &cands[i..end] {
-                        tr.push(record(v, d, fate, value, theta));
+    ) -> usize {
+        let l1 = &self.l1;
+        self.bounds.clear();
+        self.bounds.extend(
+            (0..self.bfs.levels()).chain([UNREACHED]).map(|d| bound_verdict(params, opts, l1, theta, d)),
+        );
+        let mut survivors = 0;
+        for d in 1..=self.ball_radius {
+            let level = self.bfs.level(d);
+            match self.bound_at(d) {
+                None => survivors += level.len(),
+                Some((fate, value)) => {
+                    count_pruned(stats, fate, level.len() as u64);
+                    if let Some(tr) = explain.as_deref_mut() {
+                        tr.records.extend(level.iter().map(|&v| record(v, d, fate, value, theta)));
                     }
                 }
-                (Some(_), None) => {}
             }
-            i = end;
         }
-        cands.truncate(kept);
+        cands.retain(|&(d, v)| match self.bound_at(d) {
+            None => true,
+            Some((fate, value)) => {
+                count_pruned(stats, fate, 1);
+                if let Some(tr) = explain.as_deref_mut() {
+                    tr.push(record(v, d, fate, value, theta));
+                }
+                false
+            }
+        });
+        survivors + cands.len()
+    }
+
+    /// The bounds' verdict for distance `d` (a BFS level or [`UNREACHED`]):
+    /// `Some((fate, bound))` when they prune it.
+    #[inline]
+    fn bound_at(&self, d: u32) -> Option<(CandidateFate, f64)> {
+        // Every visited vertex sits at a distance below `levels()`, so a
+        // larger `d` is UNREACHED (the last entry) or an empty ball level.
+        self.bounds[(d as usize).min(self.bounds.len() - 1)]
+    }
+
+    /// The bulk path (meet set built, θ > 0). A survivor outside `M(u)` is
+    /// a structural zero: its estimates are +0.0, below the coarse cut and
+    /// θ alike, so it is decided here, counted once as zero-screened and
+    /// once as coarse-pruned (refined without adaptive sampling), with no
+    /// list entry. `cands` keeps its entries in `M(u)` and gains the ball's
+    /// members of `M(u)` at a kept distance: the only survivors left to
+    /// estimate. The counts and records are those the scan would give.
+    fn keep_meet_members(
+        &self,
+        opts: &QueryOptions,
+        theta: f64,
+        survivors: usize,
+        cands: &mut Vec<(u32, VertexId)>,
+        stats: &mut QueryStats,
+        mut explain: Option<&mut ExplainTrace>,
+    ) {
+        let (fate, cut) = if opts.adaptive {
+            (CandidateFate::PrunedCoarse, COARSE_FRACTION * theta)
+        } else {
+            (CandidateFate::RefinedBelowTheta, theta)
+        };
+        let screen = &self.screen;
+        cands.retain(|&(d, v)| {
+            let keep = screen.in_meet(v);
+            if let (false, Some(tr)) = (keep, explain.as_deref_mut()) {
+                tr.push(record(v, d, fate, 0.0, cut));
+            }
+            keep
+        });
+        // u is a meet member whenever it has an in-link, but never a
+        // candidate: level 0 is outside the ball.
+        let kept = |d: u32| (1..=self.ball_radius).contains(&d) && self.bound_at(d).is_none();
+        for &w in screen.meet_members() {
+            let d = self.bfs.distance(w);
+            if kept(d) {
+                cands.push((d, w));
+            }
+        }
+        let zeros = (survivors - cands.len()) as u64;
+        stats.zero_screened += zeros;
+        if opts.adaptive {
+            stats.pruned_coarse += zeros;
+        } else {
+            stats.refined += zeros;
+        }
+        if let Some(tr) = explain {
+            for d in (1..=self.ball_radius).filter(|&d| kept(d)) {
+                let zero = self.bfs.level(d).iter().filter(|&&v| !screen.in_meet(v));
+                tr.records.extend(zero.map(|&v| record(v, d, fate, 0.0, cut)));
+            }
+        }
+    }
+}
+
+/// The `c^d` and L1 bounds' verdict on distance `d` against θ:
+/// `Some((fate, bound))` when one prunes it. Trivial distance bound
+/// `c^⌈d/2⌉` (sound for the undirected metric — see
+/// [`SimRankParams::distance_bound`]) first, then `β(u, d)`. Undirected
+/// unreachability implies the walks can never meet: `c^d` reads 0 there,
+/// and β +∞ (as when it is off).
+fn bound_verdict(
+    params: &SimRankParams,
+    opts: &QueryOptions,
+    l1: &AlphaBeta,
+    theta: f64,
+    d: u32,
+) -> Option<(CandidateFate, f64)> {
+    let cd = if d == UNREACHED { 0.0 } else { params.distance_bound(d) };
+    let l1b = if opts.use_l1 && d != UNREACHED { l1.beta(d) } else { f64::INFINITY };
+    if opts.use_distance_bound && cd < theta {
+        Some((CandidateFate::PrunedDistance, cd))
+    } else if l1b < theta {
+        Some((CandidateFate::PrunedL1, l1b))
+    } else {
+        None
+    }
+}
+
+/// Adds `n` candidates pruned with `fate` (a bound's) to `stats`.
+fn count_pruned(stats: &mut QueryStats, fate: CandidateFate, n: u64) {
+    match fate {
+        CandidateFate::PrunedDistance => stats.pruned_distance += n,
+        _ => stats.pruned_bounds += n,
     }
 }
 
@@ -1132,31 +1270,109 @@ mod tests {
         let params = fast_params();
         let idx = TopKIndex::build_with(&g, &params, Diagonal::paper_default(params.c), 3, 2);
         let mut ctx = QueryContext::new(&g, &idx);
-        let plain = QueryOptions::default();
-        let explain = QueryOptions { explain: true, ..Default::default() };
-        for u in srs_graph::stats::sample_query_vertices(&g, 8, 14) {
-            let a = ctx.query(u, 10, &plain);
-            let b = ctx.query(u, 10, &explain);
-            // The trace is pure observation: hits and stats are identical.
-            assert_eq!(a.hits, b.hits, "u={u}");
-            assert_eq!(a.stats, b.stats, "u={u}");
-            assert!(a.explain.is_none());
-            let tr = b.explain.expect("explain requested");
-            // Every enumerated candidate appears exactly once.
-            assert_eq!(tr.records.len() as u64, b.stats.candidates, "u={u}");
-            let mut vertices: Vec<_> = tr.records.iter().map(|r| r.vertex).collect();
-            vertices.sort_unstable();
-            let before = vertices.len();
-            vertices.dedup();
-            assert_eq!(vertices.len(), before, "u={u}: duplicate candidate in trace");
-            // Trace fates reconcile with the stats counters.
-            use srs_obs::CandidateFate as F;
-            assert_eq!(tr.count(F::PrunedDistance), b.stats.pruned_distance, "u={u}");
-            assert_eq!(tr.count(F::PrunedL1), b.stats.pruned_bounds, "u={u}");
-            assert_eq!(tr.count(F::PrunedCoarse), b.stats.pruned_coarse, "u={u}");
-            assert_eq!(tr.count(F::RefinedBelowTheta), b.stats.refined, "u={u}");
-            assert_eq!(tr.count(F::Reported), b.stats.reported, "u={u}");
+        // The index's candidates alone, and with the ball counted in bulk;
+        // at θ = 0 every candidate takes the full list.
+        let ball = QueryOptions { candidate_ball: Some(2), ..Default::default() };
+        let zero = |o: &QueryOptions| QueryOptions { theta: Some(0.0), ..o.clone() };
+        let (mut bulk, mut meets) = (0, 0);
+        for plain in [QueryOptions::default(), ball.clone(), zero(&QueryOptions::default()), zero(&ball)] {
+            let explain = QueryOptions { explain: true, ..plain.clone() };
+            for u in srs_graph::stats::sample_query_vertices(&g, 8, 14) {
+                let a = ctx.query(u, 10, &plain);
+                let b = ctx.query(u, 10, &explain);
+                // The trace is pure observation: hits and stats, waves
+                // included, are identical.
+                assert_eq!(a.hits, b.hits, "u={u} {plain:?}");
+                assert_eq!(a.stats, b.stats, "u={u} {plain:?}");
+                assert!(a.explain.is_none());
+                let tr = b.explain.expect("explain requested");
+                // Every enumerated candidate appears exactly once.
+                assert_eq!(tr.records.len() as u64, b.stats.candidates, "u={u} {plain:?}");
+                let mut vertices: Vec<_> = tr.records.iter().map(|r| r.vertex).collect();
+                vertices.sort_unstable();
+                let before = vertices.len();
+                vertices.dedup();
+                assert_eq!(vertices.len(), before, "u={u}: duplicate candidate in trace");
+                assert!(!vertices.contains(&u), "u={u}: the query vertex is no candidate");
+                // Trace fates reconcile with the stats counters.
+                use srs_obs::CandidateFate as F;
+                assert_eq!(tr.count(F::PrunedDistance), b.stats.pruned_distance, "u={u} {plain:?}");
+                assert_eq!(tr.count(F::PrunedL1), b.stats.pruned_bounds, "u={u} {plain:?}");
+                assert_eq!(tr.count(F::PrunedCoarse), b.stats.pruned_coarse, "u={u} {plain:?}");
+                assert_eq!(tr.count(F::RefinedBelowTheta), b.stats.refined, "u={u} {plain:?}");
+                assert_eq!(tr.count(F::Reported), b.stats.reported, "u={u} {plain:?}");
+                // Records come in scan order.
+                let keys: Vec<_> = tr.records.iter().map(|r| (r.distance, r.vertex)).collect();
+                assert!(keys.windows(2).all(|w| w[0] < w[1]), "u={u} {plain:?}");
+                meets += b.stats.meet_sets;
+                let zeros = b.stats.meet_sets > 0 && b.stats.zero_screened > 0;
+                bulk += u64::from(zeros && plain.theta.is_none());
+            }
         }
+        assert!(meets > 0 && bulk > 0, "{meets} meet sets, {bulk} bulk-path queries");
+    }
+
+    #[test]
+    fn theta_zero_reports_every_candidate() {
+        // At θ = 0 no bound prunes and every 0.0 estimate is reported, so
+        // with k past the candidate count each candidate is a hit.
+        let g = gen::copying_web(200, 4, 0.8, 8);
+        let params = fast_params();
+        let idx = TopKIndex::build_with(&g, &params, Diagonal::paper_default(params.c), 3, 2);
+        let mut ctx = QueryContext::new(&g, &idx);
+        let k = g.num_vertices() as usize;
+        let mut zeros = 0;
+        for ball in [None, Some(1), Some(2)] {
+            let opts = QueryOptions { candidate_ball: ball, theta: Some(0.0), ..Default::default() };
+            for u in srs_graph::stats::sample_query_vertices(&g, 12, 5) {
+                let res = ctx.query(u, k, &opts);
+                let s = res.stats;
+                assert_eq!(s.reported, s.candidates, "u={u} {ball:?}: {s:?}");
+                assert_eq!(res.hits.len() as u64, s.candidates, "u={u} {ball:?}");
+                zeros += res.hits.iter().filter(|h| h.score == 0.0).count();
+            }
+        }
+        assert!(zeros > 0, "no 0.0 score was reported");
+    }
+
+    #[test]
+    fn bulk_path_matches_the_full_list() {
+        // With the meet set withheld, the screen falls back and the scan
+        // walks the full list, screening or walking each candidate itself.
+        // The bulk path must give the same hits, fates and traces.
+        let social = gen::preferential_attachment_windowed(1200, 6, 144, 42);
+        let web = gen::copying_web(1200, 4, 0.8, 42);
+        let params = SimRankParams::default();
+        let (mut bulk, mut zeros) = (0, 0);
+        for g in [social, web] {
+            let idx = TopKIndex::build_with(&g, &params, Diagonal::paper_default(params.c), 7, 2);
+            let mut with = QueryContext::new(&g, &idx);
+            let mut without = QueryContext::new(&g, &idx);
+            without.scratch.withhold_meet = true;
+            for adaptive in [true, false] {
+                let opts =
+                    QueryOptions { candidate_ball: Some(2), adaptive, explain: true, ..Default::default() };
+                for u in srs_graph::stats::sample_query_vertices(&g, 40, 6) {
+                    let (a, b) = (with.query(u, 20, &opts), without.query(u, 20, &opts));
+                    let ctx = format!("u={u} adaptive={adaptive}");
+                    assert_eq!(b.stats.meet_sets, 0, "{ctx}");
+                    assert_eq!(a.hits, b.hits, "{ctx}");
+                    // Only the work counters may differ.
+                    let fates = |s: QueryStats| QueryStats {
+                        walk_steps: 0,
+                        zero_screened: 0,
+                        meet_sets: 0,
+                        waves: 0,
+                        ..s
+                    };
+                    assert_eq!(fates(a.stats), fates(b.stats), "{ctx}");
+                    assert_eq!(a.explain, b.explain, "{ctx}");
+                    bulk += a.stats.meet_sets;
+                    zeros += a.stats.zero_screened;
+                }
+            }
+        }
+        assert!(bulk > 20 && zeros > 1000, "{bulk} bulk-path queries, {zeros} zeros");
     }
 
     #[test]
