@@ -9,6 +9,12 @@
 //! measurably below the offered rate or the tail blows out relative to
 //! the lightest rung. Like `BENCH_query.json`, the JSON is hand-rolled
 //! because the workspace is offline (no serde).
+//!
+//! Each rung also carries the server's own layers, from a `/metrics`
+//! scrape before and after it ([`ServerScrape`]): how many waves the
+//! dispatcher ran and how wide they were, the mean service time and
+//! queue wait, and the client-minus-server residual — so a knee in the
+//! file says which side of the socket it sits on.
 
 use crate::walkbench::{json_string, HostInfo};
 use std::io::Write;
@@ -48,6 +54,8 @@ pub struct ServeBenchEntry {
     pub p99_us: f64,
     /// Worst observed latency, microseconds.
     pub max_us: f64,
+    /// The server's side of the rung.
+    pub layers: ServerLayers,
 }
 
 impl ServeBenchEntry {
@@ -64,6 +72,79 @@ impl ServeBenchEntry {
     /// [`KNEE_THROUGHPUT_FRACTION`] of target and no errors).
     pub fn keeping_up(&self) -> bool {
         self.errors == 0 && self.achieved_qps() >= KNEE_THROUGHPUT_FRACTION * self.rate
+    }
+}
+
+/// The server counters a sweep reads from one `/metrics` scrape. All are
+/// cumulative, so two scrapes bracket a rung.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ServerScrape {
+    /// `srs_server_waves_total`.
+    pub waves: u64,
+    /// `srs_server_queue_wait_ns_count` — queries dispatched.
+    pub queries: u64,
+    /// `srs_server_queue_wait_ns_sum`.
+    pub queue_wait_ns: u64,
+    /// `srs_server_request_latency_ns_count` — `/query` requests served.
+    pub requests: u64,
+    /// `srs_server_request_latency_ns_sum`.
+    pub service_ns: u64,
+}
+
+/// What the server did during one rung: the difference of the scrapes
+/// around it.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct ServerLayers {
+    /// Waves the dispatcher ran.
+    pub waves: u64,
+    /// Mean queries per wave.
+    pub mean_wave_size: f64,
+    /// Mean server service time (`srs_server_request_latency_ns`: parse
+    /// completion → response body ready), microseconds.
+    pub server_us: f64,
+    /// Mean dispatch-queue wait (`srs_server_queue_wait_ns`: submit →
+    /// wave start), microseconds.
+    pub queue_wait_us: f64,
+    /// Mean client latency minus [`Self::server_us`], microseconds: the
+    /// socket, request read and parse, response write, and — since the
+    /// client clocks from the *scheduled* send — any lag of the load
+    /// generator behind its schedule.
+    pub residual_us: f64,
+}
+
+impl ServerScrape {
+    /// Reads the counters from a Prometheus text exposition. The error
+    /// names the first family the text lacks.
+    pub fn parse(prometheus: &str) -> Result<Self, &'static str> {
+        let value = |name: &'static str| {
+            prometheus
+                .lines()
+                .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.trim().parse::<u64>().ok())
+                .ok_or(name)
+        };
+        Ok(ServerScrape {
+            waves: value("srs_server_waves_total")?,
+            queries: value("srs_server_queue_wait_ns_count")?,
+            queue_wait_ns: value("srs_server_queue_wait_ns_sum")?,
+            requests: value("srs_server_request_latency_ns_count")?,
+            service_ns: value("srs_server_request_latency_ns_sum")?,
+        })
+    }
+
+    /// The layers of the rung between `self` (before) and `after`, given
+    /// the client's mean latency over the rung in microseconds.
+    pub fn layers_until(&self, after: &ServerScrape, client_mean_us: f64) -> ServerLayers {
+        let d = |a: u64, b: u64| a.saturating_sub(b);
+        let mean = |sum: u64, n: u64| if n == 0 { 0.0 } else { sum as f64 / n as f64 };
+        let (waves, queries) = (d(after.waves, self.waves), d(after.queries, self.queries));
+        let server_us = mean(d(after.service_ns, self.service_ns), d(after.requests, self.requests)) / 1e3;
+        ServerLayers {
+            waves,
+            mean_wave_size: mean(queries, waves),
+            server_us,
+            queue_wait_us: mean(d(after.queue_wait_ns, self.queue_wait_ns), queries) / 1e3,
+            residual_us: client_mean_us - server_us,
+        }
     }
 }
 
@@ -120,7 +201,9 @@ impl ServeBenchReport {
             out.push_str(&format!(
                 "    {{\"rate\": {:.1}, \"requests\": {}, \"completed\": {}, \"errors\": {}, \
                  \"connections\": {}, \"k\": {}, \"elapsed_secs\": {:.6}, \"achieved_qps\": {:.1}, \
-                 \"p50_us\": {:.1}, \"p95_us\": {:.1}, \"p99_us\": {:.1}, \"max_us\": {:.1}}}{}\n",
+                 \"p50_us\": {:.1}, \"p95_us\": {:.1}, \"p99_us\": {:.1}, \"max_us\": {:.1}, \
+                 \"waves\": {}, \"mean_wave_size\": {:.3}, \"server_us\": {:.1}, \"queue_wait_us\": {:.1}, \
+                 \"residual_us\": {:.1}}}{}\n",
                 e.rate,
                 e.requests,
                 e.completed,
@@ -133,6 +216,11 @@ impl ServeBenchReport {
                 e.p95_us,
                 e.p99_us,
                 e.max_us,
+                e.layers.waves,
+                e.layers.mean_wave_size,
+                e.layers.server_us,
+                e.layers.queue_wait_us,
+                e.layers.residual_us,
                 if i + 1 < self.entries.len() { "," } else { "" }
             ));
         }
@@ -164,6 +252,13 @@ mod tests {
             p95_us: p99 / 2.0,
             p99_us: p99,
             max_us: p99 * 2.0,
+            layers: ServerLayers {
+                waves: completed,
+                mean_wave_size: 1.0,
+                server_us: p99 / 8.0,
+                queue_wait_us: p99 / 80.0,
+                residual_us: p99 / 16.0,
+            },
         }
     }
 
@@ -212,8 +307,64 @@ mod tests {
         assert!(j.contains("\"addr\": \"127.0.0.1:7171\""));
         assert!(j.contains("\"knee_rate\": 400.0"));
         assert!(j.contains("\"achieved_qps\": 100.0"));
+        assert!(j.contains("\"waves\": 200, \"mean_wave_size\": 1.000, \"server_us\": 100.0, \"queue_wait_us\": 10.0, \"residual_us\": 50.0}"), "{j}");
         // One separator between the two rungs, one after the host block.
         assert_eq!(j.matches("},\n").count(), 2, "{j}");
+    }
+
+    #[test]
+    fn scrape_parses_the_layered_families() {
+        // The shape `/metrics` renders: HELP/TYPE lines, sparse buckets,
+        // and look-alike prefixes that must not match.
+        let text = "# TYPE srs_server_waves_total counter\n\
+                    srs_server_waves_total 12\n\
+                    srs_server_waves_total_bogus 99\n\
+                    srs_server_queue_wait_ns_bucket{le=\"+Inf\"} 30\n\
+                    srs_server_queue_wait_ns_sum 45000\n\
+                    srs_server_queue_wait_ns_count 30\n\
+                    srs_server_request_latency_ns_bucket{le=\"+Inf\"} 30\n\
+                    srs_server_request_latency_ns_sum 6000000\n\
+                    srs_server_request_latency_ns_count 30\n";
+        let s = ServerScrape::parse(text).unwrap();
+        assert_eq!(
+            s,
+            ServerScrape {
+                waves: 12,
+                queries: 30,
+                queue_wait_ns: 45_000,
+                requests: 30,
+                service_ns: 6_000_000
+            }
+        );
+        let missing = text.replace("srs_server_queue_wait_ns_sum", "other");
+        assert_eq!(ServerScrape::parse(&missing), Err("srs_server_queue_wait_ns_sum"));
+    }
+
+    #[test]
+    fn layers_are_differences_of_two_scrapes() {
+        let before = ServerScrape {
+            waves: 10,
+            queries: 20,
+            queue_wait_ns: 1_000,
+            requests: 20,
+            service_ns: 4_000_000,
+        };
+        let after = ServerScrape {
+            waves: 60,
+            queries: 220,
+            queue_wait_ns: 3_001_000,
+            requests: 220,
+            service_ns: 84_000_000,
+        };
+        let l = before.layers_until(&after, 500.0);
+        assert_eq!(l.waves, 50);
+        assert_eq!(l.mean_wave_size, 4.0);
+        assert_eq!(l.server_us, 400.0);
+        assert_eq!(l.queue_wait_us, 15.0);
+        assert_eq!(l.residual_us, 100.0);
+        // An idle rung divides by nothing.
+        let idle = after.layers_until(&after, 0.0);
+        assert_eq!((idle.waves, idle.mean_wave_size, idle.server_us, idle.queue_wait_us), (0, 0.0, 0.0, 0.0));
     }
 
     #[test]

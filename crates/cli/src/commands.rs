@@ -32,7 +32,7 @@ usage:
   srs serve      --snapshot FILE.srs [--deltas D1,D2,...] [--staleness-depth N]
                  [--mmap [--verify-on-load] [--prefault]]
                  [--addr 127.0.0.1:7171] [--threads T] [--max-batch 64]
-                 [--batch-window-us 500] [--queue 1024] [--cache 4096] [--k 20]
+                 [--queue 1024] [--cache 4096] [--k 20]
                  [--read-timeout-s 60] [--max-conns 1024]
                  [--trace-sample N] [--slow-query-ms T]
   srs delta      --snapshot FILE.srs [--deltas D1,D2,...] --edits FILE|- --out FILE.d
@@ -604,7 +604,6 @@ fn serve(args: &Args) -> Result<String, CliError> {
         "addr",
         "threads",
         "max-batch",
-        "batch-window-us",
         "queue",
         "cache",
         "k",
@@ -636,9 +635,6 @@ fn serve(args: &Args) -> Result<String, CliError> {
         addr: args.opt("addr").unwrap_or(&defaults.addr).to_string(),
         threads: args.get_or("threads", defaults.threads)?,
         max_batch: args.get_or("max-batch", defaults.max_batch)?,
-        batch_window: std::time::Duration::from_micros(
-            args.get_or("batch-window-us", defaults.batch_window.as_micros() as u64)?,
-        ),
         queue_capacity: args.get_or("queue", defaults.queue_capacity)?,
         cache_capacity: args.get_or("cache", defaults.cache_capacity)?,
         default_k: args.get_or("k", defaults.default_k)?,
@@ -837,6 +833,23 @@ impl LoadOutcome {
     fn achieved_qps(&self) -> f64 {
         self.completed() as f64 / self.wall.as_secs_f64().max(1e-9)
     }
+
+    /// Mean latency in microseconds; zero when nothing completed.
+    fn mean_us(&self) -> f64 {
+        let sum: std::time::Duration = self.latencies.iter().sum();
+        sum.as_secs_f64() * 1e6 / self.completed().max(1) as f64
+    }
+}
+
+/// One `/metrics` scrape, reduced to the counters a sweep rung reports.
+fn scrape_server(addr: &str) -> Result<srs_bench::servebench::ServerScrape, String> {
+    let mut c = srs_serve::HttpClient::connect(addr).map_err(|e| format!("{addr}: {e}"))?;
+    let resp = c.get("/metrics").map_err(|e| format!("{addr}: GET /metrics: {e}"))?;
+    if resp.status != 200 {
+        return Err(format!("{addr}: GET /metrics answered {}", resp.status));
+    }
+    srs_bench::servebench::ServerScrape::parse(&resp.body_str())
+        .map_err(|family| format!("{addr}: /metrics has no {family}"))
 }
 
 /// Drives `total` open-loop requests at `rate` against a running server:
@@ -1029,18 +1042,30 @@ fn loadgen(args: &Args) -> Result<String, CliError> {
             "loadgen sweep: {} rungs x {secs}s against {addr} (zipf {exponent}, {connections} connections, k={k})",
             rates.len()
         );
+        // The scrape after one rung is the scrape before the next: nothing
+        // else talks to the server in between.
+        let mut before = scrape_server(&addr)?;
         for (rung, &rate) in rates.iter().enumerate() {
             let total = (rate * secs).ceil().max(1.0) as usize;
             let r = run_load(&addr, n, rate, total, k, exponent, connections, seed + rung as u64, false);
+            let after = scrape_server(&addr)?;
+            let layers = before.layers_until(&after, r.mean_us());
+            before = after;
             let us = |d: std::time::Duration| d.as_secs_f64() * 1e6;
             let _ = writeln!(
                 out,
-                "  rate {rate:>7.0} -> {:.0} qps, {} errors, p50 {:.2?} | p95 {:.2?} | p99 {:.2?}",
+                "  rate {rate:>7.0} -> {:.0} qps, {} errors, p50 {:.2?} | p95 {:.2?} | p99 {:.2?} | \
+                 {} waves x {:.2}, server {:.1}us (queue {:.1}us), residual {:.1}us",
                 r.achieved_qps(),
                 r.errors,
                 r.pct(0.50),
                 r.pct(0.95),
                 r.pct(0.99),
+                layers.waves,
+                layers.mean_wave_size,
+                layers.server_us,
+                layers.queue_wait_us,
+                layers.residual_us,
             );
             for msg in &r.failures {
                 let _ = writeln!(out, "  error: {msg}");
@@ -1057,6 +1082,7 @@ fn loadgen(args: &Args) -> Result<String, CliError> {
                 p95_us: us(r.pct(0.95)),
                 p99_us: us(r.pct(0.99)),
                 max_us: us(r.pct(1.0)),
+                layers,
             });
         }
         match report.knee_rate() {
@@ -1499,6 +1525,27 @@ mod tests {
         .unwrap();
         assert!(out.contains("completed 30 ok, 0 errors"), "{out}");
         assert!(out.contains("p50"), "{out}");
+        // A sweep layers each rung with the server's own counters: every
+        // request of a rung went through one of that rung's waves.
+        let sweep_path = tmp("lg_sweep.json");
+        run(&format!(
+            "loadgen --addr {addr} --sweep 200,400 --duration-s 0.1 --connections 2 --k 5 --sweep-out {}",
+            sweep_path.display()
+        ))
+        .unwrap();
+        let json = std::fs::read_to_string(&sweep_path).unwrap();
+        let rungs: Vec<&str> = json.lines().filter(|l| l.contains("\"rate\":")).collect();
+        assert_eq!(rungs.len(), 2, "{json}");
+        for line in rungs {
+            let field = |key| json_u64_field(line, key).unwrap_or_else(|| panic!("{key} in {line}"));
+            let (requests, waves) = (field("requests"), field("waves"));
+            assert_eq!(field("completed"), requests, "{line}");
+            assert!((1..=requests).contains(&waves), "{line}");
+            for key in ["mean_wave_size", "server_us", "queue_wait_us", "residual_us"] {
+                assert!(line.contains(&format!("\"{key}\": ")), "{key} in {line}");
+            }
+        }
+        std::fs::remove_file(&sweep_path).ok();
         let mut c = srs_serve::HttpClient::connect(addr.to_string()).unwrap();
         assert_eq!(c.post("/admin/quit").unwrap().status, 200);
         handle.join().unwrap().unwrap();
@@ -1621,7 +1668,7 @@ mod tests {
         };
         let addr = format!("127.0.0.1:{port}");
         let cmd = format!(
-            "serve --snapshot {} --addr {addr} --max-batch 8 --batch-window-us 200 \
+            "serve --snapshot {} --addr {addr} --max-batch 8 \
              --trace-sample 1 --slow-query-ms 500",
             s_path.display()
         );
@@ -2313,6 +2360,15 @@ mod tests {
             let err = run(line).unwrap_err();
             assert!(err.contains("unknown flag --prune-theta-only"), "{line}: {err}");
         }
+    }
+
+    #[test]
+    fn retired_batch_window_flag_is_unknown() {
+        // The dispatcher batches while busy and never lingers, so the
+        // linger's knob is gone; an old invocation must fail rather than
+        // be ignored.
+        let err = run("serve --snapshot none.srs --batch-window-us 500").unwrap_err();
+        assert!(err.contains("unknown flag --batch-window-us"), "{err}");
     }
 
     #[test]

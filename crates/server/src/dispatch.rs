@@ -2,14 +2,15 @@
 //! dispatcher thread into [`ServingEngine::query_wave`] waves.
 //!
 //! Request threads call [`Coalescer::submit`] and block on the returned
-//! reply channel; the dispatcher takes whatever is queued (up to
-//! `max_batch`), then lingers up to `batch_window` for more arrivals
-//! before handing the wave to the engine — so under concurrency the
-//! engine sees batches (where its throughput lives) and a lone request
-//! pays at most one window of added latency. Answers are bit-identical
-//! to serving each request alone: coalescing decides who computes
-//! together, never what the answer is (see `srs-search`'s determinism
-//! contract).
+//! reply channel. The dispatcher **batches while busy**: it takes
+//! whatever is queued (up to `max_batch`) and hands that wave to the
+//! engine at once; queries that arrive while a wave runs form the next
+//! wave. Under load the waves grow by themselves — the engine's own
+//! service time is the coalescing window — and a lone request never
+//! waits for a request that has not arrived yet. Answers are
+//! bit-identical to serving each request alone: coalescing decides who
+//! computes together, never what the answer is (see `srs-search`'s
+//! determinism contract).
 //!
 //! Shutdown is a drain: [`Coalescer::close`] rejects new submissions but
 //! the dispatcher keeps serving until the queue is empty, so every
@@ -28,10 +29,9 @@ use srs_search::{ServingEngine, TopKResult};
 use std::collections::VecDeque;
 use std::sync::mpsc;
 use std::sync::{Condvar, Mutex};
-use std::time::{Duration, Instant};
 
 use crate::metrics::ServerMetrics;
-use crate::sync::{lock, wait, wait_timeout};
+use crate::sync::{lock, wait};
 
 /// What the dispatcher sends back for one submitted query.
 #[derive(Debug)]
@@ -48,7 +48,7 @@ pub struct QueryAnswer {
     pub out_of_range: bool,
     /// When the answering wave handed off to the engine, in ns since the
     /// process trace epoch ([`srs_obs::now_ns`]) — the end of this
-    /// request's queue linger. Two clock reads *per wave*, so tracing
+    /// request's queue wait. Two clock reads *per wave*, so tracing
     /// adds nothing per-request on the dispatcher side.
     pub wave_started_ns: u64,
     /// When the answering wave's engine call returned, same timebase.
@@ -81,6 +81,9 @@ impl std::error::Error for SubmitError {}
 struct Pending {
     query: WaveQuery,
     reply: mpsc::Sender<QueryAnswer>,
+    /// [`srs_obs::now_ns`] at submit: with the wave's start it gives the
+    /// query's `srs_server_queue_wait_ns` observation.
+    submitted_ns: u64,
 }
 
 struct QueueInner {
@@ -96,26 +99,24 @@ pub struct Coalescer {
     nonempty: Condvar,
     capacity: usize,
     max_batch: usize,
-    window: Duration,
 }
 
 impl Coalescer {
     /// A coalescer holding at most `capacity` queued queries, serving at
-    /// most `max_batch` per wave, lingering up to `window` per wave for
-    /// late arrivals.
-    pub fn new(capacity: usize, max_batch: usize, window: Duration) -> Self {
+    /// most `max_batch` per wave.
+    pub fn new(capacity: usize, max_batch: usize) -> Self {
         Coalescer {
             inner: Mutex::new(QueueInner { queue: VecDeque::new(), closed: false }),
             nonempty: Condvar::new(),
             capacity: capacity.max(1),
             max_batch: max_batch.max(1),
-            window,
         }
     }
 
     /// Enqueues one query; the answer arrives on the returned channel
     /// when its wave completes.
     pub fn submit(&self, query: WaveQuery) -> Result<mpsc::Receiver<QueryAnswer>, SubmitError> {
+        let submitted_ns = srs_obs::now_ns();
         let mut inner = lock(&self.inner);
         if inner.closed {
             return Err(SubmitError::Closed);
@@ -124,7 +125,7 @@ impl Coalescer {
             return Err(SubmitError::Full);
         }
         let (tx, rx) = mpsc::channel();
-        inner.queue.push_back(Pending { query, reply: tx });
+        inner.queue.push_back(Pending { query, reply: tx, submitted_ns });
         drop(inner);
         self.nonempty.notify_one();
         Ok(rx)
@@ -147,45 +148,27 @@ impl Coalescer {
         lock(&self.inner).queue.len()
     }
 
-    /// The dispatcher loop: collect a wave, serve it, fan the results
-    /// back, repeat. Returns once closed **and** drained — every accepted
-    /// query is answered before exit. Run this on a dedicated thread.
+    /// The dispatcher loop: take what is queued as one wave, serve it,
+    /// fan the results back, repeat. Returns once closed **and**
+    /// drained — every accepted query is answered before exit. Run this
+    /// on a dedicated thread.
     pub fn run(&self, engine: &ServingEngine, metrics: &ServerMetrics) {
         let mut wave: Vec<WaveQuery> = Vec::with_capacity(self.max_batch);
-        let mut replies: Vec<mpsc::Sender<QueryAnswer>> = Vec::with_capacity(self.max_batch);
+        let mut replies: Vec<(mpsc::Sender<QueryAnswer>, u64)> = Vec::with_capacity(self.max_batch);
         loop {
-            wave.clear();
-            replies.clear();
             {
                 let mut inner = lock(&self.inner);
-                loop {
-                    if !inner.queue.is_empty() {
-                        break;
-                    }
+                while inner.queue.is_empty() {
                     if inner.closed {
                         metrics.queue_depth.set(0);
                         return;
                     }
                     inner = wait(&self.nonempty, inner);
                 }
-                take_queued(&mut inner, self.max_batch, &mut wave, &mut replies);
-                // Linger for late arrivals — the coalescing window. Skipped
-                // when already full or draining (drain wants latency, not
-                // batching).
-                if wave.len() < self.max_batch && !inner.closed && !self.window.is_zero() {
-                    let deadline = Instant::now() + self.window;
-                    while wave.len() < self.max_batch && !inner.closed {
-                        let now = Instant::now();
-                        if now >= deadline {
-                            break;
-                        }
-                        let (guard, timeout) = wait_timeout(&self.nonempty, inner, deadline - now);
-                        inner = guard;
-                        take_queued(&mut inner, self.max_batch, &mut wave, &mut replies);
-                        if timeout.timed_out() {
-                            break;
-                        }
-                    }
+                let take = inner.queue.len().min(self.max_batch);
+                for p in inner.queue.drain(..take) {
+                    wave.push(p.query);
+                    replies.push((p.reply, p.submitted_ns));
                 }
                 metrics.queue_depth.set(inner.queue.len() as u64);
             }
@@ -197,6 +180,11 @@ impl Coalescer {
             let wave_started_ns = srs_obs::now_ns();
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| engine.query_wave(&wave)));
             let wave_ended_ns = srs_obs::now_ns();
+            for &(_, submitted_ns) in &replies {
+                metrics.queue_wait.observe(wave_started_ns.saturating_sub(submitted_ns));
+            }
+            let wave_width = wave.len() as u32;
+            wave.clear();
             let outcome = match outcome {
                 Ok(outcome) => outcome,
                 Err(_) => {
@@ -211,7 +199,6 @@ impl Coalescer {
             // A dropped receiver (client hung up mid-wait) is fine — the
             // answer just has nowhere to go.
             let generation = outcome.generation;
-            let wave_width = wave.len() as u32;
             let answers =
                 outcome.results.into_iter().zip(outcome.out_of_range).map(|(result, out_of_range)| {
                     QueryAnswer {
@@ -223,26 +210,9 @@ impl Coalescer {
                         wave_width,
                     }
                 });
-            for (reply, answer) in replies.drain(..).zip(answers) {
+            for ((reply, _), answer) in replies.drain(..).zip(answers) {
                 let _ = reply.send(answer);
             }
-        }
-    }
-}
-
-fn take_queued(
-    inner: &mut QueueInner,
-    max_batch: usize,
-    wave: &mut Vec<WaveQuery>,
-    replies: &mut Vec<mpsc::Sender<QueryAnswer>>,
-) {
-    while wave.len() < max_batch {
-        match inner.queue.pop_front() {
-            Some(p) => {
-                wave.push(p.query);
-                replies.push(p.reply);
-            }
-            None => break,
         }
     }
 }
@@ -259,7 +229,7 @@ mod tests {
 
     #[test]
     fn queue_bounds_and_close_are_enforced() {
-        let c = Coalescer::new(2, 8, Duration::from_micros(100));
+        let c = Coalescer::new(2, 8);
         let _a = c.submit(q(1)).unwrap();
         let _b = c.submit(q(2)).unwrap();
         assert_eq!(c.depth(), 2);
@@ -272,7 +242,7 @@ mod tests {
 
     #[test]
     fn capacity_and_batch_floors() {
-        let c = Coalescer::new(0, 0, Duration::ZERO);
+        let c = Coalescer::new(0, 0);
         assert_eq!(c.capacity, 1);
         assert_eq!(c.max_batch, 1);
     }

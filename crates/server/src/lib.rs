@@ -109,8 +109,6 @@ pub struct ServerConfig {
     pub threads: usize,
     /// Most queries coalesced into one wave.
     pub max_batch: usize,
-    /// How long the dispatcher lingers for late arrivals per wave.
-    pub batch_window: Duration,
     /// Most queries waiting in the dispatch queue before 503.
     pub queue_capacity: usize,
     /// Result-cache entries (0 disables the cache).
@@ -160,7 +158,6 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:7171".to_string(),
             threads: 0,
             max_batch: 64,
-            batch_window: Duration::from_micros(500),
             queue_capacity: 1024,
             cache_capacity: 4096,
             default_k: 20,
@@ -398,8 +395,7 @@ impl Server {
         metrics.generation.set(engine.generation());
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
-        let coalescer =
-            Arc::new(Coalescer::new(config.queue_capacity, config.max_batch, config.batch_window));
+        let coalescer = Arc::new(Coalescer::new(config.queue_capacity, config.max_batch));
         let shared = Arc::new(Shared {
             engine,
             coalescer,

@@ -16,11 +16,27 @@
 //! | `srs_server_waves_total` | counter | |
 //! | `srs_server_wave_panics_total` | counter | |
 //! | `srs_server_wave_size` | histogram | |
+//! | `srs_server_queue_wait_ns` | histogram | |
 //! | `srs_server_request_latency_ns` | histogram | |
 //! | `srs_server_reloads_total` / `srs_server_reload_failures_total` | counter | |
 //! | `srs_server_ingests_total` / `srs_server_ingest_failures_total` | counter | |
 //! | `srs_server_snapshot_generation` | gauge | |
 //! | `srs_server_uptime_seconds` | gauge | |
+//!
+//! Three timings cover one `/query`, nested:
+//!
+//! - `srs_server_request_latency_ns` — parse completion → response body
+//!   ready, read on the request thread: the request's *service time*.
+//! - the `queue_linger` trace span — parse completion → wave start:
+//!   parameter validation, the submit, and the wait for the dispatcher.
+//!   It shares its start with the request span, so the request span's
+//!   children (`queue_linger`, `wave_exec`) tile it.
+//! - `srs_server_queue_wait_ns` — submit → wave start: the wait in the
+//!   dispatch queue alone. The submit reads the clock once per query and
+//!   the dispatcher once per wave (the same read that starts
+//!   `wave_exec`), so the histogram adds no clock read on the dispatcher
+//!   side per query. Its `_count` is the number of queries dispatched,
+//!   so `_count / srs_server_waves_total` is the mean wave width.
 
 use srs_obs::{Counter, Gauge, Histogram, Registry};
 use std::sync::Arc;
@@ -59,6 +75,10 @@ pub struct ServerMetrics {
     /// observation per batch a wave split into, so a sample ≥ 2 proves
     /// concurrent requests were answered by a single engine batch.
     pub wave_size: Arc<Histogram>,
+    /// `srs_server_queue_wait_ns` — per query, the time from
+    /// [`crate::Coalescer::submit`] to the start of the wave that
+    /// answers it.
+    pub queue_wait: Arc<Histogram>,
     /// `srs_server_request_latency_ns` — `/query` wall time from parse to
     /// response body ready (queueing + coalescing + compute).
     pub request_latency: Arc<Histogram>,
@@ -101,6 +121,7 @@ impl ServerMetrics {
             waves: r.counter("srs_server_waves_total", "Coalesced request waves served"),
             wave_panics: r.counter("srs_server_wave_panics_total", "Engine waves that panicked (caught)"),
             wave_size: r.histogram("srs_server_wave_size", "Requests coalesced into one engine batch"),
+            queue_wait: r.histogram("srs_server_queue_wait_ns", "Per-query wait from submit to wave start"),
             request_latency: r
                 .histogram("srs_server_request_latency_ns", "Per-request wall latency, queueing included"),
             reloads: r.counter("srs_server_reloads_total", "Successful snapshot hot reloads"),
@@ -152,6 +173,7 @@ mod tests {
             "srs_server_waves_total",
             "srs_server_wave_panics_total",
             "srs_server_wave_size",
+            "srs_server_queue_wait_ns",
             "srs_server_request_latency_ns",
             "srs_server_reloads_total",
             "srs_server_reload_failures_total",

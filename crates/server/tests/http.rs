@@ -1,6 +1,6 @@
 //! End-to-end tests over a real listening socket: served answers must be
-//! bit-identical to direct engine calls, coalescing must be observable in
-//! the wave metrics, and a snapshot reload under sustained traffic must
+//! bit-identical to direct engine calls, queued queries must coalesce
+//! into full waves, and a snapshot reload under sustained traffic must
 //! drop nothing.
 
 use srs_graph::gen;
@@ -102,19 +102,17 @@ fn concurrent_clients_match_direct_engine_calls() {
 #[test]
 fn concurrent_requests_coalesce_into_waves() {
     let snap = fixture_snapshot("coalesce");
-    // A long window, so simultaneous arrivals are guaranteed to share a
-    // wave rather than racing the dispatcher.
     let mut cfg = config(&snap);
-    cfg.batch_window = Duration::from_millis(150);
     cfg.max_batch = 64;
     let r = start(cfg);
+    let engine = Arc::clone(&r.engine);
     let addr = r.addr;
     let clients = 8;
     let rounds = 4u32;
     let barrier = Arc::new(Barrier::new(clients));
     std::thread::scope(|scope| {
         for w in 0..clients {
-            let barrier = Arc::clone(&barrier);
+            let (engine, barrier) = (Arc::clone(&engine), Arc::clone(&barrier));
             scope.spawn(move || {
                 let mut c = HttpClient::connect(addr.to_string()).unwrap();
                 for i in 0..rounds {
@@ -122,22 +120,79 @@ fn concurrent_requests_coalesce_into_waves() {
                     let u = (w as u32 * 37 + i * 11) % 300;
                     let resp = c.get(&format!("/query?u={u}&k=5")).unwrap();
                     assert_eq!(resp.status, 200, "{}", resp.body_str());
+                    assert_eq!(resp.body_str(), expected_body(&engine, u, 5), "u={u}");
                 }
             });
         }
     });
+    // How the 32 queries split into waves depends on arrival timing;
+    // `queued_submissions_coalesce_into_full_waves` pins the split. Here
+    // every query went through exactly one wave.
     let total = (clients as u64) * (rounds as u64);
     let m = r.engine.metrics().snapshot();
     let waves = m.counter_total("srs_server_waves_total");
-    assert!(waves > 0);
-    assert!(
-        waves < total,
-        "{total} concurrent queries should coalesce into fewer than {total} waves, got {waves}"
-    );
-    // The wave-size histogram saw multi-query batches.
+    assert!((1..=total).contains(&waves), "{total} queries in {waves} waves");
     let prom = m.to_prometheus();
+    assert!(prom.contains(&format!("srs_server_queue_wait_ns_count {total}\n")), "{prom}");
     assert!(prom.contains("srs_server_wave_size"), "missing wave-size family:\n{prom}");
     quit(r);
+    std::fs::remove_file(&snap).ok();
+}
+
+/// Batch while busy, without racing the dispatcher: queries queued
+/// before it runs are served in ⌈N / max_batch⌉ full waves, and a query
+/// arriving at an idle dispatcher is served at once as a wave of 1.
+#[test]
+fn queued_submissions_coalesce_into_full_waves() {
+    use srs_search::engine::WaveQuery;
+    use srs_serve::{Coalescer, ServerMetrics};
+
+    let snap = fixture_snapshot("waves");
+    let (dataset, _info) = srs_search::Dataset::load(&snap).unwrap();
+    let engine = Arc::new(ServingEngine::new(dataset));
+    let metrics = ServerMetrics::register_on(engine.metrics().registry());
+    let max_batch = 4;
+    let coalescer = Arc::new(Coalescer::new(64, max_batch));
+    let opts = Arc::new(QueryOptions::default());
+    // Two k values, so a wave splits into two engine batches while its
+    // width still counts every query in it.
+    let queries: Vec<(u32, usize)> = (0..10u32).map(|i| ((i * 29) % 300, 5 + 5 * (i as usize % 2))).collect();
+    let pending: Vec<_> = queries
+        .iter()
+        .map(|&(vertex, k)| coalescer.submit(WaveQuery { vertex, k, opts: Arc::clone(&opts) }).unwrap())
+        .collect();
+    assert_eq!(coalescer.depth(), queries.len());
+    let dispatcher = {
+        let (coalescer, engine) = (Arc::clone(&coalescer), Arc::clone(&engine));
+        std::thread::spawn(move || coalescer.run(&engine, &metrics))
+    };
+    let same_bits = |got: &srs_search::TopKResult, vertex: u32, k: usize| {
+        let solo = engine.query(vertex, k, &QueryOptions::default());
+        let bits = |r: &srs_search::TopKResult| -> Vec<(u32, u64)> {
+            r.hits.iter().map(|h| (h.vertex, h.score.to_bits())).collect()
+        };
+        assert_eq!(bits(got), bits(&solo), "u={vertex} k={k}");
+    };
+    let mut widths = Vec::new();
+    for (rx, &(vertex, k)) in pending.iter().zip(&queries) {
+        let answer = rx.recv_timeout(Duration::from_secs(10)).expect("queued query never answered");
+        assert!(!answer.out_of_range);
+        same_bits(&answer.result, vertex, k);
+        widths.push(answer.wave_width);
+    }
+    assert_eq!(widths, [4, 4, 4, 4, 4, 4, 4, 4, 2, 2]);
+    let m = engine.metrics().snapshot();
+    assert_eq!(m.counter_total("srs_server_waves_total"), queries.len().div_ceil(max_batch) as u64);
+
+    let lone = coalescer.submit(WaveQuery { vertex: 7, k: 5, opts }).unwrap();
+    let answer = lone.recv_timeout(Duration::from_secs(10)).expect("lone query never answered");
+    assert_eq!(answer.wave_width, 1);
+    same_bits(&answer.result, 7, 5);
+    let m = engine.metrics().snapshot();
+    assert_eq!(m.counter_total("srs_server_waves_total"), 4);
+    assert!(m.to_prometheus().contains("srs_server_queue_wait_ns_count 11\n"));
+    coalescer.close();
+    dispatcher.join().unwrap();
     std::fs::remove_file(&snap).ok();
 }
 
@@ -206,7 +261,7 @@ fn dispatcher_survives_stale_vertex_validation() {
     let (dataset, _info) = srs_search::Dataset::load(&snap).unwrap();
     let engine = Arc::new(ServingEngine::new(dataset));
     let metrics = ServerMetrics::register_on(engine.metrics().registry());
-    let coalescer = Arc::new(Coalescer::new(16, 8, Duration::ZERO));
+    let coalescer = Arc::new(Coalescer::new(16, 8));
     let dispatcher = {
         let (coalescer, engine) = (Arc::clone(&coalescer), Arc::clone(&engine));
         std::thread::spawn(move || coalescer.run(&engine, &metrics))
