@@ -34,7 +34,7 @@ fn bench_baselines(c: &mut Criterion) {
         let mut i = 0;
         b.iter(|| {
             i += 1;
-            ctx.query(queries[i % queries.len()], 20, &QueryOptions::default())
+            ctx.query(queries[i % queries.len()], 20, &QueryOptions::sampled())
         });
     });
     group.bench_function(BenchmarkId::new("top20_fogaras", n), |b| {

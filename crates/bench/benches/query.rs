@@ -24,7 +24,8 @@ fn bench_query(c: &mut Criterion) {
     let mut group = c.benchmark_group("query");
     group.sample_size(20);
     let params = SimRankParams::default();
-    let opts = QueryOptions::default();
+    // The paper's method: Algorithm 5, whose scan the wave ablation varies.
+    let opts = QueryOptions::sampled();
     let mut report = QueryBenchReport::new();
     // One web and one social analogue at comparable edge counts.
     let scale_down = if smoke { 0.1 } else { 1.0 };
@@ -88,7 +89,7 @@ fn bench_query(c: &mut Criterion) {
     let queries = srs_graph::stats::sample_query_vertices(&g, 32, 13);
     let workload = srs_graph::stats::sample_query_vertices(&g, if smoke { 16 } else { 256 }, 13);
     for width in [1u32, 8, 32, 128] {
-        let wopts = QueryOptions { wave_width: width, candidate_ball: Some(2), ..QueryOptions::default() };
+        let wopts = QueryOptions { wave_width: width, candidate_ball: Some(2), ..QueryOptions::sampled() };
         group.bench_function(BenchmarkId::new("wave_width", width), |b| {
             let mut out = srs_search::BatchResult::new();
             b.iter(|| {

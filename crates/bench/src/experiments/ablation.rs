@@ -37,7 +37,7 @@ pub struct Variant {
 
 /// The sweep grid.
 pub fn variants() -> Vec<Variant> {
-    let base = QueryOptions::default();
+    let base = QueryOptions::sampled();
     vec![
         Variant { name: "full (paper)", opts: base.clone() },
         Variant {

@@ -41,7 +41,7 @@ pub fn sweep(cfg: &ReproConfig, sizes: &[f64]) -> Vec<ScalePoint> {
             // Single engine worker: the sweep charts per-query latency
             // against n, so parallel throughput would only obscure it.
             let engine = ServingEngine::with_threads(dataset, 1);
-            let batch = engine.query_batch(&queries, 20, &QueryOptions::default());
+            let batch = engine.query_batch(&queries, 20, &QueryOptions::sampled());
             ScalePoint {
                 n: g.num_vertices(),
                 m: g.num_edges(),
@@ -64,7 +64,7 @@ pub fn thread_sweep(cfg: &ReproConfig, threads: &[usize]) -> Vec<(usize, Duratio
         .iter()
         .map(|&t| {
             let (_, d) = metrics::timed(|| {
-                srs_search::all_vertices::all_topk(&dataset, 20, &QueryOptions::default(), t)
+                srs_search::all_vertices::all_topk(&dataset, 20, &QueryOptions::sampled(), t)
             });
             (t, d)
         })

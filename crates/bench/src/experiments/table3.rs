@@ -135,7 +135,7 @@ pub fn compute_one(cfg: &ReproConfig, name: &'static str) -> Vec<AccuracyRow> {
                     continue;
                 }
                 // Proposed: threshold-θ query, k unbounded.
-                let opts = QueryOptions { theta: Some(theta), ..Default::default() };
+                let opts = QueryOptions { theta: Some(theta), ..QueryOptions::sampled() };
                 for (ctx, acc) in [(&mut ctx_exact, &mut exact_acc), (&mut ctx_uniform, &mut uniform_acc)] {
                     let res = ctx.query(u, n as usize, &opts);
                     let found: Vec<VertexId> = res.hits.iter().map(|h| h.vertex).collect();

@@ -179,7 +179,7 @@ pub fn measure_one(cfg: &ReproConfig, name: &'static str) -> Row {
     let m = g.num_edges();
     let threads = std::thread::available_parallelism().map(|v| v.get()).unwrap_or(1);
     let params = SimRankParams::default();
-    let opts = QueryOptions::default();
+    let opts = QueryOptions::sampled();
 
     // Proposed method.
     let (index, index_time) = metrics::timed(|| TopKIndex::build(&g, &params, cfg.seed ^ 0x40));

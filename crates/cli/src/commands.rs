@@ -6,8 +6,8 @@ use srs_graph::{datasets, gen, io, stats, Graph};
 use srs_obs::Progress;
 use srs_search::obs::STAGE_SPANS;
 use srs_search::{
-    persist, snapshot, BuildObs, Dataset, QueryOptions, ServingEngine, ServingMetrics, SimRankParams,
-    SnapshotInfo, TopKIndex, TopKResult,
+    persist, snapshot, BuildObs, Dataset, Estimator, QueryOptions, ServingEngine, ServingMetrics,
+    SimRankParams, SnapshotInfo, TopKIndex, TopKResult,
 };
 use std::fmt::Write as _;
 use std::path::Path;
@@ -23,12 +23,14 @@ usage:
                  [--reorder bfs|degree --graph-out FILE [--map-out FILE]]
   srs pack       --graph FILE --index FILE --out FILE.srs [--shards N]
   srs query      {--snapshot FILE.srs | --graph FILE --index FILE} --vertex V [--k 20]
-                 [--ball R] [--theta X] [--wave-width W] [--explain]
+                 [--estimator head|sampled] [--ball R] [--theta X] [--wave-width W]
+                 [--explain]
   srs batch-query {--snapshot FILE.srs [--deltas D1,D2,...]
                   [--mmap [--verify-on-load] [--prefault]] | --graph FILE --index FILE}
                  [--vertices 1,2,3 | --queries N|FILE|- [--seed S]]
-                 [--k 20] [--threads T] [--ball R] [--theta X] [--wave-width W]
-                 [--metrics-out FILE] [--hits-out FILE] [--trace-out FILE.json]
+                 [--k 20] [--threads T] [--estimator head|sampled] [--ball R]
+                 [--theta X] [--wave-width W] [--metrics-out FILE] [--hits-out FILE]
+                 [--trace-out FILE.json]
   srs serve      --snapshot FILE.srs [--deltas D1,D2,...] [--staleness-depth N]
                  [--mmap [--verify-on-load] [--prefault]]
                  [--addr 127.0.0.1:7171] [--threads T] [--max-batch 64]
@@ -50,10 +52,16 @@ usage:
   srs help
 
 options:
-  --ball R       also treat every vertex within undirected distance R of the
-                 query as a candidate; R above the index's d_max (T by
-                 default) acts as d_max, since the query BFS never looks
-                 farther";
+  --estimator E  how a query scores: `head` (default) reports the exact
+                 two-step head, a certified lower bound on the score, from
+                 one sparse push; `sampled` runs the paper's Algorithm 5
+  --ball R       (sampled) also treat every vertex within undirected
+                 distance R of the query as a candidate; R above the
+                 index's d_max (T by default) acts as d_max, since the
+                 query BFS never looks farther. The head accepts it and is
+                 unchanged: a ball member outside its support scores 0
+  --wave-width W (sampled) candidates per walk wave; answers are identical
+                 at every width";
 
 /// Parses and runs one invocation, returning its stdout.
 pub fn dispatch(argv: &[String]) -> Result<String, CliError> {
@@ -317,11 +325,18 @@ fn load_options(args: &Args) -> Result<srs_search::LoadOptions, CliError> {
 
 /// Flags `query` and `batch-query` share: the dataset source, `k`, and
 /// the ones [`query_options`] reads.
-const QUERY_FLAGS: &[&str] = &["graph", "index", "snapshot", "k", "ball", "theta", "wave-width"];
+const QUERY_FLAGS: &[&str] = &["graph", "index", "snapshot", "k", "estimator", "ball", "theta", "wave-width"];
 
 /// The [`QueryOptions`] both query commands take from their flags.
 fn query_options(args: &Args) -> Result<QueryOptions, CliError> {
-    let mut opts = QueryOptions::default();
+    let estimator = match args.opt("estimator") {
+        None | Some("head") => Estimator::Head,
+        Some("sampled") => Estimator::Sampled,
+        Some(other) => {
+            return Err(CliError::usage(format!("--estimator: `{other}` is not `head` or `sampled`")))
+        }
+    };
+    let mut opts = QueryOptions { estimator, ..Default::default() };
     if let Some(r) = args.opt("ball") {
         opts.candidate_ball = Some(r.parse::<u32>().map_err(|e| CliError::usage(format!("--ball: {e}")))?);
     }
@@ -354,12 +369,15 @@ fn query(args: &Args) -> Result<String, CliError> {
     let res = index.query(g, vertex, k, &opts);
     let elapsed = start.elapsed();
     let mut out = String::new();
+    // The head refines nothing: its work is the edges the push scanned.
+    let work = match opts.estimator {
+        Estimator::Head => format!("{} push edges", res.stats.push_edges),
+        Estimator::Sampled => format!("{} refine calls", res.stats.refine_calls()),
+    };
     let _ = writeln!(
         out,
-        "top-{k} for vertex {vertex} ({:.2?}; {} candidates, {} refine calls):",
-        elapsed,
-        res.stats.candidates,
-        res.stats.refine_calls()
+        "top-{k} for vertex {vertex} ({elapsed:.2?}; {} candidates, {work}):",
+        res.stats.candidates
     );
     for hit in &res.hits {
         let _ = writeln!(out, "{}\t{:.6}", hit.vertex, hit.score);
@@ -485,17 +503,18 @@ fn batch_query(args: &Args) -> Result<String, CliError> {
     let _ = writeln!(out, "pruned distance  {}", t.pruned_distance);
     let _ = writeln!(out, "pruned bounds    {}", t.pruned_bounds);
     let _ = writeln!(out, "pruned coarse    {}", t.pruned_coarse);
-    let _ = writeln!(
-        out,
-        "refine calls     {} ({} below θ, {} reported)",
-        t.refine_calls(),
-        t.refined,
-        t.reported
-    );
+    // Under the head every candidate is scored by the push, not refined.
+    let scored = match opts.estimator {
+        Estimator::Head => "head scored     ",
+        Estimator::Sampled => "refine calls    ",
+    };
+    let _ = writeln!(out, "{scored} {} ({} below θ, {} reported)", t.refine_calls(), t.refined, t.reported);
     let _ = writeln!(out, "bfs visited      {}", t.bfs_visited);
     let _ = writeln!(out, "walk steps       {}", t.walk_steps);
     let _ = writeln!(out, "zero screened    {}", t.zero_screened);
     let _ = writeln!(out, "meet sets        {}", t.meet_sets);
+    let _ = writeln!(out, "head empty       {}", t.head_empty);
+    let _ = writeln!(out, "push edges       {}", t.push_edges);
     let _ = writeln!(
         out,
         "latency mean {:.2?} | p50 {:.2?} | p95 {:.2?} | p99 {:.2?} | max {:.2?}",
@@ -1239,10 +1258,8 @@ fn topk_all(args: &Args) -> Result<String, CliError> {
         }
     }
     let summary = format!(
-        "all-vertices top-{k} in {:.2?} ({} queries, {} refine calls)\n",
-        elapsed,
-        stats.queries,
-        stats.totals.refine_calls()
+        "all-vertices top-{k} in {:.2?} ({} queries, {} candidates scored by the head)\n",
+        elapsed, stats.queries, stats.totals.candidates
     );
     if let Some(path) = args.opt("out") {
         std::fs::write(path, csv).map_err(|e| format!("{path}: {e}"))?;
@@ -1935,7 +1952,7 @@ mod tests {
         ))
         .unwrap();
         assert!(out.contains("metrics ->"), "{out}");
-        assert!(out.contains("refine calls"), "{out}");
+        assert!(out.contains("head scored"), "{out}");
         assert!(out.contains("walk steps"), "{out}");
         let body = std::fs::read_to_string(&json).unwrap();
         for family in [
@@ -2025,7 +2042,8 @@ mod tests {
         run(&format!("preprocess --graph {} --index {}", g_path.display(), i_path.display())).unwrap();
         for (width, path) in [(1, &h1), (32, &h32)] {
             run(&format!(
-                "batch-query --graph {} --index {} --queries 12 --k 5 --wave-width {width} --hits-out {}",
+                "batch-query --graph {} --index {} --estimator sampled --queries 12 --k 5 --wave-width {width} \
+                 --hits-out {}",
                 g_path.display(),
                 i_path.display(),
                 path.display()
@@ -2161,27 +2179,29 @@ mod tests {
 
         // The same batch through the file pair and through the snapshot
         // writes byte-identical hits files — the determinism witness the
-        // CI job diffs.
-        run(&format!(
-            "batch-query --graph {} --index {} --queries 12 --k 5 --hits-out {}",
-            g_path.display(),
-            i_path.display(),
-            h_files.display()
-        ))
-        .unwrap();
-        let out = run(&format!(
-            "batch-query --snapshot {} --queries 12 --k 5 --hits-out {}",
-            snap.display(),
-            h_snap.display()
-        ))
-        .unwrap();
-        assert!(out.contains("snapshot         "), "{out}");
-        assert!(out.contains("sections verified"), "{out}");
-        assert_eq!(
-            std::fs::read_to_string(&h_files).unwrap(),
-            std::fs::read_to_string(&h_snap).unwrap(),
-            "snapshot serving must be bit-identical to the file pair"
-        );
+        // CI job diffs — under either estimator.
+        for estimator in ["head", "sampled"] {
+            run(&format!(
+                "batch-query --graph {} --index {} --estimator {estimator} --queries 12 --k 5 --hits-out {}",
+                g_path.display(),
+                i_path.display(),
+                h_files.display()
+            ))
+            .unwrap();
+            let out = run(&format!(
+                "batch-query --snapshot {} --estimator {estimator} --queries 12 --k 5 --hits-out {}",
+                snap.display(),
+                h_snap.display()
+            ))
+            .unwrap();
+            assert!(out.contains("snapshot         "), "{out}");
+            assert!(out.contains("sections verified"), "{out}");
+            assert_eq!(
+                std::fs::read_to_string(&h_files).unwrap(),
+                std::fs::read_to_string(&h_snap).unwrap(),
+                "snapshot serving must be bit-identical to the file pair ({estimator})"
+            );
+        }
 
         // Single queries and explain traces match too.
         let a = run(&format!(
@@ -2347,6 +2367,46 @@ mod tests {
         }
         let args = Args::parse(&["query".to_string(), "--theta".to_string(), "0".to_string()]).unwrap();
         assert_eq!(query_options(&args).unwrap().theta, Some(0.0));
+    }
+
+    #[test]
+    fn estimator_flag_selects_the_scorer() {
+        let parse = |v: &str| {
+            let argv = ["query", "--estimator", v].map(String::from);
+            query_options(&Args::parse(&argv).unwrap())
+        };
+        assert_eq!(
+            query_options(&Args::parse(&["query".to_string()]).unwrap()).unwrap().estimator,
+            Estimator::Head
+        );
+        assert_eq!(parse("head").unwrap().estimator, Estimator::Head);
+        assert_eq!(parse("sampled").unwrap().estimator, Estimator::Sampled);
+        let err = parse("exact").unwrap_err().to_string();
+        assert!(err.contains("--estimator"), "{err}");
+        // The head pushes and never walks; Algorithm 5 walks and never pushes.
+        let g_path = tmp("est.bin");
+        let i_path = tmp("est.idx");
+        run(&format!("generate --family web --n 300 --deg 4 --out {}", g_path.display())).unwrap();
+        run(&format!("preprocess --graph {} --index {}", g_path.display(), i_path.display())).unwrap();
+        let counter = |out: &str, name: &str| -> u64 {
+            let line =
+                out.lines().find(|l| l.starts_with(name)).unwrap_or_else(|| panic!("no {name}: {out}"));
+            line[name.len()..].trim().parse().unwrap()
+        };
+        for (estimator, pushes) in [("head", true), ("sampled", false)] {
+            let out = run(&format!(
+                "batch-query --graph {} --index {} --estimator {estimator} --queries 20 --k 5",
+                g_path.display(),
+                i_path.display()
+            ))
+            .unwrap();
+            assert_eq!(counter(&out, "push edges") > 0, pushes, "{estimator}: {out}");
+            assert_eq!(counter(&out, "walk steps") > 0, !pushes, "{estimator}: {out}");
+            let fates = if pushes { "head scored" } else { "refine calls" };
+            assert!(out.contains(fates), "{estimator}: {out}");
+        }
+        std::fs::remove_file(&g_path).ok();
+        std::fs::remove_file(&i_path).ok();
     }
 
     #[test]

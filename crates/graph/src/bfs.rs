@@ -70,6 +70,16 @@ impl BfsBuffers {
         }
     }
 
+    /// Grows the buffers to cover a graph of `n` vertices (a no-op when
+    /// they already do).
+    pub fn ensure(&mut self, n: u32) {
+        let n = n as usize;
+        if self.dist.len() < n {
+            self.visited_bits.resize(n.div_ceil(64), 0);
+            self.dist.resize(n, UNREACHED);
+        }
+    }
+
     /// Distance of `v` from the most recent traversal's source, or
     /// [`UNREACHED`].
     #[inline]

@@ -20,7 +20,7 @@ pub struct AllVerticesStats {
     pub queries: u64,
 }
 
-/// Runs an Algorithm 5 query for every vertex, `threads`-way parallel
+/// Runs a top-k query for every vertex, `threads`-way parallel
 /// through a [`ServingEngine`]. Returns per-vertex hit lists
 /// (index = vertex id) and aggregate stats.
 pub fn all_topk(
@@ -66,18 +66,23 @@ mod tests {
     #[test]
     fn thread_count_does_not_change_results() {
         let ds = dataset(gen::copying_web(80, 4, 0.8, 2));
-        let opts = QueryOptions::default();
-        let (a, _) = all_topk(&ds, 3, &opts, 1);
-        let (b, _) = all_topk(&ds, 3, &opts, 4);
-        assert_eq!(a, b);
+        for opts in [QueryOptions::default(), QueryOptions::sampled()] {
+            let (a, _) = all_topk(&ds, 3, &opts, 1);
+            let (b, _) = all_topk(&ds, 3, &opts, 4);
+            assert_eq!(a, b);
+        }
     }
 
     #[test]
     fn aggregate_stats_accumulate() {
         let ds = dataset(gen::copying_web(60, 4, 0.8, 3));
-        let (_, stats) = all_topk(&ds, 3, &QueryOptions::default(), 2);
+        let (_, stats) = all_topk(&ds, 3, &QueryOptions::sampled(), 2);
         let t = stats.totals;
         assert!(t.fates_accounted(), "candidate fates must account for every candidate: {t:?}");
         assert!(t.walk_steps > 0, "refinement must have taken walk steps");
+        let (_, stats) = all_topk(&ds, 3, &QueryOptions::default(), 2);
+        let t = stats.totals;
+        assert!(t.fates_accounted(), "head fates must account for its whole support: {t:?}");
+        assert!(t.push_edges > 0 && t.walk_steps == 0, "the head pushes and never walks: {t:?}");
     }
 }

@@ -1,5 +1,5 @@
-//! The serving engine: parallel, cached, hot-swappable Algorithm 5
-//! serving over one dataset.
+//! The serving engine: parallel, cached, hot-swappable top-k serving
+//! (the exact head or Algorithm 5) over one dataset.
 //!
 //! [`ServingEngine`] owns one dataset *generation* at a time: a
 //! [`Dataset`] (a bundle of any shard count loads as one), one
@@ -23,7 +23,7 @@
 //! exactly, so hits, stats and explain traces match an unsharded bundle
 //! under every option.
 
-use crate::obs::ServingMetrics;
+use crate::obs::{ServingMetrics, StageTimings};
 use crate::snapshot::Dataset;
 use crate::topk::{QueryOptions, QueryScratch, QueryStats, TopKResult};
 use parking_lot::Mutex;
@@ -315,7 +315,10 @@ impl ResultCache {
                 None => break,
             }
         }
-        self.map.insert((vertex, key), CachedResult { k, opts: opts.clone(), result: result.clone() });
+        // A cache hit runs no stage, so its copy carries no stage timings:
+        // a trace built from it must not tile spans that never ran.
+        let result = TopKResult { timings: StageTimings::default(), ..result.clone() };
+        self.map.insert((vertex, key), CachedResult { k, opts: opts.clone(), result });
         self.order.push_back((vertex, key));
     }
 
@@ -604,9 +607,9 @@ impl ServingEngine {
     /// result copied into every occurrence, and with caching enabled,
     /// slots whose `(vertex, k, options)` were already answered this
     /// generation are filled from the cache (cached slots report zero
-    /// latency). Both copies are exact, so results are bit-identical to
-    /// answering every slot afresh, and `BatchResult::totals` counts
-    /// every slot either way.
+    /// latency and all-zero stage timings). Both copies are exact, so
+    /// results are bit-identical to answering every slot afresh, and
+    /// `BatchResult::totals` counts every slot either way.
     pub fn query_batch_into(
         &self,
         queries: &[VertexId],
@@ -806,7 +809,7 @@ impl ServingEngine {
 mod tests {
     use super::*;
     use crate::snapshot::{load_snapshot, pack, LoadOptions};
-    use crate::topk::{QueryContext, TopKIndex};
+    use crate::topk::{Estimator, QueryContext, TopKIndex};
     use crate::{Diagonal, SimRankParams};
     use srs_graph::{gen, Graph};
 
@@ -1065,6 +1068,22 @@ mod tests {
     }
 
     #[test]
+    fn cached_answers_carry_no_stage_timings() {
+        let (g, idx) = build();
+        let engine = engine(&g, &idx, 1);
+        engine.set_cache_capacity(8);
+        for opts in [QueryOptions::default(), QueryOptions::sampled()] {
+            let cold = engine.query(7, 5, &opts);
+            let hits_before = engine.metrics().cache_hits.get();
+            let warm = engine.query(7, 5, &opts);
+            assert_eq!(engine.metrics().cache_hits.get(), hits_before + 1, "served from the cache");
+            assert_eq!(cold.hits, warm.hits);
+            assert!(cold.timings.total_ns() > 0, "a computed answer carries its stage timings");
+            assert_eq!(warm.timings.total_ns(), 0, "a cached answer ran no stage");
+        }
+    }
+
+    #[test]
     fn cached_batches_are_bit_identical_to_uncached() {
         let (g, idx) = build();
         let queries: Vec<VertexId> = (0..30).chain(5..15).collect();
@@ -1198,21 +1217,32 @@ mod tests {
         // same clock reads traces and benches use), and the walk-step
         // counters to the walk steps.
         let (g, idx) = build_small(160, 26);
-        let engine = ServingEngine::with_threads(sharded(&g, &idx, 4), 4);
         let queries: Vec<u32> = (0..160).step_by(3).collect();
-        let batch = engine.query_batch(&queries, 6, &QueryOptions::default());
-        let m = engine.metrics();
-        for (s, h) in m.query_stages.iter().enumerate() {
-            let want: u64 = batch.results.iter().map(|r| r.timings.stages[s]).sum();
-            assert_eq!(h.sum(), want, "stage {s}");
-            assert_eq!(h.count(), queries.len() as u64, "one observation per query");
+        for opts in [QueryOptions::sampled(), QueryOptions::default()] {
+            let engine = ServingEngine::with_threads(sharded(&g, &idx, 4), 4);
+            let batch = engine.query_batch(&queries, 6, &opts);
+            let m = engine.metrics();
+            for (s, h) in m.query_stages.iter().enumerate() {
+                let want: u64 = batch.results.iter().map(|r| r.timings.stages[s]).sum();
+                assert_eq!(h.sum(), want, "stage {s}");
+                assert_eq!(h.count(), queries.len() as u64, "one observation per query");
+            }
+            let by_class: u64 = m.walk_steps.iter().map(|c| c.get()).sum();
+            assert_eq!(by_class, batch.totals.walk_steps);
+            let t = &batch.totals;
+            if opts.estimator == Estimator::Sampled {
+                assert!(t.walk_steps > 0);
+            } else {
+                assert!(t.push_edges > 0 && t.walk_steps == 0, "{t:?}");
+            }
+            assert_eq!(m.push_edges.get(), t.push_edges);
+            assert_eq!(m.head_empty.get(), t.head_empty);
+            assert_eq!(m.queries.get(), queries.len() as u64);
+            assert_eq!(m.latency.count(), queries.len() as u64);
+            assert_eq!(m.candidates.get(), t.candidates);
         }
-        let by_class: u64 = m.walk_steps.iter().map(|c| c.get()).sum();
-        assert!(batch.totals.walk_steps > 0);
-        assert_eq!(by_class, batch.totals.walk_steps);
-        assert_eq!(m.queries.get(), queries.len() as u64);
-        assert_eq!(m.latency.count(), queries.len() as u64);
-        assert_eq!(m.candidates.get(), batch.totals.candidates);
+        let engine = ServingEngine::with_threads(sharded(&g, &idx, 4), 4);
+        let m = engine.metrics();
 
         // Repeated vertices are answered once and copied.
         let repeated: Vec<u32> = vec![4, 8, 4, 4, 15, 8];
@@ -1229,6 +1259,7 @@ mod tests {
         // One input per field, so the hand-written `fingerprint()` is
         // pinned to every field `QueryOptions` has.
         let changed = [
+            QueryOptions::sampled(),
             QueryOptions { use_distance_bound: false, ..Default::default() },
             QueryOptions { use_l1: false, ..Default::default() },
             QueryOptions { adaptive: false, ..Default::default() },

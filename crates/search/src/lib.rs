@@ -13,6 +13,7 @@
 //! | Algorithm 3 — γ computation (L2 bound; built by the paper's experiments, not served) | [`bounds::GammaTable`] |
 //! | Algorithm 4 — candidate index (bipartite graph `H`) | [`index::CandidateIndex`] |
 //! | Algorithm 5 — pruned, adaptively-sampled top-k query | [`topk`] |
+//! | §3 linear form — the exact two-step head, the default query | [`topk`] (`head`) |
 //! | parallel, cached, hot-swappable serving over one dataset | [`engine`] |
 //! | §2.2 — similarity search for *all* vertices | [`all_vertices`] |
 //! | the on-disk index layout (`O(n)` preprocess artifacts, 1..N shards) | [`persist`] |
@@ -23,9 +24,11 @@
 //!
 //! The usual flow is [`topk::TopKIndex::build`] once per graph (the
 //! preprocess phase: Algorithm 4), then [`topk::TopKIndex::query`] per
-//! query vertex (Algorithm 5, which internally runs Algorithms 1 and 2) —
-//! or, for query streams, [`engine::ServingEngine::query_batch`], which
-//! serves whole batches in parallel from pooled query state.
+//! query vertex — or, for query streams,
+//! [`engine::ServingEngine::query_batch`], which serves whole batches in
+//! parallel from pooled query state. A query answers with the exact
+//! two-step head by default, or with Algorithm 5 (which internally runs
+//! Algorithms 1 and 2) under [`topk::Estimator::Sampled`].
 
 pub mod all_vertices;
 pub mod bounds;
@@ -33,6 +36,7 @@ pub mod chain;
 pub mod colocate;
 pub mod engine;
 pub mod extend;
+mod head;
 pub mod index;
 pub mod obs;
 pub mod persist;
@@ -49,7 +53,7 @@ pub use index::SeenStamps;
 pub use obs::{BuildObs, ServingMetrics, StageTimings};
 pub use single_pair::{SinglePairEstimator, WaveEstimator};
 pub use snapshot::{load_snapshot, Dataset, LoadOptions, SnapshotInfo, SnapshotVerifier};
-pub use topk::{Hit, QueryContext, QueryOptions, QueryScratch, QueryStats, TopKIndex, TopKResult};
+pub use topk::{Estimator, Hit, QueryContext, QueryOptions, QueryScratch, QueryStats, TopKIndex, TopKResult};
 
 /// The diagonal correction matrix `D` used by the estimators.
 ///

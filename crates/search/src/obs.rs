@@ -23,6 +23,7 @@
 //! | `srs_query_l1_tables_total` | counter | |
 //! | `srs_query_meet_sets_total` | counter | |
 //! | `srs_query_waves_total` | counter | |
+//! | `srs_query_head_empty_total` / `srs_query_push_edges_total` | counter | |
 //! | `srs_query_wave_survivors` | histogram | |
 //! | `srs_queries_deduped_total` | counter | |
 //! | `srs_cache_hits_total` / `srs_cache_misses_total` | counter | |
@@ -120,6 +121,11 @@ pub struct ServingMetrics {
     pub waves: Arc<Counter>,
     /// `srs_query_wave_survivors` (lanes per counted wave).
     pub wave_survivors: Arc<Histogram>,
+    /// `srs_query_head_empty_total` (head queries the bound `B(u) < θ`
+    /// answered empty before the backward push).
+    pub head_empty: Arc<Counter>,
+    /// `srs_query_push_edges_total` (edges scanned by head pushes).
+    pub push_edges: Arc<Counter>,
     /// `srs_queries_deduped_total` (batch queries answered by copying an
     /// identical query's result instead of recomputing it).
     pub deduped: Arc<Counter>,
@@ -250,6 +256,11 @@ impl ServingMetrics {
             ),
             waves: r.counter("srs_query_waves_total", "Walk waves formed by the batched scan"),
             wave_survivors: r.histogram("srs_query_wave_survivors", "Bound-surviving candidates per wave"),
+            head_empty: r.counter(
+                "srs_query_head_empty_total",
+                "Head queries the bound B(u) < theta answered empty before the backward push",
+            ),
+            push_edges: r.counter("srs_query_push_edges_total", "Edges scanned by exact-head pushes"),
             deduped: r.counter("srs_queries_deduped_total", "Batch queries answered via in-batch dedup"),
             cache_hits: r.counter("srs_cache_hits_total", "Queries answered from the result cache"),
             cache_misses: r.counter("srs_cache_misses_total", "Result-cache probes that missed"),
@@ -331,6 +342,8 @@ impl ServingMetrics {
         self.l1_tables.add(s.l1_tables);
         self.meet_sets.add(s.meet_sets);
         self.waves.add(s.waves);
+        self.head_empty.add(s.head_empty);
+        self.push_edges.add(s.push_edges);
     }
 
     /// Folds a worker's walk-step class delta into the shared cells.
@@ -400,6 +413,8 @@ mod tests {
             waves: 2,
             l1_tables: 1,
             meet_sets: 1,
+            head_empty: 1,
+            push_edges: 77,
         });
         m.record_walk_steps(WalkStepCounts { dead: 1, unique: 2, branch: 3 });
         m.record_extend(&crate::ExtendStats { appended: 3, dirty: 5, reused: 92 }, 1000);
@@ -416,6 +431,8 @@ mod tests {
             "srs_query_meet_sets_total",
             "srs_query_waves_total",
             "srs_query_wave_survivors",
+            "srs_query_head_empty_total",
+            "srs_query_push_edges_total",
             "srs_queries_deduped_total",
             "srs_cache_hits_total",
             "srs_cache_misses_total",
@@ -453,6 +470,8 @@ mod tests {
         assert_eq!(snap.counter_total("srs_query_waves_total"), 2);
         assert_eq!(snap.counter_total("srs_query_l1_tables_total"), 1);
         assert_eq!(snap.counter_total("srs_query_meet_sets_total"), 1);
+        assert_eq!(snap.counter_total("srs_query_head_empty_total"), 1);
+        assert_eq!(snap.counter_total("srs_query_push_edges_total"), 77);
         assert_eq!(snap.family("srs_query_candidate_fates_total").unwrap().samples.len(), 5);
         assert_eq!(snap.family("srs_query_stage_ns").unwrap().samples.len(), 4);
         assert_eq!(snap.counter_total("srs_extend_applies_total"), 1);

@@ -1,10 +1,29 @@
-//! Algorithm 5 — the top-k similarity query, plus the preprocess driver.
+//! The top-k similarity query — the exact two-step head by default,
+//! Algorithm 5 on request — plus the preprocess driver.
+//!
+//! [`QueryOptions::estimator`] picks how a query scores its candidates:
+//!
+//! * [`Estimator::Head`] (the default, and what `srs serve` answers) runs
+//!   one sparse push of the exact two-step head `Σ_{t≤2} cᵗ⟨Pᵗe_u,
+//!   D Pᵗe_v⟩` (see [`crate::head`]). The push is the enumeration: its
+//!   support is the candidate set. The bound `B(u)` answers a query empty
+//!   before the backward step when no head can reach θ. The answer is the
+//!   top k of the support members whose head reaches θ, ranked by (head
+//!   desc, vertex asc). The head is a certified lower bound on the
+//!   truncated score and draws no random numbers. At θ = 0 the answer is
+//!   the whole support (with `k` large enough), each member at its
+//!   positive head. It needs neither the candidate index nor walks, and
+//!   ignores the Algorithm 5 fields of [`QueryOptions`].
+//! * [`Estimator::Sampled`] is the paper's Algorithm 5, described below.
+//!   The paper's experiments (`repro`) and the kernel checks run it.
+//!
+//! ## Algorithm 5
 //!
 //! [`TopKIndex::build`] runs the preprocess phase (the candidate index,
 //! Algorithm 4) — `O(n PQ T)` time, `O(n)` space: the paper's §7.1
 //! without Algorithm 3's γ table, whose L2 bound cannot prune at the
-//! served θ (see [`crate::bounds`]). [`TopKIndex::query`] then answers a
-//! top-k query (Algorithm 5):
+//! served θ (see [`crate::bounds`]). [`TopKIndex::query`] with
+//! [`Estimator::Sampled`] then answers a top-k query (Algorithm 5):
 //!
 //! 1. enumerate candidates `S = {v : Γ(u) ∩ Γ(v) ≠ ∅}` from the index,
 //!    plus the optional candidate ball, which is counted per BFS level
@@ -37,6 +56,7 @@
 //! (`COARSE_FRACTION`).
 
 use crate::bounds::AlphaBeta;
+use crate::head::HeadPush;
 use crate::index::{CandidateIndex, SeenStamps};
 use crate::obs::{BuildObs, QueryLocalObs, ServingMetrics, StageTimings};
 use crate::screen::ZeroScreen;
@@ -51,31 +71,53 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::time::Instant;
 
-/// One result row: a vertex and its estimated SimRank score.
+/// One result row: a vertex and its SimRank score.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Hit {
     /// The similar vertex.
     pub vertex: VertexId,
-    /// Monte-Carlo estimate of `s(query, vertex)`.
+    /// The score of `(query, vertex)`. Under [`Estimator::Head`] it is the
+    /// exact two-step head `Σ_{t≤2} cᵗ⟨Pᵗe_u, D Pᵗe_v⟩`, a certified lower
+    /// bound on the truncated score `s(query, vertex)`; under
+    /// [`Estimator::Sampled`] it is Algorithm 1's Monte-Carlo estimate of
+    /// `s(query, vertex)`.
     pub score: f64,
 }
 
-/// Query-time switches (all bounds on, adaptive sampling on, by default).
+/// How a query scores its candidates (see the module docs).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
+pub enum Estimator {
+    /// The exact two-step head, one sparse push per query: no index, no
+    /// walks, no random numbers.
+    #[default]
+    Head,
+    /// Algorithm 5: index candidates, the distance and L1 bounds, and
+    /// adaptively sampled Monte-Carlo estimates.
+    Sampled,
+}
+
+/// Query-time switches. The defaults answer with the exact head; the
+/// fields marked *Sampled only* tune Algorithm 5 and change nothing under
+/// [`Estimator::Head`] (a candidate ball adds no vertex a head could
+/// score: a ball member outside the head's support has head 0).
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryOptions {
-    /// Prune with the trivial bound `s(u,v) ≤ c^d`.
+    /// The scorer: [`Estimator::Head`] (default) or Algorithm 5.
+    pub estimator: Estimator,
+    /// *Sampled only.* Prune with the trivial bound `s(u,v) ≤ c^d`.
     pub use_distance_bound: bool,
-    /// Prune with the L1 bound `β(u, d)` (Algorithm 2, per query).
+    /// *Sampled only.* Prune with the L1 bound `β(u, d)` (Algorithm 2,
+    /// per query).
     pub use_l1: bool,
-    /// Two-stage adaptive sampling (§7.2). When off, every surviving
-    /// candidate is refined directly.
+    /// *Sampled only.* Two-stage adaptive sampling (§7.2). When off, every
+    /// surviving candidate is refined directly.
     pub adaptive: bool,
-    /// Extension beyond the paper: additionally treat every vertex within
-    /// this undirected distance of the query as a candidate. Raises recall
-    /// on graphs where the random-walk index misses borderline pairs, at
-    /// the cost of a deeper query BFS and more estimates; the ball is
-    /// counted per BFS level, not listed. `None` (default) is the paper's
-    /// pure Algorithm 5. A radius above the index's `d_max` acts as
+    /// *Sampled only.* Extension beyond the paper: additionally treat
+    /// every vertex within this undirected distance of the query as a
+    /// candidate. Raises recall on graphs where the random-walk index
+    /// misses borderline pairs, at the cost of a deeper query BFS and more
+    /// estimates; the ball is counted per BFS level, not listed. `None`
+    /// (default) is the paper's pure Algorithm 5. A radius above the index's `d_max` acts as
     /// `d_max`: the query BFS never looks farther.
     pub candidate_ball: Option<u32>,
     /// Overrides the index's score threshold `θ` for this query (used by
@@ -84,23 +126,27 @@ pub struct QueryOptions {
     /// Record a per-candidate [`ExplainTrace`] into
     /// [`TopKResult::explain`]: every enumerated candidate's fate (which
     /// bound pruned it, or how its refinement scored) with the bound value
-    /// vs. the threshold. Off by default — the trace allocates and
-    /// is meant for interactive debugging, not the serving path. Scores
-    /// and stats are unaffected either way.
+    /// vs. the threshold. Under [`Estimator::Head`] every support member
+    /// is reported or refined below θ by its head, in vertex order, with
+    /// distance `u32::MAX`: the head runs no BFS. Off by default — the
+    /// trace allocates and is meant for interactive debugging, not the
+    /// serving path. Scores and stats are unaffected either way.
     pub explain: bool,
-    /// How many bound-surviving candidates the scan batches into one
-    /// multi-source walk **wave** (see DESIGN.md §5g). A wave estimates
-    /// its candidates through the wide kernel, which replays the scalar
-    /// estimate bit for bit, and every candidate is decided once against
-    /// θ, so hits, every stat but `waves`, and explain traces are
-    /// identical for every width. `1` estimates one candidate at a time (the scalar
-    /// estimator); per-vertex diagonals always use the scalar estimator.
+    /// *Sampled only.* How many bound-surviving candidates the scan
+    /// batches into one multi-source walk **wave** (see DESIGN.md §5g). A
+    /// wave estimates its candidates through the wide kernel, which
+    /// replays the scalar estimate bit for bit, and every candidate is
+    /// decided once against θ, so hits, every stat but `waves`, and
+    /// explain traces are identical for every width. `1` estimates one
+    /// candidate at a time (the scalar estimator); per-vertex diagonals
+    /// always use the scalar estimator.
     pub wave_width: u32,
 }
 
 impl Default for QueryOptions {
     fn default() -> Self {
         QueryOptions {
+            estimator: Estimator::Head,
             use_distance_bound: true,
             use_l1: true,
             adaptive: true,
@@ -113,6 +159,12 @@ impl Default for QueryOptions {
 }
 
 impl QueryOptions {
+    /// The default options under [`Estimator::Sampled`]: Algorithm 5 with
+    /// every bound and adaptive sampling on.
+    pub fn sampled() -> Self {
+        QueryOptions { estimator: Estimator::Sampled, ..Default::default() }
+    }
+
     /// A stable 64-bit fingerprint over every field (floats hashed by bit
     /// pattern), used as the options component of result-cache keys and as
     /// a cheap pre-filter when coalescing requests into engine batches.
@@ -123,6 +175,7 @@ impl QueryOptions {
     pub fn fingerprint(&self) -> u64 {
         use std::hash::{Hash, Hasher};
         let mut h = srs_graph::hash::FxHasher::default();
+        self.estimator.hash(&mut h);
         self.use_distance_bound.hash(&mut h);
         self.use_l1.hash(&mut h);
         self.adaptive.hash(&mut h);
@@ -136,6 +189,11 @@ impl QueryOptions {
 
 /// Counters describing how a query was answered (pruning effectiveness —
 /// the quantities behind the paper's §8.1 discussion).
+///
+/// Under [`Estimator::Head`] `candidates` is the head's support (without
+/// `u`), `reported` its members whose head reaches θ and `refined` the
+/// rest; `head_empty` and `push_edges` count the push, and the counters
+/// of Algorithm 5's stages stay 0.
 ///
 /// The five fate counters partition the enumerated candidates — the
 /// accounting identity `candidates == pruned_distance + pruned_bounds +
@@ -194,6 +252,12 @@ pub struct QueryStats {
     /// `⌈entries / wave_width⌉`; on the full list a run of `MAX_SPAN`
     /// zeros also closes a wave.
     pub waves: u64,
+    /// Head queries the bound `B(u) < θ` answered empty before the
+    /// backward push (0 or 1 per query; 0 under Algorithm 5).
+    pub head_empty: u64,
+    /// Edges the head push scanned: the forward step's in-rows, then the
+    /// backward step's out-rows when it runs (0 under Algorithm 5).
+    pub push_edges: u64,
 }
 
 impl QueryStats {
@@ -212,6 +276,8 @@ impl QueryStats {
         self.zero_screened += other.zero_screened;
         self.meet_sets += other.meet_sets;
         self.waves += other.waves;
+        self.head_empty += other.head_empty;
+        self.push_edges += other.push_edges;
     }
 
     /// The checked accounting identity: every enumerated candidate has
@@ -238,8 +304,8 @@ pub struct TopKResult {
     /// Per-candidate trace, present iff [`QueryOptions::explain`] was set.
     pub explain: Option<ExplainTrace>,
     /// Wall-clock stage durations for this query (observations, not
-    /// results — see [`StageTimings`]). A cache-served answer carries
-    /// the timings of the query that originally computed it.
+    /// results — see [`StageTimings`]). A cache-served answer ran no stage
+    /// and carries all-zero timings.
     pub timings: StageTimings,
 }
 
@@ -310,26 +376,33 @@ impl TopKIndex {
         p
     }
 
-    /// Answers a top-k query (Algorithm 5). Allocates fresh query state;
+    /// Answers a top-k query (the exact head, or Algorithm 5 under
+    /// [`Estimator::Sampled`]). Allocates fresh query state;
     /// for repeated queries prefer [`QueryContext`].
     pub fn query(&self, g: &Graph, u: VertexId, k: usize, opts: &QueryOptions) -> TopKResult {
         QueryContext::new(g, self).query(u, k, opts)
     }
 }
 
-/// Lifetime-free, reusable per-worker query state: every buffer Algorithm 5
-/// touches, owned in one place so that a warm worker answers a query
-/// without heap allocation. The graph and index are passed per call,
-/// which lets the batch engine keep scratches in a `'static` pool.
+/// Lifetime-free, reusable per-worker query state: every buffer either
+/// estimator touches, owned in one place so that a warm worker answers a
+/// query without heap allocation. The graph and index are passed per
+/// call, which lets the batch engine keep scratches in a `'static` pool.
+/// Algorithm 5's buffers are sized on its first query, so a scratch that
+/// only answers head queries never holds them.
 ///
-/// [`QueryScratch::query_into`] is the staged pipeline: candidate
+/// [`QueryScratch::query_into`] is a staged pipeline timed in the four
+/// [`crate::obs::QUERY_STAGES`]. Under Algorithm 5: candidate
 /// enumeration → per-query bound tables → bounded/adaptive scan → hit
-/// collection. Results are bit-identical to the pre-split monolithic
-/// query for the same `(graph, index, u, k, opts)` — each stage consumes
-/// its own deterministic seed stream, so neither batching nor thread
-/// count can perturb scores.
+/// collection, each stage consuming its own deterministic seed stream,
+/// so neither batching nor thread count can perturb scores. Under the
+/// head: forward push → the `B(u)` verdict → backward push and θ cut →
+/// top-k sort.
 pub struct QueryScratch {
-    /// Query-time BFS, stopped once every candidate has a distance.
+    /// The exact two-step head push.
+    head: HeadPush,
+    /// Query-time BFS, stopped once every candidate has a distance (empty
+    /// until the first Algorithm 5 query).
     bfs: BfsBuffers,
     /// Depth through which the last query's BFS ball is complete.
     ball_depth: u32,
@@ -441,11 +514,12 @@ const MAX_SPAN: usize = 1024;
 const COARSE_FRACTION: f64 = 0.5;
 
 impl QueryScratch {
-    /// Creates scratch state sized for `g`. Everything else grows on first
-    /// use and is retained across queries.
-    pub fn new(g: &Graph) -> Self {
+    /// Creates scratch state for `g`. Every buffer is sized on first use
+    /// and retained across queries.
+    pub fn new(_g: &Graph) -> Self {
         QueryScratch {
-            bfs: BfsBuffers::new(g.num_vertices()),
+            head: HeadPush::default(),
+            bfs: BfsBuffers::new(0),
             ball_depth: 0,
             ball_radius: 0,
             bounds: Vec::new(),
@@ -470,9 +544,9 @@ impl QueryScratch {
         self.obs.merge_into(m);
     }
 
-    /// Algorithm 5 for query vertex `u`, writing into `out` (cleared
-    /// first). `g` must be the graph `index` was built over and the one
-    /// this scratch was sized for.
+    /// Answers the top-k query for vertex `u` under `opts.estimator`,
+    /// writing into `out` (cleared first). `g` must be the graph `index`
+    /// was built over.
     pub fn query_into(
         &mut self,
         g: &Graph,
@@ -487,37 +561,105 @@ impl QueryScratch {
         out.stats = QueryStats::default();
         out.explain = if opts.explain { Some(ExplainTrace::new(u, k, theta)) } else { None };
         out.timings = StageTimings::default();
+        let mut clock = Instant::now();
+        match opts.estimator {
+            Estimator::Head => self.head_query(g, index, u, k, theta, out, &mut clock),
+            Estimator::Sampled => self.sampled_query(g, index, u, k, opts, theta, out, &mut clock),
+        }
+        debug_assert!(out.stats.fates_accounted(), "fate counters drifted: {:?}", out.stats);
+    }
+
+    /// Closes stage `stage` at now: records the time since `clock` and
+    /// restarts it, so consecutive stages tile the query.
+    fn lap(&mut self, stage: usize, clock: &mut Instant, out: &mut TopKResult) {
+        let now = Instant::now();
+        let dt = now.duration_since(*clock).as_nanos() as u64;
+        *clock = now;
+        self.obs.stages[stage].record(dt);
+        out.timings.stages[stage] = dt;
+    }
+
+    /// The exact two-step head (see [`crate::head`]): forward push
+    /// (enumerate), the `B(u)` verdict (bounds), backward push and θ cut
+    /// (scan), top-k sort (collect).
+    #[allow(clippy::too_many_arguments)]
+    fn head_query(
+        &mut self,
+        g: &Graph,
+        index: &TopKIndex,
+        u: VertexId,
+        k: usize,
+        theta: f64,
+        out: &mut TopKResult,
+        clock: &mut Instant,
+    ) {
+        let (c, diag) = (index.params.c, &index.diag);
+        self.head.forward(g, u);
+        self.lap(0, clock, out);
+        let empty = self.head.bound(g, c, diag) < theta;
+        self.lap(1, clock, out);
+        let stats = &mut out.stats;
+        if empty {
+            stats.head_empty = 1;
+        } else {
+            self.head.backward(g, c, diag);
+            let head = &self.head;
+            for &v in head.support().iter().filter(|&&v| v != u) {
+                let score = head.head(v);
+                let reached = score >= theta;
+                stats.reported += u64::from(reached);
+                stats.refined += u64::from(!reached);
+                if reached {
+                    out.hits.push(Hit { vertex: v, score });
+                }
+                if let Some(tr) = out.explain.as_mut() {
+                    let fate =
+                        if reached { CandidateFate::Reported } else { CandidateFate::RefinedBelowTheta };
+                    tr.push(record(v, UNREACHED, fate, score, theta));
+                }
+            }
+            stats.candidates = stats.reported + stats.refined;
+            if let Some(tr) = out.explain.as_mut() {
+                tr.records.sort_unstable_by_key(|r| r.vertex);
+            }
+        }
+        stats.push_edges = self.head.edges();
+        self.lap(2, clock, out);
+        top_k(&mut out.hits, k);
+        self.lap(3, clock, out);
+    }
+
+    /// Algorithm 5, stage by stage.
+    #[allow(clippy::too_many_arguments)]
+    fn sampled_query(
+        &mut self,
+        g: &Graph,
+        index: &TopKIndex,
+        u: VertexId,
+        k: usize,
+        opts: &QueryOptions,
+        theta: f64,
+        out: &mut TopKResult,
+        clock: &mut Instant,
+    ) {
         self.heap.clear();
         // Walk-step attribution: everything the kernels step between here
         // and the end of the scan belongs to this query (scratches never
         // migrate threads mid-query). Deterministic — the same query
         // performs the same walks regardless of thread count.
         let walk_base = srs_mc::obs::thread_counts().total();
-        let t = Instant::now();
         self.enumerate_candidates(g, index, u, opts, &mut out.stats);
-        let dt = t.elapsed().as_nanos() as u64;
-        self.obs.stages[0].record(dt);
-        out.timings.stages[0] = dt;
-        let t = Instant::now();
+        self.lap(0, clock, out);
         self.prepare_query_tables(g, index, u, opts, &mut out.stats);
-        let dt = t.elapsed().as_nanos() as u64;
-        self.obs.stages[1].record(dt);
-        out.timings.stages[1] = dt;
-        let t = Instant::now();
+        self.lap(1, clock, out);
         self.scan_candidates(g, index, u, k, opts, theta, &mut out.stats, out.explain.as_mut());
-        let dt = t.elapsed().as_nanos() as u64;
-        self.obs.stages[2].record(dt);
-        out.timings.stages[2] = dt;
-        let t = Instant::now();
+        self.lap(2, clock, out);
         out.hits.extend(self.heap.drain().map(|h| Hit { vertex: h.0.vertex, score: h.0.score }));
         out.hits.sort_by(|a, b| {
             b.score.partial_cmp(&a.score).expect("scores are finite").then(a.vertex.cmp(&b.vertex))
         });
-        let dt = t.elapsed().as_nanos() as u64;
-        self.obs.stages[3].record(dt);
-        out.timings.stages[3] = dt;
+        self.lap(3, clock, out);
         out.stats.walk_steps = srs_mc::obs::thread_counts().total() - walk_base;
-        debug_assert!(out.stats.fates_accounted(), "fate counters drifted: {:?}", out.stats);
     }
 
     /// Stage 1 — candidate enumeration (line 2 of Algorithm 5, plus the
@@ -534,6 +676,7 @@ impl QueryScratch {
         opts: &QueryOptions,
         stats: &mut QueryStats,
     ) {
+        self.bfs.ensure(g.num_vertices());
         // The stamp generation opened here (u and all index candidates
         // marked seen) carries over to the candidate-ball extension below.
         index.candidates.candidates_into_stamped(u, &mut self.cand_ids, &mut self.seen);
@@ -898,6 +1041,13 @@ fn l1_table_pays(candidates: usize, params: &SimRankParams, opts: &QueryOptions)
     candidates as u64 * 2 * u64::from(r) > u64::from(params.r_bounds)
 }
 
+/// Cuts `hits` to its first `k` rows by (score desc, vertex asc), in
+/// that order.
+fn top_k(hits: &mut Vec<Hit>, k: usize) {
+    hits.sort_unstable_by(|a, b| b.score.total_cmp(&a.score).then(a.vertex.cmp(&b.vertex)));
+    hits.truncate(k);
+}
+
 /// Shorthand for a scan-loop explain record.
 fn record(v: VertexId, d: u32, fate: CandidateFate, value: f64, threshold: f64) -> CandidateRecord {
     CandidateRecord { vertex: v, distance: d, fate, value, threshold }
@@ -919,15 +1069,15 @@ impl<'g> QueryContext<'g> {
         QueryContext { g, index, scratch: QueryScratch::new(g) }
     }
 
-    /// Algorithm 5 for query vertex `u`.
+    /// The top-k query for vertex `u`.
     pub fn query(&mut self, u: VertexId, k: usize, opts: &QueryOptions) -> TopKResult {
         let mut out = TopKResult::default();
         self.query_into(u, k, opts, &mut out);
         out
     }
 
-    /// Algorithm 5 writing into an existing result (cleared first), for
-    /// callers that also want to recycle the output allocation.
+    /// [`QueryContext::query`] writing into an existing result (cleared
+    /// first), for callers that also want to recycle the output allocation.
     pub fn query_into(&mut self, u: VertexId, k: usize, opts: &QueryOptions, out: &mut TopKResult) {
         self.scratch.query_into(self.g, self.index, u, k, opts, out);
     }
@@ -971,7 +1121,7 @@ mod tests {
         let g = fixtures::claw();
         let params = SimRankParams { c: 0.8, ..fast_params() };
         let idx = TopKIndex::build_with(&g, &params, Diagonal::paper_default(0.8), 1, 1);
-        let res = idx.query(&g, 1, 2, &QueryOptions::default());
+        let res = idx.query(&g, 1, 2, &QueryOptions::sampled());
         let found: Vec<VertexId> = res.hits.iter().map(|h| h.vertex).collect();
         assert_eq!(found.len(), 2, "{res:?}");
         assert!(found.contains(&2) && found.contains(&3));
@@ -1003,7 +1153,7 @@ mod tests {
             if truth.is_empty() {
                 continue;
             }
-            let res = ctx.query(u, k, &QueryOptions::default());
+            let res = ctx.query(u, k, &QueryOptions::sampled());
             let got: std::collections::HashSet<VertexId> = res.hits.iter().map(|h| h.vertex).collect();
             let hit = truth.iter().filter(|(_, v)| got.contains(v)).count();
             recall_sum += hit as f64 / truth.len() as f64;
@@ -1033,7 +1183,7 @@ mod tests {
             let idx = TopKIndex::build_with(&g, &params, Diagonal::paper_default(params.c), 6, 2);
             let mut scratch = QueryScratch::new(&g);
             for ball in [None, Some(1)] {
-                let opts = QueryOptions { candidate_ball: ball, ..Default::default() };
+                let opts = QueryOptions { candidate_ball: ball, ..QueryOptions::sampled() };
                 for u in srs_graph::stats::sample_query_vertices(&g, 25, 2) {
                     let mut stats = QueryStats::default();
                     scratch.enumerate_candidates(&g, &idx, u, &opts, &mut stats);
@@ -1071,10 +1221,10 @@ mod tests {
     fn l1_table_pays_only_past_its_walk_budget() {
         // Defaults: r_bounds = 10,000 walks against 2 · R per candidate.
         let params = SimRankParams::default();
-        let adaptive = QueryOptions::default();
+        let adaptive = QueryOptions::sampled();
         assert!(!l1_table_pays(500, &params, &adaptive), "500 · 2 · 10 = r_bounds: no saving");
         assert!(l1_table_pays(501, &params, &adaptive));
-        let refine_only = QueryOptions { adaptive: false, ..Default::default() };
+        let refine_only = QueryOptions { adaptive: false, ..QueryOptions::sampled() };
         assert!(!l1_table_pays(50, &params, &refine_only), "50 · 2 · 100 = r_bounds: no saving");
         assert!(l1_table_pays(51, &params, &refine_only));
     }
@@ -1087,7 +1237,7 @@ mod tests {
         let idx = TopKIndex::build_with(&g, &params, Diagonal::paper_default(params.c), 5, 2);
         let mut scratch = QueryScratch::new(&g);
         // Without adaptive sampling the table pays past one candidate.
-        let refine_only = QueryOptions { adaptive: false, ..Default::default() };
+        let refine_only = QueryOptions { adaptive: false, ..QueryOptions::sampled() };
         let (mut built, mut skipped) = (0, 0);
         for u in srs_graph::stats::sample_query_vertices(&g, 40, 3) {
             // Build a table first, so a skip must clear it rather than
@@ -1096,7 +1246,7 @@ mod tests {
             scratch.enumerate_candidates(&g, &idx, u, &refine_only, &mut stats);
             scratch.prepare_query_tables(&g, &idx, u, &refine_only, &mut stats);
 
-            let opts = QueryOptions::default();
+            let opts = QueryOptions::sampled();
             let mut stats = QueryStats::default();
             scratch.enumerate_candidates(&g, &idx, u, &opts, &mut stats);
             let before = srs_mc::obs::thread_counts().total();
@@ -1131,7 +1281,8 @@ mod tests {
         let params = SimRankParams { t: 4, d_max: 3, ..fast_params() };
         let idx = TopKIndex::build_with(&g, &params, Diagonal::paper_default(params.c), 5, 2);
         let mut ctx = QueryContext::new(&g, &idx);
-        let at = QueryOptions { candidate_ball: Some(params.d_max), explain: true, ..Default::default() };
+        let at =
+            QueryOptions { candidate_ball: Some(params.d_max), explain: true, ..QueryOptions::sampled() };
         let beyond = QueryOptions { candidate_ball: Some(params.d_max + 5), ..at.clone() };
         let mut hits = 0;
         for u in srs_graph::stats::sample_query_vertices(&g, 12, 4) {
@@ -1153,7 +1304,7 @@ mod tests {
         let ep = ExactParams::new(params.c, params.t);
         let d = diagonal::uniform(300, params.c);
         let mut ctx = QueryContext::new(&g, &idx);
-        let with_ball = QueryOptions { candidate_ball: Some(3), ..Default::default() };
+        let with_ball = QueryOptions { candidate_ball: Some(3), ..QueryOptions::sampled() };
         let mut recall_sum = 0.0;
         let mut queries = 0;
         for u in srs_graph::stats::sample_query_vertices(&g, 15, 33) {
@@ -1185,9 +1336,13 @@ mod tests {
         let params = fast_params();
         let idx = TopKIndex::build_with(&g, &params, Diagonal::paper_default(params.c), 3, 2);
         let mut ctx = QueryContext::new(&g, &idx);
-        let open =
-            QueryOptions { use_distance_bound: false, use_l1: false, adaptive: false, ..Default::default() };
-        let tight = QueryOptions::default();
+        let open = QueryOptions {
+            use_distance_bound: false,
+            use_l1: false,
+            adaptive: false,
+            ..QueryOptions::sampled()
+        };
+        let tight = QueryOptions::sampled();
         for u in srs_graph::stats::sample_query_vertices(&g, 10, 2) {
             let a = ctx.query(u, 5, &open);
             let b = ctx.query(u, 5, &tight);
@@ -1214,9 +1369,11 @@ mod tests {
         for g in [social, web] {
             let idx = TopKIndex::build_with(&g, &params, Diagonal::paper_default(params.c), 7, 2);
             let mut ctx = QueryContext::new(&g, &idx);
-            for opts in
-                [QueryOptions::default(), QueryOptions { candidate_ball: Some(2), ..Default::default() }]
-            {
+            for opts in [
+                QueryOptions::sampled(),
+                QueryOptions { candidate_ball: Some(2), ..QueryOptions::sampled() },
+                QueryOptions::default(),
+            ] {
                 for u in srs_graph::stats::sample_query_vertices(&g, 150, 3) {
                     let full = ctx.query(u, 20, &opts).hits;
                     for k in [1, 5] {
@@ -1236,7 +1393,7 @@ mod tests {
         let params = fast_params();
         let idx = TopKIndex::build_with(&g, &params, Diagonal::paper_default(params.c), 3, 2);
         let mut ctx = QueryContext::new(&g, &idx);
-        let ball = QueryOptions { candidate_ball: Some(2), ..Default::default() };
+        let ball = QueryOptions { candidate_ball: Some(2), ..QueryOptions::sampled() };
         // At θ = 0.99 even distance 1 is pruned (c^1 = 0.6): no candidate
         // can reach the screen, so none funds a meet set.
         let unreachable = QueryOptions { theta: Some(0.99), ..ball.clone() };
@@ -1256,7 +1413,7 @@ mod tests {
         let params = fast_params();
         let idx = TopKIndex::build_with(&g, &params, Diagonal::paper_default(params.c), 3, 2);
         let mut ctx = QueryContext::new(&g, &idx);
-        let res = ctx.query(0, 10, &QueryOptions::default());
+        let res = ctx.query(0, 10, &QueryOptions::sampled());
         let s = res.stats;
         assert!(s.fates_accounted(), "{s:?}");
         assert_eq!(s.refine_calls(), s.refined + s.reported);
@@ -1272,10 +1429,10 @@ mod tests {
         let mut ctx = QueryContext::new(&g, &idx);
         // The index's candidates alone, and with the ball counted in bulk;
         // at θ = 0 every candidate takes the full list.
-        let ball = QueryOptions { candidate_ball: Some(2), ..Default::default() };
+        let ball = QueryOptions { candidate_ball: Some(2), ..QueryOptions::sampled() };
         let zero = |o: &QueryOptions| QueryOptions { theta: Some(0.0), ..o.clone() };
         let (mut bulk, mut meets) = (0, 0);
-        for plain in [QueryOptions::default(), ball.clone(), zero(&QueryOptions::default()), zero(&ball)] {
+        for plain in [QueryOptions::sampled(), ball.clone(), zero(&QueryOptions::sampled()), zero(&ball)] {
             let explain = QueryOptions { explain: true, ..plain.clone() };
             for u in srs_graph::stats::sample_query_vertices(&g, 8, 14) {
                 let a = ctx.query(u, 10, &plain);
@@ -1313,6 +1470,34 @@ mod tests {
     }
 
     #[test]
+    fn head_explain_trace_reconciles_with_stats() {
+        // Under the head every support member is reported or refined
+        // below θ by its head value, once, in vertex order.
+        let g = gen::copying_web(200, 4, 0.8, 8);
+        let params = fast_params();
+        let idx = TopKIndex::build_with(&g, &params, Diagonal::paper_default(params.c), 3, 2);
+        let mut ctx = QueryContext::new(&g, &idx);
+        let mut reported = 0;
+        for theta in [None, Some(0.0)] {
+            let plain = QueryOptions { theta, ..Default::default() };
+            let explain = QueryOptions { explain: true, ..plain.clone() };
+            for u in srs_graph::stats::sample_query_vertices(&g, 12, 14) {
+                let (a, b) = (ctx.query(u, 10, &plain), ctx.query(u, 10, &explain));
+                assert_eq!(a.hits, b.hits, "u={u} {theta:?}");
+                assert_eq!(a.stats, b.stats, "u={u} {theta:?}");
+                let tr = b.explain.expect("explain requested");
+                assert_eq!(tr.records.len() as u64, b.stats.candidates, "u={u}");
+                assert_eq!(tr.count(CandidateFate::Reported), b.stats.reported, "u={u}");
+                assert_eq!(tr.count(CandidateFate::RefinedBelowTheta), b.stats.refined, "u={u}");
+                assert!(tr.records.windows(2).all(|w| w[0].vertex < w[1].vertex), "u={u}");
+                assert!(tr.records.iter().all(|r| r.distance == UNREACHED && r.vertex != u), "u={u}");
+                reported += b.stats.reported;
+            }
+        }
+        assert!(reported > 0);
+    }
+
+    #[test]
     fn theta_zero_reports_every_candidate() {
         // At θ = 0 no bound prunes and every 0.0 estimate is reported, so
         // with k past the candidate count each candidate is a hit.
@@ -1323,7 +1508,7 @@ mod tests {
         let k = g.num_vertices() as usize;
         let mut zeros = 0;
         for ball in [None, Some(1), Some(2)] {
-            let opts = QueryOptions { candidate_ball: ball, theta: Some(0.0), ..Default::default() };
+            let opts = QueryOptions { candidate_ball: ball, theta: Some(0.0), ..QueryOptions::sampled() };
             for u in srs_graph::stats::sample_query_vertices(&g, 12, 5) {
                 let res = ctx.query(u, k, &opts);
                 let s = res.stats;
@@ -1350,8 +1535,12 @@ mod tests {
             let mut without = QueryContext::new(&g, &idx);
             without.scratch.withhold_meet = true;
             for adaptive in [true, false] {
-                let opts =
-                    QueryOptions { candidate_ball: Some(2), adaptive, explain: true, ..Default::default() };
+                let opts = QueryOptions {
+                    candidate_ball: Some(2),
+                    adaptive,
+                    explain: true,
+                    ..QueryOptions::sampled()
+                };
                 for u in srs_graph::stats::sample_query_vertices(&g, 40, 6) {
                     let (a, b) = (with.query(u, 20, &opts), without.query(u, 20, &opts));
                     let ctx = format!("u={u} adaptive={adaptive}");
@@ -1380,10 +1569,12 @@ mod tests {
         let g = gen::copying_web(150, 5, 0.8, 4);
         let params = fast_params();
         let idx = TopKIndex::build_with(&g, &params, Diagonal::paper_default(params.c), 9, 2);
-        let res = idx.query(&g, 3, 4, &QueryOptions::default());
-        assert!(res.hits.len() <= 4);
-        for w in res.hits.windows(2) {
-            assert!(w[0].score >= w[1].score);
+        for opts in [QueryOptions::default(), QueryOptions::sampled()] {
+            let res = idx.query(&g, 3, 4, &opts);
+            assert!(res.hits.len() <= 4);
+            for w in res.hits.windows(2) {
+                assert!(w[0].score >= w[1].score);
+            }
         }
     }
 
@@ -1392,10 +1583,12 @@ mod tests {
         let g = gen::copying_web(150, 5, 0.8, 4);
         let params = fast_params();
         let idx = TopKIndex::build_with(&g, &params, Diagonal::paper_default(params.c), 9, 2);
-        let a = idx.query(&g, 7, 10, &QueryOptions::default());
-        let b = idx.query(&g, 7, 10, &QueryOptions::default());
-        assert_eq!(a.hits, b.hits);
-        assert_eq!(a.stats, b.stats);
+        for opts in [QueryOptions::default(), QueryOptions::sampled()] {
+            let a = idx.query(&g, 7, 10, &opts);
+            let b = idx.query(&g, 7, 10, &opts);
+            assert_eq!(a.hits, b.hits);
+            assert_eq!(a.stats, b.stats);
+        }
     }
 
     #[test]
@@ -1407,8 +1600,9 @@ mod tests {
         let g = b.build().unwrap(); // vertices 8, 9 isolated
         let params = fast_params();
         let idx = TopKIndex::build_with(&g, &params, Diagonal::paper_default(params.c), 2, 1);
-        let res = idx.query(&g, 9, 5, &QueryOptions::default());
-        assert!(res.hits.is_empty());
+        for opts in [QueryOptions::default(), QueryOptions::sampled()] {
+            assert!(idx.query(&g, 9, 5, &opts).hits.is_empty());
+        }
     }
 
     #[test]

@@ -3,6 +3,10 @@
 //! full explain trace are bit-identical to the width-1 scan, which
 //! estimates one candidate at a time.
 //!
+//! Waves batch Algorithm 5's scan, so every query here runs
+//! [`srs_search::Estimator::Sampled`]; the default exact head has no
+//! scan to batch and ignores the width.
+//!
 //! Every candidate is decided once against θ, and a wave estimates
 //! exactly the candidates the width-1 scan estimates, so the work
 //! counters (`walk_steps`, `zero_screened`) match as well. Only `waves`
@@ -49,17 +53,20 @@ fn assert_wave_invariant_with(opts_base: QueryOptions, params: SimRankParams, la
 
 #[test]
 fn hits_and_fates_identical_across_wave_widths_and_threads() {
-    assert_wave_invariant(QueryOptions::default(), "default");
+    assert_wave_invariant(QueryOptions::sampled(), "default");
 }
 
 #[test]
 fn wave_invariant_holds_without_adaptive_sampling() {
-    assert_wave_invariant(QueryOptions { adaptive: false, ..Default::default() }, "non-adaptive");
+    assert_wave_invariant(QueryOptions { adaptive: false, ..QueryOptions::sampled() }, "non-adaptive");
 }
 
 #[test]
 fn wave_invariant_holds_with_candidate_ball() {
-    assert_wave_invariant(QueryOptions { candidate_ball: Some(2), ..Default::default() }, "candidate_ball");
+    assert_wave_invariant(
+        QueryOptions { candidate_ball: Some(2), ..QueryOptions::sampled() },
+        "candidate_ball",
+    );
 }
 
 #[test]
@@ -68,7 +75,7 @@ fn wave_invariant_holds_in_sort_merge_regime() {
     // refine steps through the sort-and-merge counting layout; the
     // bit-identity contract must hold there too.
     let params = SimRankParams { r_refine: 200, r_bounds: 1_000, ..Default::default() };
-    assert_wave_invariant_with(QueryOptions::default(), params, "sort-merge regime");
+    assert_wave_invariant_with(QueryOptions::sampled(), params, "sort-merge regime");
 }
 
 #[test]
@@ -81,8 +88,8 @@ fn per_vertex_diagonal_routes_to_scalar_scan() {
     let d = vec![1.0 - params.c; g.num_vertices() as usize];
     let diag = Diagonal::PerVertex(std::sync::Arc::new(d));
     let idx = TopKIndex::build_with(&g, &params, diag, 3, 2);
-    let wide = idx.query(&g, 5, 10, &QueryOptions { wave_width: 32, ..Default::default() });
-    let narrow = idx.query(&g, 5, 10, &QueryOptions { wave_width: 1, ..Default::default() });
+    let wide = idx.query(&g, 5, 10, &QueryOptions { wave_width: 32, ..QueryOptions::sampled() });
+    let narrow = idx.query(&g, 5, 10, &QueryOptions { wave_width: 1, ..QueryOptions::sampled() });
     assert_eq!(wide.hits, narrow.hits);
     assert_eq!(wide.stats, narrow.stats);
     assert_eq!(wide.stats.waves, 0, "per-vertex diagonal must not take the wave path");

@@ -29,7 +29,7 @@ fn main() {
     // 1. The scalable search.
     let params = SimRankParams::default();
     let index = TopKIndex::build(&g, &params, 5);
-    let res = index.query(&g, query, 10, &QueryOptions::default());
+    let res = index.query(&g, query, 10, &QueryOptions::sampled());
     println!("proposed top-k search:");
     for h in &res.hits {
         println!("  paper {:<7} s ≈ {:.4}", h.vertex, h.score);

@@ -37,7 +37,7 @@ fn main() {
             stats.dirty,
             stats.reused
         );
-        let res = extended.query(&new, 20_500, 5, &QueryOptions::default());
+        let res = extended.query(&new, 20_500, 5, &QueryOptions::sampled());
         println!("  query on a new page returns {} hits", res.hits.len());
     }
 

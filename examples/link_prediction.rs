@@ -30,7 +30,7 @@ fn main() {
     // co-authorship is weak evidence), and the partner is often just
     // outside the walk-index candidates — so lower θ and add the distance-2
     // ball extension.
-    let opts = QueryOptions { candidate_ball: Some(2), theta: Some(1e-4), ..Default::default() };
+    let opts = QueryOptions { candidate_ball: Some(2), theta: Some(1e-4), ..QueryOptions::sampled() };
 
     let k = 20;
     let mut hits = 0usize;

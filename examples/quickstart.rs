@@ -25,9 +25,10 @@ fn main() {
     );
 
     // Query phase (Algorithm 5): candidates → bound pruning → adaptive
-    // Monte-Carlo estimation.
+    // Monte-Carlo estimation. `QueryOptions::default()` would answer with
+    // the exact two-step head instead, which reads no index.
     let mut ctx = QueryContext::new(&g, &index);
-    let opts = QueryOptions::default();
+    let opts = QueryOptions::sampled();
     for u in [3u32, 100, 999] {
         let res = ctx.query(u, 10, &opts);
         println!(

@@ -29,7 +29,8 @@
 //! let params = SimRankParams::default();
 //! let index = TopKIndex::build(&g, &params, 7);
 //!
-//! // ... then answer top-k queries in milliseconds (Algorithm 5).
+//! // ... then answer top-k queries in milliseconds: the exact two-step
+//! // head by default, Algorithm 5 with `QueryOptions::sampled()`.
 //! let top = index.query(&g, 3, 10, &QueryOptions::default());
 //! for hit in &top.hits {
 //!     println!("v={} s≈{:.4}", hit.vertex, hit.score);

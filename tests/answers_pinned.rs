@@ -4,9 +4,10 @@
 //! (across threads, wave widths, load modes, ...). This one compares it
 //! with the answers a known-good build produced: hits (vertex and
 //! shortest-roundtrip score) plus the five per-query fate counters, for
-//! a small social and a small web graph under a matrix of query options
-//! (`candidate_ball` none/1/2/3 × `wave_width` 1/32), and for the social
-//! graph with `d_max` = 3 < `T` − 1. A change
+//! a small social and a small web graph under a matrix of Algorithm 5
+//! options (`candidate_ball` none/1/2/3 × `wave_width` 1/32), and for the
+//! social graph with `d_max` = 3 < `T` − 1. The exact-head rows (the
+//! default estimator, label `head`) follow, one block per graph. A change
 //! that claims "answers are byte-identical" must leave
 //! `tests/fixtures/answers_pinned.tsv` untouched.
 //!
@@ -36,13 +37,16 @@ use std::sync::OnceLock;
 const FIXTURE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/answers_pinned.tsv");
 const FINGERPRINTS: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/snapshot_fingerprints.tsv");
 
-/// The option matrix: label and options.
+/// The Algorithm 5 option matrix: label and options.
 fn option_matrix() -> Vec<(String, QueryOptions)> {
     let mut m = Vec::new();
     for ball in [None, Some(1), Some(2), Some(3)] {
         for width in [1u32, 32] {
             let label = format!("ball={}/w={width}", ball.map_or("none".to_string(), |b: u32| b.to_string()));
-            m.push((label, QueryOptions { candidate_ball: ball, wave_width: width, ..Default::default() }));
+            m.push((
+                label,
+                QueryOptions { candidate_ball: ball, wave_width: width, ..QueryOptions::sampled() },
+            ));
         }
     }
     m
@@ -84,13 +88,18 @@ fn datasets() -> &'static [Pinned] {
 }
 
 /// One line per (dataset, options, query): fates, then `vertex:score` hits.
+/// The Algorithm 5 matrix first, then the exact head on each graph (the
+/// head reads no index parameter, so `d_max` = 3 adds no head row).
 fn answers() -> String {
     let matrix = option_matrix();
+    let head = [("head".to_string(), QueryOptions::default())];
     let mut body = String::new();
-    for Pinned { name, graph: g, index: idx, options } in datasets() {
+    let all = datasets();
+    let runs = all.iter().map(|d| (d, &matrix[..d.options])).chain(all[..2].iter().map(|d| (d, &head[..])));
+    for (Pinned { name, graph: g, index: idx, .. }, rows) in runs {
         let engine = ServingEngine::with_threads(Dataset::new(g.clone(), idx.clone()).unwrap(), 2);
         let queries = stats::sample_query_vertices(g, 40, 3);
-        for (label, opts) in &matrix[..*options] {
+        for (label, opts) in rows {
             let batch = engine.query_batch(&queries, 20, opts);
             for (u, r) in queries.iter().zip(&batch.results) {
                 let s = &r.stats;

@@ -8,7 +8,8 @@ use srs_graph::{container, gen, GraphDelta, ValidationLevel};
 use srs_search::persist;
 use srs_search::snapshot::{self, Dataset};
 use srs_search::{
-    build_delta, load_chain, Diagonal, LoadOptions, QueryOptions, ServingEngine, SimRankParams, TopKIndex,
+    build_delta, load_chain, Diagonal, Hit, LoadOptions, QueryOptions, ServingEngine, SimRankParams,
+    TopKIndex,
 };
 
 fn build(n: u32, seed: u64) -> Dataset {
@@ -30,7 +31,7 @@ struct ChainFixture {
     base_path: std::path::PathBuf,
     delta_path: std::path::PathBuf,
     delta_bytes: Vec<u8>,
-    baseline: Vec<Vec<srs_search::Hit>>,
+    baseline: Vec<Vec<Hit>>,
     new_n: u32,
 }
 
@@ -48,10 +49,18 @@ fn chain_fixture(tag: &str) -> ChainFixture {
     batch.delete(1, 0);
     let built = build_delta(&base, &batch, t - 1, 2, base_info.fingerprint).unwrap();
     let delta_path = write_temp(&format!("{tag}.srs.d0001"), &built.bytes);
-    let baseline: Vec<_> = (0..83)
-        .map(|u| built.dataset.index().query(built.dataset.graph(), u, 5, &QueryOptions::default()).hits)
-        .collect();
+    let baseline = answers(&built.dataset);
     ChainFixture { base_path, delta_path, delta_bytes: built.bytes, baseline, new_n: 83 }
+}
+
+/// Every vertex's top-5 under Algorithm 5, which reads the candidate
+/// index, then under the exact head, which reads only the graph.
+fn answers(ds: &Dataset) -> Vec<Vec<Hit>> {
+    let n = ds.graph().num_vertices();
+    [QueryOptions::sampled(), QueryOptions::default()]
+        .iter()
+        .flat_map(|opts| (0..n).map(move |u| ds.index().query(ds.graph(), u, 5, opts).hits))
+        .collect()
 }
 
 fn all_modes() -> [LoadOptions; 3] {
@@ -89,10 +98,11 @@ fn delta_bit_flips_fail_closed_in_every_mode() {
                     if let Some(v) = verifier {
                         v.verify_all().unwrap();
                     }
-                    for (u, want) in fx.baseline.iter().enumerate() {
-                        let got = loaded.index().query(loaded.graph(), u as u32, 5, &QueryOptions::default());
-                        assert_eq!(want, &got.hits, "flip at byte {pos} changed answers ({opts:?})");
-                    }
+                    assert_eq!(
+                        answers(&loaded),
+                        fx.baseline,
+                        "flip at byte {pos} changed answers ({opts:?})"
+                    );
                 }
             }
         }
@@ -143,10 +153,7 @@ fn corrupt_delta_never_reaches_a_serving_engine() {
     let chain_load = load_chain(&fx.base_path, &[&fx.delta_path], &LoadOptions::default());
     if let Ok((loaded, _, _, _)) = &chain_load {
         // Mid-file flips land in checksummed payload for this fixture.
-        for (u, want) in fx.baseline.iter().enumerate() {
-            let got = loaded.index().query(loaded.graph(), u as u32, 5, &QueryOptions::default());
-            assert_eq!(want, &got.hits);
-        }
+        assert_eq!(answers(loaded), fx.baseline);
     }
     let (ds, _, chain, _) =
         load_chain(&fx.base_path, &[] as &[&std::path::Path], &LoadOptions::default()).unwrap();
@@ -172,40 +179,44 @@ fn live_ingest_replays_through_a_chain_on_any_shard_count() {
     batches[0].insert(91, 90);
     batches[0].delete(1, 0);
     batches[1].insert(3, 91);
-    let opts = QueryOptions { explain: true, ..Default::default() };
     let queries: Vec<u32> = (0..92).collect();
-    let mut answers = Vec::new();
-    for shards in [1u32, 2] {
-        let mut bytes = Vec::new();
-        snapshot::pack(ds.graph(), ds.index(), shards, &mut bytes).unwrap();
-        let base_path = write_temp(&format!("s{shards}.srs"), &bytes);
-        let (base, info, _) = srs_search::load_snapshot(&base_path, &LoadOptions::default()).unwrap();
-        assert_eq!(info.shards, shards);
-        let engine = ServingEngine::with_threads(base, 2);
-        let mut parent = info.fingerprint;
-        let mut paths = Vec::new();
-        for (i, batch) in batches.iter().enumerate() {
-            let applied = engine.apply_delta(batch, t - 1, parent).unwrap();
-            parent = applied.fingerprint;
-            paths.push(write_temp(&format!("s{shards}.srs.d{i}"), &applied.bytes));
+    for opts in [
+        QueryOptions { explain: true, ..QueryOptions::sampled() },
+        QueryOptions { explain: true, ..Default::default() },
+    ] {
+        let mut answers = Vec::new();
+        for shards in [1u32, 2] {
+            let mut bytes = Vec::new();
+            snapshot::pack(ds.graph(), ds.index(), shards, &mut bytes).unwrap();
+            let base_path = write_temp(&format!("s{shards}.srs"), &bytes);
+            let (base, info, _) = srs_search::load_snapshot(&base_path, &LoadOptions::default()).unwrap();
+            assert_eq!(info.shards, shards);
+            let engine = ServingEngine::with_threads(base, 2);
+            let mut parent = info.fingerprint;
+            let mut paths = Vec::new();
+            for (i, batch) in batches.iter().enumerate() {
+                let applied = engine.apply_delta(batch, t - 1, parent).unwrap();
+                parent = applied.fingerprint;
+                paths.push(write_temp(&format!("s{shards}.srs.d{i}"), &applied.bytes));
+            }
+            let live = engine.query_batch(&queries, 6, &opts);
+            let (chained, _, chain, _) = load_chain(&base_path, &paths, &LoadOptions::default()).unwrap();
+            assert_eq!(chain.depth, 2);
+            let replayed = ServingEngine::with_threads(chained, 2).query_batch(&queries, 6, &opts);
+            for (u, (a, b)) in live.results.iter().zip(&replayed.results).enumerate() {
+                assert_eq!(a.hits, b.hits, "u={u} shards={shards}: replay differs from the live chain");
+                assert_eq!(a.stats, b.stats, "u={u} shards={shards}");
+            }
+            answers.push(replayed);
+            for p in paths.iter().chain([&base_path]) {
+                std::fs::remove_file(p).ok();
+            }
         }
-        let live = engine.query_batch(&queries, 6, &opts);
-        let (chained, _, chain, _) = load_chain(&base_path, &paths, &LoadOptions::default()).unwrap();
-        assert_eq!(chain.depth, 2);
-        let replayed = ServingEngine::with_threads(chained, 2).query_batch(&queries, 6, &opts);
-        for (u, (a, b)) in live.results.iter().zip(&replayed.results).enumerate() {
-            assert_eq!(a.hits, b.hits, "u={u} shards={shards}: replay differs from the live chain");
-            assert_eq!(a.stats, b.stats, "u={u} shards={shards}");
+        for (u, (a, b)) in answers[0].results.iter().zip(&answers[1].results).enumerate() {
+            assert_eq!(a.hits, b.hits, "u={u}: 2-shard chain differs from 1-shard chain");
+            assert_eq!(a.stats, b.stats, "u={u}");
+            assert_eq!(a.explain, b.explain, "u={u}");
         }
-        answers.push(replayed);
-        for p in paths.iter().chain([&base_path]) {
-            std::fs::remove_file(p).ok();
-        }
-    }
-    for (u, (a, b)) in answers[0].results.iter().zip(&answers[1].results).enumerate() {
-        assert_eq!(a.hits, b.hits, "u={u}: 2-shard chain differs from 1-shard chain");
-        assert_eq!(a.stats, b.stats, "u={u}");
-        assert_eq!(a.explain, b.explain, "u={u}");
     }
 }
 
@@ -287,9 +298,11 @@ fn bundles_and_links_carrying_gamma_rows_still_load_and_answer_identically() {
         let delta_path = write_temp(&format!("gamma_{name}.srs.d0001"), &link);
         chains.push((base_path, delta_path));
     }
-    let opts = QueryOptions { explain: true, candidate_ball: Some(2), ..Default::default() };
     let queries: Vec<u32> = (0..83).collect();
-    for load in all_modes() {
+    let sampled = QueryOptions { explain: true, candidate_ball: Some(2), ..QueryOptions::sampled() };
+    for (load, opts) in
+        all_modes().into_iter().flat_map(|l| [(l, sampled.clone()), (l, QueryOptions::default())])
+    {
         let mut answers = Vec::new();
         for (base_path, delta_path) in &chains {
             let (bare, _, _) = srs_search::load_snapshot(base_path, &load).unwrap();
@@ -328,9 +341,10 @@ fn exact_topk(score: impl Fn(u32) -> f64, u: u32, n: u32, k: usize) -> Vec<u32> 
 #[test]
 fn staleness_depth_trades_freshness_for_accuracy() {
     // One disruptive batch absorbed at staleness depth 0, 1, and T−1.
-    // Precision@k against the exact solver on the *post-edit* graph must
-    // not decrease with depth, and the full-depth chain must answer
-    // bit-identically to an index rebuilt from scratch.
+    // Precision@k of Algorithm 5, which reads the candidate index,
+    // against the exact solver on the *post-edit* graph must not decrease
+    // with depth, and the full-depth chain must answer bit-identically to
+    // an index rebuilt from scratch under either estimator.
     let n: u32 = 100;
     let seed = 5u64;
     let g = gen::copying_web(n, 4, 0.8, seed);
@@ -368,7 +382,7 @@ fn staleness_depth_trades_freshness_for_accuracy() {
             if want.is_empty() {
                 continue;
             }
-            let got = ds.index().query(ds.graph(), u, k, &QueryOptions::default());
+            let got = ds.index().query(ds.graph(), u, k, &QueryOptions::sampled());
             total += want.len();
             agree += want.iter().filter(|v| got.hits.iter().any(|h| h.vertex == **v)).count();
         }
@@ -394,10 +408,12 @@ fn staleness_depth_trades_freshness_for_accuracy() {
     let rebuilt_idx = TopKIndex::build_with(&new_g, &params, Diagonal::paper_default(params.c), seed, 2);
     let rebuilt = Dataset::new(new_g, rebuilt_idx).unwrap();
     let (_, chained) = datasets.last().unwrap();
-    for &u in &queries {
-        let a = chained.index().query(chained.graph(), u, k, &QueryOptions::default());
-        let b = rebuilt.index().query(rebuilt.graph(), u, k, &QueryOptions::default());
-        assert_eq!(a.hits, b.hits, "full-depth chain diverged from rebuild at vertex {u}");
-        assert_eq!(a.stats, b.stats, "candidate fates diverged at vertex {u}");
+    for opts in [QueryOptions::sampled(), QueryOptions::default()] {
+        for &u in &queries {
+            let a = chained.index().query(chained.graph(), u, k, &opts);
+            let b = rebuilt.index().query(rebuilt.graph(), u, k, &opts);
+            assert_eq!(a.hits, b.hits, "full-depth chain diverged from rebuild at vertex {u}: {opts:?}");
+            assert_eq!(a.stats, b.stats, "candidate fates diverged at vertex {u}: {opts:?}");
+        }
     }
 }

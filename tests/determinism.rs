@@ -42,11 +42,13 @@ fn queries_identical_after_save_load_cycles() {
     simrank_search::search::persist::save(&r1, &mut buf2).unwrap();
     assert_eq!(buf1, buf2, "persistence must be byte-stable");
     let r2 = simrank_search::search::persist::load(&buf2[..]).unwrap();
-    for u in [0u32, 100, 499] {
-        let q0 = idx.query(&g, u, 10, &QueryOptions::default());
-        let q2 = r2.query(&g, u, 10, &QueryOptions::default());
-        assert_eq!(q0.hits, q2.hits, "u={u}");
-        assert_eq!(q0.stats, q2.stats, "u={u}");
+    for opts in [QueryOptions::sampled(), QueryOptions::default()] {
+        for u in [0u32, 100, 499] {
+            let q0 = idx.query(&g, u, 10, &opts);
+            let q2 = r2.query(&g, u, 10, &opts);
+            assert_eq!(q0.hits, q2.hits, "u={u} {opts:?}");
+            assert_eq!(q0.stats, q2.stats, "u={u} {opts:?}");
+        }
     }
 }
 
@@ -55,27 +57,29 @@ fn batch_engine_bit_identical_across_thread_counts() {
     // The tentpole guarantee of the serving layer: for a fixed index seed,
     // ServingEngine::query_batch returns bit-identical hits and stats on 1,
     // 2, and 8 threads, and each of them equals the sequential
-    // TopKIndex::query answer — randomness is per query, never per worker.
+    // TopKIndex::query answer — randomness is per query, never per worker
+    // (and the exact head draws none).
     let g = gen::copying_web(350, 4, 0.8, 13);
     let p = params();
     let idx = TopKIndex::build_with(&g, &p, Diagonal::paper_default(p.c), 21, 2);
     let queries: Vec<u32> = (0..60).map(|i| i * 5 % 350).collect();
-    let opts = QueryOptions::default();
-    let batches: Vec<_> = [1usize, 2, 8]
-        .into_iter()
-        .map(|threads| engine(&g, &idx, threads).query_batch(&queries, 10, &opts))
-        .collect();
-    for batch in &batches[1..] {
-        for (a, b) in batches[0].results.iter().zip(&batch.results) {
-            assert_eq!(a.hits, b.hits);
-            assert_eq!(a.stats, b.stats);
+    for opts in [QueryOptions::sampled(), QueryOptions::default()] {
+        let batches: Vec<_> = [1usize, 2, 8]
+            .into_iter()
+            .map(|threads| engine(&g, &idx, threads).query_batch(&queries, 10, &opts))
+            .collect();
+        for batch in &batches[1..] {
+            for (a, b) in batches[0].results.iter().zip(&batch.results) {
+                assert_eq!(a.hits, b.hits);
+                assert_eq!(a.stats, b.stats);
+            }
+            assert_eq!(batches[0].totals, batch.totals);
         }
-        assert_eq!(batches[0].totals, batch.totals);
-    }
-    for (&u, res) in queries.iter().zip(&batches[0].results) {
-        let seq = idx.query(&g, u, 10, &opts);
-        assert_eq!(seq.hits, res.hits, "u={u}");
-        assert_eq!(seq.stats, res.stats, "u={u}");
+        for (&u, res) in queries.iter().zip(&batches[0].results) {
+            let seq = idx.query(&g, u, 10, &opts);
+            assert_eq!(seq.hits, res.hits, "u={u} {opts:?}");
+            assert_eq!(seq.stats, res.stats, "u={u} {opts:?}");
+        }
     }
 }
 
@@ -86,20 +90,22 @@ fn batch_engine_pool_reuse_does_not_perturb_results() {
     let g = gen::copying_web(250, 4, 0.8, 7);
     let p = params();
     let idx = TopKIndex::build_with(&g, &p, Diagonal::paper_default(p.c), 9, 2);
-    let opts = QueryOptions { candidate_ball: Some(2), ..Default::default() };
-    let warm = engine(&g, &idx, 4);
-    let queries: Vec<u32> = (0..40).collect();
-    // Warm the pool on an unrelated workload first.
-    let warmup: Vec<u32> = (200..250).collect();
-    let mut out = simrank_search::search::BatchResult::new();
-    warm.query_batch_into(&warmup, 7, &opts, &mut out);
-    warm.query_batch_into(&queries, 7, &opts, &mut out);
-    let cold = engine(&g, &idx, 4).query_batch(&queries, 7, &opts);
-    for ((a, b), &u) in cold.results.iter().zip(&out.results).zip(&queries) {
-        assert_eq!(a.hits, b.hits, "u={u}");
-        assert_eq!(a.stats, b.stats, "u={u}");
+    for opts in [QueryOptions { candidate_ball: Some(2), ..QueryOptions::sampled() }, QueryOptions::default()]
+    {
+        let warm = engine(&g, &idx, 4);
+        let queries: Vec<u32> = (0..40).collect();
+        // Warm the pool on an unrelated workload first.
+        let warmup: Vec<u32> = (200..250).collect();
+        let mut out = simrank_search::search::BatchResult::new();
+        warm.query_batch_into(&warmup, 7, &opts, &mut out);
+        warm.query_batch_into(&queries, 7, &opts, &mut out);
+        let cold = engine(&g, &idx, 4).query_batch(&queries, 7, &opts);
+        for ((a, b), &u) in cold.results.iter().zip(&out.results).zip(&queries) {
+            assert_eq!(a.hits, b.hits, "u={u} {opts:?}");
+            assert_eq!(a.stats, b.stats, "u={u} {opts:?}");
+        }
+        assert_eq!(cold.totals, out.totals);
     }
-    assert_eq!(cold.totals, out.totals);
 }
 
 #[test]

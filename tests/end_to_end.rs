@@ -117,7 +117,7 @@ fn zero_screen_skips_only_pairs_whose_estimate_is_exactly_zero() {
     let ep = ExactParams::new(params.c, params.t);
     let d = diagonal::uniform(g.num_vertices() as usize, params.c);
     let mut ctx = QueryContext::new(&g, &index);
-    let opts = QueryOptions { candidate_ball: Some(2), explain: true, ..Default::default() };
+    let opts = QueryOptions { candidate_ball: Some(2), explain: true, ..QueryOptions::sampled() };
     let (mut screened, mut meets) = (0, 0);
     for u in stats::sample_query_vertices(&g, 20, 11) {
         let res = ctx.query(u, 10, &opts);

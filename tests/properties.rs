@@ -148,8 +148,10 @@ proptest! {
         let back = simrank_search::search::persist::load(&buf[..]).unwrap();
         prop_assert_eq!(idx.memory_bytes(), back.memory_bytes());
         for u in 0..g.num_vertices() {
-            let a = idx.query(&g, u, 3, &Default::default());
-            let b = back.query(&g, u, 3, &Default::default());
+            // Algorithm 5 reads the round-tripped candidate index.
+            let opts = simrank_search::search::QueryOptions::sampled();
+            let a = idx.query(&g, u, 3, &opts);
+            let b = back.query(&g, u, 3, &opts);
             prop_assert_eq!(a.hits, b.hits);
         }
     }

@@ -7,7 +7,7 @@ use srs_graph::{container, gen};
 use srs_search::persist::{self, PersistError};
 use srs_search::snapshot::{self, Dataset};
 use srs_search::{
-    load_snapshot, Diagonal, LoadOptions, QueryOptions, ServingEngine, SimRankParams, TopKIndex,
+    load_snapshot, Diagonal, Hit, LoadOptions, QueryOptions, ServingEngine, SimRankParams, TopKIndex,
 };
 
 fn build(n: u32, seed: u64) -> Dataset {
@@ -15,6 +15,16 @@ fn build(n: u32, seed: u64) -> Dataset {
     let params = SimRankParams { r_bounds: 300, ..Default::default() };
     let idx = TopKIndex::build_with(&g, &params, Diagonal::paper_default(params.c), seed, 2);
     Dataset::new(g, idx).unwrap()
+}
+
+/// Every vertex's top-5 under Algorithm 5, which reads the candidate
+/// index, then under the exact head, which reads only the graph.
+fn answers(ds: &Dataset) -> Vec<Vec<Hit>> {
+    let n = ds.graph().num_vertices();
+    [QueryOptions::sampled(), QueryOptions::default()]
+        .iter()
+        .flat_map(|opts| (0..n).map(move |u| ds.index().query(ds.graph(), u, 5, opts).hits))
+        .collect()
 }
 
 fn packed(ds: &Dataset) -> Vec<u8> {
@@ -32,16 +42,20 @@ fn snapshot_is_bit_identical_to_fresh_build() {
     let ds = build(150, 7);
     let (loaded, info) = Dataset::from_snapshot_bytes(packed(&ds)).unwrap();
     assert_eq!(info.sections_verified, container::BundleReader::open(packed(&ds)).unwrap().num_sections());
-    let opts = QueryOptions { explain: true, ..Default::default() };
     let queries: Vec<u32> = (0..150).step_by(3).collect();
-    let fresh = ServingEngine::with_threads(ds, 3).query_batch(&queries, 8, &opts);
-    let served = ServingEngine::with_threads(loaded, 3).query_batch(&queries, 8, &opts);
-    for (a, b) in fresh.results.iter().zip(&served.results) {
-        assert_eq!(a.hits, b.hits);
-        assert_eq!(a.stats, b.stats, "candidate fates must match");
-        assert_eq!(a.explain, b.explain, "explain traces must match");
+    for opts in [
+        QueryOptions { explain: true, ..QueryOptions::sampled() },
+        QueryOptions { explain: true, ..Default::default() },
+    ] {
+        let fresh = ServingEngine::with_threads(ds.clone(), 3).query_batch(&queries, 8, &opts);
+        let served = ServingEngine::with_threads(loaded.clone(), 3).query_batch(&queries, 8, &opts);
+        for (a, b) in fresh.results.iter().zip(&served.results) {
+            assert_eq!(a.hits, b.hits);
+            assert_eq!(a.stats, b.stats, "candidate fates must match");
+            assert_eq!(a.explain, b.explain, "explain traces must match");
+        }
+        assert_eq!(fresh.totals, served.totals);
     }
-    assert_eq!(fresh.totals, served.totals);
 }
 
 #[test]
@@ -73,8 +87,7 @@ fn truncation_never_panics_and_always_errors() {
 fn bit_flips_never_panic_and_never_corrupt_answers() {
     let ds = build(80, 4);
     let bytes = packed(&ds);
-    let baseline: Vec<_> =
-        (0..80).map(|u| ds.index().query(ds.graph(), u, 5, &QueryOptions::default()).hits).collect();
+    let baseline = answers(&ds);
     // Seeded single-byte flips across the whole file. Flips inside a
     // checksummed section or the table must be rejected; flips that land
     // in alignment padding may load — but then every answer must be
@@ -88,12 +101,7 @@ fn bit_flips_never_panic_and_never_corrupt_answers() {
         corrupt[pos] ^= bit;
         match Dataset::from_snapshot_bytes(corrupt) {
             Err(_) => {}
-            Ok((loaded, _)) => {
-                for (u, want) in baseline.iter().enumerate() {
-                    let got = loaded.index().query(loaded.graph(), u as u32, 5, &QueryOptions::default());
-                    assert_eq!(want, &got.hits, "flip at byte {pos} changed answers");
-                }
-            }
+            Ok((loaded, _)) => assert_eq!(answers(&loaded), baseline, "flip at byte {pos} changed answers"),
         }
     }
 }
@@ -138,8 +146,7 @@ fn mmap_truncation_never_panics_and_always_errors() {
 fn mmap_bit_flips_fail_verification_or_serve_identical_answers() {
     let ds = build(80, 4);
     let bytes = packed(&ds);
-    let baseline: Vec<_> =
-        (0..80).map(|u| ds.index().query(ds.graph(), u, 5, &QueryOptions::default()).hits).collect();
+    let baseline = answers(&ds);
     let path = write_temp("mmap_flip.srs", &bytes);
     let lazy = LoadOptions { mmap: true, ..Default::default() };
     let eager = LoadOptions { mmap: true, verify_on_load: true, ..Default::default() };
@@ -158,10 +165,7 @@ fn mmap_bit_flips_fail_verification_or_serve_identical_answers() {
             Ok((loaded, info, verifier)) => {
                 assert!(info.mapped, "eager mmap load must stay mapped");
                 assert!(verifier.is_none(), "eager open must not hand back a verifier");
-                for (u, want) in baseline.iter().enumerate() {
-                    let got = loaded.index().query(loaded.graph(), u as u32, 5, &QueryOptions::default());
-                    assert_eq!(want, &got.hits, "flip at byte {pos} changed answers under mmap");
-                }
+                assert_eq!(answers(&loaded), baseline, "flip at byte {pos} changed answers under mmap");
             }
         }
         // The lazy default defers checksums to the background sweep: the
@@ -171,10 +175,7 @@ fn mmap_bit_flips_fail_verification_or_serve_identical_answers() {
             Err(_) => {}
             Ok((loaded, _, Some(verifier))) => {
                 if verifier.verify_all().is_ok() {
-                    for (u, want) in baseline.iter().enumerate() {
-                        let got = loaded.index().query(loaded.graph(), u as u32, 5, &QueryOptions::default());
-                        assert_eq!(want, &got.hits, "verified flip at byte {pos} changed answers");
-                    }
+                    assert_eq!(answers(&loaded), baseline, "verified flip at byte {pos} changed answers");
                 }
             }
             Ok(_) => panic!("lazy mmap open must hand back a verifier"),
@@ -269,19 +270,22 @@ fn sharded_serving_matches_unsharded_across_the_l1_gate() {
     // index reads the shards' inverted slices in range order, so heap and
     // mmap loads of 1, 3 and 4 shards answer exactly like the in-memory
     // dataset under every option row — hits, every `QueryStats` field and
-    // explain traces — cold and from the result cache. r_bounds = 300
-    // makes the per-query L1 table pay past 15 candidates, so on this
-    // social graph the gate both builds and skips.
+    // explain traces — cold and from the result cache, for Algorithm 5
+    // and the exact head alike. r_bounds = 300 makes the per-query L1
+    // table pay past 15 candidates, so on this social graph the gate both
+    // builds and skips.
     let g = gen::preferential_attachment_windowed(300, 6, 100, 13);
     let params = SimRankParams { r_bounds: 300, ..Default::default() };
     let idx = TopKIndex::build_with(&g, &params, Diagonal::paper_default(params.c), 13, 2);
     let ds = Dataset::new(g, idx).unwrap();
     let queries: Vec<u32> = (0..300).step_by(2).collect();
     let table = [
+        QueryOptions::sampled(),
+        QueryOptions { explain: true, candidate_ball: Some(2), ..QueryOptions::sampled() },
+        QueryOptions { adaptive: false, ..QueryOptions::sampled() },
+        QueryOptions { theta: Some(0.05), ..QueryOptions::sampled() },
         QueryOptions::default(),
-        QueryOptions { explain: true, candidate_ball: Some(2), ..Default::default() },
-        QueryOptions { adaptive: false, ..Default::default() },
-        QueryOptions { theta: Some(0.05), ..Default::default() },
+        QueryOptions { explain: true, theta: Some(0.0), ..Default::default() },
     ];
     let memory = ServingEngine::with_threads(ds.clone(), 2);
     let want: Vec<_> = table.iter().map(|opts| memory.query_batch(&queries, 8, opts)).collect();
@@ -290,6 +294,7 @@ fn sharded_serving_matches_unsharded_across_the_l1_gate() {
     let skipped = gated.iter().filter(|r| r.stats.candidates > 0 && r.stats.l1_tables == 0).count();
     assert!(built > 0 && skipped > 0, "built {built}, skipped {skipped}");
     assert!(want[1].results.iter().any(|r| r.explain.is_some()), "explain row must trace");
+    assert!(want[4].results.iter().any(|r| !r.hits.is_empty()), "the head row must answer");
 
     for shards in [1u32, 3, 4] {
         let path = write_temp(&format!("gate_s{shards}.srs"), &packed_shards(&ds, shards));
