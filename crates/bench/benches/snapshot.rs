@@ -58,6 +58,7 @@ fn bench_snapshot(_c: &mut Criterion) {
     let path = std::env::temp_dir().join(format!("srs_snapbench_{}.srs", std::process::id()));
     std::fs::write(&path, &bytes).expect("write snapshot fixture");
     let mut heap_ttfq = f64::INFINITY;
+    let mut heap_load_stages = [f64::INFINITY; 4];
     let mut heap_resident = 0u64;
     let mut mmap_ttfq = f64::INFINITY;
     let mut mmap_resident = 0u64;
@@ -67,6 +68,11 @@ fn bench_snapshot(_c: &mut Criterion) {
         let (ds, info, _) = load_snapshot(&path, &LoadOptions::default()).expect("heap load");
         let hit = ds.index().query(ds.graph(), 0, 5, &QueryOptions::default());
         heap_ttfq = heap_ttfq.min(t0.elapsed().as_secs_f64());
+        let stages =
+            [info.load_time, info.read_time, info.checksum_time, info.validate_time].map(|d| d.as_secs_f64());
+        if stages[0] < heap_load_stages[0] {
+            heap_load_stages = stages;
+        }
         heap_resident = info.resident_bytes;
         assert_eq!(hit.hits, baseline.hits);
 
@@ -91,6 +97,7 @@ fn bench_snapshot(_c: &mut Criterion) {
         preprocess_secs,
         load_secs,
         heap_ttfq_secs: heap_ttfq,
+        heap_load_stages,
         mmap_ttfq_secs: mmap_ttfq,
         heap_resident_bytes: heap_resident,
         mmap_resident_bytes: mmap_resident,
@@ -103,6 +110,15 @@ fn bench_snapshot(_c: &mut Criterion) {
         report.speedup(),
         report.snapshot_bytes,
         report.sections_verified
+    );
+    let [load, read, checksum, validate] = report.heap_load_stages;
+    println!(
+        "  heap load {:.6}s: read {:.6}s + checksum {:.6}s + validate {:.6}s + residual {:.6}s",
+        load,
+        read,
+        checksum,
+        validate,
+        report.heap_load_residual_secs()
     );
     println!(
         "  cold-start TTFQ: heap {:.6}s vs mmap {:.6}s -> {:.1}x; resident {} -> {} bytes \

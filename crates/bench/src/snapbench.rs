@@ -37,6 +37,11 @@ pub struct SnapshotBenchReport {
     /// Cold-start time-to-first-query through the heap loader: eager
     /// checksummed file read, then one answered query.
     pub heap_ttfq_secs: f64,
+    /// The fastest heap `load_snapshot` of the TTFQ reps, split into its
+    /// stages on one clock: `[load, read, checksum, validate]` seconds
+    /// (see `srs_search::SnapshotInfo`); what the three stages leave of
+    /// `load` is [`SnapshotBenchReport::heap_load_residual_secs`].
+    pub heap_load_stages: [f64; 4],
     /// Cold-start time-to-first-query through the lazy `mmap` loader:
     /// O(sections) open plus structural scans, then one answered query
     /// faulting in only the pages it touches.
@@ -70,13 +75,20 @@ impl SnapshotBenchReport {
         }
     }
 
+    /// The part of the heap load no stage accounts for.
+    pub fn heap_load_residual_secs(&self) -> f64 {
+        let [load, read, checksum, validate] = self.heap_load_stages;
+        load - read - checksum - validate
+    }
+
     /// Serializes the report as pretty-printed JSON.
     pub fn to_json(&self) -> String {
         format!(
             "{{\n  \"host\": {},\n  \"graph\": {},\n  \"n\": {},\n  \"m\": {},\n  \"snapshot_bytes\": {},\n  \
              \"sections_verified\": {},\n  \"preprocess_secs\": {:.6},\n  \"load_secs\": {:.6},\n  \
-             \"speedup\": {:.1},\n  \"heap_ttfq_secs\": {:.6},\n  \"mmap_ttfq_secs\": {:.6},\n  \
-             \"mmap_speedup\": {:.1},\n  \"heap_resident_bytes\": {},\n  \
+             \"speedup\": {:.1},\n  \"heap_ttfq_secs\": {:.6},\n  \"heap_load\": {{\"load_secs\": {:.6}, \
+             \"read_secs\": {:.6}, \"checksum_secs\": {:.6}, \"validate_secs\": {:.6}, \
+             \"residual_secs\": {:.6}}},\n  \"mmap_ttfq_secs\": {:.6},\n  \"mmap_speedup\": {:.1},\n  \"heap_resident_bytes\": {},\n  \
              \"mmap_resident_bytes\": {},\n  \"mmap_mapped_bytes\": {}\n}}\n",
             self.host.to_json(),
             json_string(&self.graph),
@@ -88,6 +100,11 @@ impl SnapshotBenchReport {
             self.load_secs,
             self.speedup(),
             self.heap_ttfq_secs,
+            self.heap_load_stages[0],
+            self.heap_load_stages[1],
+            self.heap_load_stages[2],
+            self.heap_load_stages[3],
+            self.heap_load_residual_secs(),
             self.mmap_ttfq_secs,
             self.mmap_speedup(),
             self.heap_resident_bytes,
@@ -118,6 +135,7 @@ mod tests {
             preprocess_secs: 2.0,
             load_secs: 0.01,
             heap_ttfq_secs: 0.05,
+            heap_load_stages: [0.04, 0.01, 0.005, 0.02],
             mmap_ttfq_secs: 0.005,
             heap_resident_bytes: 12_000,
             mmap_resident_bytes: 500,
@@ -148,6 +166,8 @@ mod tests {
             "\"speedup\": 200.0",
             "\"sections_verified\": 10",
             "\"mmap_speedup\": 10.0",
+            "\"heap_load\": {\"load_secs\": 0.040000, \"read_secs\": 0.010000, \"checksum_secs\": 0.005000, \
+             \"validate_secs\": 0.020000, \"residual_secs\": 0.005000}",
             "\"mmap_resident_bytes\": 500",
             "\"mmap_mapped_bytes\": 11500",
         ] {

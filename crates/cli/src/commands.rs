@@ -495,8 +495,15 @@ fn batch_query(args: &Args) -> Result<String, CliError> {
     if let Some(info) = &snap_info {
         let _ = writeln!(
             out,
-            "snapshot         {} bytes, {} sections verified, loaded in {:.2?}",
-            info.bytes, info.sections_verified, info.load_time
+            "snapshot         {} bytes, {} sections verified, loaded in {:.2?} \
+             (read {:.2?}, checksum {:.2?}, validate {:.2?}, residual {:.2?})",
+            info.bytes,
+            info.sections_verified,
+            info.load_time,
+            info.read_time,
+            info.checksum_time,
+            info.validate_time,
+            info.residual_time()
         );
     }
     let _ = writeln!(out, "candidates       {}", t.candidates);
@@ -2257,7 +2264,14 @@ mod tests {
         ))
         .unwrap();
         let body = std::fs::read_to_string(&json).unwrap();
-        for family in ["srs_snapshot_load_ns", "srs_snapshot_bytes", "srs_snapshot_sections_verified"] {
+        for family in [
+            "srs_snapshot_load_ns",
+            "srs_snapshot_read_ns",
+            "srs_snapshot_checksum_ns",
+            "srs_snapshot_validate_ns",
+            "srs_snapshot_bytes",
+            "srs_snapshot_sections_verified",
+        ] {
             assert!(body.contains(family), "metrics missing {family}: {body}");
         }
         for f in [&g_path, &i_path, &snap, &json] {

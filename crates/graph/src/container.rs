@@ -12,16 +12,24 @@
 //! ```text
 //! offset  size  field
 //! 0       8     magic "SRSBNDL1"
-//! 8       4     format version (currently 1)
+//! 8       4     format version (written: 2; read: 1 and 2)
 //! 12      4     section count k
 //! 16      48·k  section table, one entry per section:
 //!                 tag       [u8; 16]  zero-padded ASCII name
 //!                 offset    u64       payload start (from file start)
 //!                 len       u64       payload length in bytes
 //!                 align     u64       required alignment of `offset`
-//!                 checksum  u64       FNV-1a 64 of the payload bytes
+//!                 checksum  u64       payload checksum: XXH64 (seed 0)
+//!                                     in v2, FNV-1a 64 in v1
 //! ...           section payloads at their offsets, zero-padded between
 //! ```
+//!
+//! The version names the checksum function and nothing else: a v1 and a
+//! v2 bundle of the same data have the same table layout and the same
+//! payload bytes, and differ only in the stored checksums (and so in
+//! their fingerprints). [`BundleWriter`] always writes v2;
+//! [`BundleReader`] verifies each version with its own function
+//! ([`section_checksum`]).
 //!
 //! Sections are identified by tag, not position; consumers take what
 //! they need and ignore the rest. That is what lets a full snapshot
@@ -36,16 +44,16 @@
 //!
 //! ## Verification modes
 //!
-//! Checksumming is byte-serial, so verifying a multi-GB bundle at open
-//! would erase the O(1)-startup win of serving it via `mmap`. The
-//! reader therefore separates *structural* validation (magic, version,
-//! table bounds, alignment, duplicate tags — always performed, cheap,
-//! O(sections)) from *checksum* verification, which is either eager
-//! ([`VerifyMode::Eager`], the classic heap-load behaviour) or lazy
-//! ([`VerifyMode::Lazy`]): sections start unverified and
-//! [`BundleReader::verify_section`] / [`BundleReader::verify_all`] can
-//! be run later — e.g. on a background thread while queries are already
-//! being served. Each section's verified bit latches once checked.
+//! Checksumming touches every payload byte, so verifying a multi-GB
+//! bundle at open would erase the O(1)-startup win of serving it via
+//! `mmap`. The reader therefore separates *structural* validation
+//! (magic, version, table bounds, alignment, duplicate tags — always
+//! performed, cheap, O(sections)) from *checksum* verification, which
+//! is either eager ([`VerifyMode::Eager`], the classic heap-load
+//! behaviour) or lazy ([`VerifyMode::Lazy`]): sections start unverified
+//! and [`BundleReader::verify_section`] / [`BundleReader::verify_all`]
+//! can be run later — e.g. on a background thread while queries are
+//! already being served. Each section's verified bit latches once checked.
 //!
 //! The table-derived [`BundleReader::fingerprint`] identifies a bundle
 //! in O(sections) without touching payload pages (it folds each
@@ -61,8 +69,11 @@ use std::sync::Arc;
 /// Bundle file magic.
 pub const MAGIC: &[u8; 8] = b"SRSBNDL1";
 
-/// Current format version.
-pub const VERSION: u32 = 1;
+/// Format version the writer produces (v2: XXH64 section checksums).
+pub const VERSION: u32 = 2;
+
+/// Oldest format version the reader accepts (v1: FNV-1a 64 checksums).
+const MIN_VERSION: u32 = 1;
 
 const TAG_LEN: usize = 16;
 const ENTRY_LEN: usize = TAG_LEN + 8 * 4;
@@ -117,6 +128,79 @@ pub fn fnv1a64_extend(mut h: u64, bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+
+/// The payload checksum a format-`version` bundle stores for `bytes`:
+/// [`fnv1a64`] in v1, XXH64 with seed 0 in v2. FNV-1a
+/// multiplies once per byte in one serial chain; XXH64 consumes 32-byte
+/// stripes in four independent lanes, so the multiplies of one stripe
+/// overlap and a heap load's checksum pass runs an order of magnitude
+/// faster.
+pub fn section_checksum(version: u32, bytes: &[u8]) -> u64 {
+    if version == 1 {
+        fnv1a64(bytes)
+    } else {
+        xxh64(bytes)
+    }
+}
+
+const P1: u64 = 0x9E37_79B1_85EB_CA87;
+const P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+const P3: u64 = 0x1656_67B1_9E37_79F9;
+const P4: u64 = 0x85EB_CA77_C2B2_AE63;
+const P5: u64 = 0x27D4_EB2F_1656_67C5;
+
+fn xxh64_round(acc: u64, lane: u64) -> u64 {
+    acc.wrapping_add(lane.wrapping_mul(P2)).rotate_left(31).wrapping_mul(P1)
+}
+
+fn xxh64_merge(h: u64, acc: u64) -> u64 {
+    (h ^ xxh64_round(0, acc)).wrapping_mul(P1).wrapping_add(P4)
+}
+
+fn le64(b: &[u8]) -> u64 {
+    u64::from_le_bytes(b[..8].try_into().expect("8-byte word"))
+}
+
+/// XXH64 with seed 0 (the reference algorithm, little-endian words).
+fn xxh64(bytes: &[u8]) -> u64 {
+    let stripes = bytes.chunks_exact(32);
+    let tail = stripes.remainder();
+    let mut h = if bytes.len() >= 32 {
+        let mut acc = [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()];
+        for stripe in stripes {
+            for (a, word) in acc.iter_mut().zip(stripe.chunks_exact(8)) {
+                *a = xxh64_round(*a, le64(word));
+            }
+        }
+        let h = acc[0]
+            .rotate_left(1)
+            .wrapping_add(acc[1].rotate_left(7))
+            .wrapping_add(acc[2].rotate_left(12))
+            .wrapping_add(acc[3].rotate_left(18));
+        acc.iter().fold(h, |h, &a| xxh64_merge(h, a))
+    } else {
+        P5
+    };
+    h = h.wrapping_add(bytes.len() as u64);
+    let mut words = tail.chunks_exact(8);
+    for word in &mut words {
+        h = (h ^ xxh64_round(0, le64(word))).rotate_left(27).wrapping_mul(P1).wrapping_add(P4);
+    }
+    let mut rest = words.remainder();
+    if rest.len() >= 4 {
+        let half = u32::from_le_bytes(rest[..4].try_into().expect("4-byte word")) as u64;
+        h = (h ^ half.wrapping_mul(P1)).rotate_left(23).wrapping_mul(P2).wrapping_add(P3);
+        rest = &rest[4..];
+    }
+    for &b in rest {
+        h = (h ^ (b as u64).wrapping_mul(P5)).rotate_left(11).wrapping_mul(P1);
+    }
+    h ^= h >> 33;
+    h = h.wrapping_mul(P2);
+    h ^= h >> 29;
+    h = h.wrapping_mul(P3);
+    h ^ (h >> 32)
 }
 
 /// Fingerprint of one section: FNV-1a 64 over its zero-padded tag, byte
@@ -209,7 +293,7 @@ impl BundleWriter {
         );
         let mut t = [0u8; TAG_LEN];
         t[..tag.len()].copy_from_slice(tag.as_bytes());
-        let checksum = fnv1a64(&payload);
+        let checksum = section_checksum(VERSION, &payload);
         self.sections.push(PendingSection { tag: t, align, payload, checksum });
         self
     }
@@ -293,6 +377,7 @@ pub enum VerifyMode {
 /// `mmap`). Sections are borrowed zero-copy from the one buffer.
 pub struct BundleReader {
     buf: BundleBuf,
+    version: u32,
     sections: Vec<SectionEntry>,
     verified: Vec<AtomicBool>,
     verified_count: AtomicU32,
@@ -331,9 +416,9 @@ impl BundleReader {
             return Err(BundleError::Format("bad magic".into()));
         }
         let version = u32::from_le_bytes(b[8..12].try_into().unwrap());
-        if version != VERSION {
+        if !(MIN_VERSION..=VERSION).contains(&version) {
             return Err(BundleError::Format(format!(
-                "unsupported bundle version {version} (reader supports {VERSION})"
+                "unsupported bundle version {version} (reader supports {MIN_VERSION} to {VERSION})"
             )));
         }
         let count = u32::from_le_bytes(b[12..16].try_into().unwrap()) as usize;
@@ -381,7 +466,7 @@ impl BundleReader {
             sections.push(SectionEntry { tag, offset, len, checksum });
         }
         let verified = (0..sections.len()).map(|_| AtomicBool::new(false)).collect();
-        let reader = BundleReader { buf, sections, verified, verified_count: AtomicU32::new(0) };
+        let reader = BundleReader { buf, version, sections, verified, verified_count: AtomicU32::new(0) };
         if mode == VerifyMode::Eager {
             reader.verify_all()?;
         }
@@ -398,7 +483,7 @@ impl BundleReader {
             return Ok(());
         }
         let name = tag_str(&s.tag);
-        let got = fnv1a64(&self.buf.as_slice()[s.offset..s.offset + s.len]);
+        let got = section_checksum(self.version, &self.buf.as_slice()[s.offset..s.offset + s.len]);
         if got != s.checksum {
             return Err(BundleError::Format(format!(
                 "section {name:?}: checksum mismatch (stored {:#018x}, computed {got:#018x})",
@@ -423,6 +508,12 @@ impl BundleReader {
     /// How many sections have passed checksum verification so far.
     pub fn verified_count(&self) -> u32 {
         self.verified_count.load(Ordering::Acquire)
+    }
+
+    /// The bundle's format version, which names its checksum function
+    /// (see [`section_checksum`]).
+    pub fn version(&self) -> u32 {
+        self.version
     }
 
     /// The shared underlying buffer.
@@ -547,10 +638,13 @@ mod tests {
         let mut b = sample();
         b[0] = b'X';
         assert!(matches!(BundleReader::open(b), Err(BundleError::Format(_))));
-        let mut b = sample();
-        b[8] = 99; // version
-        let err = BundleReader::open(b).unwrap_err();
-        assert!(err.to_string().contains("version"), "{err}");
+        // Versions outside 1..=2 are refused by number.
+        for version in [0u32, 3, 99] {
+            let mut b = sample();
+            b[8..12].copy_from_slice(&version.to_le_bytes());
+            let err = BundleReader::open(b).unwrap_err();
+            assert!(err.to_string().contains(&format!("unsupported bundle version {version}")), "{err}");
+        }
     }
 
     #[test]
@@ -673,6 +767,109 @@ mod tests {
         assert_eq!(big_off % PAGE_SIZE as u64, 0, "large section must start on a page boundary");
         assert_eq!(&r.pod_slice::<u64>("big").unwrap()[..8], &[7u64; 8]);
         assert_eq!(&r.pod_slice::<u32>("small").unwrap()[..], &[1]);
+    }
+
+    /// `bytes` rewritten as a v1 bundle: version 1 and FNV-1a 64
+    /// checksums, payloads untouched.
+    fn as_v1(mut bytes: Vec<u8>) -> Vec<u8> {
+        let r = BundleReader::open(bytes.clone()).unwrap();
+        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+        for i in 0..r.num_sections() {
+            let (off, len) = r.section_extent(i).unwrap();
+            let sum = fnv1a64(&bytes[off as usize..(off + len) as usize]);
+            let at = HEADER_LEN + i as usize * ENTRY_LEN + 40;
+            bytes[at..at + 8].copy_from_slice(&sum.to_le_bytes());
+        }
+        bytes
+    }
+
+    #[test]
+    fn writer_emits_v2_and_reader_still_verifies_v1() {
+        let v2 = sample();
+        assert_eq!(u32::from_le_bytes(v2[8..12].try_into().unwrap()), 2);
+        let r2 = BundleReader::open(v2.clone()).unwrap();
+        assert_eq!(r2.version(), 2);
+        let v1 = as_v1(v2.clone());
+        let r1 = BundleReader::open(v1.clone()).unwrap();
+        assert_eq!((r1.version(), r1.verified_count()), (1, 3));
+        for tag in ["nums64", "meta", "nums32"] {
+            assert_eq!(r1.bytes(tag).unwrap(), r2.bytes(tag).unwrap(), "{tag}");
+        }
+        // Same payloads, different stored checksums: the prints differ.
+        assert_ne!(r1.fingerprint(), r2.fingerprint());
+        // Each version is checked with its own function only.
+        let mut flipped = v1.clone();
+        let last = flipped.len() - 1;
+        flipped[last] ^= 0x40;
+        let err = BundleReader::open(flipped).unwrap_err();
+        assert!(err.to_string().contains("checksum"), "{err}");
+        let mut mislabeled = v2;
+        mislabeled[8..12].copy_from_slice(&1u32.to_le_bytes());
+        assert!(BundleReader::open(mislabeled).unwrap_err().to_string().contains("checksum"));
+    }
+
+    #[test]
+    fn xxh64_reference_vectors() {
+        // Published XXH64 (seed 0) test vectors.
+        assert_eq!(section_checksum(2, b""), 0xEF46_DB37_51D8_E999);
+        assert_eq!(section_checksum(2, b"abc"), 0x44BC_2CF5_AD77_0999);
+        assert_eq!(section_checksum(2, b"a"), 0xD24E_C4F1_A98C_6E5B);
+        // 39 bytes: one full stripe, then a 4-byte and a 3-byte tail.
+        assert_eq!(section_checksum(2, b"Nobody inspects the spammish repetition"), 0xFBCE_A83C_8A37_8BF1);
+        assert_eq!(section_checksum(1, b"abc"), fnv1a64(b"abc"));
+    }
+
+    /// XXH64 written one word at a time: word `i` of the striped prefix
+    /// feeds lane `i % 4`, then the tail is eaten in 8-, 4- and 1-byte
+    /// steps by explicit index.
+    fn xxh64_one_lane(bytes: &[u8]) -> u64 {
+        let n = bytes.len();
+        let word = |i: usize| u64::from_le_bytes(bytes[i..i + 8].try_into().unwrap());
+        let striped = n / 32 * 32;
+        let mut h = P5;
+        if n >= 32 {
+            let mut acc = [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()];
+            for i in (0..striped).step_by(8) {
+                acc[i / 8 % 4] = xxh64_round(acc[i / 8 % 4], word(i));
+            }
+            h = [(0, 1), (1, 7), (2, 12), (3, 18)]
+                .iter()
+                .fold(0u64, |h, &(lane, rot)| h.wrapping_add(acc[lane].rotate_left(rot)));
+            for a in acc {
+                h = xxh64_merge(h, a);
+            }
+        }
+        h = h.wrapping_add(n as u64);
+        let mut i = striped;
+        while i + 8 <= n {
+            h = (h ^ xxh64_round(0, word(i))).rotate_left(27).wrapping_mul(P1).wrapping_add(P4);
+            i += 8;
+        }
+        if i + 4 <= n {
+            let half = u32::from_le_bytes(bytes[i..i + 4].try_into().unwrap()) as u64;
+            h = (h ^ half.wrapping_mul(P1)).rotate_left(23).wrapping_mul(P2).wrapping_add(P3);
+            i += 4;
+        }
+        for &b in &bytes[i..] {
+            h = (h ^ (b as u64).wrapping_mul(P5)).rotate_left(11).wrapping_mul(P1);
+        }
+        h ^= h >> 33;
+        h = h.wrapping_mul(P2);
+        h ^= h >> 29;
+        h = h.wrapping_mul(P3);
+        h ^ (h >> 32)
+    }
+
+    #[test]
+    fn xxh64_matches_the_one_lane_reference_at_every_stripe_and_tail_edge() {
+        let data: Vec<u8> = (0..65u32).map(|i| (i.wrapping_mul(151) ^ 0x5a) as u8).collect();
+        let mut seen = std::collections::HashSet::new();
+        for len in 0..=65 {
+            let got = section_checksum(2, &data[..len]);
+            assert_eq!(got, xxh64_one_lane(&data[..len]), "len {len}");
+            assert!(seen.insert(got), "len {len} collides with a shorter prefix");
+        }
+        assert_eq!(xxh64_one_lane(b"abc"), 0x44BC_2CF5_AD77_0999);
     }
 
     #[test]

@@ -41,6 +41,7 @@ use srs_graph::storage::{BundleBuf, SharedSlice};
 use srs_graph::{GraphDelta, VertexId};
 use std::io::Write;
 use std::path::Path;
+use std::time::Instant;
 
 /// Tag of the delta header section.
 pub const SEC_DELTA_META: &str = "d.meta";
@@ -285,7 +286,7 @@ pub fn load_chain<P: AsRef<Path>>(
     deltas: &[impl AsRef<Path>],
     opts: &LoadOptions,
 ) -> Result<(Dataset, SnapshotInfo, ChainInfo, Option<SnapshotVerifier>), PersistError> {
-    let started = std::time::Instant::now();
+    let started = Instant::now();
     let (mut ds, mut info, verifier) = load_snapshot(base_path, opts)?;
     let mut chain = ChainInfo::base_only(info.fingerprint);
     if deltas.is_empty() {
@@ -294,10 +295,15 @@ pub fn load_chain<P: AsRef<Path>>(
     let mut fold = vec![info.fingerprint];
     for (i, path) in deltas.iter().enumerate() {
         let path = path.as_ref();
+        let link_started = Instant::now();
         let bytes = std::fs::read(path)?;
         info.bytes += bytes.len() as u64;
-        let r = BundleReader::open_buf(BundleBuf::from(bytes), VerifyMode::Eager)?;
-        info.sections_verified += r.verified_count();
+        let r = BundleReader::open_buf(BundleBuf::from(bytes), VerifyMode::Lazy)?;
+        let read = Instant::now();
+        info.sections_verified += r.verify_all()?;
+        let verified = Instant::now();
+        info.read_time += read - link_started;
+        info.checksum_time += verified - read;
         if !is_delta_bundle(&r) {
             return Err(PersistError::Format(format!(
                 "chain link {i} ({}) is not a delta bundle",
@@ -315,6 +321,7 @@ pub fn load_chain<P: AsRef<Path>>(
             )));
         }
         let (next, header) = splice_delta(&ds, &r)?;
+        info.validate_time += verified.elapsed();
         ds = next;
         chain.depth += 1;
         chain.tip_fingerprint = r.fingerprint();

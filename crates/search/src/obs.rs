@@ -37,6 +37,7 @@
 //! | `srs_index_bytes` / `srs_engine_threads` / `srs_engine_pooled_scratches` | gauge | |
 //! | `srs_dataset_swaps_total` | counter | |
 //! | `srs_snapshot_load_ns` / `srs_snapshot_bytes` / `srs_snapshot_sections_verified` | gauge | |
+//! | `srs_snapshot_read_ns` / `srs_snapshot_checksum_ns` / `srs_snapshot_validate_ns` | gauge | |
 //! | `srs_snapshot_resident_bytes` / `srs_snapshot_mapped_bytes` | gauge | |
 //! | `srs_extend_applies_total` | counter | |
 //! | `srs_extend_appended_vertices_total` / `srs_extend_dirty_vertices_total` / `srs_extend_reused_vertices_total` | counter | |
@@ -162,6 +163,11 @@ pub struct ServingMetrics {
     pub dataset_swaps: Arc<Counter>,
     /// `srs_snapshot_load_ns` (wall time of the last snapshot load).
     pub snapshot_load_ns: Arc<Gauge>,
+    /// `srs_snapshot_read_ns`, `srs_snapshot_checksum_ns` and
+    /// `srs_snapshot_validate_ns`: the last load's read, checksum and
+    /// validate stages (see [`crate::snapshot::SnapshotInfo`]); what they
+    /// leave of `srs_snapshot_load_ns` is the unattributed residual.
+    pub snapshot_stage_ns: [Arc<Gauge>; 3],
     /// `srs_snapshot_bytes` (size of the last loaded snapshot).
     pub snapshot_bytes: Arc<Gauge>,
     /// `srs_snapshot_sections_verified` (checksum-verified sections of
@@ -277,6 +283,11 @@ impl ServingMetrics {
             pooled_scratches: r.gauge("srs_engine_pooled_scratches", "Scratch states currently pooled"),
             dataset_swaps: r.counter("srs_dataset_swaps_total", "Hot dataset swaps performed"),
             snapshot_load_ns: r.gauge("srs_snapshot_load_ns", "Wall time of the last snapshot load (ns)"),
+            snapshot_stage_ns: [
+                r.gauge("srs_snapshot_read_ns", "Read and table check of the last snapshot load (ns)"),
+                r.gauge("srs_snapshot_checksum_ns", "Section checksums of the last snapshot load (ns)"),
+                r.gauge("srs_snapshot_validate_ns", "Section validation of the last snapshot load (ns)"),
+            ],
             snapshot_bytes: r.gauge("srs_snapshot_bytes", "Bytes mapped by the last snapshot load"),
             snapshot_sections: r
                 .gauge("srs_snapshot_sections_verified", "Checksum-verified sections of the last load"),
@@ -301,6 +312,11 @@ impl ServingMetrics {
     /// Records one snapshot load's statistics on the snapshot gauges.
     pub fn record_snapshot_load(&self, info: &crate::snapshot::SnapshotInfo) {
         self.snapshot_load_ns.set(info.load_time.as_nanos() as u64);
+        for (gauge, stage) in
+            self.snapshot_stage_ns.iter().zip([info.read_time, info.checksum_time, info.validate_time])
+        {
+            gauge.set(stage.as_nanos() as u64);
+        }
         self.snapshot_bytes.set(info.bytes);
         self.snapshot_sections.set(info.sections_verified as u64);
         self.snapshot_resident.set(info.resident_bytes);
@@ -449,6 +465,9 @@ mod tests {
             "srs_engine_pooled_scratches",
             "srs_dataset_swaps_total",
             "srs_snapshot_load_ns",
+            "srs_snapshot_read_ns",
+            "srs_snapshot_checksum_ns",
+            "srs_snapshot_validate_ns",
             "srs_snapshot_bytes",
             "srs_snapshot_sections_verified",
             "srs_snapshot_resident_bytes",
@@ -494,6 +513,9 @@ mod tests {
             bytes: 1234,
             sections_verified: 11,
             load_time: std::time::Duration::from_nanos(5678),
+            read_time: std::time::Duration::from_nanos(1000),
+            checksum_time: std::time::Duration::from_nanos(2000),
+            validate_time: std::time::Duration::from_nanos(2500),
             fingerprint: 0xfeed,
             resident_bytes: 200,
             mapped_bytes: 1000,
@@ -503,6 +525,7 @@ mod tests {
         assert_eq!(m.snapshot_bytes.get(), 1234);
         assert_eq!(m.snapshot_sections.get(), 11);
         assert_eq!(m.snapshot_load_ns.get(), 5678);
+        assert_eq!(m.snapshot_stage_ns.each_ref().map(|g| g.get()), [1000, 2000, 2500]);
         assert_eq!(m.snapshot_resident.get(), 200);
         assert_eq!(m.snapshot_mapped.get(), 1000);
     }

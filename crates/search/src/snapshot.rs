@@ -28,7 +28,7 @@
 //! engine can atomically replace it while in-flight batches keep the old
 //! one alive (see [`crate::engine::ServingEngine`]).
 
-use crate::persist::{add_index_sections, index_from_bundle, index_from_bundle_with, PersistError};
+use crate::persist::{add_index_sections, index_from_bundle_with, PersistError};
 use crate::topk::TopKIndex;
 use srs_graph::container::{BundleReader, BundleWriter, VerifyMode};
 use srs_graph::storage::BundleBuf;
@@ -36,7 +36,7 @@ use srs_graph::{Graph, MemoryProfile, ValidationLevel};
 use std::io::Write;
 use std::path::Path;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// An immutable graph + index pair, shared via `Arc` so clones are O(1)
 /// and a serving engine can hand the same dataset to many threads (or
@@ -96,18 +96,17 @@ impl Dataset {
     /// dataset plus [`SnapshotInfo`] load statistics (for `srs-obs`
     /// gauges).
     pub fn from_snapshot_bytes(bytes: Vec<u8>) -> Result<(Self, SnapshotInfo), PersistError> {
-        let started = std::time::Instant::now();
-        let reader = BundleReader::open_buf(BundleBuf::from(bytes), VerifyMode::Eager)?;
-        let graph = Graph::from_bundle(&reader).map_err(|e| PersistError::Format(e.to_string()))?;
-        let ds = Self::new(graph, index_from_bundle(&reader)?)?;
-        let info = SnapshotInfo::from_load(&reader, &ds, started.elapsed());
+        let started = Instant::now();
+        let reader = BundleReader::open_buf(BundleBuf::from(bytes), VerifyMode::Lazy)?;
+        let (ds, info, _) = finish_load(started, reader, VerifyMode::Eager, ValidationLevel::Deep)?;
         Ok((ds, info))
     }
 
-    /// Loads a snapshot file written by [`pack`] (see
-    /// [`Dataset::from_snapshot_bytes`]).
+    /// Loads a snapshot file written by [`pack`]: a heap [`load_snapshot`]
+    /// (eager verification, deep validation).
     pub fn load<P: AsRef<Path>>(path: P) -> Result<(Self, SnapshotInfo), PersistError> {
-        Self::from_snapshot_bytes(std::fs::read(path)?)
+        let (ds, info, _) = load_snapshot(path, &LoadOptions::default())?;
+        Ok((ds, info))
     }
 }
 
@@ -139,6 +138,15 @@ pub struct SnapshotInfo {
     pub sections_verified: u32,
     /// Wall-clock time from first byte to ready dataset.
     pub load_time: Duration,
+    /// Part of `load_time` spent reading (heap) or mapping the file and
+    /// checking the section table (plus delta-link reads for a chain).
+    pub read_time: Duration,
+    /// Part of `load_time` spent verifying section checksums (zero for a
+    /// lazy `mmap` open, whose checksums run later).
+    pub checksum_time: Duration,
+    /// Part of `load_time` spent parsing and validating the graph and
+    /// index sections into a dataset (splicing, for delta links).
+    pub validate_time: Duration,
     /// Content fingerprint: per-section fingerprints (tag, length,
     /// stored checksum) folded in table order — see
     /// [`srs_graph::container::BundleReader::fingerprint`]. Identifies
@@ -158,12 +166,22 @@ pub struct SnapshotInfo {
 }
 
 impl SnapshotInfo {
-    fn from_load(r: &BundleReader, ds: &Dataset, load_time: Duration) -> Self {
+    /// The part of `load_time` outside the read, checksum and validate
+    /// stages (dataset assembly and statistics).
+    pub fn residual_time(&self) -> Duration {
+        self.load_time.saturating_sub(self.read_time + self.checksum_time + self.validate_time)
+    }
+
+    fn from_load(r: &BundleReader, ds: &Dataset, stamps: [Instant; 4]) -> Self {
+        let [started, read, verified, validated] = stamps;
         let profile = ds.memory_profile();
         SnapshotInfo {
             bytes: r.total_bytes(),
             sections_verified: r.verified_count(),
-            load_time,
+            load_time: started.elapsed(),
+            read_time: read - started,
+            checksum_time: verified - read,
+            validate_time: validated - verified,
             fingerprint: r.fingerprint(),
             resident_bytes: profile.resident_bytes,
             mapped_bytes: profile.mapped_bytes,
@@ -216,7 +234,7 @@ pub fn load_snapshot<P: AsRef<Path>>(
     path: P,
     opts: &LoadOptions,
 ) -> Result<(Dataset, SnapshotInfo, Option<SnapshotVerifier>), PersistError> {
-    let started = std::time::Instant::now();
+    let started = Instant::now();
     // Mode map: heap loads keep the classic eager-checksum + deep
     // validation contract. Mapped loads run the panic-safety scans
     // either way; `verify_on_load` adds eager checksums on top (the
@@ -228,10 +246,12 @@ pub fn load_snapshot<P: AsRef<Path>>(
     } else {
         (VerifyMode::Eager, ValidationLevel::Deep)
     };
+    // The bundle opens lazily either way; `finish_load` runs the eager
+    // checksum pass on its own clock.
     let reader = if opts.mmap {
-        BundleReader::open_mapped(path.as_ref(), mode)?
+        BundleReader::open_mapped(path.as_ref(), VerifyMode::Lazy)?
     } else {
-        BundleReader::open_buf(BundleBuf::from(std::fs::read(path)?), mode)?
+        BundleReader::open_buf(BundleBuf::from(std::fs::read(path)?), VerifyMode::Lazy)?
     };
     if opts.prefault {
         if let BundleBuf::Mapped(m) = reader.buffer() {
@@ -239,11 +259,26 @@ pub fn load_snapshot<P: AsRef<Path>>(
             m.prefault();
         }
     }
-    let reader = Arc::new(reader);
+    finish_load(started, reader, mode, level)
+}
+
+/// Verifies (if `mode` is eager) and validates an opened bundle into a
+/// dataset, stamping each stage on one clock that began at `started`.
+fn finish_load(
+    started: Instant,
+    reader: BundleReader,
+    mode: VerifyMode,
+    level: ValidationLevel,
+) -> Result<(Dataset, SnapshotInfo, Option<SnapshotVerifier>), PersistError> {
+    let read = Instant::now();
+    if mode == VerifyMode::Eager {
+        reader.verify_all()?;
+    }
+    let verified = Instant::now();
     let graph = Graph::from_bundle_with(&reader, level).map_err(|e| PersistError::Format(e.to_string()))?;
     let ds = Dataset::new(graph, index_from_bundle_with(&reader, level)?)?;
-    let info = SnapshotInfo::from_load(&reader, &ds, started.elapsed());
-    let verifier = (mode == VerifyMode::Lazy).then(|| SnapshotVerifier { reader: Arc::clone(&reader) });
+    let info = SnapshotInfo::from_load(&reader, &ds, [started, read, verified, Instant::now()]);
+    let verifier = (mode == VerifyMode::Lazy).then(|| SnapshotVerifier { reader: Arc::new(reader) });
     Ok((ds, info, verifier))
 }
 
@@ -273,7 +308,7 @@ mod tests {
     use crate::persist::{shard_ranges, validate_ranges, MAX_SHARDS, SEC_MANIFEST};
     use crate::topk::QueryOptions;
     use crate::{Diagonal, SimRankParams};
-    use srs_graph::container::fnv1a64;
+    use srs_graph::container::section_checksum;
     use srs_graph::{gen, VertexId};
 
     fn build(n: u32, seed: u64) -> (Graph, TopKIndex) {
@@ -452,7 +487,7 @@ mod tests {
         let mut damaged = bytes.clone();
         damaged[(off + len - 1) as usize] ^= 0xFF; // last fingerprint byte
         let entry_base = 16 + idx_manifest as usize * 48;
-        let cks = fnv1a64(&damaged[off as usize..(off + len) as usize]);
+        let cks = section_checksum(2, &damaged[off as usize..(off + len) as usize]);
         damaged[entry_base + 40..entry_base + 48].copy_from_slice(&cks.to_le_bytes());
         let path = write_temp("badmanifest.srs", &damaged);
         for opts in [

@@ -14,7 +14,10 @@
 //! A second fixture, `tests/fixtures/snapshot_fingerprints.tsv`, pins the
 //! preprocess artifact itself: the fingerprint of every section of the
 //! `pack` output (parameters, candidate index, graph) of each dataset,
-//! and of the whole bundle. The candidate index is built from walks, so a
+//! and of the whole bundle. Each is hashed from the payload bytes
+//! (FNV-1a 64, as a format-v1 table stores it) rather than taken from
+//! the checksum the bundle stores, so a format version that changes only
+//! the stored checksums leaves the pin in place. The candidate index is built from walks, so a
 //! walk kernel that draws differently moves these bytes even where the
 //! answers above happen not to move. The serving index holds no γ table
 //! (Algorithm 3), so no γ section may appear.
@@ -27,8 +30,9 @@
 //! SRS_PIN_WRITE=1 cargo test -q --test answers_pinned snapshot_fingerprints
 //! ```
 
-use simrank_search::graph::container::BundleReader;
+use simrank_search::graph::container::{fnv1a64, fold_fingerprints, section_fingerprint, BundleReader};
 use simrank_search::graph::{gen, stats, Graph};
+use simrank_search::search::persist::SEC_MANIFEST;
 use simrank_search::search::snapshot::pack_to_bytes;
 use simrank_search::search::{Dataset, Diagonal, QueryOptions, ServingEngine, SimRankParams, TopKIndex};
 use std::fmt::Write as _;
@@ -119,17 +123,37 @@ fn answers() -> String {
 }
 
 /// One line per (dataset, section) of the `pack` output: the section's
-/// fingerprint (tag, length, payload checksum), then the whole bundle's.
+/// fingerprint (tag, length, FNV-1a 64 of the payload bytes), then the
+/// fold of those. That is the table a format-v1 writer stores for the
+/// same payloads, so the pin tracks the payload bytes whatever checksum
+/// the current format stores. The manifest's shard fingerprints fold
+/// stored checksums, so they are re-derived the v1 way before its
+/// payload is hashed; the loader cross-checks the stored ones.
 fn snapshot_fingerprints() -> String {
+    let v1_print =
+        |tag: &str, payload: &[u8]| section_fingerprint(tag, payload.len() as u64, fnv1a64(payload));
     let mut body = String::new();
     for d in datasets() {
         let r = BundleReader::open(pack_to_bytes(&d.graph, &d.index)).expect("pack output opens");
+        let print_of = |tag: &str| v1_print(tag, r.bytes(tag).expect("shard section present"));
+        let mut fps = Vec::new();
         for i in 0..r.num_sections() {
             let tag = r.section_tag(i).expect("section in range");
-            let fp = r.section_fingerprint_at(i).expect("section in range");
+            let mut payload = r.bytes(tag).expect("section in range").to_vec();
+            if tag == SEC_MANIFEST {
+                // Version and shard count, then (lo, hi, fingerprint) per shard.
+                for (s, shard) in payload[8..].chunks_exact_mut(16).enumerate() {
+                    let fp = fold_fingerprints(
+                        [format!("i.sinv_off.{s}"), format!("i.sinv_ent.{s}")].map(|t| print_of(&t)),
+                    );
+                    shard[8..].copy_from_slice(&fp.to_le_bytes());
+                }
+            }
+            let fp = v1_print(tag, &payload);
             let _ = writeln!(body, "{}\t{tag}\t{fp:016x}", d.name);
+            fps.push(fp);
         }
-        let _ = writeln!(body, "{}\tbundle\t{:016x}", d.name, r.fingerprint());
+        let _ = writeln!(body, "{}\tbundle\t{:016x}", d.name, fold_fingerprints(fps));
     }
     body
 }

@@ -328,6 +328,37 @@ fn bundles_and_links_carrying_gamma_rows_still_load_and_answer_identically() {
     }
 }
 
+#[test]
+fn v1_base_with_a_v2_link_answers_like_its_compaction() {
+    // A base packed by the format-v1 writer (FNV-1a 64 checksums) takes
+    // a delta link written by today's v2 writer: the chain verifies each
+    // file under its own version and answers like its compaction.
+    let base_path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/snapshot_v1.srs");
+    let (base, info) = Dataset::load(base_path).unwrap();
+    let t = base.index().params().t;
+    let mut batch = GraphDelta::new();
+    batch.grow_to(123);
+    batch.insert(120, 1);
+    batch.insert(121, 120);
+    batch.insert(122, 2);
+    let (u, v) = (0..120).find_map(|u| base.graph().out_neighbors(u).first().map(|&v| (u, v))).unwrap();
+    batch.delete(u, v);
+    let built = build_delta(&base, &batch, t - 1, 2, info.fingerprint).unwrap();
+    assert_eq!(container::BundleReader::open(built.bytes.clone()).unwrap().version(), 2);
+    let delta_path = write_temp("v1_base.srs.d0001", &built.bytes);
+    let mut compacted = Vec::new();
+    srs_search::compact_chain(base_path, &[&delta_path], &mut compacted).unwrap();
+    let (compacted, _) = Dataset::from_snapshot_bytes(compacted).unwrap();
+    let want = answers(&compacted);
+    assert!(answers(&built.dataset) == want, "the live delta differs from its compaction");
+    for opts in all_modes() {
+        let (chained, _, chain, _) = load_chain(base_path, &[&delta_path], &opts).unwrap();
+        assert_eq!(chain.depth, 1);
+        assert!(answers(&chained) == want, "v1 base + v2 link differs from the compaction ({opts:?})");
+    }
+    std::fs::remove_file(delta_path).ok();
+}
+
 /// Exact top-`k` of vertex `u` (self excluded, zero scores excluded,
 /// ties broken by vertex id) — the reference set for precision@k, same
 /// shape as `rankings_agree_across_score_families`.

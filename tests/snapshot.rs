@@ -230,7 +230,7 @@ fn heap_load_proves_every_shards_inverted_map() {
         |tag: &str| (0..reader.num_sections()).find(|&i| reader.section_tag(i) == Some(tag)).unwrap();
     let reseal = |bytes: &mut [u8], i: u32| {
         let (off, len) = reader.section_extent(i).unwrap();
-        let sum = container::fnv1a64(&bytes[off as usize..(off + len) as usize]);
+        let sum = container::section_checksum(2, &bytes[off as usize..(off + len) as usize]);
         let entry = 16 + i as usize * 48; // header, then 48-byte table entries ending in the checksum
         bytes[entry + 40..entry + 48].copy_from_slice(&sum.to_le_bytes());
     };
@@ -367,4 +367,83 @@ fn hot_swap_is_atomic_under_concurrent_batches() {
         }
     });
     assert_eq!(engine.metrics().dataset_swaps.get(), 30);
+}
+
+/// `build(120, 11)` packed by the format-v1 writer (FNV-1a 64 section
+/// checksums), committed so the reader's v1 path runs on real v1 bytes.
+const V1_SNAPSHOT: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/snapshot_v1.srs");
+
+fn all_modes() -> [LoadOptions; 3] {
+    [
+        LoadOptions::default(),
+        LoadOptions { mmap: true, ..Default::default() },
+        LoadOptions { mmap: true, verify_on_load: true, ..Default::default() },
+    ]
+}
+
+#[test]
+fn v1_snapshot_loads_in_every_mode_and_answers_like_its_v2_repack() {
+    let v1 = std::fs::read(V1_SNAPSHOT).unwrap();
+    let r1 = container::BundleReader::open(v1.clone()).unwrap();
+    assert_eq!(r1.version(), 1);
+    let sections = r1.num_sections();
+    // The fixture is the dataset `build` makes today, and today's writer
+    // repacks it as v2 with the same sections and payloads. Only the
+    // manifest differs: its shard fingerprints fold stored checksums.
+    let fresh = build(120, 11);
+    let v2 = packed(&fresh);
+    let r2 = container::BundleReader::open(v2.clone()).unwrap();
+    assert_eq!((r2.version(), r2.num_sections()), (2, sections));
+    for i in 0..sections {
+        let tag = r1.section_tag(i).unwrap();
+        assert_eq!(r2.section_tag(i), Some(tag));
+        if tag != persist::SEC_MANIFEST {
+            assert_eq!(r1.bytes(tag).unwrap(), r2.bytes(tag).unwrap(), "section {tag}");
+        }
+    }
+    assert_ne!(r1.fingerprint(), r2.fingerprint(), "the stored checksums differ");
+    let want = answers(&fresh);
+    let v2_path = write_temp("v2_repack.srs", &v2);
+    for opts in all_modes() {
+        let (ds, info, verifier) = load_snapshot(V1_SNAPSHOT, &opts).unwrap();
+        let verified = match verifier {
+            Some(v) => v.verify_all().unwrap(),
+            None => info.sections_verified,
+        };
+        assert_eq!(verified, sections, "{opts:?}");
+        assert_eq!(info.fingerprint, r1.fingerprint(), "{opts:?}");
+        assert!(answers(&ds) == want, "v1 answers differ from the fresh build ({opts:?})");
+        let (repacked, _, _) = load_snapshot(&v2_path, &opts).unwrap();
+        assert!(answers(&repacked) == want, "v2 answers differ from the fresh build ({opts:?})");
+    }
+    std::fs::remove_file(&v2_path).ok();
+}
+
+#[test]
+fn v1_payload_flips_and_unknown_versions_fail_closed_in_every_mode() {
+    let v1 = std::fs::read(V1_SNAPSHOT).unwrap();
+    let reader = container::BundleReader::open(v1.clone()).unwrap();
+    // The unused word of the index meta (bytes 68..72): no reader looks
+    // at it, so only the v1 checksum can catch the flip.
+    let meta = (0..reader.num_sections()).find(|&i| reader.section_tag(i) == Some("i.meta")).unwrap();
+    let at = reader.section_extent(meta).unwrap().0 as usize + 68;
+    let mut flipped = v1.clone();
+    flipped[at] ^= 0x20;
+    let mut v3 = v1;
+    v3[8..12].copy_from_slice(&3u32.to_le_bytes());
+    let (flip_path, v3_path) = (write_temp("v1_flip.srs", &flipped), write_temp("v3.srs", &v3));
+    for opts in all_modes() {
+        let err = match load_snapshot(&flip_path, &opts) {
+            Err(e) => e,
+            Ok((_, _, verifier)) => {
+                verifier.expect("only a lazy open defers the checksum").verify_all().unwrap_err()
+            }
+        };
+        assert!(err.to_string().contains("\"i.meta\": checksum mismatch"), "{opts:?}: {err}");
+        let err = load_snapshot(&v3_path, &opts).expect_err("version 3 must be rejected");
+        assert!(err.to_string().contains("unsupported bundle version 3"), "{opts:?}: {err}");
+    }
+    for p in [flip_path, v3_path] {
+        std::fs::remove_file(p).ok();
+    }
 }
