@@ -46,6 +46,9 @@ pub struct SnapshotBenchReport {
     /// O(sections) open plus structural scans, then one answered query
     /// faulting in only the pages it touches.
     pub mmap_ttfq_secs: f64,
+    /// Sections whose checksums the lazy `mmap` load verified (0: they
+    /// are left to the background verifier).
+    pub mmap_sections_verified: u32,
     /// Heap bytes resident after the heap load (≈ the whole bundle).
     pub heap_resident_bytes: u64,
     /// Heap bytes resident after the `mmap` load (derived structures
@@ -75,6 +78,19 @@ impl SnapshotBenchReport {
         }
     }
 
+    /// The `mmap` cold start's TTFQ over the heap load's checksum and
+    /// validate stages, the work a lazy open skips: below 1 while the
+    /// lazy open, its structural scans and a first query together cost
+    /// less than what they skip.
+    pub fn mmap_ttfq_over_skipped(&self) -> f64 {
+        let [_, _, checksum, validate] = self.heap_load_stages;
+        if checksum + validate <= 0.0 {
+            f64::INFINITY
+        } else {
+            self.mmap_ttfq_secs / (checksum + validate)
+        }
+    }
+
     /// The part of the heap load no stage accounts for.
     pub fn heap_load_residual_secs(&self) -> f64 {
         let [load, read, checksum, validate] = self.heap_load_stages;
@@ -88,7 +104,8 @@ impl SnapshotBenchReport {
              \"sections_verified\": {},\n  \"preprocess_secs\": {:.6},\n  \"load_secs\": {:.6},\n  \
              \"speedup\": {:.1},\n  \"heap_ttfq_secs\": {:.6},\n  \"heap_load\": {{\"load_secs\": {:.6}, \
              \"read_secs\": {:.6}, \"checksum_secs\": {:.6}, \"validate_secs\": {:.6}, \
-             \"residual_secs\": {:.6}}},\n  \"mmap_ttfq_secs\": {:.6},\n  \"mmap_speedup\": {:.1},\n  \"heap_resident_bytes\": {},\n  \
+             \"residual_secs\": {:.6}}},\n  \"mmap_ttfq_secs\": {:.6},\n  \"mmap_sections_verified\": {},\n  \
+             \"mmap_speedup\": {:.1},\n  \"mmap_ttfq_over_skipped\": {:.2},\n  \"heap_resident_bytes\": {},\n  \
              \"mmap_resident_bytes\": {},\n  \"mmap_mapped_bytes\": {}\n}}\n",
             self.host.to_json(),
             json_string(&self.graph),
@@ -106,7 +123,9 @@ impl SnapshotBenchReport {
             self.heap_load_stages[3],
             self.heap_load_residual_secs(),
             self.mmap_ttfq_secs,
+            self.mmap_sections_verified,
             self.mmap_speedup(),
+            self.mmap_ttfq_over_skipped(),
             self.heap_resident_bytes,
             self.mmap_resident_bytes,
             self.mmap_mapped_bytes
@@ -137,6 +156,7 @@ mod tests {
             heap_ttfq_secs: 0.05,
             heap_load_stages: [0.04, 0.01, 0.005, 0.02],
             mmap_ttfq_secs: 0.005,
+            mmap_sections_verified: 0,
             heap_resident_bytes: 12_000,
             mmap_resident_bytes: 500,
             mmap_mapped_bytes: 11_500,
@@ -151,6 +171,9 @@ mod tests {
         assert!((report().mmap_speedup() - 10.0).abs() < 1e-9);
         let degenerate = SnapshotBenchReport { mmap_ttfq_secs: 0.0, ..report() };
         assert_eq!(degenerate.mmap_speedup(), 0.0);
+        assert!((report().mmap_ttfq_over_skipped() - 0.2).abs() < 1e-9);
+        let degenerate = SnapshotBenchReport { heap_load_stages: [0.04, 0.04, 0.0, 0.0], ..report() };
+        assert_eq!(degenerate.mmap_ttfq_over_skipped(), f64::INFINITY);
     }
 
     #[test]
@@ -166,6 +189,8 @@ mod tests {
             "\"speedup\": 200.0",
             "\"sections_verified\": 10",
             "\"mmap_speedup\": 10.0",
+            "\"mmap_sections_verified\": 0",
+            "\"mmap_ttfq_over_skipped\": 0.20",
             "\"heap_load\": {\"load_secs\": 0.040000, \"read_secs\": 0.010000, \"checksum_secs\": 0.005000, \
              \"validate_secs\": 0.020000, \"residual_secs\": 0.005000}",
             "\"mmap_resident_bytes\": 500",

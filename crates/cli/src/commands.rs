@@ -496,13 +496,15 @@ fn batch_query(args: &Args) -> Result<String, CliError> {
         let _ = writeln!(
             out,
             "snapshot         {} bytes, {} sections verified, loaded in {:.2?} \
-             (read {:.2?}, checksum {:.2?}, validate {:.2?}, residual {:.2?})",
+             (read {:.2?}, checksum {:.2?}, validate {:.2?} = graph {:.2?} + index {:.2?}, residual {:.2?})",
             info.bytes,
             info.sections_verified,
             info.load_time,
             info.read_time,
             info.checksum_time,
             info.validate_time,
+            info.graph_validate_time,
+            info.index_validate_time(),
             info.residual_time()
         );
     }

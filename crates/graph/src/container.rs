@@ -61,7 +61,7 @@
 //! can report a meaningful snapshot fingerprint without faulting the
 //! whole file in.
 
-use crate::storage::{encode_pod, BundleBuf, MmapRegion, Pod, SharedSlice};
+use crate::storage::{encode_pod, AnonRegion, BundleBuf, MmapRegion, Pod, SharedSlice};
 use std::io::Write;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
@@ -393,6 +393,23 @@ impl BundleReader {
     /// Opens a bundle from an already shared buffer (see [`BundleReader::open`]).
     pub fn open_shared(buf: Arc<Vec<u8>>) -> Result<Self, BundleError> {
         Self::open_buf(BundleBuf::Heap(buf), VerifyMode::Eager)
+    }
+
+    /// Reads the bundle at `path` into anonymous memory
+    /// ([`AnonRegion`]) and opens it: a heap load, huge-page backed
+    /// where the kernel allows. A path that is not a regular file (a
+    /// pipe has no length to size the region by) is read to its end
+    /// into a vector.
+    pub fn open_file(path: &std::path::Path, mode: VerifyMode) -> Result<Self, BundleError> {
+        let mut file = std::fs::File::open(path)?;
+        let buf = if file.metadata()?.is_file() {
+            BundleBuf::Anon(Arc::new(AnonRegion::read_file(&file)?))
+        } else {
+            let mut bytes = Vec::new();
+            std::io::Read::read_to_end(&mut file, &mut bytes)?;
+            BundleBuf::from(bytes)
+        };
+        Self::open_buf(buf, mode)
     }
 
     /// Memory-maps the bundle at `path` and opens it. With

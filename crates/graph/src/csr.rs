@@ -501,10 +501,14 @@ impl Graph {
                 // The out-CSR is derived from the same edges as the in-CSR;
                 // `has_edge` and forward probes rely on the two agreeing.
                 validate_transpose(&out_offsets, &out_targets, &in_offsets, &in_sources)?;
-                // Descriptors are derived data; verify them against the in-CSR
-                // so a consistent graph is the only thing this can return.
-                let expect = build_reverse_desc(&in_offsets, &in_sources);
-                if expect[..] != reverse_desc[..] {
+                // Descriptors are derived data; verify each against the one
+                // encoder over the in-CSR so a consistent graph is the only
+                // thing this can return.
+                if reverse_desc
+                    .iter()
+                    .enumerate()
+                    .any(|(v, &d)| reverse_desc_of(&in_offsets, &in_sources, v) != d)
+                {
                     return Err(GraphError::Format(
                         "reverse-step descriptors inconsistent with in-adjacency".into(),
                     ));
@@ -616,19 +620,21 @@ fn validate_reverse_desc_ranges(n: u32, m: u64, desc: &[u64]) -> Result<(), Grap
 /// Builds the per-vertex reverse-step descriptor array from an in-CSR
 /// (see [`ReverseStep`] for the encoding).
 fn build_reverse_desc(in_offsets: &[u64], in_sources: &[VertexId]) -> Vec<u64> {
-    let n = in_offsets.len() - 1;
-    let mut desc = Vec::with_capacity(n);
-    for v in 0..n {
-        let lo = in_offsets[v];
-        let len = in_offsets[v + 1] - lo;
-        desc.push(match len {
-            0 => 0,
-            1 => (1 << DESC_LEN_SHIFT) | in_sources[lo as usize] as u64,
-            _ if len >= DESC_LEN_SAT || lo > DESC_OFFSET_MASK => DESC_LEN_SAT << DESC_LEN_SHIFT,
-            _ => (len << DESC_LEN_SHIFT) | lo,
-        });
+    (0..in_offsets.len() - 1).map(|v| reverse_desc_of(in_offsets, in_sources, v)).collect()
+}
+
+/// The reverse-step descriptor of vertex `v` (see [`ReverseStep`]): the
+/// one encoder behind [`build_reverse_desc`] and the deep load check.
+#[inline]
+fn reverse_desc_of(in_offsets: &[u64], in_sources: &[VertexId], v: usize) -> u64 {
+    let lo = in_offsets[v];
+    let len = in_offsets[v + 1] - lo;
+    match len {
+        0 => 0,
+        1 => (1 << DESC_LEN_SHIFT) | in_sources[lo as usize] as u64,
+        _ if len >= DESC_LEN_SAT || lo > DESC_OFFSET_MASK => DESC_LEN_SAT << DESC_LEN_SHIFT,
+        _ => (len << DESC_LEN_SHIFT) | lo,
     }
-    desc
 }
 
 impl std::fmt::Debug for Graph {

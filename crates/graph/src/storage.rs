@@ -14,8 +14,9 @@
 //! at view construction. Big-endian hosts transparently fall back to a
 //! decoded owned vector, so correctness never depends on endianness.
 //!
-//! The shared buffer behind a view is a [`BundleBuf`]: either a heap
-//! `Arc<Vec<u8>>` (the classic fully-resident load) or a read-only
+//! The shared buffer behind a view is a [`BundleBuf`]: a heap
+//! `Arc<Vec<u8>>`, a file read into huge-page-backed anonymous memory
+//! ([`AnonRegion`], the heap load of a snapshot file), or a read-only
 //! [`MmapRegion`] (`mmap(2)`), so a multi-GB snapshot can be served
 //! straight from the page cache without ever being copied onto the heap.
 
@@ -55,6 +56,19 @@ mod sys {
         pub fn mmap(addr: *mut u8, len: usize, prot: i32, flags: i32, fd: i32, offset: i64) -> *mut u8;
         pub fn munmap(addr: *mut u8, len: usize) -> i32;
         pub fn madvise(addr: *mut u8, len: usize, advice: i32) -> i32;
+    }
+
+    /// The Linux values [`super::AnonRegion`] needs beyond the portable
+    /// ones (x86_64 and aarch64 share them).
+    #[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
+    pub mod anon {
+        pub const PROT_WRITE: i32 = 2;
+        pub const MAP_ANONYMOUS: i32 = 0x20;
+        pub const MADV_HUGEPAGE: i32 = 14;
+
+        extern "C" {
+            pub fn mprotect(addr: *mut u8, len: usize, prot: i32) -> i32;
+        }
     }
 }
 
@@ -177,6 +191,184 @@ impl std::fmt::Debug for MmapRegion {
     }
 }
 
+/// A whole file read into anonymous memory: the heap load of a
+/// snapshot, a private copy no later change to the file can reach.
+///
+/// On Linux the copy lands in a fresh `mmap(2)` region whose start is
+/// 2 MiB-aligned, and the whole 2 MiB extents inside the file's length
+/// are advised `MADV_HUGEPAGE`, so reading a multi-MB file faults a few
+/// huge pages instead of one small page per 4 KiB. The partial extent
+/// at the end stays on small pages, so resident memory is what a plain
+/// read would use. Where the advice is refused (transparent huge pages
+/// off) the region is a plain read into small pages. After the read the
+/// region is made read-only. Elsewhere it is a plain `Vec` read.
+///
+/// Safety audit: `ptr` comes only from a successful anonymous `mmap`,
+/// trimmed to `[ptr, ptr + map_len)`; `as_slice` borrows at most `len
+/// ≤ map_len` bytes of it and cannot outlive the region, and `Drop`
+/// unmaps exactly that range. The memory is never written after
+/// construction.
+#[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
+pub struct AnonRegion {
+    ptr: *mut u8,
+    len: usize,
+    map_len: usize,
+    advised: usize,
+}
+
+/// Huge-page size the [`AnonRegion`] aligns and advises at.
+#[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
+const HUGE_PAGE: usize = 2 << 20;
+
+/// The largest base page size of the supported targets (aarch64 kernels
+/// may use 64 KiB pages): an [`AnonRegion`] keeps its length rounded up
+/// to it, so every piece it unmaps is whole pages.
+#[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
+const MAX_PAGE: usize = 64 << 10;
+
+// SAFETY: the region is read-only after construction and `ptr` stays
+// valid until Drop (`len`, `map_len` and `advised` are plain numbers),
+// so sharing across threads is as safe as sharing `&[u8]`.
+#[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
+unsafe impl Send for AnonRegion {}
+#[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
+unsafe impl Sync for AnonRegion {}
+
+#[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
+impl AnonRegion {
+    /// Reads the whole of `file` (its length at call time) into a fresh
+    /// region. A file that shrinks during the read is an
+    /// `UnexpectedEof` error.
+    pub fn read_file(file: &std::fs::File) -> std::io::Result<Self> {
+        use std::io::Read;
+        use sys::anon;
+        let len = usize::try_from(file.metadata()?.len())
+            .map_err(|_| std::io::Error::new(std::io::ErrorKind::InvalidData, "file too large to read"))?;
+        if len == 0 {
+            return Ok(AnonRegion { ptr: std::ptr::null_mut(), len: 0, map_len: 0, advised: 0 });
+        }
+        // `len` in whole pages, plus one huge page of slop to align the
+        // start; the slop on either side is whole pages.
+        let too_large = || std::io::Error::new(std::io::ErrorKind::InvalidData, "file too large to read");
+        let map_len = len.checked_next_multiple_of(MAX_PAGE).ok_or_else(too_large)?;
+        let raw_len = map_len.checked_add(HUGE_PAGE).ok_or_else(too_large)?;
+        // SAFETY: a fresh private anonymous read/write mapping; the
+        // kernel validates the arguments and MAP_FAILED (-1) is checked
+        // before the pointer is used.
+        let raw = unsafe {
+            sys::mmap(
+                std::ptr::null_mut(),
+                raw_len,
+                sys::PROT_READ | anon::PROT_WRITE,
+                sys::MAP_PRIVATE | anon::MAP_ANONYMOUS,
+                -1,
+                0,
+            )
+        };
+        if raw as usize == usize::MAX {
+            return Err(std::io::Error::last_os_error());
+        }
+        let head = (raw as usize).next_multiple_of(HUGE_PAGE) - raw as usize;
+        // SAFETY: `head < HUGE_PAGE`, so `ptr` and `ptr + map_len` lie in
+        // the `raw_len = map_len + HUGE_PAGE` bytes just mapped. The two
+        // unmapped pieces are the page-aligned slop before `ptr` and
+        // after `ptr + map_len`; nothing else points into them.
+        let ptr = unsafe {
+            let ptr = raw.add(head);
+            if head > 0 {
+                sys::munmap(raw, head);
+            }
+            if HUGE_PAGE - head > 0 {
+                sys::munmap(ptr.add(map_len), HUGE_PAGE - head);
+            }
+            ptr
+        };
+        let mut region = AnonRegion { ptr, len, map_len, advised: 0 };
+        let whole = len / HUGE_PAGE * HUGE_PAGE;
+        // SAFETY: advises the region's own first `whole ≤ map_len` bytes;
+        // madvise never invalidates a mapping whatever it returns.
+        if whole > 0 && unsafe { sys::madvise(ptr, whole, anon::MADV_HUGEPAGE) } == 0 {
+            region.advised = whole;
+        }
+        // SAFETY: the first `len` bytes of the live read/write mapping,
+        // zero-filled by the kernel, borrowed mutably only here.
+        let bytes = unsafe { std::slice::from_raw_parts_mut(ptr, len) };
+        let mut reader = file;
+        reader.read_exact(bytes)?;
+        // SAFETY: drops write access to the region's own pages.
+        if unsafe { anon::mprotect(ptr, map_len, sys::PROT_READ) } != 0 {
+            return Err(std::io::Error::last_os_error());
+        }
+        Ok(region)
+    }
+
+    /// The file's bytes.
+    #[inline]
+    pub fn as_slice(&self) -> &[u8] {
+        if self.len == 0 {
+            return &[];
+        }
+        // SAFETY: `ptr` is a live mapping of `map_len ≥ len` bytes whose
+        // first `len` were filled by `read_file`.
+        unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
+    }
+
+    /// Bytes advised `MADV_HUGEPAGE`: the whole 2 MiB extents inside the
+    /// file's length, or 0 when the file is shorter or the kernel
+    /// refused the advice.
+    pub fn advised_bytes(&self) -> usize {
+        self.advised
+    }
+}
+
+#[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
+impl Drop for AnonRegion {
+    fn drop(&mut self) {
+        if self.map_len > 0 {
+            // SAFETY: unmaps exactly the range `read_file` kept; the
+            // pointer is never used again.
+            unsafe {
+                sys::munmap(self.ptr, self.map_len);
+            }
+        }
+    }
+}
+
+/// Fallback: same API, backed by a plain read into a vector.
+#[cfg(not(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64"))))]
+pub struct AnonRegion {
+    buf: Vec<u8>,
+}
+
+#[cfg(not(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64"))))]
+impl AnonRegion {
+    pub fn read_file(file: &std::fs::File) -> std::io::Result<Self> {
+        use std::io::Read;
+        let mut buf = Vec::new();
+        let mut f = file;
+        f.read_to_end(&mut buf)?;
+        Ok(AnonRegion { buf })
+    }
+
+    #[inline]
+    pub fn as_slice(&self) -> &[u8] {
+        &self.buf
+    }
+
+    pub fn advised_bytes(&self) -> usize {
+        0
+    }
+}
+
+impl std::fmt::Debug for AnonRegion {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("AnonRegion")
+            .field("len", &self.as_slice().len())
+            .field("advised", &self.advised_bytes())
+            .finish()
+    }
+}
+
 /// The shared byte buffer a bundle (and every view into it) lives in:
 /// fully heap-resident, or a read-only file mapping served from the
 /// page cache. Clones are one `Arc` bump either way.
@@ -184,6 +376,8 @@ impl std::fmt::Debug for MmapRegion {
 pub enum BundleBuf {
     /// A heap-resident buffer (classic eager load).
     Heap(Arc<Vec<u8>>),
+    /// A file read into anonymous memory: heap-resident like `Heap`.
+    Anon(Arc<AnonRegion>),
     /// A read-only `mmap(2)` region.
     Mapped(Arc<MmapRegion>),
 }
@@ -194,6 +388,7 @@ impl BundleBuf {
     pub fn as_slice(&self) -> &[u8] {
         match self {
             BundleBuf::Heap(v) => v,
+            BundleBuf::Anon(a) => a.as_slice(),
             BundleBuf::Mapped(m) => m.as_slice(),
         }
     }
@@ -589,6 +784,42 @@ mod tests {
         #[cfg(all(unix, target_endian = "little"))]
         assert_eq!(profile, MemoryProfile { resident_bytes: 0, mapped_bytes: 24 });
         drop(s);
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_dir(&dir);
+    }
+
+    #[test]
+    fn anon_region_reads_whole_files() {
+        let dir = std::env::temp_dir().join(format!("srs-anon-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("region.bin");
+        let huge = 2usize << 20;
+        for len in [0usize, 1, 4097, huge - 1, huge, 2 * huge + 12_345] {
+            let bytes: Vec<u8> = (0..len).map(|i| (i * 31 % 251) as u8).collect();
+            std::fs::write(&path, &bytes).unwrap();
+            let region = AnonRegion::read_file(&std::fs::File::open(&path).unwrap()).unwrap();
+            assert_eq!(region.as_slice(), &bytes[..], "len {len}");
+            // Only whole huge pages inside the file are advised, if any.
+            let whole = len / huge * huge;
+            assert!(region.advised_bytes() == whole || region.advised_bytes() == 0, "len {len}: {region:?}");
+            #[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
+            if len > 0 {
+                assert_eq!(
+                    region.as_slice().as_ptr() as usize % huge,
+                    0,
+                    "len {len}: start not 2 MiB-aligned"
+                );
+            }
+            let buf = BundleBuf::Anon(Arc::new(region));
+            assert!(!buf.is_mapped());
+            if len >= 8 {
+                let s = SharedSlice::<u64>::view(&buf, 0, 8).unwrap();
+                assert!(!s.is_mapped());
+                let mut profile = MemoryProfile::default();
+                profile.add(&s);
+                assert_eq!(profile, MemoryProfile { resident_bytes: 8, mapped_bytes: 0 });
+            }
+        }
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_dir(&dir);
     }

@@ -516,6 +516,7 @@ mod tests {
             read_time: std::time::Duration::from_nanos(1000),
             checksum_time: std::time::Duration::from_nanos(2000),
             validate_time: std::time::Duration::from_nanos(2500),
+            graph_validate_time: std::time::Duration::from_nanos(1500),
             fingerprint: 0xfeed,
             resident_bytes: 200,
             mapped_bytes: 1000,

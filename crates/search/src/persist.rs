@@ -30,7 +30,7 @@
 //! carry it as a section of its own, and its step count in `i.meta`'s
 //! unused word; the reader asks for neither, so they load as before.
 
-use crate::index::{invert, CandidateIndex, InvertedSlice};
+use crate::index::{CandidateIndex, InvertedSlice};
 use crate::topk::TopKIndex;
 use crate::{Diagonal, SimRankParams};
 use bytes::{Buf, BufMut};
@@ -135,7 +135,6 @@ pub fn add_index_sections(index: &TopKIndex, shards: u32, w: &mut BundleWriter) 
     manifest.put_u32_le(MANIFEST_VERSION);
     manifest.put_u32_le(shards);
     for (s, (lo, hi)) in shard_ranges(n, shards).into_iter().enumerate() {
-        let (off_tag, ent_tag) = shard_inv_tags(s as u32);
         let restricted;
         let (inv_offsets, inv_entries) = match cands.single_inverted() {
             Some(whole) if (lo, hi) == (0, n) => whole,
@@ -144,21 +143,35 @@ pub fn add_index_sections(index: &TopKIndex, shards: u32, w: &mut BundleWriter) 
                 (&restricted.0[..], &restricted.1[..])
             }
         };
-        w.add_pod(&off_tag, inv_offsets);
-        w.add_pod(&ent_tag, inv_entries);
-        // The shard fingerprint folds its sections' (tag, len, checksum)
-        // fingerprints — exactly what the loader recomputes from the
-        // section table, so a damaged manifest or a swapped shard
-        // section fails the cross-check in every verification mode.
-        let fp = fold_fingerprints(
-            [&off_tag, &ent_tag].map(|tag| w.section_fingerprint(tag).expect("section just added")),
-        );
-        manifest.put_u32_le(lo);
-        manifest.put_u32_le(hi);
-        manifest.put_u64_le(fp);
+        add_shard_sections(w, &mut manifest, s as u32, (lo, hi), inv_offsets, inv_entries);
     }
     w.add_bytes(SEC_MANIFEST, 8, manifest);
     Ok(())
+}
+
+/// Adds shard `s`'s inverted slice over `range` and appends its
+/// manifest record.
+fn add_shard_sections(
+    w: &mut BundleWriter,
+    manifest: &mut Vec<u8>,
+    s: u32,
+    (lo, hi): (VertexId, VertexId),
+    inv_offsets: &[u64],
+    inv_entries: &[VertexId],
+) {
+    let (off_tag, ent_tag) = shard_inv_tags(s);
+    w.add_pod(&off_tag, inv_offsets);
+    w.add_pod(&ent_tag, inv_entries);
+    // The shard fingerprint folds its sections' (tag, len, checksum)
+    // fingerprints — exactly what the loader recomputes from the
+    // section table, so a damaged manifest or a swapped shard
+    // section fails the cross-check in every verification mode.
+    let fp = fold_fingerprints(
+        [&off_tag, &ent_tag].map(|tag| w.section_fingerprint(tag).expect("section just added")),
+    );
+    manifest.put_u32_le(lo);
+    manifest.put_u32_le(hi);
+    manifest.put_u64_le(fp);
 }
 
 /// The core sections: parameters, diagonal, forward map.
@@ -196,9 +209,34 @@ fn add_core_sections(index: &TopKIndex, w: &mut BundleWriter) {
 ///
 /// Both validation levels check the manifest against the section table
 /// and run the shape/range scans that make the query path panic-free.
-/// [`ValidationLevel::Deep`] also derives the global inverted map from
-/// the forward map once and proves the shards' slices tile it exactly.
+/// [`ValidationLevel::Deep`] also proves, by one cursor walk over the
+/// forward map per shard, that the shards' slices tile its inverse
+/// exactly.
 pub fn index_from_bundle_with(r: &BundleReader, level: ValidationLevel) -> Result<TopKIndex, PersistError> {
+    let IndexParts { core, ranges, slices } = read_index_parts(r)?;
+    if level == ValidationLevel::Deep {
+        check_inverted_partition(&core, &ranges, &slices)?;
+    }
+    Ok(TopKIndex {
+        params: core.params,
+        diag: core.diag,
+        candidates: CandidateIndex::from_parts_with_inverted(core.n, core.offsets, core.entries, slices),
+        seed: core.seed,
+    })
+}
+
+/// An index layout read from a bundle with every check short of the deep
+/// one: the core, the manifest's shard ranges, and one inverted slice
+/// per range.
+struct IndexParts {
+    core: IndexCore,
+    ranges: Vec<(VertexId, VertexId)>,
+    slices: Vec<InvertedSlice>,
+}
+
+/// The checks both validation levels run: manifest against section
+/// table, shapes, ranges and entry totals.
+fn read_index_parts(r: &BundleReader) -> Result<IndexParts, PersistError> {
     let manifest = parse_manifest(r.bytes(SEC_MANIFEST)?)?;
     let core = read_index_core(r)?;
     let n = core.n;
@@ -233,15 +271,7 @@ pub fn index_from_bundle_with(r: &BundleReader, level: ValidationLevel) -> Resul
             core.entries.len()
         )));
     }
-    if level == ValidationLevel::Deep {
-        check_inverted_partition(&core, &slices)?;
-    }
-    Ok(TopKIndex {
-        params: core.params,
-        diag: core.diag,
-        candidates: CandidateIndex::from_parts_with_inverted(n, core.offsets, core.entries, slices),
-        seed: core.seed,
-    })
+    Ok(IndexParts { core, ranges: manifest.ranges, slices })
 }
 
 /// Reads the whole index of an opened bundle with
@@ -367,26 +397,39 @@ fn validate_inverted(
     Ok(())
 }
 
-/// The deep check: derives the global inverted map from the forward map
-/// and proves that, signature by signature, the shards' holder lists
-/// concatenated in range order equal it. With the range checks already
-/// done, that makes each shard's slice exactly its range's share.
-fn check_inverted_partition(core: &IndexCore, slices: &[InvertedSlice]) -> Result<(), PersistError> {
-    let mismatch = |w: usize| {
-        PersistError::Format(format!("inverted candidate map inconsistent with forward map at {w}"))
-    };
-    let (inv_offsets, inv_entries) = invert(core.n as usize, &core.offsets, &core.entries);
-    for w in 0..core.n as usize {
-        let mut want = &inv_entries[inv_offsets[w] as usize..inv_offsets[w + 1] as usize];
-        for s in slices {
-            let held = &s.entries[s.offsets[w] as usize..s.offsets[w + 1] as usize];
-            want = want.strip_prefix(held).ok_or_else(|| mismatch(w))?;
-        }
-        if !want.is_empty() {
-            return Err(mismatch(w));
+/// The deep check: proves each shard's slice is exactly the inverse of
+/// the forward map restricted to its range, with no derived copy. Per
+/// shard, a cursor starts at each signature's first slot; every forward
+/// entry `u → w` with `u` in the range must find `u` in the next
+/// unmatched slot of `w`'s holder list. With the range checks and equal
+/// totals already done, every slot is then matched, so the slices
+/// concatenated in range order are the global inverted map.
+fn check_inverted_partition(
+    core: &IndexCore,
+    ranges: &[(VertexId, VertexId)],
+    slices: &[InvertedSlice],
+) -> Result<(), PersistError> {
+    let n = core.n as usize;
+    let mut cursor = Vec::with_capacity(n);
+    for (&(lo, hi), s) in ranges.iter().zip(slices) {
+        cursor.clear();
+        cursor.extend_from_slice(&s.offsets[..n]);
+        for u in lo..hi {
+            let u_at = u as usize;
+            for &w in &core.entries[core.offsets[u_at] as usize..core.offsets[u_at + 1] as usize] {
+                let c = &mut cursor[w as usize];
+                if *c == s.offsets[w as usize + 1] || s.entries[*c as usize] != u {
+                    return Err(inverted_mismatch(w));
+                }
+                *c += 1;
+            }
         }
     }
     Ok(())
+}
+
+fn inverted_mismatch(w: VertexId) -> PersistError {
+    PersistError::Format(format!("inverted candidate map inconsistent with forward map at {w}"))
 }
 
 struct Manifest {
@@ -516,6 +559,179 @@ mod tests {
             (Diagonal::PerVertex(a), Diagonal::PerVertex(b)) => assert_eq!(a, b),
             other => panic!("diagonal variant lost: {other:?}"),
         }
+    }
+
+    /// The deep check as it stood before the cursor walk: derive the
+    /// global inverted map, then strip each shard's holder lists off it
+    /// in range order. The reference the cursor proof is tested against.
+    fn oracle_partition(core: &IndexCore, slices: &[InvertedSlice]) -> Result<(), PersistError> {
+        let (inv_offsets, inv_entries) = crate::index::invert(core.n as usize, &core.offsets, &core.entries);
+        for w in 0..core.n as usize {
+            let mut want = &inv_entries[inv_offsets[w] as usize..inv_offsets[w + 1] as usize];
+            for s in slices {
+                let held = &s.entries[s.offsets[w] as usize..s.offsets[w + 1] as usize];
+                want = want.strip_prefix(held).ok_or_else(|| inverted_mismatch(w as VertexId))?;
+            }
+            if !want.is_empty() {
+                return Err(inverted_mismatch(w as VertexId));
+            }
+        }
+        Ok(())
+    }
+
+    /// One shard's inverted slice, owned so a case can edit it.
+    type Slice = (Vec<u64>, Vec<VertexId>);
+
+    /// A named case: shard ranges and one slice per range.
+    type Case = (String, Vec<(VertexId, VertexId)>, Vec<Slice>);
+
+    /// An index bundle of `idx`'s core with the given shard ranges and
+    /// slices, sealed (section checksums, manifest fingerprints) as the
+    /// writer seals every bundle.
+    fn sealed(idx: &TopKIndex, ranges: &[(VertexId, VertexId)], slices: &[Slice]) -> Vec<u8> {
+        let mut w = BundleWriter::new();
+        add_core_sections(idx, &mut w);
+        let mut manifest = Vec::new();
+        manifest.put_u32_le(MANIFEST_VERSION);
+        manifest.put_u32_le(ranges.len() as u32);
+        for (s, (&range, (off, ent))) in ranges.iter().zip(slices).enumerate() {
+            add_shard_sections(&mut w, &mut manifest, s as u32, range, off, ent);
+        }
+        w.add_bytes(SEC_MANIFEST, 8, manifest);
+        w.to_bytes()
+    }
+
+    /// Opens a sealed case and runs both deep checks on it. `None` when
+    /// the checks every level runs reject it first; otherwise whether
+    /// the cursor proof accepts, after asserting that the oracle and a
+    /// whole deep load agree.
+    fn deep_verdict(bytes: Vec<u8>, case: &str) -> Option<bool> {
+        let r = BundleReader::open(bytes).expect("a sealed case opens");
+        let parts = read_index_parts(&r).ok()?;
+        let cursor = check_inverted_partition(&parts.core, &parts.ranges, &parts.slices);
+        let oracle = oracle_partition(&parts.core, &parts.slices);
+        assert_eq!(cursor.is_ok(), oracle.is_ok(), "{case}: cursor {cursor:?}, oracle {oracle:?}");
+        if let Err(e) = &cursor {
+            assert!(
+                e.to_string().contains("inverted candidate map inconsistent with forward map"),
+                "{case}: {e}"
+            );
+        }
+        assert_eq!(index_from_bundle(&r).is_ok(), cursor.is_ok(), "{case}");
+        Some(cursor.is_ok())
+    }
+
+    fn insert_holder(sl: &mut Slice, w: usize, at: usize, v: VertexId) {
+        sl.1.insert(sl.0[w] as usize + at, v);
+        sl.0[w + 1..].iter_mut().for_each(|o| *o += 1);
+    }
+
+    fn remove_holder(sl: &mut Slice, w: usize, at: usize) -> VertexId {
+        let v = sl.1.remove(sl.0[w] as usize + at);
+        sl.0[w + 1..].iter_mut().for_each(|o| *o -= 1);
+        v
+    }
+
+    fn holders(sl: &Slice, w: usize) -> &[VertexId] {
+        &sl.1[sl.0[w] as usize..sl.0[w + 1] as usize]
+    }
+
+    #[test]
+    fn cursor_proof_matches_the_inverted_oracle() {
+        let g = gen::copying_web(160, 4, 0.8, 3);
+        let idx = build_index(&g);
+        let n = g.num_vertices();
+        let mut verdicts = [0usize; 3]; // rejected early, rejected deep, accepted
+        for shards in [1u32, 2, 4] {
+            let ranges = shard_ranges(n, shards);
+            let base: Vec<Slice> =
+                ranges.iter().map(|&(lo, hi)| idx.candidates.inverted_for_range(lo, hi)).collect();
+            let mut cases: Vec<Case> = vec![("intact".into(), ranges.clone(), base.clone())];
+            for s in 0..shards as usize {
+                let sl = &base[s];
+                // Signatures with at least two holders in this shard.
+                let multi: Vec<usize> = (0..n as usize).filter(|&w| holders(sl, w).len() >= 2).collect();
+                if let (Some(&w1), Some(&w2)) = (multi.first(), multi.last()) {
+                    // Swap two holders of one signature.
+                    let mut c = base.clone();
+                    let at = c[s].0[w1] as usize;
+                    c[s].1.swap(at, at + 1);
+                    cases.push((format!("{shards}/{s}: swap within {w1}"), ranges.clone(), c));
+                    // Swap holders across two signatures.
+                    let mut c = base.clone();
+                    let (a, b) = (c[s].0[w1] as usize, c[s].0[w2 + 1] as usize - 1);
+                    c[s].1.swap(a, b);
+                    cases.push((format!("{shards}/{s}: swap {w1} and {w2}"), ranges.clone(), c));
+                    // Duplicate one holder, drop another: in one list, and
+                    // across two lists.
+                    let mut c = base.clone();
+                    let at = c[s].0[w1] as usize;
+                    c[s].1[at + 1] = c[s].1[at];
+                    cases.push((format!("{shards}/{s}: duplicate within {w1}"), ranges.clone(), c));
+                    let mut c = base.clone();
+                    let v = holders(&c[s], w1)[0];
+                    insert_holder(&mut c[s], w1, 0, v);
+                    remove_holder(&mut c[s], w2, 0);
+                    cases.push((format!("{shards}/{s}: duplicate in {w1}, drop in {w2}"), ranges.clone(), c));
+                    // Duplicate here, drop in another shard: totals hold.
+                    let t = (s + 1) % shards as usize;
+                    let other = (0..n as usize).find(|&w| !holders(&base[t], w).is_empty());
+                    if let (true, Some(w3)) = (t != s, other) {
+                        let mut c = base.clone();
+                        insert_holder(&mut c[s], w1, 0, v);
+                        remove_holder(&mut c[t], w3, 0);
+                        cases.push((
+                            format!("{shards}/{s}: duplicate in {w1}, drop in shard {t} {w3}"),
+                            ranges.clone(),
+                            c,
+                        ));
+                    }
+                }
+                if s + 1 == shards as usize {
+                    continue;
+                }
+                // Move a holder across the boundary to the next shard.
+                let w =
+                    (0..n as usize).find(|&w| !holders(sl, w).is_empty()).expect("shard holds a signature");
+                let mut c = base.clone();
+                let k = holders(&c[s], w).len() - 1;
+                let v = remove_holder(&mut c[s], w, k);
+                insert_holder(&mut c[s + 1], w, 0, v);
+                cases.push((
+                    format!("{shards}/{s}: move holder {v} of {w} to shard {}", s + 1),
+                    ranges.clone(),
+                    c,
+                ));
+                // Move the boundary one vertex up, without and with the
+                // boundary vertex's holdings.
+                let b = ranges[s].1;
+                let mut moved = ranges.clone();
+                moved[s].1 += 1;
+                moved[s + 1].0 += 1;
+                if moved[s + 1].0 <= moved[s + 1].1 {
+                    cases.push((format!("{shards}/{s}: boundary past {b}"), moved.clone(), base.clone()));
+                    let mut c = base.clone();
+                    for w in 0..n as usize {
+                        if holders(&c[s + 1], w).first() == Some(&b) {
+                            remove_holder(&mut c[s + 1], w, 0);
+                            let end = holders(&c[s], w).len();
+                            insert_holder(&mut c[s], w, end, b);
+                        }
+                    }
+                    cases.push((format!("{shards}/{s}: boundary and holders past {b}"), moved, c));
+                }
+            }
+            for (case, ranges, slices) in cases {
+                let verdict = deep_verdict(sealed(&idx, &ranges, &slices), &case);
+                verdicts[match verdict {
+                    None => 0,
+                    Some(false) => 1,
+                    Some(true) => 2,
+                }] += 1;
+            }
+        }
+        // Every outcome occurs, so the comparison is not vacuous.
+        assert!(verdicts.iter().all(|&k| k > 0), "{verdicts:?}");
     }
 
     #[test]

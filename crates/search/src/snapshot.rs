@@ -147,6 +147,9 @@ pub struct SnapshotInfo {
     /// Part of `load_time` spent parsing and validating the graph and
     /// index sections into a dataset (splicing, for delta links).
     pub validate_time: Duration,
+    /// Part of `validate_time` spent on the graph sections; the rest is
+    /// [`SnapshotInfo::index_validate_time`].
+    pub graph_validate_time: Duration,
     /// Content fingerprint: per-section fingerprints (tag, length,
     /// stored checksum) folded in table order — see
     /// [`srs_graph::container::BundleReader::fingerprint`]. Identifies
@@ -172,8 +175,14 @@ impl SnapshotInfo {
         self.load_time.saturating_sub(self.read_time + self.checksum_time + self.validate_time)
     }
 
-    fn from_load(r: &BundleReader, ds: &Dataset, stamps: [Instant; 4]) -> Self {
-        let [started, read, verified, validated] = stamps;
+    /// Part of `validate_time` spent on the index sections (and on
+    /// splicing delta links): what the graph part leaves.
+    pub fn index_validate_time(&self) -> Duration {
+        self.validate_time.saturating_sub(self.graph_validate_time)
+    }
+
+    fn from_load(r: &BundleReader, ds: &Dataset, stamps: [Instant; 5]) -> Self {
+        let [started, read, verified, graph_validated, validated] = stamps;
         let profile = ds.memory_profile();
         SnapshotInfo {
             bytes: r.total_bytes(),
@@ -182,6 +191,7 @@ impl SnapshotInfo {
             read_time: read - started,
             checksum_time: verified - read,
             validate_time: validated - verified,
+            graph_validate_time: graph_validated - verified,
             fingerprint: r.fingerprint(),
             resident_bytes: profile.resident_bytes,
             mapped_bytes: profile.mapped_bytes,
@@ -251,7 +261,7 @@ pub fn load_snapshot<P: AsRef<Path>>(
     let reader = if opts.mmap {
         BundleReader::open_mapped(path.as_ref(), VerifyMode::Lazy)?
     } else {
-        BundleReader::open_buf(BundleBuf::from(std::fs::read(path)?), VerifyMode::Lazy)?
+        BundleReader::open_file(path.as_ref(), VerifyMode::Lazy)?
     };
     if opts.prefault {
         if let BundleBuf::Mapped(m) = reader.buffer() {
@@ -276,8 +286,10 @@ fn finish_load(
     }
     let verified = Instant::now();
     let graph = Graph::from_bundle_with(&reader, level).map_err(|e| PersistError::Format(e.to_string()))?;
+    let graph_validated = Instant::now();
     let ds = Dataset::new(graph, index_from_bundle_with(&reader, level)?)?;
-    let info = SnapshotInfo::from_load(&reader, &ds, [started, read, verified, Instant::now()]);
+    let info =
+        SnapshotInfo::from_load(&reader, &ds, [started, read, verified, graph_validated, Instant::now()]);
     let verifier = (mode == VerifyMode::Lazy).then(|| SnapshotVerifier { reader: Arc::new(reader) });
     Ok((ds, info, verifier))
 }

@@ -112,6 +112,43 @@ fn write_temp(name: &str, bytes: &[u8]) -> std::path::PathBuf {
     path
 }
 
+#[cfg(unix)]
+#[test]
+fn heap_load_owns_its_bytes() {
+    // A heap load reads the file into memory of its own: truncating and
+    // then overwriting the file cannot fault a later query or change an
+    // answer, and none of the load counts as mapped.
+    let ds = build(120, 9);
+    let bytes = packed(&ds);
+    let path = write_temp("heap_owned.srs", &bytes);
+    let (loaded, info, verifier) = load_snapshot(&path, &LoadOptions::default()).unwrap();
+    assert!(verifier.is_none(), "a heap load verifies eagerly");
+    assert!(!info.mapped, "{info:?}");
+    assert_eq!(info.mapped_bytes, 0, "{info:?}");
+    assert!(info.resident_bytes > 0, "{info:?}");
+    std::fs::OpenOptions::new().write(true).open(&path).unwrap().set_len(0).unwrap();
+    std::fs::write(&path, vec![0xA5; bytes.len()]).unwrap();
+    assert_eq!(answers(&loaded), answers(&ds));
+
+    // Empty and short files fail with a typed error.
+    for cut in [0, 7, 16, 100] {
+        std::fs::write(&path, &bytes[..cut]).unwrap();
+        let err = load_snapshot(&path, &LoadOptions::default()).expect_err("a short file must not load");
+        assert!(matches!(err, PersistError::Format(_)), "cut {cut}: {err}");
+    }
+
+    // A snapshot under one 2 MiB huge page is read without advice.
+    assert!(bytes.len() < 2 << 20);
+    std::fs::write(&path, &bytes).unwrap();
+    let reader = container::BundleReader::open_file(&path, container::VerifyMode::Eager).unwrap();
+    assert!(!reader.is_mapped());
+    match reader.buffer() {
+        srs_graph::BundleBuf::Anon(region) => assert_eq!(region.advised_bytes(), 0),
+        other => panic!("a heap file load must read into anonymous memory, got {other:?}"),
+    }
+    std::fs::remove_file(&path).ok();
+}
+
 #[test]
 fn mmap_truncation_never_panics_and_always_errors() {
     let ds = build(80, 3);
